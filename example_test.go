@@ -59,7 +59,7 @@ func ExampleSystem_RunScheme_options() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scoped, err := sys.RunScheme(pask.PaSK, pask.Options{BlasScope: true})
+	scoped, err := sys.RunScheme(pask.PaSK, pask.WithBlasScope())
 	if err != nil {
 		log.Fatal(err)
 	}

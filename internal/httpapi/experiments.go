@@ -54,8 +54,7 @@ type ExperimentResponse struct {
 }
 
 // handleExperimentRunV1 dispatches any registered experiment by name with
-// the uniform options: the generic successor to the bespoke per-experiment
-// POST routes. The run's timeline is recorded and retrievable at the
+// the uniform options. The run's timeline is recorded and retrievable at the
 // returned trace URL.
 func (s *Server) handleExperimentRunV1(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")

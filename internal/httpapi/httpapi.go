@@ -8,11 +8,8 @@
 // The API is versioned under /v1. Run-triggering endpoints are POST with a
 // JSON body; every v1 run is recorded and its Chrome trace retrievable at
 // GET /v1/runs/{id}/trace; GET /metrics serves a Prometheus text snapshot.
-// The original unversioned GET endpoints remain as deprecated aliases: they
-// answer exactly as before but carry a Deprecation header pointing at their
-// /v1 successor. Errors use a uniform envelope
-// {"error":{"code":..., "message":...}} mapped from the stack's typed
-// sentinels.
+// Errors use a uniform envelope {"error":{"code":..., "message":...}} mapped
+// from the stack's typed sentinels.
 //
 // Paper anchor: beyond-paper operational surface over the §IV–§V experiments.
 package httpapi
@@ -24,8 +21,6 @@ import (
 	"net/http"
 	"os"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -93,36 +88,13 @@ func New() *Server {
 	s.mux.HandleFunc("POST /v1/serve", s.handleServeV1)
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperimentsList)
 	s.mux.HandleFunc("POST /v1/experiments/{name}", s.handleExperimentRunV1)
-	// The bespoke per-experiment POST routes are deprecated aliases of the
-	// generic registry endpoint (same Deprecation signal as the legacy GET
-	// routes); their request/response shapes are unchanged.
-	s.mux.HandleFunc("POST /v1/multitenant", deprecated("/v1/experiments/multitenant", s.handleMultitenantV1))
-	s.mux.HandleFunc("POST /v1/overload", deprecated("/v1/experiments/overload", s.handleOverloadV1))
 	s.mux.HandleFunc("GET /v1/runs/{id}/trace", s.handleRunTrace)
 	s.mux.HandleFunc("GET /v1/warmup/{model}", s.handleWarmupProfile)
 	s.mux.HandleFunc("GET /v1/cacheimages", s.handleCacheImagesList)
 	s.mux.HandleFunc("POST /v1/cacheimages", s.handleCacheImagesBuild)
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// Deprecated unversioned aliases: same behavior, plus a Deprecation
-	// header naming the successor route.
-	s.mux.HandleFunc("GET /models", deprecated("/v1/models", s.handleModels))
-	s.mux.HandleFunc("GET /devices", deprecated("/v1/devices", s.handleDevices))
-	s.mux.HandleFunc("GET /schemes", deprecated("/v1/schemes", s.handleSchemes))
-	s.mux.HandleFunc("GET /coldstart", deprecated("/v1/coldstart", s.handleColdStartLegacy))
-	s.mux.HandleFunc("GET /serve", deprecated("/v1/serve", s.handleServeLegacy))
-	s.mux.HandleFunc("GET /multitenant", deprecated("/v1/multitenant", s.handleMultitenantLegacy))
 	return s
-}
-
-// deprecated wraps a legacy handler with the Deprecation header (RFC 9745)
-// and a Link to the successor version.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // statusFromErr maps the stack's typed sentinels to HTTP statuses: a shed
@@ -369,14 +341,13 @@ type ColdStartResponse struct {
 	ImageAttach string `json:"image_attach,omitempty"`
 	ImageID     string `json:"image_id,omitempty"`
 
-	// RunID and TraceURL are set on v1 runs: the recorded timeline is
-	// retrievable at TraceURL until the run ages out of the store.
+	// RunID and TraceURL locate the recorded timeline, retrievable at
+	// TraceURL until the run ages out of the store.
 	RunID    string `json:"run_id,omitempty"`
 	TraceURL string `json:"trace_url,omitempty"`
 }
 
-// runColdStart executes one validated coldstart request. rec may be nil
-// (legacy path: no recording).
+// runColdStart executes one validated coldstart request, recording into rec.
 func (s *Server) runColdStart(req ColdStartRequest, rec *trace.Recorder) (*ColdStartResponse, *metrics.Report, int, error) {
 	if req.Model == "" {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("missing model")
@@ -463,35 +434,6 @@ func (s *Server) handleColdStartV1(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.RunID = s.storeRun(rec, rep)
 	resp.TraceURL = "/v1/runs/" + resp.RunID + "/trace"
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleColdStartLegacy runs ?model=res&scheme=PaSK&device=MI100&batch=1 and
-// reports the result; with compare=1 it also runs Baseline and reports the
-// speedup.
-//
-// Deprecated: use POST /v1/coldstart.
-func (s *Server) handleColdStartLegacy(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	req := ColdStartRequest{
-		Model:   q.Get("model"),
-		Scheme:  q.Get("scheme"),
-		Device:  q.Get("device"),
-		Compare: q.Get("compare") == "1",
-	}
-	if b := q.Get("batch"); b != "" {
-		v, err := strconv.Atoi(b)
-		if err != nil || v < 1 {
-			badRequest(w, "bad batch %q", b)
-			return
-		}
-		req.Batch = v
-	}
-	resp, _, status, err := s.runColdStart(req, nil)
-	if err != nil {
-		writeErr(w, status, err)
-		return
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -759,7 +701,7 @@ type ServeResponse struct {
 	TraceURL string `json:"trace_url,omitempty"`
 }
 
-// runServe executes one validated serve request. rec may be nil.
+// runServe executes one validated serve request, recording into rec.
 func (s *Server) runServe(req ServeRequest, rec *trace.Recorder) (*ServeResponse, int, error) {
 	if req.Model == "" {
 		return nil, http.StatusBadRequest, fmt.Errorf("missing model")
@@ -851,332 +793,6 @@ func (s *Server) handleServeV1(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := trace.New()
 	resp, status, err := s.runServe(req, rec)
-	if err != nil {
-		writeErr(w, status, err)
-		return
-	}
-	resp.RunID = s.storeRun(rec, nil)
-	resp.TraceURL = "/v1/runs/" + resp.RunID + "/trace"
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleServeLegacy runs ?model=res&requests=20 through a serving trace.
-// Optional knobs: scheme, device, batch; faults= takes a fault-plan spec
-// (transient=0.1,permanent=0.02,seed=7,...); retries=, deadline_ms= and
-// continue=1 set the fault-tolerance policy. Without continue=1 a failed
-// request aborts the trace and the typed error picks the HTTP status.
-//
-// Deprecated: use POST /v1/serve.
-func (s *Server) handleServeLegacy(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	req := ServeRequest{
-		Model:           q.Get("model"),
-		Scheme:          q.Get("scheme"),
-		Device:          q.Get("device"),
-		Faults:          q.Get("faults"),
-		ContinueOnError: q.Get("continue") == "1",
-	}
-	if b := q.Get("batch"); b != "" {
-		v, err := strconv.Atoi(b)
-		if err != nil || v < 1 {
-			badRequest(w, "bad batch %q", b)
-			return
-		}
-		req.Batch = v
-	}
-	if n := q.Get("requests"); n != "" {
-		v, err := strconv.Atoi(n)
-		if err != nil || v < 1 || v > 10000 {
-			badRequest(w, "bad requests %q", n)
-			return
-		}
-		req.Requests = v
-	}
-	if v := q.Get("retries"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			badRequest(w, "bad retries %q", v)
-			return
-		}
-		req.Retries = n
-	}
-	if v := q.Get("deadline_ms"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
-			badRequest(w, "bad deadline_ms %q", v)
-			return
-		}
-		req.DeadlineMs = f
-	}
-	resp, status, err := s.runServe(req, nil)
-	if err != nil {
-		writeErr(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// MultitenantRequest is the POST /v1/multitenant body.
-type MultitenantRequest struct {
-	Models     []string `json:"models,omitempty"`
-	Device     string   `json:"device,omitempty"`
-	Batch      int      `json:"batch,omitempty"`
-	Requests   int      `json:"requests,omitempty"` // per tenant, max 1000
-	IntervalMs float64  `json:"interval_ms,omitempty"`
-}
-
-// MultitenantTenant is one model's row in the multitenant reply.
-type MultitenantTenant struct {
-	Model          string  `json:"model"`
-	IsolatedColdMs float64 `json:"isolated_cold_ms"`
-	SharedColdMs   float64 `json:"shared_cold_ms"`
-}
-
-// MultitenantTenantLoad is one shared-arm tenant's load attribution.
-type MultitenantTenantLoad struct {
-	Tenant         string  `json:"tenant"`
-	Loads          int     `json:"loads"`
-	LoadedBytes    int64   `json:"loaded_bytes"`
-	LoadMs         float64 `json:"load_ms"`
-	SharedHits     int     `json:"shared_hits"`
-	CoalescedWaits int     `json:"coalesced_waits"`
-}
-
-// MultitenantResponse is the multitenant reply: the isolated-vs-shared
-// runtime comparison over an interleaved multi-model trace.
-type MultitenantResponse struct {
-	Models    []string `json:"models"`
-	Device    string   `json:"device"`
-	Batch     int      `json:"batch"`
-	PerTenant int      `json:"requests_per_tenant"`
-
-	IsolatedLoads  int                     `json:"isolated_module_loads"`
-	SharedLoads    int                     `json:"shared_module_loads"`
-	StoreUntouched bool                    `json:"store_untouched"`
-	Tenants        []MultitenantTenant     `json:"tenants"`
-	TenantLoads    []MultitenantTenantLoad `json:"tenant_loads"`
-}
-
-// runMultitenant executes one validated multitenant request.
-func (s *Server) runMultitenant(req MultitenantRequest) (*MultitenantResponse, int, error) {
-	cfg := serving.MultitenantConfig{Models: req.Models}
-	if req.Device != "" {
-		prof, ok := device.ProfileByName(req.Device)
-		if !ok {
-			return nil, http.StatusBadRequest, fmt.Errorf("unknown device %q", req.Device)
-		}
-		cfg.Profile = prof
-	}
-	if req.Batch != 0 {
-		if req.Batch < 1 {
-			return nil, http.StatusBadRequest, fmt.Errorf("bad batch %d", req.Batch)
-		}
-		cfg.Batch = req.Batch
-	}
-	if req.Requests != 0 {
-		if req.Requests < 1 || req.Requests > 1000 {
-			return nil, http.StatusBadRequest, fmt.Errorf("bad requests %d", req.Requests)
-		}
-		cfg.PerTenant = req.Requests
-	}
-	if req.IntervalMs != 0 {
-		if req.IntervalMs < 0 {
-			return nil, http.StatusBadRequest, fmt.Errorf("bad interval_ms %v", req.IntervalMs)
-		}
-		cfg.Interval = time.Duration(req.IntervalMs * float64(time.Millisecond))
-	}
-	_, res, err := serving.Multitenant(cfg)
-	if err != nil {
-		return nil, statusFromErr(err), err
-	}
-	cfg.Fill()
-	resp := &MultitenantResponse{
-		Models: res.Models, Device: cfg.Profile.Name, Batch: cfg.Batch,
-		PerTenant:      cfg.PerTenant,
-		IsolatedLoads:  res.Isolated.ModuleLoads,
-		SharedLoads:    res.Shared.ModuleLoads,
-		StoreUntouched: res.StoreUntouched(),
-	}
-	for _, m := range res.Models {
-		resp.Tenants = append(resp.Tenants, MultitenantTenant{
-			Model:          m,
-			IsolatedColdMs: float64(serving.FirstCold(res.Isolated, m)) / float64(time.Millisecond),
-			SharedColdMs:   float64(serving.FirstCold(res.Shared, m)) / float64(time.Millisecond),
-		})
-	}
-	for _, ts := range res.Shared.TenantLoads {
-		if ts.Tenant == "" { // root view holds no tenant activity
-			continue
-		}
-		resp.TenantLoads = append(resp.TenantLoads, MultitenantTenantLoad{
-			Tenant: ts.Tenant, Loads: ts.Loads, LoadedBytes: ts.BytesLoaded,
-			LoadMs:         float64(ts.LoadTime) / float64(time.Millisecond),
-			SharedHits:     ts.SharedHits,
-			CoalescedWaits: ts.CoalescedWaits,
-		})
-	}
-	return resp, http.StatusOK, nil
-}
-
-// handleMultitenantV1 runs the shared-vs-isolated experiment from a JSON
-// body.
-func (s *Server) handleMultitenantV1(w http.ResponseWriter, r *http.Request) {
-	var req MultitenantRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, status, err := s.runMultitenant(req)
-	if err != nil {
-		writeErr(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleMultitenantLegacy runs ?models=res,vgg&requests=4 through the
-// shared-vs-isolated runtime experiment. Optional knobs: device, batch,
-// interval_ms.
-//
-// Deprecated: use POST /v1/multitenant.
-func (s *Server) handleMultitenantLegacy(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	req := MultitenantRequest{Device: q.Get("device")}
-	if v := q.Get("models"); v != "" {
-		req.Models = strings.Split(v, ",")
-	}
-	if v := q.Get("batch"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			badRequest(w, "bad batch %q", v)
-			return
-		}
-		req.Batch = n
-	}
-	if v := q.Get("requests"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 || n > 1000 {
-			badRequest(w, "bad requests %q", v)
-			return
-		}
-		req.Requests = n
-	}
-	if v := q.Get("interval_ms"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
-			badRequest(w, "bad interval_ms %q", v)
-			return
-		}
-		req.IntervalMs = f
-	}
-	resp, status, err := s.runMultitenant(req)
-	if err != nil {
-		writeErr(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// OverloadRequest parameterizes POST /v1/overload: one (device, trace-kind)
-// cell of the overload-protection experiment, across one arm or all three.
-type OverloadRequest struct {
-	Model  string `json:"model"`
-	Device string `json:"device,omitempty"`
-	Batch  int    `json:"batch,omitempty"`
-	// Trace is "burst" (default: a simultaneous-arrival spike under a
-	// slow-loader storm) or "poisson" (a device reset mid-trace trips the
-	// breaker).
-	Trace string `json:"trace,omitempty"`
-	// Arm is "none", "shed" or "brownout"; empty runs all three for a
-	// side-by-side comparison.
-	Arm string `json:"arm,omitempty"`
-	// Requests sizes the Poisson trace, Burst the spike (defaults 40/36,
-	// max 10000 each). Quick shrinks both to CI-smoke size.
-	Requests int  `json:"requests,omitempty"`
-	Burst    int  `json:"burst,omitempty"`
-	Quick    bool `json:"quick,omitempty"`
-}
-
-// OverloadResponse is the overload reply: the measured cells, one per arm.
-type OverloadResponse struct {
-	Model  string `json:"model"`
-	Device string `json:"device"`
-	Batch  int    `json:"batch"`
-	Trace  string `json:"trace"`
-	Seed   int64  `json:"seed"`
-
-	Cells []serving.OverloadCell `json:"cells"`
-
-	RunID    string `json:"run_id,omitempty"`
-	TraceURL string `json:"trace_url,omitempty"`
-}
-
-// runOverload executes one validated overload request. rec may be nil.
-func (s *Server) runOverload(req OverloadRequest, rec *trace.Recorder) (*OverloadResponse, int, error) {
-	if req.Model == "" {
-		return nil, http.StatusBadRequest, fmt.Errorf("missing model")
-	}
-	prof, err := parseDevice(req.Device)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	batch := req.Batch
-	if batch == 0 {
-		batch = 1
-	}
-	if batch < 1 {
-		return nil, http.StatusBadRequest, fmt.Errorf("bad batch %d", batch)
-	}
-	traceKind := req.Trace
-	if traceKind == "" {
-		traceKind = "burst"
-	}
-	if traceKind != "burst" && traceKind != "poisson" {
-		return nil, http.StatusBadRequest, fmt.Errorf("bad trace %q (want burst or poisson)", req.Trace)
-	}
-	arms := serving.OverloadArms()
-	if req.Arm != "" {
-		arm, ok := serving.OverloadArmByName(req.Arm)
-		if !ok {
-			return nil, http.StatusBadRequest, fmt.Errorf("bad arm %q (want none, shed or brownout)", req.Arm)
-		}
-		arms = []serving.OverloadArm{arm}
-	}
-	if req.Requests < 0 || req.Requests > 10000 {
-		return nil, http.StatusBadRequest, fmt.Errorf("bad requests %d", req.Requests)
-	}
-	if req.Burst < 0 || req.Burst > 10000 {
-		return nil, http.StatusBadRequest, fmt.Errorf("bad burst %d", req.Burst)
-	}
-
-	ms, err := s.setup(req.Model, batch, prof)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	cfg := serving.OverloadConfig{
-		Model: req.Model, Batch: batch,
-		Requests: req.Requests, Burst: req.Burst, Quick: req.Quick,
-	}.Filled()
-	cells, err := serving.OverloadRun(ms, cfg, traceKind, arms, rec)
-	if err != nil {
-		return nil, statusFromErr(err), err
-	}
-	return &OverloadResponse{
-		Model: req.Model, Device: prof.Name, Batch: batch, Trace: traceKind,
-		Seed:  cfg.Seed,
-		Cells: cells,
-	}, http.StatusOK, nil
-}
-
-// handleOverloadV1 runs one overload-protection cell from a JSON body,
-// recording its trace (breaker state and brownout pressure counters land in
-// the timeline when a brownout arm runs).
-func (s *Server) handleOverloadV1(w http.ResponseWriter, r *http.Request) {
-	var req OverloadRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	rec := trace.New()
-	resp, status, err := s.runOverload(req, rec)
 	if err != nil {
 		writeErr(w, status, err)
 		return

@@ -114,6 +114,8 @@ func TestExperimentRunV1Errors(t *testing.T) {
 		{"/v1/experiments/predictive", `{"models": ["bert"]}`, http.StatusBadRequest},
 		{"/v1/experiments/predictive", `{"batches": [0]}`, http.StatusBadRequest},
 		{"/v1/experiments/predictive", `not json`, http.StatusBadRequest},
+		{"/v1/experiments/multitenant", `{"models": ["bert"]}`, http.StatusBadRequest},
+		{"/v1/experiments/overload", `{"batches": [0]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, data := postJSON(t, srv, c.path, c.body)
@@ -124,31 +126,6 @@ func TestExperimentRunV1Errors(t *testing.T) {
 		var env ErrorEnvelope
 		if err := json.Unmarshal(data, &env); err != nil || env.Error.Code == "" {
 			t.Errorf("POST %s: error envelope missing: %s", c.path, data)
-		}
-	}
-}
-
-// TestExperimentAliasesDeprecated checks the bespoke POST routes still
-// answer but carry the Deprecation signal pointing at the generic
-// endpoint.
-func TestExperimentAliasesDeprecated(t *testing.T) {
-	srv := New()
-	cases := []struct {
-		path, body, successor string
-	}{
-		{"/v1/multitenant", `{"requests": 2}`, "/v1/experiments/multitenant"},
-		{"/v1/overload", `{"model": "alex", "quick": true, "arm": "shed", "trace": "burst"}`, "/v1/experiments/overload"},
-	}
-	for _, c := range cases {
-		resp, data := postJSON(t, srv, c.path, c.body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: status %d: %s", c.path, resp.StatusCode, data)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("POST %s: missing Deprecation header", c.path)
-		}
-		if link := resp.Header.Get("Link"); link != `<`+c.successor+`>; rel="successor-version"` {
-			t.Errorf("POST %s: Link %q does not name %s", c.path, link, c.successor)
 		}
 	}
 }

@@ -3,28 +3,67 @@ package httpapi
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
-	"net/url"
+	"reflect"
 	"testing"
+	"time"
 )
 
-func get(t *testing.T, srv *Server, path string) (*http.Response, []byte) {
-	t.Helper()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + path)
-	if err != nil {
-		t.Fatal(err)
+// TestRouteSurface pins the API's one generation: every kept route is
+// registered for its method, and the removed unversioned aliases and bespoke
+// experiment routes fall through to the mux's 404.
+func TestRouteSurface(t *testing.T) {
+	srv := New()
+	// Record a run with a warmup profile so the parameterized GETs resolve.
+	if resp, body := postJSON(t, srv, "/v1/coldstart", `{"model":"alex","record_profile":true}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed run: %d %s", resp.StatusCode, body)
 	}
-	defer resp.Body.Close()
-	var buf [1 << 16]byte
-	n, _ := resp.Body.Read(buf[:])
-	return resp, buf[:n]
+	cases := []struct {
+		method, path, body string
+		removed            bool
+	}{
+		{"GET", "/v1/models", "", false},
+		{"GET", "/v1/devices", "", false},
+		{"GET", "/v1/schemes", "", false},
+		{"GET", "/v1/experiments", "", false},
+		{"GET", "/v1/runs/run-1/trace", "", false},
+		{"GET", "/v1/warmup/alex", "", false},
+		{"GET", "/v1/cacheimages", "", false},
+		{"GET", "/v1/health", "", false},
+		{"GET", "/metrics", "", false},
+		// Bodies that fail validation reach the handler without running.
+		{"POST", "/v1/coldstart", `{}`, false},
+		{"POST", "/v1/serve", `{}`, false},
+		{"POST", "/v1/experiments/multitenant", `not json`, false},
+		{"POST", "/v1/cacheimages", `{}`, false},
+
+		{"GET", "/models", "", true},
+		{"GET", "/devices", "", true},
+		{"GET", "/schemes", "", true},
+		{"GET", "/coldstart?model=alex", "", true},
+		{"GET", "/serve?model=alex", "", true},
+		{"GET", "/multitenant", "", true},
+		{"POST", "/v1/multitenant", `{}`, true},
+		{"POST", "/v1/overload", `{"model":"alex"}`, true},
+	}
+	for _, c := range cases {
+		var resp *http.Response
+		if c.method == "POST" {
+			resp, _ = postJSON(t, srv, c.path, c.body)
+		} else {
+			resp, _ = getFull(t, srv, c.path)
+		}
+		switch {
+		case c.removed && resp.StatusCode != http.StatusNotFound:
+			t.Errorf("removed %s %s: status %d, want 404", c.method, c.path, resp.StatusCode)
+		case !c.removed && (resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed):
+			t.Errorf("kept %s %s: status %d, route not registered", c.method, c.path, resp.StatusCode)
+		}
+	}
 }
 
 func TestModelsEndpoint(t *testing.T) {
 	srv := New()
-	resp, body := get(t, srv, "/models")
+	resp, body := getFull(t, srv, "/v1/models")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -39,7 +78,7 @@ func TestModelsEndpoint(t *testing.T) {
 
 func TestDevicesAndSchemesEndpoints(t *testing.T) {
 	srv := New()
-	_, body := get(t, srv, "/devices")
+	_, body := getFull(t, srv, "/v1/devices")
 	var devs []string
 	if err := json.Unmarshal(body, &devs); err != nil {
 		t.Fatal(err)
@@ -47,7 +86,7 @@ func TestDevicesAndSchemesEndpoints(t *testing.T) {
 	if len(devs) != 3 {
 		t.Fatalf("devices = %v", devs)
 	}
-	_, body = get(t, srv, "/schemes")
+	_, body = getFull(t, srv, "/v1/schemes")
 	var schemes []string
 	if err := json.Unmarshal(body, &schemes); err != nil {
 		t.Fatal(err)
@@ -59,7 +98,7 @@ func TestDevicesAndSchemesEndpoints(t *testing.T) {
 
 func TestColdStartEndpoint(t *testing.T) {
 	srv := New()
-	resp, body := get(t, srv, "/coldstart?model=alex&scheme=PaSK&compare=1")
+	resp, body := postJSON(t, srv, "/v1/coldstart", `{"model":"alex","scheme":"PaSK","compare":true}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -84,21 +123,30 @@ func TestColdStartEndpoint(t *testing.T) {
 
 func TestColdStartDefaultsAndCache(t *testing.T) {
 	srv := New()
-	resp1, body1 := get(t, srv, "/coldstart?model=alex")
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp1.StatusCode, body1)
+	var out [2]ColdStartResponse
+	for i := range out {
+		resp, body := postJSON(t, srv, "/v1/coldstart", `{"model":"alex"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &out[i]); err != nil {
+			t.Fatal(err)
+		}
+		if out[i].RunID == "" {
+			t.Fatalf("run %d has no run id", i)
+		}
+		out[i].RunID, out[i].TraceURL = "", ""
 	}
 	// The second call reuses the cached setup and must be identical
-	// (deterministic virtual time).
-	_, body2 := get(t, srv, "/coldstart?model=alex")
-	if string(body1) != string(body2) {
-		t.Fatal("repeated identical queries differ")
+	// (deterministic virtual time) apart from its run handle.
+	if !reflect.DeepEqual(out[0], out[1]) {
+		t.Fatalf("repeated identical requests differ:\n%+v\n%+v", out[0], out[1])
 	}
 }
 
 func TestServeEndpoint(t *testing.T) {
 	srv := New()
-	resp, body := get(t, srv, "/serve?model=alex&requests=5")
+	resp, body := postJSON(t, srv, "/v1/serve", `{"model":"alex","requests":5}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -106,16 +154,15 @@ func TestServeEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Served != 5 || out.Failed != 0 || out.P50Ms <= 0 {
+	if out.Served != 5 || out.Failed != 0 || out.P50Ms <= 0 || out.P99Ms < out.P50Ms {
 		t.Fatalf("response implausible: %+v", out)
 	}
 }
 
 func TestServeFaultedResilient(t *testing.T) {
 	srv := New()
-	path := "/serve?model=alex&requests=10&retries=2&continue=1&faults=" +
-		url.QueryEscape("transient=0.2,seed=4")
-	resp, body := get(t, srv, path)
+	resp, body := postJSON(t, srv, "/v1/serve",
+		`{"model":"alex","requests":10,"retries":2,"continue_on_error":true,"faults":"transient=0.2,seed=4"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -129,101 +176,111 @@ func TestServeFaultedResilient(t *testing.T) {
 }
 
 // TestServeStatusMapping checks that typed serving failures pick the right
-// HTTP status instead of a blanket 500.
+// HTTP status and envelope code instead of a blanket 500.
 func TestServeStatusMapping(t *testing.T) {
 	srv := New()
-	// A microsecond-scale deadline no request can meet: gateway timeout.
-	resp, body := get(t, srv, "/serve?model=alex&requests=3&deadline_ms=0.001")
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("deadline miss: status %d, want 504: %s", resp.StatusCode, body)
+	cases := []struct {
+		body   string
+		status int
+		code   string
+	}{
+		// A microsecond-scale deadline no request can meet: gateway timeout.
+		{`{"model":"alex","requests":3,"deadline_ms":0.001}`, http.StatusGatewayTimeout, "deadline_exceeded"},
+		// Every non-protected object corrupt under a fail-fast Baseline with
+		// retries but no ladder: the instance crashes, service unavailable.
+		{`{"model":"alex","requests":3,"scheme":"Baseline","retries":1,"faults":"permanent=1,seed=1"}`,
+			http.StatusServiceUnavailable, "instance_crashed"},
 	}
-	// Every non-protected object corrupt under a fail-fast Baseline with
-	// retries but no ladder: the instance crashes, service unavailable.
-	path := "/serve?model=alex&requests=3&scheme=Baseline&retries=1&faults=" +
-		url.QueryEscape("permanent=1,seed=1")
-	resp, body = get(t, srv, path)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("instance crash: status %d, want 503: %s", resp.StatusCode, body)
+	for _, c := range cases {
+		resp, body := postJSON(t, srv, "/v1/serve", c.body)
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status %d, want %d: %s", c.body, resp.StatusCode, c.status, body)
+			continue
+		}
+		var env ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != c.code {
+			t.Errorf("%s: body %s, want code %q", c.body, body, c.code)
+		}
 	}
 }
 
 func TestServeValidation(t *testing.T) {
 	srv := New()
-	cases := []string{
-		"/serve",                          // missing model
-		"/serve?model=alex&requests=0",    // bad requests
-		"/serve?model=alex&scheme=Turbo",  // unknown scheme
-		"/serve?model=alex&retries=-1",    // bad retries
-		"/serve?model=alex&deadline_ms=x", // bad deadline
-		"/serve?model=alex&faults=" + url.QueryEscape("transient=2"), // bad rate
-		"/serve?model=alex&faults=" + url.QueryEscape("warp=0.5"),    // unknown key
-	}
-	for _, path := range cases {
-		resp, _ := get(t, srv, path)
+	for _, body := range []string{
+		`{}`,                                      // missing model
+		`{"model":"alex","requests":-1}`,          // bad requests
+		`{"model":"alex","requests":10001}`,       // requests over the cap
+		`{"model":"alex","scheme":"Turbo"}`,       // unknown scheme
+		`{"model":"alex","device":"H100"}`,        // unknown device
+		`{"model":"alex","retries":-1}`,           // bad retries
+		`{"model":"alex","deadline_ms":-1}`,       // bad deadline
+		`{"model":"alex","faults":"transient=2"}`, // bad rate
+		`{"model":"alex","faults":"warp=0.5"}`,    // unknown key
+	} {
+		resp, data := postJSON(t, srv, "/v1/serve", body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)
+			t.Errorf("%s: status %d, want 400: %s", body, resp.StatusCode, data)
 		}
 	}
 }
 
-func TestColdStartValidation(t *testing.T) {
-	srv := New()
-	cases := []string{
-		"/coldstart",                         // missing model
-		"/coldstart?model=bert",              // unknown model
-		"/coldstart?model=alex&scheme=Turbo", // unknown scheme
-		"/coldstart?model=alex&device=H100",  // unknown device
-		"/coldstart?model=alex&batch=0",      // bad batch
-		"/coldstart?model=alex&batch=banana", // non-numeric batch
-	}
-	for _, path := range cases {
-		resp, _ := get(t, srv, path)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)
-		}
-	}
-}
-
+// TestMultitenantEndpoint drives the shared-vs-isolated experiment through
+// the generic registry route and checks its acceptance properties on the
+// bench payload.
 func TestMultitenantEndpoint(t *testing.T) {
 	srv := New()
-	resp, body := get(t, srv, "/multitenant?requests=2&interval_ms=4")
+	resp, body := postJSON(t, srv, "/v1/experiments/multitenant", `{"quick":true}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var mt MultitenantResponse
-	if err := json.Unmarshal(body, &mt); err != nil {
+	type arm struct {
+		ModuleLoads int
+		ColdByModel map[string][]time.Duration
+		TenantLoads []struct{ Tenant string }
+	}
+	var er struct {
+		Result struct {
+			Bench struct {
+				Models                                                  []string
+				Isolated, Shared                                        arm
+				FingerprintBefore, FingerprintBetween, FingerprintAfter uint32
+			} `json:"bench"`
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	if len(mt.Tenants) != 2 {
-		t.Fatalf("tenants = %+v", mt.Tenants)
+	mt := er.Result.Bench
+	if len(mt.Models) != 2 {
+		t.Fatalf("tenants = %v", mt.Models)
 	}
-	if !mt.StoreUntouched {
+	if mt.FingerprintBefore != mt.FingerprintBetween || mt.FingerprintBetween != mt.FingerprintAfter {
 		t.Fatal("store mutated across arms")
 	}
-	if mt.SharedLoads >= mt.IsolatedLoads {
-		t.Fatalf("shared loads %d not below isolated %d", mt.SharedLoads, mt.IsolatedLoads)
+	if mt.Shared.ModuleLoads >= mt.Isolated.ModuleLoads {
+		t.Fatalf("shared loads %d not below isolated %d", mt.Shared.ModuleLoads, mt.Isolated.ModuleLoads)
 	}
-	second := mt.Tenants[1]
-	if second.SharedColdMs >= second.IsolatedColdMs {
-		t.Fatalf("second tenant %s cold start not improved: shared %.2fms vs isolated %.2fms",
-			second.Model, second.SharedColdMs, second.IsolatedColdMs)
+	second := mt.Models[1]
+	iso, sh := mt.Isolated.ColdByModel[second], mt.Shared.ColdByModel[second]
+	if len(iso) == 0 || len(sh) == 0 || sh[0] >= iso[0] {
+		t.Fatalf("second tenant %s cold start not improved: shared %v vs isolated %v", second, sh, iso)
 	}
-	if len(mt.TenantLoads) == 0 {
+	if len(mt.Shared.TenantLoads) == 0 {
 		t.Fatal("no per-tenant load attribution")
 	}
 }
 
-func TestMultitenantValidation(t *testing.T) {
+// TestColdStartValidation covers the coldstart rejections TestV1ErrorEnvelope
+// does not: an unknown device and a mistyped field.
+func TestColdStartValidation(t *testing.T) {
 	srv := New()
-	for _, path := range []string{
-		"/multitenant?device=nope",
-		"/multitenant?batch=0",
-		"/multitenant?requests=0",
-		"/multitenant?interval_ms=-1",
+	for _, body := range []string{
+		`{"model":"alex","device":"H100"}`,  // unknown device
+		`{"model":"alex","batch":"banana"}`, // non-numeric batch
 	} {
-		resp, _ := get(t, srv, path)
+		resp, data := postJSON(t, srv, "/v1/coldstart", body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)
+			t.Errorf("%s: status %d, want 400: %s", body, resp.StatusCode, data)
 		}
 	}
 }

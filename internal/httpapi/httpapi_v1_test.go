@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,8 +31,7 @@ func postJSON(t *testing.T, srv *Server, path, body string) (*http.Response, []b
 	return resp, data
 }
 
-// getFull GETs a path and returns the response plus full body (the legacy
-// helper reads a single chunk; traces can be larger).
+// getFull GETs a path and returns the response plus full body.
 func getFull(t *testing.T, srv *Server, path string) (*http.Response, []byte) {
 	t.Helper()
 	ts := httptest.NewServer(srv)
@@ -78,44 +78,6 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		if env.Error.Message == "" {
 			t.Errorf("%s: empty error message", tc.body)
 		}
-	}
-}
-
-func TestLegacyErrorsUseEnvelopeToo(t *testing.T) {
-	srv := New()
-	resp, body := get(t, srv, "/coldstart?model=bert")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var env ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code == "" {
-		t.Fatalf("legacy error body %q lacks the envelope", body)
-	}
-}
-
-func TestDeprecationAliases(t *testing.T) {
-	srv := New()
-	for _, path := range []string{"/models", "/devices", "/schemes"} {
-		resp, _ := getFull(t, srv, path)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("%s: Deprecation header %q, want \"true\"", path, got)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1"+path) ||
-			!strings.Contains(link, "successor-version") {
-			t.Errorf("%s: Link header %q does not name the successor", path, link)
-		}
-	}
-	// v1 routes carry no deprecation marker and serve the same body.
-	legacyResp, legacyBody := getFull(t, srv, "/models")
-	v1Resp, v1Body := getFull(t, srv, "/v1/models")
-	if v1Resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1/models is marked deprecated")
-	}
-	if legacyResp.StatusCode != v1Resp.StatusCode || string(legacyBody) != string(v1Body) {
-		t.Error("alias and /v1 answers differ")
 	}
 }
 
@@ -183,18 +145,32 @@ func TestV1ServeEndpoint(t *testing.T) {
 	}
 }
 
+// TestV1MultitenantEndpoint checks that the generic route's models field
+// picks the tenants of the shared-vs-isolated experiment, and that both arms
+// still read an untouched store.
 func TestV1MultitenantEndpoint(t *testing.T) {
 	srv := New()
-	resp, body := postJSON(t, srv, "/v1/multitenant", `{"requests":2,"interval_ms":4}`)
+	resp, body := postJSON(t, srv, "/v1/experiments/multitenant", `{"quick":true,"models":["alex","res"]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var mt MultitenantResponse
-	if err := json.Unmarshal(body, &mt); err != nil {
+	var er struct {
+		Result struct {
+			Bench struct {
+				Models                                                  []string
+				FingerprintBefore, FingerprintBetween, FingerprintAfter uint32
+			} `json:"bench"`
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	if len(mt.Tenants) != 2 || !mt.StoreUntouched {
-		t.Fatalf("unexpected reply: %+v", mt)
+	mt := er.Result.Bench
+	if !reflect.DeepEqual(mt.Models, []string{"alex", "res"}) {
+		t.Fatalf("tenants = %v, want [alex res]", mt.Models)
+	}
+	if mt.FingerprintBefore != mt.FingerprintBetween || mt.FingerprintBetween != mt.FingerprintAfter {
+		t.Fatal("store mutated across arms")
 	}
 }
 
@@ -252,7 +228,7 @@ func TestV1WarmupProfileEndpoint(t *testing.T) {
 
 func TestV1RunTriggersRejectGet(t *testing.T) {
 	srv := New()
-	for _, path := range []string{"/v1/coldstart", "/v1/serve", "/v1/multitenant"} {
+	for _, path := range []string{"/v1/coldstart", "/v1/serve", "/v1/experiments/multitenant"} {
 		resp, _ := getFull(t, srv, path+"?model=alex")
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("GET %s: status %d, want 405", path, resp.StatusCode)
@@ -293,71 +269,49 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestV1OverloadEndpoint runs the overload experiment through the generic
+// registry route: every device gets all three arms, and the brownout arms'
+// recorded pressure lands in the served trace and on /metrics.
 func TestV1OverloadEndpoint(t *testing.T) {
 	srv := New()
-	resp, body := postJSON(t, srv, "/v1/overload", `{"model":"res","trace":"burst","quick":true}`)
+	resp, body := postJSON(t, srv, "/v1/experiments/overload", `{"quick":true}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var or OverloadResponse
-	if err := json.Unmarshal(body, &or); err != nil {
+	var er struct {
+		Result struct {
+			Bench serving.OverloadBench `json:"bench"`
+		} `json:"result"`
+		TraceURL string `json:"trace_url"`
+	}
+	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	if len(or.Cells) != 3 {
-		t.Fatalf("got %d cells, want all three arms: %s", len(or.Cells), body)
+	bench := er.Result.Bench
+	if bench.Seed == 0 || len(bench.Devices) != 3 {
+		t.Fatalf("seed %d, %d devices: %s", bench.Seed, len(bench.Devices), body)
 	}
-	byArm := map[string]bool{}
-	for _, c := range or.Cells {
-		byArm[c.Arm] = true
-		if c.Requests == 0 {
-			t.Fatalf("cell %q has zero requests", c.Arm)
+	for _, dev := range bench.Devices {
+		byArm := map[string]bool{}
+		for _, c := range dev.Cells {
+			byArm[c.Arm] = true
+			if c.Requests == 0 {
+				t.Fatalf("%s cell %q has zero requests", dev.Device, c.Arm)
+			}
+		}
+		if !byArm["none"] || !byArm["shed"] || !byArm["brownout"] {
+			t.Fatalf("%s: missing arms: %v", dev.Device, byArm)
 		}
 	}
-	if !byArm["none"] || !byArm["shed"] || !byArm["brownout"] {
-		t.Fatalf("missing arms: %v", byArm)
-	}
-	if or.Seed == 0 || or.Device == "" {
-		t.Fatalf("effective config not reported: %+v", or)
-	}
-	if or.RunID == "" || or.TraceURL == "" {
-		t.Fatalf("missing run id / trace url: %+v", or)
-	}
-	traceResp, traceBody := getFull(t, srv, or.TraceURL)
+	traceResp, traceBody := getFull(t, srv, er.TraceURL)
 	if traceResp.StatusCode != http.StatusOK {
 		t.Fatalf("trace fetch: status %d", traceResp.StatusCode)
 	}
 	if _, err := trace.ValidateChrome(traceBody); err != nil {
 		t.Fatalf("overload trace invalid: %v", err)
 	}
-}
-
-func TestV1OverloadSingleArmAndValidation(t *testing.T) {
-	srv := New()
-	resp, body := postJSON(t, srv, "/v1/overload", `{"model":"res","arm":"shed","quick":true}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var or OverloadResponse
-	if err := json.Unmarshal(body, &or); err != nil {
-		t.Fatal(err)
-	}
-	if len(or.Cells) != 1 || or.Cells[0].Arm != "shed" {
-		t.Fatalf("unexpected cells: %s", body)
-	}
-	if or.Trace != "burst" {
-		t.Fatalf("default trace = %q, want burst", or.Trace)
-	}
-
-	for _, bad := range []string{
-		`{"trace":"burst"}`,                // missing model
-		`{"model":"res","arm":"panic"}`,    // unknown arm
-		`{"model":"res","trace":"square"}`, // unknown trace kind
-		`{"model":"res","burst":99999}`,    // burst over cap
-	} {
-		resp, body := postJSON(t, srv, "/v1/overload", bad)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %s: status %d (%s), want 400", bad, resp.StatusCode, body)
-		}
+	if _, metrics := getFull(t, srv, "/metrics"); !strings.Contains(string(metrics), "pask_brownout_pressure") {
+		t.Fatalf("/metrics lacks pask_brownout_pressure after an overload run:\n%s", metrics)
 	}
 }
 

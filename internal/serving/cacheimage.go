@@ -108,12 +108,6 @@ func (c *CacheImageConfig) fill() {
 	}
 }
 
-// Filled returns the config with all defaults applied.
-func (c CacheImageConfig) Filled() CacheImageConfig {
-	c.fill()
-	return c
-}
-
 // CacheImageCell is one (device, fleet size, coverage) measurement.
 type CacheImageCell struct {
 	Nodes    int     `json:"nodes"`

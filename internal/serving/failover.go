@@ -422,6 +422,23 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 	stats := &Stats{}
 	arm := &FailoverArm{Name: sc.name, Peering: sc.peering, Images: sc.images}
 
+	// retry runs attempt up to three times, counting each retry and sleeping
+	// the tenant's capped-jitter backoff before it. An error for which fatal
+	// (when non-nil) reports true ends the loop at once.
+	retry := func(p *sim.Proc, ft *failoverTenant, fatal func(error) bool, attempt func() error) error {
+		var err error
+		for n := 0; n < 3; n++ {
+			if n > 0 {
+				stats.Retries++
+				p.Sleep(expBackoff(200*time.Microsecond, 2*time.Millisecond, n, int64(ft.idx), ft.abbr))
+			}
+			if err = attempt(); err == nil || (fatal != nil && fatal(err)) {
+				return err
+			}
+		}
+		return err
+	}
+
 	// relocate drains a tenant off its sick GPU, re-places it through the
 	// load-balanced policy (the empty spare wins deterministically), warm-arms
 	// the new process from the fleet's cache images when the scenario allows,
@@ -429,12 +446,7 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 	// first inference on the new device — is the evacuation TTFI.
 	relocate := func(p *sim.Proc, ft *failoverTenant) error {
 		t0 := p.Now()
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			if attempt > 0 {
-				stats.Retries++
-				p.Sleep(expBackoff(200*time.Microsecond, 2*time.Millisecond, attempt, int64(ft.idx), ft.abbr))
-			}
+		return retry(p, ft, nil, func() error {
 			ft.pr.RT.Detach()
 			mh.Release(ft.gpu)
 			g := mh.Pick(PlaceBalanced, objects[ft.abbr])
@@ -451,11 +463,11 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 				}
 			}
 			ft.pr.Runner.RT.InitContext(p)
-			if err = ft.pr.Runner.Lib.LoadResidents(p); err != nil {
-				continue
+			if err := ft.pr.Runner.Lib.LoadResidents(p); err != nil {
+				return err
 			}
-			if err = ft.pr.Runner.RunBaseline(p, ft.ms.Model); err != nil {
-				continue
+			if err := ft.pr.Runner.RunBaseline(p, ft.ms.Model); err != nil {
+				return err
 			}
 			lat := p.Now() - t0
 			stats.recordEvacuated(lat)
@@ -463,8 +475,7 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 				rec.Count("evac_ttfi_ms", p.Now(), float64(lat)/1e6)
 			}
 			return nil
-		}
-		return err
+		})
 	}
 
 	// serveOnce runs one request (with bring-up on the first), retrying
@@ -472,31 +483,19 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 	// retried here — the caller relocates instead.
 	serveOnce := func(p *sim.Proc, ft *failoverTenant, bringup bool) error {
 		t0 := p.Now()
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			if attempt > 0 {
-				stats.Retries++
-				p.Sleep(expBackoff(200*time.Microsecond, 2*time.Millisecond, attempt, int64(ft.idx), ft.abbr))
-			}
+		return retry(p, ft, backend.IsDeviceLost, func() error {
 			if bringup {
 				ft.pr.Runner.RT.InitContext(p)
-				if err = ft.pr.Runner.Lib.LoadResidents(p); err != nil {
-					if backend.IsDeviceLost(err) {
-						return err
-					}
-					continue
-				}
-			}
-			if err = ft.pr.Runner.RunBaseline(p, ft.ms.Model); err != nil {
-				if backend.IsDeviceLost(err) {
+				if err := ft.pr.Runner.Lib.LoadResidents(p); err != nil {
 					return err
 				}
-				continue
+			}
+			if err := ft.pr.Runner.RunBaseline(p, ft.ms.Model); err != nil {
+				return err
 			}
 			stats.Latencies = append(stats.Latencies, p.Now()-t0)
 			return nil
-		}
-		return err
+		})
 	}
 
 	var doneSigs []*sim.Signal

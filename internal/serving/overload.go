@@ -92,13 +92,6 @@ func (c *OverloadConfig) fill() {
 	}
 }
 
-// Filled returns the config with all defaults applied — what OverloadRun
-// actually executes. Callers reporting effective parameters use this.
-func (c OverloadConfig) Filled() OverloadConfig {
-	c.fill()
-	return c
-}
-
 // OverloadArm is one protection level of the comparison.
 type OverloadArm struct {
 	Name     string
@@ -204,23 +197,12 @@ func overloadPlan(cfg OverloadConfig, poisson bool) faults.Plan {
 	return plan
 }
 
-// OverloadArmByName resolves an arm label ("none", "shed", "brownout").
-func OverloadArmByName(name string) (OverloadArm, bool) {
-	for _, arm := range OverloadArms() {
-		if arm.Name == name {
-			return arm, true
-		}
-	}
-	return OverloadArm{}, false
-}
-
-// OverloadRun measures the given arms of one (device, trace-kind) overload
-// cell on an already-prepared model. traceKind is "poisson" or "burst"; every
-// arm faces the identical seeded trace and fault plan. rec, when non-nil, is
+// overloadRun measures every arm of one (device, trace-kind) overload cell
+// on an already-prepared model. traceKind is "poisson" or "burst"; every arm
+// faces the identical seeded trace and fault plan. rec, when non-nil, is
 // attached to brownout arms so breaker and pressure counters land in the
-// timeline. This is the building block Overload sweeps and POST /v1/overload
-// serves directly.
-func OverloadRun(ms *experiments.ModelSetup, cfg OverloadConfig, traceKind string, arms []OverloadArm, rec *trace.Recorder) ([]OverloadCell, error) {
+// timeline.
+func overloadRun(ms *experiments.ModelSetup, cfg OverloadConfig, traceKind string, rec *trace.Recorder) ([]OverloadCell, error) {
 	cfg.fill()
 	poisson := traceKind == "poisson"
 	if !poisson && traceKind != "burst" {
@@ -233,7 +215,7 @@ func OverloadRun(ms *experiments.ModelSetup, cfg OverloadConfig, traceKind strin
 		total = cfg.Requests
 	}
 	var cells []OverloadCell
-	for _, arm := range arms {
+	for _, arm := range OverloadArms() {
 		var armRec *trace.Recorder
 		if arm.Brownout {
 			armRec = rec
@@ -291,7 +273,7 @@ func Overload(cfg OverloadConfig) (*experiments.Table, *OverloadBench, error) {
 			if devIdx == 0 {
 				rec = cfg.Rec
 			}
-			cells, err := OverloadRun(ms, cfg, traceKind, OverloadArms(), rec)
+			cells, err := overloadRun(ms, cfg, traceKind, rec)
 			if err != nil {
 				return nil, nil, fmt.Errorf("overload %s: %w", prof.Name, err)
 			}

@@ -111,12 +111,6 @@ func (c *PredictiveConfig) fill() {
 	}
 }
 
-// Filled returns the config with all defaults applied.
-func (c PredictiveConfig) Filled() PredictiveConfig {
-	c.fill()
-	return c
-}
-
 // PredictiveCell is one (device, arm) measurement.
 type PredictiveCell struct {
 	Arm      string `json:"arm"`

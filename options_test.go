@@ -8,35 +8,6 @@ import (
 	"pask/internal/trace"
 )
 
-// TestFunctionalOptionsMatchLegacyStruct pins the compatibility contract: the
-// With* constructors and the deprecated Options struct configure identical
-// runs.
-func TestFunctionalOptionsMatchLegacyStruct(t *testing.T) {
-	sys, err := NewSystem(Config{Model: "swin"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := sys.RunScheme(PaSK, WithBlasScope())
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := sys.RunScheme(PaSK, Options{BlasScope: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if modern.Total != legacy.Total || modern.Loads != legacy.Loads {
-		t.Fatalf("WithBlasScope() and Options{BlasScope} diverge: %+v vs %+v", modern, legacy)
-	}
-	// Options merge: the struct cannot clear a flag another option set.
-	merged, err := sys.RunScheme(PaSK, WithBlasScope(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Total != modern.Total {
-		t.Fatalf("empty Options cleared WithBlasScope: %v vs %v", merged.Total, modern.Total)
-	}
-}
-
 // TestWithTrace pins the trace export path of the public API: the run writes
 // valid Chrome trace_event JSON covering the pipeline's tracks, and the
 // traced run's numbers match an untraced one.

@@ -152,25 +152,6 @@ func WithProfileRecording(path string) Option {
 	return optionFunc(func(c *runConfig) { c.recordPath = path })
 }
 
-// Options toggles the paper's §VI extensions on PASK runs.
-//
-// Deprecated: pass functional options instead — Options{BlasScope: true}
-// becomes WithBlasScope(). The struct remains an Option so existing
-// RunScheme(scheme, Options{...}) calls keep compiling.
-type Options struct {
-	// BlasScope extends PASK's management to the BLAS library's GEMM
-	// kernels (helps transformer models).
-	BlasScope bool
-	// PrecisionPreference serves reduced-precision layers with resident
-	// full-precision kernels instead of loading low-precision specialists.
-	PrecisionPreference bool
-}
-
-func (o Options) applyOption(c *runConfig) {
-	c.opts.BlasScope = c.opts.BlasScope || o.BlasScope
-	c.opts.PrecisionPreference = c.opts.PrecisionPreference || o.PrecisionPreference
-}
-
 // Category labels one kind of activity in a Report.Breakdown. It is the
 // metrics package's category type re-exported, so the constants below and
 // plain string literals both index the map.
@@ -342,8 +323,6 @@ func (s *System) PrimitiveLayers() int { return s.ms.Model.DistinctPrimitiveProb
 // process and returns its report. Options configure the run:
 //
 //	rep, err := sys.RunScheme(pask.PaSK, pask.WithBlasScope())
-//
-// The deprecated Options struct is still accepted in the same position.
 func (s *System) RunScheme(scheme Scheme, opts ...Option) (*Report, error) {
 	var rc runConfig
 	for _, o := range opts {

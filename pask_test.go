@@ -101,7 +101,7 @@ func TestBlasScopeOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scoped, err := sys.RunScheme(PaSK, Options{BlasScope: true})
+	scoped, err := sys.RunScheme(PaSK, WithBlasScope())
 	if err != nil {
 		t.Fatal(err)
 	}
