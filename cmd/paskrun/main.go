@@ -231,7 +231,7 @@ func runWithSpans(ms *experiments.ModelSetup, pr *experiments.Process, scheme co
 		case core.SchemePaSKR:
 			c := core.NewNaiveCache()
 			core.SeedResidents(c, pr.Runner.Lib)
-			res, runErr = core.RunSequentialReuse(p, pr.Runner, model, c)
+			res, runErr = core.RunSequentialReuse(p, pr.Runner, model, c, core.Options{})
 		default:
 			c := core.NewCategoricalCache()
 			core.SeedResidents(c, pr.Runner.Lib)

@@ -1,8 +1,9 @@
 // Serverless: the scale-out scenario that motivates the paper (§I). A
-// request spike forces N fresh instances to cold start simultaneously; the
-// example compares the per-instance cold latency under Baseline vs PASK,
-// then serves a Poisson trace on one instance with §VI background loading
-// filling the idle gaps.
+// request spike (a burst trace on an uncapped fleet) forces N fresh
+// instances to cold start simultaneously; the example compares the
+// per-instance time from arrival to completion, process bring-up included,
+// under Baseline vs PASK, then serves a Poisson trace on one instance with
+// §VI background loading filling the idle gaps.
 //
 // Run with:
 //
@@ -30,10 +31,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	setups := map[string]*experiments.ModelSetup{model: ms}
 
 	fmt.Printf("== serverless scale-out: 8 cold instances of %s ==\n", model)
 	for _, scheme := range []core.Scheme{core.SchemeBaseline, core.SchemeNNV12, core.SchemePaSK} {
-		stats, err := serving.ScaleOut(ms, serving.Policy{Scheme: scheme}, 8)
+		stats, err := serving.ServeFleetModels(setups, model, serving.FleetConfig{
+			Policy: serving.Policy{Scheme: scheme},
+		}, serving.BurstTrace(8))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,7 +48,7 @@ func main() {
 	fmt.Printf("\n== autoscaled fleet: 30-request trace, keep-alive 2s, max 4 instances ==\n")
 	fleetTrace := serving.PoissonTrace(30, 250*time.Millisecond, 9)
 	for _, scheme := range []core.Scheme{core.SchemeBaseline, core.SchemePaSK} {
-		stats, err := serving.ServeFleet(ms, serving.FleetConfig{
+		stats, err := serving.ServeFleetModels(setups, model, serving.FleetConfig{
 			Policy:       serving.Policy{Scheme: scheme},
 			KeepAlive:    2 * time.Second,
 			MaxInstances: 4,

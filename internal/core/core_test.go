@@ -352,7 +352,7 @@ func TestFullPaSKFasterThanAblations(t *testing.T) {
 	paskR, _ := h.coldRun(t, func(p *sim.Proc, r *graphx.Runner) error {
 		nc := NewNaiveCache()
 		SeedResidents(nc, r.Lib)
-		_, err := RunSequentialReuse(p, r, h.model, nc)
+		_, err := RunSequentialReuse(p, r, h.model, nc, Options{})
 		return err
 	})
 	if pask >= paskI {
@@ -370,7 +370,7 @@ func TestSequentialReuseStats(t *testing.T) {
 		var err error
 		nc := NewNaiveCache()
 		SeedResidents(nc, r.Lib)
-		res, err = RunSequentialReuse(p, r, h.model, nc)
+		res, err = RunSequentialReuse(p, r, h.model, nc, Options{})
 		return err
 	})
 	if res.Cache.Queries == 0 {
@@ -678,13 +678,13 @@ func TestRunWarmReuseSkipsParse(t *testing.T) {
 		}
 		coldT = p.Now() - t0
 		t1 := p.Now()
-		if _, err := RunSequentialReuse(p, runner, h.model, cache); err != nil {
+		if _, err := RunSequentialReuse(p, runner, h.model, cache, Options{}); err != nil {
 			t.Error(err)
 			return
 		}
 		warmSeq = p.Now() - t1
 		t2 := p.Now()
-		if _, err := RunWarmReuse(p, runner, h.model, cache); err != nil {
+		if _, err := RunWarmReuse(p, runner, h.model, cache, Options{}); err != nil {
 			t.Error(err)
 			return
 		}

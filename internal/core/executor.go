@@ -551,27 +551,18 @@ func (pl *pipeline) insertBlas(inst blas.Instance) {
 
 // RunSequentialReuse executes the PaSK-R ablation: no interleaving (parse
 // everything, then run layer by layer on one thread) with reuse through the
-// given cache — typically the NaiveCache with its exhaustive scans.
-func RunSequentialReuse(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache Cache) (*Result, error) {
-	return runSequential(p, r, m, cache, true, Options{})
-}
-
-// RunSequentialReuseOpts is RunSequentialReuse with executor options — the
-// serving layer threads its pressure signal through here.
-func RunSequentialReuseOpts(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache Cache, opts Options) (*Result, error) {
+// given cache — typically the NaiveCache with its exhaustive scans. opts
+// carries the executor options (the serving layer threads its pressure
+// signal through here).
+func RunSequentialReuse(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache Cache, opts Options) (*Result, error) {
 	return runSequential(p, r, m, cache, true, opts)
 }
 
 // RunWarmReuse serves a request on a warm engine that retains the parsed
 // program: layers still follow Algorithm 1 against the cache (paper §VI's
-// subsequent-request behavior) but nothing is re-parsed.
-func RunWarmReuse(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache Cache) (*Result, error) {
-	return runSequential(p, r, m, cache, false, Options{})
-}
-
-// RunWarmReuseOpts is RunWarmReuse with executor options (pressure signal,
-// profile observer) carried through to the per-layer decisions.
-func RunWarmReuseOpts(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache Cache, opts Options) (*Result, error) {
+// subsequent-request behavior) but nothing is re-parsed. opts (pressure
+// signal, profile observer) carries through to the per-layer decisions.
+func RunWarmReuse(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache Cache, opts Options) (*Result, error) {
 	return runSequential(p, r, m, cache, false, opts)
 }
 

@@ -94,12 +94,12 @@ func TestElevatedPressureSequentialReuse(t *testing.T) {
 	var nominal, elevated *Result
 	_, nomRunner := h.coldRun(t, func(p *sim.Proc, r *graphx.Runner) error {
 		var err error
-		nominal, err = RunSequentialReuseOpts(p, r, h.model, NewCategoricalCache(), Options{})
+		nominal, err = RunSequentialReuse(p, r, h.model, NewCategoricalCache(), Options{})
 		return err
 	})
 	_, elevRunner := h.coldRun(t, func(p *sim.Proc, r *graphx.Runner) error {
 		var err error
-		elevated, err = RunSequentialReuseOpts(p, r, h.model, NewCategoricalCache(),
+		elevated, err = RunSequentialReuse(p, r, h.model, NewCategoricalCache(),
 			Options{Pressure: StaticPressure(PressureElevated)})
 		return err
 	})

@@ -123,7 +123,7 @@ func TestDegradationSequentialSurvivesLoadFailure(t *testing.T) {
 		var rerr error
 		// An empty cache keeps ordinary GetSub reuse from absorbing the
 		// broken objects, forcing the recovery ladder itself to serve them.
-		res, rerr = RunSequentialReuse(p, r, h.model, NewNaiveCache())
+		res, rerr = RunSequentialReuse(p, r, h.model, NewNaiveCache(), Options{})
 		return rerr
 	})
 	if err != nil {

@@ -110,7 +110,7 @@ func (ms *ModelSetup) RunSchemeWarm(scheme core.Scheme, opts core.Options, rec *
 		case core.SchemePaSKR:
 			cache := core.NewNaiveCache()
 			core.SeedResidents(cache, pr.Runner.Lib)
-			res, runErr = core.RunSequentialReuse(p, pr.Runner, model, cache)
+			res, runErr = core.RunSequentialReuse(p, pr.Runner, model, cache, core.Options{})
 		default:
 			runErr = fmt.Errorf("experiments: unknown scheme %q", scheme)
 		}

@@ -10,9 +10,8 @@ import (
 )
 
 // ErrShed marks a request rejected by admission control before it reached an
-// instance: the queue it would have joined was over its depth bound, or the
-// request had already waited past its queue deadline. Mapped to HTTP 429 by
-// internal/httpapi.
+// instance: it had already waited past its queue deadline. Mapped to HTTP 429
+// by internal/httpapi.
 var ErrShed = errors.New("serving: request shed by admission control")
 
 // ErrBreakerOpen marks a request rejected because its model's circuit
@@ -25,19 +24,12 @@ var ErrBreakerOpen = errors.New("serving: circuit breaker open")
 // scenario's instances. The zero value admits everything (the historical
 // behavior).
 type AdmissionConfig struct {
-	// MaxQueue bounds how many arrived requests may wait behind the one
-	// being dispatched. When the backlog exceeds it, the oldest waiting
-	// requests are shed first (drop-head): they have waited longest and are
-	// the closest to staleness. 0 means unbounded.
-	MaxQueue int
 	// QueueDeadline sheds any request that has waited longer than this
 	// before reaching an instance. 0 means no deadline.
 	QueueDeadline time.Duration
 }
 
-func (a AdmissionConfig) enabled() bool {
-	return a.MaxQueue > 0 || a.QueueDeadline > 0
-}
+func (a AdmissionConfig) enabled() bool { return a.QueueDeadline > 0 }
 
 // backlog reports how many requests after index i have arrived by now — the
 // queue standing behind the request being dispatched. Traces are sorted by
@@ -57,13 +49,7 @@ func backlog(tr Trace, i int, now time.Duration) int {
 // dispatch at now, returning the shed verdict and the backlog it observed.
 func (a AdmissionConfig) shouldShed(tr Trace, i int, now time.Duration) (bool, int) {
 	depth := backlog(tr, i, now)
-	if a.MaxQueue > 0 && depth >= a.MaxQueue {
-		return true, depth
-	}
-	if a.QueueDeadline > 0 && now-tr[i].At > a.QueueDeadline {
-		return true, depth
-	}
-	return false, depth
+	return a.QueueDeadline > 0 && now-tr[i].At > a.QueueDeadline, depth
 }
 
 // ApplyFlood splices the plan's synthetic request flood into a trace: FloodN
@@ -134,12 +120,7 @@ func (g *overloadGuard) admit(now time.Duration, tr Trace, i int) error {
 	if g == nil {
 		return nil
 	}
-	shed, depth := false, 0
-	if g.adm.enabled() {
-		shed, depth = g.adm.shouldShed(tr, i, now)
-	} else {
-		depth = backlog(tr, i, now)
-	}
+	shed, depth := g.adm.shouldShed(tr, i, now)
 	g.rec.Count("overload_queue_depth", now, float64(depth))
 	if g.ctrl != nil {
 		g.ctrl.observeDepth(now, depth)
@@ -148,9 +129,6 @@ func (g *overloadGuard) admit(now time.Duration, tr Trace, i int) error {
 		return nil
 	}
 	g.stats.recordShed(i)
-	if g.ctrl != nil {
-		g.ctrl.observeShed(now)
-	}
 	g.rec.Instant("overload", "shed", now)
 	return ErrShed
 }

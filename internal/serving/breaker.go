@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"time"
 
+	"pask/internal/sim"
 	"pask/internal/trace"
 )
 
@@ -16,8 +17,8 @@ const (
 	BreakerClosed BreakerState = iota
 	// BreakerOpen rejects every request until the cooldown elapses.
 	BreakerOpen
-	// BreakerHalfOpen lets probe requests through; successes close the
-	// breaker, one failure reopens it with a longer cooldown.
+	// BreakerHalfOpen lets probe requests through; a success closes the
+	// breaker, a failure reopens it with a longer cooldown.
 	BreakerHalfOpen
 )
 
@@ -41,15 +42,11 @@ type BreakerConfig struct {
 	// breaker open. 0 disables the breaker.
 	Threshold int
 	// Cooldown is the base open→half-open wait (default 2ms). Repeated
-	// trips back off exponentially from it, capped at MaxCooldown, with
+	// trips back off exponentially from it, capped at 8×Cooldown, with
 	// deterministic seeded jitter — the same capped-backoff policy
-	// FaultTolerance retries use.
+	// FaultTolerance retries use. One probe success in half-open closes
+	// the breaker again.
 	Cooldown time.Duration
-	// MaxCooldown caps the trip backoff (default 8×Cooldown).
-	MaxCooldown time.Duration
-	// HalfOpenProbes is how many consecutive successes in half-open close
-	// the breaker again (default 1).
-	HalfOpenProbes int
 	// Seed selects the deterministic jitter stream for cooldowns.
 	Seed int64
 }
@@ -61,20 +58,6 @@ func (c BreakerConfig) cooldown() time.Duration {
 		return c.Cooldown
 	}
 	return 2 * time.Millisecond
-}
-
-func (c BreakerConfig) maxCooldown() time.Duration {
-	if c.MaxCooldown > 0 {
-		return c.MaxCooldown
-	}
-	return 8 * c.cooldown()
-}
-
-func (c BreakerConfig) probes() int {
-	if c.HalfOpenProbes > 0 {
-		return c.HalfOpenProbes
-	}
-	return 1
 }
 
 // expBackoff returns base·2^attempt capped at max, with a deterministic
@@ -99,10 +82,36 @@ func expBackoff(base, max time.Duration, attempt int, seed int64, key string) ti
 	return d + time.Duration((frac-0.5)*0.5*float64(d))
 }
 
+// backoff is one retry loop's schedule over expBackoff: the base wait, its
+// cap, the attempt index of the first wait, and the jitter stream.
+type backoff struct {
+	base, max time.Duration
+	offset    int
+	seed      int64
+	key       string
+}
+
+// retry calls attempt(0), attempt(1), ... at most n times, until one
+// succeeds or reports its failure not retriable, and returns the last
+// error. Each retriable failure counts one retry and waits out the backoff,
+// so an attempt that wants no wait after it must report false.
+func (b backoff) retry(p *sim.Proc, n int, retries *int, attempt func(i int) (retriable bool, err error)) error {
+	var err error
+	for i := 0; i < n; i++ {
+		var again bool
+		if again, err = attempt(i); err == nil || !again {
+			return err
+		}
+		*retries++
+		p.Sleep(expBackoff(b.base, b.max, b.offset+i, b.seed, b.key))
+	}
+	return err
+}
+
 // breaker is one model's circuit over the shared runtime: closed→open on
 // Threshold consecutive failures, open→half-open after a deterministic
-// cooldown, half-open→closed after enough probe successes (or back to open
-// on any probe failure, with a longer cooldown). All transitions happen at
+// cooldown, half-open→closed on a probe success (or back to open on a probe
+// failure, with a longer cooldown). All transitions happen at
 // request-dispatch points, so breaker state is a pure function of the
 // virtual-time request/outcome sequence — same seed, same transitions.
 type breaker struct {
@@ -113,7 +122,6 @@ type breaker struct {
 
 	state    BreakerState
 	fails    int // consecutive failures while closed or half-open
-	okProbes int // consecutive half-open successes
 	streak   int // consecutive trips without an intervening close (backoff exponent)
 	reopenAt time.Duration
 }
@@ -150,7 +158,6 @@ func (b *breaker) allow(now time.Duration) bool {
 		if now < b.reopenAt {
 			return false
 		}
-		b.okProbes = 0
 		b.transition(now, BreakerHalfOpen)
 		return true
 	default:
@@ -166,11 +173,8 @@ func (b *breaker) observe(now time.Duration, err error) {
 	if err == nil {
 		b.fails = 0
 		if b.state == BreakerHalfOpen {
-			b.okProbes++
-			if b.okProbes >= b.cfg.probes() {
-				b.streak = 0
-				b.transition(now, BreakerClosed)
-			}
+			b.streak = 0
+			b.transition(now, BreakerClosed)
 		}
 		return
 	}
@@ -182,7 +186,7 @@ func (b *breaker) observe(now time.Duration, err error) {
 
 // trip opens the breaker with the streak's capped-exponential cooldown.
 func (b *breaker) trip(now time.Duration) {
-	cool := expBackoff(b.cfg.cooldown(), b.cfg.maxCooldown(), b.streak, b.cfg.Seed, b.model)
+	cool := expBackoff(b.cfg.cooldown(), 8*b.cfg.cooldown(), b.streak, b.cfg.Seed, b.model)
 	b.streak++
 	b.fails = 0
 	b.reopenAt = now + cool

@@ -8,11 +8,11 @@ import (
 )
 
 // BrownoutConfig governs the pressure-adaptive reuse mode: when the request
-// queue deepens (or shedding starts), the controller raises the pressure
-// level PASK's per-layer decision consults, so layers run on already-loaded
-// generic solutions instead of issuing new code-object loads — the paper's
-// §III-B reuse trade pushed further while the fleet is drowning, relaxed
-// again as the queue drains. The zero value disables brownout.
+// queue deepens, the controller raises the pressure level PASK's per-layer
+// decision consults, so layers run on already-loaded generic solutions
+// instead of issuing new code-object loads — the paper's §III-B reuse trade
+// pushed further while the fleet is drowning, relaxed again as the queue
+// drains. The zero value disables brownout.
 type BrownoutConfig struct {
 	// Enabled turns the controller on.
 	Enabled bool
@@ -20,15 +20,10 @@ type BrownoutConfig struct {
 	// (default 3).
 	EnterDepth int
 	// SevereDepth is the backlog at which pressure rises to Severe
-	// (default 2×EnterDepth).
+	// (default 2×EnterDepth). Pressure relaxes one level once the backlog
+	// falls to EnterDepth/2 or below — the hysteresis band up to EnterDepth
+	// keeps the controller from flapping on every arrival.
 	SevereDepth int
-	// ExitDepth relaxes pressure one level once the backlog falls to it or
-	// below (default EnterDepth/2) — the hysteresis band between ExitDepth
-	// and EnterDepth prevents the controller from flapping on every arrival.
-	ExitDepth int
-	// ShedTrip forces pressure at least one level up whenever this many
-	// requests have been shed since the last relax (default 0: depth only).
-	ShedTrip int
 }
 
 func (c BrownoutConfig) enterDepth() int {
@@ -45,17 +40,10 @@ func (c BrownoutConfig) severeDepth() int {
 	return 2 * c.enterDepth()
 }
 
-func (c BrownoutConfig) exitDepth() int {
-	if c.ExitDepth > 0 {
-		return c.ExitDepth
-	}
-	return c.enterDepth() / 2
-}
-
-// brownout implements core.PressureSource over queue-depth and shed
-// observations made at the scenarios' dispatch points. Levels rise as far as
-// the observation demands immediately, but relax only one level per
-// observation below ExitDepth — draining a severe brownout passes through
+// brownout implements core.PressureSource over the queue-depth observations
+// made at the scenarios' dispatch points. Levels rise as far as the
+// observation demands immediately, but relax only one level per observation
+// at or below EnterDepth/2 — draining a severe brownout passes through
 // elevated first, so the load-avoidance that is emptying the queue is not
 // switched off the moment the first gap appears.
 type brownout struct {
@@ -64,7 +52,6 @@ type brownout struct {
 	rec   *trace.Recorder
 
 	level core.PressureLevel
-	sheds int // sheds since the last relax (drives ShedTrip)
 }
 
 func newBrownout(cfg BrownoutConfig, stats *Stats, rec *trace.Recorder) *brownout {
@@ -84,25 +71,12 @@ func (b *brownout) observeDepth(now time.Duration, depth int) {
 		if target < core.PressureElevated {
 			target = core.PressureElevated
 		}
-	case depth <= b.cfg.exitDepth():
+	case depth <= b.cfg.enterDepth()/2:
 		if target > core.PressureNominal {
 			target--
-			b.sheds = 0
 		}
 	}
-	if b.cfg.ShedTrip > 0 && b.sheds >= b.cfg.ShedTrip && target < core.PressureElevated {
-		target = core.PressureElevated
-	}
 	b.setLevel(now, target)
-}
-
-// observeShed notes a shed request — sustained shedding is pressure even
-// when the instantaneous backlog looks shallow.
-func (b *brownout) observeShed(now time.Duration) {
-	b.sheds++
-	if b.cfg.ShedTrip > 0 && b.sheds >= b.cfg.ShedTrip && b.level < core.PressureElevated {
-		b.setLevel(now, core.PressureElevated)
-	}
 }
 
 func (b *brownout) setLevel(now time.Duration, to core.PressureLevel) {

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -149,37 +150,37 @@ type nodeResult struct {
 	corrupt  bool
 }
 
+// errPullFailed marks a node whose image never landed: it was killed, or
+// every transfer attempt was truncated.
+var errPullFailed = errors.New("serving: cache image pull failed")
+
 // pull distributes the image to one node over the transfer model,
 // consulting the fault injector per attempt: truncated transfers retry
-// with the fleet's capped-jitter backoff (expBackoff — the same policy
-// request retries and breaker cooldowns use), a killed node abandons
-// distribution entirely, and a corrupt transfer lands damaged bytes under
-// the advertised ID (atomically — torn writes are the store's problem,
-// corruption the attach ladder's). Returns whether any bytes landed.
+// with the fleet's capped-jitter backoff (waited out after the last
+// attempt too), a killed node abandons distribution entirely, and a
+// corrupt transfer lands damaged bytes under the advertised ID (atomically
+// — torn writes are the store's problem, corruption the attach ladder's).
+// Returns whether any bytes landed.
 func (f *cacheImageFleet) pull(p *sim.Proc, node string, res *nodeResult) bool {
-	for attempt := 0; attempt < cacheImagePullAttempts; attempt++ {
+	b := backoff{base: 500 * time.Microsecond, max: 4 * time.Millisecond, seed: cacheImageSeed, key: node}
+	err := b.retry(p, cacheImagePullAttempts, &res.retries, func(attempt int) (bool, error) {
 		p.Sleep(pullDuration(int64(len(f.raw))))
+		data := f.raw
 		switch f.inj.PullFault(node, attempt) {
 		case faults.PullKilled:
 			res.killed = true
-			return false
+			return false, errPullFailed
 		case faults.PullTruncated:
-			res.retries++
-			p.Sleep(expBackoff(500*time.Microsecond, 4*time.Millisecond, attempt, cacheImageSeed, node))
-			continue
+			return true, errPullFailed
 		case faults.PullCorrupt:
 			res.corrupt = true
-			bad := make([]byte, len(f.raw))
-			copy(bad, f.raw)
-			bad[len(bad)/2] ^= 0x01
-			res.err = res.store.PublishBytes(f.id, bad)
-			return res.err == nil
-		default:
-			res.err = res.store.PublishBytes(f.id, f.raw)
-			return res.err == nil
+			data = make([]byte, len(f.raw))
+			copy(data, f.raw)
+			data[len(data)/2] ^= 0x01
 		}
-	}
-	return false
+		return false, res.store.PublishBytes(f.id, data)
+	})
+	return err == nil
 }
 
 // runCell distributes the image to `seeded` of `nodes` nodes and serves one

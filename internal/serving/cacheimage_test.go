@@ -4,6 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"pask/internal/cacheimg"
+	"pask/internal/device"
+	"pask/internal/experiments"
+	"pask/internal/faults"
 	"pask/internal/trace"
 )
 
@@ -97,5 +101,41 @@ func TestCacheImageAcceptance(t *testing.T) {
 		if _, ok := rec.CounterLast(name); !ok {
 			t.Errorf("counter %s never emitted", name)
 		}
+	}
+}
+
+// TestCacheImageChaosCell pins one chaos cell large enough that pulls are
+// truncated and retried, images arrive corrupt and a node dies. The cell
+// pins the fault rates; the time of the end-of-cell counters, which trails
+// the latest node's pull retries and backoff waits, pins the pull schedule.
+func TestCacheImageChaosCell(t *testing.T) {
+	ms, err := experiments.PrepareModel("alex", 1, device.MI100())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, _, err := ms.BuildCacheImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := img.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.New()
+	f := &cacheImageFleet{ms: ms, img: img, raw: raw, id: cacheimg.ID(raw), baseDir: t.TempDir(), rec: rec,
+		inj: faults.New(faults.Plan{Seed: cacheImageSeed, ImgCorruptRate: cacheImageChaosCorrupt,
+			ImgTruncateRate: cacheImageChaosTruncate, NodeKillRate: cacheImageChaosKill})}
+	cell, err := f.runCell(8, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := CacheImageCell{Nodes: 8, Coverage: 1, Seeded: 8, Attached: 3, PullRetries: 3, PullCorrupt: 2,
+		NodesKilled: 1, Quarantined: 2, RejectedProfile: 1, StaleRejects: 1, Served: 8, Failed: 0,
+		WarmMeanMs: 109.00683, ColdMeanMs: 110.656495, Speedup: 1.0151335930051357, StoreUntouched: true}
+	if cell != want {
+		t.Fatalf("chaos cell = %+v\nwant %+v", cell, want)
+	}
+	if _, end := rec.Window(); end != 120476714 {
+		t.Fatalf("cell ended at %v, want 120.476714ms", end)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"pask/internal/backend"
 	"pask/internal/cacheimg"
-	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/experiments"
 	"pask/internal/faults"
@@ -213,26 +212,16 @@ func Failover(cfg FailoverConfig) (*experiments.Table, *FailoverBench, error) {
 	defer os.RemoveAll(imgDir)
 
 	for fi, primary := range device.Profiles() {
-		secondary := secondaryFor(primary)
-		fleet := FailoverFleet{Primary: primary.Name, Secondary: secondary.Name}
-
-		setups := map[string]map[string]*experiments.ModelSetup{}
-		for _, prof := range []device.Profile{primary, secondary} {
-			ss, err := experiments.PrepareModelsShared(cfg.Models, cfg.Batch, prof)
-			if err != nil {
-				return nil, nil, fmt.Errorf("serving: failover prepare %s: %w", prof.Name, err)
-			}
-			setups[prof.Arch] = ss
-		}
-		objects, err := distinctObjectsByArch(setups, cfg.Models)
+		f, err := newGPUFleet(primary, cfg.Models, cfg.Batch)
 		if err != nil {
 			return nil, nil, err
 		}
+		fleet := FailoverFleet{Primary: f.primary.Name, Secondary: f.secondary.Name}
 
 		// One image store per fleet, holding a pre-built image of every
 		// primary-ISA model — what PR 4's fleet distribution would have
 		// staged on the host before the failure.
-		images, err := buildFailoverImages(imgDir, fi, setups[primary.Arch], cfg.Models)
+		images, err := buildFailoverImages(imgDir, fi, f.setups[primary.Arch], cfg.Models)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -242,7 +231,7 @@ func Failover(cfg FailoverConfig) (*experiments.Table, *FailoverBench, error) {
 			if fi == 0 && sc.name == armWarmFailover {
 				rec = cfg.Rec
 			}
-			arm, err := runFailoverArm(&cfg, primary, secondary, setups, objects, images, sc, rec)
+			arm, err := runFailoverArm(&cfg, f, images, sc, rec)
 			if err != nil {
 				return nil, nil, fmt.Errorf("serving: failover %s/%s: %w", primary.Name, sc.name, err)
 			}
@@ -255,7 +244,7 @@ func Failover(cfg FailoverConfig) (*experiments.Table, *FailoverBench, error) {
 				states += g.FinalState
 			}
 			table.Rows = append(table.Rows, []string{
-				primary.Name + "+" + secondary.Name, sc.name,
+				fleet.Primary + "+" + fleet.Secondary, sc.name,
 				fmt.Sprint(arm.Served), fmt.Sprint(arm.Evacuated), fmt.Sprint(arm.Failed),
 				fmt.Sprintf("%.2f", arm.MeanEvacMs),
 				fmt.Sprint(arm.PeerFetches), fmt.Sprint(arm.PeerFetchFails), states,
@@ -349,38 +338,26 @@ type failoverTenant struct {
 // runFailoverArm serves one deterministic tenant schedule on a fresh fleet
 // under one fault scenario and aggregates serving stats, registry activity
 // and final health states.
-func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
-	setups map[string]map[string]*experiments.ModelSetup,
-	objects map[string]map[string][]string,
-	images *cacheimg.Store, sc failoverScenario, rec *trace.Recorder) (*FailoverArm, error) {
-
-	env := sim.NewEnv()
-	topo := device.NewHost(env)
-	topo.AddGPU(primary, 0)   // failoverVictim
-	topo.AddGPU(primary, 0)   // failoverTwin
-	topo.AddGPU(primary, 1)   // failoverSpare
-	topo.AddGPU(secondary, 1) // failoverCross
-
-	mh := NewMultiGPUHost(env, topo, func(arch string) *codeobj.Store {
-		return setups[arch][cfg.Models[0]].Store
-	}, cfg.slots(), sc.peering)
-	if rec != nil {
-		for i := range mh.Nodes {
-			mh.Nodes[i].Root().SetObserver(gpuObserver{rec: rec, idx: i})
-		}
-	}
+func runFailoverArm(cfg *FailoverConfig, f *gpuFleet, images *cacheimg.Store, sc failoverScenario, rec *trace.Recorder) (*FailoverArm, error) {
+	rig := f.rig([]gpuSlot{
+		{false, 0}, // failoverVictim
+		{false, 0}, // failoverTwin
+		{false, 1}, // failoverSpare
+		{true, 1},  // failoverCross
+	}, cfg.slots(), sc.peering, rec)
+	env := rig.Env
 
 	inj := faults.New(sc.plan)
-	for i := range mh.Nodes {
+	for i := range rig.Nodes {
 		i := i
-		mh.Nodes[i].Root().SetLoadFaults(inj.GPUView(i))
-		inj.ArmGPUDeath(env, i, func() { mh.Nodes[i].Root().MarkDeviceLost() })
+		rig.Nodes[i].Root().SetLoadFaults(inj.GPUView(i))
+		inj.ArmGPUDeath(env, i, func() { rig.Nodes[i].Root().MarkDeviceLost() })
 	}
 	if sc.flap {
-		mh.SetLinkFaults(inj)
+		rig.SetLinkFaults(inj)
 	}
 	var tenants []*failoverTenant
-	hm := NewHealthMonitor(mh, rec)
+	hm := NewHealthMonitor(rig.MultiGPUHost, rec)
 	hm.OnEvacuate = func(gpu int, state GPUHealthState) {
 		for _, ft := range tenants {
 			if ft.gpu == gpu {
@@ -397,17 +374,11 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 	// the tenant's capped-jitter backoff before it. An error for which fatal
 	// (when non-nil) reports true ends the loop at once.
 	retry := func(p *sim.Proc, ft *failoverTenant, fatal func(error) bool, attempt func() error) error {
-		var err error
-		for n := 0; n < 3; n++ {
-			if n > 0 {
-				stats.Retries++
-				p.Sleep(expBackoff(200*time.Microsecond, 2*time.Millisecond, n, int64(ft.idx), ft.abbr))
-			}
-			if err = attempt(); err == nil || (fatal != nil && fatal(err)) {
-				return err
-			}
-		}
-		return err
+		b := backoff{base: 200 * time.Microsecond, max: 2 * time.Millisecond, offset: 1, seed: int64(ft.idx), key: ft.abbr}
+		return b.retry(p, 3, &stats.Retries, func(n int) (bool, error) {
+			err := attempt()
+			return n < 2 && (fatal == nil || !fatal(err)), err
+		})
 	}
 
 	// relocate drains a tenant off its sick GPU, re-places it through the
@@ -419,25 +390,21 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 		t0 := p.Now()
 		return retry(p, ft, nil, func() error {
 			ft.pr.RT.Detach()
-			mh.Release(ft.gpu)
-			g := mh.Pick(PlaceBalanced, objects[ft.abbr])
-			mh.Acquire(g)
+			rig.Release(ft.gpu)
+			g := rig.Pick(PlaceBalanced, f.objects[ft.abbr])
+			rig.Acquire(g)
 			ft.gpu = g
 			ft.evacs++
-			ft.ms = setups[topo.GPU(g).Profile.Arch][ft.abbr]
-			ft.pr = ft.ms.AttachIn(mh.Nodes[g].Ten, fmt.Sprintf("%s~e%d", ft.name, ft.evacs))
+			ft.ms = rig.setup(g, ft.abbr)
+			ft.pr = ft.ms.AttachIn(rig.Nodes[g].Ten, fmt.Sprintf("%s~e%d", ft.name, ft.evacs))
 			if sc.images && images != nil {
-				if att, aerr := images.Attach(ft.ms.Spec.Abbr, topo.GPU(g).Profile, ft.ms.Store.Fingerprint()); aerr == nil {
+				if att, aerr := images.Attach(ft.ms.Spec.Abbr, rig.Host.GPU(g).Profile, ft.ms.Store.Fingerprint()); aerr == nil {
 					// Replay overlaps bring-up; demand loads coalesce with it.
 					warmup.Start(env, ft.pr.RT, att.Image.Manifest, rec)
 					arm.ImageAttaches++
 				}
 			}
-			ft.pr.Runner.RT.InitContext(p)
-			if err := ft.pr.Runner.Lib.LoadResidents(p); err != nil {
-				return err
-			}
-			if err := ft.pr.Runner.RunBaseline(p, ft.ms.Model); err != nil {
+			if err := serveBaseline(p, ft.pr, ft.ms, true); err != nil {
 				return err
 			}
 			lat := p.Now() - t0
@@ -455,13 +422,7 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 	serveOnce := func(p *sim.Proc, ft *failoverTenant, bringup bool) error {
 		t0 := p.Now()
 		return retry(p, ft, backend.IsDeviceLost, func() error {
-			if bringup {
-				ft.pr.Runner.RT.InitContext(p)
-				if err := ft.pr.Runner.Lib.LoadResidents(p); err != nil {
-					return err
-				}
-			}
-			if err := ft.pr.Runner.RunBaseline(p, ft.ms.Model); err != nil {
+			if err := serveBaseline(p, ft.pr, ft.ms, bringup); err != nil {
 				return err
 			}
 			stats.Latencies = append(stats.Latencies, p.Now()-t0)
@@ -469,7 +430,6 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 		})
 	}
 
-	var doneSigs []*sim.Signal
 	hosts := []int{failoverVictim, failoverTwin, failoverCross}
 	env.Spawn("failover-driver", func(p *sim.Proc) {
 		for t := 0; t < cfg.tenants(); t++ {
@@ -482,24 +442,21 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 				gpu:  hosts[(t/len(cfg.Models))%len(hosts)],
 			}
 			ft.name = fmt.Sprintf("%s/%d", ft.abbr, t)
-			ft.ms = setups[topo.GPU(ft.gpu).Profile.Arch][ft.abbr]
-			mh.Acquire(ft.gpu)
+			ft.ms = rig.setup(ft.gpu, ft.abbr)
+			rig.Acquire(ft.gpu)
 			tenants = append(tenants, ft)
-			sig := sim.NewSignal(env)
-			doneSigs = append(doneSigs, sig)
-			env.Spawn("tenant-"+ft.name, func(p *sim.Proc) {
-				defer sig.Fire()
+			rig.spawnTenant(ft.name, func(p *sim.Proc) {
 				defer func() {
 					ft.pr.RT.Detach()
-					mh.Release(ft.gpu)
+					rig.Release(ft.gpu)
 				}()
-				ft.pr = ft.ms.AttachIn(mh.Nodes[ft.gpu].Ten, ft.name)
+				ft.pr = ft.ms.AttachIn(rig.Nodes[ft.gpu].Ten, ft.name)
 				for r := 0; r < cfg.requests(); r++ {
 					if r > 0 {
 						p.Sleep(failoverGap)
 					}
 					reqIdx := ft.idx*cfg.requests() + r
-					if ft.mustMove || !mh.Usable(ft.gpu) {
+					if ft.mustMove || !rig.Usable(ft.gpu) {
 						// The monitor ordered a drain (or the driver lost the
 						// device): evacuate, and serve this request over there.
 						ft.mustMove = false
@@ -523,14 +480,12 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 			})
 			p.Sleep(failoverInterval)
 		}
-		for _, s := range doneSigs {
-			s.Wait(p)
-		}
+		rig.joinTenants(p)
 		// Dwell so a cleanly-probationed quarantined GPU can rejoin before
 		// the final health snapshot.
 		p.Sleep(failoverSettle)
 		hm.Stop()
-		mh.CloseAll()
+		rig.CloseAll()
 	})
 	if err := env.Run(); err != nil {
 		return nil, err
@@ -553,16 +508,14 @@ func runFailoverArm(cfg *FailoverConfig, primary, secondary device.Profile,
 			arm.EvacTenants++
 		}
 	}
-	for i := range mh.Nodes {
-		root := mh.Nodes[i].Root()
-		st := root.Stats()
-		arm.PeerFetches += st.PeerFetches
-		arm.PeerFetchFails += st.PeerFetchFails
-		arm.ModuleLoads += st.ModuleLoads
+	for i, g := range rig.gpuStats() {
+		arm.PeerFetches += g.PeerFetches
+		arm.PeerFetchFails += g.PeerFetchFails
+		arm.ModuleLoads += g.ModuleLoads
 		arm.GPUs = append(arm.GPUs, FailoverGPU{
-			Driver: root.Driver(), Arch: topo.GPU(i).Profile.Arch, Node: topo.Node(i),
+			Driver: g.driver, Arch: g.arch, Node: g.node,
 			FinalState:  hm.State(i).String(),
-			ModuleLoads: st.ModuleLoads, PeerFetches: st.PeerFetches, PeerFetchFails: st.PeerFetchFails,
+			ModuleLoads: g.ModuleLoads, PeerFetches: g.PeerFetches, PeerFetchFails: g.PeerFetchFails,
 		})
 	}
 	return arm, nil

@@ -7,6 +7,7 @@ import (
 	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/experiments"
+	"pask/internal/faults"
 	"pask/internal/sim"
 )
 
@@ -65,6 +66,31 @@ func TestFailoverWarmBeatsColdOnAllProfiles(t *testing.T) {
 			t.Errorf("%s: degraded GPU ended %q, want probation rejoin to %q",
 				fleet.Primary, deg.GPUs[failoverVictim].FinalState, GPUHealthy)
 		}
+	}
+}
+
+// TestFailoverRetrySchedule pins the tenants' retry loop, which none of the
+// experiment's arms exercises: a transient storm on the victim GPU that the
+// registry's own retries cannot absorb fails requests, which retry with the
+// tenant's seeded backoff. The served requests' mean TTFI includes those
+// waits, so it pins the schedule.
+func TestFailoverRetrySchedule(t *testing.T) {
+	cfg := FailoverConfig{Quick: true}
+	cfg.fill()
+	f, err := newGPUFleet(device.MI100(), cfg.Models, cfg.Batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := failoverScenario{name: "transient", plan: faults.Plan{Seed: 3, DegradeGPU: failoverVictim,
+		DegradeTransient: 0.7, MaxTransientBurst: 8, DegradeUntil: 250 * time.Millisecond}}
+	arm, err := runFailoverArm(&cfg, f, nil, sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [...]any{arm.Served, arm.Evacuated, arm.Failed, arm.Evacuations, arm.MeanTTFIMs, arm.MeanEvacMs, arm.ModuleLoads}
+	want := [...]any{28, 2, 0, 2, 80.428087, 124.135989, 96}
+	if got != want {
+		t.Fatalf("served, evacuated, failed, evacuations, ttfi, evac ttfi, loads = %v, want %v", got, want)
 	}
 }
 

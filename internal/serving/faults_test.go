@@ -18,6 +18,7 @@ import (
 	"pask/internal/faults"
 	"pask/internal/graphx"
 	"pask/internal/sim"
+	"pask/internal/trace"
 	"pask/internal/warmup"
 )
 
@@ -226,6 +227,45 @@ func TestDeadlineExceededTyped(t *testing.T) {
 	}
 }
 
+// TestServeTraceRetrySchedule pins the request retry loop's virtual-time
+// schedule. A transient storm the registry cannot absorb makes Baseline
+// requests fail, retry twice with the seeded backoff, crash, and recover on
+// a fresh instance or fail. The latencies pin the served work; the request
+// spans, which include every backoff wait, pin the retry schedule itself.
+func TestServeTraceRetrySchedule(t *testing.T) {
+	ms := resSetup(t)
+	rec := trace.New()
+	pol := Policy{
+		Scheme: core.SchemeBaseline,
+		FT:     FaultTolerance{MaxRetries: 2, ContinueOnError: true, BackoffSeed: 7},
+		Faults: faults.New(faults.Plan{Seed: 5, TransientRate: 0.6, MaxTransientBurst: 8}),
+		Rec:    rec,
+	}
+	stats, err := ServeTrace(ms, pol, PoissonTrace(8, 2*time.Millisecond, 5), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Retries != 4 || stats.Crashes != 2 || stats.Recovered != 1 || stats.Failed != 1 {
+		t.Fatalf("retries=%d crashes=%d recovered=%d failed=%d, want 4/2/1/1",
+			stats.Retries, stats.Crashes, stats.Recovered, stats.Failed)
+	}
+	wantLat := []time.Duration{183644265, 14132689, 14132689, 14132689, 14132689, 14132689, 14132689}
+	if !reflect.DeepEqual(stats.Latencies, wantLat) {
+		t.Fatalf("latencies = %v, want %v", stats.Latencies, wantLat)
+	}
+	var ends []time.Duration
+	for _, s := range rec.Spans() {
+		if s.Thread == "serving" {
+			ends = append(ends, s.End)
+		}
+	}
+	wantEnds := []time.Duration{462232207, 956061119, 970193808, 984326497,
+		998459186, 1012591875, 1026724564, 1040857253}
+	if !reflect.DeepEqual(ends, wantEnds) {
+		t.Fatalf("request span ends = %v, want %v", ends, wantEnds)
+	}
+}
+
 // TestDeviceResetRecovery fires the plan's device reset mid-trace: every
 // module is dropped, and the instance must reload its way back without
 // losing requests (the store is pristine in this plan).
@@ -261,7 +301,7 @@ func TestScaleOutWithFaults(t *testing.T) {
 		Faults: faults.New(faults.Plan{Seed: 2, TransientRate: 0.3}),
 	}
 	const n = 4
-	stats, err := ScaleOut(ms, pol, n)
+	stats, err := ServeFleetModels(fleetOf(ms), "res", FleetConfig{Policy: pol}, BurstTrace(n))
 	if err != nil {
 		t.Fatal(err)
 	}

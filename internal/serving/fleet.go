@@ -58,13 +58,6 @@ type fleetInstance struct {
 	idleFrom time.Duration
 }
 
-// ServeFleet routes a single-model trace across an autoscaled pool. It is
-// ServeFleetModels with every request bound to one model.
-func ServeFleet(ms *experiments.ModelSetup, cfg FleetConfig, trace Trace) (*FleetStats, error) {
-	const def = "model"
-	return ServeFleetModels(map[string]*experiments.ModelSetup{def: ms}, def, cfg, trace)
-}
-
 // ServeFleetModels routes a heterogeneous request trace across an
 // autoscaled pool of model instances: each arrival goes to an idle instance
 // of its model when one exists, otherwise a fresh instance cold-starts
@@ -72,7 +65,9 @@ func ServeFleet(ms *experiments.ModelSetup, cfg FleetConfig, trace Trace) (*Flee
 // is swapped out if possible, else the dispatcher waits); instances idle
 // past KeepAlive are reaped whether or not they ever served successfully,
 // so a permanently faulting instance cannot squat in the pool. Request
-// latencies include any wait for a free slot.
+// latencies run from arrival to completion, so they include process
+// bring-up and any wait for a free slot. A BurstTrace with no cap is the
+// serverless scale-out spike: every request lands on a fresh cold instance.
 //
 // With cfg.Shared, instances are tenants of one GPUHost: one device, one
 // module registry, one cross-model cache. The setups must then come from
@@ -223,7 +218,6 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 			}
 			p.SleepUntil(req.At)
 			// Admission is decided when the dispatcher reaches the request:
-			// a deep backlog sheds the oldest waiters first (drop-head), and
 			// a request that already outwaited its queue deadline while the
 			// dispatcher was blocked on a saturated pool is dropped as stale
 			// instead of occupying an instance.
@@ -313,92 +307,6 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 		if served[i] {
 			stats.Latencies = append(stats.Latencies, latencies[i])
 		}
-	}
-	return stats, nil
-}
-
-// ScaleOutModels runs the heterogeneous serverless spike: len(models)
-// requests arrive at once, each for the named model, each on a fresh cold
-// instance. With shared set, the instances are tenants of one GPU host —
-// their concurrent loads of common objects coalesce into single driver
-// loads — otherwise every instance owns a device, as ScaleOut always did.
-func ScaleOutModels(setups map[string]*experiments.ModelSetup, models []string, policy Policy, shared bool) (*FleetStats, error) {
-	if len(models) == 0 {
-		return &FleetStats{ColdByModel: map[string][]time.Duration{}}, nil
-	}
-	var defSetup *experiments.ModelSetup
-	for _, m := range models {
-		ms, ok := setups[m]
-		if !ok {
-			return nil, fmt.Errorf("serving: scale-out model %q has no setup", m)
-		}
-		if defSetup == nil {
-			defSetup = ms
-		} else if ms.Store != defSetup.Store {
-			return nil, fmt.Errorf("serving: scale-out setups must share one code-object store (use PrepareModelsShared)")
-		}
-	}
-	env := sim.NewEnv()
-	restore := InstallFaults(defSetup, policy.Faults)
-	defer restore()
-
-	var host *GPUHost
-	if shared {
-		host = NewGPUHost(env, defSetup.Profile, defSetup.Store)
-	}
-	stats := &FleetStats{ColdByModel: make(map[string][]time.Duration)}
-	stats.ColdStarts = len(models)
-	lat := make([]time.Duration, len(models))
-	errs := make([]error, len(models))
-	pending := len(models)
-	done := sim.NewSignal(env)
-	for i, m := range models {
-		i, m := i, m
-		var srv *ftServer
-		if shared {
-			srv = newTenantFTServer(host, setups[m], policy, &stats.Stats, fmt.Sprintf("%s/%d", m, i))
-		} else {
-			srv = newFTServer(env, setups[m], policy, &stats.Stats)
-		}
-		env.Spawn(fmt.Sprintf("instance-%d", i), func(p *sim.Proc) {
-			defer func() {
-				if !shared {
-					st := srv.inst.pr.RT.Stats()
-					stats.ModuleLoads += st.ModuleLoads
-					stats.BytesLoaded += st.BytesLoaded
-				}
-				srv.close()
-				pending--
-				if pending == 0 {
-					done.Fire()
-				}
-			}()
-			lat[i], errs[i] = srv.serve(p, i)
-		})
-	}
-	if host != nil {
-		env.Spawn("closer", func(p *sim.Proc) {
-			done.Wait(p)
-			st := host.Root().Stats()
-			stats.ModuleLoads = st.ModuleLoads
-			stats.BytesLoaded = st.BytesLoaded
-			stats.TenantLoads = host.Root().AllTenantStats()
-			host.Close()
-		})
-	}
-	if err := env.Run(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			if policy.FT.ContinueOnError {
-				continue
-			}
-			return nil, fmt.Errorf("instance %d (%s): %w", i, models[i], err)
-		}
-		stats.Latencies = append(stats.Latencies, lat[i])
-		stats.ColdLatencies = append(stats.ColdLatencies, lat[i])
-		stats.ColdByModel[models[i]] = append(stats.ColdByModel[models[i]], lat[i])
 	}
 	return stats, nil
 }

@@ -26,7 +26,7 @@ func TestFleetReapsFaultedInstance(t *testing.T) {
 	ms := setup(t, "alex")
 	inj := faults.New(faults.Plan{PermanentRate: 1, Seed: 3})
 	trace := Trace{{At: 0}, {At: 3 * time.Second}}
-	stats, err := ServeFleet(ms, FleetConfig{
+	stats, err := ServeFleetModels(fleetOf(ms), ms.Spec.Abbr, FleetConfig{
 		Policy: Policy{
 			Scheme: core.SchemePaSK, Faults: inj,
 			// Fail fast: with the recovery ladder on, the resident generics

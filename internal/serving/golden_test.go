@@ -18,10 +18,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata goldens")
 
-// goldenExperiments are the serving experiments whose output is a pure
-// function of the code: every registered serving experiment except
-// hostperf, which reports host wall-clock time. chaos and multitenant
-// record no timeline.
+// goldenExperiments are the registered serving experiments, whose output
+// is a pure function of the code. chaos and multitenant record no
+// timeline.
 var goldenExperiments = []struct {
 	name   string
 	traced bool

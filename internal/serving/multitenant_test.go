@@ -43,13 +43,13 @@ func TestMultitenantSharedImprovesSecondTenant(t *testing.T) {
 // once, and the laggard tenant records coalesced waits instead of loads.
 func TestScaleOutSharedCoalescesSameModel(t *testing.T) {
 	setups := setupSharedModels(t, "alex")
-	models := []string{"alex", "alex"}
-	pol := Policy{Scheme: core.SchemePaSK}
-	iso, err := ScaleOutModels(setups, models, pol, false)
+	cfg := FleetConfig{Policy: Policy{Scheme: core.SchemePaSK}}
+	iso, err := ServeFleetModels(setups, "alex", cfg, BurstTrace(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := ScaleOutModels(setups, models, pol, true)
+	cfg.Shared = true
+	sh, err := ServeFleetModels(setups, "alex", cfg, BurstTrace(2))
 	if err != nil {
 		t.Fatal(err)
 	}

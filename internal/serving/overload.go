@@ -210,7 +210,9 @@ func overloadRun(ms *experiments.ModelSetup, cfg OverloadConfig, traceKind strin
 		// slow-loader storm amplifies and the brownout arm's forced
 		// reuse avoids.
 		fc := FleetConfig{Policy: pol, MaxInstances: overloadMaxInstances, Shared: poisson}
-		stats, err := ServeFleet(ms, fc, tr)
+		// The setup's key names the tenants ("model/N") and the breaker
+		// ("breaker_state:model") in the trace.
+		stats, err := ServeFleetModels(map[string]*experiments.ModelSetup{"model": ms}, "model", fc, tr)
 		if err != nil {
 			return nil, fmt.Errorf("overload %s/%s: %w", traceKind, arm.Name, err)
 		}

@@ -13,7 +13,7 @@ import (
 // explicit virtual times and checks every transition and its accounting.
 func TestBreakerStateMachine(t *testing.T) {
 	stats := &Stats{}
-	cfg := BreakerConfig{Threshold: 3, Cooldown: 2 * time.Millisecond, HalfOpenProbes: 2, Seed: 1}
+	cfg := BreakerConfig{Threshold: 3, Cooldown: 2 * time.Millisecond, Seed: 1}
 	b := newBreaker(cfg, "res", stats, nil)
 	fail := errors.New("boom")
 
@@ -56,15 +56,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.state != BreakerHalfOpen {
 		t.Fatalf("state after cooldown = %v", b.state)
 	}
-	// One probe success is not enough with HalfOpenProbes=2...
+	// One probe success closes it.
 	b.observe(b.reopenAt+1, nil)
-	if b.state != BreakerHalfOpen {
-		t.Fatalf("state after first probe success = %v", b.state)
-	}
-	// ...the second closes it.
-	b.observe(b.reopenAt+2, nil)
 	if b.state != BreakerClosed {
-		t.Fatalf("state after probe successes = %v", b.state)
+		t.Fatalf("state after a probe success = %v", b.state)
 	}
 	if stats.BreakerRecoveries != 1 {
 		t.Fatalf("BreakerRecoveries = %d", stats.BreakerRecoveries)
@@ -76,7 +71,7 @@ func TestBreakerStateMachine(t *testing.T) {
 // exponentially until the cap.
 func TestBreakerHalfOpenFailureBacksOff(t *testing.T) {
 	stats := &Stats{}
-	cfg := BreakerConfig{Threshold: 1, Cooldown: time.Millisecond, MaxCooldown: 4 * time.Millisecond, Seed: 9}
+	cfg := BreakerConfig{Threshold: 1, Cooldown: time.Millisecond, Seed: 9}
 	b := newBreaker(cfg, "m", stats, nil)
 	fail := errors.New("boom")
 
@@ -97,9 +92,9 @@ func TestBreakerHalfOpenFailureBacksOff(t *testing.T) {
 	if cooldowns[1] <= cooldowns[0] || cooldowns[2] <= cooldowns[1] {
 		t.Fatalf("cooldowns not growing: %v", cooldowns)
 	}
-	// ...and settle at the cap (±25% jitter of MaxCooldown).
+	// ...and settle at the cap (±25% jitter of 8×Cooldown).
 	last := cooldowns[len(cooldowns)-1]
-	if last < 3*time.Millisecond || last > 5*time.Millisecond {
+	if last < 6*time.Millisecond || last > 10*time.Millisecond {
 		t.Fatalf("capped cooldown %v outside the jittered cap band", last)
 	}
 	if stats.BreakerTrips != 5 {
@@ -151,11 +146,9 @@ func TestAdmissionShouldShed(t *testing.T) {
 		// Depth is reported even with no bounds set — the guard's queue
 		// counter and the brownout controller read it.
 		{"disabled", AdmissionConfig{}, 0, 50 * time.Millisecond, false, 3},
-		// Backlog behind request 0 at t=5ms: requests 1..3 have arrived.
-		{"queue under", AdmissionConfig{MaxQueue: 4}, 0, 5 * time.Millisecond, false, 3},
-		{"queue at", AdmissionConfig{MaxQueue: 3}, 0, 5 * time.Millisecond, true, 3},
-		// Request 4 hasn't arrived by 5ms, so it never counts.
-		{"future excluded", AdmissionConfig{MaxQueue: 4}, 0, 5 * time.Millisecond, false, 3},
+		// Backlog behind request 0 at t=5ms: requests 1..3 have arrived;
+		// request 4 hasn't, so it never counts.
+		{"future excluded", AdmissionConfig{}, 0, 5 * time.Millisecond, false, 3},
 		// Staleness: request 0 admitted late.
 		{"deadline ok", AdmissionConfig{QueueDeadline: 60 * time.Millisecond}, 0, 50 * time.Millisecond, false, 3},
 		{"deadline over", AdmissionConfig{QueueDeadline: 40 * time.Millisecond}, 0, 50 * time.Millisecond, true, 3},
@@ -196,10 +189,11 @@ func TestApplyFlood(t *testing.T) {
 }
 
 // TestBrownoutHysteresis drives the controller through rise and relax and
-// checks the one-level-per-observation drain plus the shed trip.
+// checks the one-level-per-observation drain.
 func TestBrownoutHysteresis(t *testing.T) {
 	stats := &Stats{}
-	b := newBrownout(BrownoutConfig{Enabled: true, EnterDepth: 3, SevereDepth: 6, ExitDepth: 1}, stats, nil)
+	// Pressure relaxes at EnterDepth/2 = 1.
+	b := newBrownout(BrownoutConfig{Enabled: true, EnterDepth: 3, SevereDepth: 6}, stats, nil)
 
 	b.observeDepth(0, 2) // below enter, above exit: no change
 	if b.Pressure() != core.PressureNominal {
@@ -230,28 +224,18 @@ func TestBrownoutHysteresis(t *testing.T) {
 	if stats.BrownoutEnters != 1 || stats.PressurePeak != int(core.PressureSevere) {
 		t.Fatalf("enters=%d peak=%d", stats.BrownoutEnters, stats.PressurePeak)
 	}
-
-	// Sustained shedding raises pressure even with a shallow queue.
-	sh := newBrownout(BrownoutConfig{Enabled: true, ShedTrip: 2}, stats, nil)
-	sh.observeShed(6)
-	if sh.Pressure() != core.PressureNominal {
-		t.Fatalf("pressure after one shed = %v", sh.Pressure())
-	}
-	sh.observeShed(7)
-	if sh.Pressure() != core.PressureElevated {
-		t.Fatalf("pressure after shed trip = %v", sh.Pressure())
-	}
 }
 
-// TestServeTraceSheddingInvariant floods a single instance beyond a tight
-// queue bound and checks the accounting identity: every request is exactly
-// one of served, failed, shed or breaker-rejected.
+// TestServeTraceSheddingInvariant floods a single instance past a tight
+// queue deadline and checks the accounting identity: every request is
+// exactly one of served, failed, shed or breaker-rejected.
 func TestServeTraceSheddingInvariant(t *testing.T) {
 	ms := resSetup(t)
+	const deadline = 60 * time.Millisecond
 	pol := Policy{
 		Scheme:    core.SchemePaSK,
 		FT:        FaultTolerance{ContinueOnError: true},
-		Admission: AdmissionConfig{MaxQueue: 2},
+		Admission: AdmissionConfig{QueueDeadline: deadline},
 	}
 	const n = 16
 	stats, err := ServeTrace(ms, pol, BurstTrace(n), 0)
@@ -259,7 +243,7 @@ func TestServeTraceSheddingInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Shed == 0 {
-		t.Fatal("a 16-request burst against MaxQueue=2 must shed")
+		t.Fatal("a 16-request burst on one instance must outwait a 60ms queue deadline")
 	}
 	got := len(stats.Latencies) + stats.Failed + stats.Shed + stats.BreakerRejected + stats.Evacuated
 	if got != n {
@@ -271,10 +255,23 @@ func TestServeTraceSheddingInvariant(t *testing.T) {
 			t.Fatalf("request %d: %v is not ErrShed", idx, ferr)
 		}
 	}
-	// Drop-head: the shed requests are the oldest waiters, so the tail of
-	// the burst (the newest arrivals) is what got served.
-	if _, shedLast := stats.FailedRequests[n-1]; shedLast {
-		t.Fatal("drop-head admission shed the newest arrival")
+	// The burst is served in order until the instance's busy time passes
+	// the deadline; every later request is stale when dispatched and shed.
+	served := len(stats.Latencies)
+	if served == 0 || served+stats.Shed != n {
+		t.Fatalf("served %d + shed %d != %d", served, stats.Shed, n)
+	}
+	var busy time.Duration
+	for _, l := range stats.Latencies[:served-1] {
+		busy += l
+	}
+	if busy > deadline {
+		t.Fatalf("request %d was dispatched after %v, past the %v deadline", served-1, busy, deadline)
+	}
+	for i := served; i < n; i++ {
+		if _, shed := stats.FailedRequests[i]; !shed {
+			t.Fatalf("request %d after the deadline passed was not shed", i)
+		}
 	}
 }
 
@@ -290,7 +287,7 @@ func TestFleetOverloadInvariant(t *testing.T) {
 		Brownout:  BrownoutConfig{Enabled: true},
 	}
 	const n = 24
-	stats, err := ServeFleet(ms, FleetConfig{Policy: pol, MaxInstances: 2}, BurstTrace(n))
+	stats, err := ServeFleetModels(fleetOf(ms), ms.Spec.Abbr, FleetConfig{Policy: pol, MaxInstances: 2}, BurstTrace(n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,9 +120,6 @@ func (mh *MultiGPUHost) Usable(i int) bool {
 	return true
 }
 
-// Active returns the number of live tenants on GPU i.
-func (mh *MultiGPUHost) Active(i int) int { return mh.active[i] }
-
 // Acquire claims a tenant slot on GPU i; Release frees it.
 func (mh *MultiGPUHost) Acquire(i int) { mh.active[i]++ }
 

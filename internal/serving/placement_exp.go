@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/experiments"
 	"pask/internal/sim"
@@ -15,11 +14,10 @@ import (
 // heterogeneous multi-GPU fleets. The zero value runs three models through
 // 18 tenant arrivals per arm on all three paper devices.
 type PlacementConfig struct {
-	Models   []string         // zoo abbreviations cycled across arrivals (default alex, res, vgg)
-	Batch    int              // default 1
-	Profiles []device.Profile // primary fleet devices (default all three paper profiles)
-	Quick    bool             // CI smoke size: two models, nine arrivals
-	Rec      *trace.Recorder  // optional: records the first fleet's affinity+peering arm
+	Models []string        // zoo abbreviations cycled across arrivals (default alex, res, vgg)
+	Batch  int             // default 1
+	Quick  bool            // CI smoke size: two models, nine arrivals
+	Rec    *trace.Recorder // optional: records the first fleet's affinity+peering arm
 }
 
 // The placement scenario's fixed arrival schedule.
@@ -38,9 +36,6 @@ func (c *PlacementConfig) fill() {
 	}
 	if c.Batch <= 0 {
 		c.Batch = 1
-	}
-	if len(c.Profiles) == 0 {
-		c.Profiles = device.Profiles()
 	}
 }
 
@@ -108,16 +103,6 @@ type PlacementBench struct {
 	Fleets   []PlacementFleet `json:"fleets"`
 }
 
-// secondaryFor pairs each primary profile with a cross-vendor secondary so
-// every fleet is heterogeneous (HIP+CUDA) while still giving each ISA a
-// same-arch peering twin.
-func secondaryFor(primary device.Profile) device.Profile {
-	if primary.Name == "A100" {
-		return device.MI100()
-	}
-	return device.A100()
-}
-
 // Placement runs the placement × peering comparison: for each primary
 // profile, a four-GPU heterogeneous fleet (two primary + two secondary,
 // split across NUMA nodes) serves a deterministic arrival sequence of model
@@ -138,137 +123,90 @@ func Placement(cfg PlacementConfig) (*experiments.Table, *PlacementBench, error)
 		Headers: []string{"fleet", "policy", "peering", "ttfi_mean_ms", "ttfi_max_ms", "loads", "peer_fetches"},
 	}
 
-	for fi, primary := range cfg.Profiles {
-		secondary := secondaryFor(primary)
-		fleet := PlacementFleet{Primary: primary.Name, Secondary: secondary.Name}
-
-		// One setup per ISA: same-arch GPUs share a store (and therefore a
-		// byte-identical object universe for peering); the cross-vendor pair
-		// compiles the same zoo models against its own ISA.
-		setups := map[string]map[string]*experiments.ModelSetup{}
-		for _, prof := range []device.Profile{primary, secondary} {
-			ss, err := experiments.PrepareModelsShared(cfg.Models, cfg.Batch, prof)
-			if err != nil {
-				return nil, nil, fmt.Errorf("serving: placement prepare %s: %w", prof.Name, err)
-			}
-			setups[prof.Arch] = ss
+	for fi, primary := range device.Profiles() {
+		var rec *trace.Recorder
+		if fi == 0 {
+			rec = cfg.Rec
 		}
-		objects, err := distinctObjectsByArch(setups, cfg.Models)
+		fleet, err := placementFleet(&cfg, primary, rec)
 		if err != nil {
 			return nil, nil, err
 		}
-
-		for _, policy := range PlacementPolicies() {
-			for _, peering := range []bool{false, true} {
-				var rec *trace.Recorder
-				if fi == 0 && policy == PlaceAffinity && peering {
-					rec = cfg.Rec
-				}
-				arm, err := runPlacementArm(&cfg, primary, secondary, setups, objects, policy, peering, rec)
-				if err != nil {
-					return nil, nil, fmt.Errorf("serving: placement %s/%s/peering=%v: %w", primary.Name, policy, peering, err)
-				}
-				fleet.Arms = append(fleet.Arms, *arm)
-				table.Rows = append(table.Rows, []string{
-					primary.Name + "+" + secondary.Name, string(policy), fmt.Sprint(peering),
-					fmt.Sprintf("%.2f", arm.TTFIMeanMs), fmt.Sprintf("%.2f", arm.TTFIMaxMs),
-					fmt.Sprint(arm.ModuleLoads), fmt.Sprint(arm.PeerFetches),
-				})
-			}
+		for _, arm := range fleet.Arms {
+			table.Rows = append(table.Rows, []string{
+				fleet.Primary + "+" + fleet.Secondary, arm.Policy, fmt.Sprint(arm.Peering),
+				fmt.Sprintf("%.2f", arm.TTFIMeanMs), fmt.Sprintf("%.2f", arm.TTFIMaxMs),
+				fmt.Sprint(arm.ModuleLoads), fmt.Sprint(arm.PeerFetches),
+			})
 		}
-
 		base := fleet.Arm(PlaceFirstFit, false)
 		best := fleet.Arm(PlaceAffinity, true)
 		table.Notes = append(table.Notes, fmt.Sprintf(
 			"%s fleet: residency-affinity+peering %.2fms vs first-fit %.2fms mean TTFI (%.1f%% lower)",
 			primary.Name, best.TTFIMeanMs, base.TTFIMeanMs, 100*(1-best.TTFIMeanMs/base.TTFIMeanMs)))
-		bench.Fleets = append(bench.Fleets, fleet)
+		bench.Fleets = append(bench.Fleets, *fleet)
 	}
 	return table, bench, nil
 }
 
-// distinctObjectsByArch precomputes each model's loadable object paths per
-// ISA — the overlap sets residency-affinity scores candidates against.
-func distinctObjectsByArch(setups map[string]map[string]*experiments.ModelSetup, models []string) (map[string]map[string][]string, error) {
-	out := map[string]map[string][]string{}
-	for arch, ss := range setups {
-		for _, abbr := range models {
-			ms := ss[abbr]
-			paths, err := ms.Model.DistinctObjects(ms.Reg)
+// placementFleet runs every policy × peering arm on the heterogeneous
+// fleet of one primary profile. rec, when set, records the
+// affinity+peering arm.
+func placementFleet(cfg *PlacementConfig, primary device.Profile, rec *trace.Recorder) (*PlacementFleet, error) {
+	f, err := newGPUFleet(primary, cfg.Models, cfg.Batch)
+	if err != nil {
+		return nil, err
+	}
+	fleet := &PlacementFleet{Primary: f.primary.Name, Secondary: f.secondary.Name}
+	for _, policy := range PlacementPolicies() {
+		for _, peering := range []bool{false, true} {
+			var armRec *trace.Recorder
+			if policy == PlaceAffinity && peering {
+				armRec = rec
+			}
+			arm, err := runPlacementArm(cfg, f, policy, peering, armRec)
 			if err != nil {
-				return nil, fmt.Errorf("serving: placement objects %s/%s: %w", arch, abbr, err)
+				return nil, fmt.Errorf("serving: placement %s/%s/peering=%v: %w", primary.Name, policy, peering, err)
 			}
-			if out[abbr] == nil {
-				out[abbr] = map[string][]string{}
-			}
-			out[abbr][arch] = paths
+			fleet.Arms = append(fleet.Arms, *arm)
 		}
 	}
-	return out, nil
+	return fleet, nil
 }
 
 // runPlacementArm serves one deterministic arrival sequence on a fresh
 // fleet under one policy × peering combination and aggregates TTFI and
 // registry activity.
-func runPlacementArm(cfg *PlacementConfig, primary, secondary device.Profile,
-	setups map[string]map[string]*experiments.ModelSetup,
-	objects map[string]map[string][]string,
-	policy PlacementPolicy, peering bool, rec *trace.Recorder) (*PlacementArm, error) {
-
-	env := sim.NewEnv()
-	topo := device.NewHost(env)
+func runPlacementArm(cfg *PlacementConfig, f *gpuFleet, policy PlacementPolicy, peering bool, rec *trace.Recorder) (*PlacementArm, error) {
 	// Two primary GPUs and two secondary GPUs, each vendor pair split across
 	// the host's NUMA nodes: every ISA has a peering twin, and twin traffic
 	// exercises the cross-node link discount.
-	topo.AddGPU(primary, 0)
-	topo.AddGPU(primary, 1)
-	topo.AddGPU(secondary, 0)
-	topo.AddGPU(secondary, 1)
-
-	mh := NewMultiGPUHost(env, topo, func(arch string) *codeobj.Store {
-		return setups[arch][cfg.Models[0]].Store
-	}, placementSlots, peering)
-	if rec != nil {
-		for i := range mh.Nodes {
-			mh.Nodes[i].Root().SetObserver(gpuObserver{rec: rec, idx: i})
-		}
-	}
-
+	rig := f.rig([]gpuSlot{{false, 0}, {false, 1}, {true, 0}, {true, 1}}, placementSlots, peering, rec)
 	var (
 		ttfis     []time.Duration
-		perGPU    = make([]int, topo.NumGPUs())
+		perGPU    = make([]int, len(rig.Nodes))
 		firstErr  error
-		doneSigs  []*sim.Signal
 		recordErr = func(err error) {
 			if firstErr == nil {
 				firstErr = err
 			}
 		}
 	)
-	env.Spawn("placement-driver", func(p *sim.Proc) {
+	rig.Env.Spawn("placement-driver", func(p *sim.Proc) {
 		for t := 0; t < cfg.tenants(); t++ {
 			abbr := cfg.Models[t%len(cfg.Models)]
-			g := mh.Pick(policy, objects[abbr])
-			mh.Acquire(g)
+			g := rig.Pick(policy, f.objects[abbr])
+			rig.Acquire(g)
 			perGPU[g]++
-			node := mh.Nodes[g]
-			ms := setups[topo.GPU(g).Profile.Arch][abbr]
+			node := rig.Nodes[g]
+			ms := rig.setup(g, abbr)
 			name := fmt.Sprintf("%s/%d", abbr, t)
-			sig := sim.NewSignal(env)
-			doneSigs = append(doneSigs, sig)
-			gi := g
-			env.Spawn("tenant-"+name, func(p *sim.Proc) {
-				defer sig.Fire()
-				defer mh.Release(gi)
+			rig.spawnTenant(name, func(p *sim.Proc) {
+				defer rig.Release(g)
 				pr := ms.AttachIn(node.Ten, name)
 				defer pr.RT.Detach()
 				t0 := p.Now()
-				pr.Runner.RT.InitContext(p)
-				if err := pr.Runner.Lib.LoadResidents(p); err != nil {
-					recordErr(err)
-					return
-				}
-				if err := pr.Runner.RunBaseline(p, ms.Model); err != nil {
+				if err := serveBaseline(p, pr, ms, true); err != nil {
 					recordErr(err)
 					return
 				}
@@ -281,12 +219,10 @@ func runPlacementArm(cfg *PlacementConfig, primary, secondary device.Profile,
 			})
 			p.Sleep(placementInterval)
 		}
-		for _, s := range doneSigs {
-			s.Wait(p)
-		}
-		mh.CloseAll()
+		rig.joinTenants(p)
+		rig.CloseAll()
 	})
-	if err := env.Run(); err != nil {
+	if err := rig.Env.Run(); err != nil {
 		return nil, err
 	}
 	if firstErr != nil {
@@ -306,22 +242,20 @@ func runPlacementArm(cfg *PlacementConfig, primary, secondary device.Profile,
 	}
 	arm.TTFIMeanMs = float64(sum) / float64(len(ttfis)) / 1e6
 	arm.TTFIMaxMs = float64(max) / 1e6
-	for i := range mh.Nodes {
-		root := mh.Nodes[i].Root()
-		st := root.Stats()
-		arm.ModuleLoads += st.ModuleLoads
-		arm.BytesLoaded += st.BytesLoaded
-		arm.PeerFetches += st.PeerFetches
-		arm.PeerBytes += st.PeerBytes
-		arm.LoadTimeMs += float64(st.LoadTimeTotal) / 1e6
+	for i, g := range rig.gpuStats() {
+		arm.ModuleLoads += g.ModuleLoads
+		arm.BytesLoaded += g.BytesLoaded
+		arm.PeerFetches += g.PeerFetches
+		arm.PeerBytes += g.PeerBytes
+		arm.LoadTimeMs += float64(g.LoadTimeTotal) / 1e6
 		arm.GPUs = append(arm.GPUs, PlacementGPU{
-			Driver: root.Driver(), Arch: topo.GPU(i).Profile.Arch, Node: topo.Node(i),
-			Tenants: perGPU[i], ModuleLoads: st.ModuleLoads, PeerFetches: st.PeerFetches,
+			Driver: g.driver, Arch: g.arch, Node: g.node,
+			Tenants: perGPU[i], ModuleLoads: g.ModuleLoads, PeerFetches: g.PeerFetches,
 		})
 	}
 	if rec != nil {
-		rec.Count("placement_peer_fetches", env.Now(), float64(arm.PeerFetches))
-		rec.Count("placement_module_loads", env.Now(), float64(arm.ModuleLoads))
+		rec.Count("placement_peer_fetches", rig.Env.Now(), float64(arm.PeerFetches))
+		rec.Count("placement_module_loads", rig.Env.Now(), float64(arm.ModuleLoads))
 	}
 	return arm, nil
 }

@@ -46,34 +46,31 @@ func TestPlacementAffinityPeeringBeatsFirstFit(t *testing.T) {
 // hip and cuda drivers and both NUMA nodes, and per-GPU tenant counts sum to
 // the arrival count.
 func TestPlacementFleetsAreHeterogeneous(t *testing.T) {
-	_, bench, err := Placement(PlacementConfig{
-		Quick:    true,
-		Profiles: []device.Profile{device.MI100()},
-	})
+	cfg := PlacementConfig{Quick: true}
+	cfg.fill()
+	fleet, err := placementFleet(&cfg, device.MI100(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fleet := range bench.Fleets {
-		for _, arm := range fleet.Arms {
-			drivers, nodes := map[string]bool{}, map[int]bool{}
-			tenants := 0
-			for _, g := range arm.GPUs {
-				drivers[g.Driver] = true
-				nodes[g.Node] = true
-				tenants += g.Tenants
-			}
-			if !drivers["hip"] || !drivers["cuda"] {
-				t.Fatalf("%s/%s/peering=%v: drivers %v, want hip and cuda",
-					fleet.Primary, arm.Policy, arm.Peering, drivers)
-			}
-			if !nodes[0] || !nodes[1] {
-				t.Fatalf("%s/%s/peering=%v: NUMA nodes %v, want 0 and 1",
-					fleet.Primary, arm.Policy, arm.Peering, nodes)
-			}
-			if tenants != bench.Tenants {
-				t.Fatalf("%s/%s/peering=%v: per-GPU tenants sum to %d, want %d",
-					fleet.Primary, arm.Policy, arm.Peering, tenants, bench.Tenants)
-			}
+	for _, arm := range fleet.Arms {
+		drivers, nodes := map[string]bool{}, map[int]bool{}
+		tenants := 0
+		for _, g := range arm.GPUs {
+			drivers[g.Driver] = true
+			nodes[g.Node] = true
+			tenants += g.Tenants
+		}
+		if !drivers["hip"] || !drivers["cuda"] {
+			t.Fatalf("%s/%s/peering=%v: drivers %v, want hip and cuda",
+				fleet.Primary, arm.Policy, arm.Peering, drivers)
+		}
+		if !nodes[0] || !nodes[1] {
+			t.Fatalf("%s/%s/peering=%v: NUMA nodes %v, want 0 and 1",
+				fleet.Primary, arm.Policy, arm.Peering, nodes)
+		}
+		if tenants != cfg.tenants() {
+			t.Fatalf("%s/%s/peering=%v: per-GPU tenants sum to %d, want %d",
+				fleet.Primary, arm.Policy, arm.Peering, tenants, cfg.tenants())
 		}
 	}
 }
@@ -83,15 +80,13 @@ func TestPlacementFleetsAreHeterogeneous(t *testing.T) {
 // in the trace.
 func TestPlacementRecordsTrace(t *testing.T) {
 	rec := trace.New()
-	_, bench, err := Placement(PlacementConfig{
-		Quick:    true,
-		Profiles: []device.Profile{device.RX6900XT()},
-		Rec:      rec,
-	})
+	cfg := PlacementConfig{Quick: true}
+	cfg.fill()
+	fleet, err := placementFleet(&cfg, device.RX6900XT(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arm := bench.Fleets[0].Arm(PlaceAffinity, true)
+	arm := fleet.Arm(PlaceAffinity, true)
 	if arm.PeerFetches == 0 {
 		t.Fatal("recorded arm has no peer fetches; trace assertions vacuous")
 	}
@@ -111,8 +106,8 @@ func TestPlacementRecordsTrace(t *testing.T) {
 		}
 	}
 	// Identical consecutive TTFI values collapse, so samples ≤ tenants.
-	if ttfis == 0 || ttfis > bench.Tenants {
-		t.Fatalf("trace has %d placement_ttfi_ms samples, want 1..%d", ttfis, bench.Tenants)
+	if ttfis == 0 || ttfis > cfg.tenants() {
+		t.Fatalf("trace has %d placement_ttfi_ms samples, want 1..%d", ttfis, cfg.tenants())
 	}
 	if got, ok := rec.CounterLast("placement_peer_fetches"); !ok || int(got) != arm.PeerFetches {
 		t.Fatalf("placement_peer_fetches gauge = %v (ok=%v), want %d", got, ok, arm.PeerFetches)

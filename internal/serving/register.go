@@ -96,19 +96,6 @@ func init() {
 			return &experiments.Result{Tables: []*experiments.Table{tbl}, Bench: bench}, nil
 		},
 	})
-	experiments.Register(experiments.Experiment{
-		Name:        "hostperf",
-		Description: "host-side ns/request and allocs/request across the serving hot paths",
-		Bench:       true,
-		Run: func(o experiments.Options) (*experiments.Result, error) {
-			cfg := HostPerfConfig{Models: o.Models, Batch: firstBatch(o.Batches), Quick: o.Quick}
-			tbl, bench, err := HostPerf(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return &experiments.Result{Tables: []*experiments.Table{tbl}, Bench: bench}, nil
-		},
-	})
 }
 
 // firstOr picks the first explicit model, else def.

@@ -22,6 +22,7 @@ import (
 	"pask/internal/metrics"
 	"pask/internal/sim"
 	"pask/internal/trace"
+	"pask/internal/traffic"
 	"pask/internal/warmup"
 )
 
@@ -114,14 +115,6 @@ const (
 	maxRetryBackoff = 4 * retryBackoff
 )
 
-// backoffFor returns the wait before retry attempt (0-based): capped
-// exponential growth from retryBackoff with deterministic seeded jitter.
-// The circuit breakers reuse the same policy (expBackoff) for their
-// open→half-open cooldowns.
-func (ft FaultTolerance) backoffFor(attempt int, key string) time.Duration {
-	return expBackoff(retryBackoff, maxRetryBackoff, attempt, ft.BackoffSeed, key)
-}
-
 // Instance is one process serving one model. The first request on a fresh
 // (or evicted) instance is a cold start; later requests reuse the warm
 // state.
@@ -178,9 +171,6 @@ func (in *Instance) startWarmup(env *sim.Env) {
 	}
 }
 
-// Served returns the number of requests completed.
-func (in *Instance) Served() int { return in.served }
-
 // Warm reports whether the instance has completed its first request.
 func (in *Instance) Warm() bool { return in.served > 0 }
 
@@ -231,7 +221,7 @@ func (in *Instance) Serve(p *sim.Proc) (time.Duration, error) {
 	case in.Warm() && (in.policy.Scheme == core.SchemePaSK || in.policy.Scheme == core.SchemePaSKR):
 		// Subsequent requests keep following Algorithm 1 against the warm
 		// cache, with the parsed program retained (paper §VI).
-		in.lastResult, err = core.RunWarmReuseOpts(p, in.pr.Runner, model, in.cache, in.policy.Options)
+		in.lastResult, err = core.RunWarmReuse(p, in.pr.Runner, model, in.cache, in.policy.Options)
 	case in.Warm():
 		err = in.pr.Runner.RunHot(p, model)
 	case in.policy.Scheme == core.SchemeBaseline:
@@ -245,7 +235,7 @@ func (in *Instance) Serve(p *sim.Proc) (time.Duration, error) {
 	case in.policy.Scheme == core.SchemeNNV12 || in.policy.Scheme == core.SchemePaSKI:
 		_, err = core.RunInterleaved(p, in.pr.Runner, model, core.NewCategoricalCache(), false, in.policy.Options)
 	case in.policy.Scheme == core.SchemePaSKR:
-		in.lastResult, err = core.RunSequentialReuseOpts(p, in.pr.Runner, model, in.cache, in.policy.Options)
+		in.lastResult, err = core.RunSequentialReuse(p, in.pr.Runner, model, in.cache, in.policy.Options)
 	default: // PaSK
 		in.lastResult, err = core.RunInterleaved(p, in.pr.Runner, model, in.cache, true, in.policy.Options)
 	}
@@ -285,10 +275,7 @@ func (in *Instance) Evict() {
 // Request is one inference arrival. Model optionally names the zoo model
 // the request targets ("" means the scenario's default model); multi-model
 // fleets route on it.
-type Request struct {
-	At    time.Duration
-	Model string
-}
+type Request = traffic.Request
 
 // Trace is a request arrival sequence.
 type Trace []Request
@@ -595,25 +582,23 @@ func (s *ftServer) serveChecked(p *sim.Proc, idx int) (time.Duration, error) {
 }
 
 // serveAttempts retries a failing request on the live instance with capped
-// exponential backoff (seeded jitter, see FaultTolerance.backoffFor), then
-// declares the instance crashed, replaces it and makes one final attempt on
-// the fresh process (which also starts with an empty negative load cache).
+// exponential backoff from retryBackoff (seeded jitter), then declares the
+// instance crashed, replaces it and makes one final attempt on the fresh
+// process (which also starts with an empty negative load cache).
 func (s *ftServer) serveAttempts(p *sim.Proc) (time.Duration, error) {
 	ft := s.policy.FT
-	var err error
-	for attempt := 0; ; attempt++ {
+	b := backoff{base: retryBackoff, max: maxRetryBackoff, seed: ft.BackoffSeed, key: s.ms.Spec.Abbr}
+	var lat time.Duration
+	err := b.retry(p, max(ft.MaxRetries, 0)+1, &s.stats.Retries, func(attempt int) (bool, error) {
 		prev := s.inst.lastResult
-		lat, serr := s.inst.Serve(p)
-		if serr == nil {
+		var err error
+		if lat, err = s.inst.Serve(p); err == nil {
 			s.harvest(prev)
-			return lat, nil
 		}
-		err = serr
-		if attempt >= ft.MaxRetries {
-			break
-		}
-		s.stats.Retries++
-		p.Sleep(ft.backoffFor(attempt, s.ms.Spec.Abbr))
+		return attempt < ft.MaxRetries, err
+	})
+	if err == nil {
+		return lat, nil
 	}
 	s.stats.Crashes++
 	s.replace()
@@ -641,6 +626,30 @@ func (s *ftServer) serveAttempts(p *sim.Proc) (time.Duration, error) {
 // failure. A fault plan carrying a request flood is spliced into the trace
 // before serving begins.
 func ServeTrace(ms *experiments.ModelSetup, policy Policy, trace Trace, evictEvery int) (*Stats, error) {
+	stats, _, err := serveSequential(ms, policy, trace, evictEvery, false)
+	return stats, err
+}
+
+// SpotPreemption runs the preemptible-instance scenario: ServeTrace's loop,
+// except that after every preemptEvery requests the instance is killed and
+// replaced by a fresh process instead of evicted. Returns the stats and the
+// number of migrations performed.
+func SpotPreemption(ms *experiments.ModelSetup, policy Policy, trace Trace, preemptEvery int) (*Stats, int, error) {
+	if preemptEvery <= 0 {
+		return nil, 0, fmt.Errorf("serving: preemptEvery must be positive")
+	}
+	stats, migrations, err := serveSequential(ms, policy, trace, preemptEvery, true)
+	if err != nil {
+		return nil, 0, err
+	}
+	return stats, migrations, nil
+}
+
+// serveSequential serves the trace on one instance in arrival order. After
+// every `every` requests (0: never) the instance is evicted, or — with
+// preempt — replaced by a fresh one unless the trace is done; it returns
+// the number of replacements.
+func serveSequential(ms *experiments.ModelSetup, policy Policy, trace Trace, every int, preempt bool) (*Stats, int, error) {
 	env := sim.NewEnv()
 	restore := InstallFaults(ms, policy.Faults)
 	defer restore()
@@ -650,20 +659,19 @@ func ServeTrace(ms *experiments.ModelSetup, policy Policy, trace Trace, evictEve
 	stats := &Stats{}
 	guard := newOverloadGuard(&policy, stats)
 	srv := newFTServer(env, ms, policy, stats)
+	migrations := 0
 	var runErr error
 	env.Spawn("server", func(p *sim.Proc) {
 		defer func() { srv.close() }()
 		for i, req := range trace {
 			if req.At > p.Now() {
 				// Idle until the next arrival; use the gap productively.
-				if gap := req.At - p.Now(); gap > 0 {
-					n, err := srv.inst.Idle(p, gap)
-					if err != nil {
-						runErr = err
-						return
-					}
-					stats.BGLoads += n
+				n, err := srv.inst.Idle(p, req.At-p.Now())
+				if err != nil {
+					runErr = err
+					return
 				}
+				stats.BGLoads += n
 				p.SleepUntil(req.At)
 			}
 			if guard.admit(p.Now(), trace, i) != nil {
@@ -690,89 +698,11 @@ func ServeTrace(ms *experiments.ModelSetup, policy Policy, trace Trace, evictEve
 				stats.ColdStarts++
 				stats.ColdLatencies = append(stats.ColdLatencies, lat)
 			}
-			if evictEvery > 0 && (i+1)%evictEvery == 0 {
+			switch {
+			case every <= 0 || (i+1)%every != 0:
+			case !preempt:
 				srv.inst.Evict()
-			}
-		}
-	})
-	if err := env.Run(); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return stats, runErr
-	}
-	return stats, nil
-}
-
-// ScaleOut runs the serverless spike scenario: n requests arrive at once and
-// every one lands on a fresh cold instance (its own process and device).
-// It returns per-instance cold-start latencies.
-func ScaleOut(ms *experiments.ModelSetup, policy Policy, n int) (*Stats, error) {
-	env := sim.NewEnv()
-	restore := InstallFaults(ms, policy.Faults)
-	defer restore()
-	stats := &Stats{ColdStarts: n}
-	lat := make([]time.Duration, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		srv := newFTServer(env, ms, policy, stats)
-		env.Spawn(fmt.Sprintf("instance-%d", i), func(p *sim.Proc) {
-			defer srv.close()
-			lat[i], errs[i] = srv.serve(p, i)
-		})
-	}
-	if err := env.Run(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			if policy.FT.ContinueOnError {
-				continue
-			}
-			return nil, fmt.Errorf("instance %d: %w", i, err)
-		}
-		stats.Latencies = append(stats.Latencies, lat[i])
-		stats.ColdLatencies = append(stats.ColdLatencies, lat[i])
-	}
-	return stats, nil
-}
-
-// SpotPreemption runs the preemptible-instance scenario: a trace is served
-// by one instance that is killed and replaced by a fresh process after each
-// preemption point (a request index). Returns the stats and the number of
-// migrations performed.
-func SpotPreemption(ms *experiments.ModelSetup, policy Policy, trace Trace, preemptEvery int) (*Stats, int, error) {
-	if preemptEvery <= 0 {
-		return nil, 0, fmt.Errorf("serving: preemptEvery must be positive")
-	}
-	env := sim.NewEnv()
-	restore := InstallFaults(ms, policy.Faults)
-	defer restore()
-	stats := &Stats{}
-	migrations := 0
-	var runErr error
-	env.Spawn("spot", func(p *sim.Proc) {
-		srv := newFTServer(env, ms, policy, stats)
-		defer func() { srv.close() }()
-		for i, req := range trace {
-			p.SleepUntil(req.At)
-			wasCold := !srv.inst.Warm()
-			lat, err := srv.serve(p, i)
-			if err != nil {
-				if policy.FT.ContinueOnError {
-					continue
-				}
-				runErr = fmt.Errorf("request %d: %w", i, err)
-				return
-			}
-			stats.Latencies = append(stats.Latencies, lat)
-			if wasCold {
-				stats.ColdStarts++
-				stats.ColdLatencies = append(stats.ColdLatencies, lat)
-			}
-			if (i+1)%preemptEvery == 0 && i != len(trace)-1 {
-				// Preempted: the replacement instance starts from scratch.
+			case i != len(trace)-1:
 				srv.replace()
 				migrations++
 			}
@@ -781,8 +711,5 @@ func SpotPreemption(ms *experiments.ModelSetup, policy Policy, trace Trace, pree
 	if err := env.Run(); err != nil {
 		return nil, 0, err
 	}
-	if runErr != nil {
-		return nil, 0, runErr
-	}
-	return stats, migrations, nil
+	return stats, migrations, runErr
 }

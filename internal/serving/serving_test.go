@@ -238,13 +238,20 @@ func TestEvictionForcesColdPath(t *testing.T) {
 	}
 }
 
+// fleetOf is the setup map of a single-model fleet, keyed by the model.
+func fleetOf(ms *experiments.ModelSetup) map[string]*experiments.ModelSetup {
+	return map[string]*experiments.ModelSetup{ms.Spec.Abbr: ms}
+}
+
+// The serverless scale-out spike: a burst on an uncapped fleet cold-starts
+// one isolated instance per request.
 func TestScaleOutColdStartsAcrossSchemes(t *testing.T) {
 	ms := setup(t, "res")
-	base, err := ScaleOut(ms, Policy{Scheme: core.SchemeBaseline}, 3)
+	base, err := ServeFleetModels(fleetOf(ms), "res", FleetConfig{Policy: Policy{Scheme: core.SchemeBaseline}}, BurstTrace(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pask, err := ScaleOut(ms, Policy{Scheme: core.SchemePaSK}, 3)
+	pask, err := ServeFleetModels(fleetOf(ms), "res", FleetConfig{Policy: Policy{Scheme: core.SchemePaSK}}, BurstTrace(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +308,7 @@ func TestFleetReusesWarmInstance(t *testing.T) {
 	ms := setup(t, "alex")
 	// Sparse arrivals: one instance handles everything warm.
 	trace := PoissonTrace(5, time.Second, 11)
-	stats, err := ServeFleet(ms, FleetConfig{Policy: Policy{Scheme: core.SchemePaSK}, KeepAlive: time.Minute}, trace)
+	stats, err := ServeFleetModels(fleetOf(ms), ms.Spec.Abbr, FleetConfig{Policy: Policy{Scheme: core.SchemePaSK}, KeepAlive: time.Minute}, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +327,7 @@ func TestFleetReusesWarmInstance(t *testing.T) {
 
 func TestFleetScalesOutOnBurst(t *testing.T) {
 	ms := setup(t, "alex")
-	stats, err := ServeFleet(ms, FleetConfig{Policy: Policy{Scheme: core.SchemePaSK}}, BurstTrace(4))
+	stats, err := ServeFleetModels(fleetOf(ms), ms.Spec.Abbr, FleetConfig{Policy: Policy{Scheme: core.SchemePaSK}}, BurstTrace(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +339,7 @@ func TestFleetScalesOutOnBurst(t *testing.T) {
 func TestFleetKeepAliveExpiryCausesColdStart(t *testing.T) {
 	ms := setup(t, "alex")
 	trace := Trace{{At: 0}, {At: 3 * time.Second}}
-	stats, err := ServeFleet(ms, FleetConfig{
+	stats, err := ServeFleetModels(fleetOf(ms), ms.Spec.Abbr, FleetConfig{
 		Policy: Policy{Scheme: core.SchemePaSK}, KeepAlive: time.Second,
 	}, trace)
 	if err != nil {
@@ -345,7 +352,7 @@ func TestFleetKeepAliveExpiryCausesColdStart(t *testing.T) {
 
 func TestFleetCapQueuesRequests(t *testing.T) {
 	ms := setup(t, "alex")
-	stats, err := ServeFleet(ms, FleetConfig{
+	stats, err := ServeFleetModels(fleetOf(ms), ms.Spec.Abbr, FleetConfig{
 		Policy: Policy{Scheme: core.SchemeBaseline}, MaxInstances: 1,
 	}, BurstTrace(3))
 	if err != nil {
@@ -366,11 +373,11 @@ func TestFleetCapQueuesRequests(t *testing.T) {
 
 func TestFleetPaSKBeatsBaselineOnBurst(t *testing.T) {
 	ms := setup(t, "res")
-	base, err := ServeFleet(ms, FleetConfig{Policy: Policy{Scheme: core.SchemeBaseline}}, BurstTrace(3))
+	base, err := ServeFleetModels(fleetOf(ms), ms.Spec.Abbr, FleetConfig{Policy: Policy{Scheme: core.SchemeBaseline}}, BurstTrace(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pask, err := ServeFleet(ms, FleetConfig{Policy: Policy{Scheme: core.SchemePaSK}}, BurstTrace(3))
+	pask, err := ServeFleetModels(fleetOf(ms), ms.Spec.Abbr, FleetConfig{Policy: Policy{Scheme: core.SchemePaSK}}, BurstTrace(3))
 	if err != nil {
 		t.Fatal(err)
 	}
