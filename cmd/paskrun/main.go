@@ -8,6 +8,11 @@
 //	        [-faults "transient=0.1,permanent=0.02,seed=7"] [-trace out.json]
 //	        [-record-profile res.profile.json] [-warmup res.profile.json]
 //
+// The run goes through the same path as pask.RunScheme and POST
+// /v1/coldstart, so it reports the same numbers. -blas-scope extends the
+// loading management of PaSK and PaSK-I to the BLAS library; the other
+// schemes ignore it.
+//
 // With -faults the run faces a seeded fault plan (keys: transient, permanent,
 // spike, disable, seed, burst, spike_ms, reset_ms) and the report gains the
 // retry, negative-cache and degradation-ladder counters.
@@ -28,7 +33,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"time"
 
 	"pask/internal/core"
 	"pask/internal/device"
@@ -36,7 +40,6 @@ import (
 	"pask/internal/faults"
 	"pask/internal/metrics"
 	"pask/internal/serving"
-	"pask/internal/sim"
 	"pask/internal/trace"
 	"pask/internal/warmup"
 )
@@ -47,7 +50,7 @@ func main() {
 	devName := flag.String("device", "MI100", "device profile: MI100, A100, 6900XT")
 	batch := flag.Int("batch", 1, "inference batch size")
 	width := flag.Int("width", 100, "timeline width in characters")
-	blasScope := flag.Bool("blas-scope", false, "enable the BLAS-scope extension")
+	blasScope := flag.Bool("blas-scope", false, "enable the BLAS-scope extension (PaSK and PaSK-I only)")
 	faultsFlag := flag.String("faults", "", "fault plan, e.g. \"transient=0.1,permanent=0.02,seed=7\"")
 	traceOut := flag.String("trace", "", "write the run's Chrome trace_event JSON to this file")
 	recordPath := flag.String("record-profile", "", "write the run's observed load profile as a warmup manifest")
@@ -61,17 +64,6 @@ func main() {
 	ms, err := experiments.PrepareModel(*model, *batch, prof)
 	if err != nil {
 		fatal(err)
-	}
-
-	scheme := core.Scheme(*schemeName)
-	found := false
-	for _, s := range core.Schemes() {
-		if s == scheme {
-			found = true
-		}
-	}
-	if !found {
-		fatal(fmt.Errorf("unknown scheme %q (one of %v)", *schemeName, core.Schemes()))
 	}
 
 	var inj *faults.Injector
@@ -88,7 +80,8 @@ func main() {
 		defer restore()
 	}
 
-	// Run with a retained process so the tracer's spans are available.
+	// Run on a process we hold, so faults reach its runtime and its spans
+	// and stats stay readable after the run.
 	pr := ms.NewProcess()
 	if inj != nil {
 		pr.RT.SetLoadFaults(inj)
@@ -97,31 +90,20 @@ func main() {
 	var rec *trace.Recorder
 	if *traceOut != "" {
 		rec = trace.New()
-		pr.Record(rec)
 	}
-	// Warmup: replay a recorded manifest concurrently with context init, and
-	// observe this run's own load order when recording or accounting replay.
-	var wrec *warmup.Recorder
-	if *recordPath != "" || *warmupPath != "" {
-		wrec = warmup.NewRecorder()
-	}
-	var pf *warmup.Prefetcher
+	// Warmup: a missing, corrupt or empty manifest starts cold, never fails.
+	var man *warmup.Manifest
 	if *warmupPath != "" {
-		// Missing or corrupt manifest: start cold, never fail.
-		if man, merr := warmup.ReadFile(*warmupPath); merr == nil && len(man.Entries) > 0 {
-			pf = warmup.Start(pr.Env, pr.RT, man, rec)
+		if m, merr := warmup.ReadFile(*warmupPath); merr == nil && len(m.Entries) > 0 {
+			man = m
 		}
 	}
-	opts := core.Options{BlasScope: *blasScope}
-	if wrec != nil {
-		opts.Profile = wrec
-	}
-	var spans []metrics.Span
-	var window [2]time.Duration
-	rep, res, err := runWithSpans(ms, pr, scheme, opts, rec, &spans, &window)
+	scheme := core.Scheme(*schemeName)
+	wr, err := ms.RunSchemeOn(pr, scheme, core.Options{BlasScope: *blasScope}, rec, man, *recordPath != "")
 	if err != nil {
 		fatal(err)
 	}
+	rep, res := wr.Rep, wr.Res
 
 	fmt.Printf("%s x %s on %s (batch %d)\n\n", *model, scheme, prof.Name, *batch)
 	fmt.Printf("cold start      %10.2fms\n", float64(rep.Total)/1e6)
@@ -129,7 +111,7 @@ func main() {
 	fmt.Printf("code objects    %10d loaded (%0.1f MB)\n", rep.Loads, float64(rep.LoadedBytes)/1e6)
 	if res != nil {
 		fmt.Printf("reuse           %10d queries, %d hits (%.0f%%), %d loads skipped, milestone %d\n",
-			res.Cache.Queries, res.Cache.Hits, 100*hitRate(res), res.SkippedLoads, res.Milestone)
+			rep.ReuseQueries, rep.ReuseHits, 100*rep.HitRate(), rep.SkippedLoads, rep.Milestone)
 	}
 
 	fmt.Printf("\nbreakdown:\n")
@@ -159,21 +141,20 @@ func main() {
 		}
 	}
 
-	if pf != nil {
-		st := pf.Account(wrec.Paths(), pr.Env.Now())
+	if man != nil {
+		st := wr.Replay
 		fmt.Printf("\nwarmup replay:   %d/%d prefetched (%d coalesced), %d hits, %d misses, %d wasted, %d stale\n",
 			st.Loaded+st.Coalesced, st.Entries, st.Coalesced, st.Hits, st.Misses, st.Wasted, st.Stale)
 	}
 	if *recordPath != "" {
-		man := wrec.Manifest(ms.Store, ms.Spec.Abbr, *batch, prof)
-		if werr := warmup.WriteFile(*recordPath, man); werr != nil {
+		if werr := warmup.WriteFile(*recordPath, wr.Profile); werr != nil {
 			fatal(werr)
 		}
 		fmt.Printf("\nload profile (%d objects, %d substitutions) written to %s\n",
-			len(man.Entries), len(man.Substitutions), *recordPath)
+			len(wr.Profile.Entries), len(wr.Profile.Substitutions), *recordPath)
 	}
 
-	fmt.Printf("\ntimeline:\n%s", metrics.Timeline(spans, window[0], window[1], *width))
+	fmt.Printf("\ntimeline:\n%s", metrics.Timeline(pr.Tracer.Spans(), wr.TTFI-rep.Total, wr.TTFI, *width))
 
 	if *traceOut != "" {
 		f, ferr := os.Create(*traceOut)
@@ -189,68 +170,6 @@ func main() {
 		}
 		fmt.Printf("\ntrace written to %s (open in ui.perfetto.dev)\n", *traceOut)
 	}
-}
-
-func hitRate(res *core.Result) float64 {
-	if res.Cache.Queries == 0 {
-		return 0
-	}
-	return float64(res.Cache.Hits) / float64(res.Cache.Queries)
-}
-
-func runWithSpans(ms *experiments.ModelSetup, pr *experiments.Process, scheme core.Scheme, opts core.Options, rec *trace.Recorder, spans *[]metrics.Span, window *[2]time.Duration) (*metrics.Report, *core.Result, error) {
-	rep := &metrics.Report{}
-	var res *core.Result
-	var runErr error
-	pr.Env.Spawn("main", func(p *sim.Proc) {
-		defer pr.GPU.CloseAll()
-		pr.Runner.RT.InitContext(p)
-		if runErr = pr.Runner.Lib.LoadResidents(p); runErr != nil {
-			return
-		}
-		model := ms.Model
-		if scheme == core.SchemeNNV12 {
-			model = ms.Uniform
-		}
-		if scheme == core.SchemeIdeal {
-			if runErr = pr.Runner.PreloadAll(p, model); runErr != nil {
-				return
-			}
-		}
-		busy0 := pr.GPU.BusyTime()
-		loads0 := pr.RT.Stats()
-		t0 := p.Now()
-		rec.Instant("run", "run-start", t0,
-			metrics.Attr{Key: "scheme", Value: string(scheme)},
-			metrics.Attr{Key: "model", Value: ms.Spec.Abbr})
-		switch scheme {
-		case core.SchemeBaseline:
-			runErr = pr.Runner.RunBaseline(p, model)
-		case core.SchemeIdeal, core.SchemeNNV12, core.SchemePaSKI:
-			_, runErr = core.RunInterleaved(p, pr.Runner, model, core.NewCategoricalCache(), false, opts)
-		case core.SchemePaSKR:
-			c := core.NewNaiveCache()
-			core.SeedResidents(c, pr.Runner.Lib)
-			res, runErr = core.RunSequentialReuse(p, pr.Runner, model, c, core.Options{})
-		default:
-			c := core.NewCategoricalCache()
-			core.SeedResidents(c, pr.Runner.Lib)
-			res, runErr = core.RunInterleaved(p, pr.Runner, model, c, true, opts)
-		}
-		t1 := p.Now()
-		rec.Instant("run", "run-end", t1)
-		rep.Total = t1 - t0
-		rep.GPUBusy = pr.GPU.BusyTime() - busy0
-		rep.Loads = pr.RT.Stats().ModuleLoads - loads0.ModuleLoads
-		rep.LoadedBytes = pr.RT.Stats().BytesLoaded - loads0.BytesLoaded
-		rep.Breakdown = metrics.Breakdown(pr.Tracer.Spans(), t0, t1, metrics.DefaultPriority())
-		*spans = pr.Tracer.Spans()
-		window[0], window[1] = t0, t1
-	})
-	if err := pr.Env.Run(); err != nil {
-		return nil, nil, err
-	}
-	return rep, res, runErr
 }
 
 func fatal(err error) {

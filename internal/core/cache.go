@@ -11,8 +11,9 @@
 //   - proactively interleaved execution (§III-A): parsing, loading and
 //     issuing on three host threads joined by SPSC channels;
 //   - the evaluated scheme variants (Baseline, NNV12, Ideal, PaSK, PaSK-I,
-//     PaSK-R) and the §VI extensions (BLAS scope, precision preference,
-//     inter-request background loading).
+//     PaSK-R), each mapped to its engine by Run alone, and the §VI
+//     extensions (BLAS scope, precision preference, inter-request
+//     background loading).
 //
 // Paper anchor: §III-A interleaved pipeline, §III-B Algorithm 1, §III-C categorical cache — the paper's contribution itself.
 package core

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -700,5 +701,39 @@ func TestRunWarmReuseSkipsParse(t *testing.T) {
 	parse := device.DefaultHost().ModelOpen + time.Duration(h.model.NumInstructions())*device.DefaultHost().ParseInstr
 	if warmSeq-warmNoParse < parse/2 {
 		t.Fatalf("warm paths differ by %v, expected ~parse cost %v", warmSeq-warmNoParse, parse)
+	}
+}
+
+// Run maps every scheme to its engine: only PaSK and PaSK-R consult the
+// caller's cache and return a Result, and an unknown name is an error.
+func TestRunSchemeMapping(t *testing.T) {
+	h := newHarness(t, "alex", 1, graphx.CompileOptions{})
+	for _, sch := range Schemes() {
+		var res *Result
+		var cache Cache
+		h.coldRun(t, func(p *sim.Proc, r *graphx.Runner) error {
+			var err error
+			cache = NewCache(sch, r.Lib)
+			res, err = Run(p, r, h.model, sch, cache, Options{})
+			return err
+		})
+		if got := res != nil; got != sch.Reuses() {
+			t.Errorf("%s: Result returned = %v, want %v", sch, got, sch.Reuses())
+		}
+		if _, naive := cache.(*NaiveCache); naive != (sch == SchemePaSKR) {
+			t.Errorf("%s: NewCache built a naive cache = %v", sch, naive)
+		}
+		if queried := cache.Stats().Queries > 0; queried != sch.Reuses() {
+			t.Errorf("%s: cache queried = %v, want %v", sch, queried, sch.Reuses())
+		}
+	}
+	env := sim.NewEnv()
+	var err error
+	env.Spawn("main", func(p *sim.Proc) { _, err = Run(p, nil, h.model, "Bogus", nil, Options{}) })
+	if rerr := env.Run(); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err == nil || !strings.Contains(err.Error(), `"Bogus"`) {
+		t.Fatalf("Run(Bogus) err = %v, want an error naming the scheme", err)
 	}
 }

@@ -30,6 +30,56 @@ func Schemes() []Scheme {
 	return []Scheme{SchemeBaseline, SchemeNNV12, SchemeIdeal, SchemePaSK, SchemePaSKI, SchemePaSKR}
 }
 
+// Reuses reports whether the scheme recycles loaded kernels through the
+// caller's solution cache (PaSK and PaSK-R). Only these schemes consult
+// the cache Run is given and return a Result from it.
+func (s Scheme) Reuses() bool { return s == SchemePaSK || s == SchemePaSKR }
+
+// NewCache returns the solution cache a scheme's runs consult, seeded with
+// the library's resident generics: the flat naive cache for PaSK-R, the
+// categorical cache otherwise.
+func NewCache(s Scheme, lib *miopen.Library) Cache {
+	var c Cache = NewCategoricalCache()
+	if s == SchemePaSKR {
+		c = NewNaiveCache()
+	}
+	SeedResidents(c, lib)
+	return c
+}
+
+// Run executes a cold start of m under scheme. It is the one place a
+// scheme picks its engine:
+//
+//   - Baseline runs the reactive default workflow;
+//   - Ideal and NNV12 run the non-selective pipeline on a fresh, empty
+//     cache with only opts.Profile: the §VI extensions and the pressure
+//     signal are PASK's;
+//   - PaSK-I runs the same engine with opts;
+//   - PaSK runs the selective pipeline (Algorithm 1) and PaSK-R the
+//     sequential reuse ablation, both on cache with opts.
+//
+// cache normally comes from NewCache; only the schemes that Reuse consult
+// it, and only they return a Result (also on error, with the statistics
+// gathered so far). Callers pick the plan (NNV12 runs the layout-uniform
+// one) and, for Ideal, preload it first.
+func Run(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, scheme Scheme, cache Cache, opts Options) (*Result, error) {
+	switch scheme {
+	case SchemeBaseline:
+		return nil, r.RunBaseline(p, m)
+	case SchemeIdeal, SchemeNNV12:
+		opts = Options{Profile: opts.Profile}
+		fallthrough
+	case SchemePaSKI:
+		_, err := RunInterleaved(p, r, m, NewCategoricalCache(), false, opts)
+		return nil, err
+	case SchemePaSK:
+		return RunInterleaved(p, r, m, cache, true, opts)
+	case SchemePaSKR:
+		return RunSequentialReuse(p, r, m, cache, opts)
+	}
+	return nil, fmt.Errorf("core: unknown scheme %q (one of %v)", scheme, Schemes())
+}
+
 // Options tune the PASK executors.
 type Options struct {
 	// BlasScope extends PASK's loading/reuse management to the BLAS library

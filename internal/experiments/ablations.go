@@ -96,16 +96,15 @@ func (ms *ModelSetup) runPaSKVariant(opts core.Options, seed bool) (float64, err
 	var runErr error
 	pr.Env.Spawn("main", func(p *sim.Proc) {
 		defer pr.GPU.CloseAll()
-		pr.Runner.RT.InitContext(p)
-		if runErr = pr.Runner.Lib.LoadResidents(p); runErr != nil {
+		if runErr = pr.Init(p); runErr != nil {
 			return
 		}
-		cache := core.NewCategoricalCache()
+		var cache core.Cache = core.NewCategoricalCache()
 		if seed {
-			core.SeedResidents(cache, pr.Runner.Lib)
+			cache = core.NewCache(core.SchemePaSK, pr.Runner.Lib)
 		}
 		t0 := p.Now()
-		if _, err := core.RunInterleaved(p, pr.Runner, ms.Model, cache, true, opts); err != nil {
+		if _, err := core.Run(p, pr.Runner, ms.Model, core.SchemePaSK, cache, opts); err != nil {
 			runErr = err
 			return
 		}
@@ -175,18 +174,16 @@ func CrossModelReuse(a, b string, prof device.Profile) (*CrossModelResult, error
 	var runErr error
 	pr.Env.Spawn("main", func(p *sim.Proc) {
 		defer pr.GPU.CloseAll()
-		pr.Runner.RT.InitContext(p)
-		if runErr = pr.Runner.Lib.LoadResidents(p); runErr != nil {
+		if runErr = pr.Init(p); runErr != nil {
 			return
 		}
-		cache := core.NewCategoricalCache()
-		core.SeedResidents(cache, pr.Runner.Lib)
-		if _, err := core.RunInterleaved(p, pr.Runner, msA.Model, cache, true, core.Options{}); err != nil {
+		cache := core.NewCache(core.SchemePaSK, pr.Runner.Lib)
+		if _, err := core.Run(p, pr.Runner, msA.Model, core.SchemePaSK, cache, core.Options{}); err != nil {
 			runErr = err
 			return
 		}
 		t0 := p.Now()
-		res, err := core.RunInterleaved(p, pr.Runner, msB.Model, cache, true, core.Options{})
+		res, err := core.Run(p, pr.Runner, msB.Model, core.SchemePaSK, cache, core.Options{})
 		if err != nil {
 			runErr = err
 			return

@@ -608,14 +608,12 @@ func (ms *ModelSetup) runTwoRequests(background bool) (*twoRequestResult, error)
 	var runErr error
 	pr.Env.Spawn("main", func(p *sim.Proc) {
 		defer pr.GPU.CloseAll()
-		pr.Runner.RT.InitContext(p)
-		if runErr = pr.Runner.Lib.LoadResidents(p); runErr != nil {
+		if runErr = pr.Init(p); runErr != nil {
 			return
 		}
-		cache := core.NewCategoricalCache()
-		core.SeedResidents(cache, pr.Runner.Lib)
+		cache := core.NewCache(core.SchemePaSK, pr.Runner.Lib)
 		t0 := p.Now()
-		res, err := core.RunInterleaved(p, pr.Runner, ms.Model, cache, true, core.Options{})
+		res, err := core.Run(p, pr.Runner, ms.Model, core.SchemePaSK, cache, core.Options{})
 		if err != nil {
 			runErr = err
 			return
@@ -635,7 +633,7 @@ func (ms *ModelSetup) runTwoRequests(background bool) (*twoRequestResult, error)
 			}
 		}
 		t1 := p.Now()
-		if _, err := core.RunInterleaved(p, pr.Runner, ms.Model, cache, true, core.Options{}); err != nil {
+		if _, err := core.Run(p, pr.Runner, ms.Model, core.SchemePaSK, cache, core.Options{}); err != nil {
 			runErr = err
 			return
 		}

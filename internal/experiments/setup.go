@@ -163,6 +163,27 @@ func (pr *Process) Record(rec *trace.Recorder) {
 	}
 }
 
+// Init brings the process up: GPU context creation, then the library open
+// that maps its resident kernels.
+func (pr *Process) Init(p *sim.Proc) error {
+	pr.Runner.RT.InitContext(p)
+	return pr.Runner.Lib.LoadResidents(p)
+}
+
+// SchemeModel returns the plan scheme executes: NNV12's layout-uniform
+// selection, the default plan otherwise. Under Ideal it first makes every
+// object of the plan resident on pr, the untimed preload that precedes
+// Ideal's measured run.
+func (ms *ModelSetup) SchemeModel(p *sim.Proc, pr *Process, scheme core.Scheme) (*graphx.CompiledModel, error) {
+	switch scheme {
+	case core.SchemeNNV12:
+		return ms.Uniform, nil
+	case core.SchemeIdeal:
+		return ms.Model, pr.Runner.PreloadAll(p, ms.Model)
+	}
+	return ms.Model, nil
+}
+
 // NewProcess creates a fresh cold process with its own environment.
 func (ms *ModelSetup) NewProcess() *Process {
 	env := sim.NewEnv()
@@ -265,8 +286,7 @@ func (ms *ModelSetup) RunColdHot() (cold, hot time.Duration, spans []metrics.Spa
 	pr.Env.Spawn("main", func(p *sim.Proc) {
 		defer pr.GPU.CloseAll()
 		t0 := p.Now()
-		pr.Runner.RT.InitContext(p)
-		if runErr = pr.Runner.Lib.LoadResidents(p); runErr != nil {
+		if runErr = pr.Init(p); runErr != nil {
 			return
 		}
 		if runErr = pr.Runner.RunBaseline(p, ms.Model); runErr != nil {

@@ -32,17 +32,22 @@ type WarmupRun struct {
 }
 
 // RunSchemeWarm executes the model once in a fresh cold process with
-// optional profile recording and optional manifest replay. When man is
-// non-nil a prefetcher thread spawns at process start — its loads overlap
-// GPU context creation and the parse, so the pipeline finds modules
-// resident; singleflight coalescing in the runtime makes replay and demand
-// loads converge. A stale or partial manifest degrades the run to (at
-// worst) a plain cold start; it never fails it. When record is true (or a
-// manifest is replayed, which needs the used-object set for accounting)
-// the run's realized decisions are captured through core's ProfileObserver
-// seam.
+// optional profile recording and optional manifest replay; see RunSchemeOn.
 func (ms *ModelSetup) RunSchemeWarm(scheme core.Scheme, opts core.Options, rec *trace.Recorder, man *warmup.Manifest, record bool) (*WarmupRun, error) {
-	pr := ms.NewProcess()
+	return ms.RunSchemeOn(ms.NewProcess(), scheme, opts, rec, man, record)
+}
+
+// RunSchemeOn is RunSchemeWarm on a cold process the caller created, so it
+// can wire faults into the runtime first and read the spans and runtime
+// stats afterwards. When man is non-nil a prefetcher thread spawns at
+// process start — its loads overlap GPU context creation and the parse, so
+// the pipeline finds modules resident; singleflight coalescing in the
+// runtime makes replay and demand loads converge. A stale or partial
+// manifest degrades the run to (at worst) a plain cold start; it never
+// fails it. When record is true (or a manifest is replayed, which needs the
+// used-object set for accounting) the run's realized decisions are captured
+// through core's ProfileObserver seam.
+func (ms *ModelSetup) RunSchemeOn(pr *Process, scheme core.Scheme, opts core.Options, rec *trace.Recorder, man *warmup.Manifest, record bool) (*WarmupRun, error) {
 	pr.Record(rec)
 	rep := &metrics.Report{Scheme: string(scheme), Model: ms.Spec.Abbr, Batch: ms.Batch}
 	wr := &WarmupRun{Rep: rep}
@@ -64,20 +69,13 @@ func (ms *ModelSetup) RunSchemeWarm(scheme core.Scheme, opts core.Options, rec *
 
 	pr.Env.Spawn("main", func(p *sim.Proc) {
 		defer pr.GPU.CloseAll()
-		pr.Runner.RT.InitContext(p)
-		if err := pr.Runner.Lib.LoadResidents(p); err != nil {
-			runErr = err
+		if runErr = pr.Init(p); runErr != nil {
 			return
 		}
-		model := ms.Model
-		if scheme == core.SchemeNNV12 {
-			model = ms.Uniform
-		}
-		if scheme == core.SchemeIdeal {
-			if err := pr.Runner.PreloadAll(p, model); err != nil {
-				runErr = err
-				return
-			}
+		model, err := ms.SchemeModel(p, pr, scheme)
+		if err != nil {
+			runErr = err
+			return
 		}
 		loads0 := pr.RT.Stats()
 		busy0 := pr.GPU.BusyTime()
@@ -86,34 +84,7 @@ func (ms *ModelSetup) RunSchemeWarm(scheme core.Scheme, opts core.Options, rec *
 			metrics.Attr{Key: "scheme", Value: string(scheme)},
 			metrics.Attr{Key: "model", Value: ms.Spec.Abbr},
 			metrics.Attr{Key: "batch", Value: fmt.Sprint(ms.Batch)})
-
-		switch scheme {
-		case core.SchemeBaseline:
-			runErr = pr.Runner.RunBaseline(p, model)
-		case core.SchemeIdeal:
-			// Hot execution with every solution resident: the same engine,
-			// nothing left to load.
-			cache := core.NewCategoricalCache()
-			_, runErr = core.RunInterleaved(p, pr.Runner, model, cache, false, core.Options{Profile: opts.Profile})
-		case core.SchemeNNV12:
-			cache := core.NewCategoricalCache() // unused: no reuse in NNV12
-			_, runErr = core.RunInterleaved(p, pr.Runner, model, cache, false, core.Options{Profile: opts.Profile})
-		case core.SchemePaSK:
-			// PASK recycles *loaded* kernels: the cache starts with the
-			// library's resident built-ins and grows with per-model loads.
-			cache := core.NewCategoricalCache()
-			core.SeedResidents(cache, pr.Runner.Lib)
-			res, runErr = core.RunInterleaved(p, pr.Runner, model, cache, true, opts)
-		case core.SchemePaSKI:
-			cache := core.NewCategoricalCache()
-			_, runErr = core.RunInterleaved(p, pr.Runner, model, cache, false, opts)
-		case core.SchemePaSKR:
-			cache := core.NewNaiveCache()
-			core.SeedResidents(cache, pr.Runner.Lib)
-			res, runErr = core.RunSequentialReuse(p, pr.Runner, model, cache, core.Options{})
-		default:
-			runErr = fmt.Errorf("experiments: unknown scheme %q", scheme)
-		}
+		res, runErr = core.Run(p, pr.Runner, model, scheme, core.NewCache(scheme, pr.Runner.Lib), opts)
 
 		t1 := p.Now()
 		rec.Instant("run", "run-end", t1)

@@ -172,7 +172,7 @@ type Report struct {
 	Loads       int   // code objects loaded
 	LoadedBytes int64 // container bytes loaded
 
-	// PASK reuse statistics (zero for non-PASK schemes).
+	// PASK reuse statistics (zero except under PaSK and PaSK-R).
 	ReuseQueries int // GetSubSolution invocations
 	ReuseHits    int // queries answered with a cached instance
 	Lookups      int // IsApplicable evaluations inside queries

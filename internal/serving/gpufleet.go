@@ -155,8 +155,7 @@ func (r *gpuRig) gpuStats() []gpuStat {
 // kernels) when it is fresh.
 func serveBaseline(p *sim.Proc, pr *experiments.Process, ms *experiments.ModelSetup, fresh bool) error {
 	if fresh {
-		pr.Runner.RT.InitContext(p)
-		if err := pr.Runner.Lib.LoadResidents(p); err != nil {
+		if err := pr.Init(p); err != nil {
 			return err
 		}
 	}

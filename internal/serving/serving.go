@@ -19,6 +19,7 @@ import (
 	"pask/internal/core"
 	"pask/internal/experiments"
 	"pask/internal/faults"
+	"pask/internal/graphx"
 	"pask/internal/metrics"
 	"pask/internal/sim"
 	"pask/internal/trace"
@@ -130,6 +131,7 @@ type Instance struct {
 	tenant string
 
 	cache       core.Cache
+	model       *graphx.CompiledModel // the plan the last cold start ran
 	initialized bool
 	served      int
 	skipped     []SkippedLoad
@@ -179,12 +181,10 @@ func (in *Instance) initProcess(p *sim.Proc) error {
 	if in.initialized {
 		return nil
 	}
-	in.pr.Runner.RT.InitContext(p)
-	if err := in.pr.Runner.Lib.LoadResidents(p); err != nil {
+	if err := in.pr.Init(p); err != nil {
 		return err
 	}
-	switch {
-	case in.host != nil:
+	if in.host != nil {
 		// Shared GPU: every tenant consults the host's cross-model cache
 		// through its own attributing view. The structure is always the
 		// categorical one — a flat PaSK-R scan over every tenant's entries
@@ -193,51 +193,38 @@ func (in *Instance) initProcess(p *sim.Proc) error {
 		v := in.host.Cache.View(in.tenant)
 		core.SeedResidents(v, in.pr.Runner.Lib)
 		in.cache = v
-	case in.policy.Scheme == core.SchemePaSKR:
-		c := core.NewNaiveCache()
-		core.SeedResidents(c, in.pr.Runner.Lib)
-		in.cache = c
-	default:
-		c := core.NewCategoricalCache()
-		core.SeedResidents(c, in.pr.Runner.Lib)
-		in.cache = c
+	} else {
+		in.cache = core.NewCache(in.policy.Scheme, in.pr.Runner.Lib)
 	}
 	in.initialized = true
 	return nil
 }
 
-// Serve executes one inference request and returns its latency.
+// Serve executes one inference request and returns its latency. The first
+// request is the scheme's cold start (core.Run); later ones keep following
+// Algorithm 1 against the warm cache when the scheme reuses kernels, with
+// the parsed program retained (paper §VI), and run hot otherwise.
 func (in *Instance) Serve(p *sim.Proc) (time.Duration, error) {
 	if err := in.initProcess(p); err != nil {
 		return 0, err
 	}
-	model := in.ms.Model
-	if in.policy.Scheme == core.SchemeNNV12 {
-		model = in.ms.Uniform
-	}
 	start := p.Now()
+	var res *core.Result
 	var err error
 	switch {
-	case in.Warm() && (in.policy.Scheme == core.SchemePaSK || in.policy.Scheme == core.SchemePaSKR):
-		// Subsequent requests keep following Algorithm 1 against the warm
-		// cache, with the parsed program retained (paper §VI).
-		in.lastResult, err = core.RunWarmReuse(p, in.pr.Runner, model, in.cache, in.policy.Options)
-	case in.Warm():
-		err = in.pr.Runner.RunHot(p, model)
-	case in.policy.Scheme == core.SchemeBaseline:
-		err = in.pr.Runner.RunBaseline(p, model)
-	case in.policy.Scheme == core.SchemeIdeal:
-		if err := in.pr.Runner.PreloadAll(p, model); err != nil {
+	case !in.Warm():
+		if in.model, err = in.ms.SchemeModel(p, in.pr, in.policy.Scheme); err != nil {
 			return 0, err
 		}
 		start = p.Now()
-		_, err = core.RunInterleaved(p, in.pr.Runner, model, core.NewCategoricalCache(), false, core.Options{})
-	case in.policy.Scheme == core.SchemeNNV12 || in.policy.Scheme == core.SchemePaSKI:
-		_, err = core.RunInterleaved(p, in.pr.Runner, model, core.NewCategoricalCache(), false, in.policy.Options)
-	case in.policy.Scheme == core.SchemePaSKR:
-		in.lastResult, err = core.RunSequentialReuse(p, in.pr.Runner, model, in.cache, in.policy.Options)
-	default: // PaSK
-		in.lastResult, err = core.RunInterleaved(p, in.pr.Runner, model, in.cache, true, in.policy.Options)
+		res, err = core.Run(p, in.pr.Runner, in.model, in.policy.Scheme, in.cache, in.policy.Options)
+	case in.policy.Scheme.Reuses():
+		res, err = core.RunWarmReuse(p, in.pr.Runner, in.model, in.cache, in.policy.Options)
+	default:
+		err = in.pr.Runner.RunHot(p, in.model)
+	}
+	if res != nil {
+		in.lastResult = res
 	}
 	if err != nil {
 		return 0, err

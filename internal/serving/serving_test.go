@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -284,6 +285,15 @@ func TestSpotPreemptionCausesRepeatedColdStarts(t *testing.T) {
 	}
 	if _, _, err := SpotPreemption(ms, Policy{Scheme: core.SchemePaSK}, trace, 0); err == nil {
 		t.Fatal("preemptEvery=0 must error")
+	}
+}
+
+// An unknown scheme is a configuration error, not a request to serve PaSK.
+func TestServeRejectsUnknownScheme(t *testing.T) {
+	ms := setup(t, "alex")
+	_, err := ServeTrace(ms, Policy{Scheme: "Bogus"}, BurstTrace(1), 0)
+	if err == nil || !strings.Contains(err.Error(), `"Bogus"`) {
+		t.Fatalf("ServeTrace with scheme Bogus: err = %v, want an error naming the scheme", err)
 	}
 }
 

@@ -96,7 +96,8 @@ type optionFunc func(*runConfig)
 func (f optionFunc) applyOption(c *runConfig) { f(c) }
 
 // WithBlasScope extends PASK's management to the BLAS library's GEMM kernels
-// (paper §VI "Library supporting"; helps transformer models).
+// (paper §VI "Library supporting"; helps transformer models). It applies to
+// PaSK and PaSK-I; the other schemes ignore it.
 func WithBlasScope() Option {
 	return optionFunc(func(c *runConfig) { c.opts.BlasScope = true })
 }
@@ -191,7 +192,7 @@ type Report struct {
 	// LoadedBytes counts container bytes read and relocated.
 	LoadedBytes int64
 
-	// PASK cache statistics (zero for non-PASK schemes).
+	// PASK cache statistics (zero except under PaSK and PaSK-R).
 	ReuseQueries int
 	ReuseHits    int
 	Lookups      int

@@ -1,6 +1,7 @@
 package pask
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -107,6 +108,28 @@ func TestBlasScopeOption(t *testing.T) {
 	}
 	if scoped.Total > plain.Total {
 		t.Fatalf("BLAS scope slowed swin down: %v vs %v", scoped.Total, plain.Total)
+	}
+}
+
+// The §VI extensions are PASK's: NNV12 and Ideal run the same cold start
+// with or without the BLAS scope, whichever entry point asks for it.
+func TestBlasScopeIgnoredOutsidePaSK(t *testing.T) {
+	sys, err := NewSystem(Config{Model: "swin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sch := range []Scheme{NNV12, Ideal} {
+		plain, err := sys.RunScheme(sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scoped, err := sys.RunScheme(sch, WithBlasScope())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(scoped, plain) {
+			t.Errorf("%s: BLAS scope changed the report:\n got %+v\nwant %+v", sch, scoped, plain)
+		}
 	}
 }
 
