@@ -8,6 +8,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -115,7 +116,11 @@ func DefaultPriority() []Category {
 
 // Breakdown attributes every instant of [t0, t1] to exactly one category:
 // the highest-priority category with an active span at that instant, or
-// CatOther when none is active. The result's values sum to t1-t0.
+// CatOther when none is active. The result's values sum to t1-t0. A category
+// listed twice in priority ranks by its last position.
+//
+// It sweeps a line over the sorted span edges, clipped to the window, and
+// keeps an active count per rank, so the cost is O(n log n) in the spans.
 func Breakdown(spans []Span, t0, t1 time.Duration, priority []Category) map[Category]time.Duration {
 	out := make(map[Category]time.Duration, len(priority)+1)
 	if t1 <= t0 {
@@ -123,39 +128,39 @@ func Breakdown(spans []Span, t0, t1 time.Duration, priority []Category) map[Cate
 	}
 	rank := make(map[Category]int, len(priority))
 	for i, c := range priority {
-		rank[c] = i + 1
+		rank[c] = i
 	}
-	// Collect edges inside the window.
-	edges := []time.Duration{t0, t1}
-	for _, s := range spans {
-		if s.End <= t0 || s.Start >= t1 {
-			continue
-		}
-		if s.Start > t0 {
-			edges = append(edges, s.Start)
-		}
-		if s.End < t1 {
-			edges = append(edges, s.End)
+	type edge struct {
+		at          time.Duration
+		rank, delta int
+	}
+	edges := make([]edge, 0, 2*len(spans))
+	for i := range spans {
+		r, ok := rank[spans[i].Cat]
+		lo, hi := max(spans[i].Start, t0), min(spans[i].End, t1)
+		if ok && lo < hi {
+			edges = append(edges, edge{lo, r, 1}, edge{hi, r, -1})
 		}
 	}
-	slices.Sort(edges)
-	for i := 1; i < len(edges); i++ {
-		lo, hi := edges[i-1], edges[i]
-		if hi <= lo {
-			continue
+	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
+	active := make([]int, len(priority))
+	at := t0
+	for i := 0; i <= len(edges); i++ {
+		next := t1
+		if i < len(edges) {
+			next = edges[i].at
 		}
-		mid := lo + (hi-lo)/2
-		best := CatOther
-		bestRank := len(priority) + 2
-		for _, s := range spans {
-			if s.Start <= mid && mid < s.End {
-				if r, ok := rank[s.Cat]; ok && r < bestRank {
-					bestRank = r
-					best = s.Cat
-				}
+		if next > at {
+			best := CatOther
+			if r := slices.IndexFunc(active, func(n int) bool { return n > 0 }); r >= 0 {
+				best = priority[r]
 			}
+			out[best] += next - at
+			at = next
 		}
-		out[best] += hi - lo
+		if i < len(edges) {
+			active[edges[i].rank] += edges[i].delta
+		}
 	}
 	return out
 }
