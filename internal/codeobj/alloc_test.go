@@ -27,3 +27,33 @@ func TestParseAllocsBounded(t *testing.T) {
 		t.Errorf("Parse allocates %.1f objects/op, want <= 30", avg)
 	}
 }
+
+// TestBuildExactSize pins that Build sizes its buffer exactly: the store
+// keeps the built slice, so spare capacity would stay resident behind every
+// object. The mixes cover one and many kernels, with and without metadata,
+// and payloads from one byte up.
+func TestBuildExactSize(t *testing.T) {
+	mixes := map[string][]KernelSpec{
+		"one tiny kernel": {{Name: "k", CodeSize: 1}},
+		"no meta":         {{Name: "a", Pattern: "GEMM", CodeSize: 33}, {Name: "b", Pattern: "Direct", CodeSize: 4096}},
+		"meta":            benchSpecs(3, 777),
+		"mixed meta": {
+			{Name: "main", Pattern: "Winograd", CodeSize: 256 << 10, Meta: map[string]string{"dtype": "f16", "tile": "8x8", "": "empty key"}},
+			{Name: "helper", CodeSize: 31},
+			{Name: "xform", Pattern: "Transform", CodeSize: 2048, Meta: map[string]string{"layout": ""}},
+		},
+		"many kernels": benchSpecs(64, 100),
+	}
+	for name, specs := range mixes {
+		data, err := Build("obj-"+name, "gfx908", specs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(data) != cap(data) {
+			t.Errorf("%s: Build returned len %d, cap %d", name, len(data), cap(data))
+		}
+		if _, err := Parse(data); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

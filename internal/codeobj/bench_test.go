@@ -74,3 +74,29 @@ func BenchmarkParseSymbolLookup(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuild measures building the same two shapes, the work every
+// model set-up pays per code object it puts in the store.
+func BenchmarkBuild(b *testing.B) {
+	shapes := []struct {
+		name     string
+		kernels  int
+		codeSize int
+	}{
+		{"small_4x2KB", 4, 2 << 10},
+		{"model_2x256KB", 2, 256 << 10},
+	}
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			specs := benchSpecs(s.kernels, s.codeSize)
+			b.SetBytes(int64(len(benchObject(b, s.kernels, s.codeSize))))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build("bench.pko", "gfx908", specs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -120,3 +120,30 @@ func TestStoreFaultHook(t *testing.T) {
 		t.Fatalf("unhooked Get: %v", err)
 	}
 }
+
+// TestXORChecksumMatchesBytewise checks the word-at-a-time fold against a
+// byte-at-a-time reference for every length up to 300 at every start
+// alignment, so each path (32-byte lanes, 8-byte words, byte tail) and each
+// hand-off between them is covered.
+func TestXORChecksumMatchesBytewise(t *testing.T) {
+	buf := make([]byte, 8+300)
+	state := uint64(0x9e3779b97f4a7c15)
+	for i := range buf {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		buf[i] = byte(state)
+	}
+	for align := 0; align < 8; align++ {
+		for n := 0; n <= 300; n++ {
+			b := buf[align : align+n]
+			var want byte
+			for _, x := range b {
+				want ^= x
+			}
+			if got := xorChecksum(b); got != want {
+				t.Fatalf("align %d len %d: xorChecksum = %#x, want %#x", align, n, got, want)
+			}
+		}
+	}
+}

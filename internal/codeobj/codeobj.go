@@ -12,7 +12,6 @@
 package codeobj
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -107,11 +106,8 @@ func (o *Object) CodeSize() int64 {
 	return n
 }
 
-func writeString(buf *bytes.Buffer, s string) {
-	var lenb [4]byte
-	binary.LittleEndian.PutUint32(lenb[:], uint32(len(s)))
-	buf.Write(lenb[:])
-	buf.WriteString(s)
+func appendString(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
 }
 
 // cursor walks a byte slice without copying: take aliases sections in place,
@@ -160,10 +156,18 @@ func (c *cursor) str() (string, error) {
 	return string(b), nil
 }
 
-// xorChecksum folds the payload eight bytes at a time; XOR is associative,
-// so the result equals the byte-at-a-time walk the builder performs.
+// xorChecksum folds the payload 32 bytes at a time into four independent
+// lanes, then eight bytes at a time, then byte by byte; XOR is associative
+// and commutative, so the result equals a byte-at-a-time walk.
 func xorChecksum(b []byte) byte {
-	var acc uint64
+	var a0, a1, a2, a3 uint64
+	for ; len(b) >= 32; b = b[32:] {
+		a0 ^= binary.LittleEndian.Uint64(b)
+		a1 ^= binary.LittleEndian.Uint64(b[8:])
+		a2 ^= binary.LittleEndian.Uint64(b[16:])
+		a3 ^= binary.LittleEndian.Uint64(b[24:])
+	}
+	acc := a0 ^ a1 ^ a2 ^ a3
 	for len(b) >= 8 {
 		acc ^= binary.LittleEndian.Uint64(b)
 		b = b[8:]
@@ -202,55 +206,57 @@ func Build(name, arch string, kernels []KernelSpec) ([]byte, error) {
 		seen[k.Name] = true
 	}
 
-	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], Version)
-	buf.Write(u16[:])
-	writeString(&buf, name)
-	writeString(&buf, arch)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(kernels)))
-	buf.Write(u32[:])
+	// Size the container exactly: the store keeps the returned slice, so
+	// any spare capacity would stay resident behind the object.
+	size := len(Magic) + 2 + 4 + len(name) + 4 + len(arch) + 4 + 4
 	for _, k := range kernels {
-		writeString(&buf, k.Name)
-		writeString(&buf, k.Pattern)
-		binary.LittleEndian.PutUint32(u32[:], uint32(k.CodeSize))
-		buf.Write(u32[:])
+		size += 4 + len(k.Name) + 4 + len(k.Pattern) + 4 + 4 + k.CodeSize + 1
+		for key, val := range k.Meta {
+			size += 4 + len(key) + 4 + len(val)
+		}
+	}
+	buf := append(make([]byte, 0, size), Magic...)
+	buf = binary.LittleEndian.AppendUint16(buf, Version)
+	buf = appendString(buf, name)
+	buf = appendString(buf, arch)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(kernels)))
+	for _, k := range kernels {
+		buf = appendString(buf, k.Name)
+		buf = appendString(buf, k.Pattern)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(k.CodeSize))
 		keys := make([]string, 0, len(k.Meta))
 		for key := range k.Meta {
 			keys = append(keys, key)
 		}
 		slices.Sort(keys)
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(keys)))
-		buf.Write(u32[:])
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
 		for _, key := range keys {
-			writeString(&buf, key)
-			writeString(&buf, k.Meta[key])
+			buf = appendString(buf, key)
+			buf = appendString(buf, k.Meta[key])
 		}
-		start := buf.Len()
-		writePayload(&buf, k.Name, k.CodeSize)
-		buf.WriteByte(xorChecksum(buf.Bytes()[start:]))
+		start := len(buf)
+		buf = appendPayload(buf, k.Name, k.CodeSize)
+		buf = append(buf, xorChecksum(buf[start:]))
 	}
-	sum := crc32.ChecksumIEEE(buf.Bytes())
-	binary.LittleEndian.PutUint32(u32[:], sum)
-	buf.Write(u32[:])
-	return buf.Bytes(), nil
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
 }
 
-// writePayload appends size bytes of deterministic pseudo-ISA derived from
-// the kernel name.
-func writePayload(buf *bytes.Buffer, name string, size int) {
+// appendPayload appends size bytes of deterministic pseudo-ISA derived from
+// the kernel name, generated in place.
+func appendPayload(b []byte, name string, size int) []byte {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	state := h.Sum64()
-	for i := 0; i < size; i++ {
+	b = slices.Grow(b, size)
+	p := b[len(b) : len(b)+size]
+	for i := range p {
 		// xorshift64 keeps generation cheap and reproducible.
 		state ^= state << 13
 		state ^= state >> 7
 		state ^= state << 17
-		buf.WriteByte(byte(state))
+		p[i] = byte(state)
 	}
+	return b[:len(b)+size]
 }
 
 // Parse validates and decodes a serialized code object. It never copies
