@@ -36,16 +36,16 @@ func TestParsePlanDeviceKeys(t *testing.T) {
 
 func TestParsePlanDeviceKeysMalformed(t *testing.T) {
 	for _, spec := range []string{
-		"gpu_kill_rate=1.5",            // rate out of range
-		"gpu_kill=-1",                  // negative GPU index
-		"gpu_kill=1.5",                 // fractional GPU index
-		"gpu_kill_ms=-3",               // negative time
-		"degrade_factor=0.5",           // multiplier below 1
-		"degrade_factor=x",             // not a number
-		"degrade_transient=-0.1",       // negative rate
-		"degrade_gpu=one",              // not an index
-		"link_flap_gpu=-2",             // negative GPU index
-		"link_flap_stall_ms=-1",        // negative stall
+		"gpu_kill_rate=1.5",                          // rate out of range
+		"gpu_kill=-1",                                // negative GPU index
+		"gpu_kill=1.5",                               // fractional GPU index
+		"gpu_kill_ms=-3",                             // negative time
+		"degrade_factor=0.5",                         // multiplier below 1
+		"degrade_factor=x",                           // not a number
+		"degrade_transient=-0.1",                     // negative rate
+		"degrade_gpu=one",                            // not an index
+		"link_flap_gpu=-2",                           // negative GPU index
+		"link_flap_stall_ms=-1",                      // negative stall
 		"gpu_kill_from_ms=30,gpu_kill_until_ms=30",   // empty window
 		"degrade_from_ms=20,degrade_until_ms=10",     // inverted window
 		"link_flap_from_ms=50,link_flap_until_ms=40", // inverted window
