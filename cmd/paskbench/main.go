@@ -8,6 +8,7 @@
 //	          [-models alex,vgg,...] [-batches 1,4,16,64,128] [-quick]
 //	          [-faults "transient=0.1,permanent=0.02,seed=7,model=res,requests=60"]
 //	          [-trace out.json] [-validate-trace file.json] [-out BENCH_<name>.json]
+//	          [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -exp list prints the registered experiment menu with one-line
 // descriptions; -exp all runs the paper-figure sweep; any other name
@@ -28,6 +29,11 @@
 // seed, burst, spike_ms, reset_ms) feed the fault plan and whose scenario
 // keys (model, batch, device, requests, interval_ms, evict) shape the
 // trace.
+//
+// -cpuprofile and -memprofile write host pprof profiles of the selected
+// run (an experiment, the -exp all sweep or a -faults cell), the same files
+// `go test -cpuprofile/-memprofile` writes; read them with `go tool pprof`.
+// A run that fails leaves no usable profile.
 package main
 
 import (
@@ -35,6 +41,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -56,6 +64,8 @@ func main() {
 	traceOut := flag.String("trace", "", "write the run's Chrome trace_event JSON here")
 	benchOut := flag.String("out", "", "write the machine-readable result envelope here (default BENCH_<exp>.json for bench experiments)")
 	validateTrace := flag.String("validate-trace", "", "validate a Chrome trace JSON file, print its summary and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run here")
+	memProfile := flag.String("memprofile", "", "write a host allocation profile of the run here")
 	flag.Parse()
 	formatCSV = *format == "csv"
 
@@ -65,6 +75,16 @@ func main() {
 		}
 		return
 	}
+
+	stop, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	if *faultsFlag != "" {
 		if err := runChaosCell(*faultsFlag); err != nil {
@@ -182,6 +202,43 @@ func runExperiment(e *experiments.Experiment, opts experiments.Options, out, tra
 		fmt.Printf("trace written to %s (open in ui.perfetto.dev)\n", traceOut)
 	}
 	return nil
+}
+
+// startProfiles starts a CPU profile into cpuOut and returns the function
+// that stops it and writes the allocation profile to memOut. An empty path
+// skips that profile.
+func startProfiles(cpuOut, memOut string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuOut != "" {
+		if cpu, err = os.Create(cpuOut); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memOut == "" {
+			return nil
+		}
+		f, err := os.Create(memOut)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // flush the allocations of the last cycle into the profile
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // runChaosCell runs a single fault-injection cell from the combined -faults

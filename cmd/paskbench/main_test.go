@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -63,5 +64,34 @@ func TestMenuCoversLegacyNames(t *testing.T) {
 	}
 	if _, ok := experiments.Lookup("predictive"); !ok {
 		t.Error("predictive not registered")
+	}
+}
+
+// TestStartProfiles checks that -cpuprofile and -memprofile each write a
+// non-empty profile once the run stops, and that empty paths write nothing.
+func TestStartProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	stop, err := startProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, size %v", p, err, fi)
+		}
+	}
+	stop, err = startProfiles("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := startProfiles(filepath.Join(dir, "missing", "cpu.out"), ""); err == nil {
+		t.Error("unwritable -cpuprofile path accepted")
 	}
 }

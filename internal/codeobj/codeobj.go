@@ -172,14 +172,19 @@ func xorChecksum(b []byte) byte {
 		acc ^= binary.LittleEndian.Uint64(b)
 		b = b[8:]
 	}
-	acc ^= acc >> 32
-	acc ^= acc >> 16
-	acc ^= acc >> 8
-	ck := byte(acc)
+	ck := foldXOR(acc)
 	for _, x := range b {
 		ck ^= x
 	}
 	return ck
+}
+
+// foldXOR returns the XOR of the eight bytes of acc.
+func foldXOR(acc uint64) byte {
+	acc ^= acc >> 32
+	acc ^= acc >> 16
+	acc ^= acc >> 8
+	return byte(acc)
 }
 
 // Build serializes a code object. Payload bytes are generated
@@ -234,29 +239,73 @@ func Build(name, arch string, kernels []KernelSpec) ([]byte, error) {
 			buf = appendString(buf, key)
 			buf = appendString(buf, k.Meta[key])
 		}
-		start := len(buf)
-		buf = appendPayload(buf, k.Name, k.CodeSize)
-		buf = append(buf, xorChecksum(buf[start:]))
+		var ck byte
+		buf, ck = appendPayload(buf, k.Name, k.CodeSize)
+		buf = append(buf, ck)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
 }
 
+// xorshift advances the payload generator's xorshift64 state by one step.
+func xorshift(s uint64) uint64 {
+	s ^= s << 13
+	s ^= s >> 7
+	s ^= s << 17
+	return s
+}
+
+// The xorshift step is linear over GF(2), so from a state s both the next
+// eight output bytes, packed little-endian, and the state eight steps on are
+// XORs of one entry per byte of s: wordTab[j][v] and jumpTab[j][v] are what
+// the state v<<(8*j) alone contributes. They sit behind pointers so the loop
+// in appendPayload indexes them off a register.
+var wordTab, jumpTab = new([8][256]uint64), new([8][256]uint64)
+
+func init() {
+	for j := range 8 {
+		for v := range 256 {
+			s := uint64(v) << (8 * j)
+			var w uint64
+			for k := range 8 {
+				s = xorshift(s)
+				w |= uint64(byte(s)) << (8 * k)
+			}
+			wordTab[j][v], jumpTab[j][v] = w, s
+		}
+	}
+}
+
 // appendPayload appends size bytes of deterministic pseudo-ISA derived from
-// the kernel name, generated in place.
-func appendPayload(b []byte, name string, size int) []byte {
+// the kernel name, generated in place, and returns their XOR checksum byte.
+// Byte i is the low byte of the xorshift64 state after i+1 steps from the
+// name's FNV-1a hash; the tables produce eight of them per step.
+func appendPayload(b []byte, name string, size int) ([]byte, byte) {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	state := h.Sum64()
+	s := h.Sum64()
 	b = slices.Grow(b, size)
 	p := b[len(b) : len(b)+size]
-	for i := range p {
-		// xorshift64 keeps generation cheap and reproducible.
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		p[i] = byte(state)
+	var acc uint64
+	wt, jt := wordTab, jumpTab
+	for ; len(p) >= 8; p = p[8:] {
+		w, n := wt[0][byte(s)], jt[0][byte(s)]
+		w, n = w^wt[1][byte(s>>8)], n^jt[1][byte(s>>8)]
+		w, n = w^wt[2][byte(s>>16)], n^jt[2][byte(s>>16)]
+		w, n = w^wt[3][byte(s>>24)], n^jt[3][byte(s>>24)]
+		w, n = w^wt[4][byte(s>>32)], n^jt[4][byte(s>>32)]
+		w, n = w^wt[5][byte(s>>40)], n^jt[5][byte(s>>40)]
+		w, n = w^wt[6][byte(s>>48)], n^jt[6][byte(s>>48)]
+		w, s = w^wt[7][byte(s>>56)], n^jt[7][byte(s>>56)]
+		binary.LittleEndian.PutUint64(p, w)
+		acc ^= w
 	}
-	return b[:len(b)+size]
+	ck := foldXOR(acc)
+	for i := range p {
+		s = xorshift(s)
+		p[i] = byte(s)
+		ck ^= p[i]
+	}
+	return b[:len(b)+size], ck
 }
 
 // Parse validates and decodes a serialized code object. It never copies

@@ -1,0 +1,102 @@
+package codeobj
+
+import (
+	"bytes"
+	"fmt"
+	"hash/crc32"
+	"hash/fnv"
+	"testing"
+)
+
+// payloadOracle is the original generator: one xorshift64 step per output
+// byte, the low byte of each new state. It stays as the reference the
+// table-driven appendPayload must reproduce byte for byte.
+func payloadOracle(name string, size int) []byte {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	state := h.Sum64()
+	p := make([]byte, size)
+	for i := range p {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		p[i] = byte(state)
+	}
+	return p
+}
+
+// TestPayloadMatchesOracle checks every size from 0 to 70 (each hand-off
+// between the 8-byte table loop and the scalar tail) and a few object-sized
+// payloads, for several names, against the serial oracle. It also checks the
+// returned checksum byte against xorChecksum of the bytes written, and that
+// bytes already in the slice are left alone.
+func TestPayloadMatchesOracle(t *testing.T) {
+	sizes := make([]int, 0, 75)
+	for n := 0; n <= 70; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 4099, 44<<10+3, 256<<10, 650<<10)
+	names := []string{"", "k", "k0", "bench_kernel_7", "ConvWinograd3x3_f32_fwd", "gemm\x00tail"}
+	prefix := []byte("hdr")
+	for _, name := range names {
+		for _, n := range sizes {
+			want := payloadOracle(name, n)
+			out, ck := appendPayload(append([]byte(nil), prefix...), name, n)
+			if !bytes.Equal(out[:len(prefix)], prefix) {
+				t.Fatalf("name %q size %d: prefix clobbered: %q", name, n, out[:len(prefix)])
+			}
+			got := out[len(prefix):]
+			if !bytes.Equal(got, want) {
+				i := 0
+				for i < n && got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("name %q size %d: first mismatch at byte %d of %d", name, n, i, len(got))
+			}
+			if wantCk := xorChecksum(want); ck != wantCk {
+				t.Fatalf("name %q size %d: checksum %#x, want %#x", name, n, ck, wantCk)
+			}
+		}
+	}
+}
+
+// TestBuildGolden pins the CRC-32 of a multi-kernel object whose payload
+// sizes straddle the 8-byte generator step (1, 7, 8, 9) plus one longer
+// payload with a tail. The value was recorded from the byte-at-a-time
+// generator; a different value means the PKO bytes changed, which would
+// move every store fingerprint.
+func TestBuildGolden(t *testing.T) {
+	data, err := Build("golden.pko", "gfx908", []KernelSpec{
+		{Name: "k_one", Pattern: "Direct", CodeSize: 1},
+		{Name: "k_seven", Pattern: "GEMM", CodeSize: 7, Meta: map[string]string{"dtype": "f16"}},
+		{Name: "k_eight", Pattern: "Winograd", CodeSize: 8},
+		{Name: "k_nine", Pattern: "FFT", CodeSize: 9, Meta: map[string]string{"tile": "8x8", "dtype": "f32"}},
+		{Name: "k_main", Pattern: "ImplicitGEMM", CodeSize: 4099},
+	})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	const golden = 0x2144df1c
+	if got := crc32.ChecksumIEEE(data); got != golden {
+		t.Fatalf("Build CRC-32 = %#08x over %d bytes, want %#08x over 4358", got, len(data), golden)
+	}
+	if _, err := Parse(data); err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+}
+
+// BenchmarkAppendPayload measures payload generation alone, at a helper
+// kernel's size and at a model-sized main kernel's.
+func BenchmarkAppendPayload(b *testing.B) {
+	for _, size := range []int{2 << 10, 256 << 10} {
+		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
+			buf := make([]byte, 0, size)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _ = appendPayload(buf[:0], "bench_kernel_0", size)
+			}
+		})
+	}
+}

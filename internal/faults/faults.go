@@ -64,6 +64,7 @@ package faults
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -501,19 +502,24 @@ func ParsePlan(spec string) (Plan, map[string]string, error) {
 		}
 		key = strings.TrimSpace(key)
 		val = strings.TrimSpace(val)
+		// The comparisons are written so NaN fails them: NaN compares
+		// false with everything, so "f < 0 || f > 1" would let it through.
 		rate := func() (float64, error) {
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) {
 				return 0, fmt.Errorf("faults: %s=%q is not a rate in [0,1]", key, val)
 			}
 			return f, nil
 		}
 		ms := func() (time.Duration, error) {
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 {
+			// 2^63 ns is the first value a time.Duration cannot hold; +Inf
+			// fails the same bound.
+			d := f * float64(time.Millisecond)
+			if err != nil || !(d >= 0 && d < 1<<63) {
 				return 0, fmt.Errorf("faults: %s=%q is not a millisecond count", key, val)
 			}
-			return time.Duration(f * float64(time.Millisecond)), nil
+			return time.Duration(d), nil
 		}
 		gpuIdx := func() (int, error) {
 			n, err := strconv.Atoi(val)
@@ -584,7 +590,7 @@ func ParsePlan(spec string) (Plan, map[string]string, error) {
 		case "degrade_factor":
 			var f float64
 			f, err = strconv.ParseFloat(val, 64)
-			if err != nil || f < 1 {
+			if err != nil || !(f >= 1 && !math.IsInf(f, 1)) {
 				err = fmt.Errorf("faults: degrade_factor=%q is not a multiplier >= 1", val)
 			}
 			p.DegradeFactor = f

@@ -3,6 +3,8 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,6 +189,37 @@ func TestParsePlan(t *testing.T) {
 	}
 	if p, left, err := ParsePlan(""); err != nil || len(left) != 0 || p != (Plan{}) {
 		t.Fatalf("empty spec: %+v %v %v", p, left, err)
+	}
+}
+
+// TestParsePlanRejectsNonFinite covers values that slip past a plain range
+// check: NaN compares false with every bound, ±Inf is a valid float, and a
+// finite millisecond count can still overflow time.Duration.
+func TestParsePlanRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"transient=NaN", "is not a rate in [0,1]"},
+		{"permanent=nan", "is not a rate in [0,1]"},
+		{"spike=+Inf", "is not a rate in [0,1]"},
+		{"disable=-Inf", "is not a rate in [0,1]"},
+		{"gpu_kill_rate=NaN", "is not a rate in [0,1]"},
+		{"spike_ms=NaN", "is not a millisecond count"},
+		{"slow_ms=Inf", "is not a millisecond count"},
+		{"flood_ms=-Inf", "is not a millisecond count"},
+		{"reset_ms=1e300", "is not a millisecond count"},
+		{"gpu_kill_ms=9223372036854.775808", "is not a millisecond count"},
+		{"link_flap_stall_ms=1e400", "is not a millisecond count"},
+		{"degrade_factor=NaN", "is not a multiplier >= 1"},
+		{"degrade_factor=Inf", "is not a multiplier >= 1"},
+	} {
+		if _, _, err := ParsePlan(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParsePlan(%q) error = %v, want one containing %q", tc.spec, err, tc.want)
+		}
+	}
+	// A whole count just below the overflow bound still parses, to within a
+	// millisecond of the largest time.Duration.
+	p, _, err := ParsePlan("reset_ms=9223372036854")
+	if err != nil || p.DeviceResetAt < time.Duration(math.MaxInt64)-time.Millisecond {
+		t.Fatalf("reset_ms just below the bound: %v, %v", p.DeviceResetAt, err)
 	}
 }
 

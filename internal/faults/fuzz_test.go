@@ -1,0 +1,110 @@
+package faults
+
+import (
+	"math"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// planKeys is every key ParsePlan owns, as listed in the package doc.
+var planKeys = []string{
+	"seed", "transient", "burst", "permanent", "spike", "spike_ms", "disable",
+	"reset_ms", "slow_ms", "slow_from_ms", "slow_until_ms",
+	"flood_n", "flood_ms", "flood_gap_ms",
+	"img_corrupt", "img_truncate", "img_kill",
+	"gpu_kill_ms", "gpu_kill", "gpu_kill_rate", "gpu_kill_from_ms", "gpu_kill_until_ms",
+	"degrade_factor", "degrade_transient", "degrade_from_ms", "degrade_until_ms", "degrade_gpu",
+	"link_flap_from_ms", "link_flap_until_ms", "link_flap_gpu", "link_flap_stall_ms",
+}
+
+// TestPlanKeysAreOwned keeps planKeys in step with the parser: an owned key
+// rejects a value that is not a number, where a key the plan does not own
+// passes it through to leftover.
+func TestPlanKeysAreOwned(t *testing.T) {
+	for _, k := range planKeys {
+		if _, _, err := ParsePlan(k + "=x"); err == nil {
+			t.Errorf("key %q accepted a non-number; is it still a plan key?", k)
+		}
+	}
+	if _, left, err := ParsePlan("model=x"); err != nil || left["model"] != "x" {
+		t.Fatalf("scenario key: leftover %v, err %v", left, err)
+	}
+}
+
+// checkPlan asserts the ranges every accepted plan must satisfy. It walks
+// the fields by type, so a field added to Plan is covered without edits
+// here: a time.Duration must be non-negative, a float64 a rate in [0,1]
+// (DegradeFactor: 0 for unset, else a finite multiplier >= 1) and an int
+// non-negative.
+func checkPlan(t *testing.T, spec string, p Plan) {
+	t.Helper()
+	v := reflect.ValueOf(p)
+	for i := range v.NumField() {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch {
+		case f.Type() == reflect.TypeOf(time.Duration(0)):
+			if f.Int() < 0 {
+				t.Fatalf("%q: %s = %v is negative", spec, name, time.Duration(f.Int()))
+			}
+		case f.Kind() == reflect.Float64 && name == "DegradeFactor":
+			if x := f.Float(); x != 0 && !(x >= 1 && !math.IsInf(x, 1)) {
+				t.Fatalf("%q: DegradeFactor = %v", spec, x)
+			}
+		case f.Kind() == reflect.Float64:
+			if x := f.Float(); !(x >= 0 && x <= 1) {
+				t.Fatalf("%q: %s = %v is not a rate in [0,1]", spec, name, x)
+			}
+		case f.Kind() == reflect.Int:
+			if f.Int() < 0 {
+				t.Fatalf("%q: %s = %d is negative", spec, name, f.Int())
+			}
+		}
+	}
+	for _, w := range [][2]time.Duration{
+		{p.GPUKillFrom, p.GPUKillUntil},
+		{p.DegradeFrom, p.DegradeUntil},
+		{p.LinkFlapFrom, p.LinkFlapUntil},
+	} {
+		if w[1] != 0 && w[1] <= w[0] {
+			t.Fatalf("%q: empty window [%v, %v) accepted", spec, w[0], w[1])
+		}
+	}
+}
+
+// FuzzParsePlan asserts ParsePlan never panics, that every plan it accepts
+// is in range, and that leftover holds only keys the plan does not own.
+func FuzzParsePlan(f *testing.F) {
+	for _, spec := range []string{
+		"transient=0.1,permanent=0.02,seed=7,burst=2,spike=0.05,spike_ms=3,reset_ms=40,disable=0.1," +
+			"slow_ms=1,slow_from_ms=10,slow_until_ms=30,flood_n=20,flood_ms=5,flood_gap_ms=0.1," +
+			"img_corrupt=0.2,img_truncate=0.2,img_kill=0.1",
+		"gpu_kill_ms=25,gpu_kill=2,gpu_kill_rate=0.3,gpu_kill_from_ms=10,gpu_kill_until_ms=60," +
+			"degrade_factor=3,degrade_transient=0.2,degrade_from_ms=5,degrade_until_ms=40,degrade_gpu=1," +
+			"link_flap_from_ms=1,link_flap_until_ms=9,link_flap_gpu=0,link_flap_stall_ms=0.5",
+		"transient=0.1,model=res,requests=50",
+		"transient=NaN", "spike=+Inf", "spike_ms=NaN", "slow_ms=Inf", "reset_ms=1e300",
+		"degrade_factor=NaN", "reset_ms=9223372036854", "=1,,junk", "",
+	} {
+		f.Add(spec)
+	}
+	owned := make(map[string]bool, len(planKeys))
+	for _, k := range planKeys {
+		owned[k] = true
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, left, err := ParsePlan(spec)
+		if err != nil {
+			if left != nil {
+				t.Fatalf("%q: error %v came with leftover %v", spec, err, left)
+			}
+			return
+		}
+		checkPlan(t, spec, p)
+		for k := range left {
+			if owned[k] {
+				t.Fatalf("%q: plan key %q left over", spec, k)
+			}
+		}
+	})
+}
