@@ -473,14 +473,22 @@ func (rt *Registry) loadWithRetry(p *sim.Proc, path string) (*Module, error) {
 		}
 		rt.sh.stats.TransientRetries++
 		rt.sh.observe(rt.env, "transient_retry", path)
-		if backoff > 0 {
-			p.Sleep(backoff)
-			backoff *= 2
-			if pol.MaxBackoff > 0 && backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-		}
+		backoff = pol.wait(p, backoff)
 	}
+}
+
+// wait sleeps one retry backoff and returns the next: doubled, capped at
+// MaxBackoff. A non-positive backoff sleeps nothing and stays as it is.
+func (pol RetryPolicy) wait(p *sim.Proc, backoff time.Duration) time.Duration {
+	if backoff <= 0 {
+		return backoff
+	}
+	p.Sleep(backoff)
+	backoff *= 2
+	if pol.MaxBackoff > 0 && backoff > pol.MaxBackoff {
+		backoff = pol.MaxBackoff
+	}
+	return backoff
 }
 
 // ForgetFailure drops path from the negative cache — operators repair
@@ -628,13 +636,7 @@ func (rt *Registry) RegisterResident(p *sim.Proc, path string) (*Module, error) 
 	data, err := rt.sh.store.Get(path)
 	for attempt := 0; err != nil && IsTransient(err) && attempt < pol.MaxRetries; attempt++ {
 		rt.sh.stats.TransientRetries++
-		if backoff > 0 {
-			p.Sleep(backoff)
-			backoff *= 2
-			if pol.MaxBackoff > 0 && backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-		}
+		backoff = pol.wait(p, backoff)
 		data, err = rt.sh.store.Get(path)
 	}
 	if err != nil {

@@ -38,10 +38,9 @@ type CacheStats struct {
 // per-pattern cache of full PASK and the flat naive cache of PaSK-R.
 type Cache interface {
 	// Insert records that inst's code object is resident, moving it to the
-	// most-recently-used position.
+	// most-recently-used position. Executors also call it to refresh
+	// recency after running an already-loaded instance directly.
 	Insert(inst miopen.Instance)
-	// Touch refreshes recency after an instance is used directly.
-	Touch(inst miopen.Instance)
 	// GetSub returns a loaded substitute applicable to p for the wanted
 	// instance, charging one applicability check per candidate examined.
 	GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool)
@@ -161,9 +160,6 @@ func (c *CategoricalCache) insertWith(extra *CacheStats, inst miopen.Instance) {
 	c.lists[pat] = append([]entry{{inst: inst, key: key}}, list...)
 }
 
-// Touch refreshes recency (same as re-inserting an existing entry).
-func (c *CategoricalCache) Touch(inst miopen.Instance) { c.Insert(inst) }
-
 // GetSub scans only the wanted pattern's list in MRU order and returns the
 // first applicable instance, charging one check per candidate.
 func (c *CategoricalCache) GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
@@ -176,21 +172,65 @@ func (c *CategoricalCache) GetSub(proc *sim.Proc, lib *miopen.Library, want miop
 // pressure) are skipped instead of handed out stale. The residency probe is
 // a host-side map lookup and charges no applicability check.
 func (c *CategoricalCache) getSubWith(extra *CacheStats, requireLoaded bool, proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
+	c.beginQuery(extra, proc, lib)
+	return c.scan(extra, proc, lib, want.CacheKey(), "", requireLoaded, p)
+}
+
+// GetSubAny extends GetSub across every pattern list — the wanted pattern
+// first (most likely to hold a fit), then the remaining categories in
+// stable declaration order. Costs are charged like GetSub: one fixed query
+// plus one applicability check per candidate examined.
+func (c *CategoricalCache) GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
+	return c.getSubAnyWith(nil, proc, lib, want, p)
+}
+
+// getSubAnyWith is GetSubAny with the optional per-view stats sink.
+// GetSubAny already guards residency for every caller (forced reuse must
+// never trigger a load), so it always scans with requireLoaded.
+func (c *CategoricalCache) getSubAnyWith(extra *CacheStats, proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
+	c.beginQuery(extra, proc, lib)
+	first := want.CacheKey()
+	wantKey := want.Key()
+	if inst, ok := c.scan(extra, proc, lib, first, wantKey, true, p); ok {
+		return inst, true
+	}
+	for _, pat := range allPatterns {
+		if pat == first {
+			continue
+		}
+		if inst, ok := c.scan(extra, proc, lib, pat, wantKey, true, p); ok {
+			return inst, true
+		}
+	}
+	return miopen.Instance{}, false
+}
+
+// beginQuery counts one query and charges its fixed cost.
+func (c *CategoricalCache) beginQuery(extra *CacheStats, proc *sim.Proc, lib *miopen.Library) {
 	c.stats.Queries++
 	if extra != nil {
 		extra.Queries++
 	}
 	proc.Sleep(lib.RT.Host().CacheQueryFixed)
-	pat := want.CacheKey()
-	// Iterate over a snapshot: CheckApplicable sleeps in virtual time, and on
-	// a shared cache another tenant's Insert/promote may shift the live list's
-	// backing array during that sleep. Re-reading list[i] after the check
-	// could hand back a different (inapplicable) instance than was checked.
+}
+
+// scan walks one pattern list in MRU order and returns the first applicable
+// candidate, promoting it and counting the hit; each applicability check
+// counts one lookup. The entry keyed skipKey (none when empty) is passed
+// over, and with requireLoaded so is every candidate whose module is not
+// resident, before its check and again after it.
+//
+// It iterates over a snapshot: CheckApplicable sleeps in virtual time, and
+// on a shared cache another tenant's Insert/promote may shift the live
+// list's backing array during that sleep. Re-reading the live list after
+// the check could hand back a different (inapplicable) instance than was
+// checked.
+func (c *CategoricalCache) scan(extra *CacheStats, proc *sim.Proc, lib *miopen.Library, pat miopen.Pattern, skipKey string, requireLoaded bool, p *miopen.Problem) (miopen.Instance, bool) {
 	list := c.snapshot(c.lists[pat])
 	defer c.release(list)
 	for i := range list {
 		cand := list[i].inst
-		if requireLoaded && !lib.IsLoaded(cand) {
+		if list[i].key == skipKey || requireLoaded && !lib.IsLoaded(cand) {
 			continue
 		}
 		c.stats.Lookups++
@@ -207,67 +247,6 @@ func (c *CategoricalCache) getSubWith(extra *CacheStats, requireLoaded bool, pro
 				extra.Hits++
 			}
 			return cand, true
-		}
-	}
-	return miopen.Instance{}, false
-}
-
-// GetSubAny extends GetSub across every pattern list — the wanted pattern
-// first (most likely to hold a fit), then the remaining categories in
-// stable declaration order. Costs are charged like GetSub: one fixed query
-// plus one applicability check per candidate examined.
-func (c *CategoricalCache) GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
-	return c.getSubAnyWith(nil, proc, lib, want, p)
-}
-
-// getSubAnyWith is GetSubAny with the optional per-view stats sink.
-// GetSubAny already guards residency for every caller (forced reuse must
-// never trigger a load), so no requireLoaded switch is needed.
-func (c *CategoricalCache) getSubAnyWith(extra *CacheStats, proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
-	c.stats.Queries++
-	if extra != nil {
-		extra.Queries++
-	}
-	proc.Sleep(lib.RT.Host().CacheQueryFixed)
-	first := want.CacheKey()
-	wantKey := want.Key()
-	scan := func(pat miopen.Pattern) (miopen.Instance, bool) {
-		// Snapshot for the same reason as getSubWith: checks sleep, tenants
-		// sharing the cache may reorder the live list meanwhile.
-		list := c.snapshot(c.lists[pat])
-		defer c.release(list)
-		for i := range list {
-			cand := list[i].inst
-			if list[i].key == wantKey || !lib.IsLoaded(cand) {
-				continue
-			}
-			c.stats.Lookups++
-			if extra != nil {
-				extra.Lookups++
-			}
-			if lib.CheckApplicable(proc, cand, p) {
-				if !lib.IsLoaded(cand) {
-					continue // evicted while the check slept
-				}
-				c.promoteKey(pat, list[i].key)
-				c.stats.Hits++
-				if extra != nil {
-					extra.Hits++
-				}
-				return cand, true
-			}
-		}
-		return miopen.Instance{}, false
-	}
-	if inst, ok := scan(first); ok {
-		return inst, true
-	}
-	for _, pat := range allPatterns {
-		if pat == first {
-			continue
-		}
-		if inst, ok := scan(pat); ok {
-			return inst, true
 		}
 	}
 	return miopen.Instance{}, false
@@ -313,9 +292,6 @@ func (c *NaiveCache) Insert(inst miopen.Instance) {
 	c.stats.Inserts++
 	c.list = append([]miopen.Instance{inst}, c.list...)
 }
-
-// Touch refreshes recency.
-func (c *NaiveCache) Touch(inst miopen.Instance) { c.Insert(inst) }
 
 // GetSub checks every cached instance regardless of pattern and returns the
 // applicable one with the best predicted performance.

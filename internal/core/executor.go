@@ -80,7 +80,12 @@ func Run(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, scheme Scheme, 
 	return nil, fmt.Errorf("core: unknown scheme %q (one of %v)", scheme, Schemes())
 }
 
-// Options tune the PASK executors.
+// Options tune the PASK executors. The sequential engine (PaSK-R through
+// RunSequentialReuse, warm requests through RunWarmReuse) honours only
+// NoDegradation and Pressure: PrecisionPreference, BlasScope, NoEagerPhase
+// and NoTransformElision shape the interleaved pipeline's decisions, and
+// Profile observes its loading thread, so the sequential engine ignores
+// them.
 type Options struct {
 	// BlasScope extends PASK's loading/reuse management to the BLAS library
 	// (paper §VI "Library supporting").
@@ -458,7 +463,7 @@ func (pl *pipeline) decidePrimitive(lp *sim.Proc, instr *graphx.Instruction) (mi
 		return sInst, prob, false, nil
 	}
 	if lib.IsLoaded(sInst) {
-		pl.cache.Touch(sInst)
+		pl.cache.Insert(sInst)
 		return sInst, prob, false, nil
 	}
 	start := lp.Now()
@@ -601,17 +606,17 @@ func (pl *pipeline) insertBlas(inst blas.Instance) {
 
 // RunSequentialReuse executes the PaSK-R ablation: no interleaving (parse
 // everything, then run layer by layer on one thread) with reuse through the
-// given cache — typically the NaiveCache with its exhaustive scans. opts
-// carries the executor options (the serving layer threads its pressure
-// signal through here).
+// given cache — typically the NaiveCache with its exhaustive scans. Of opts
+// it reads NoDegradation and the pressure signal the serving layer threads
+// through here.
 func RunSequentialReuse(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache Cache, opts Options) (*Result, error) {
 	return runSequential(p, r, m, cache, true, opts)
 }
 
 // RunWarmReuse serves a request on a warm engine that retains the parsed
 // program: layers still follow Algorithm 1 against the cache (paper §VI's
-// subsequent-request behavior) but nothing is re-parsed. opts (pressure
-// signal, profile observer) carries through to the per-layer decisions.
+// subsequent-request behavior) but nothing is re-parsed. Of opts it reads
+// NoDegradation and the pressure signal, like RunSequentialReuse.
 func RunWarmReuse(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache Cache, opts Options) (*Result, error) {
 	return runSequential(p, r, m, cache, false, opts)
 }
@@ -631,8 +636,12 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 	// runTransformSeq executes an interchange kernel, degrading on a load
 	// failure the same way the interleaved loader does: drop the transform
 	// and force the consuming primitive onto a layout-agnostic instance.
+	// Under NoDegradation the failure aborts the run instead.
 	runTransformSeq := func(tr *graphx.Instruction) error {
 		if _, err := r.ExecInstr(p, tr); err != nil {
+			if opts.NoDegradation {
+				return err
+			}
 			res.ElidedXformFailures++
 			res.SkippedTransforms++
 			forceAgnostic = true
@@ -670,7 +679,7 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 			run := sInst
 			usedSub := false
 			if r.Lib.IsLoaded(sInst) {
-				cache.Touch(sInst)
+				cache.Insert(sInst)
 			} else {
 				start := p.Now()
 				sub, ok := cache.GetSub(p, r.Lib, sInst, &instr.Problem)
@@ -694,6 +703,9 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 					usedSub = true
 				} else {
 					if lerr := r.Lib.EnsureLoaded(p, sInst); lerr != nil {
+						if opts.NoDegradation {
+							return res, lerr
+						}
 						fsub, fok := recoverLoadFailure(p, r, cache, res, instr.Name, sInst, &instr.Problem)
 						if !fok {
 							return res, wrapNoUsable(instr.Name, lerr)

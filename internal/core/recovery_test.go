@@ -159,6 +159,32 @@ func TestNoDegradationFailsFast(t *testing.T) {
 	}
 }
 
+// TestNoDegradationFailsFastSequential checks that the sequential engine —
+// PaSK-R cold starts and warm requests alike — honours NoDegradation: the
+// broken object's load failure aborts the run instead of being recovered.
+func TestNoDegradationFailsFastSequential(t *testing.T) {
+	h := newHarness(t, "alex", 1, graphx.CompileOptions{})
+	breakNonResidentChosen(t, h)
+	for _, c := range []struct {
+		name string
+		run  func(*sim.Proc, *graphx.Runner, *graphx.CompiledModel, Cache, Options) (*Result, error)
+	}{
+		{"PaSK-R", RunSequentialReuse},
+		{"warm", RunWarmReuse},
+	} {
+		err := h.faultRun(t, func(p *sim.Proc, r *graphx.Runner) error {
+			// An empty cache leaves no substitute: the broken object must load.
+			_, rerr := c.run(p, r, h.model, NewNaiveCache(), Options{NoDegradation: true})
+			return rerr
+		})
+		if err == nil {
+			t.Errorf("%s: NoDegradation run absorbed the load failure", c.name)
+		} else if !errors.Is(err, codeobj.ErrTruncated) {
+			t.Errorf("%s: error %v does not wrap the parse failure", c.name, err)
+		}
+	}
+}
+
 func TestNoUsableSolutionTyped(t *testing.T) {
 	h := newHarness(t, "alex", 1, graphx.CompileOptions{})
 	// Break every conv object so neither the chosen solution, the cache,

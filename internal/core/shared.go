@@ -61,9 +61,6 @@ func (v *SharedCacheView) Insert(inst miopen.Instance) {
 	v.shared.inner.insertWith(&v.stats, inst)
 }
 
-// Touch refreshes recency in the shared cache.
-func (v *SharedCacheView) Touch(inst miopen.Instance) { v.Insert(inst) }
-
 // GetSub returns a loaded substitute from the shared cache, skipping
 // entries whose modules were evicted since insertion.
 func (v *SharedCacheView) GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {

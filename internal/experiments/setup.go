@@ -106,7 +106,7 @@ func PrepareModelTyped(abbr string, batch int, prof device.Profile, dt tensor.DT
 		return nil, err
 	}
 	gu.DType = dt
-	uniform, err := graphx.Compile(gu, db, graphx.CompileOptions{Mode: graphx.SelectUniformLayout, Uniform: tensor.NCHW})
+	uniform, err := graphx.Compile(gu, db, graphx.CompileOptions{Mode: graphx.SelectUniformLayout})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: compile %s (uniform): %w", abbr, err)
 	}

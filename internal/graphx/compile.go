@@ -29,18 +29,15 @@ const (
 	// vendor-library policy that mixes layouts and maximizes specialization
 	// (and therefore loads).
 	SelectDefault SelectMode = iota
-	// SelectUniformLayout restricts selection to solutions that run in one
-	// uniform layout, eliminating inter-layer transforms — the NNV12
+	// SelectUniformLayout restricts selection to solutions that run in
+	// NCHW throughout, eliminating inter-layer transforms — the NNV12
 	// selection policy.
 	SelectUniformLayout
 )
 
 // CompileOptions configures lowering.
 type CompileOptions struct {
-	Mode    SelectMode
-	Uniform tensor.Layout // uniform layout for SelectUniformLayout (default NCHW)
-	// SkipOptimize disables the graph passes (for pass-effect experiments).
-	SkipOptimize bool
+	Mode SelectMode
 	// FuseConvActivation merges exclusive Conv+ReLU pairs (design ablation:
 	// fewer activation instructions and code objects).
 	FuseConvActivation bool
@@ -51,9 +48,7 @@ type CompileOptions struct {
 // planning (paper Fig 3 "offline preparation"). The input graph is mutated
 // by the optimization passes.
 func Compile(g *onnx.Graph, db *miopen.PerfDB, opts CompileOptions) (*CompiledModel, error) {
-	if !opts.SkipOptimize {
-		Optimize(g)
-	}
+	Optimize(g)
 	if opts.FuseConvActivation {
 		FuseConvActivation(g)
 	}
@@ -164,11 +159,11 @@ func (c *compiler) selectSolution(p *miopen.Problem) (miopen.Ranked, error) {
 	if c.opts.Mode == SelectUniformLayout {
 		for _, r := range ranked {
 			pref, agnostic := r.Inst.Sol.PreferredLayout(p)
-			if agnostic || pref == c.opts.Uniform {
+			if agnostic || pref == tensor.NCHW {
 				return r, nil
 			}
 		}
-		return miopen.Ranked{}, fmt.Errorf("graphx: no %v-layout solution for %s", c.opts.Uniform, p.Key())
+		return miopen.Ranked{}, fmt.Errorf("graphx: no %v-layout solution for %s", tensor.NCHW, p.Key())
 	}
 	return ranked[0], nil
 }
@@ -184,7 +179,7 @@ func (c *compiler) lowerPrimitive(n *onnx.Node, input string, build func(layout 
 	pref, agnostic := r.Inst.Sol.PreferredLayout(&prob)
 	runLayout := cur
 	if c.opts.Mode == SelectUniformLayout {
-		runLayout = c.opts.Uniform
+		runLayout = tensor.NCHW
 	} else if !agnostic && pref != cur {
 		c.ensureLayoutFor(input, pref, true)
 		runLayout = pref

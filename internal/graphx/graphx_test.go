@@ -99,7 +99,7 @@ func TestDefaultModeInsertsTransforms(t *testing.T) {
 func TestUniformModeHasNoTransforms(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	for _, abbr := range []string{"res", "reg", "eff", "vgg"} {
-		m := compileZoo(t, abbr, 1, reg, CompileOptions{Mode: SelectUniformLayout, Uniform: tensor.NCHW})
+		m := compileZoo(t, abbr, 1, reg, CompileOptions{Mode: SelectUniformLayout})
 		for i := range m.Instrs {
 			if m.Instrs[i].Kind == KindTransform {
 				t.Fatalf("%s: uniform-layout plan contains transform %s", abbr, m.Instrs[i].Name)

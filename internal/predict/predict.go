@@ -180,8 +180,9 @@ type Config struct {
 	// Budget caps predictions returned per query (default 2): it is the
 	// prediction-side half of the prefetch budget.
 	Budget int
-	// SketchRows/SketchCols/DecayEvery size the frequency sketch.
-	SketchRows, SketchCols, DecayEvery int
+	// DecayEvery is the frequency sketch's aging period in observations
+	// (default 64).
+	DecayEvery int
 }
 
 func (c *Config) fill() {
@@ -213,7 +214,7 @@ func New(cfg Config) *Predictor {
 	return &Predictor{
 		cfg:    cfg,
 		markov: NewMarkov(),
-		sketch: NewSketch(cfg.SketchRows, cfg.SketchCols, cfg.DecayEvery),
+		sketch: NewSketch(0, 0, cfg.DecayEvery), // the default 4×512 sketch
 		seen:   make(map[string]bool),
 	}
 }

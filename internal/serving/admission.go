@@ -20,16 +20,11 @@ var ErrShed = errors.New("serving: request shed by admission control")
 // 503 by internal/httpapi.
 var ErrBreakerOpen = errors.New("serving: circuit breaker open")
 
-// AdmissionConfig bounds the virtual-time request queue in front of a
-// scenario's instances. The zero value admits everything (the historical
-// behavior).
-type AdmissionConfig struct {
-	// QueueDeadline sheds any request that has waited longer than this
-	// before reaching an instance. 0 means no deadline.
-	QueueDeadline time.Duration
-}
-
-func (a AdmissionConfig) enabled() bool { return a.QueueDeadline > 0 }
+// shedQueueDeadline is the admission bound FleetConfig.Shedding applies: a
+// request that has waited longer than this before reaching an instance is
+// shed. It is roughly the overload experiment's SLO minus a warm service
+// time, so admitted requests can still make the objective.
+const shedQueueDeadline = 240 * time.Millisecond
 
 // backlog reports how many requests after index i have arrived by now — the
 // queue standing behind the request being dispatched. Traces are sorted by
@@ -45,11 +40,10 @@ func backlog(tr Trace, i int, now time.Duration) int {
 	return n
 }
 
-// shouldShed applies the admission config to request i considered for
-// dispatch at now, returning the shed verdict and the backlog it observed.
-func (a AdmissionConfig) shouldShed(tr Trace, i int, now time.Duration) (bool, int) {
-	depth := backlog(tr, i, now)
-	return a.QueueDeadline > 0 && now-tr[i].At > a.QueueDeadline, depth
+// shouldShed reports whether request i, considered for dispatch at now, has
+// outwaited shedQueueDeadline, and the backlog it observed.
+func shouldShed(tr Trace, i int, now time.Duration) (bool, int) {
+	return now-tr[i].At > shedQueueDeadline, backlog(tr, i, now)
 }
 
 // ApplyFlood splices the plan's synthetic request flood into a trace: FloodN
@@ -78,37 +72,38 @@ func ApplyFlood(tr Trace, plan faults.Plan) Trace {
 	return out
 }
 
-// overloadGuard bundles a scenario run's overload protections: admission
-// bounds, per-model circuit breakers and the brownout controller. A nil
-// guard (policy with no overload config) is inert on every method, so the
-// serving loops stay zero-cost for existing callers.
+// overloadGuard bundles a fleet run's overload protections: admission
+// bounds and per-model circuit breakers (FleetConfig.Shedding) and the
+// brownout controller (FleetConfig.Brownout). A nil guard (neither switch
+// on) is inert on every method, so the dispatcher stays zero-cost for
+// unprotected fleets.
 type overloadGuard struct {
-	adm      AdmissionConfig
-	brkCfg   BreakerConfig
+	shedding bool
+	seed     int64 // breaker cooldown jitter stream (FT.BackoffSeed)
 	breakers map[string]*breaker
 	ctrl     *brownout
 	stats    *Stats
 	rec      *trace.Recorder
 }
 
-// newOverloadGuard builds the guard for one scenario run and — when brownout
+// newOverloadGuard builds the guard for one fleet run and — when brownout
 // is enabled — installs the controller as the policy's pressure source. The
-// policy is mutated in place, so callers must construct the guard before any
-// instance is created from the policy.
-func newOverloadGuard(policy *Policy, stats *Stats) *overloadGuard {
-	if !policy.Admission.enabled() && !policy.Breaker.enabled() && !policy.Brownout.Enabled {
+// config is mutated in place, so callers must construct the guard before any
+// instance is created from its policy.
+func newOverloadGuard(cfg *FleetConfig, stats *Stats) *overloadGuard {
+	if !cfg.Shedding && !cfg.Brownout {
 		return nil
 	}
 	g := &overloadGuard{
-		adm:      policy.Admission,
-		brkCfg:   policy.Breaker,
+		shedding: cfg.Shedding,
+		seed:     cfg.Policy.FT.BackoffSeed,
 		breakers: make(map[string]*breaker),
 		stats:    stats,
-		rec:      policy.Rec,
+		rec:      cfg.Policy.Rec,
 	}
-	if policy.Brownout.Enabled {
-		g.ctrl = newBrownout(policy.Brownout, stats, policy.Rec)
-		policy.Options.Pressure = g.ctrl
+	if cfg.Brownout {
+		g.ctrl = newBrownout(stats, cfg.Policy.Rec)
+		cfg.Policy.Options.Pressure = g.ctrl
 	}
 	return g
 }
@@ -120,12 +115,12 @@ func (g *overloadGuard) admit(now time.Duration, tr Trace, i int) error {
 	if g == nil {
 		return nil
 	}
-	shed, depth := g.adm.shouldShed(tr, i, now)
+	shed, depth := shouldShed(tr, i, now)
 	g.rec.Count("overload_queue_depth", now, float64(depth))
 	if g.ctrl != nil {
 		g.ctrl.observeDepth(now, depth)
 	}
-	if !shed {
+	if !g.shedding || !shed {
 		return nil
 	}
 	g.stats.recordShed(i)
@@ -134,14 +129,14 @@ func (g *overloadGuard) admit(now time.Duration, tr Trace, i int) error {
 }
 
 // breaker returns the circuit breaker guarding the given model, creating it
-// on first use. Nil when breakers are disabled.
+// on first use. Nil when shedding is off.
 func (g *overloadGuard) breaker(model string) *breaker {
-	if g == nil || !g.brkCfg.enabled() {
+	if g == nil || !g.shedding {
 		return nil
 	}
 	b, ok := g.breakers[model]
 	if !ok {
-		b = newBreaker(g.brkCfg, model, g.stats, g.rec)
+		b = newBreaker(model, g.seed, g.stats, g.rec)
 		g.breakers[model] = b
 	}
 	return b
@@ -158,7 +153,7 @@ func (g *overloadGuard) reject(now time.Duration, idx int) {
 }
 
 // observeSLO checks a served request's end-to-end latency against the
-// policy's objective.
+// fleet's objective.
 func (s *Stats) observeSLO(e2e, slo time.Duration) {
 	if slo > 0 && e2e > slo {
 		s.SLOMisses++

@@ -34,31 +34,19 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig parameterizes the per-model circuit breakers. The zero value
-// disables them.
-type BreakerConfig struct {
-	// Threshold is the number of consecutive request failures (serve errors
-	// or deadline overruns from the FaultTolerance machinery) that trips the
-	// breaker open. 0 disables the breaker.
-	Threshold int
-	// Cooldown is the base open→half-open wait (default 2ms). Repeated
-	// trips back off exponentially from it, capped at 8×Cooldown, with
+// The per-model circuit breakers FleetConfig.Shedding turns on.
+const (
+	// breakerThreshold is the number of consecutive request failures (serve
+	// errors or deadline overruns from the FaultTolerance machinery) that
+	// trips a breaker open.
+	breakerThreshold = 3
+	// breakerCooldown is the base open→half-open wait. Repeated trips back
+	// off exponentially from it, capped at 8×breakerCooldown, with
 	// deterministic seeded jitter — the same capped-backoff policy
-	// FaultTolerance retries use. One probe success in half-open closes
-	// the breaker again.
-	Cooldown time.Duration
-	// Seed selects the deterministic jitter stream for cooldowns.
-	Seed int64
-}
-
-func (c BreakerConfig) enabled() bool { return c.Threshold > 0 }
-
-func (c BreakerConfig) cooldown() time.Duration {
-	if c.Cooldown > 0 {
-		return c.Cooldown
-	}
-	return 2 * time.Millisecond
-}
+	// FaultTolerance retries use. One probe success in half-open closes the
+	// breaker again.
+	breakerCooldown = 25 * time.Millisecond
+)
 
 // expBackoff returns base·2^attempt capped at max, with a deterministic
 // ±25% jitter drawn from (seed, key, attempt) — the same FNV construction
@@ -109,14 +97,14 @@ func (b backoff) retry(p *sim.Proc, n int, retries *int, attempt func(i int) (re
 }
 
 // breaker is one model's circuit over the shared runtime: closed→open on
-// Threshold consecutive failures, open→half-open after a deterministic
+// breakerThreshold consecutive failures, open→half-open after a deterministic
 // cooldown, half-open→closed on a probe success (or back to open on a probe
 // failure, with a longer cooldown). All transitions happen at
 // request-dispatch points, so breaker state is a pure function of the
 // virtual-time request/outcome sequence — same seed, same transitions.
 type breaker struct {
-	cfg   BreakerConfig
 	model string
+	seed  int64
 	stats *Stats
 	rec   *trace.Recorder
 
@@ -126,8 +114,8 @@ type breaker struct {
 	reopenAt time.Duration
 }
 
-func newBreaker(cfg BreakerConfig, model string, stats *Stats, rec *trace.Recorder) *breaker {
-	return &breaker{cfg: cfg, model: model, stats: stats, rec: rec}
+func newBreaker(model string, seed int64, stats *Stats, rec *trace.Recorder) *breaker {
+	return &breaker{model: model, seed: seed, stats: stats, rec: rec}
 }
 
 // transition moves the breaker and emits the counter/instant trail the
@@ -179,14 +167,14 @@ func (b *breaker) observe(now time.Duration, err error) {
 		return
 	}
 	b.fails++
-	if b.state == BreakerHalfOpen || b.fails >= b.cfg.Threshold {
+	if b.state == BreakerHalfOpen || b.fails >= breakerThreshold {
 		b.trip(now)
 	}
 }
 
 // trip opens the breaker with the streak's capped-exponential cooldown.
 func (b *breaker) trip(now time.Duration) {
-	cool := expBackoff(b.cfg.cooldown(), 8*b.cfg.cooldown(), b.streak, b.cfg.Seed, b.model)
+	cool := expBackoff(breakerCooldown, 8*breakerCooldown, b.streak, b.seed, b.model)
 	b.streak++
 	b.fails = 0
 	b.reopenAt = now + cool

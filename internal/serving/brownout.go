@@ -7,55 +7,37 @@ import (
 	"time"
 )
 
-// BrownoutConfig governs the pressure-adaptive reuse mode: when the request
-// queue deepens, the controller raises the pressure level PASK's per-layer
+// The brownout controller's queue-depth thresholds. When the request queue
+// deepens, the controller raises the pressure level PASK's per-layer
 // decision consults, so layers run on already-loaded generic solutions
 // instead of issuing new code-object loads — the paper's §III-B reuse trade
 // pushed further while the fleet is drowning, relaxed again as the queue
-// drains. The zero value disables brownout.
-type BrownoutConfig struct {
-	// Enabled turns the controller on.
-	Enabled bool
-	// EnterDepth is the backlog at which pressure rises to Elevated
-	// (default 3).
-	EnterDepth int
-	// SevereDepth is the backlog at which pressure rises to Severe
-	// (default 2×EnterDepth). Pressure relaxes one level once the backlog
-	// falls to EnterDepth/2 or below — the hysteresis band up to EnterDepth
-	// keeps the controller from flapping on every arrival.
-	SevereDepth int
-}
-
-func (c BrownoutConfig) enterDepth() int {
-	if c.EnterDepth > 0 {
-		return c.EnterDepth
-	}
-	return 3
-}
-
-func (c BrownoutConfig) severeDepth() int {
-	if c.SevereDepth > 0 {
-		return c.SevereDepth
-	}
-	return 2 * c.enterDepth()
-}
+// drains.
+const (
+	// brownoutEnterDepth is the backlog at which pressure rises to Elevated.
+	// Pressure relaxes one level once the backlog falls to
+	// brownoutEnterDepth/2 or below — the hysteresis band up to the enter
+	// depth keeps the controller from flapping on every arrival.
+	brownoutEnterDepth = 2
+	// brownoutSevereDepth is the backlog at which pressure rises to Severe.
+	brownoutSevereDepth = 4
+)
 
 // brownout implements core.PressureSource over the queue-depth observations
 // made at the scenarios' dispatch points. Levels rise as far as the
 // observation demands immediately, but relax only one level per observation
-// at or below EnterDepth/2 — draining a severe brownout passes through
-// elevated first, so the load-avoidance that is emptying the queue is not
-// switched off the moment the first gap appears.
+// at or below brownoutEnterDepth/2 — draining a severe brownout passes
+// through elevated first, so the load-avoidance that is emptying the queue
+// is not switched off the moment the first gap appears.
 type brownout struct {
-	cfg   BrownoutConfig
 	stats *Stats
 	rec   *trace.Recorder
 
 	level core.PressureLevel
 }
 
-func newBrownout(cfg BrownoutConfig, stats *Stats, rec *trace.Recorder) *brownout {
-	return &brownout{cfg: cfg, stats: stats, rec: rec}
+func newBrownout(stats *Stats, rec *trace.Recorder) *brownout {
+	return &brownout{stats: stats, rec: rec}
 }
 
 // Pressure implements core.PressureSource.
@@ -65,13 +47,13 @@ func (b *brownout) Pressure() core.PressureLevel { return b.level }
 func (b *brownout) observeDepth(now time.Duration, depth int) {
 	target := b.level
 	switch {
-	case depth >= b.cfg.severeDepth():
+	case depth >= brownoutSevereDepth:
 		target = core.PressureSevere
-	case depth >= b.cfg.enterDepth():
+	case depth >= brownoutEnterDepth:
 		if target < core.PressureElevated {
 			target = core.PressureElevated
 		}
-	case depth <= b.cfg.enterDepth()/2:
+	case depth <= brownoutEnterDepth/2:
 		if target > core.PressureNominal {
 			target--
 		}

@@ -23,6 +23,21 @@ type FleetConfig struct {
 	// cross-model cache instead of giving each its own device. Cold starts
 	// then only pay for modules no earlier tenant loaded.
 	Shared bool
+	// Shedding turns on admission control and per-model circuit breakers.
+	// A request that has waited longer than shedQueueDeadline when the
+	// dispatcher reaches it is shed with ErrShed; breakerThreshold
+	// consecutive failures of a model open its breaker, and requests
+	// arriving while it is open are rejected with ErrBreakerOpen. Shed and
+	// rejected requests are counted in the stats, never served.
+	Shedding bool
+	// Brownout raises PASK's reuse aggressiveness (core pressure signal)
+	// when the queue deepens past brownoutEnterDepth, so layers run on
+	// already-loaded generic solutions instead of issuing new loads.
+	Brownout bool
+	// SLO is the end-to-end latency objective (queueing + service): served
+	// requests slower than it count in Stats.SLOMisses but stay in the
+	// latency distribution. 0 means no objective.
+	SLO time.Duration
 }
 
 // FleetStats extends Stats with autoscaling and attribution activity.
@@ -100,7 +115,7 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 	stats := &FleetStats{ColdByModel: make(map[string][]time.Duration)}
 	// The guard installs the brownout controller as the policy's pressure
 	// source before any instance copies the policy.
-	guard := newOverloadGuard(&cfg.Policy, &stats.Stats)
+	guard := newOverloadGuard(&cfg, &stats.Stats)
 	var pool []*fleetInstance
 	freed := sim.NewSignal(env)
 	var firstErr error
@@ -272,7 +287,7 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 				// End-to-end latency from arrival: queueing + service.
 				latencies[i] = rp.Now() - arrived
 				served[i] = true
-				stats.observeSLO(latencies[i], cfg.Policy.SLO)
+				stats.observeSLO(latencies[i], cfg.SLO)
 				if wasCold {
 					stats.ColdStarts++
 					stats.ColdLatencies = append(stats.ColdLatencies, latencies[i])

@@ -34,10 +34,6 @@ const (
 	// overloadSLO is the end-to-end objective served requests are judged
 	// against.
 	overloadSLO = 265 * time.Millisecond
-	// overloadQueueDeadline is the admission bound the protected arms shed
-	// on: roughly the SLO minus a warm service time, so admitted requests
-	// can still make the objective.
-	overloadQueueDeadline = 240 * time.Millisecond
 	// overloadFTDeadline is the per-request service deadline on the Poisson
 	// cells: above a warm serve, below a post-reset reload. The overruns it
 	// creates are what trip the breaker.
@@ -133,29 +129,6 @@ type OverloadBench struct {
 	Devices    []OverloadDeviceResult `json:"devices"`
 }
 
-// overloadPolicy builds one arm's policy for one trace kind.
-func overloadPolicy(arm overloadArm, poisson bool, rec *trace.Recorder) Policy {
-	pol := Policy{
-		Scheme: core.SchemePaSK,
-		FT:     FaultTolerance{ContinueOnError: true, BackoffSeed: overloadSeed},
-		SLO:    overloadSLO,
-		Rec:    rec,
-	}
-	if poisson {
-		// The service deadline is what turns slow cold starts into the
-		// consecutive failures that trip the breaker.
-		pol.FT.Deadline = overloadFTDeadline
-	}
-	if arm.Shedding {
-		pol.Admission = AdmissionConfig{QueueDeadline: overloadQueueDeadline}
-		pol.Breaker = BreakerConfig{Threshold: 3, Cooldown: 25 * time.Millisecond, Seed: overloadSeed}
-	}
-	if arm.Brownout {
-		pol.Brownout = BrownoutConfig{Enabled: true, EnterDepth: 2, SevereDepth: 4}
-	}
-	return pol
-}
-
 // overloadPlan builds the cell's fault plan — identical across arms so the
 // comparison is fair. Burst cells pair the request flood with a sustained
 // slow loader (the §I fault storm: a spike arriving while storage is
@@ -195,12 +168,21 @@ func overloadRun(ms *experiments.ModelSetup, cfg OverloadConfig, traceKind strin
 	}
 	var cells []OverloadCell
 	for _, arm := range overloadArms() {
-		var armRec *trace.Recorder
-		if arm.Brownout {
-			armRec = rec
+		// The FaultTolerance backoff seed also drives the breakers'
+		// cooldown jitter.
+		pol := Policy{
+			Scheme: core.SchemePaSK,
+			FT:     FaultTolerance{ContinueOnError: true, BackoffSeed: overloadSeed},
+			Faults: faults.New(overloadPlan(cfg, poisson)),
 		}
-		pol := overloadPolicy(arm, poisson, armRec)
-		pol.Faults = faults.New(overloadPlan(cfg, poisson))
+		if poisson {
+			// The service deadline is what turns slow cold starts into the
+			// consecutive failures that trip the breaker.
+			pol.FT.Deadline = overloadFTDeadline
+		}
+		if arm.Brownout {
+			pol.Rec = rec
+		}
 		// Poisson cells run on a shared GPU host: the fault plan's
 		// device reset is armed against the host root, so all
 		// instances lose their modules at once and their coalesced
@@ -209,7 +191,8 @@ func overloadRun(ms *experiments.ModelSetup, cfg OverloadConfig, traceKind strin
 		// each cold start pays its own loads, which is what the
 		// slow-loader storm amplifies and the brownout arm's forced
 		// reuse avoids.
-		fc := FleetConfig{Policy: pol, MaxInstances: overloadMaxInstances, Shared: poisson}
+		fc := FleetConfig{Policy: pol, MaxInstances: overloadMaxInstances, Shared: poisson,
+			Shedding: arm.Shedding, Brownout: arm.Brownout, SLO: overloadSLO}
 		// The setup's key names the tenants ("model/N") and the breaker
 		// ("breaker_state:model") in the trace.
 		stats, err := ServeFleetModels(map[string]*experiments.ModelSetup{"model": ms}, "model", fc, tr)

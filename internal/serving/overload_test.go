@@ -10,11 +10,11 @@ import (
 )
 
 // TestBreakerStateMachine walks the closed→open→half-open→closed cycle with
-// explicit virtual times and checks every transition and its accounting.
+// explicit virtual times and checks every transition and its accounting at
+// breakerThreshold and breakerCooldown.
 func TestBreakerStateMachine(t *testing.T) {
 	stats := &Stats{}
-	cfg := BreakerConfig{Threshold: 3, Cooldown: 2 * time.Millisecond, Seed: 1}
-	b := newBreaker(cfg, "res", stats, nil)
+	b := newBreaker("res", 1, stats, nil)
 	fail := errors.New("boom")
 
 	if b.state != BreakerClosed {
@@ -33,7 +33,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	// Third consecutive failure trips it.
 	b.observe(5, fail)
 	if b.state != BreakerOpen {
-		t.Fatalf("state after %d consecutive failures = %v", cfg.Threshold, b.state)
+		t.Fatalf("state after %d consecutive failures = %v", breakerThreshold, b.state)
 	}
 	if stats.BreakerTrips != 1 {
 		t.Fatalf("BreakerTrips = %d", stats.BreakerTrips)
@@ -41,12 +41,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.allow(5) {
 		t.Fatal("open breaker admitted a request inside the cooldown")
 	}
-	// The cooldown is deterministic: base 2ms (attempt 0) with ±25% jitter.
+	// The cooldown is deterministic: base 25ms (attempt 0) with ±25% jitter.
 	cool := b.reopenAt - 5
-	if want := expBackoff(2*time.Millisecond, 16*time.Millisecond, 0, 1, "res"); cool != want {
+	if want := expBackoff(25*time.Millisecond, 200*time.Millisecond, 0, 1, "res"); cool != want {
 		t.Fatalf("cooldown = %v, want %v", cool, want)
 	}
-	if cool < 1500*time.Microsecond || cool > 2500*time.Microsecond {
+	if cool < 18750*time.Microsecond || cool > 31250*time.Microsecond {
 		t.Fatalf("cooldown %v outside the ±25%% jitter band", cool)
 	}
 	// After the cooldown the next request is a half-open probe.
@@ -71,14 +71,16 @@ func TestBreakerStateMachine(t *testing.T) {
 // exponentially until the cap.
 func TestBreakerHalfOpenFailureBacksOff(t *testing.T) {
 	stats := &Stats{}
-	cfg := BreakerConfig{Threshold: 1, Cooldown: time.Millisecond, Seed: 9}
-	b := newBreaker(cfg, "m", stats, nil)
+	b := newBreaker("m", 9, stats, nil)
 	fail := errors.New("boom")
 
 	now := time.Duration(0)
+	for i := 0; i < breakerThreshold-1; i++ {
+		b.observe(now, fail)
+	}
 	var cooldowns []time.Duration
 	for i := 0; i < 5; i++ {
-		b.observe(now, fail) // trips (threshold 1; in half-open any failure)
+		b.observe(now, fail) // the threshold-th failure; in half-open any failure
 		if b.state != BreakerOpen {
 			t.Fatalf("trip %d: state = %v", i, b.state)
 		}
@@ -92,9 +94,9 @@ func TestBreakerHalfOpenFailureBacksOff(t *testing.T) {
 	if cooldowns[1] <= cooldowns[0] || cooldowns[2] <= cooldowns[1] {
 		t.Fatalf("cooldowns not growing: %v", cooldowns)
 	}
-	// ...and settle at the cap (±25% jitter of 8×Cooldown).
+	// ...and settle at the cap (±25% jitter of 8×breakerCooldown).
 	last := cooldowns[len(cooldowns)-1]
-	if last < 6*time.Millisecond || last > 10*time.Millisecond {
+	if last < 150*time.Millisecond || last > 250*time.Millisecond {
 		t.Fatalf("capped cooldown %v outside the jittered cap band", last)
 	}
 	if stats.BreakerTrips != 5 {
@@ -133,31 +135,41 @@ func TestExpBackoff(t *testing.T) {
 	}
 }
 
+// TestAdmissionShouldShed checks the staleness verdict at shedQueueDeadline,
+// the backlog it reports, and that only a shedding guard acts on it.
 func TestAdmissionShouldShed(t *testing.T) {
 	tr := Trace{{At: 0}, {At: 1 * time.Millisecond}, {At: 2 * time.Millisecond}, {At: 3 * time.Millisecond}, {At: 90 * time.Millisecond}}
 	cases := []struct {
 		name  string
-		adm   AdmissionConfig
 		i     int
 		now   time.Duration
 		shed  bool
 		depth int
 	}{
-		// Depth is reported even with no bounds set — the guard's queue
-		// counter and the brownout controller read it.
-		{"disabled", AdmissionConfig{}, 0, 50 * time.Millisecond, false, 3},
 		// Backlog behind request 0 at t=5ms: requests 1..3 have arrived;
 		// request 4 hasn't, so it never counts.
-		{"future excluded", AdmissionConfig{}, 0, 5 * time.Millisecond, false, 3},
-		// Staleness: request 0 admitted late.
-		{"deadline ok", AdmissionConfig{QueueDeadline: 60 * time.Millisecond}, 0, 50 * time.Millisecond, false, 3},
-		{"deadline over", AdmissionConfig{QueueDeadline: 40 * time.Millisecond}, 0, 50 * time.Millisecond, true, 3},
+		{"future excluded", 0, 5 * time.Millisecond, false, 3},
+		// Staleness: request 0 dispatched exactly at, then just past, the
+		// deadline; request 4 has arrived by then.
+		{"deadline ok", 0, shedQueueDeadline, false, 4},
+		{"deadline over", 0, shedQueueDeadline + 1, true, 4},
+		{"late arrival fresh", 4, shedQueueDeadline + 1, false, 0},
 	}
 	for _, c := range cases {
-		shed, depth := c.adm.shouldShed(tr, c.i, c.now)
+		shed, depth := shouldShed(tr, c.i, c.now)
 		if shed != c.shed || depth != c.depth {
 			t.Errorf("%s: shouldShed = (%v,%d), want (%v,%d)", c.name, shed, depth, c.shed, c.depth)
 		}
+	}
+	// The backlog feeds a brownout-only guard, which never sheds.
+	stats := &Stats{}
+	g := newOverloadGuard(&FleetConfig{Brownout: true}, stats)
+	if err := g.admit(shedQueueDeadline+1, tr, 0); err != nil || stats.Shed != 0 {
+		t.Fatalf("brownout-only guard shed: err=%v shed=%d", err, stats.Shed)
+	}
+	g = newOverloadGuard(&FleetConfig{Shedding: true}, stats)
+	if err := g.admit(shedQueueDeadline+1, tr, 0); !errors.Is(err, ErrShed) || stats.Shed != 1 {
+		t.Fatalf("shedding guard: err=%v shed=%d, want ErrShed and 1", err, stats.Shed)
 	}
 }
 
@@ -188,32 +200,33 @@ func TestApplyFlood(t *testing.T) {
 	}
 }
 
-// TestBrownoutHysteresis drives the controller through rise and relax and
-// checks the one-level-per-observation drain.
+// TestBrownoutHysteresis drives the controller through rise and relax at
+// brownoutEnterDepth and brownoutSevereDepth and checks the
+// one-level-per-observation drain.
 func TestBrownoutHysteresis(t *testing.T) {
 	stats := &Stats{}
-	// Pressure relaxes at EnterDepth/2 = 1.
-	b := newBrownout(BrownoutConfig{Enabled: true, EnterDepth: 3, SevereDepth: 6}, stats, nil)
+	// Pressure relaxes at brownoutEnterDepth/2 = 1.
+	b := newBrownout(stats, nil)
 
-	b.observeDepth(0, 2) // below enter, above exit: no change
+	b.observeDepth(0, brownoutEnterDepth-1) // below enter: no change
 	if b.Pressure() != core.PressureNominal {
-		t.Fatalf("pressure at depth 2 = %v", b.Pressure())
+		t.Fatalf("pressure below enter depth = %v", b.Pressure())
 	}
-	b.observeDepth(1, 3)
+	b.observeDepth(1, brownoutEnterDepth)
 	if b.Pressure() != core.PressureElevated {
 		t.Fatalf("pressure at enter depth = %v", b.Pressure())
 	}
-	b.observeDepth(2, 9)
+	b.observeDepth(2, brownoutSevereDepth+5)
 	if b.Pressure() != core.PressureSevere {
 		t.Fatalf("pressure at severe depth = %v", b.Pressure())
 	}
-	// In the hysteresis band nothing moves.
-	b.observeDepth(3, 2)
+	// Between the exit and severe depths a severe level holds.
+	b.observeDepth(3, brownoutSevereDepth-1)
 	if b.Pressure() != core.PressureSevere {
 		t.Fatalf("pressure inside hysteresis band = %v", b.Pressure())
 	}
 	// At or below exit depth: one level per observation, not a cliff.
-	b.observeDepth(4, 1)
+	b.observeDepth(4, brownoutEnterDepth/2)
 	if b.Pressure() != core.PressureElevated {
 		t.Fatalf("first relax = %v", b.Pressure())
 	}
@@ -226,68 +239,20 @@ func TestBrownoutHysteresis(t *testing.T) {
 	}
 }
 
-// TestServeTraceSheddingInvariant floods a single instance past a tight
-// queue deadline and checks the accounting identity: every request is
-// exactly one of served, failed, shed or breaker-rejected.
-func TestServeTraceSheddingInvariant(t *testing.T) {
-	ms := resSetup(t)
-	const deadline = 60 * time.Millisecond
-	pol := Policy{
-		Scheme:    core.SchemePaSK,
-		FT:        FaultTolerance{ContinueOnError: true},
-		Admission: AdmissionConfig{QueueDeadline: deadline},
-	}
-	const n = 16
-	stats, err := ServeTrace(ms, pol, BurstTrace(n), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Shed == 0 {
-		t.Fatal("a 16-request burst on one instance must outwait a 60ms queue deadline")
-	}
-	got := len(stats.Latencies) + stats.Failed + stats.Shed + stats.BreakerRejected + stats.Evacuated
-	if got != n {
-		t.Fatalf("served+failed+shed+rejected+evacuated = %d, want %d (served=%d failed=%d shed=%d rejected=%d evacuated=%d)",
-			got, n, len(stats.Latencies), stats.Failed, stats.Shed, stats.BreakerRejected, stats.Evacuated)
-	}
-	for idx, ferr := range stats.FailedRequests {
-		if !errors.Is(ferr, ErrShed) {
-			t.Fatalf("request %d: %v is not ErrShed", idx, ferr)
-		}
-	}
-	// The burst is served in order until the instance's busy time passes
-	// the deadline; every later request is stale when dispatched and shed.
-	served := len(stats.Latencies)
-	if served == 0 || served+stats.Shed != n {
-		t.Fatalf("served %d + shed %d != %d", served, stats.Shed, n)
-	}
-	var busy time.Duration
-	for _, l := range stats.Latencies[:served-1] {
-		busy += l
-	}
-	if busy > deadline {
-		t.Fatalf("request %d was dispatched after %v, past the %v deadline", served-1, busy, deadline)
-	}
-	for i := served; i < n; i++ {
-		if _, shed := stats.FailedRequests[i]; !shed {
-			t.Fatalf("request %d after the deadline passed was not shed", i)
-		}
-	}
-}
-
 // TestFleetOverloadInvariant runs the protected fleet on a burst and checks
-// the same identity under breakers and brownout.
+// the accounting identity under shedding, breakers and brownout: every
+// request is exactly one of served, failed, shed, breaker-rejected or
+// evacuated.
 func TestFleetOverloadInvariant(t *testing.T) {
 	ms := resSetup(t)
-	pol := Policy{
-		Scheme:    core.SchemePaSK,
-		FT:        FaultTolerance{ContinueOnError: true},
-		Admission: AdmissionConfig{QueueDeadline: 150 * time.Millisecond},
-		Breaker:   BreakerConfig{Threshold: 3},
-		Brownout:  BrownoutConfig{Enabled: true},
+	cfg := FleetConfig{
+		Policy:       Policy{Scheme: core.SchemePaSK, FT: FaultTolerance{ContinueOnError: true}},
+		MaxInstances: 2,
+		Shedding:     true,
+		Brownout:     true,
 	}
 	const n = 24
-	stats, err := ServeFleetModels(fleetOf(ms), ms.Spec.Abbr, FleetConfig{Policy: pol, MaxInstances: 2}, BurstTrace(n))
+	stats, err := ServeFleetModels(fleetOf(ms), ms.Spec.Abbr, cfg, BurstTrace(n))
 	if err != nil {
 		t.Fatal(err)
 	}

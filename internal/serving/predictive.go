@@ -239,7 +239,7 @@ func (c *predCluster) newNode() *predNode {
 			n.pf = warmup.Start(c.env, n.host.Root(), c.prior, nil)
 		}
 	case predArmPredictive:
-		n.ppf = warmup.StartPredictive(c.env, n.host.Root(), c.manifests, warmup.Budget{Entries: predBudgetEntries}, nil)
+		n.ppf = warmup.StartPredictive(c.env, n.host.Root(), c.manifests, predBudgetEntries, nil)
 		n.ppf.Prefetch(c.bringup()...)
 	}
 	c.nodes = append(c.nodes, n)

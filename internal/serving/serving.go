@@ -65,21 +65,6 @@ type Policy struct {
 	// its first request finds modules resident. Stale or partial manifests
 	// degrade the instance to a plain cold start; they never fail it.
 	Warmup map[string]*warmup.Manifest
-	// Admission bounds the request queue in front of the instances; excess
-	// load is shed with ErrShed. The zero value admits everything.
-	Admission AdmissionConfig
-	// Breaker trips a per-model circuit breaker on consecutive request
-	// failures; requests arriving while it is open are rejected with
-	// ErrBreakerOpen. The zero value disables breakers.
-	Breaker BreakerConfig
-	// Brownout raises PASK's reuse aggressiveness (core pressure signal)
-	// when the queue deepens, so layers run on already-loaded generic
-	// solutions instead of issuing new loads. Zero value disables it.
-	Brownout BrownoutConfig
-	// SLO is the end-to-end latency objective (queueing + service): served
-	// requests slower than it count in Stats.SLOMisses but stay in the
-	// latency distribution. 0 means no objective.
-	SLO time.Duration
 }
 
 // FaultTolerance is the degradation contract a serving scenario applies per
@@ -335,14 +320,14 @@ type Stats struct {
 	Evacuated     int
 	EvacLatencies []time.Duration
 
-	// Overload-protection accounting, populated when the policy enables
-	// admission control, breakers or brownout. Shed and BreakerRejected
+	// Overload-protection accounting, populated when FleetConfig enables
+	// shedding or brownout. Shed and BreakerRejected
 	// requests never reach an instance and are counted apart from Failed:
 	// the invariant is served + Failed + Shed + BreakerRejected + Evacuated
 	// == requests.
 	Shed              int // requests dropped by admission control (ErrShed)
 	BreakerRejected   int // requests refused while a breaker was open
-	SLOMisses         int // served requests whose end-to-end latency broke Policy.SLO
+	SLOMisses         int // served requests whose end-to-end latency broke FleetConfig.SLO
 	BreakerTrips      int // closed/half-open → open transitions
 	BreakerRecoveries int // half-open → closed transitions
 	BrownoutEnters    int // pressure transitions out of nominal
@@ -604,14 +589,8 @@ func (s *ftServer) serveAttempts(p *sim.Proc) (time.Duration, error) {
 // pressure / suspend), forcing a fresh cold path. With fault tolerance and
 // ContinueOnError set, per-request failures are recorded in the stats and
 // the trace keeps going; otherwise the first failure aborts the run and the
-// partial stats are returned alongside the error.
-//
-// A policy with overload protections changes admission, not execution:
-// requests the admission bound sheds (or an open breaker rejects) are
-// recorded in the stats and skipped — the trace always continues past them,
-// because dropping load deliberately is the protection working, not a
-// failure. A fault plan carrying a request flood is spliced into the trace
-// before serving begins.
+// partial stats are returned alongside the error. A fault plan carrying a
+// request flood is spliced into the trace before serving begins.
 func ServeTrace(ms *experiments.ModelSetup, policy Policy, trace Trace, evictEvery int) (*Stats, error) {
 	stats, _, err := serveSequential(ms, policy, trace, evictEvery, false)
 	return stats, err
@@ -644,7 +623,6 @@ func serveSequential(ms *experiments.ModelSetup, policy Policy, trace Trace, eve
 		trace = ApplyFlood(trace, policy.Faults.Plan())
 	}
 	stats := &Stats{}
-	guard := newOverloadGuard(&policy, stats)
 	srv := newFTServer(env, ms, policy, stats)
 	migrations := 0
 	var runErr error
@@ -661,17 +639,8 @@ func serveSequential(ms *experiments.ModelSetup, policy Policy, trace Trace, eve
 				stats.BGLoads += n
 				p.SleepUntil(req.At)
 			}
-			if guard.admit(p.Now(), trace, i) != nil {
-				continue
-			}
-			brk := guard.breaker(ms.Spec.Abbr)
-			if brk != nil && !brk.allow(p.Now()) {
-				guard.reject(p.Now(), i)
-				continue
-			}
 			wasCold := !srv.inst.Warm()
 			lat, err := srv.serve(p, i)
-			brk.observe(p.Now(), err)
 			if err != nil {
 				if policy.FT.ContinueOnError {
 					continue
@@ -680,7 +649,6 @@ func serveSequential(ms *experiments.ModelSetup, policy Policy, trace Trace, eve
 				return
 			}
 			stats.Latencies = append(stats.Latencies, lat)
-			stats.observeSLO(p.Now()-req.At, policy.SLO)
 			if wasCold {
 				stats.ColdStarts++
 				stats.ColdLatencies = append(stats.ColdLatencies, lat)

@@ -8,25 +8,6 @@ import (
 	"pask/internal/trace"
 )
 
-// Budget bounds what a predictive prefetcher may load ahead of demand.
-// Replay only ever pays for objects a prior run provably used; prediction
-// can be wrong, so its spend must be capped — every budget entry burned on
-// a bad prediction is a wasted load competing with demand traffic for the
-// driver lock.
-type Budget struct {
-	// Entries caps manifest entries attempted per prefetcher (default 48).
-	Entries int
-	// Bytes, when positive, additionally caps the code bytes loaded.
-	Bytes int64
-}
-
-func (b Budget) filled() Budget {
-	if b.Entries <= 0 {
-		b.Entries = 48
-	}
-	return b
-}
-
 // PredictivePrefetcher loads predicted-hot models' code objects through a
 // shared backend runtime ahead of demand. Where the replay Prefetcher
 // walks one recorded manifest for the instance that spawned it, the
@@ -42,7 +23,7 @@ func (b Budget) filled() Budget {
 type PredictivePrefetcher struct {
 	view      backend.Backend
 	manifests map[string]*Manifest
-	budget    Budget
+	budget    int
 	rec       *trace.Recorder
 
 	stats   ReplayStats
@@ -51,7 +32,6 @@ type PredictivePrefetcher struct {
 	q       *sim.Chan[string]
 	done    *sim.Signal
 	spent   int
-	spentB  int64
 	stopped bool
 }
 
@@ -63,12 +43,16 @@ const predictiveQueueCap = 1024
 // StartPredictive spawns the predictive prefetch thread on env and returns
 // immediately. manifests maps model identifiers to the load profile to
 // replay when that model is predicted (models without a manifest are
-// ignored). rec may be nil.
-func StartPredictive(env *sim.Env, rt backend.Backend, manifests map[string]*Manifest, b Budget, rec *trace.Recorder) *PredictivePrefetcher {
+// ignored). budget caps the manifest entries the prefetcher may attempt:
+// replay only ever pays for objects a prior run provably used, but
+// prediction can be wrong, and every entry burned on a bad prediction is a
+// wasted load competing with demand traffic for the driver lock. rec may be
+// nil.
+func StartPredictive(env *sim.Env, rt backend.Backend, manifests map[string]*Manifest, budget int, rec *trace.Recorder) *PredictivePrefetcher {
 	pf := &PredictivePrefetcher{
 		view:      rt.Attach("predict"),
 		manifests: manifests,
-		budget:    b.filled(),
+		budget:    budget,
 		rec:       rec,
 		loaded:    make(map[string]bool),
 		queued:    make(map[string]bool),
@@ -119,13 +103,11 @@ func (pf *PredictivePrefetcher) run(p *sim.Proc) {
 				pf.loaded[e.Path] = true
 				continue
 			}
-			if pf.spent >= pf.budget.Entries ||
-				(pf.budget.Bytes > 0 && pf.spentB+int64(e.Bytes) > pf.budget.Bytes) {
+			if pf.spent >= pf.budget {
 				pf.rec.Instant(Track, "predict-budget-exhausted", p.Now())
 				return // budget gone: nothing further may load
 			}
 			pf.spent++
-			pf.spentB += int64(e.Bytes)
 			replayEntry(p, pf.view, e, &pf.stats, pf.loaded, pf.rec)
 		}
 	}
@@ -154,8 +136,8 @@ func (pf *PredictivePrefetcher) Stats() ReplayStats { return pf.stats }
 // Covered reports whether prediction made (or found) path resident.
 func (pf *PredictivePrefetcher) Covered(path string) bool { return pf.loaded[path] }
 
-// Spent returns the budget consumed so far (entries attempted, bytes).
-func (pf *PredictivePrefetcher) Spent() (entries int, bytes int64) { return pf.spent, pf.spentB }
+// Spent returns the budget consumed so far: manifest entries attempted.
+func (pf *PredictivePrefetcher) Spent() int { return pf.spent }
 
 // Account reconciles the predictions against the object paths actually
 // used, filling Hits/Misses/Wasted and emitting the warmup_prefetch_*

@@ -39,7 +39,7 @@ func TestPredictivePrefetch(t *testing.T) {
 	gpu := device.NewGPU(env, device.MI100())
 	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
 
-	pf := StartPredictive(env, rt, manifests, Budget{}, nil)
+	pf := StartPredictive(env, rt, manifests, 48, nil)
 	env.Spawn("driver", func(p *sim.Proc) {
 		pf.Prefetch("alex")
 		p.Sleep(time.Millisecond)
@@ -77,14 +77,14 @@ func TestPredictivePrefetch(t *testing.T) {
 }
 
 // TestPredictiveBudget pins the budget cap: entries beyond the budget are
-// never attempted, bytes caps compose, and Spent reports the spend.
+// never attempted and Spent reports the spend.
 func TestPredictiveBudget(t *testing.T) {
 	env := sim.NewEnv()
 	store, manifests := predictiveFixture(t, []string{"alex", "res"}, 3)
 	gpu := device.NewGPU(env, device.MI100())
 	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
 
-	pf := StartPredictive(env, rt, manifests, Budget{Entries: 4}, nil)
+	pf := StartPredictive(env, rt, manifests, 4, nil)
 	env.Spawn("driver", func(p *sim.Proc) {
 		pf.Prefetch("alex", "res")
 		pf.Close()
@@ -94,9 +94,8 @@ func TestPredictiveBudget(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	entries, bytes := pf.Spent()
-	if entries != 4 || bytes <= 0 {
-		t.Fatalf("spent %d entries / %d bytes, want exactly 4 entries", entries, bytes)
+	if entries := pf.Spent(); entries != 4 {
+		t.Fatalf("spent %d entries, want exactly 4", entries)
 	}
 	if st := pf.Stats(); st.Loaded != 4 {
 		t.Fatalf("loaded %d, want 4 (budget)", st.Loaded)
@@ -119,11 +118,11 @@ func TestPredictiveResidentIsFree(t *testing.T) {
 		if _, err := rt.ModuleLoad(p, "alex_a.pko"); err != nil {
 			t.Errorf("preload: %v", err)
 		}
-		pf := StartPredictive(env, rt, manifests, Budget{Entries: 10}, nil)
+		pf := StartPredictive(env, rt, manifests, 10, nil)
 		pf.Prefetch("alex")
 		pf.Close()
 		pf.Wait(p)
-		if entries, _ := pf.Spent(); entries != 1 {
+		if entries := pf.Spent(); entries != 1 {
 			t.Errorf("spent %d entries, want 1 (resident object is free)", entries)
 		}
 		gpu.CloseAll()

@@ -5,8 +5,9 @@
 # committed baseline BENCH_e2e.json and fails when it rises by more than the
 # baseline's tolerance (0.15, i.e. 15%, the bound BENCHMARK.json sets for the
 # metric). For a fixed seed and toolchain the allocation per operation is a
-# count, not a timing: seeds 1-3 differ by under 0.1%, so unlike ns/op it
-# is gated on any machine. Self-contained POSIX sh + sed + awk.
+# count, not a timing: seeds 1-3 differ by under 0.1% on sweep and coldstart
+# and by 1.2% on fleet, so unlike ns/op it is gated on any machine.
+# Self-contained POSIX sh + sed + awk.
 #
 # Usage:
 #   bash bench/run.sh --workload sweep --seed 1 --seconds 1 --trace 0 | tail -n 1 > e2e_sweep.json
