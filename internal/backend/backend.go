@@ -1,12 +1,12 @@
-// Package backend defines the pluggable device-backend seam of the simulated
-// stack: the Backend interface every layer above the driver consumes, and the
-// generic per-GPU module Registry that implements it. The paper's evaluation
+// Package backend is the device-backend layer of the simulated stack: the
+// generic per-GPU module Registry every layer above the driver holds, and the
+// Flavor seam that turns it into a concrete driver. The paper's evaluation
 // spans ROCm (MI100, RX 6900 XT) and CUDA (A100) devices whose drivers share
 // the *lazy loading* semantics that cause DNN cold start (paper §II-A, Fig 3)
 // but differ in error surfaces, retry posture and where symbol-resolution
 // cost lands. Those driver-specific parts live in a Flavor; internal/hip and
 // internal/cuda are the two flavors, and everything above — core, graphx,
-// blas, miopen, warmup, serving — holds a Backend and never names a driver.
+// blas, miopen, warmup, serving — holds a *Registry and never names a driver.
 //
 // The registry semantics are the multi-tenant ones of §III-B/C: the unit of
 // kernel residency is the GPU, not the OS process. New creates the *root
@@ -26,8 +26,6 @@ import (
 	"time"
 
 	"pask/internal/codeobj"
-	"pask/internal/device"
-	"pask/internal/sim"
 )
 
 // ErrDeviceLost is the sentinel wrapped by every flavor's DeviceLostError:
@@ -205,99 +203,4 @@ type Flavor interface {
 	// DeviceLostError is the driver's rendering of a dead device (wrapping
 	// backend.ErrDeviceLost); every call on a lost registry returns it.
 	DeviceLostError() error
-}
-
-// Backend is the device-backend handle every layer above the driver holds:
-// one view of a GPU's shared module registry plus the device, host-cost and
-// clock accessors the executors charge time against. New returns the root
-// view; Attach returns additional refcounted tenant views over the same
-// shared state.
-type Backend interface {
-	// Driver returns the flavor name ("hip", "cuda").
-	Driver() string
-	// Env returns the simulation environment the backend runs in.
-	Env() *sim.Env
-	// GPU returns the device this backend registers modules on.
-	GPU() *device.GPU
-	// Host returns the host-side framework cost profile.
-	Host() device.HostProfile
-	// Store returns the backing code-object store.
-	Store() *codeobj.Store
-
-	// InitContext creates the GPU context, charging the device's context
-	// initialization cost once per shared runtime; ContextReady reports
-	// whether it has completed.
-	InitContext(p *sim.Proc)
-	ContextReady() bool
-
-	// ModuleLoad returns the module at path, loading it if absent;
-	// GetFunction additionally resolves a kernel symbol (loading lazily —
-	// the reactive path the paper attributes cold start to), and
-	// ModuleGetFunction resolves a symbol in an already-loaded module.
-	ModuleLoad(p *sim.Proc, path string) (*Module, error)
-	GetFunction(p *sim.Proc, path, name string) (*Function, error)
-	ModuleGetFunction(p *sim.Proc, m *Module, name string) (*Function, error)
-	// RegisterResident maps a code object that ships inside an already-open
-	// shared library, charging only the cheap mapping cost.
-	RegisterResident(p *sim.Proc, path string) (*Module, error)
-	// Preload loads every listed module, stopping at the first error.
-	Preload(p *sim.Proc, paths []string) error
-
-	// Residency queries.
-	Loaded(path string) bool
-	NumLoaded() int
-	ModuleBytes(path string) int64
-	LoadedCodeBytes() int64
-	// ResidentObject returns the parsed object of a resident module — the
-	// bytes a peering neighbor serves. ResidentPaths lists resident module
-	// paths, sorted.
-	ResidentObject(path string) (*codeobj.Object, bool)
-	ResidentPaths() []string
-
-	// Unload evicts one module (ignoring pins: forced device-side
-	// eviction); UnloadAll models a device reset that keeps the process
-	// and its mapped library binary alive.
-	Unload(path string) bool
-	UnloadAll()
-
-	// MarkDeviceLost drops the GPU off the bus: every resident module
-	// (residents included) is gone and every subsequent load fails
-	// instantly with the flavor's DeviceLostError. Terminal — UnloadAll
-	// resets do not revive a lost device. DeviceLost reports the state.
-	MarkDeviceLost()
-	DeviceLost() bool
-
-	// Tenant views. Attach creates a refcounted view over the shared
-	// state; Detach releases the view's eviction pins; Refs/PinnedPaths
-	// expose pin state (PinnedPaths sorted); NumViews counts views
-	// including the root.
-	Attach(name string) Backend
-	Detach()
-	Detached() bool
-	Tenant() string
-	Refs(path string) int
-	PinnedPaths() []string
-	NumViews() int
-
-	// Accounting. AllTenantStats returns the root view first, then every
-	// tenant view sorted by name — a deterministic order under multi-GPU
-	// fan-out.
-	Stats() Stats
-	TenantStats() TenantStats
-	AllTenantStats() []TenantStats
-
-	// Shared configuration seams (registry-wide, across all views).
-	SetRetry(RetryPolicy)
-	SetLoadFaults(LoadFaultInjector)
-	SetObserver(RegistryObserver)
-	SetPeers(PeerSource)
-	// SetOnLoad observes every completed load this view initiated (per
-	// view, for the metrics tracer).
-	SetOnLoad(OnLoadFunc)
-
-	// Negative-cache management (operators repair objects in place; tenant
-	// replacement clears the slate a fresh process would have).
-	ForgetFailure(path string) bool
-	ClearFailures() int
-	FailedPermanently(path string) bool
 }

@@ -32,7 +32,7 @@ func benchPath(i int) string { return fmt.Sprintf("obj%d.pko", i) }
 
 // benchRuntime builds a hip-flavored registry over the store on a device
 // with the given code-memory budget (0 keeps the profile default).
-func benchRuntime(store *codeobj.Store, codeMemory int64) (*sim.Env, *device.GPU, backend.Backend) {
+func benchRuntime(store *codeobj.Store, codeMemory int64) (*sim.Env, *device.GPU, *backend.Registry) {
 	env := sim.NewEnv()
 	prof := device.MI100()
 	if codeMemory > 0 {

@@ -1,5 +1,5 @@
-// Package conformancetest is the shared invariant suite every device backend
-// must pass — the contract that makes internal/backend.Backend pluggable.
+// Package conformancetest is the shared invariant suite every backend flavor
+// must pass — the contract that makes a backend.Flavor pluggable.
 // The registry semantics the paper's runtime relies on (proactive residency,
 // selective loading, negative caching of broken objects, LRU eviction under
 // the §I code-memory pressure, tenant pinning, device reset) are
@@ -23,9 +23,9 @@ import (
 	"pask/internal/sim"
 )
 
-// Factory builds the backend under test over the given simulated device and
-// store — typically hip.NewRuntime or cuda.NewRuntime.
-type Factory func(env *sim.Env, gpu *device.GPU, host device.HostProfile, store *codeobj.Store) backend.Backend
+// Factory builds the flavored registry under test over the given simulated
+// device and store — hip.NewRuntime or cuda.NewRuntime.
+type Factory func(env *sim.Env, gpu *device.GPU, host device.HostProfile, store *codeobj.Store) *backend.Registry
 
 // profile is a deliberately round-numbered device so cost assertions are
 // exact: 1ms fixed load, 100MB/s load bandwidth, 100µs per symbol.
@@ -70,7 +70,7 @@ func store(t *testing.T) *codeobj.Store {
 type harness struct {
 	env   *sim.Env
 	store *codeobj.Store
-	rt    backend.Backend
+	rt    *backend.Registry
 }
 
 func newHarness(t *testing.T, factory Factory, prof device.Profile) *harness {

@@ -72,8 +72,8 @@ func (rt *Registry) sampleResidency() {
 	rt.sh.obs.RegistrySample(driver+"_resident_modules", now, float64(len(rt.sh.modules)))
 }
 
-// Registry is one view of a GPU's shared module registry — the generic
-// Backend implementation every flavor (hip, cuda) instantiates. New returns
+// Registry is one view of a GPU's shared module registry — the one runtime
+// type every flavor (hip, cuda) instantiates. New returns
 // the root view; Attach returns additional tenant views that pin the modules
 // they reference so eviction cannot pull a live tenant's kernels out from
 // under it. All views observe the same residency, negative cache and retry
@@ -140,7 +140,7 @@ func (rt *Registry) SetOnLoad(fn OnLoadFunc) { rt.onLoad = fn }
 // other views' in-flight loads, and pins each module it references so
 // eviction under code-memory pressure cannot drop another tenant's live
 // kernels. Detach releases the pins.
-func (rt *Registry) Attach(name string) Backend {
+func (rt *Registry) Attach(name string) *Registry {
 	v := &Registry{
 		env:    rt.env,
 		gpu:    rt.gpu,

@@ -187,7 +187,7 @@ const coreObjectKernels = 24
 
 // Library is the per-process GEMM library handle.
 type Library struct {
-	RT   backend.Backend
+	RT   *backend.Registry
 	Hook SelectHook
 
 	kernels   []*Kernel
@@ -197,7 +197,7 @@ type Library struct {
 }
 
 // NewLibrary binds the GEMM ladder to a process runtime.
-func NewLibrary(rt backend.Backend) *Library {
+func NewLibrary(rt *backend.Registry) *Library {
 	return &Library{RT: rt, kernels: Kernels(), find: make(map[string][]Ranked)}
 }
 

@@ -30,9 +30,6 @@ import (
 	"pask/internal/sim"
 )
 
-// Runtime is one view of a GPU's shared module registry, CUDA-flavored.
-type Runtime = backend.Registry
-
 // DefaultRetryPolicy returns the CUDA flavor's retry posture: two quick
 // retries with a tight backoff cap, tuned for a local NVMe store.
 func DefaultRetryPolicy() backend.RetryPolicy {
@@ -91,6 +88,6 @@ func (Flavor) DeviceLostError() error {
 
 // NewRuntime creates a cold CUDA-flavored runtime over the given device and
 // code-object store and returns its root view.
-func NewRuntime(env *sim.Env, gpu *device.GPU, host device.HostProfile, store *codeobj.Store) *Runtime {
+func NewRuntime(env *sim.Env, gpu *device.GPU, host device.HostProfile, store *codeobj.Store) *backend.Registry {
 	return backend.New(env, gpu, host, store, Flavor{})
 }

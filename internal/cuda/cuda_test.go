@@ -16,12 +16,10 @@ import (
 // The CUDA runtime must satisfy every invariant of the shared backend
 // contract (DESIGN.md §15) — same table the HIP flavor runs.
 func TestBackendConformance(t *testing.T) {
-	conformancetest.Run(t, func(env *sim.Env, gpu *device.GPU, host device.HostProfile, store *codeobj.Store) backend.Backend {
-		return NewRuntime(env, gpu, host, store)
-	})
+	conformancetest.Run(t, NewRuntime)
 }
 
-func newTestRuntime(t *testing.T) (*sim.Env, *Runtime) {
+func newTestRuntime(t *testing.T) (*sim.Env, *backend.Registry) {
 	t.Helper()
 	env := sim.NewEnv()
 	prof := device.A100()
@@ -36,7 +34,7 @@ func newTestRuntime(t *testing.T) (*sim.Env, *Runtime) {
 	return env, NewRuntime(env, gpu, device.DefaultHost(), st)
 }
 
-func runHost(t *testing.T, env *sim.Env, rt *Runtime, fn func(p *sim.Proc)) {
+func runHost(t *testing.T, env *sim.Env, rt *backend.Registry, fn func(p *sim.Proc)) {
 	t.Helper()
 	env.Spawn("host", func(p *sim.Proc) {
 		defer rt.GPU().CloseAll()

@@ -135,7 +135,7 @@ func PrepareModelTyped(abbr string, batch int, prof device.Profile, dt tensor.DT
 type Process struct {
 	Env    *sim.Env
 	GPU    *device.GPU
-	RT     backend.Backend
+	RT     *backend.Registry
 	Runner *graphx.Runner
 	Tracer *metrics.Tracer
 	Rec    *trace.Recorder
@@ -200,56 +200,35 @@ func (ms *ModelSetup) NewProcessIn(env *sim.Env) *Process {
 	return &Process{Env: env, GPU: gpu, RT: rt, Runner: runner, Tracer: tracer}
 }
 
-// Tenancy is one physical GPU with its shared kernel runtime, onto which
-// multiple model tenants attach. It is the multi-tenant counterpart of
-// NewProcessIn: instead of every instance owning a device and runtime, all
-// instances share one device, one module registry and one code-object store,
-// so residency — and therefore cold-start cost — is a per-GPU property.
-type Tenancy struct {
-	Env  *sim.Env
-	GPU  *device.GPU
-	Root backend.Backend // root view; tenants attach refcounted views
-}
-
-// NewTenancy creates a cold shared GPU runtime over the given store.
-func NewTenancy(env *sim.Env, prof device.Profile, store *codeobj.Store) *Tenancy {
-	gpu := device.NewGPU(env, prof)
-	return &Tenancy{Env: env, GPU: gpu, Root: hip.NewRuntime(env, gpu, device.DefaultHost(), store)}
-}
-
 // BackendFor creates a runtime of the flavor matching the device's ISA:
 // sm_* architectures get the CUDA backend, everything else (gfx*) HIP —
 // the vendor split of the paper's testbed (MI100/RX6900XT under ROCm, A100
 // under CUDA).
-func BackendFor(env *sim.Env, gpu *device.GPU, store *codeobj.Store) backend.Backend {
+func BackendFor(env *sim.Env, gpu *device.GPU, store *codeobj.Store) *backend.Registry {
 	if strings.HasPrefix(gpu.Profile.Arch, "sm_") {
 		return cuda.NewRuntime(env, gpu, device.DefaultHost(), store)
 	}
 	return hip.NewRuntime(env, gpu, device.DefaultHost(), store)
 }
 
-// NewTenancyOn creates a cold shared runtime over an *existing* device —
-// multi-GPU hosts own their devices, so the tenancy must not create one —
-// selecting the backend flavor by the device's ISA.
-func NewTenancyOn(env *sim.Env, gpu *device.GPU, store *codeobj.Store) *Tenancy {
-	return &Tenancy{Env: env, GPU: gpu, Root: BackendFor(env, gpu, store)}
-}
-
-// AttachIn creates a tenant process for this model on the shared GPU: a
-// refcounted view of the shared runtime plus a private stream (device
-// streams are single-producer, so tenants must not share one). The model's
-// setup must have been prepared against the tenancy's store
-// (PrepareModelsShared); attaching a foreign store would desynchronize
-// module residency from object bytes.
-func (ms *ModelSetup) AttachIn(t *Tenancy, name string) *Process {
-	if ms.Store != t.Root.Store() {
-		panic("experiments: AttachIn requires the setup and tenancy to share one code-object store (use PrepareModelsShared)")
+// AttachIn creates a tenant process for this model on a shared GPU: a
+// refcounted view of root, the GPU's shared runtime, plus a private stream
+// (device streams are single-producer, so tenants must not share one). This
+// is the multi-tenant counterpart of NewProcessIn: instead of every instance
+// owning a device and runtime, all tenants share one device, one module
+// registry and one code-object store, so residency — and therefore
+// cold-start cost — is a per-GPU property. The model's setup must have been
+// prepared against root's store (PrepareModelsShared); attaching a foreign
+// store would desynchronize module residency from object bytes.
+func (ms *ModelSetup) AttachIn(root *backend.Registry, name string) *Process {
+	if ms.Store != root.Store() {
+		panic("experiments: AttachIn requires the setup and runtime to share one code-object store (use PrepareModelsShared)")
 	}
-	rt := t.Root.Attach(name)
+	rt := root.Attach(name)
 	tracer := &metrics.Tracer{}
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(ms.Reg, rt), blas.NewLibrary(rt), tracer)
-	runner.Stream = t.GPU.NewStream()
-	return &Process{Env: t.Env, GPU: t.GPU, RT: rt, Runner: runner, Tracer: tracer}
+	runner.Stream = root.GPU().NewStream()
+	return &Process{Env: root.Env(), GPU: root.GPU(), RT: rt, Runner: runner, Tracer: tracer}
 }
 
 // RunScheme executes the model once under the given scheme in a fresh cold

@@ -41,7 +41,7 @@ func (inj *Injector) DeviceLossAt(idx int) (time.Duration, bool) {
 }
 
 // ArmGPUDeath spawns a watcher that kills host GPU idx (calling kill,
-// typically Backend.MarkDeviceLost) at its condemned instant, if any.
+// typically Registry.MarkDeviceLost) at its condemned instant, if any.
 // Arming is idempotent per GPU regardless of instance churn.
 func (inj *Injector) ArmGPUDeath(env *sim.Env, idx int, kill func()) {
 	at, ok := inj.DeviceLossAt(idx)

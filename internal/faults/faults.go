@@ -208,7 +208,7 @@ type Stats struct {
 }
 
 // Injector implements the fault plan. It satisfies codeobj.FaultHook (store
-// reads) and hip.LoadFaultInjector (latency spikes). A nil Injector is safe
+// reads) and backend.LoadFaultInjector (latency spikes). A nil Injector is safe
 // to call and injects nothing.
 type Injector struct {
 	plan Plan
@@ -340,7 +340,7 @@ func (inj *Injector) PermanentlyCorrupt(path string) bool {
 	return !inj.exempt[path] && inj.permanentLocked(path)
 }
 
-// ExtraLoadLatency implements hip.LoadFaultInjector: the extra virtual time
+// ExtraLoadLatency implements backend.LoadFaultInjector: the extra virtual time
 // a module load starting at now spends. Seeded per-load spikes and the
 // windowed slow-loader brownout stack — a spike during the window pays both.
 func (inj *Injector) ExtraLoadLatency(now time.Duration, path string) time.Duration {

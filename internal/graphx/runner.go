@@ -18,7 +18,7 @@ import (
 // provides the building blocks every scheme's executor is made of: parse
 // steps, the parameter copy, per-instruction execution and synchronization.
 type Runner struct {
-	RT     backend.Backend
+	RT     *backend.Registry
 	Lib    *miopen.Library
 	Blas   *blas.Library
 	Tracer *metrics.Tracer
@@ -36,7 +36,7 @@ type Runner struct {
 
 // NewRunner wires the runtime's load events and the GPU's kernel events into
 // the tracer and returns a runner using the device's default stream.
-func NewRunner(rt backend.Backend, lib *miopen.Library, blasLib *blas.Library, tracer *metrics.Tracer) *Runner {
+func NewRunner(rt *backend.Registry, lib *miopen.Library, blasLib *blas.Library, tracer *metrics.Tracer) *Runner {
 	r := &Runner{
 		RT: rt, Lib: lib, Blas: blasLib, Tracer: tracer,
 		Stream:         rt.GPU().DefaultStream(),

@@ -3,17 +3,11 @@ package hip
 import (
 	"testing"
 
-	"pask/internal/backend"
 	"pask/internal/backend/conformancetest"
-	"pask/internal/codeobj"
-	"pask/internal/device"
-	"pask/internal/sim"
 )
 
 // The HIP runtime must satisfy every invariant of the shared backend
 // contract (DESIGN.md §15).
 func TestBackendConformance(t *testing.T) {
-	conformancetest.Run(t, func(env *sim.Env, gpu *device.GPU, host device.HostProfile, store *codeobj.Store) backend.Backend {
-		return NewRuntime(env, gpu, host, store)
-	})
+	conformancetest.Run(t, NewRuntime)
 }

@@ -30,35 +30,9 @@ import (
 	"pask/internal/sim"
 )
 
-// Aliases re-export the backend vocabulary under the historical hip names so
-// existing call sites and tests keep reading naturally.
-type (
-	// Module is a loaded code object registered in device memory.
-	Module = backend.Module
-	// Function is a resolved kernel symbol inside a loaded module.
-	Function = backend.Function
-	// Stats aggregates the shared registry's loading activity.
-	Stats = backend.Stats
-	// TenantStats attributes a shared runtime's loading to one view.
-	TenantStats = backend.TenantStats
-	// RetryPolicy bounds the transient-error retry loop inside ModuleLoad.
-	RetryPolicy = backend.RetryPolicy
-	// LoadFaultInjector adds latency to module loads.
-	LoadFaultInjector = backend.LoadFaultInjector
-	// RegistryObserver receives the shared registry's notable moments.
-	RegistryObserver = backend.RegistryObserver
-	// Runtime is one view of a GPU's shared module registry.
-	Runtime = backend.Registry
-)
-
-// IsTransient reports whether a load error is retriable (a store I/O
-// hiccup) rather than permanent (missing object, parse failure, arch
-// mismatch). Only permanent errors are negatively cached.
-func IsTransient(err error) bool { return backend.IsTransient(err) }
-
 // DefaultRetryPolicy returns the policy a zero-valued retry config uses.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 3, Backoff: 200 * time.Microsecond, MaxBackoff: time.Millisecond}
+func DefaultRetryPolicy() backend.RetryPolicy {
+	return backend.RetryPolicy{MaxRetries: 3, Backoff: 200 * time.Microsecond, MaxBackoff: time.Millisecond}
 }
 
 // Flavor is the HIP driver surface plugged into the generic registry:
@@ -115,6 +89,6 @@ func (Flavor) DeviceLostError() error {
 
 // NewRuntime creates a cold HIP-flavored runtime over the given device and
 // code-object store and returns its root view.
-func NewRuntime(env *sim.Env, gpu *device.GPU, host device.HostProfile, store *codeobj.Store) *Runtime {
+func NewRuntime(env *sim.Env, gpu *device.GPU, host device.HostProfile, store *codeobj.Store) *backend.Registry {
 	return backend.New(env, gpu, host, store, Flavor{})
 }

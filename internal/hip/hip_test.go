@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/sim"
@@ -43,7 +44,7 @@ func testStore(t *testing.T) *codeobj.Store {
 	return s
 }
 
-func newTestRuntime(t *testing.T) (*sim.Env, *Runtime) {
+func newTestRuntime(t *testing.T) (*sim.Env, *backend.Registry) {
 	t.Helper()
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, testProfile())
@@ -51,7 +52,7 @@ func newTestRuntime(t *testing.T) (*sim.Env, *Runtime) {
 	return env, rt
 }
 
-func runHost(t *testing.T, env *sim.Env, rt *Runtime, fn func(p *sim.Proc)) {
+func runHost(t *testing.T, env *sim.Env, rt *backend.Registry, fn func(p *sim.Proc)) {
 	t.Helper()
 	env.Spawn("host", func(p *sim.Proc) {
 		defer rt.GPU().CloseAll()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/sim"
 )
@@ -77,7 +78,7 @@ func TestModuleLoadExhaustedRetriesNotNegativelyCached(t *testing.T) {
 	// More consecutive failures than the default 3 retries allow.
 	rt.Store().SetFaultHook(&flakyStore{failsLeft: map[string]int{"conv_a.pko": 10}})
 	runHost(t, env, rt, func(p *sim.Proc) {
-		if _, err := rt.ModuleLoad(p, "conv_a.pko"); !IsTransient(err) {
+		if _, err := rt.ModuleLoad(p, "conv_a.pko"); !backend.IsTransient(err) {
 			t.Errorf("exhausted-retry error = %v, want transient", err)
 		}
 		if rt.FailedPermanently("conv_a.pko") {
@@ -85,7 +86,7 @@ func TestModuleLoadExhaustedRetriesNotNegativelyCached(t *testing.T) {
 		}
 		// 10 - 4 attempts = 6 failures left; the next call's 4 attempts clear
 		// 4 more, the one after succeeds on its 3rd attempt.
-		if _, err := rt.ModuleLoad(p, "conv_a.pko"); !IsTransient(err) {
+		if _, err := rt.ModuleLoad(p, "conv_a.pko"); !backend.IsTransient(err) {
 			t.Errorf("second call error = %v, want transient", err)
 		}
 		if m, err := rt.ModuleLoad(p, "conv_a.pko"); err != nil || m == nil {
@@ -150,7 +151,7 @@ func TestForgetFailureAllowsRepair(t *testing.T) {
 
 func TestTransientRetryCostsBackoffTime(t *testing.T) {
 	env, rt := newTestRuntime(t)
-	rt.SetRetry(RetryPolicy{MaxRetries: 1, Backoff: 300 * time.Microsecond})
+	rt.SetRetry(backend.RetryPolicy{MaxRetries: 1, Backoff: 300 * time.Microsecond})
 	rt.Store().SetFaultHook(&flakyStore{failsLeft: map[string]int{"conv_b.pko": 1}})
 	var elapsed time.Duration
 	runHost(t, env, rt, func(p *sim.Proc) {
@@ -173,10 +174,10 @@ func TestTransientRetryCostsBackoffTime(t *testing.T) {
 
 func TestRetryDisabled(t *testing.T) {
 	env, rt := newTestRuntime(t)
-	rt.SetRetry(RetryPolicy{MaxRetries: -1})
+	rt.SetRetry(backend.RetryPolicy{MaxRetries: -1})
 	rt.Store().SetFaultHook(&flakyStore{failsLeft: map[string]int{"conv_a.pko": 1}})
 	runHost(t, env, rt, func(p *sim.Proc) {
-		if _, err := rt.ModuleLoad(p, "conv_a.pko"); !IsTransient(err) {
+		if _, err := rt.ModuleLoad(p, "conv_a.pko"); !backend.IsTransient(err) {
 			t.Errorf("error = %v, want transient failure with retry disabled", err)
 		}
 	})

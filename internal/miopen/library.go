@@ -14,7 +14,7 @@ import (
 // kernels (miopenRunSolution in the paper).
 type Library struct {
 	Reg *Registry
-	RT  backend.Backend
+	RT  *backend.Registry
 
 	checks int // IsApplicable invocations charged so far
 
@@ -38,7 +38,7 @@ type applicKey struct {
 }
 
 // NewLibrary binds a registry to a process runtime.
-func NewLibrary(reg *Registry, rt backend.Backend) *Library {
+func NewLibrary(reg *Registry, rt *backend.Registry) *Library {
 	return &Library{Reg: reg, RT: rt}
 }
 

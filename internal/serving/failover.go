@@ -396,7 +396,7 @@ func runFailoverArm(cfg *FailoverConfig, f *gpuFleet, images *cacheimg.Store, sc
 			ft.gpu = g
 			ft.evacs++
 			ft.ms = rig.setup(g, ft.abbr)
-			ft.pr = ft.ms.AttachIn(rig.Nodes[g].Ten, fmt.Sprintf("%s~e%d", ft.name, ft.evacs))
+			ft.pr = ft.ms.AttachIn(rig.Nodes[g].Root(), fmt.Sprintf("%s~e%d", ft.name, ft.evacs))
 			if sc.images && images != nil {
 				if att, aerr := images.Attach(ft.ms.Spec.Abbr, rig.Host.GPU(g).Profile, ft.ms.Store.Fingerprint()); aerr == nil {
 					// Replay overlaps bring-up; demand loads coalesce with it.
@@ -450,7 +450,7 @@ func runFailoverArm(cfg *FailoverConfig, f *gpuFleet, images *cacheimg.Store, sc
 					ft.pr.RT.Detach()
 					rig.Release(ft.gpu)
 				}()
-				ft.pr = ft.ms.AttachIn(rig.Nodes[ft.gpu].Ten, ft.name)
+				ft.pr = ft.ms.AttachIn(rig.Nodes[ft.gpu].Root(), ft.name)
 				for r := 0; r < cfg.requests(); r++ {
 					if r > 0 {
 						p.Sleep(failoverGap)

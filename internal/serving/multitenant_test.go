@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"pask/internal/core"
+	"pask/internal/device"
+	"pask/internal/hip"
 	"pask/internal/sim"
 )
 
@@ -76,7 +78,7 @@ func TestScaleOutSharedCoalescesSameModel(t *testing.T) {
 func TestReplaceTenantPreservesSurvivorModules(t *testing.T) {
 	setups := setupSharedModels(t, "res", "vgg")
 	env := sim.NewEnv()
-	host := NewGPUHost(env, setups["res"].Profile, setups["res"].Store)
+	host := NewGPUHost(hip.NewRuntime(env, device.NewGPU(env, setups["res"].Profile), device.DefaultHost(), setups["res"].Store))
 	var stats Stats
 	pol := Policy{Scheme: core.SchemePaSK}
 	a := newTenantFTServer(host, setups["res"], pol, &stats, "res/0")

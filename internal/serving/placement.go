@@ -6,7 +6,6 @@ import (
 
 	"pask/internal/backend"
 	"pask/internal/codeobj"
-	"pask/internal/core"
 	"pask/internal/device"
 	"pask/internal/experiments"
 	"pask/internal/sim"
@@ -74,10 +73,10 @@ type LinkFaultSource interface {
 }
 
 // NewMultiGPUHost builds a cold multi-GPU serving host over topo. Each GPU
-// gets a tenancy over storeFor(arch) — same-ISA GPUs must share one store so
-// peer copies are byte-identical to store loads. slotsPerGPU bounds how many
-// tenants placement packs onto one device; peering installs the cross-GPU
-// peer source on every runtime.
+// gets a shared runtime over storeFor(arch) whose flavor follows the ISA —
+// same-ISA GPUs must share one store so peer copies are byte-identical to
+// store loads. slotsPerGPU bounds how many tenants placement packs onto one
+// device; peering installs the cross-GPU peer source on every runtime.
 func NewMultiGPUHost(env *sim.Env, topo *device.Host, storeFor func(arch string) *codeobj.Store, slotsPerGPU int, peering bool) *MultiGPUHost {
 	mh := &MultiGPUHost{
 		Env:    env,
@@ -87,11 +86,7 @@ func NewMultiGPUHost(env *sim.Env, topo *device.Host, storeFor func(arch string)
 	}
 	for i := 0; i < topo.NumGPUs(); i++ {
 		gpu := topo.GPU(i)
-		mh.Nodes = append(mh.Nodes, &GPUHost{
-			Env:   env,
-			Ten:   experiments.NewTenancyOn(env, gpu, storeFor(gpu.Profile.Arch)),
-			Cache: core.NewSharedCache(),
-		})
+		mh.Nodes = append(mh.Nodes, NewGPUHost(experiments.BackendFor(env, gpu, storeFor(gpu.Profile.Arch))))
 	}
 	if peering {
 		for i := range mh.Nodes {

@@ -203,7 +203,7 @@ func runPlacementArm(cfg *PlacementConfig, f *gpuFleet, policy PlacementPolicy, 
 			name := fmt.Sprintf("%s/%d", abbr, t)
 			rig.spawnTenant(name, func(p *sim.Proc) {
 				defer rig.Release(g)
-				pr := ms.AttachIn(node.Ten, name)
+				pr := ms.AttachIn(node.Root(), name)
 				defer pr.RT.Detach()
 				t0 := p.Now()
 				if err := serveBaseline(p, pr, ms, true); err != nil {

@@ -176,12 +176,11 @@ type predNode struct {
 	host  *GPUHost
 	used  *warmup.Recorder // object paths this node's tenants actually used
 	insts map[string]*Instance
-	busy  map[string]bool // per-instance in-flight flag
-	load  int             // in-flight requests on this node
-	idle  time.Duration   // when the node last went idle
-	made  time.Duration   // when the node was spawned
-	pf    *warmup.Prefetcher
-	ppf   *warmup.PredictivePrefetcher
+	busy  map[string]bool    // per-instance in-flight flag
+	load  int                // in-flight requests on this node
+	idle  time.Duration      // when the node last went idle
+	made  time.Duration      // when the node was spawned
+	pf    *warmup.Prefetcher // the arm's prefetcher; nil when the arm has none
 	gone  bool
 }
 
@@ -226,7 +225,7 @@ type predCluster struct {
 func (c *predCluster) newNode() *predNode {
 	n := &predNode{
 		id:    len(c.nodes),
-		host:  NewGPUHostOn(c.env, device.NewGPU(c.env, c.prof), c.setups[c.cfg.Models[0]].Store),
+		host:  NewGPUHost(experiments.BackendFor(c.env, device.NewGPU(c.env, c.prof), c.setups[c.cfg.Models[0]].Store)),
 		used:  warmup.NewRecorder(),
 		insts: make(map[string]*Instance),
 		busy:  make(map[string]bool),
@@ -239,8 +238,8 @@ func (c *predCluster) newNode() *predNode {
 			n.pf = warmup.Start(c.env, n.host.Root(), c.prior, nil)
 		}
 	case predArmPredictive:
-		n.ppf = warmup.StartPredictive(c.env, n.host.Root(), c.manifests, predBudgetEntries, nil)
-		n.ppf.Prefetch(c.bringup()...)
+		n.pf = warmup.StartPredictive(c.env, n.host.Root(), c.manifests, predBudgetEntries, nil)
+		n.pf.Prefetch(c.bringup()...)
 	}
 	c.nodes = append(c.nodes, n)
 	c.cell.Nodes++
@@ -323,8 +322,8 @@ func (c *predCluster) reap(now time.Duration) {
 	for _, n := range c.nodes {
 		if !n.gone && n.load == 0 && len(n.insts) > 0 && now-n.idle > predKeepAlive {
 			n.gone = true
-			if n.ppf != nil {
-				n.ppf.Close()
+			if n.pf != nil {
+				n.pf.Close()
 			}
 		}
 	}
@@ -420,8 +419,8 @@ func (c *predCluster) dispatch(p *sim.Proc, arrivals []traffic.Request) {
 				}
 				hot := c.hotModels(2)
 				for _, live := range c.nodes {
-					if !live.gone && live.ppf != nil {
-						live.ppf.Prefetch(hot...)
+					if !live.gone && live.pf != nil {
+						live.pf.Prefetch(hot...)
 					}
 				}
 			}
@@ -430,12 +429,12 @@ func (c *predCluster) dispatch(p *sim.Proc, arrivals []traffic.Request) {
 		n := c.route(r.Model)
 		c.serve(n, r.Model, i)
 		c.ensureHeadroom()
-		if c.arm == predArmPredictive && n.ppf != nil {
+		if c.arm == predArmPredictive && n.pf != nil {
 			// Cross-tenant follow-up: whatever tends to come after this
 			// model gets prefetched on the node that just took the request,
 			// ahead of the tenant that will need it.
 			for _, f := range c.pred.Follow(r.Model) {
-				n.ppf.Prefetch(f.Item)
+				n.pf.Prefetch(f.Item)
 			}
 		}
 	}
@@ -447,24 +446,16 @@ func (c *predCluster) dispatch(p *sim.Proc, arrivals []traffic.Request) {
 		}
 	}
 	for _, n := range c.nodes {
-		if n.ppf != nil {
-			n.ppf.Close()
-			n.ppf.Wait(p)
-		}
 		if n.pf != nil {
+			n.pf.Close()
 			n.pf.Wait(p)
 		}
 	}
 	for _, n := range c.nodes {
 		used := n.used.Paths()
-		switch {
-		case n.pf != nil:
-			st := n.pf.Account(used, p.Now())
-			c.addPrefetch(st)
-		case n.ppf != nil:
-			st := n.ppf.Account(used, p.Now())
-			c.addPrefetch(st)
-		default:
+		if n.pf != nil {
+			c.addPrefetch(n.pf.Account(used, p.Now()))
+		} else {
 			// No prefetcher: every used object was a demand load.
 			c.cell.PrefetchMisses += len(used)
 		}

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"pask/internal/backend"
-	"pask/internal/codeobj"
 	"pask/internal/core"
-	"pask/internal/device"
 	"pask/internal/experiments"
-	"pask/internal/sim"
 )
 
 // GPUHost is one physical GPU hosting multiple model tenants: the shared
@@ -19,31 +16,24 @@ import (
 // one model is immediately resident — and reusable — for every other model
 // on the device.
 type GPUHost struct {
-	Env   *sim.Env
-	Ten   *experiments.Tenancy
+	root  *backend.Registry
 	Cache *core.SharedCache
 }
 
-// NewGPUHost brings up a cold shared GPU over the given store.
-func NewGPUHost(env *sim.Env, prof device.Profile, store *codeobj.Store) *GPUHost {
-	return &GPUHost{Env: env, Ten: experiments.NewTenancy(env, prof, store), Cache: core.NewSharedCache()}
-}
-
-// NewGPUHostOn brings up a cold shared GPU host on an existing device,
-// selecting the backend flavor by the device's ISA (A100 nodes get the
-// CUDA runtime, the ROCm profiles HIP). Elastic fleets that spawn nodes on
-// demand use this so every node matches the experiment's device profile.
-func NewGPUHostOn(env *sim.Env, gpu *device.GPU, store *codeobj.Store) *GPUHost {
-	return &GPUHost{Env: env, Ten: experiments.NewTenancyOn(env, gpu, store), Cache: core.NewSharedCache()}
+// NewGPUHost brings up a shared GPU host over root, the cold root view of
+// the device's runtime; the caller picks its flavor (hip.NewRuntime, or
+// experiments.BackendFor to follow the device's ISA).
+func NewGPUHost(root *backend.Registry) *GPUHost {
+	return &GPUHost{root: root, Cache: core.NewSharedCache()}
 }
 
 // Root returns the shared runtime's root view (GPU-level stats, failures,
 // residency).
-func (h *GPUHost) Root() backend.Backend { return h.Ten.Root }
+func (h *GPUHost) Root() *backend.Registry { return h.root }
 
 // Close tears down the device: every stream, including the per-tenant ones,
 // is closed. Call exactly once, after all tenants finished.
-func (h *GPUHost) Close() { h.Ten.GPU.CloseAll() }
+func (h *GPUHost) Close() { h.root.GPU().CloseAll() }
 
 // NewTenantInstance creates an instance for ms that attaches to the shared
 // GPU host as the named tenant instead of owning a private runtime. The
@@ -51,17 +41,17 @@ func (h *GPUHost) Close() { h.Ten.GPU.CloseAll() }
 // faults on a shared GPU hit whichever tenant triggers the load.
 func NewTenantInstance(host *GPUHost, ms *experiments.ModelSetup, policy Policy, tenant string) *Instance {
 	in := &Instance{
-		ms: ms, pr: ms.AttachIn(host.Ten, tenant), policy: policy,
+		ms: ms, pr: ms.AttachIn(host.root, tenant), policy: policy,
 		host: host, tenant: tenant,
 	}
 	if policy.Faults != nil {
 		in.pr.RT.SetLoadFaults(policy.Faults)
-		policy.Faults.ArmReset(host.Env, host.Root().UnloadAll)
+		policy.Faults.ArmReset(host.root.Env(), host.root.UnloadAll)
 	}
 	if policy.Rec != nil {
 		in.pr.Record(policy.Rec)
 	}
-	in.startWarmup(host.Env)
+	in.startWarmup(host.root.Env())
 	return in
 }
 
@@ -71,7 +61,7 @@ func (in *Instance) Tenant() string { return in.tenant }
 // newTenantFTServer is newFTServer for instances attached to a shared host.
 func newTenantFTServer(host *GPUHost, ms *experiments.ModelSetup, policy Policy, stats *Stats, tenant string) *ftServer {
 	return &ftServer{
-		env: host.Env, ms: ms, policy: policy, stats: stats,
+		env: host.root.Env(), ms: ms, policy: policy, stats: stats,
 		host: host, tenant: tenant,
 		inst: NewTenantInstance(host, ms, policy, tenant),
 	}

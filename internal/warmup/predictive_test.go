@@ -58,7 +58,7 @@ func TestPredictivePrefetch(t *testing.T) {
 			t.Fatalf("%s not resident after prediction", path)
 		}
 		if n := rt.Refs(path); n != 0 {
-			t.Fatalf("predict view left %d pins on %s", n, path)
+			t.Fatalf("warmup view left %d pins on %s", n, path)
 		}
 	}
 	if rt.Loaded("vgg_a.pko") {
