@@ -822,12 +822,6 @@ func toResponse(model, scheme, dev string, batch int, rep *metrics.Report) *Cold
 	for c, v := range rep.Breakdown {
 		bd[string(c)] = float64(v) / float64(time.Millisecond)
 	}
-	// Deterministic map content for clients diffing responses.
-	keys := make([]string, 0, len(bd))
-	for k := range bd {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
 	return &ColdStartResponse{
 		Model: model, Scheme: scheme, Device: dev, Batch: batch,
 		TotalMs:      float64(rep.Total) / float64(time.Millisecond),

@@ -95,31 +95,25 @@ func (m *Markov) Next(from string, k int, minConf float64) []Prediction {
 // distribution instead of the all-time one — a popularity re-rank mid-run
 // overtakes the old head within a few decay periods.
 type Sketch struct {
-	rows, cols int
-	cnt        [][]uint32
+	cnt        [sketchRows][sketchCols]uint32
 	decayEvery int
 	obs        int
 	total      uint64 // decayed observation mass, for share estimates
 }
 
-// NewSketch returns a sketch with the given dimensions. Non-positive
-// values get defaults (4 rows, 512 columns, decay every 64 observations).
-func NewSketch(rows, cols, decayEvery int) *Sketch {
-	if rows <= 0 {
-		rows = 4
-	}
-	if cols <= 0 {
-		cols = 512
-	}
+// The sketch's dimensions: 4 hash rows of 512 counters.
+const (
+	sketchRows = 4
+	sketchCols = 512
+)
+
+// NewSketch returns a 4×512 sketch whose counters halve every decayEvery
+// observations (64 when non-positive).
+func NewSketch(decayEvery int) *Sketch {
 	if decayEvery <= 0 {
 		decayEvery = 64
 	}
-	s := &Sketch{rows: rows, cols: cols, decayEvery: decayEvery}
-	s.cnt = make([][]uint32, rows)
-	for i := range s.cnt {
-		s.cnt[i] = make([]uint32, cols)
-	}
-	return s
+	return &Sketch{decayEvery: decayEvery}
 }
 
 // splitmix64 finalizes a hash so per-row variants avalanche (the same
@@ -134,12 +128,12 @@ func splitmix64(x uint64) uint64 {
 func (s *Sketch) index(item string, row int) int {
 	h := fnv.New64a()
 	h.Write([]byte(item))
-	return int(splitmix64(h.Sum64()+uint64(row)) % uint64(s.cols))
+	return int(splitmix64(h.Sum64()+uint64(row)) % sketchCols)
 }
 
 // Observe counts one occurrence of item, aging the sketch when due.
 func (s *Sketch) Observe(item string) {
-	for r := 0; r < s.rows; r++ {
+	for r := range sketchRows {
 		s.cnt[r][s.index(item, r)]++
 	}
 	s.total++
@@ -158,7 +152,7 @@ func (s *Sketch) Observe(item string) {
 // across rows, the usual count-min upper bound.
 func (s *Sketch) Estimate(item string) uint32 {
 	est := uint32(0)
-	for r := 0; r < s.rows; r++ {
+	for r := range sketchRows {
 		c := s.cnt[r][s.index(item, r)]
 		if r == 0 || c < est {
 			est = c
@@ -214,7 +208,7 @@ func New(cfg Config) *Predictor {
 	return &Predictor{
 		cfg:    cfg,
 		markov: NewMarkov(),
-		sketch: NewSketch(0, 0, cfg.DecayEvery), // the default 4×512 sketch
+		sketch: NewSketch(cfg.DecayEvery),
 		seen:   make(map[string]bool),
 	}
 }

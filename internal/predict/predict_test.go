@@ -42,7 +42,7 @@ func TestMarkovDeterministicTieBreak(t *testing.T) {
 
 // TestSketchRanksFrequency checks estimates track observation counts.
 func TestSketchRanksFrequency(t *testing.T) {
-	s := NewSketch(4, 512, 1<<30)
+	s := NewSketch(1 << 30)
 	for i := 0; i < 90; i++ {
 		s.Observe("hot")
 	}
@@ -61,7 +61,7 @@ func TestSketchRanksFrequency(t *testing.T) {
 // popularity re-rank the new head overtakes the old one within a few
 // decay periods even though the all-time counts say otherwise.
 func TestSketchAgingAdaptsToShift(t *testing.T) {
-	s := NewSketch(4, 512, 32)
+	s := NewSketch(32)
 	for i := 0; i < 200; i++ {
 		s.Observe("old")
 	}
