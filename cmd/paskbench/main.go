@@ -98,7 +98,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Quick: *quick, Out: *benchOut}
+	opts := experiments.Options{Quick: *quick}
 	if *modelsFlag != "" {
 		opts.Models = strings.Split(*modelsFlag, ",")
 	}

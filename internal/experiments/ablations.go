@@ -93,27 +93,19 @@ func Ablations(models []string) (*Table, map[string]*AblationResult, error) {
 func (ms *ModelSetup) runPaSKVariant(opts core.Options, seed bool) (float64, error) {
 	pr := ms.NewProcess()
 	var total float64
-	var runErr error
-	pr.Env.Spawn("main", func(p *sim.Proc) {
-		defer pr.GPU.CloseAll()
-		if runErr = pr.Init(p); runErr != nil {
-			return
-		}
+	err := pr.Main(func(p *sim.Proc) error {
 		var cache core.Cache = core.NewCategoricalCache()
 		if seed {
 			cache = core.NewCache(core.SchemePaSK, pr.Runner.Lib)
 		}
 		t0 := p.Now()
 		if _, err := core.Run(p, pr.Runner, ms.Model, core.SchemePaSK, cache, opts); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		total = float64(p.Now()-t0) / 1e6
+		return nil
 	})
-	if err := pr.Env.Run(); err != nil {
-		return 0, err
-	}
-	return total, runErr
+	return total, err
 }
 
 // prepareFused compiles the model with the conv+activation fusion pass and
@@ -171,31 +163,22 @@ func CrossModelReuse(a, b string, prof device.Profile) (*CrossModelResult, error
 	// Shared process: A first, then B with the same runner and cache.
 	pr := msB.NewProcess()
 	out := &CrossModelResult{FreshMs: fresh}
-	var runErr error
-	pr.Env.Spawn("main", func(p *sim.Proc) {
-		defer pr.GPU.CloseAll()
-		if runErr = pr.Init(p); runErr != nil {
-			return
-		}
+	err = pr.Main(func(p *sim.Proc) error {
 		cache := core.NewCache(core.SchemePaSK, pr.Runner.Lib)
 		if _, err := core.Run(p, pr.Runner, msA.Model, core.SchemePaSK, cache, core.Options{}); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		t0 := p.Now()
 		res, err := core.Run(p, pr.Runner, msB.Model, core.SchemePaSK, cache, core.Options{})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		out.SharedMs = float64(p.Now()-t0) / 1e6
 		out.Hits = res.Cache.Hits
+		return nil
 	})
-	if err := pr.Env.Run(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 	return out, nil
 }

@@ -186,12 +186,6 @@ func Fig1b(models []string) (*Table, *Fig1bResult, error) {
 	return tbl, res, nil
 }
 
-// SchemeRun is one (model, scheme) measurement at a batch size.
-type SchemeRun struct {
-	Report *metrics.Report
-	Result *core.Result
-}
-
 // Fig6Result carries speedups and utilizations for the evaluated schemes.
 type Fig6Result struct {
 	// Speedup[model][scheme] relative to Baseline.
@@ -605,45 +599,33 @@ type twoRequestResult struct {
 func (ms *ModelSetup) runTwoRequests(background bool) (*twoRequestResult, error) {
 	pr := ms.NewProcess()
 	out := &twoRequestResult{}
-	var runErr error
-	pr.Env.Spawn("main", func(p *sim.Proc) {
-		defer pr.GPU.CloseAll()
-		if runErr = pr.Init(p); runErr != nil {
-			return
-		}
+	err := pr.Main(func(p *sim.Proc) error {
 		cache := core.NewCache(core.SchemePaSK, pr.Runner.Lib)
 		t0 := p.Now()
 		res, err := core.Run(p, pr.Runner, ms.Model, core.SchemePaSK, cache, core.Options{})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		out.first = p.Now() - t0
 		if background {
-			out.loaded, err = core.BackgroundLoad(p, pr.Runner, cache, res.Skipped, 3*time.Second)
-			if err != nil {
-				runErr = err
-				return
+			if out.loaded, err = core.BackgroundLoad(p, pr.Runner, cache, res.Skipped, 3*time.Second); err != nil {
+				return err
 			}
 			// The idle gap also covers the plan's remaining objects (layout
 			// transforms the skipped specialists will need).
 			if err := pr.Runner.PreloadAll(p, ms.Model); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		t1 := p.Now()
 		if _, err := core.Run(p, pr.Runner, ms.Model, core.SchemePaSK, cache, core.Options{}); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		out.second = p.Now() - t1
+		return nil
 	})
-	if err := pr.Env.Run(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 	return out, nil
 }

@@ -18,9 +18,6 @@ type Options struct {
 	// Trace, when non-nil, receives the run's timeline (experiments that
 	// record pick their canonical sub-run, e.g. the first device).
 	Trace *trace.Recorder
-	// Out is the caller's bench-output path hint; runners never write files
-	// themselves — the CLI resolves "" to DefaultOut for Bench experiments.
-	Out string
 	// Models restricts the model selection; empty means the experiment's
 	// default (all twelve for figure sweeps, the experiment's own subset
 	// otherwise).

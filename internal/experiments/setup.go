@@ -170,6 +170,24 @@ func (pr *Process) Init(p *sim.Proc) error {
 	return pr.Runner.Lib.LoadResidents(p)
 }
 
+// Main runs fn as the process's "main" thread after bring-up (Init), closes
+// every stream of the device when it returns, and drives the environment to
+// completion. It returns the first error: the environment's, else
+// bring-up's or fn's.
+func (pr *Process) Main(fn func(*sim.Proc) error) error {
+	var runErr error
+	pr.Env.Spawn("main", func(p *sim.Proc) {
+		defer pr.GPU.CloseAll()
+		if runErr = pr.Init(p); runErr == nil {
+			runErr = fn(p)
+		}
+	})
+	if err := pr.Env.Run(); err != nil {
+		return err
+	}
+	return runErr
+}
+
 // SchemeModel returns the plan scheme executes: NNV12's layout-uniform
 // selection, the default plan otherwise. Under Ideal it first makes every
 // object of the plan resident on pr, the untimed preload that precedes
@@ -261,33 +279,27 @@ func (ms *ModelSetup) RunSchemeTraced(scheme core.Scheme, opts core.Options, rec
 // time of a steady-state iteration in the same process.
 func (ms *ModelSetup) RunColdHot() (cold, hot time.Duration, spans []metrics.Span, err error) {
 	pr := ms.NewProcess()
-	var runErr error
-	pr.Env.Spawn("main", func(p *sim.Proc) {
-		defer pr.GPU.CloseAll()
-		t0 := p.Now()
-		if runErr = pr.Init(p); runErr != nil {
-			return
+	err = pr.Main(func(p *sim.Proc) error {
+		if err := pr.Runner.RunBaseline(p, ms.Model); err != nil {
+			return err
 		}
-		if runErr = pr.Runner.RunBaseline(p, ms.Model); runErr != nil {
-			return
-		}
-		cold = p.Now() - t0
+		// The fresh process started at t=0, so the cold time includes the
+		// context creation and library open Main ran first.
+		cold = p.Now()
 		// Steady state: average over a few successive iterations.
 		const iters = 3
 		t1 := p.Now()
 		for i := 0; i < iters; i++ {
-			if runErr = pr.Runner.RunHot(p, ms.Model); runErr != nil {
-				return
+			if err := pr.Runner.RunHot(p, ms.Model); err != nil {
+				return err
 			}
 		}
 		hot = (p.Now() - t1) / iters
 		spans = pr.Tracer.Spans()
+		return nil
 	})
-	if err := pr.Env.Run(); err != nil {
-		return 0, 0, nil, err
-	}
-	if runErr != nil {
-		return 0, 0, nil, fmt.Errorf("experiments: cold/hot %s on %s: %w", ms.Spec.Abbr, ms.Profile.Name, runErr)
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("experiments: cold/hot %s on %s: %w", ms.Spec.Abbr, ms.Profile.Name, err)
 	}
 	return cold, hot, spans, nil
 }

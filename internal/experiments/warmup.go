@@ -52,7 +52,6 @@ func (ms *ModelSetup) RunSchemeOn(pr *Process, scheme core.Scheme, opts core.Opt
 	rep := &metrics.Report{Scheme: string(scheme), Model: ms.Spec.Abbr, Batch: ms.Batch}
 	wr := &WarmupRun{Rep: rep}
 	var res *core.Result
-	var runErr error
 
 	var wrec *warmup.Recorder
 	if record || man != nil {
@@ -67,15 +66,10 @@ func (ms *ModelSetup) RunSchemeOn(pr *Process, scheme core.Scheme, opts core.Opt
 		pf = warmup.Start(pr.Env, pr.RT, man, rec)
 	}
 
-	pr.Env.Spawn("main", func(p *sim.Proc) {
-		defer pr.GPU.CloseAll()
-		if runErr = pr.Init(p); runErr != nil {
-			return
-		}
+	err := pr.Main(func(p *sim.Proc) error {
 		model, err := ms.SchemeModel(p, pr, scheme)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		loads0 := pr.RT.Stats()
 		busy0 := pr.GPU.BusyTime()
@@ -84,7 +78,7 @@ func (ms *ModelSetup) RunSchemeOn(pr *Process, scheme core.Scheme, opts core.Opt
 			metrics.Attr{Key: "scheme", Value: string(scheme)},
 			metrics.Attr{Key: "model", Value: ms.Spec.Abbr},
 			metrics.Attr{Key: "batch", Value: fmt.Sprint(ms.Batch)})
-		res, runErr = core.Run(p, pr.Runner, model, scheme, core.NewCache(scheme, pr.Runner.Lib), opts)
+		res, err = core.Run(p, pr.Runner, model, scheme, core.NewCache(scheme, pr.Runner.Lib), opts)
 
 		t1 := p.Now()
 		rec.Instant("run", "run-end", t1)
@@ -103,12 +97,10 @@ func (ms *ModelSetup) RunSchemeOn(pr *Process, scheme core.Scheme, opts core.Opt
 			rep.SkippedLoads = res.SkippedLoads
 			rep.PressureReuse = res.PressureReuse
 		}
+		return err
 	})
-	if err := pr.Env.Run(); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, fmt.Errorf("experiments: %s/%s: %w", ms.Spec.Abbr, scheme, runErr)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s/%s: %w", ms.Spec.Abbr, scheme, err)
 	}
 	wr.Res = res
 	if record {

@@ -108,38 +108,6 @@ func TestUniformModeHasNoTransforms(t *testing.T) {
 	}
 }
 
-func TestCompiledModelEncodeDecode(t *testing.T) {
-	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
-	m := compileZoo(t, "alex", 1, reg, CompileOptions{})
-	data, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeModel(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != m.Name || back.NumInstructions() != m.NumInstructions() || back.ParamBytes != m.ParamBytes {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-	// Instances still resolve after decoding.
-	for i := range back.Instrs {
-		if back.Instrs[i].Kind == KindPrimitive {
-			if _, err := back.Instrs[i].Instance(reg); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Corruption is detected.
-	data[len(data)/2] ^= 0xff
-	if _, err := DecodeModel(data); err == nil {
-		t.Fatal("corrupt model decoded")
-	}
-	if _, err := DecodeModel(data[:4]); err == nil {
-		t.Fatal("truncated model decoded")
-	}
-}
-
 func TestOptimizePasses(t *testing.T) {
 	b := onnx.NewBuilder("p", tensor.Shape{N: 1, C: 3, H: 16, W: 16}, tensor.F32)
 	x := b.Conv("c1", b.Input(), 8, 3, 1, 1, 1)
@@ -362,48 +330,6 @@ func TestDistinctObjectsStable(t *testing.T) {
 			t.Fatalf("duplicate path %s", p)
 		}
 		seen[p] = true
-	}
-}
-
-func TestModelRegistryRoundTrip(t *testing.T) {
-	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
-	m := compileZoo(t, "alex", 1, reg, CompileOptions{})
-	mr := NewModelRegistry()
-	if mr.Has(m.Name) || len(mr.Names()) != 0 {
-		t.Fatal("fresh registry should be empty")
-	}
-	if err := mr.Save(m); err != nil {
-		t.Fatal(err)
-	}
-	if !mr.Has(m.Name) || mr.Size(m.Name) == 0 {
-		t.Fatal("saved model not visible")
-	}
-	back, err := mr.Load(m.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumInstructions() != m.NumInstructions() || back.ParamBytes != m.ParamBytes {
-		t.Fatal("registry round trip lost data")
-	}
-	if _, err := mr.Load("ghost"); err == nil {
-		t.Fatal("missing model must fail")
-	}
-	if !mr.Delete(m.Name) || mr.Delete(m.Name) {
-		t.Fatal("delete semantics wrong")
-	}
-}
-
-func TestRegistryStoresMultipleModels(t *testing.T) {
-	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
-	mr := NewModelRegistry()
-	for _, abbr := range []string{"alex", "res"} {
-		if err := mr.Save(compileZoo(t, abbr, 1, reg, CompileOptions{})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	names := mr.Names()
-	if len(names) != 2 || names[0] != "AlexNet" || names[1] != "ResNet34" {
-		t.Fatalf("Names = %v", names)
 	}
 }
 

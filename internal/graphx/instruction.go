@@ -1,19 +1,14 @@
 // Package graphx reimplements the serving-framework layer of the stack (the
 // MIGraphX analogue): graph optimization passes, lowering of onnx models to
 // an instruction stream with per-layer solution selection against the
-// primitive library's performance database, a binary compiled-model format
-// (the ".mgx file" of paper Fig 3), and the reactive baseline executor whose
-// lazy loading causes the cold-start problem.
+// primitive library's performance database, and the reactive baseline
+// executor whose lazy loading causes the cold-start problem.
 //
 // Paper anchor: the Fig 3 serving framework (MIGraphX analogue) and the §II-A reactive baseline executor.
 package graphx
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 
 	"pask/internal/blas"
 	"pask/internal/kernels"
@@ -156,51 +151,4 @@ func (m *CompiledModel) DistinctObjects(reg *miopen.Registry) ([]string, error) 
 		}
 	}
 	return out, nil
-}
-
-// Binary compiled-model container: magic + gob payload + CRC trailer.
-
-const modelMagic = "PMX1"
-
-// Encode serializes the compiled model.
-func (m *CompiledModel) Encode() ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(m); err != nil {
-		return nil, fmt.Errorf("graphx: encode %s: %w", m.Name, err)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(modelMagic)
-	var lenb [4]byte
-	binary.LittleEndian.PutUint32(lenb[:], uint32(payload.Len()))
-	buf.Write(lenb[:])
-	buf.Write(payload.Bytes())
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(crcb[:])
-	return buf.Bytes(), nil
-}
-
-// DecodeModel parses a serialized compiled model, validating framing and
-// checksum.
-func DecodeModel(data []byte) (*CompiledModel, error) {
-	if len(data) < len(modelMagic)+8 {
-		return nil, fmt.Errorf("graphx: compiled model truncated (%d bytes)", len(data))
-	}
-	if string(data[:len(modelMagic)]) != modelMagic {
-		return nil, fmt.Errorf("graphx: bad compiled-model magic")
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("graphx: compiled-model checksum mismatch")
-	}
-	n := binary.LittleEndian.Uint32(data[len(modelMagic) : len(modelMagic)+4])
-	payload := data[len(modelMagic)+4 : len(data)-4]
-	if int(n) != len(payload) {
-		return nil, fmt.Errorf("graphx: compiled-model length %d != payload %d", n, len(payload))
-	}
-	var m CompiledModel
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("graphx: decode: %w", err)
-	}
-	return &m, nil
 }

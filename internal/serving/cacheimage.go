@@ -233,9 +233,9 @@ func (f *cacheImageFleet) runCell(nodes int, coverage float64, decoys bool) (Cac
 			// (the same clock WarmupRun.TTFI uses, unlike Serve's internal
 			// latency, which starts after context init).
 			t0 := p.Now()
-			srv := newFTServer(env, f.ms, pol, &Stats{})
-			defer srv.close()
-			_, res.err = srv.serve(p, i)
+			in := newInstance(env, nil, f.ms, pol, &Stats{}, "")
+			defer in.close()
+			_, res.err = in.serve(p, i)
 			res.lat = p.Now() - t0
 		})
 	}
@@ -274,12 +274,11 @@ func (f *cacheImageFleet) runCell(nodes int, coverage float64, decoys bool) (Cac
 			coldN++
 		}
 	}
-	msOf := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	if warmN > 0 {
-		cell.WarmMeanMs = msOf(warmSum / time.Duration(warmN))
+		cell.WarmMeanMs = millis(warmSum / time.Duration(warmN))
 	}
 	if coldN > 0 {
-		cell.ColdMeanMs = msOf(coldSum / time.Duration(coldN))
+		cell.ColdMeanMs = millis(coldSum / time.Duration(coldN))
 	}
 	if warmN > 0 && coldN > 0 && cell.WarmMeanMs > 0 {
 		cell.Speedup = cell.ColdMeanMs / cell.WarmMeanMs
@@ -375,7 +374,7 @@ func CacheImage(cfg CacheImageConfig) (*experiments.Table, *CacheImageBench, err
 		dr := CacheImageDeviceResult{
 			Device: prof.Name, ImageID: cacheimg.ID(raw), ImageBytes: len(raw),
 			Objects:  len(img.Objects),
-			RecordMs: float64(wr.TTFI) / float64(time.Millisecond),
+			RecordMs: millis(wr.TTFI),
 		}
 		fleet := &cacheImageFleet{ms: ms, img: img, raw: raw, id: dr.ImageID, baseDir: baseDir}
 		if devIdx == 0 {

@@ -173,8 +173,8 @@ func Chaos(cfg ChaosConfig) (*experiments.Table, error) {
 					fmt.Sprintf("%.0f%%", 100*pr),
 					fmt.Sprintf("%d/%d", served, cfg.Requests),
 					fmt.Sprintf("%.1f%%", 100*float64(served)/float64(cfg.Requests)),
-					chaosMS(meanDuration(stats.ColdLatencies)),
-					chaosMS(stats.Percentile(0.99)),
+					fmtMs(meanDuration(stats.ColdLatencies)),
+					fmtMs(stats.Percentile(0.99)),
 					fmt.Sprintf("%d", stats.Crashes),
 					fmt.Sprintf("%d", stats.Retries),
 					fmt.Sprintf("%d", stats.DegradedLayers),
@@ -184,19 +184,4 @@ func Chaos(cfg ChaosConfig) (*experiments.Table, error) {
 		}
 	}
 	return table, nil
-}
-
-func chaosMS(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
-}
-
-func meanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
 }

@@ -354,7 +354,7 @@ func runFailoverArm(cfg *FailoverConfig, f *gpuFleet, images *cacheimg.Store, sc
 		inj.ArmGPUDeath(env, i, func() { rig.Nodes[i].Root().MarkDeviceLost() })
 	}
 	if sc.flap {
-		rig.SetLinkFaults(inj)
+		rig.links = inj
 	}
 	var tenants []*failoverTenant
 	hm := NewHealthMonitor(rig.MultiGPUHost, rec)
@@ -410,7 +410,7 @@ func runFailoverArm(cfg *FailoverConfig, f *gpuFleet, images *cacheimg.Store, sc
 			lat := p.Now() - t0
 			stats.recordEvacuated(lat)
 			if rec != nil {
-				rec.Count("evac_ttfi_ms", p.Now(), float64(lat)/1e6)
+				rec.Count("evac_ttfi_ms", p.Now(), millis(lat))
 			}
 			return nil
 		})
@@ -501,8 +501,8 @@ func runFailoverArm(cfg *FailoverConfig, f *gpuFleet, images *cacheimg.Store, sc
 	arm.Evacuated = stats.Evacuated
 	arm.Failed = stats.Failed
 	arm.Evacuations = hm.Evacuations()
-	arm.MeanTTFIMs = float64(stats.Mean()) / 1e6
-	arm.MeanEvacMs = float64(stats.MeanEvac()) / 1e6
+	arm.MeanTTFIMs = millis(stats.Mean())
+	arm.MeanEvacMs = millis(stats.MeanEvac())
 	for _, ft := range tenants {
 		if ft.evacs > 0 {
 			arm.EvacTenants++

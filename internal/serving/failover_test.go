@@ -140,10 +140,10 @@ func TestHealthMonitorLadder(t *testing.T) {
 	var evacuated []int
 	hm.OnEvacuate = func(gpu int, state GPUHealthState) { evacuated = append(evacuated, gpu) }
 
-	if mh.health != HealthSource(hm) {
-		t.Fatal("NewHealthMonitor did not install itself as the host's health source")
+	if mh.health != hm {
+		t.Fatal("NewHealthMonitor did not install itself on the host")
 	}
-	if hm.State(0) != GPUHealthy || !hm.Usable(0) {
+	if hm.State(0) != GPUHealthy || !mh.Usable(0) {
 		t.Fatalf("fresh GPU not healthy: %v", hm.State(0))
 	}
 
@@ -164,7 +164,7 @@ func TestHealthMonitorLadder(t *testing.T) {
 	if hm.State(0) != GPUDegraded {
 		t.Fatalf("one bad tick → %v, want degraded", hm.State(0))
 	}
-	if !hm.Usable(0) {
+	if !mh.Usable(0) {
 		t.Fatal("a degraded GPU must stay usable")
 	}
 	// One clean tick is not enough to recover; a second bad tick resumes the
@@ -178,7 +178,7 @@ func TestHealthMonitorLadder(t *testing.T) {
 	if hm.State(0) != GPUQuarantined {
 		t.Fatalf("persistent degradation → %v, want quarantined", hm.State(0))
 	}
-	if hm.Usable(0) {
+	if mh.Usable(0) {
 		t.Fatal("a quarantined GPU must not be usable")
 	}
 	if len(evacuated) != 1 || evacuated[0] != 0 || hm.Evacuations() != 1 {
@@ -204,14 +204,14 @@ func TestHealthMonitorLadder(t *testing.T) {
 	if now-quarAt < healthProbation {
 		t.Fatalf("rejoined %v after quarantine, inside the %v probation", now-quarAt, healthProbation)
 	}
-	if !hm.Usable(0) || hm.Evacuations() != 1 {
+	if !mh.Usable(0) || hm.Evacuations() != 1 {
 		t.Fatal("rejoined GPU not usable, or rejoin miscounted as evacuation")
 	}
 
 	// Device loss is terminal: dead on the next poll, evacuated once, and
 	// usability drops immediately — before the poll even runs.
 	mh.Nodes[0].Root().MarkDeviceLost()
-	if hm.Usable(0) {
+	if mh.Usable(0) {
 		t.Fatal("driver-lost GPU still usable before the next poll")
 	}
 	tick(false)
@@ -230,7 +230,7 @@ func TestHealthMonitorLadder(t *testing.T) {
 	if len(evacuated) != 2 {
 		t.Fatalf("dead GPU re-fired evacuation: %v", evacuated)
 	}
-	if hm.States()[1] != GPUHealthy {
+	if hm.State(1) != GPUHealthy {
 		t.Fatal("the healthy neighbor was dragged along")
 	}
 }

@@ -67,9 +67,9 @@ type FleetStats struct {
 	TenantLoads []backend.TenantStats
 }
 
-// fleetInstance wraps an instance server with scheduling state.
+// fleetInstance wraps an instance with scheduling state.
 type fleetInstance struct {
-	srv      *ftServer
+	inst     *Instance
 	model    string
 	busy     bool
 	idleFrom time.Duration
@@ -134,11 +134,11 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 	// host at the end instead).
 	closeInst := func(fi *fleetInstance) {
 		if !cfg.Shared {
-			st := fi.srv.inst.pr.RT.Stats()
+			st := fi.inst.pr.RT.Stats()
 			stats.ModuleLoads += st.ModuleLoads
 			stats.BytesLoaded += st.BytesLoaded
 		}
-		fi.srv.close()
+		fi.inst.close()
 	}
 
 	reap := func(now time.Duration) {
@@ -160,15 +160,12 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 	}
 
 	spawn := func(model string, now time.Duration) *fleetInstance {
-		ms := setups[model]
-		var srv *ftServer
+		tenant := ""
 		if cfg.Shared {
-			tenant := fmt.Sprintf("%s/%d", model, stats.Spawned)
-			srv = newTenantFTServer(host, ms, cfg.Policy, &stats.Stats, tenant)
-		} else {
-			srv = newFTServer(env, ms, cfg.Policy, &stats.Stats)
+			tenant = fmt.Sprintf("%s/%d", model, stats.Spawned)
 		}
-		fi := &fleetInstance{srv: srv, model: model, idleFrom: now}
+		inst := newInstance(env, host, setups[model], cfg.Policy, &stats.Stats, tenant)
+		fi := &fleetInstance{inst: inst, model: model, idleFrom: now}
 		pool = append(pool, fi)
 		stats.Spawned++
 		if len(pool) > stats.MaxConcurrent {
@@ -262,7 +259,7 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 				break
 			}
 			fi.busy = true
-			wasCold := !fi.srv.inst.Warm()
+			wasCold := !fi.inst.Warm()
 			arrived := req.At
 			i, model := i, model
 			env.Spawn(fmt.Sprintf("req-%d", i), func(rp *sim.Proc) {
@@ -280,7 +277,7 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 						done.Fire()
 					}
 				}()
-				_, err := fi.srv.serve(rp, i)
+				_, err := fi.inst.serve(rp, i)
 				brk.observe(rp.Now(), err)
 				if err != nil {
 					if !cfg.Policy.FT.ContinueOnError {

@@ -94,9 +94,9 @@ type HealthMonitor struct {
 	stopped bool
 }
 
-// NewHealthMonitor builds a monitor over mh and installs it as the host's
-// health source, so Pick and peering skip quarantined and dead GPUs. Call
-// Start to spawn the polling proc; rec may be nil.
+// NewHealthMonitor builds a monitor over mh and installs it on the host, so
+// Pick and peering skip quarantined and dead GPUs. Call Start to spawn the
+// polling proc; rec may be nil.
 func NewHealthMonitor(mh *MultiGPUHost, rec *trace.Recorder) *HealthMonitor {
 	n := len(mh.Nodes)
 	hm := &HealthMonitor{
@@ -107,7 +107,7 @@ func NewHealthMonitor(mh *MultiGPUHost, rec *trace.Recorder) *HealthMonitor {
 		quarAt: make([]time.Duration, n),
 		last:   make([]backend.Stats, n),
 	}
-	mh.SetHealth(hm)
+	mh.health = hm
 	return hm
 }
 
@@ -132,20 +132,6 @@ func (hm *HealthMonitor) Stop() { hm.stopped = true }
 
 // State returns GPU i's current health state.
 func (hm *HealthMonitor) State(i int) GPUHealthState { return hm.states[i] }
-
-// States returns a snapshot of every GPU's state, indexed like mh.Nodes.
-func (hm *HealthMonitor) States() []GPUHealthState {
-	out := make([]GPUHealthState, len(hm.states))
-	copy(out, hm.states)
-	return out
-}
-
-// Usable reports whether placement and peering may use GPU i right now. A
-// device the driver already reports lost is unusable even before the next
-// poll tick notices.
-func (hm *HealthMonitor) Usable(i int) bool {
-	return hm.states[i].Usable() && !hm.mh.Nodes[i].Root().DeviceLost()
-}
 
 // Evacuations counts GPU transitions into quarantined or dead.
 func (hm *HealthMonitor) Evacuations() int { return hm.evacs }

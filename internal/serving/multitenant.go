@@ -128,7 +128,7 @@ func Multitenant(cfg MultitenantConfig) (*experiments.Table, *MultitenantResult,
 		if iso > 0 {
 			saved = fmt.Sprintf("%.1f%%", 100*(1-float64(sh)/float64(iso)))
 		}
-		table.Rows = append(table.Rows, []string{m, ms(iso), ms(sh), saved})
+		table.Rows = append(table.Rows, []string{m, fmtMs(iso), fmtMs(sh), saved})
 	}
 	for _, ts := range res.Shared.TenantLoads {
 		if ts.Tenant == "" { // root view: no tenant activity of its own
@@ -137,10 +137,6 @@ func Multitenant(cfg MultitenantConfig) (*experiments.Table, *MultitenantResult,
 		table.Notes = append(table.Notes, "shared-arm "+formatTenantLoad(ts))
 	}
 	return table, res, nil
-}
-
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
 }
 
 func join(ss []string) string {

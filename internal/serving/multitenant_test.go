@@ -81,8 +81,8 @@ func TestReplaceTenantPreservesSurvivorModules(t *testing.T) {
 	host := NewGPUHost(hip.NewRuntime(env, device.NewGPU(env, setups["res"].Profile), device.DefaultHost(), setups["res"].Store))
 	var stats Stats
 	pol := Policy{Scheme: core.SchemePaSK}
-	a := newTenantFTServer(host, setups["res"], pol, &stats, "res/0")
-	b := newTenantFTServer(host, setups["vgg"], pol, &stats, "vgg/0")
+	a := newInstance(env, host, setups["res"], pol, &stats, "res/0")
+	b := newInstance(env, host, setups["vgg"], pol, &stats, "vgg/0")
 	env.Spawn("driver", func(p *sim.Proc) {
 		defer host.Close()
 		if _, err := a.serve(p, 0); err != nil {
@@ -93,7 +93,7 @@ func TestReplaceTenantPreservesSurvivorModules(t *testing.T) {
 			t.Errorf("tenant b serve: %v", err)
 			return
 		}
-		pinnedA := a.inst.pr.RT.PinnedPaths()
+		pinnedA := a.pr.RT.PinnedPaths()
 		if len(pinnedA) == 0 {
 			t.Error("survivor holds no pinned modules")
 			return
@@ -101,7 +101,7 @@ func TestReplaceTenantPreservesSurvivorModules(t *testing.T) {
 		// Detached views stay on the runtime's roster for stats attribution,
 		// so a replacement adds one view rather than swapping in place.
 		views := host.Root().NumViews()
-		b.replaceTenant()
+		b.replace()
 		if got := host.Root().NumViews(); got != views+1 {
 			t.Errorf("views = %d after replace, want %d", got, views+1)
 		}
@@ -113,8 +113,8 @@ func TestReplaceTenantPreservesSurvivorModules(t *testing.T) {
 				t.Errorf("survivor module %s lost its reference", path)
 			}
 		}
-		if b.inst.Tenant() != "vgg/0#1" {
-			t.Errorf("replacement tenant = %q, want generation suffix", b.inst.Tenant())
+		if b.view() != "vgg/0#1" {
+			t.Errorf("replacement view = %q, want generation suffix", b.view())
 		}
 		// The replacement serves — warm, since the dead tenant's modules are
 		// still resident on the shared GPU.

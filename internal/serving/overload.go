@@ -267,7 +267,6 @@ func Overload(cfg OverloadConfig) (*experiments.Table, *OverloadBench, error) {
 }
 
 func overloadCell(traceKind, arm string, total int, stats *FleetStats) OverloadCell {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	cell := OverloadCell{
 		Trace:             traceKind,
 		Arm:               arm,
@@ -277,9 +276,9 @@ func overloadCell(traceKind, arm string, total int, stats *FleetStats) OverloadC
 		BreakerRejected:   stats.BreakerRejected,
 		Failed:            stats.Failed,
 		SLOMisses:         stats.SLOMisses,
-		P50Ms:             ms(stats.Percentile(0.5)),
-		P99Ms:             ms(stats.Percentile(0.99)),
-		MeanMs:            ms(stats.Mean()),
+		P50Ms:             millis(stats.Percentile(0.5)),
+		P99Ms:             millis(stats.Percentile(0.99)),
+		MeanMs:            millis(stats.Mean()),
 		ColdStarts:        stats.ColdStarts,
 		BreakerTrips:      stats.BreakerTrips,
 		BreakerRecoveries: stats.BreakerRecoveries,

@@ -8,6 +8,7 @@ import (
 	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/experiments"
+	"pask/internal/faults"
 	"pask/internal/sim"
 	"pask/internal/trace"
 )
@@ -52,24 +53,12 @@ type MultiGPUHost struct {
 	slots  int   // tenant slots per GPU
 	active []int // live tenants per GPU
 
-	// health, when set, gates placement and peering on per-GPU health:
-	// quarantined and dead devices take no new tenants and serve no peer
-	// copies. links, when set, injects link faults into peer transfers.
-	health HealthSource
-	links  LinkFaultSource
-}
-
-// HealthSource answers per-GPU usability queries — implemented by
-// HealthMonitor. Without one, only driver-reported device loss gates use.
-type HealthSource interface {
-	Usable(i int) bool
-}
-
-// LinkFaultSource rolls the fate of a peer transfer over the link between
-// GPUs i and j starting at now: a positive stall stretches the transfer,
-// down fails it after the stall. Implemented by *faults.Injector.
-type LinkFaultSource interface {
-	LinkFault(now time.Duration, i, j int) (stall time.Duration, down bool)
+	// health, when set (NewHealthMonitor installs itself), gates placement
+	// and peering on per-GPU health: quarantined and dead devices take no
+	// new tenants and serve no peer copies. links, when set, rolls link
+	// faults into peer transfers.
+	health *HealthMonitor
+	links  *faults.Injector
 }
 
 // NewMultiGPUHost builds a cold multi-GPU serving host over topo. Each GPU
@@ -96,23 +85,14 @@ func NewMultiGPUHost(env *sim.Env, topo *device.Host, storeFor func(arch string)
 	return mh
 }
 
-// SetHealth installs the host's health source (NewHealthMonitor calls it).
-func (mh *MultiGPUHost) SetHealth(h HealthSource) { mh.health = h }
-
-// SetLinkFaults installs the link-fault source peer transfers consult.
-func (mh *MultiGPUHost) SetLinkFaults(lf LinkFaultSource) { mh.links = lf }
-
 // Usable reports whether GPU i may take tenants and serve peer copies: not
-// driver-lost, and — with a health source installed — not quarantined or
-// dead on the health ladder.
+// driver-lost — even before the next health poll notices — and, with a
+// health monitor installed, not quarantined or dead on the health ladder.
 func (mh *MultiGPUHost) Usable(i int) bool {
 	if mh.Nodes[i].Root().DeviceLost() {
 		return false
 	}
-	if mh.health != nil {
-		return mh.health.Usable(i)
-	}
-	return true
+	return mh.health == nil || mh.health.State(i).Usable()
 }
 
 // Acquire claims a tenant slot on GPU i; Release frees it.

@@ -114,7 +114,7 @@ func Placement(cfg PlacementConfig) (*experiments.Table, *PlacementBench, error)
 	cfg.fill()
 	bench := &PlacementBench{
 		Models: cfg.Models, Batch: cfg.Batch, Tenants: cfg.tenants(), Slots: placementSlots,
-		IntervMs: float64(placementInterval) / 1e6, DwellMs: float64(placementDwell) / 1e6,
+		IntervMs: millis(placementInterval), DwellMs: millis(placementDwell),
 	}
 	table := &experiments.Table{
 		ID: "placement",
@@ -213,7 +213,7 @@ func runPlacementArm(cfg *PlacementConfig, f *gpuFleet, policy PlacementPolicy, 
 				ttfi := p.Now() - t0
 				ttfis = append(ttfis, ttfi)
 				if rec != nil {
-					rec.Count("placement_ttfi_ms", p.Now(), float64(ttfi)/1e6)
+					rec.Count("placement_ttfi_ms", p.Now(), millis(ttfi))
 				}
 				p.Sleep(placementDwell)
 			})
@@ -241,13 +241,13 @@ func runPlacementArm(cfg *PlacementConfig, f *gpuFleet, policy PlacementPolicy, 
 		}
 	}
 	arm.TTFIMeanMs = float64(sum) / float64(len(ttfis)) / 1e6
-	arm.TTFIMaxMs = float64(max) / 1e6
+	arm.TTFIMaxMs = millis(max)
 	for i, g := range rig.gpuStats() {
 		arm.ModuleLoads += g.ModuleLoads
 		arm.BytesLoaded += g.BytesLoaded
 		arm.PeerFetches += g.PeerFetches
 		arm.PeerBytes += g.PeerBytes
-		arm.LoadTimeMs += float64(g.LoadTimeTotal) / 1e6
+		arm.LoadTimeMs += millis(g.LoadTimeTotal)
 		arm.GPUs = append(arm.GPUs, PlacementGPU{
 			Driver: g.driver, Arch: g.arch, Node: g.node,
 			Tenants: perGPU[i], ModuleLoads: g.ModuleLoads, PeerFetches: g.PeerFetches,

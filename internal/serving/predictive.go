@@ -275,7 +275,7 @@ func (c *predCluster) bringup() []string { return c.hotModels(2) }
 func (c *predCluster) instance(n *predNode, model string) *Instance {
 	pol := Policy{Scheme: core.SchemePaSK, Rec: c.rec}
 	pol.Options.Profile = n.used
-	in := NewTenantInstance(n.host, c.setups[model], pol, fmt.Sprintf("%s@n%d", model, n.id))
+	in := newInstance(c.env, n.host, c.setups[model], pol, &Stats{}, fmt.Sprintf("%s@n%d", model, n.id))
 	n.insts[model] = in
 	return in
 }
@@ -348,7 +348,7 @@ func (c *predCluster) serve(n *predNode, model string, i int) {
 		} else {
 			c.cell.Served++
 			c.lats = append(c.lats, ttfi)
-			c.rec.Count("predictive_ttfi_ms", p.Now(), float64(ttfi)/float64(time.Millisecond))
+			c.rec.Count("predictive_ttfi_ms", p.Now(), millis(ttfi))
 			if coldStart {
 				c.cell.ColdServes++
 				c.coldSum += ttfi
@@ -473,19 +473,14 @@ func (c *predCluster) addPrefetch(st warmup.ReplayStats) {
 // finalize computes the cell's derived metrics.
 func (c *predCluster) finalize() PredictiveCell {
 	cell := c.cell
-	msOf := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	if cell.ColdServes > 0 {
-		cell.ColdMs = msOf(c.coldSum / time.Duration(cell.ColdServes))
+		cell.ColdMs = millis(c.coldSum / time.Duration(cell.ColdServes))
 	}
 	if len(c.lats) > 0 {
-		var sum time.Duration
-		for _, l := range c.lats {
-			sum += l
-		}
-		cell.MeanTTFIMs = msOf(sum / time.Duration(len(c.lats)))
+		cell.MeanTTFIMs = millis(meanDuration(c.lats))
 		sorted := slices.Clone(c.lats)
 		slices.Sort(sorted)
-		cell.P95Ms = msOf(sorted[len(sorted)*95/100])
+		cell.P95Ms = millis(sorted[len(sorted)*95/100])
 	}
 	if denom := cell.PrefetchHits + cell.PrefetchMisses; denom > 0 {
 		cell.HitRate = float64(cell.PrefetchHits) / float64(denom)
@@ -539,7 +534,7 @@ func Predictive(cfg PredictiveConfig) (*experiments.Table, *PredictiveBench, err
 	table := &experiments.Table{
 		ID: "Predictive",
 		Title: fmt.Sprintf("predictive proactive loading: %v b%d, %d arrivals, re-rank at %.0fms + %gx crowd",
-			cfg.Models, cfg.Batch, len(arrivals), float64(shiftAt)/float64(time.Millisecond), predCrowdPeak),
+			cfg.Models, cfg.Batch, len(arrivals), millis(shiftAt), predCrowdPeak),
 		Headers: []string{"device", "arm", "nodes", "prewarm", "ttfi_ms", "p95_ms", "cold", "cold_ms",
 			"pf_hits", "pf_miss", "pf_waste", "hit_rate", "failed"},
 		Notes: []string{
@@ -552,7 +547,7 @@ func Predictive(cfg PredictiveConfig) (*experiments.Table, *PredictiveBench, err
 	}
 	bench := &PredictiveBench{
 		Experiment: "predictive", Models: cfg.Models, Batch: cfg.Batch, Seed: predSeed,
-		Requests: len(arrivals), ShiftAtMs: float64(shiftAt) / float64(time.Millisecond),
+		Requests: len(arrivals), ShiftAtMs: millis(shiftAt),
 	}
 
 	for devIdx, prof := range device.Profiles() {

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"time"
 
+	"pask/internal/backend"
 	"pask/internal/core"
 	"pask/internal/experiments"
 	"pask/internal/faults"
@@ -101,25 +102,30 @@ const (
 	maxRetryBackoff = 4 * retryBackoff
 )
 
-// Instance is one process serving one model. The first request on a fresh
-// (or evicted) instance is a cold start; later requests reuse the warm
-// state.
+// Instance is one serving slot for one model: the live process — isolated,
+// or a tenant view of a shared GPUHost — its warm state, and the
+// fault-tolerance contract that replaces the process after a crash. The
+// first request on a fresh (or evicted) process is a cold start; later
+// requests reuse the warm state.
 type Instance struct {
+	env    *sim.Env
 	ms     *experiments.ModelSetup
-	pr     *experiments.Process
 	policy Policy
+	stats  *Stats
 
-	// host and tenant are set for instances attached to a shared GPU
-	// (NewTenantInstance): the process is a refcounted view of the host's
-	// runtime and the cache a tenant view of the host's shared cache.
+	// host is the shared GPU a tenant instance attaches to (nil: the
+	// instance owns its device). tenant is the base tenant name; gen counts
+	// crash replacements, so each replacement's runtime and cache views get
+	// a distinguishable name (see view).
 	host   *GPUHost
 	tenant string
+	gen    int
 
+	pr          *experiments.Process
 	cache       core.Cache
 	model       *graphx.CompiledModel // the plan the last cold start ran
 	initialized bool
 	served      int
-	skipped     []SkippedLoad
 	lastResult  *core.Result
 
 	// prefetch replays the policy's warmup manifest for this model, when
@@ -128,34 +134,86 @@ type Instance struct {
 	prefetch *warmup.Prefetcher
 }
 
-// SkippedLoad records one avoided solution load for background loading.
-type SkippedLoad struct {
-	Key string
-}
-
-// NewInstance creates a cold instance inside env. A policy with a fault
-// injector wires it into the new process's runtime (load-latency spikes)
-// and arms the plan's device reset against the first instance created.
-func NewInstance(env *sim.Env, ms *experiments.ModelSetup, policy Policy) *Instance {
-	in := &Instance{ms: ms, pr: ms.NewProcessIn(env), policy: policy}
-	if policy.Faults != nil {
-		in.pr.RT.SetLoadFaults(policy.Faults)
-		policy.Faults.ArmReset(env, in.pr.RT.UnloadAll)
-	}
-	if policy.Rec != nil {
-		in.pr.Record(policy.Rec)
-	}
-	in.startWarmup(env)
+// newInstance brings up a cold instance of ms that owns a fresh device in
+// env or, with host set, attaches to the shared GPU as the named tenant.
+// Request outcomes and warmup replays are accounted in stats.
+func newInstance(env *sim.Env, host *GPUHost, ms *experiments.ModelSetup, policy Policy, stats *Stats, tenant string) *Instance {
+	in := &Instance{env: env, ms: ms, policy: policy, stats: stats, host: host, tenant: tenant}
+	in.start()
 	return in
 }
 
-// startWarmup spawns the manifest-replay thread when the policy carries a
-// profile for this instance's model. Replay begins the moment the instance
-// exists — overlapping whatever bring-up precedes the first request.
-func (in *Instance) startWarmup(env *sim.Env) {
-	if man := in.policy.Warmup[in.ms.Spec.Abbr]; man != nil && len(man.Entries) > 0 {
-		in.prefetch = warmup.Start(env, in.pr.RT, man, in.policy.Rec)
+// view names the live process's runtime and shared-cache views: the tenant
+// name, generation-suffixed after a replacement ("res/0", then "res/0#1").
+func (in *Instance) view() string {
+	if in.gen == 0 {
+		return in.tenant
 	}
+	return fmt.Sprintf("%s#%d", in.tenant, in.gen)
+}
+
+// start brings up a fresh cold process: a private device, or a refcounted
+// view of the host's runtime. A policy with a fault injector wires it into
+// the process's runtime (load-latency spikes; on a shared GPU they hit
+// whichever tenant triggers the load) and arms the plan's device reset
+// against the device root, once per plan. When the policy carries a profile
+// for the model, manifest replay begins the moment the process exists —
+// overlapping whatever bring-up precedes the first request.
+func (in *Instance) start() {
+	var root *backend.Registry
+	if in.host == nil {
+		in.pr = in.ms.NewProcessIn(in.env)
+		root = in.pr.RT
+	} else {
+		root = in.host.Root()
+		in.pr = in.ms.AttachIn(root, in.view())
+	}
+	in.served, in.initialized, in.lastResult = 0, false, nil
+	if in.policy.Faults != nil {
+		in.pr.RT.SetLoadFaults(in.policy.Faults)
+		in.policy.Faults.ArmReset(in.pr.Env, root.UnloadAll)
+	}
+	if in.policy.Rec != nil {
+		in.pr.Record(in.policy.Rec)
+	}
+	if man := in.policy.Warmup[in.ms.Spec.Abbr]; man != nil && len(man.Entries) > 0 {
+		in.prefetch = warmup.Start(in.pr.Env, in.pr.RT, man, in.policy.Rec)
+	}
+}
+
+// close tears the live process down after banking its warmup replay in the
+// stats. An isolated instance owns its device and closes it outright; a
+// tenant only detaches its view — pins drop so eviction may reclaim its
+// modules, but nothing is unloaded and the device, its modules and the
+// other tenants stay live.
+func (in *Instance) close() {
+	if pf := in.prefetch; pf != nil {
+		in.prefetch = nil
+		st := pf.Stats()
+		in.stats.WarmupReplays++
+		in.stats.WarmupLoads += st.Loaded + st.Coalesced
+		in.stats.WarmupStale += st.Stale
+	}
+	if in.host != nil {
+		in.pr.RT.Detach()
+		return
+	}
+	in.pr.GPU.CloseAll()
+}
+
+// replace swaps the live process for a fresh cold one — the
+// spot-preemption machinery reused for crash recovery. On a shared GPU the
+// shared negative cache is cleared too (a fresh isolated process starts
+// with an empty one, and recovery must be able to retry loads the dead
+// tenant poisoned), and the fresh view attaches under the next generation's
+// name. The GPU, its context and every surviving tenant stay live.
+func (in *Instance) replace() {
+	in.close()
+	if in.host != nil {
+		in.host.Root().ClearFailures()
+		in.gen++
+	}
+	in.start()
 }
 
 // Warm reports whether the instance has completed its first request.
@@ -175,7 +233,7 @@ func (in *Instance) initProcess(p *sim.Proc) error {
 		// categorical one — a flat PaSK-R scan over every tenant's entries
 		// would charge each tenant for the whole GPU's working set, so the
 		// PaSK-R ablation is only meaningful on isolated instances.
-		v := in.host.Cache.View(in.tenant)
+		v := in.host.Cache.View(in.view())
 		core.SeedResidents(v, in.pr.Runner.Lib)
 		in.cache = v
 	} else {
@@ -377,16 +435,7 @@ func (s *Stats) recordEvacuated(lat time.Duration) {
 }
 
 // MeanEvac returns the average latency over EvacLatencies.
-func (s *Stats) MeanEvac() time.Duration {
-	if len(s.EvacLatencies) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, l := range s.EvacLatencies {
-		sum += l
-	}
-	return sum / time.Duration(len(s.EvacLatencies))
-}
+func (s *Stats) MeanEvac() time.Duration { return meanDuration(s.EvacLatencies) }
 
 // Percentile returns the q-quantile latency. q is clamped into [0,1]
 // (callers passing q outside the range get the min/max latency rather than
@@ -421,87 +470,34 @@ func (s *Stats) Percentile(q float64) time.Duration {
 
 // Mean returns the average latency over Latencies — the same successful
 // requests Percentile ranges over (failed requests are excluded from both).
-func (s *Stats) Mean() time.Duration {
-	if len(s.Latencies) == 0 {
+func (s *Stats) Mean() time.Duration { return meanDuration(s.Latencies) }
+
+// meanDuration averages ds; 0 when empty.
+func meanDuration(ds []time.Duration) time.Duration {
+	if len(ds) == 0 {
 		return 0
 	}
 	var sum time.Duration
-	for _, l := range s.Latencies {
-		sum += l
+	for _, d := range ds {
+		sum += d
 	}
-	return sum / time.Duration(len(s.Latencies))
+	return sum / time.Duration(len(ds))
 }
 
-// ftServer owns the live instance of a serving scenario so crash recovery
-// can replace it mid-trace, and funnels every request through the policy's
-// fault-tolerance contract. Without fault tolerance it behaves exactly like
-// calling Instance.Serve directly.
-type ftServer struct {
-	env    *sim.Env
-	ms     *experiments.ModelSetup
-	policy Policy
-	stats  *Stats
-	inst   *Instance
+// millis converts d to fractional milliseconds, the unit of every
+// experiment envelope and counter.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-	// host/tenant are set for servers attached to a shared GPU; gen counts
-	// tenant replacements so recovered views get distinguishable names.
-	host   *GPUHost
-	tenant string
-	gen    int
-}
-
-func newFTServer(env *sim.Env, ms *experiments.ModelSetup, policy Policy, stats *Stats) *ftServer {
-	return &ftServer{env: env, ms: ms, policy: policy, stats: stats, inst: NewInstance(env, ms, policy)}
-}
-
-// foldWarmup banks the live instance's replay accounting into the stats
-// before the instance goes away. Idempotent per instance: the prefetch
-// handle is cleared after folding.
-func (s *ftServer) foldWarmup() {
-	pf := s.inst.prefetch
-	if pf == nil {
-		return
-	}
-	s.inst.prefetch = nil
-	st := pf.Stats()
-	s.stats.WarmupReplays++
-	s.stats.WarmupLoads += st.Loaded + st.Coalesced
-	s.stats.WarmupStale += st.Stale
-}
-
-// close tears down the live instance. Isolated instances own their device
-// and close it outright; tenants on a shared GPU only detach their runtime
-// view — the device, its modules and the other tenants stay live.
-func (s *ftServer) close() {
-	s.foldWarmup()
-	if s.host != nil {
-		s.detachTenant()
-		return
-	}
-	s.inst.pr.GPU.CloseAll()
-}
-
-// replace tears the live instance down and brings up a fresh cold one — the
-// spot-preemption machinery reused for crash recovery. On a shared GPU the
-// replacement must not destroy modules other tenants hold, so only the
-// crashed tenant's view is swapped (see replaceTenant).
-func (s *ftServer) replace() {
-	s.foldWarmup()
-	if s.host != nil {
-		s.replaceTenant()
-		return
-	}
-	s.inst.pr.GPU.CloseAll()
-	s.inst = NewInstance(s.env, s.ms, s.policy)
-}
+// fmtMs renders d in milliseconds with two decimals, the table cell format.
+func fmtMs(d time.Duration) string { return fmt.Sprintf("%.2f", millis(d)) }
 
 // harvest folds a fresh run result into the degradation counters. prev is
 // the result pointer observed before the serve: schemes that do not produce
 // per-request results leave it unchanged.
-func (s *ftServer) harvest(prev *core.Result) {
-	if res := s.inst.lastResult; res != nil && res != prev {
-		s.stats.DegradedLayers += res.Degraded()
-		s.stats.PressureReuse += res.PressureReuse
+func (in *Instance) harvest(prev *core.Result) {
+	if res := in.lastResult; res != nil && res != prev {
+		in.stats.DegradedLayers += res.Degraded()
+		in.stats.PressureReuse += res.PressureReuse
 	}
 }
 
@@ -509,45 +505,45 @@ func (s *ftServer) harvest(prev *core.Result) {
 // outcome in the stats and emits the request's span. The returned error is
 // the request's final typed error after retries, recovery and the deadline
 // check.
-func (s *ftServer) serve(p *sim.Proc, idx int) (time.Duration, error) {
+func (in *Instance) serve(p *sim.Proc, idx int) (time.Duration, error) {
 	start := p.Now()
-	wasCold := !s.inst.Warm()
-	lat, err := s.serveChecked(p, idx)
-	if s.policy.Rec != nil {
+	wasCold := !in.Warm()
+	lat, err := in.serveChecked(p, idx)
+	if in.policy.Rec != nil {
 		track := "serving"
 		attrs := []metrics.Attr{
-			{Key: "model", Value: s.ms.Model.Name},
+			{Key: "model", Value: in.ms.Model.Name},
 			{Key: "request", Value: fmt.Sprint(idx)},
 			{Key: "cold", Value: fmt.Sprint(wasCold)},
 		}
-		if s.tenant != "" {
-			track = "serving:" + s.tenant
-			attrs = append(attrs, metrics.Attr{Key: "tenant", Value: s.tenant})
+		if in.tenant != "" {
+			track = "serving:" + in.tenant
+			attrs = append(attrs, metrics.Attr{Key: "tenant", Value: in.tenant})
 		}
 		if err != nil {
 			attrs = append(attrs, metrics.Attr{Key: "error", Value: err.Error()})
 		}
-		s.policy.Rec.Span(track, metrics.CatOther, fmt.Sprintf("request-%d", idx), start, p.Now(), attrs...)
+		in.policy.Rec.Span(track, metrics.CatOther, fmt.Sprintf("request-%d", idx), start, p.Now(), attrs...)
 	}
 	return lat, err
 }
 
-func (s *ftServer) serveChecked(p *sim.Proc, idx int) (time.Duration, error) {
-	if !s.policy.FT.enabled() {
-		prev := s.inst.lastResult
-		lat, err := s.inst.Serve(p)
+func (in *Instance) serveChecked(p *sim.Proc, idx int) (time.Duration, error) {
+	if !in.policy.FT.enabled() {
+		prev := in.lastResult
+		lat, err := in.Serve(p)
 		if err == nil {
-			s.harvest(prev)
+			in.harvest(prev)
 		}
 		return lat, err
 	}
-	lat, err := s.serveAttempts(p)
-	if err == nil && s.policy.FT.Deadline > 0 && lat > s.policy.FT.Deadline {
-		s.stats.DeadlineMisses++
-		err = fmt.Errorf("%w: served in %v, deadline %v", ErrDeadlineExceeded, lat, s.policy.FT.Deadline)
+	lat, err := in.serveAttempts(p)
+	if err == nil && in.policy.FT.Deadline > 0 && lat > in.policy.FT.Deadline {
+		in.stats.DeadlineMisses++
+		err = fmt.Errorf("%w: served in %v, deadline %v", ErrDeadlineExceeded, lat, in.policy.FT.Deadline)
 	}
 	if err != nil {
-		s.stats.recordFailure(idx, err)
+		in.stats.recordFailure(idx, err)
 		return 0, err
 	}
 	return lat, nil
@@ -557,29 +553,29 @@ func (s *ftServer) serveChecked(p *sim.Proc, idx int) (time.Duration, error) {
 // exponential backoff from retryBackoff (seeded jitter), then declares the
 // instance crashed, replaces it and makes one final attempt on the fresh
 // process (which also starts with an empty negative load cache).
-func (s *ftServer) serveAttempts(p *sim.Proc) (time.Duration, error) {
-	ft := s.policy.FT
-	b := backoff{base: retryBackoff, max: maxRetryBackoff, seed: ft.BackoffSeed, key: s.ms.Spec.Abbr}
+func (in *Instance) serveAttempts(p *sim.Proc) (time.Duration, error) {
+	ft := in.policy.FT
+	b := backoff{base: retryBackoff, max: maxRetryBackoff, seed: ft.BackoffSeed, key: in.ms.Spec.Abbr}
 	var lat time.Duration
-	err := b.retry(p, max(ft.MaxRetries, 0)+1, &s.stats.Retries, func(attempt int) (bool, error) {
-		prev := s.inst.lastResult
+	err := b.retry(p, max(ft.MaxRetries, 0)+1, &in.stats.Retries, func(attempt int) (bool, error) {
+		prev := in.lastResult
 		var err error
-		if lat, err = s.inst.Serve(p); err == nil {
-			s.harvest(prev)
+		if lat, err = in.Serve(p); err == nil {
+			in.harvest(prev)
 		}
 		return attempt < ft.MaxRetries, err
 	})
 	if err == nil {
 		return lat, nil
 	}
-	s.stats.Crashes++
-	s.replace()
-	lat, rerr := s.inst.Serve(p)
+	in.stats.Crashes++
+	in.replace()
+	lat, rerr := in.Serve(p)
 	if rerr != nil {
 		return 0, fmt.Errorf("%w: %v (replacement failed: %w)", ErrInstanceCrashed, err, rerr)
 	}
-	s.stats.Recovered++
-	s.harvest(nil)
+	in.stats.Recovered++
+	in.harvest(nil)
 	return lat, nil
 }
 
@@ -623,15 +619,15 @@ func serveSequential(ms *experiments.ModelSetup, policy Policy, trace Trace, eve
 		trace = ApplyFlood(trace, policy.Faults.Plan())
 	}
 	stats := &Stats{}
-	srv := newFTServer(env, ms, policy, stats)
+	in := newInstance(env, nil, ms, policy, stats, "")
 	migrations := 0
 	var runErr error
 	env.Spawn("server", func(p *sim.Proc) {
-		defer func() { srv.close() }()
+		defer in.close()
 		for i, req := range trace {
 			if req.At > p.Now() {
 				// Idle until the next arrival; use the gap productively.
-				n, err := srv.inst.Idle(p, req.At-p.Now())
+				n, err := in.Idle(p, req.At-p.Now())
 				if err != nil {
 					runErr = err
 					return
@@ -639,8 +635,8 @@ func serveSequential(ms *experiments.ModelSetup, policy Policy, trace Trace, eve
 				stats.BGLoads += n
 				p.SleepUntil(req.At)
 			}
-			wasCold := !srv.inst.Warm()
-			lat, err := srv.serve(p, i)
+			wasCold := !in.Warm()
+			lat, err := in.serve(p, i)
 			if err != nil {
 				if policy.FT.ContinueOnError {
 					continue
@@ -656,9 +652,9 @@ func serveSequential(ms *experiments.ModelSetup, policy Policy, trace Trace, eve
 			switch {
 			case every <= 0 || (i+1)%every != 0:
 			case !preempt:
-				srv.inst.Evict()
+				in.Evict()
 			case i != len(trace)-1:
-				srv.replace()
+				in.replace()
 				migrations++
 			}
 		}
