@@ -4,10 +4,12 @@
 // The engine is the substrate for the whole PASK reproduction — the
 // substitution that replaces the paper's ROCm testbed with virtual time: host
 // threads (the §III-A parser / loader / issuer), the GPU command streams, the
-// storage backend and the inference server are all sim processes. Exactly one goroutine (either
-// the scheduler or the currently running process) executes at any instant, so
-// runs are fully deterministic: events at equal timestamps are ordered by
-// creation sequence.
+// storage backend and the inference server are all sim processes. A process
+// that blocks pops the next event itself and hands the CPU straight to that
+// process, or simply returns when the event is its own. Exactly one goroutine
+// (the running process, or Run's caller before the first dispatch and after
+// the last) executes at any instant, so runs are fully deterministic: events
+// at equal timestamps are ordered by creation sequence.
 //
 // A process is an ordinary function receiving a *Proc handle. It advances
 // virtual time with Proc.Sleep and synchronizes with other processes through
@@ -89,37 +91,31 @@ func (h *eventHeap) popEvent() event {
 	return top
 }
 
-// yieldMsg is the handoff from a process goroutine back to the scheduler.
-type yieldMsg struct {
-	p     *Proc
-	done  bool
-	panic any
-	stack []byte
-}
-
 // Env is a simulation environment: a virtual clock plus an event calendar.
 // The zero value is not usable; construct with NewEnv.
 type Env struct {
 	now     time.Duration
 	seq     int64
 	q       eventHeap
-	yield   chan yieldMsg
 	procs   map[*Proc]struct{}
+	horizon time.Duration // of the current run; negative for none
+	done    chan error    // ends a run: nil, or the *PanicError that stopped it
 	running bool
-	stopped bool
 
-	// OnDispatch, when set, observes every event-loop dispatch: the virtual
-	// time, the process about to resume and the number of events still
-	// queued. The tracing layer samples queue depth through it. It runs on
-	// the scheduler goroutine and must not call back into the environment.
+	// OnDispatch, when set, observes every dispatch: the virtual time, the
+	// process about to resume and the number of events still queued. The
+	// tracing layer samples queue depth through it. It runs on the goroutine
+	// of the process that yields (or of Run's caller for a run's first
+	// dispatch); it must not call back into the environment and must not
+	// panic.
 	OnDispatch func(at time.Duration, proc string, queueLen int)
 }
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
 	return &Env{
-		yield: make(chan yieldMsg),
 		procs: make(map[*Proc]struct{}),
+		done:  make(chan error),
 	}
 }
 
@@ -170,12 +166,13 @@ func (e *Env) SpawnAt(t time.Duration, name string, fn func(p *Proc)) *Proc {
 	go func() {
 		<-p.resume
 		defer func() {
-			m := yieldMsg{p: p, done: true}
+			p.dead = true
+			delete(e.procs, p)
 			if r := recover(); r != nil {
-				m.panic = r
-				m.stack = debug.Stack()
+				e.done <- &PanicError{Proc: p.name, Value: r, Stack: string(debug.Stack())}
+				return
 			}
-			e.yield <- m
+			e.resume(e.next())
 		}()
 		fn(p)
 	}()
@@ -183,10 +180,45 @@ func (e *Env) SpawnAt(t time.Duration, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// yieldToScheduler transfers control from the running process back to the
-// scheduler and blocks until the scheduler resumes this process.
-func (p *Proc) yieldToScheduler() {
-	p.env.yield <- yieldMsg{p: p}
+// next pops the next event of a live process, sets the clock to it and
+// reports the dispatch. It returns nil when the run is over: the calendar is
+// drained, or its next event lies past the run's horizon.
+func (e *Env) next() *Proc {
+	for e.q.Len() > 0 {
+		if e.horizon >= 0 && e.q.peek().at > e.horizon {
+			return nil
+		}
+		ev := e.q.popEvent()
+		if ev.p.dead {
+			continue
+		}
+		e.now = ev.at
+		if e.OnDispatch != nil {
+			e.OnDispatch(ev.at, ev.p.name, e.q.Len())
+		}
+		return ev.p
+	}
+	return nil
+}
+
+// resume hands the CPU to process q, or back to Run when q is nil.
+func (e *Env) resume(q *Proc) {
+	if q == nil {
+		e.done <- nil
+		return
+	}
+	q.resume <- struct{}{}
+}
+
+// yield hands the CPU to the next process due and blocks until this process
+// is dispatched again. When the next event is this process's own, it returns
+// at once, with no goroutine switch.
+func (p *Proc) yield() {
+	q := p.env.next()
+	if q == p {
+		return
+	}
+	p.env.resume(q)
 	<-p.resume
 }
 
@@ -198,7 +230,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	e := p.env
 	e.q.pushEvent(event{at: e.now + d, seq: e.nextSeq(), p: p})
-	p.yieldToScheduler()
+	p.yield()
 }
 
 // SleepUntil advances the process to absolute virtual time t (no-op if t is
@@ -214,7 +246,7 @@ func (p *Proc) SleepUntil(t time.Duration) {
 // the synchronization primitives in this package.
 func (p *Proc) park() {
 	p.parked = true
-	p.yieldToScheduler()
+	p.yield()
 }
 
 // unpark schedules a parked process to resume at the current time. It must
@@ -266,28 +298,17 @@ func (e *Env) run(horizon time.Duration) error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for e.q.Len() > 0 {
-		if horizon >= 0 && e.q.peek().at > horizon {
-			e.now = horizon
-			return nil
+	e.horizon = horizon
+	if p := e.next(); p != nil {
+		p.resume <- struct{}{}
+		if err := <-e.done; err != nil {
+			return err
 		}
-		ev := e.q.popEvent()
-		if ev.p.dead {
-			continue
-		}
-		e.now = ev.at
-		if e.OnDispatch != nil {
-			e.OnDispatch(ev.at, ev.p.name, e.q.Len())
-		}
-		ev.p.resume <- struct{}{}
-		m := <-e.yield
-		if m.done {
-			m.p.dead = true
-			delete(e.procs, m.p)
-			if m.panic != nil {
-				return &PanicError{Proc: m.p.name, Value: m.panic, Stack: string(m.stack)}
-			}
-		}
+	}
+	if e.q.Len() > 0 {
+		// Later events remain: the run stopped at the horizon.
+		e.now = horizon
+		return nil
 	}
 	if horizon >= 0 && horizon > e.now {
 		e.now = horizon
