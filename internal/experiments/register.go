@@ -39,22 +39,6 @@ func convOnly(models []string) []string {
 	return out
 }
 
-// firstModel picks the run's model from an explicit selection, else def.
-func firstModel(models []string, def string) string {
-	if len(models) > 0 {
-		return models[0]
-	}
-	return def
-}
-
-// firstBatch picks the run's batch from an explicit selection, else 1.
-func firstBatch(batches []int) int {
-	if len(batches) > 0 {
-		return batches[0]
-	}
-	return 1
-}
-
 // tables wraps tables into a Result, dropping trailing nils.
 func tables(ts ...*Table) *Result {
 	r := &Result{}
@@ -162,9 +146,7 @@ func init() {
 	Register(Experiment{
 		Name:        "coldstart",
 		Description: "one PaSK cold start with a full exportable timeline",
-		Run: func(o Options) (*Result, error) {
-			return runColdstartExp(firstModel(o.Models, "res"), firstBatch(o.Batches), o)
-		},
+		Run:         runColdstartExp,
 	})
 	Register(Experiment{
 		Name:        "warmup",
@@ -175,7 +157,7 @@ func init() {
 			if o.Quick {
 				def = "alex"
 			}
-			tbl, bench, err := WarmupExperiment(firstModel(o.Models, def), firstBatch(o.Batches), o.Trace)
+			tbl, bench, err := WarmupExperiment(o.Model(def), o.Batch(), o.Trace)
 			if err != nil {
 				return nil, err
 			}
@@ -207,9 +189,11 @@ func runExtCrossModel(o Options) (*Result, error) {
 	return tables(tbl), nil
 }
 
-// runColdstartExp executes one PaSK cold start, recording the timeline
-// into o.Trace when set.
-func runColdstartExp(model string, batch int, o Options) (*Result, error) {
+// runColdstartExp executes one PaSK cold start of the first selected model
+// (default res) at the first selected batch, recording the timeline into
+// o.Trace when set.
+func runColdstartExp(o Options) (*Result, error) {
+	model, batch := o.Model("res"), o.Batch()
 	ms, err := PrepareModel(model, batch, device.MI100())
 	if err != nil {
 		return nil, err

@@ -27,6 +27,22 @@ type Options struct {
 	Batches []int
 }
 
+// Model returns the first selected model, or def when none is selected.
+func (o Options) Model(def string) string {
+	if len(o.Models) > 0 {
+		return o.Models[0]
+	}
+	return def
+}
+
+// Batch returns the first selected batch, or 1 when none is selected.
+func (o Options) Batch() int {
+	if len(o.Batches) > 0 {
+		return o.Batches[0]
+	}
+	return 1
+}
+
 // Result is what a registered experiment hands back: human-readable tables
 // in print order, plus an optional machine-readable payload.
 type Result struct {

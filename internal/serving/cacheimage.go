@@ -28,17 +28,6 @@ func pullDuration(bytes int64) time.Duration {
 	return latency + time.Duration(float64(bytes)/bytesPerSec*float64(time.Second))
 }
 
-// CacheImageConfig parameterizes the cache-image distribution experiment.
-type CacheImageConfig struct {
-	Model string // zoo abbreviation (default "res"; quick "alex")
-	Batch int    // default 1
-	// Rec, when set, captures the first device's chaos-arm attach/reject
-	// counters on the timeline.
-	Rec *trace.Recorder
-	// Quick shrinks the sweep for CI smoke runs.
-	Quick bool
-}
-
 // The distribution scenario's fixed parameters.
 const (
 	// cacheImagePullAttempts bounds per-node transfer attempts (truncated
@@ -54,23 +43,11 @@ const (
 	cacheImageSeed = 13
 )
 
-func (c *CacheImageConfig) fill() {
-	if c.Model == "" {
-		c.Model = "res"
-		if c.Quick {
-			c.Model = "alex"
-		}
-	}
-	if c.Batch <= 0 {
-		c.Batch = 1
-	}
-}
-
-// sweep returns the fleet sizes and the fractions of each fleet pre-seeded
-// with the image. Coverage 0 is the all-cold baseline; the chaos arm reruns
-// the largest fleet.
-func (c *CacheImageConfig) sweep() (nodes []int, coverages []float64) {
-	if c.Quick {
+// cacheImageSweep returns the fleet sizes and the fractions of each fleet
+// pre-seeded with the image. Coverage 0 is the all-cold baseline; the chaos
+// arm reruns the largest fleet.
+func cacheImageSweep(quick bool) (nodes []int, coverages []float64) {
+	if quick {
 		return []int{3}, []float64{0, 1}
 	}
 	return []int{4, 8}, []float64{0, 0.5, 1}
@@ -134,8 +111,9 @@ type cacheImageFleet struct {
 	id      string
 	inj     *faults.Injector
 	baseDir string
-	// rec is cfg.Rec on the first device only (the overload experiment's
-	// convention): one device's chaos arm lands on the timeline.
+	// rec is the run's recorder on the first device only (the overload
+	// experiment's convention): one device's chaos arm lands on the
+	// timeline.
 	rec *trace.Recorder
 }
 
@@ -334,14 +312,22 @@ func emitCounters(rec *trace.Recorder, at time.Duration, cell CacheImageCell) {
 // re-runs the largest fleet at full coverage under corruption, truncation
 // and node-death injection plus two planted decoy images, proving every
 // failure mode degrades to a correct cold start (zero failed requests,
-// shared store untouched) with the rejections counted.
-func CacheImage(cfg CacheImageConfig) (*experiments.Table, *CacheImageBench, error) {
-	cfg.fill()
-	nodeSizes, coverages := cfg.sweep()
+// shared store untouched) with the rejections counted. It distributes the
+// first selected model (default res, quick alex) at the first selected
+// batch (default and minimum 1); o.Quick shrinks the sweep, and o.Trace
+// captures the first device's chaos-arm attach/reject counters. The result
+// carries the table and a *CacheImageBench.
+func CacheImage(o experiments.Options) (*experiments.Result, error) {
+	def := "res"
+	if o.Quick {
+		def = "alex"
+	}
+	model, batch := o.Model(def), max(o.Batch(), 1)
+	nodeSizes, coverages := cacheImageSweep(o.Quick)
 	table := &experiments.Table{
 		ID: "CacheImage",
 		Title: fmt.Sprintf("cache-image distribution: %s b%d, fleets %v, coverage %v",
-			cfg.Model, cfg.Batch, nodeSizes, coverages),
+			model, batch, nodeSizes, coverages),
 		Headers: []string{"device", "arm", "nodes", "cover", "seeded", "attached",
 			"warm_ms", "cold_ms", "speedup", "retries", "quar", "rejects", "killed", "failed"},
 		Notes: []string{
@@ -350,26 +336,26 @@ func CacheImage(cfg CacheImageConfig) (*experiments.Table, *CacheImageBench, err
 			fmt.Sprintf("seed=%d; the bench JSON is byte-identical across runs", cacheImageSeed),
 		},
 	}
-	bench := &CacheImageBench{Experiment: "cacheimage", Model: cfg.Model, Batch: cfg.Batch, Seed: cacheImageSeed}
+	bench := &CacheImageBench{Experiment: "cacheimage", Model: model, Batch: batch, Seed: cacheImageSeed}
 
 	baseDir, err := os.MkdirTemp("", "pask-cacheimage-*")
 	if err != nil {
-		return nil, nil, fmt.Errorf("serving: cacheimage workdir: %w", err)
+		return nil, fmt.Errorf("serving: cacheimage workdir: %w", err)
 	}
 	defer os.RemoveAll(baseDir)
 
 	for devIdx, prof := range device.Profiles() {
-		ms, err := experiments.PrepareModel(cfg.Model, cfg.Batch, prof)
+		ms, err := experiments.PrepareModel(model, batch, prof)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		img, wr, err := ms.BuildCacheImage()
 		if err != nil {
-			return nil, nil, fmt.Errorf("cacheimage %s: %w", prof.Name, err)
+			return nil, fmt.Errorf("cacheimage %s: %w", prof.Name, err)
 		}
 		raw, err := img.Encode()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		dr := CacheImageDeviceResult{
 			Device: prof.Name, ImageID: cacheimg.ID(raw), ImageBytes: len(raw),
@@ -378,7 +364,7 @@ func CacheImage(cfg CacheImageConfig) (*experiments.Table, *CacheImageBench, err
 		}
 		fleet := &cacheImageFleet{ms: ms, img: img, raw: raw, id: dr.ImageID, baseDir: baseDir}
 		if devIdx == 0 {
-			fleet.rec = cfg.Rec
+			fleet.rec = o.Trace
 		}
 
 		row := func(arm string, cell CacheImageCell) {
@@ -398,7 +384,7 @@ func CacheImage(cfg CacheImageConfig) (*experiments.Table, *CacheImageBench, err
 			for _, cov := range coverages {
 				cell, err := fleet.runCell(nodes, cov, false)
 				if err != nil {
-					return nil, nil, fmt.Errorf("cacheimage %s n=%d c=%.2f: %w", prof.Name, nodes, cov, err)
+					return nil, fmt.Errorf("cacheimage %s n=%d c=%.2f: %w", prof.Name, nodes, cov, err)
 				}
 				dr.Cells = append(dr.Cells, cell)
 				row("sweep", cell)
@@ -415,11 +401,11 @@ func CacheImage(cfg CacheImageConfig) (*experiments.Table, *CacheImageBench, err
 		chaosNodes := nodeSizes[len(nodeSizes)-1]
 		chaos, err := fleet.runCell(chaosNodes, 1, true)
 		if err != nil {
-			return nil, nil, fmt.Errorf("cacheimage %s chaos: %w", prof.Name, err)
+			return nil, fmt.Errorf("cacheimage %s chaos: %w", prof.Name, err)
 		}
 		dr.Chaos = &chaos
 		row("chaos", chaos)
 		bench.Devices = append(bench.Devices, dr)
 	}
-	return table, bench, nil
+	return &experiments.Result{Tables: []*experiments.Table{table}, Bench: bench}, nil
 }

@@ -27,10 +27,11 @@ func TestTransferModelDuration(t *testing.T) {
 // via cold-start fallback with its rejections counted.
 func TestCacheImageAcceptance(t *testing.T) {
 	rec := trace.New()
-	_, bench, err := CacheImage(CacheImageConfig{Quick: true, Rec: rec})
+	res, err := CacheImage(experiments.Options{Quick: true, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bench := res.Bench.(*CacheImageBench)
 	if len(bench.Devices) != 3 {
 		t.Fatalf("expected 3 device profiles, got %d", len(bench.Devices))
 	}

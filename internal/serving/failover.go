@@ -15,18 +15,6 @@ import (
 	"pask/internal/warmup"
 )
 
-// FailoverConfig parameterizes the GPU failure-domain experiment: a
-// heterogeneous 4-GPU fleet serving steady tenant request streams while one
-// device dies (or degrades, or loses a link) mid-stream, with the health
-// monitor driving tenant evacuation. The zero value runs three models, nine
-// tenants and all three paper devices.
-type FailoverConfig struct {
-	Models []string        // zoo abbreviations (default alex, res, vgg; quick alex, res)
-	Batch  int             // default 1
-	Quick  bool            // CI smoke size: two models, five requests
-	Rec    *trace.Recorder // optional: records the first fleet's warm-failover arm
-}
-
 // The failover scenario's fixed timeline.
 const (
 	failoverInterval = 4 * time.Millisecond  // tenant arrival gap
@@ -45,33 +33,21 @@ const (
 	failoverSettle = 40 * time.Millisecond
 )
 
-func (c *FailoverConfig) fill() {
-	if len(c.Models) == 0 {
-		c.Models = []string{"alex", "res", "vgg"}
-		if c.Quick {
-			c.Models = c.Models[:2]
-		}
-	}
-	if c.Batch <= 0 {
-		c.Batch = 1
-	}
-}
-
-// requests is each tenant's request count.
-func (c *FailoverConfig) requests() int {
-	if c.Quick {
+// failoverRequests is each tenant's request count.
+func failoverRequests(quick bool) int {
+	if quick {
 		return 5
 	}
 	return 8
 }
 
-// tenants is the arrival count: one tenant per model on each of the three
-// hosting GPUs (the spare starts empty by design).
-func (c *FailoverConfig) tenants() int { return 3 * len(c.Models) }
+// failoverTenants is the arrival count: one tenant per model on each of the
+// three hosting GPUs (the spare starts empty by design).
+func failoverTenants(models []string) int { return 3 * len(models) }
 
-// slots is each GPU's tenant capacity: every model plus one, so the spare
-// can absorb a whole evacuated GPU.
-func (c *FailoverConfig) slots() int { return len(c.Models) + 1 }
+// failoverSlots is each GPU's tenant capacity: every model plus one, so the
+// spare can absorb a whole evacuated GPU.
+func failoverSlots(models []string) int { return len(models) + 1 }
 
 // FailoverGPU is one device's share of an arm's outcome, including where it
 // ended on the health ladder.
@@ -193,47 +169,52 @@ const (
 // degraded arm walks the full ladder: ECC-style degradation on the twin,
 // quarantine, evacuation, probation, rejoin. The experiment itself asserts
 // zero failed requests everywhere and that warm evacuation TTFI is strictly
-// below cold respawn on every fleet.
-func Failover(cfg FailoverConfig) (*experiments.Table, *FailoverBench, error) {
-	cfg.fill()
-	bench := &FailoverBench{Models: cfg.Models, Batch: cfg.Batch,
-		Tenants: cfg.tenants(), Requests: cfg.requests()}
+// below cold respawn on every fleet. The tenants run o.Models (default
+// alex, res, vgg; quick alex, res) at the first selected batch (default and
+// minimum 1); o.Quick shortens each tenant's stream, and o.Trace records
+// the first fleet's warm-failover arm. The result carries the table and a
+// *FailoverBench.
+func Failover(o experiments.Options) (*experiments.Result, error) {
+	models := fleetModels(o)
+	batch, requests := max(o.Batch(), 1), failoverRequests(o.Quick)
+	bench := &FailoverBench{Models: models, Batch: batch,
+		Tenants: failoverTenants(models), Requests: requests}
 	table := &experiments.Table{
 		ID: "failover",
 		Title: fmt.Sprintf("GPU failure domains: evacuation + warm failover on 4-GPU fleets (%s, %d tenants x %d requests)",
-			join(cfg.Models), cfg.tenants(), cfg.requests()),
+			join(models), failoverTenants(models), requests),
 		Headers: []string{"fleet", "arm", "served", "evac", "failed", "mean_evac_ms", "peer_fetches", "peer_fails", "health"},
 	}
 
 	imgDir, err := os.MkdirTemp("", "pask-failover-*")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer os.RemoveAll(imgDir)
 
 	for fi, primary := range device.Profiles() {
-		f, err := newGPUFleet(primary, cfg.Models, cfg.Batch)
+		f, err := newGPUFleet(primary, models, batch)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fleet := FailoverFleet{Primary: f.primary.Name, Secondary: f.secondary.Name}
 
 		// One image store per fleet, holding a pre-built image of every
 		// primary-ISA model — what PR 4's fleet distribution would have
 		// staged on the host before the failure.
-		images, err := buildFailoverImages(imgDir, fi, f.setups[primary.Arch], cfg.Models)
+		images, err := buildFailoverImages(imgDir, fi, f.setups[primary.Arch], models)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 
 		for _, sc := range failoverScenarios() {
 			var rec *trace.Recorder
 			if fi == 0 && sc.name == armWarmFailover {
-				rec = cfg.Rec
+				rec = o.Trace
 			}
-			arm, err := runFailoverArm(&cfg, f, images, sc, rec)
+			arm, err := runFailoverArm(f, requests, images, sc, rec)
 			if err != nil {
-				return nil, nil, fmt.Errorf("serving: failover %s/%s: %w", primary.Name, sc.name, err)
+				return nil, fmt.Errorf("serving: failover %s/%s: %w", primary.Name, sc.name, err)
 			}
 			fleet.Arms = append(fleet.Arms, *arm)
 			states := ""
@@ -252,7 +233,7 @@ func Failover(cfg FailoverConfig) (*experiments.Table, *FailoverBench, error) {
 		}
 
 		if err := checkFailoverFleet(&fleet); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cold, warm := fleet.Arm(armColdRespawn), fleet.Arm(armWarmFailover)
 		table.Notes = append(table.Notes, fmt.Sprintf(
@@ -260,7 +241,7 @@ func Failover(cfg FailoverConfig) (*experiments.Table, *FailoverBench, error) {
 			primary.Name, warm.MeanEvacMs, cold.MeanEvacMs, 100*(1-warm.MeanEvacMs/cold.MeanEvacMs)))
 		bench.Fleets = append(bench.Fleets, fleet)
 	}
-	return table, bench, nil
+	return &experiments.Result{Tables: []*experiments.Table{table}, Bench: bench}, nil
 }
 
 // checkFailoverFleet enforces the experiment's own acceptance bar on one
@@ -335,16 +316,16 @@ type failoverTenant struct {
 	mustMove bool
 }
 
-// runFailoverArm serves one deterministic tenant schedule on a fresh fleet
-// under one fault scenario and aggregates serving stats, registry activity
-// and final health states.
-func runFailoverArm(cfg *FailoverConfig, f *gpuFleet, images *cacheimg.Store, sc failoverScenario, rec *trace.Recorder) (*FailoverArm, error) {
+// runFailoverArm serves one deterministic tenant schedule, `requests` per
+// tenant, on a fresh fleet under one fault scenario and aggregates serving
+// stats, registry activity and final health states.
+func runFailoverArm(f *gpuFleet, requests int, images *cacheimg.Store, sc failoverScenario, rec *trace.Recorder) (*FailoverArm, error) {
 	rig := f.rig([]gpuSlot{
 		{false, 0}, // failoverVictim
 		{false, 0}, // failoverTwin
 		{false, 1}, // failoverSpare
 		{true, 1},  // failoverCross
-	}, cfg.slots(), sc.peering, rec)
+	}, failoverSlots(f.models), sc.peering, rec)
 	env := rig.Env
 
 	inj := faults.New(sc.plan)
@@ -432,14 +413,14 @@ func runFailoverArm(cfg *FailoverConfig, f *gpuFleet, images *cacheimg.Store, sc
 
 	hosts := []int{failoverVictim, failoverTwin, failoverCross}
 	env.Spawn("failover-driver", func(p *sim.Proc) {
-		for t := 0; t < cfg.tenants(); t++ {
+		for t := 0; t < failoverTenants(f.models); t++ {
 			// Tenants arrive in model-set groups: the full zoo lands on the
 			// victim, then the twin, then the cross-vendor GPU, so the twin
 			// mirrors every model the victim hosts and the spare stays empty.
 			ft := &failoverTenant{
 				idx:  t,
-				abbr: cfg.Models[t%len(cfg.Models)],
-				gpu:  hosts[(t/len(cfg.Models))%len(hosts)],
+				abbr: f.models[t%len(f.models)],
+				gpu:  hosts[(t/len(f.models))%len(hosts)],
 			}
 			ft.name = fmt.Sprintf("%s/%d", ft.abbr, t)
 			ft.ms = rig.setup(ft.gpu, ft.abbr)
@@ -451,11 +432,11 @@ func runFailoverArm(cfg *FailoverConfig, f *gpuFleet, images *cacheimg.Store, sc
 					rig.Release(ft.gpu)
 				}()
 				ft.pr = ft.ms.AttachIn(rig.Nodes[ft.gpu].Root(), ft.name)
-				for r := 0; r < cfg.requests(); r++ {
+				for r := 0; r < requests; r++ {
 					if r > 0 {
 						p.Sleep(failoverGap)
 					}
-					reqIdx := ft.idx*cfg.requests() + r
+					reqIdx := ft.idx*requests + r
 					if ft.mustMove || !rig.Usable(ft.gpu) {
 						// The monitor ordered a drain (or the driver lost the
 						// device): evacuate, and serve this request over there.
@@ -491,7 +472,7 @@ func runFailoverArm(cfg *FailoverConfig, f *gpuFleet, images *cacheimg.Store, sc
 		return nil, err
 	}
 
-	total := cfg.tenants() * cfg.requests()
+	total := failoverTenants(f.models) * requests
 	served := len(stats.Latencies)
 	if served+stats.Failed+stats.Evacuated != total {
 		return nil, fmt.Errorf("serving: failover accounting broke: served %d + failed %d + evacuated %d != %d requests",

@@ -17,11 +17,11 @@ import (
 // bar independently against the bench payload so a regression in the
 // experiment's self-checks cannot silently pass.
 func TestFailoverWarmBeatsColdOnAllProfiles(t *testing.T) {
-	cfg := FailoverConfig{Quick: true}
-	_, bench, err := Failover(cfg)
+	res, err := Failover(experiments.Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bench := res.Bench.(*FailoverBench)
 	if len(bench.Fleets) != len(device.Profiles()) {
 		t.Fatalf("ran %d fleets, want one per paper profile (%d)", len(bench.Fleets), len(device.Profiles()))
 	}
@@ -75,15 +75,13 @@ func TestFailoverWarmBeatsColdOnAllProfiles(t *testing.T) {
 // tenant's seeded backoff. The served requests' mean TTFI includes those
 // waits, so it pins the schedule.
 func TestFailoverRetrySchedule(t *testing.T) {
-	cfg := FailoverConfig{Quick: true}
-	cfg.fill()
-	f, err := newGPUFleet(device.MI100(), cfg.Models, cfg.Batch)
+	f, err := newGPUFleet(device.MI100(), fleetModels(experiments.Options{Quick: true}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := failoverScenario{name: "transient", plan: faults.Plan{Seed: 3, DegradeGPU: failoverVictim,
 		DegradeTransient: 0.7, MaxTransientBurst: 8, DegradeUntil: 250 * time.Millisecond}}
-	arm, err := runFailoverArm(&cfg, f, nil, sc, nil)
+	arm, err := runFailoverArm(f, failoverRequests(true), nil, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,19 @@ type gpuFleet struct {
 	objects            map[string]map[string][]string                // model -> arch -> object paths
 }
 
+// fleetModels resolves the models the placement and failover experiments
+// serve: the explicit selection, else alex, res and vgg (alex and res at
+// quick size).
+func fleetModels(o experiments.Options) []string {
+	if len(o.Models) > 0 {
+		return o.Models
+	}
+	if o.Quick {
+		return []string{"alex", "res"}
+	}
+	return []string{"alex", "res", "vgg"}
+}
+
 // newGPUFleet prepares the models on primary and its cross-vendor secondary.
 func newGPUFleet(primary device.Profile, models []string, batch int) (*gpuFleet, error) {
 	f := &gpuFleet{primary: primary, secondary: secondaryFor(primary), models: models,

@@ -11,28 +11,14 @@ import (
 	"pask/internal/metrics"
 )
 
-// MultitenantConfig parameterizes the shared-vs-isolated runtime
-// comparison. The zero value compares ResNet34 and VGG16 at batch 1 on MI100
-// under an interleaved deterministic trace.
-type MultitenantConfig struct {
-	Models []string // zoo abbreviations, one tenant each (default res, vgg)
-	Quick  bool     // CI smoke size: two requests per tenant, 4ms apart
-}
-
 // multitenantKeepAlive is the fleet keep-alive: long enough that no
 // instance is reaped mid-trace.
 const multitenantKeepAlive = time.Second
 
-func (c *MultitenantConfig) fill() {
-	if len(c.Models) == 0 {
-		c.Models = []string{"res", "vgg"}
-	}
-}
-
-// schedule returns each tenant's request count and the fixed inter-arrival
-// gap.
-func (c *MultitenantConfig) schedule() (perTenant int, interval time.Duration) {
-	if c.Quick {
+// multitenantSchedule returns each tenant's request count and the fixed
+// inter-arrival gap.
+func multitenantSchedule(quick bool) (perTenant int, interval time.Duration) {
+	if quick {
 		return 2, 4 * time.Millisecond
 	}
 	return 4, 2 * time.Millisecond
@@ -75,44 +61,49 @@ func firstCold(fs *FleetStats, model string) time.Duration {
 // shared runtime every tenant after the first starts on a GPU that already
 // holds a context, the mapped residents and every previously loaded module,
 // so its cold start is strictly lower — plus the per-tenant attribution of
-// who paid for which loads.
-func Multitenant(cfg MultitenantConfig) (*experiments.Table, *MultitenantResult, error) {
-	cfg.fill()
+// who paid for which loads. The tenants are o.Models, one each (default res
+// and vgg), at batch 1 on MI100; o.Quick sends two requests per tenant
+// instead of four. The result carries the table and a *MultitenantResult.
+func Multitenant(o experiments.Options) (*experiments.Result, error) {
+	models := o.Models
+	if len(models) == 0 {
+		models = []string{"res", "vgg"}
+	}
 	const batch = 1
 	prof := device.MI100()
-	setups, err := experiments.PrepareModelsShared(cfg.Models, batch, prof)
+	setups, err := experiments.PrepareModelsShared(models, batch, prof)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	def := cfg.Models[0]
+	def := models[0]
 	store := setups[def].Store
-	perTenant, interval := cfg.schedule()
-	trace := InterleavedTrace(cfg.Models, perTenant, interval)
+	perTenant, interval := multitenantSchedule(o.Quick)
+	trace := InterleavedTrace(models, perTenant, interval)
 	fleetCfg := FleetConfig{
 		Policy:    Policy{Scheme: core.SchemePaSK},
 		KeepAlive: multitenantKeepAlive,
 	}
 
-	res := &MultitenantResult{Models: cfg.Models, FingerprintBefore: store.Fingerprint()}
+	res := &MultitenantResult{Models: models, FingerprintBefore: store.Fingerprint()}
 
 	fleetCfg.Shared = false
 	res.Isolated, err = ServeFleetModels(setups, def, fleetCfg, trace)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serving: multitenant isolated arm: %w", err)
+		return nil, fmt.Errorf("serving: multitenant isolated arm: %w", err)
 	}
 	res.FingerprintBetween = store.Fingerprint()
 
 	fleetCfg.Shared = true
 	res.Shared, err = ServeFleetModels(setups, def, fleetCfg, trace)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serving: multitenant shared arm: %w", err)
+		return nil, fmt.Errorf("serving: multitenant shared arm: %w", err)
 	}
 	res.FingerprintAfter = store.Fingerprint()
 
 	table := &experiments.Table{
 		ID: "multitenant",
 		Title: fmt.Sprintf("shared vs isolated GPU runtime, %d tenants (%s) b%d on %s, %d requests each",
-			len(cfg.Models), join(cfg.Models), batch, prof.Name, perTenant),
+			len(models), join(models), batch, prof.Name, perTenant),
 		Headers: []string{"tenant", "isolated_cold_ms", "shared_cold_ms", "saved"},
 		Notes: []string{
 			fmt.Sprintf("module loads: isolated=%d shared=%d (same trace, same store)",
@@ -121,7 +112,7 @@ func Multitenant(cfg MultitenantConfig) (*experiments.Table, *MultitenantResult,
 				res.FingerprintBefore, res.StoreUntouched()),
 		},
 	}
-	for _, m := range cfg.Models {
+	for _, m := range models {
 		iso := firstCold(res.Isolated, m)
 		sh := firstCold(res.Shared, m)
 		saved := "-"
@@ -136,7 +127,7 @@ func Multitenant(cfg MultitenantConfig) (*experiments.Table, *MultitenantResult,
 		}
 		table.Notes = append(table.Notes, "shared-arm "+formatTenantLoad(ts))
 	}
-	return table, res, nil
+	return &experiments.Result{Tables: []*experiments.Table{table}, Bench: res}, nil
 }
 
 func join(ss []string) string {

@@ -5,6 +5,7 @@ import (
 
 	"pask/internal/core"
 	"pask/internal/device"
+	"pask/internal/experiments"
 	"pask/internal/hip"
 	"pask/internal/sim"
 )
@@ -14,10 +15,11 @@ import (
 // strictly lower than on an isolated one, the total module loads shrink, and
 // the code-object store is byte-identical across both arms.
 func TestMultitenantSharedImprovesSecondTenant(t *testing.T) {
-	_, res, err := Multitenant(MultitenantConfig{Quick: true})
+	out, err := Multitenant(experiments.Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Bench.(*MultitenantResult)
 	if !res.StoreUntouched() {
 		t.Fatalf("store fingerprints diverged: %08x %08x %08x",
 			res.FingerprintBefore, res.FingerprintBetween, res.FingerprintAfter)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pask/internal/core"
+	"pask/internal/experiments"
 	"pask/internal/faults"
 )
 
@@ -276,10 +277,11 @@ func TestFleetOverloadInvariant(t *testing.T) {
 // the unprotected arm on both p99 and loss rate, and on the Poisson trace
 // the protected arms' breakers both trip and recover.
 func TestOverloadAcceptance(t *testing.T) {
-	_, bench, err := Overload(OverloadConfig{})
+	res, err := Overload(experiments.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bench := res.Bench.(*OverloadBench)
 	for _, dev := range bench.Devices {
 		cells := make(map[string]OverloadCell)
 		for _, c := range dev.Cells {

@@ -10,16 +10,6 @@ import (
 	"pask/internal/trace"
 )
 
-// PlacementConfig parameterizes the placement × peering comparison on
-// heterogeneous multi-GPU fleets. The zero value runs three models through
-// 18 tenant arrivals per arm on all three paper devices.
-type PlacementConfig struct {
-	Models []string        // zoo abbreviations cycled across arrivals (default alex, res, vgg)
-	Batch  int             // default 1
-	Quick  bool            // CI smoke size: two models, nine arrivals
-	Rec    *trace.Recorder // optional: records the first fleet's affinity+peering arm
-}
-
 // The placement scenario's fixed arrival schedule.
 const (
 	placementInterval = 100 * time.Millisecond // arrival gap
@@ -27,21 +17,9 @@ const (
 	placementSlots    = 1                      // tenant slots per GPU
 )
 
-func (c *PlacementConfig) fill() {
-	if len(c.Models) == 0 {
-		c.Models = []string{"alex", "res", "vgg"}
-		if c.Quick {
-			c.Models = c.Models[:2]
-		}
-	}
-	if c.Batch <= 0 {
-		c.Batch = 1
-	}
-}
-
-// tenants is the arrival count per arm.
-func (c *PlacementConfig) tenants() int {
-	if c.Quick {
+// placementTenants is the arrival count per arm.
+func placementTenants(quick bool) int {
+	if quick {
 		return 9
 	}
 	return 18
@@ -109,28 +87,33 @@ type PlacementBench struct {
 // tenants under every placement policy with cache peering off and on.
 // Time-to-first-inference is measured per tenant from arrival to the end of
 // its first request, the fleet-level cold-start quantity placement
-// controls.
-func Placement(cfg PlacementConfig) (*experiments.Table, *PlacementBench, error) {
-	cfg.fill()
+// controls. Arrivals cycle through o.Models (default alex, res, vgg; quick
+// alex, res) at the first selected batch (default and minimum 1); o.Quick
+// halves the arrivals, and o.Trace records the first fleet's
+// affinity+peering arm. The result carries the table and a
+// *PlacementBench.
+func Placement(o experiments.Options) (*experiments.Result, error) {
+	models := fleetModels(o)
+	batch, tenants := max(o.Batch(), 1), placementTenants(o.Quick)
 	bench := &PlacementBench{
-		Models: cfg.Models, Batch: cfg.Batch, Tenants: cfg.tenants(), Slots: placementSlots,
+		Models: models, Batch: batch, Tenants: tenants, Slots: placementSlots,
 		IntervMs: millis(placementInterval), DwellMs: millis(placementDwell),
 	}
 	table := &experiments.Table{
 		ID: "placement",
 		Title: fmt.Sprintf("tenant placement × cache peering on heterogeneous 4-GPU fleets (%s, %d arrivals, %d slot/GPU)",
-			join(cfg.Models), cfg.tenants(), placementSlots),
+			join(models), tenants, placementSlots),
 		Headers: []string{"fleet", "policy", "peering", "ttfi_mean_ms", "ttfi_max_ms", "loads", "peer_fetches"},
 	}
 
 	for fi, primary := range device.Profiles() {
 		var rec *trace.Recorder
 		if fi == 0 {
-			rec = cfg.Rec
+			rec = o.Trace
 		}
-		fleet, err := placementFleet(&cfg, primary, rec)
+		fleet, err := placementFleet(models, batch, tenants, primary, rec)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, arm := range fleet.Arms {
 			table.Rows = append(table.Rows, []string{
@@ -146,14 +129,14 @@ func Placement(cfg PlacementConfig) (*experiments.Table, *PlacementBench, error)
 			primary.Name, best.TTFIMeanMs, base.TTFIMeanMs, 100*(1-best.TTFIMeanMs/base.TTFIMeanMs)))
 		bench.Fleets = append(bench.Fleets, *fleet)
 	}
-	return table, bench, nil
+	return &experiments.Result{Tables: []*experiments.Table{table}, Bench: bench}, nil
 }
 
-// placementFleet runs every policy × peering arm on the heterogeneous
-// fleet of one primary profile. rec, when set, records the
-// affinity+peering arm.
-func placementFleet(cfg *PlacementConfig, primary device.Profile, rec *trace.Recorder) (*PlacementFleet, error) {
-	f, err := newGPUFleet(primary, cfg.Models, cfg.Batch)
+// placementFleet runs every policy × peering arm, each serving `tenants`
+// arrivals of models, on the heterogeneous fleet of one primary profile.
+// rec, when set, records the affinity+peering arm.
+func placementFleet(models []string, batch, tenants int, primary device.Profile, rec *trace.Recorder) (*PlacementFleet, error) {
+	f, err := newGPUFleet(primary, models, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +147,7 @@ func placementFleet(cfg *PlacementConfig, primary device.Profile, rec *trace.Rec
 			if policy == PlaceAffinity && peering {
 				armRec = rec
 			}
-			arm, err := runPlacementArm(cfg, f, policy, peering, armRec)
+			arm, err := runPlacementArm(f, tenants, policy, peering, armRec)
 			if err != nil {
 				return nil, fmt.Errorf("serving: placement %s/%s/peering=%v: %w", primary.Name, policy, peering, err)
 			}
@@ -174,10 +157,10 @@ func placementFleet(cfg *PlacementConfig, primary device.Profile, rec *trace.Rec
 	return fleet, nil
 }
 
-// runPlacementArm serves one deterministic arrival sequence on a fresh
-// fleet under one policy × peering combination and aggregates TTFI and
-// registry activity.
-func runPlacementArm(cfg *PlacementConfig, f *gpuFleet, policy PlacementPolicy, peering bool, rec *trace.Recorder) (*PlacementArm, error) {
+// runPlacementArm serves one deterministic sequence of `tenants` arrivals,
+// cycling through the fleet's models, on a fresh fleet under one policy ×
+// peering combination and aggregates TTFI and registry activity.
+func runPlacementArm(f *gpuFleet, tenants int, policy PlacementPolicy, peering bool, rec *trace.Recorder) (*PlacementArm, error) {
 	// Two primary GPUs and two secondary GPUs, each vendor pair split across
 	// the host's NUMA nodes: every ISA has a peering twin, and twin traffic
 	// exercises the cross-node link discount.
@@ -193,8 +176,8 @@ func runPlacementArm(cfg *PlacementConfig, f *gpuFleet, policy PlacementPolicy, 
 		}
 	)
 	rig.Env.Spawn("placement-driver", func(p *sim.Proc) {
-		for t := 0; t < cfg.tenants(); t++ {
-			abbr := cfg.Models[t%len(cfg.Models)]
+		for t := 0; t < tenants; t++ {
+			abbr := f.models[t%len(f.models)]
 			g := rig.Pick(policy, f.objects[abbr])
 			rig.Acquire(g)
 			perGPU[g]++
@@ -228,8 +211,8 @@ func runPlacementArm(cfg *PlacementConfig, f *gpuFleet, policy PlacementPolicy, 
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if len(ttfis) != cfg.tenants() {
-		return nil, fmt.Errorf("serving: placement arm finished %d/%d tenants", len(ttfis), cfg.tenants())
+	if len(ttfis) != tenants {
+		return nil, fmt.Errorf("serving: placement arm finished %d/%d tenants", len(ttfis), tenants)
 	}
 
 	arm := &PlacementArm{Policy: string(policy), Peering: peering}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pask/internal/device"
+	"pask/internal/experiments"
 	"pask/internal/trace"
 )
 
@@ -12,10 +13,11 @@ import (
 // without peering on mean time-to-first-inference, and peering converts
 // store loads into cheaper cross-GPU fetches.
 func TestPlacementAffinityPeeringBeatsFirstFit(t *testing.T) {
-	_, bench, err := Placement(PlacementConfig{Quick: true})
+	res, err := Placement(experiments.Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bench := res.Bench.(*PlacementBench)
 	if len(bench.Fleets) != len(device.Profiles()) {
 		t.Fatalf("got %d fleets, want one per device profile (%d)", len(bench.Fleets), len(device.Profiles()))
 	}
@@ -46,19 +48,18 @@ func TestPlacementAffinityPeeringBeatsFirstFit(t *testing.T) {
 // hip and cuda drivers and both NUMA nodes, and per-GPU tenant counts sum to
 // the arrival count.
 func TestPlacementFleetsAreHeterogeneous(t *testing.T) {
-	cfg := PlacementConfig{Quick: true}
-	cfg.fill()
-	fleet, err := placementFleet(&cfg, device.MI100(), nil)
+	tenants := placementTenants(true)
+	fleet, err := placementFleet(fleetModels(experiments.Options{Quick: true}), 1, tenants, device.MI100(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, arm := range fleet.Arms {
 		drivers, nodes := map[string]bool{}, map[int]bool{}
-		tenants := 0
+		sum := 0
 		for _, g := range arm.GPUs {
 			drivers[g.Driver] = true
 			nodes[g.Node] = true
-			tenants += g.Tenants
+			sum += g.Tenants
 		}
 		if !drivers["hip"] || !drivers["cuda"] {
 			t.Fatalf("%s/%s/peering=%v: drivers %v, want hip and cuda",
@@ -68,9 +69,9 @@ func TestPlacementFleetsAreHeterogeneous(t *testing.T) {
 			t.Fatalf("%s/%s/peering=%v: NUMA nodes %v, want 0 and 1",
 				fleet.Primary, arm.Policy, arm.Peering, nodes)
 		}
-		if tenants != cfg.tenants() {
+		if sum != tenants {
 			t.Fatalf("%s/%s/peering=%v: per-GPU tenants sum to %d, want %d",
-				fleet.Primary, arm.Policy, arm.Peering, tenants, cfg.tenants())
+				fleet.Primary, arm.Policy, arm.Peering, sum, tenants)
 		}
 	}
 }
@@ -80,9 +81,8 @@ func TestPlacementFleetsAreHeterogeneous(t *testing.T) {
 // in the trace.
 func TestPlacementRecordsTrace(t *testing.T) {
 	rec := trace.New()
-	cfg := PlacementConfig{Quick: true}
-	cfg.fill()
-	fleet, err := placementFleet(&cfg, device.RX6900XT(), rec)
+	tenants := placementTenants(true)
+	fleet, err := placementFleet(fleetModels(experiments.Options{Quick: true}), 1, tenants, device.RX6900XT(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestPlacementRecordsTrace(t *testing.T) {
 		}
 	}
 	// Identical consecutive TTFI values collapse, so samples ≤ tenants.
-	if ttfis == 0 || ttfis > cfg.tenants() {
-		t.Fatalf("trace has %d placement_ttfi_ms samples, want 1..%d", ttfis, cfg.tenants())
+	if ttfis == 0 || ttfis > tenants {
+		t.Fatalf("trace has %d placement_ttfi_ms samples, want 1..%d", ttfis, tenants)
 	}
 	if got, ok := rec.CounterLast("placement_peer_fetches"); !ok || int(got) != arm.PeerFetches {
 		t.Fatalf("placement_peer_fetches gauge = %v (ok=%v), want %d", got, ok, arm.PeerFetches)

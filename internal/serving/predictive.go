@@ -27,20 +27,6 @@ func predictiveArms() []string {
 	return []string{predArmCold, predArmReplay, predArmPredictive}
 }
 
-// PredictiveConfig parameterizes the predictive-prefetch experiment: an
-// elastic fleet of shared-GPU nodes serving a shifting Zipfian trace with
-// a post-shift flash crowd, compared across three proactive-loading arms.
-type PredictiveConfig struct {
-	// Models is the zoo subset traffic draws from, in initial popularity
-	// order (default alex, res, vgg).
-	Models []string
-	Batch  int
-	// Rec, when set, captures the first device's predictive-arm timeline
-	// and aggregate prefetch counters.
-	Rec   *trace.Recorder
-	Quick bool
-}
-
 // The predictive scenario's fixed traffic shape and fleet policy.
 const (
 	// predMeanInterval is the baseline mean inter-arrival time.
@@ -71,18 +57,9 @@ const (
 	predSeed       = 17 // drives the arrival generator
 )
 
-func (c *PredictiveConfig) fill() {
-	if len(c.Models) == 0 {
-		c.Models = []string{"alex", "res", "vgg"}
-	}
-	if c.Batch <= 0 {
-		c.Batch = 1
-	}
-}
-
-// requests is the trace length.
-func (c *PredictiveConfig) requests() int {
-	if c.Quick {
+// predictiveRequests is the trace length.
+func predictiveRequests(quick bool) int {
+	if quick {
 		return 110
 	}
 	return 240
@@ -137,18 +114,19 @@ type PredictiveBench struct {
 	Devices    []PredictiveDeviceResult `json:"devices"`
 }
 
-// predictiveArrivals builds the shifting-Zipf trace every arm and device
-// replays: diurnal-modulated Zipfian arrivals whose popularity ranking
-// reverses at the shift, followed by a flash crowd on the new head model.
-func predictiveArrivals(cfg PredictiveConfig) ([]traffic.Request, time.Duration, error) {
-	total := time.Duration(cfg.requests()) * predMeanInterval
+// predictiveArrivals builds the trace of `requests` arrivals over models
+// that every arm and device replays: diurnal-modulated Zipfian arrivals
+// whose popularity ranking reverses at the shift, followed by a flash crowd
+// on the new head model.
+func predictiveArrivals(models []string, requests int) ([]traffic.Request, time.Duration, error) {
+	total := time.Duration(requests) * predMeanInterval
 	shiftAt := time.Duration(predShiftFrac * float64(total))
-	reversed := make([]int, len(cfg.Models))
+	reversed := make([]int, len(models))
 	for i := range reversed {
-		reversed[i] = len(cfg.Models) - 1 - i
+		reversed[i] = len(models) - 1 - i
 	}
 	gen, err := traffic.New(traffic.Config{
-		Models:   cfg.Models,
+		Models:   models,
 		Exponent: predExponent,
 		Rate:     float64(time.Second) / float64(predMeanInterval),
 		Diurnal:  traffic.Diurnal{Period: total / 2, Amplitude: 0.3},
@@ -159,14 +137,14 @@ func predictiveArrivals(cfg PredictiveConfig) ([]traffic.Request, time.Duration,
 			Hold:  total * 12 / 100,
 			Decay: total * 8 / 100,
 			Peak:  predCrowdPeak,
-			Model: cfg.Models[len(cfg.Models)-1],
+			Model: models[len(models)-1],
 		}},
 		Seed: predSeed,
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return gen.Generate(cfg.requests()), shiftAt, nil
+	return gen.Generate(requests), shiftAt, nil
 }
 
 // predNode is one elastic fleet member: a shared-GPU host whose tenants
@@ -197,7 +175,7 @@ const (
 // virtual-time environment.
 type predCluster struct {
 	env       *sim.Env
-	cfg       PredictiveConfig
+	models    []string // in initial popularity order
 	prof      device.Profile
 	setups    map[string]*experiments.ModelSetup
 	manifests map[string]*warmup.Manifest
@@ -225,7 +203,7 @@ type predCluster struct {
 func (c *predCluster) newNode() *predNode {
 	n := &predNode{
 		id:    len(c.nodes),
-		host:  NewGPUHost(experiments.BackendFor(c.env, device.NewGPU(c.env, c.prof), c.setups[c.cfg.Models[0]].Store)),
+		host:  NewGPUHost(experiments.BackendFor(c.env, device.NewGPU(c.env, c.prof), c.setups[c.models[0]].Store)),
 		used:  warmup.NewRecorder(),
 		insts: make(map[string]*Instance),
 		busy:  make(map[string]bool),
@@ -252,7 +230,7 @@ func (c *predCluster) newNode() *predNode {
 func (c *predCluster) hotModels(k int) []string {
 	hot := c.pred.Hot(k)
 	if len(hot) == 0 {
-		return slices.Clone(c.cfg.Models[:min(k, len(c.cfg.Models))])
+		return slices.Clone(c.models[:min(k, len(c.models))])
 	}
 	out := make([]string, len(hot))
 	for i, h := range hot {
@@ -489,12 +467,12 @@ func (c *predCluster) finalize() PredictiveCell {
 }
 
 // runPredictiveArm serves the trace through one arm's elastic fleet.
-func runPredictiveArm(cfg PredictiveConfig, prof device.Profile, setups map[string]*experiments.ModelSetup,
+func runPredictiveArm(models []string, prof device.Profile, setups map[string]*experiments.ModelSetup,
 	manifests map[string]*warmup.Manifest, prior *warmup.Manifest,
 	arrivals []traffic.Request, arm string, rec *trace.Recorder) (PredictiveCell, error) {
 	env := sim.NewEnv()
 	c := &predCluster{
-		env: env, cfg: cfg, prof: prof, setups: setups, manifests: manifests,
+		env: env, models: models, prof: prof, setups: setups, manifests: manifests,
 		prior: prior, arm: arm, rec: rec,
 		pred: predict.New(predict.Config{MinConfidence: predConfidence, Budget: 2, DecayEvery: 32}),
 		est:  traffic.NewRateEstimator(12, 96, 2.0),
@@ -524,17 +502,25 @@ func runPredictiveArm(cfg PredictiveConfig, prof device.Profile, setups map[stri
 // and online prediction (Markov chain + aged frequency sketch) with
 // budgeted bring-up/follow-up prefetch plus onset-triggered prewarming.
 // Per-node hit/miss/waste accounting lands on the shared
-// warmup_prefetch_{hits,misses,wasted} scheme.
-func Predictive(cfg PredictiveConfig) (*experiments.Table, *PredictiveBench, error) {
-	cfg.fill()
-	arrivals, shiftAt, err := predictiveArrivals(cfg)
+// warmup_prefetch_{hits,misses,wasted} scheme. Traffic draws from o.Models
+// in initial popularity order (default alex, res, vgg) at the first selected
+// batch (default and minimum 1); o.Quick shortens the trace, and o.Trace
+// captures the first device's predictive-arm timeline and aggregate
+// prefetch counters. The result carries the table and a *PredictiveBench.
+func Predictive(o experiments.Options) (*experiments.Result, error) {
+	models := o.Models
+	if len(models) == 0 {
+		models = []string{"alex", "res", "vgg"}
+	}
+	batch := max(o.Batch(), 1)
+	arrivals, shiftAt, err := predictiveArrivals(models, predictiveRequests(o.Quick))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	table := &experiments.Table{
 		ID: "Predictive",
 		Title: fmt.Sprintf("predictive proactive loading: %v b%d, %d arrivals, re-rank at %.0fms + %gx crowd",
-			cfg.Models, cfg.Batch, len(arrivals), millis(shiftAt), predCrowdPeak),
+			models, batch, len(arrivals), millis(shiftAt), predCrowdPeak),
 		Headers: []string{"device", "arm", "nodes", "prewarm", "ttfi_ms", "p95_ms", "cold", "cold_ms",
 			"pf_hits", "pf_miss", "pf_waste", "hit_rate", "failed"},
 		Notes: []string{
@@ -546,21 +532,21 @@ func Predictive(cfg PredictiveConfig) (*experiments.Table, *PredictiveBench, err
 		},
 	}
 	bench := &PredictiveBench{
-		Experiment: "predictive", Models: cfg.Models, Batch: cfg.Batch, Seed: predSeed,
+		Experiment: "predictive", Models: models, Batch: batch, Seed: predSeed,
 		Requests: len(arrivals), ShiftAtMs: millis(shiftAt),
 	}
 
 	for devIdx, prof := range device.Profiles() {
-		setups, err := experiments.PrepareModelsShared(cfg.Models, cfg.Batch, prof)
+		setups, err := experiments.PrepareModelsShared(models, batch, prof)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		manifests := make(map[string]*warmup.Manifest, len(cfg.Models))
-		for _, m := range cfg.Models {
+		manifests := make(map[string]*warmup.Manifest, len(models))
+		for _, m := range models {
 			ms := setups[m]
 			man, err := warmup.FromModel(ms.Model, ms.Reg, ms.Store, prof)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			manifests[m] = man
 		}
@@ -570,7 +556,7 @@ func Predictive(cfg PredictiveConfig) (*experiments.Table, *PredictiveBench, err
 		// budget the predictive arm gets.
 		prior := &warmup.Manifest{Version: warmup.Version, Model: "prior",
 			Device: prof.Name, Arch: prof.Arch}
-		for _, m := range cfg.Models[:min(2, len(cfg.Models))] {
+		for _, m := range models[:min(2, len(models))] {
 			for _, e := range manifests[m].Entries {
 				if len(prior.Entries) >= predBudgetEntries {
 					break
@@ -582,12 +568,12 @@ func Predictive(cfg PredictiveConfig) (*experiments.Table, *PredictiveBench, err
 		dr := PredictiveDeviceResult{Device: prof.Name}
 		var rec *trace.Recorder
 		if devIdx == 0 {
-			rec = cfg.Rec
+			rec = o.Trace
 		}
 		for _, arm := range predictiveArms() {
-			cell, err := runPredictiveArm(cfg, prof, setups, manifests, prior, arrivals, arm, rec)
+			cell, err := runPredictiveArm(models, prof, setups, manifests, prior, arrivals, arm, rec)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			dr.Cells = append(dr.Cells, cell)
 			table.Rows = append(table.Rows, []string{
@@ -601,5 +587,5 @@ func Predictive(cfg PredictiveConfig) (*experiments.Table, *PredictiveBench, err
 		}
 		bench.Devices = append(bench.Devices, dr)
 	}
-	return table, bench, nil
+	return &experiments.Result{Tables: []*experiments.Table{table}, Bench: bench}, nil
 }

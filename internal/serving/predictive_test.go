@@ -3,6 +3,7 @@ package serving
 import (
 	"testing"
 
+	"pask/internal/experiments"
 	"pask/internal/trace"
 )
 
@@ -13,11 +14,12 @@ import (
 // device profile — and wasted prefetches are tracked, not hidden.
 func TestPredictiveBeatsReplay(t *testing.T) {
 	rec := trace.New()
-	tbl, bench, err := Predictive(PredictiveConfig{Quick: true, Rec: rec})
+	res, err := Predictive(experiments.Options{Quick: true, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl == nil || len(bench.Devices) != 3 {
+	bench := res.Bench.(*PredictiveBench)
+	if len(res.Tables) != 1 || len(bench.Devices) != 3 {
 		t.Fatalf("want 3 devices, got %d", len(bench.Devices))
 	}
 	for _, dev := range bench.Devices {
@@ -67,7 +69,7 @@ func TestPredictiveBeatsReplay(t *testing.T) {
 				dev.Device, pred.Nodes, pred.Prewarmed)
 		}
 	}
-	t.Logf("table:\n%s", tbl.String())
+	t.Logf("table:\n%s", res.Tables[0].String())
 
 	// Wasted prefetches must surface on the shared counter series.
 	found := false
