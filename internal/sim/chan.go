@@ -4,10 +4,6 @@ package sim
 // mirroring the SPSC channels PASK uses to join its parsing, loading and
 // issuing host threads (paper §III-D). Send blocks while the buffer is full;
 // Recv blocks while it is empty. Close releases a blocked receiver.
-//
-// Capacity 0 requests a rendezvous; it is modeled as capacity 1 plus the
-// sender waiting until the item is taken, which has identical timing under
-// the SPSC discipline.
 type Chan[T any] struct {
 	env      *Env
 	buf      []T
@@ -16,17 +12,14 @@ type Chan[T any] struct {
 
 	sendWaiter *Proc // producer blocked on full buffer
 	recvWaiter *Proc // consumer blocked on empty buffer
-	rendezvous bool
 }
 
-// NewChan returns a channel with the given buffer capacity (>= 0).
+// NewChan returns a channel with the given buffer capacity (>= 1).
 func NewChan[T any](env *Env, capacity int) *Chan[T] {
-	c := &Chan[T]{env: env, capacity: capacity}
-	if capacity == 0 {
-		c.capacity = 1
-		c.rendezvous = true
+	if capacity < 1 {
+		panic("sim: Chan capacity must be >= 1")
 	}
-	return c
+	return &Chan[T]{env: env, capacity: capacity}
 }
 
 // Len returns the number of buffered items.
@@ -56,17 +49,6 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 		w := c.recvWaiter
 		c.recvWaiter = nil
 		c.env.unpark(w)
-	}
-	if c.rendezvous {
-		// Wait for the consumer to take the item, emulating an unbuffered
-		// handoff.
-		for len(c.buf) > 0 && !c.closed {
-			if c.sendWaiter != nil {
-				panic("sim: concurrent senders on SPSC Chan")
-			}
-			c.sendWaiter = p
-			p.park()
-		}
 	}
 }
 
@@ -111,7 +93,8 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 }
 
 // Close marks the channel closed and wakes a blocked receiver (which then
-// observes the closed state) and a blocked rendezvous sender.
+// observes the closed state) and a blocked sender (which then panics, as
+// a send on a closed channel does).
 func (c *Chan[T]) Close() {
 	if c.closed {
 		return

@@ -40,8 +40,7 @@ type event struct {
 // order — and with it run determinism — is identical to the generic heap.
 type eventHeap []event
 
-func (h eventHeap) Len() int    { return len(h) }
-func (h eventHeap) peek() event { return h[0] }
+func (h eventHeap) Len() int { return len(h) }
 
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
@@ -98,8 +97,7 @@ type Env struct {
 	seq     int64
 	q       eventHeap
 	procs   map[*Proc]struct{}
-	horizon time.Duration // of the current run; negative for none
-	done    chan error    // ends a run: nil, or the *PanicError that stopped it
+	done    chan error // ends a run: nil, or the *PanicError that stopped it
 	running bool
 
 	// OnDispatch, when set, observes every dispatch: the virtual time, the
@@ -181,13 +179,9 @@ func (e *Env) SpawnAt(t time.Duration, name string, fn func(p *Proc)) *Proc {
 }
 
 // next pops the next event of a live process, sets the clock to it and
-// reports the dispatch. It returns nil when the run is over: the calendar is
-// drained, or its next event lies past the run's horizon.
+// reports the dispatch. It returns nil when the calendar is drained.
 func (e *Env) next() *Proc {
 	for e.q.Len() > 0 {
-		if e.horizon >= 0 && e.q.peek().at > e.horizon {
-			return nil
-		}
 		ev := e.q.popEvent()
 		if ev.p.dead {
 			continue
@@ -285,33 +279,17 @@ func (p *PanicError) Error() string {
 // Run executes events until the calendar is empty. It returns a
 // *DeadlockError if blocked processes remain, or a *PanicError if a process
 // panicked.
-func (e *Env) Run() error { return e.run(-1) }
-
-// RunUntil executes events up to and including virtual time horizon, then
-// advances the clock to horizon and returns. Processes scheduled later stay
-// scheduled; a subsequent Run or RunUntil continues them.
-func (e *Env) RunUntil(horizon time.Duration) error { return e.run(horizon) }
-
-func (e *Env) run(horizon time.Duration) error {
+func (e *Env) Run() error {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.horizon = horizon
 	if p := e.next(); p != nil {
 		p.resume <- struct{}{}
 		if err := <-e.done; err != nil {
 			return err
 		}
-	}
-	if e.q.Len() > 0 {
-		// Later events remain: the run stopped at the horizon.
-		e.now = horizon
-		return nil
-	}
-	if horizon >= 0 && horizon > e.now {
-		e.now = horizon
 	}
 	if len(e.procs) > 0 {
 		var blocked []string

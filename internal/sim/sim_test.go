@@ -118,43 +118,6 @@ func TestSpawnFromProcess(t *testing.T) {
 	}
 }
 
-func TestRunUntilStopsAtHorizon(t *testing.T) {
-	e := NewEnv()
-	ticks := 0
-	e.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(time.Second)
-			ticks++
-		}
-	})
-	if err := e.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 10 {
-		t.Fatalf("ticks = %d, want 10", ticks)
-	}
-	if e.Now() != 10*time.Second {
-		t.Fatalf("clock = %v, want 10s", e.Now())
-	}
-	// Continue to completion.
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 100 {
-		t.Fatalf("ticks after full run = %d, want 100", ticks)
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	e := NewEnv()
-	if err := e.RunUntil(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != time.Minute {
-		t.Fatalf("clock = %v, want 1m", e.Now())
-	}
-}
-
 func TestPanicPropagates(t *testing.T) {
 	e := NewEnv()
 	e.Spawn("bad", func(p *Proc) {
@@ -472,30 +435,6 @@ func TestChanSendOnClosedPanics(t *testing.T) {
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want PanicError", err)
-	}
-}
-
-func TestChanRendezvous(t *testing.T) {
-	e := NewEnv()
-	c := NewChan[int](e, 0)
-	var sendDone, recvDone time.Duration
-	e.Spawn("producer", func(p *Proc) {
-		c.Send(p, 42)
-		sendDone = p.Now()
-	})
-	e.Spawn("consumer", func(p *Proc) {
-		p.Sleep(9 * time.Millisecond)
-		v, ok := c.Recv(p)
-		if !ok || v != 42 {
-			t.Errorf("recv = %d,%v", v, ok)
-		}
-		recvDone = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sendDone != 9*time.Millisecond || recvDone != 9*time.Millisecond {
-		t.Fatalf("sendDone=%v recvDone=%v, want both 9ms", sendDone, recvDone)
 	}
 }
 

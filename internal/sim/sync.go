@@ -69,9 +69,6 @@ func (r *Resource) Capacity() int { return r.capacity }
 // InUse returns the number of slots currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Waiting returns the number of processes queued for a slot.
-func (r *Resource) Waiting() int { return len(r.waiters) }
-
 // Acquire takes one slot, blocking p in FIFO order while none is free.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
