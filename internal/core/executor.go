@@ -450,17 +450,8 @@ func (pl *pipeline) decidePrimitive(lp *sim.Proc, instr *graphx.Instruction) (mi
 			}
 		}
 		pl.res.Milestone++
-		if err := lib.EnsureLoaded(lp, sInst); err != nil {
-			if pl.opts.NoDegradation {
-				return miopen.Instance{}, prob, false, err
-			}
-			if sub, ok := recoverLoadFailure(lp, pl.r, pl.cache, &pl.res, instr.Name, sInst, prob); ok {
-				return sub, prob, true, nil
-			}
-			return miopen.Instance{}, prob, false, wrapNoUsable(instr.Name, err)
-		}
-		pl.cache.Insert(sInst)
-		return sInst, prob, false, nil
+		run, substituted, err := loadOrRecover(lp, pl.r, pl.cache, &pl.res, pl.opts.NoDegradation, instr.Name, sInst, prob)
+		return run, prob, substituted, err
 	}
 	if lib.IsLoaded(sInst) {
 		pl.cache.Insert(sInst)
@@ -505,17 +496,8 @@ func (pl *pipeline) decidePrimitive(lp *sim.Proc, instr *graphx.Instruction) (mi
 			return sub, prob, true, nil
 		}
 	}
-	if err := lib.EnsureLoaded(lp, sInst); err != nil {
-		if pl.opts.NoDegradation {
-			return miopen.Instance{}, prob, false, err
-		}
-		if sub, ok := recoverLoadFailure(lp, pl.r, pl.cache, &pl.res, instr.Name, sInst, prob); ok {
-			return sub, prob, true, nil
-		}
-		return miopen.Instance{}, prob, false, wrapNoUsable(instr.Name, err)
-	}
-	pl.cache.Insert(sInst)
-	return sInst, prob, false, nil
+	run, substituted, err := loadOrRecover(lp, pl.r, pl.cache, &pl.res, pl.opts.NoDegradation, instr.Name, sInst, prob)
+	return run, prob, substituted, err
 }
 
 // pressureSub looks for a resident substitute under brownout pressure:
@@ -701,20 +683,8 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 					res.Skipped = append(res.Skipped, sInst)
 					run = sub
 					usedSub = true
-				} else {
-					if lerr := r.Lib.EnsureLoaded(p, sInst); lerr != nil {
-						if opts.NoDegradation {
-							return res, lerr
-						}
-						fsub, fok := recoverLoadFailure(p, r, cache, res, instr.Name, sInst, &instr.Problem)
-						if !fok {
-							return res, wrapNoUsable(instr.Name, lerr)
-						}
-						run = fsub
-						usedSub = true
-					} else {
-						cache.Insert(sInst)
-					}
+				} else if run, usedSub, err = loadOrRecover(p, r, cache, res, opts.NoDegradation, instr.Name, sInst, &instr.Problem); err != nil {
+					return res, err
 				}
 			}
 			if pending != nil {

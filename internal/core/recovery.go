@@ -32,6 +32,25 @@ func wrapNoUsable(layer string, cause error) error {
 	return fmt.Errorf("%w for layer %s: %w", ErrNoUsableSolution, layer, cause)
 }
 
+// loadOrRecover loads the layer's chosen instance and caches it. When the
+// load fails it returns the error under noDegradation (fail-fast), else it
+// walks the degradation ladder and wraps ErrNoUsableSolution if nothing
+// fits. It returns the instance to run and whether that is a substitute.
+func loadOrRecover(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, noDegradation bool, layer string, want miopen.Instance, prob *miopen.Problem) (miopen.Instance, bool, error) {
+	err := r.Lib.EnsureLoaded(p, want)
+	if err == nil {
+		cache.Insert(want)
+		return want, false, nil
+	}
+	if noDegradation {
+		return miopen.Instance{}, false, err
+	}
+	if sub, ok := recoverLoadFailure(p, r, cache, res, layer, want, prob); ok {
+		return sub, true, nil
+	}
+	return miopen.Instance{}, false, wrapNoUsable(layer, err)
+}
+
 // recoverLoadFailure implements the degradation ladder for a primitive whose
 // chosen code object failed to load (Algorithm 1 extended with forced
 // reuse): first any applicable already-loaded instance from the cache, then
