@@ -130,21 +130,10 @@ func sanitizeMetricName(name string) string {
 	return b.String()
 }
 
-// WritePrometheus exports a snapshot of the recording in Prometheus text
-// format: per-track/category span totals and counts, every counter series'
-// last value, and instant-event totals.
-func (r *Recorder) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	p := NewPromWriter()
-	r.AppendPrometheus(p)
-	return p.Flush(w)
-}
-
-// AppendPrometheus adds the recording's snapshot metrics to an existing
-// exposition, so servers can merge several recorders plus their own gauges
-// into one /metrics page.
+// AppendPrometheus adds a snapshot of the recording to an exposition in
+// Prometheus text format: per-track/category span totals and counts, every
+// counter series' last value, and instant-event totals. Servers merge
+// several recorders plus their own gauges into one /metrics page this way.
 func (r *Recorder) AppendPrometheus(p *PromWriter) {
 	if r == nil {
 		return

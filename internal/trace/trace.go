@@ -15,7 +15,7 @@
 // and counter series collapse runs of identical values. Two exporters turn
 // a recording into standard tooling formats: WriteChrome emits Chrome
 // trace_event JSON loadable in chrome://tracing and Perfetto, and
-// WritePrometheus emits a Prometheus text-format snapshot.
+// AppendPrometheus adds a Prometheus text-format snapshot to a PromWriter.
 //
 // Paper anchor: the §III-A three-thread pipeline rendered as a timeline, per Fig 5.
 package trace

@@ -211,17 +211,6 @@ func (g *Generator) baseRate(t time.Duration) float64 {
 	return r
 }
 
-// RateAt returns the instantaneous arrival rate (requests per virtual
-// second) at t, with every crowd applied. Exposed so tests and experiment
-// configs can reason about the curve the stream realizes.
-func (g *Generator) RateAt(t time.Duration) float64 {
-	r := g.baseRate(t)
-	for _, fc := range g.cfg.Crowds {
-		r *= fc.multiplier(t)
-	}
-	return r
-}
-
 // pickModel draws a model from the current Zipf ranking.
 func (g *Generator) pickModel() string {
 	u := g.rng.Float64() * g.cum[len(g.cum)-1]
