@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"math"
 	"slices"
 )
 
@@ -187,6 +188,10 @@ func foldXOR(acc uint64) byte {
 	return byte(acc)
 }
 
+// validCodeSize reports whether n is a payload size the format can carry:
+// positive and within the 32-bit size field.
+func validCodeSize(n int) bool { return n > 0 && uint64(n) <= math.MaxUint32 }
+
 // Build serializes a code object. Payload bytes are generated
 // deterministically from each kernel's name, so two builds of the same spec
 // are byte-identical.
@@ -202,8 +207,8 @@ func Build(name, arch string, kernels []KernelSpec) ([]byte, error) {
 		if k.Name == "" {
 			return nil, errors.New("codeobj: kernel with empty name")
 		}
-		if k.CodeSize <= 0 {
-			return nil, fmt.Errorf("codeobj: kernel %q has non-positive code size %d", k.Name, k.CodeSize)
+		if !validCodeSize(k.CodeSize) {
+			return nil, fmt.Errorf("codeobj: kernel %q code size %d out of range", k.Name, k.CodeSize)
 		}
 		if seen[k.Name] {
 			return nil, fmt.Errorf("codeobj: duplicate kernel symbol %q", k.Name)
@@ -225,25 +230,34 @@ func Build(name, arch string, kernels []KernelSpec) ([]byte, error) {
 	buf = appendString(buf, name)
 	buf = appendString(buf, arch)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(kernels)))
+	var keys []string
 	for _, k := range kernels {
-		buf = appendString(buf, k.Name)
-		buf = appendString(buf, k.Pattern)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(k.CodeSize))
-		keys := make([]string, 0, len(k.Meta))
-		for key := range k.Meta {
-			keys = append(keys, key)
-		}
-		slices.Sort(keys)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
-		for _, key := range keys {
-			buf = appendString(buf, key)
-			buf = appendString(buf, k.Meta[key])
-		}
+		buf, keys = appendKernelHeader(buf, keys, k)
 		var ck byte
 		buf, ck = appendPayload(buf, k.Name, k.CodeSize)
 		buf = append(buf, ck)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+}
+
+// appendKernelHeader appends k's symbol entry as Build writes it ahead of
+// the payload: name, pattern, code size and the meta pairs in key order.
+// keys is scratch space for the sort; the grown slice is returned for reuse.
+func appendKernelHeader(buf []byte, keys []string, k KernelSpec) ([]byte, []string) {
+	buf = appendString(buf, k.Name)
+	buf = appendString(buf, k.Pattern)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(k.CodeSize))
+	keys = keys[:0]
+	for key := range k.Meta {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
+	for _, key := range keys {
+		buf = appendString(buf, key)
+		buf = appendString(buf, k.Meta[key])
+	}
+	return buf, keys
 }
 
 // xorshift advances the payload generator's xorshift64 state by one step.

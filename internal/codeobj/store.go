@@ -32,6 +32,10 @@ type FaultHook interface {
 // directory of shared libraries and binary blobs the primitive library loads
 // from at runtime. It is a passive byte store; read latency and bandwidth
 // are charged by the hip runtime when a load happens.
+//
+// Stored bytes are immutable: built objects are shared with other stores,
+// so Get's result must not be modified, and the failure-injection hooks
+// replace an object's slice rather than write into it.
 type Store struct {
 	objects map[string][]byte
 	fault   FaultHook
@@ -52,9 +56,11 @@ func (s *Store) Put(path string, data []byte) {
 	s.objects[path] = cp
 }
 
-// PutBuilt builds a code object from specs and stores it under path.
+// PutBuilt stores the code object Build(path, arch, kernels) returns under
+// path. It takes the object from the process-wide build cache when it can,
+// so stores that put the same object share its bytes.
 func (s *Store) PutBuilt(path, arch string, kernels []KernelSpec) error {
-	data, err := Build(path, arch, kernels)
+	data, err := built.get(path, arch, kernels)
 	if err != nil {
 		return err
 	}
@@ -126,8 +132,8 @@ func (s *Store) Fingerprint() uint32 {
 	return h.Sum32()
 }
 
-// Corrupt flips one byte of the stored object at the given offset — a
-// failure-injection hook for loader tests.
+// Corrupt replaces the stored object with a copy that has the byte at the
+// given offset flipped — a failure-injection hook for loader tests.
 func (s *Store) Corrupt(path string, offset int) error {
 	data, ok := s.objects[path]
 	if !ok {
@@ -136,13 +142,16 @@ func (s *Store) Corrupt(path string, offset int) error {
 	if offset < 0 || offset >= len(data) {
 		return fmt.Errorf("codeobj: offset %d out of range for %q (%d bytes)", offset, path, len(data))
 	}
+	data = slices.Clone(data)
 	data[offset] ^= 0xff
+	s.objects[path] = data
 	return nil
 }
 
-// CorruptSealed flips one byte of the stored object and re-seals the
-// container CRC trailer, so the damage is only detectable by the per-kernel
-// payload checksum. Offsets inside the 4-byte trailer are rejected.
+// CorruptSealed replaces the stored object with a copy that has one byte
+// flipped and the container CRC trailer re-sealed, so the damage is only
+// detectable by the per-kernel payload checksum. Offsets inside the 4-byte
+// trailer are rejected.
 func (s *Store) CorruptSealed(path string, offset int) error {
 	data, ok := s.objects[path]
 	if !ok {
@@ -154,13 +163,17 @@ func (s *Store) CorruptSealed(path string, offset int) error {
 	if offset < 0 || offset >= len(data)-4 {
 		return fmt.Errorf("codeobj: offset %d out of sealed range for %q (%d bytes)", offset, path, len(data))
 	}
+	data = slices.Clone(data)
 	data[offset] ^= 0xff
 	crc := crc32.ChecksumIEEE(data[:len(data)-4])
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc)
+	s.objects[path] = data
 	return nil
 }
 
-// Truncate shortens the stored object to n bytes — a failure-injection hook.
+// Truncate shortens the stored object to n bytes — a failure-injection
+// hook. It re-slices without copying, capping the capacity so that nothing
+// appended to the result can reach the shared bytes past n.
 func (s *Store) Truncate(path string, n int) error {
 	data, ok := s.objects[path]
 	if !ok {
@@ -169,6 +182,6 @@ func (s *Store) Truncate(path string, n int) error {
 	if n < 0 || n > len(data) {
 		return fmt.Errorf("codeobj: truncate length %d out of range for %q", n, path)
 	}
-	s.objects[path] = data[:n]
+	s.objects[path] = data[:n:n]
 	return nil
 }
