@@ -31,15 +31,16 @@ import (
 	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
+	"time"
 
 	"pask/internal/core"
 	"pask/internal/device"
 	"pask/internal/experiments"
 	"pask/internal/faults"
 	"pask/internal/metrics"
-	"pask/internal/serving"
 	"pask/internal/trace"
 	"pask/internal/warmup"
 )
@@ -76,17 +77,12 @@ func main() {
 			fatal(fmt.Errorf("unknown fault keys in -faults: %v", leftover))
 		}
 		inj = faults.New(plan)
-		restore := serving.InstallFaults(ms, inj)
-		defer restore()
 	}
 
-	// Run on a process we hold, so faults reach its runtime and its spans
-	// and stats stay readable after the run.
+	// Run on a process we hold, so faults reach it and its spans and stats
+	// stay readable after the run.
 	pr := ms.NewProcess()
-	if inj != nil {
-		pr.RT.SetLoadFaults(inj)
-		inj.ArmReset(pr.Env, pr.RT.UnloadAll)
-	}
+	pr.InjectFaults(inj)
 	var rec *trace.Recorder
 	if *traceOut != "" {
 		rec = trace.New()
@@ -115,18 +111,7 @@ func main() {
 	}
 
 	fmt.Printf("\nbreakdown:\n")
-	type kv struct {
-		c metrics.Category
-		v float64
-	}
-	var items []kv
-	for c, v := range rep.Breakdown {
-		items = append(items, kv{c, float64(v)})
-	}
-	slices.SortFunc(items, func(a, b kv) int { return cmp.Compare(b.v, a.v) })
-	for _, it := range items {
-		fmt.Printf("  %-9s %8.2fms  %5.1f%%\n", it.c, it.v/1e6, 100*it.v/float64(rep.Total))
-	}
+	writeBreakdown(os.Stdout, rep.Breakdown, rep.Total)
 
 	if inj != nil {
 		fs := inj.Stats()
@@ -175,4 +160,21 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "paskrun:", err)
 	os.Exit(1)
+}
+
+// writeBreakdown prints the time breakdown longest first. Equal durations
+// keep metrics.DefaultPriority order (CatOther last), so a run prints the
+// same way every time.
+func writeBreakdown(w io.Writer, bd map[metrics.Category]time.Duration, total time.Duration) {
+	var cats []metrics.Category
+	for _, c := range append(metrics.DefaultPriority(), metrics.CatOther) {
+		if _, ok := bd[c]; ok {
+			cats = append(cats, c)
+		}
+	}
+	slices.SortStableFunc(cats, func(a, b metrics.Category) int { return cmp.Compare(bd[b], bd[a]) })
+	for _, c := range cats {
+		v := float64(bd[c])
+		fmt.Fprintf(w, "  %-9s %8.2fms  %5.1f%%\n", c, v/1e6, 100*v/float64(total))
+	}
 }

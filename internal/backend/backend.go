@@ -111,26 +111,24 @@ type RetryPolicy struct {
 	MaxBackoff time.Duration // cap for the doubling backoff
 }
 
-// LoadFaultInjector adds latency to module loads — the seam the faults
-// package uses for load-time spikes and windowed slow-loader brownouts (the
-// virtual start time of the load is passed so injectors can gate on it). A
-// nil injector costs nothing.
-type LoadFaultInjector interface {
+// FaultInjector is the registry's one fault seam — the way a fault plan
+// (internal/faults) reaches a process's load path. Installed per registry
+// with SetFaults; a registry without one costs nothing. Times passed are the
+// registry's virtual time, so injectors can gate on windows.
+type FaultInjector interface {
+	// StoreGet filters every store read: it may pass the bytes through,
+	// return a damaged copy, or fail the read (wrapping codeobj.ErrIO for
+	// transient faults). It must never modify data.
+	StoreGet(path string, data []byte) ([]byte, error)
+	// ExtraLoadLatency is the extra virtual time a load of path starting at
+	// now spends (spikes, slow-loader brownouts).
 	ExtraLoadLatency(now time.Duration, path string) time.Duration
-}
-
-// LoadLatencyScaler is an optional LoadFaultInjector extension: a multiplier
-// (>= 1) applied to the modeled load time of a load starting at now — the
-// ECC-degradation seam, where a sick GPU loads slower rather than later.
-type LoadLatencyScaler interface {
-	LoadLatencyScale(now time.Duration) float64
-}
-
-// LoadErrorInjector is an optional LoadFaultInjector extension: an injected
-// read error for a load starting at now (nil for none). Errors wrapping
-// codeobj.ErrIO are transient and face the normal retry machinery.
-type LoadErrorInjector interface {
+	// ExtraLoadError is an injected read error for a load starting at now
+	// (nil for none); transient errors face the normal retry machinery.
 	ExtraLoadError(now time.Duration, path string) error
+	// LoadLatencyScale is a multiplier (>= 1) applied to the modeled load
+	// time of a load starting at now — a sick GPU loads slower, not later.
+	LoadLatencyScale(now time.Duration) float64
 }
 
 // RegistryObserver receives the shared registry's notable moments — the seam

@@ -92,9 +92,21 @@ func (h *harness) run(t *testing.T, fn func(p *sim.Proc)) {
 	}
 }
 
+// NoFaults is an inert backend.FaultInjector. Test fakes embed it and
+// override only the effect they inject.
+type NoFaults struct{}
+
+func (NoFaults) StoreGet(_ string, data []byte) ([]byte, error)       { return data, nil }
+func (NoFaults) ExtraLoadLatency(time.Duration, string) time.Duration { return 0 }
+func (NoFaults) ExtraLoadError(time.Duration, string) error           { return nil }
+func (NoFaults) LoadLatencyScale(time.Duration) float64               { return 1 }
+
 // flakyReads fails the first n store reads of every path with a transient
 // I/O error, then passes bytes through.
-type flakyReads struct{ n int }
+type flakyReads struct {
+	NoFaults
+	n int
+}
 
 func (f *flakyReads) StoreGet(path string, data []byte) ([]byte, error) {
 	if f.n > 0 {
@@ -207,7 +219,7 @@ func testSymbolCostInvariant(t *testing.T, h *harness) {
 // Transient store faults are retried under the policy and succeed without
 // poisoning the negative cache.
 func testTransientRetry(t *testing.T, h *harness) {
-	h.store.SetFaultHook(&flakyReads{n: 2})
+	h.rt.SetFaults(&flakyReads{n: 2})
 	h.rt.SetRetry(backend.RetryPolicy{MaxRetries: 3, Backoff: 10 * time.Microsecond, MaxBackoff: time.Millisecond})
 	h.run(t, func(p *sim.Proc) {
 		if _, err := h.rt.ModuleLoad(p, "conv_a.pko"); err != nil {
@@ -226,7 +238,7 @@ func testTransientRetry(t *testing.T, h *harness) {
 // MaxRetries < 0 disables retrying: the first transient fault surfaces, and
 // it is still not negatively cached (a later call may succeed).
 func testRetryDisable(t *testing.T, h *harness) {
-	h.store.SetFaultHook(&flakyReads{n: 1})
+	h.rt.SetFaults(&flakyReads{n: 1})
 	h.rt.SetRetry(backend.RetryPolicy{MaxRetries: -1})
 	h.run(t, func(p *sim.Proc) {
 		if _, err := h.rt.ModuleLoad(p, "conv_a.pko"); err == nil {

@@ -29,7 +29,7 @@ type shared struct {
 	lostErr     error // cached flavor.DeviceLostError()
 	stats       Stats
 	retry       RetryPolicy
-	loadFaults  LoadFaultInjector
+	faults      FaultInjector
 	obs         RegistryObserver
 	peers       PeerSource
 	views       []*Registry // root first, then every Attach in order
@@ -209,9 +209,9 @@ func (rt *Registry) PinnedPaths() []string {
 // retrying; the zero value means the flavor's default).
 func (rt *Registry) SetRetry(p RetryPolicy) { rt.sh.retry = p }
 
-// SetLoadFaults installs (or with nil removes) the shared load-latency fault
-// injector.
-func (rt *Registry) SetLoadFaults(inj LoadFaultInjector) { rt.sh.loadFaults = inj }
+// SetFaults installs (or with nil removes) the shared fault injector: every
+// view's store reads and module loads go through it.
+func (rt *Registry) SetFaults(f FaultInjector) { rt.sh.faults = f }
 
 // SetObserver installs (or with nil removes) the shared registry observer.
 // Like the retry policy it is registry-wide: every view's activity is
@@ -235,6 +235,17 @@ func (rt *Registry) retryPolicy() RetryPolicy {
 
 // Store returns the backing code-object store.
 func (rt *Registry) Store() *codeobj.Store { return rt.sh.store }
+
+// ReadObject returns the bytes stored under path as this registry's process
+// sees them: through the fault injector when one is installed, so injected
+// failures surface exactly where real storage errors would.
+func (rt *Registry) ReadObject(path string) ([]byte, error) {
+	data, err := rt.sh.store.Get(path)
+	if err != nil || rt.sh.faults == nil {
+		return data, err
+	}
+	return rt.sh.faults.StoreGet(path, data)
+}
 
 // Stats returns a snapshot of the shared loading statistics.
 func (rt *Registry) Stats() Stats { return rt.sh.stats }
@@ -521,24 +532,17 @@ func (rt *Registry) FailedPermanently(path string) bool {
 // loadLocked performs the actual read + validate + relocate under the driver
 // lock, charging virtual time proportional to the object size and symbols.
 func (rt *Registry) loadLocked(p *sim.Proc, path string) (*Module, error) {
-	data, err := rt.sh.store.Get(path)
+	data, err := rt.ReadObject(path)
+	if err == nil && rt.sh.faults != nil {
+		if d := rt.sh.faults.ExtraLoadLatency(p.Now(), path); d > 0 {
+			p.Sleep(d)
+		}
+		err = rt.sh.faults.ExtraLoadError(p.Now(), path)
+	}
 	if err != nil {
 		// A failed open still costs the fixed driver overhead.
 		p.Sleep(rt.gpu.Profile.ModuleLoadFixed)
 		return nil, rt.sh.flavor.LoadError(path, err)
-	}
-	if rt.sh.loadFaults != nil {
-		if d := rt.sh.loadFaults.ExtraLoadLatency(p.Now(), path); d > 0 {
-			p.Sleep(d)
-		}
-		if li, ok := rt.sh.loadFaults.(LoadErrorInjector); ok {
-			if ierr := li.ExtraLoadError(p.Now(), path); ierr != nil {
-				// The injected read error still costs the fixed driver
-				// overhead, like any failed open.
-				p.Sleep(rt.gpu.Profile.ModuleLoadFixed)
-				return nil, rt.sh.flavor.LoadError(path, ierr)
-			}
-		}
 	}
 	obj, perr := codeobj.Parse(data)
 	if perr != nil {
@@ -551,8 +555,8 @@ func (rt *Registry) loadLocked(p *sim.Proc, path string) (*Module, error) {
 		return nil, rt.sh.flavor.ArchError(path, obj.Arch, arch)
 	}
 	load := rt.gpu.Profile.LoadTime(int64(obj.Size()), rt.loadSymbolCount(obj))
-	if ls, ok := rt.sh.loadFaults.(LoadLatencyScaler); ok {
-		if f := ls.LoadLatencyScale(p.Now()); f > 1 {
+	if rt.sh.faults != nil {
+		if f := rt.sh.faults.LoadLatencyScale(p.Now()); f > 1 {
 			load = time.Duration(float64(load) * f)
 		}
 	}
@@ -633,11 +637,11 @@ func (rt *Registry) RegisterResident(p *sim.Proc, path string) (*Module, error) 
 	}
 	pol := rt.retryPolicy()
 	backoff := pol.Backoff
-	data, err := rt.sh.store.Get(path)
+	data, err := rt.ReadObject(path)
 	for attempt := 0; err != nil && IsTransient(err) && attempt < pol.MaxRetries; attempt++ {
 		rt.sh.stats.TransientRetries++
 		backoff = pol.wait(p, backoff)
-		data, err = rt.sh.store.Get(path)
+		data, err = rt.ReadObject(path)
 	}
 	if err != nil {
 		return nil, rt.sh.flavor.ResidentLoadError(path, err)

@@ -94,33 +94,6 @@ func TestErrNotFoundTyped(t *testing.T) {
 	}
 }
 
-type flakyHook struct{ fails int }
-
-func (h *flakyHook) StoreGet(path string, data []byte) ([]byte, error) {
-	if h.fails > 0 {
-		h.fails--
-		return nil, ErrIO
-	}
-	return data, nil
-}
-
-func TestStoreFaultHook(t *testing.T) {
-	st := NewStore()
-	st.Put("obj.pko", buildSmall(t))
-	h := &flakyHook{fails: 1}
-	st.SetFaultHook(h)
-	if _, err := st.Get("obj.pko"); !IsTransient(err) {
-		t.Fatalf("hooked Get error %v, want transient", err)
-	}
-	if _, err := st.Get("obj.pko"); err != nil {
-		t.Fatalf("second Get: %v", err)
-	}
-	st.SetFaultHook(nil)
-	if _, err := st.Get("obj.pko"); err != nil {
-		t.Fatalf("unhooked Get: %v", err)
-	}
-}
-
 // TestXORChecksumMatchesBytewise checks the word-at-a-time fold against a
 // byte-at-a-time reference for every length up to 300 at every start
 // alignment, so each path (32-byte lanes, 8-byte words, byte tail) and each

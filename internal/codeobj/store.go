@@ -21,13 +21,6 @@ var (
 // IsTransient reports whether a store/load error is worth retrying.
 func IsTransient(err error) bool { return errors.Is(err, ErrIO) }
 
-// FaultHook intercepts Store reads for failure injection. It may pass the
-// bytes through, substitute corrupted ones, or fail the read outright
-// (wrapping ErrIO for transient faults). A nil hook costs nothing.
-type FaultHook interface {
-	StoreGet(path string, data []byte) ([]byte, error)
-}
-
 // Store is the simulated on-disk registry of compiled code objects — the
 // directory of shared libraries and binary blobs the primitive library loads
 // from at runtime. It is a passive byte store; read latency and bandwidth
@@ -38,11 +31,7 @@ type FaultHook interface {
 // replace an object's slice rather than write into it.
 type Store struct {
 	objects map[string][]byte
-	fault   FaultHook
 }
-
-// SetFaultHook installs (or, with nil, removes) the read interceptor.
-func (s *Store) SetFaultHook(h FaultHook) { s.fault = h }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
@@ -68,16 +57,12 @@ func (s *Store) PutBuilt(path, arch string, kernels []KernelSpec) error {
 	return nil
 }
 
-// Get returns the bytes stored under path. When a fault hook is installed
-// the read goes through it, so injected failures surface exactly where real
-// storage errors would.
+// Get returns the bytes stored under path. Injected read faults belong to a
+// process, not the store: they apply in backend.Registry.ReadObject.
 func (s *Store) Get(path string) ([]byte, error) {
 	data, ok := s.objects[path]
 	if !ok {
 		return nil, fmt.Errorf("codeobj: object %q %w", path, ErrNotFound)
-	}
-	if s.fault != nil {
-		return s.fault.StoreGet(path, data)
 	}
 	return data, nil
 }

@@ -464,7 +464,7 @@ func (pl *pipeline) decidePrimitive(lp *sim.Proc, instr *graphx.Instruction) (mi
 		// fp32 kernel beats loading the absent low-precision specialist.
 		f32 := *prob
 		f32.DType = tensor.F32
-		if ranked := lib.Reg.Find(&f32); len(ranked) > 0 {
+		if ranked := lib.Find(&f32); len(ranked) > 0 {
 			if sub32, ok32 := pl.cache.GetSub(lp, lib, ranked[0].Inst, &f32); ok32 {
 				pl.addGetsub(instr.Name, lp.Name(), start, lp.Now(),
 					metrics.Attr{Key: "hit", Value: "true"},

@@ -72,7 +72,7 @@ func recoverLoadFailure(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result,
 	}
 	// Nothing resident fits: climb down the generality ladder and try to
 	// load an alternative object for this problem, most generic first.
-	ranked := r.Lib.Reg.Find(prob)
+	ranked := r.Lib.Find(prob)
 	slices.SortStableFunc(ranked, func(a, b miopen.Ranked) int {
 		return cmp.Compare(a.Inst.Sol.Specificity(), b.Inst.Sol.Specificity())
 	})
@@ -114,7 +114,7 @@ func agnosticSubstitute(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result,
 			return sub, true, nil
 		}
 	}
-	ranked := r.Lib.Reg.Find(prob)
+	ranked := r.Lib.Find(prob)
 	slices.SortStableFunc(ranked, func(a, b miopen.Ranked) int {
 		return cmp.Compare(a.Inst.Sol.Specificity(), b.Inst.Sol.Specificity())
 	})

@@ -115,7 +115,7 @@ func TestCUDADefaultRetryPolicy(t *testing.T) {
 	}
 	env, rt := newTestRuntime(t)
 	hook := &failFirstN{n: 2}
-	rt.Store().SetFaultHook(hook)
+	rt.SetFaults(hook)
 	runHost(t, env, rt, func(p *sim.Proc) {
 		if _, err := rt.ModuleLoad(p, "gemm.pko"); err != nil {
 			t.Fatalf("default policy must absorb two transient faults: %v", err)
@@ -126,7 +126,10 @@ func TestCUDADefaultRetryPolicy(t *testing.T) {
 	}
 }
 
-type failFirstN struct{ n int }
+type failFirstN struct {
+	conformancetest.NoFaults
+	n int
+}
 
 func (f *failFirstN) StoreGet(path string, data []byte) ([]byte, error) {
 	if f.n > 0 {

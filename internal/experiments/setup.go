@@ -17,6 +17,7 @@ import (
 	"pask/internal/core"
 	"pask/internal/cuda"
 	"pask/internal/device"
+	"pask/internal/faults"
 	"pask/internal/graphx"
 	"pask/internal/hip"
 	"pask/internal/metrics"
@@ -161,6 +162,31 @@ func (pr *Process) Record(rec *trace.Recorder) {
 	pr.Env.OnDispatch = func(at time.Duration, proc string, queueLen int) {
 		rec.Count("sim_event_queue", at, float64(queueLen))
 	}
+}
+
+// InjectFaults wires a fault plan into this process alone: the objects that
+// ship inside the engine and library binaries (builtin elementwise kernels,
+// the BLAS core archive, the resident generics) are exempted, since damaging
+// them would model a broken install rather than a loading fault; the runtime
+// registry reads and loads through inj; the library's find path loses the
+// plan's disabled solutions; and the plan's device reset is armed against the
+// runtime. A nil inj leaves the process untouched.
+func (pr *Process) InjectFaults(inj *faults.Injector) {
+	if inj == nil {
+		return
+	}
+	lib := pr.Runner.Lib
+	inj.Exempt(graphx.BuiltinObjectPath, blas.CoreObjectPath)
+	for _, inst := range lib.Reg.Residents() {
+		inj.Exempt(inst.Path())
+	}
+	ids := make([]string, 0, len(lib.Reg.Solutions()))
+	for _, s := range lib.Reg.Solutions() {
+		ids = append(ids, s.ID())
+	}
+	lib.Disable(inj.DisabledIDs(ids)...)
+	pr.RT.SetFaults(inj)
+	inj.ArmReset(pr.Env, pr.RT.UnloadAll)
 }
 
 // Init brings the process up: GPU context creation, then the library open

@@ -121,7 +121,16 @@ func (inj *Injector) GPUView(idx int) *GPUInjector {
 // GPU returns the host GPU index this view scopes to.
 func (v *GPUInjector) GPU() int { return v.idx }
 
-// ExtraLoadLatency implements backend.LoadFaultInjector by delegating to
+// StoreGet implements backend.FaultInjector by delegating to the shared
+// injector: store faults hit every GPU.
+func (v *GPUInjector) StoreGet(path string, data []byte) ([]byte, error) {
+	if v == nil {
+		return data, nil
+	}
+	return v.inj.StoreGet(path, data)
+}
+
+// ExtraLoadLatency implements backend.FaultInjector by delegating to
 // the shared injector: spikes and the slow-loader brownout hit every GPU.
 func (v *GPUInjector) ExtraLoadLatency(now time.Duration, path string) time.Duration {
 	if v == nil {
@@ -130,7 +139,7 @@ func (v *GPUInjector) ExtraLoadLatency(now time.Duration, path string) time.Dura
 	return v.inj.ExtraLoadLatency(now, path)
 }
 
-// LoadLatencyScale implements backend.LoadLatencyScaler: the multiplier
+// LoadLatencyScale implements backend.FaultInjector: the multiplier
 // applied to modeled load time on this GPU at now (1 when healthy).
 func (v *GPUInjector) LoadLatencyScale(now time.Duration) float64 {
 	if v == nil {
@@ -146,7 +155,7 @@ func (v *GPUInjector) LoadLatencyScale(now time.Duration) float64 {
 	return inj.plan.DegradeFactor
 }
 
-// ExtraLoadError implements backend.LoadErrorInjector: the elevated
+// ExtraLoadError implements backend.FaultInjector: the elevated
 // transient error rate a degraded GPU's loads face inside the window.
 // Consecutive failures per path are burst-capped so bounded retry wins.
 func (v *GPUInjector) ExtraLoadError(now time.Duration, path string) error {

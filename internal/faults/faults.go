@@ -5,9 +5,10 @@
 // deployments see faults. A declarative Plan names the failure modes to exercise —
 // transient store I/O errors, permanently corrupt code objects, load-latency
 // spikes, solution-discovery outages, and a device reset at a chosen virtual
-// time — and an Injector turns it into byte-level misbehaviour at the same
-// seams real faults enter: codeobj.Store reads, hip module-load latency, and
-// the MIOpen find path.
+// time — and an Injector turns it into byte-level misbehaviour where real
+// faults enter a process: its runtime registry's store reads and module
+// loads (backend.FaultInjector), and its MIOpen library's find path
+// (DisabledIDs).
 //
 // Every decision is a pure hash of (seed, fault kind, path, access count),
 // so a fixed plan replays identically across runs and across policies under
@@ -207,9 +208,9 @@ type Stats struct {
 	LinkFaults      int // peer transfers failed or stalled by a link flap
 }
 
-// Injector implements the fault plan. It satisfies codeobj.FaultHook (store
-// reads) and backend.LoadFaultInjector (latency spikes). A nil Injector is safe
-// to call and injects nothing.
+// Injector implements the fault plan. It satisfies backend.FaultInjector
+// (store reads and load latency; the device-scoped effects need a GPUView).
+// A nil Injector is safe to call and injects nothing.
 type Injector struct {
 	plan Plan
 
@@ -292,9 +293,9 @@ func (inj *Injector) roll(kind, key string, n int) float64 {
 	return float64(x>>11) / float64(1<<53)
 }
 
-// StoreGet implements codeobj.FaultHook. It never mutates data: corrupted
-// reads return a damaged copy, because the store is shared across instances
-// and the "disk" copy of an exempt-free path stays pristine.
+// StoreGet implements backend.FaultInjector. It never mutates data:
+// corrupted reads return a damaged copy, because the store is shared across
+// processes and the "disk" copy of an exempt-free path stays pristine.
 func (inj *Injector) StoreGet(path string, data []byte) ([]byte, error) {
 	if inj == nil {
 		return data, nil
@@ -340,7 +341,7 @@ func (inj *Injector) PermanentlyCorrupt(path string) bool {
 	return !inj.exempt[path] && inj.permanentLocked(path)
 }
 
-// ExtraLoadLatency implements backend.LoadFaultInjector: the extra virtual time
+// ExtraLoadLatency implements backend.FaultInjector: the extra virtual time
 // a module load starting at now spends. Seeded per-load spikes and the
 // windowed slow-loader brownout stack — a spike during the window pays both.
 func (inj *Injector) ExtraLoadLatency(now time.Duration, path string) time.Duration {
@@ -366,8 +367,16 @@ func (inj *Injector) ExtraLoadLatency(now time.Duration, path string) time.Durat
 	return extra
 }
 
+// ExtraLoadError implements backend.FaultInjector. Injected load errors are
+// device degradation, scoped to one GPU: only a GPUView returns them.
+func (inj *Injector) ExtraLoadError(time.Duration, string) error { return nil }
+
+// LoadLatencyScale implements backend.FaultInjector. Like ExtraLoadError it
+// is device-scoped: only a GPUView scales load time.
+func (inj *Injector) LoadLatencyScale(time.Duration) float64 { return 1 }
+
 // DisabledIDs returns the seeded subset of solution IDs the find path must
-// report unavailable. Callers copy the result into miopen's Ctx.Disabled.
+// report unavailable. Callers pass the result to miopen's Library.Disable.
 func (inj *Injector) DisabledIDs(ids []string) []string {
 	if inj == nil || inj.plan.DisableRate <= 0 {
 		return nil

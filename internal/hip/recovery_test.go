@@ -6,12 +6,16 @@ import (
 	"time"
 
 	"pask/internal/backend"
+	"pask/internal/backend/conformancetest"
 	"pask/internal/codeobj"
 	"pask/internal/sim"
 )
 
 // flakyStore fails the first n reads of each path with a transient error.
-type flakyStore struct{ failsLeft map[string]int }
+type flakyStore struct {
+	conformancetest.NoFaults
+	failsLeft map[string]int
+}
 
 func (h *flakyStore) StoreGet(path string, data []byte) ([]byte, error) {
 	if h.failsLeft[path] > 0 {
@@ -22,7 +26,10 @@ func (h *flakyStore) StoreGet(path string, data []byte) ([]byte, error) {
 }
 
 // corruptStore serves damaged copies of one path forever.
-type corruptStore struct{ path string }
+type corruptStore struct {
+	conformancetest.NoFaults
+	path string
+}
 
 func (h *corruptStore) StoreGet(path string, data []byte) ([]byte, error) {
 	if path != h.path {
@@ -36,6 +43,7 @@ func (h *corruptStore) StoreGet(path string, data []byte) ([]byte, error) {
 
 // spikeOnce injects one latency spike on the first load of each path.
 type spikeOnce struct {
+	conformancetest.NoFaults
 	extra time.Duration
 	seen  map[string]bool
 }
@@ -53,7 +61,7 @@ func (h *spikeOnce) ExtraLoadLatency(_ time.Duration, path string) time.Duration
 
 func TestModuleLoadRetriesTransientErrors(t *testing.T) {
 	env, rt := newTestRuntime(t)
-	rt.Store().SetFaultHook(&flakyStore{failsLeft: map[string]int{"conv_a.pko": 2}})
+	rt.SetFaults(&flakyStore{failsLeft: map[string]int{"conv_a.pko": 2}})
 	runHost(t, env, rt, func(p *sim.Proc) {
 		m, err := rt.ModuleLoad(p, "conv_a.pko")
 		if err != nil {
@@ -76,7 +84,7 @@ func TestModuleLoadRetriesTransientErrors(t *testing.T) {
 func TestModuleLoadExhaustedRetriesNotNegativelyCached(t *testing.T) {
 	env, rt := newTestRuntime(t)
 	// More consecutive failures than the default 3 retries allow.
-	rt.Store().SetFaultHook(&flakyStore{failsLeft: map[string]int{"conv_a.pko": 10}})
+	rt.SetFaults(&flakyStore{failsLeft: map[string]int{"conv_a.pko": 10}})
 	runHost(t, env, rt, func(p *sim.Proc) {
 		if _, err := rt.ModuleLoad(p, "conv_a.pko"); !backend.IsTransient(err) {
 			t.Errorf("exhausted-retry error = %v, want transient", err)
@@ -100,7 +108,7 @@ func TestModuleLoadExhaustedRetriesNotNegativelyCached(t *testing.T) {
 
 func TestPermanentFailureNegativelyCached(t *testing.T) {
 	env, rt := newTestRuntime(t)
-	rt.Store().SetFaultHook(&corruptStore{path: "conv_a.pko"})
+	rt.SetFaults(&corruptStore{path: "conv_a.pko"})
 	var firstErr, secondErr error
 	var secondCost time.Duration
 	runHost(t, env, rt, func(p *sim.Proc) {
@@ -130,13 +138,13 @@ func TestPermanentFailureNegativelyCached(t *testing.T) {
 func TestForgetFailureAllowsRepair(t *testing.T) {
 	env, rt := newTestRuntime(t)
 	hook := &corruptStore{path: "conv_a.pko"}
-	rt.Store().SetFaultHook(hook)
+	rt.SetFaults(hook)
 	runHost(t, env, rt, func(p *sim.Proc) {
 		if _, err := rt.ModuleLoad(p, "conv_a.pko"); err == nil {
 			t.Error("corrupt load unexpectedly succeeded")
 		}
 		// Repair the object, then clear the negative entry.
-		rt.Store().SetFaultHook(nil)
+		rt.SetFaults(nil)
 		if !rt.ForgetFailure("conv_a.pko") {
 			t.Error("ForgetFailure found no entry")
 		}
@@ -152,7 +160,7 @@ func TestForgetFailureAllowsRepair(t *testing.T) {
 func TestTransientRetryCostsBackoffTime(t *testing.T) {
 	env, rt := newTestRuntime(t)
 	rt.SetRetry(backend.RetryPolicy{MaxRetries: 1, Backoff: 300 * time.Microsecond})
-	rt.Store().SetFaultHook(&flakyStore{failsLeft: map[string]int{"conv_b.pko": 1}})
+	rt.SetFaults(&flakyStore{failsLeft: map[string]int{"conv_b.pko": 1}})
 	var elapsed time.Duration
 	runHost(t, env, rt, func(p *sim.Proc) {
 		start := p.Now()
@@ -175,7 +183,7 @@ func TestTransientRetryCostsBackoffTime(t *testing.T) {
 func TestRetryDisabled(t *testing.T) {
 	env, rt := newTestRuntime(t)
 	rt.SetRetry(backend.RetryPolicy{MaxRetries: -1})
-	rt.Store().SetFaultHook(&flakyStore{failsLeft: map[string]int{"conv_a.pko": 1}})
+	rt.SetFaults(&flakyStore{failsLeft: map[string]int{"conv_a.pko": 1}})
 	runHost(t, env, rt, func(p *sim.Proc) {
 		if _, err := rt.ModuleLoad(p, "conv_a.pko"); !backend.IsTransient(err) {
 			t.Errorf("error = %v, want transient failure with retry disabled", err)
@@ -189,7 +197,7 @@ func TestRetryDisabled(t *testing.T) {
 func TestLatencySpikeCharged(t *testing.T) {
 	env, rt := newTestRuntime(t)
 	const extra = 5 * time.Millisecond
-	rt.SetLoadFaults(&spikeOnce{extra: extra})
+	rt.SetFaults(&spikeOnce{extra: extra})
 	var first, second time.Duration
 	runHost(t, env, rt, func(p *sim.Proc) {
 		start := p.Now()
@@ -213,7 +221,7 @@ func TestLatencySpikeCharged(t *testing.T) {
 
 func TestRegisterResidentRetriesTransient(t *testing.T) {
 	env, rt := newTestRuntime(t)
-	rt.Store().SetFaultHook(&flakyStore{failsLeft: map[string]int{"conv_a.pko": 2}})
+	rt.SetFaults(&flakyStore{failsLeft: map[string]int{"conv_a.pko": 2}})
 	runHost(t, env, rt, func(p *sim.Proc) {
 		if _, err := rt.RegisterResident(p, "conv_a.pko"); err != nil {
 			t.Errorf("RegisterResident after transient faults: %v", err)
@@ -226,7 +234,7 @@ func TestRegisterResidentRetriesTransient(t *testing.T) {
 
 func TestDeviceResetKeepsNegativeCache(t *testing.T) {
 	env, rt := newTestRuntime(t)
-	rt.Store().SetFaultHook(&corruptStore{path: "conv_a.pko"})
+	rt.SetFaults(&corruptStore{path: "conv_a.pko"})
 	runHost(t, env, rt, func(p *sim.Proc) {
 		if _, err := rt.ModuleLoad(p, "conv_a.pko"); err == nil {
 			t.Error("corrupt load unexpectedly succeeded")

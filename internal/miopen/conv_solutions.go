@@ -44,9 +44,6 @@ func (f *family) Primitive() Primitive { return f.primitive }
 func (f *family) Specificity() int     { return f.spec }
 
 func (f *family) IsApplicable(ctx *Ctx, p *Problem) bool {
-	if ctx.Disabled[f.id] {
-		return false
-	}
 	if p.Primitive != f.primitive || !p.Valid() {
 		return false
 	}

@@ -2,6 +2,7 @@ package miopen
 
 import (
 	"fmt"
+	"slices"
 
 	"pask/internal/backend"
 	"pask/internal/device"
@@ -18,18 +19,21 @@ type Library struct {
 
 	checks int // IsApplicable invocations charged so far
 
+	// disabled holds this process's solution kill switches (find-path
+	// outages injected by a fault plan): Find and CheckApplicable treat
+	// these solutions as inapplicable.
+	disabled map[string]bool
+
 	// memo caches IsApplicable outcomes. The verdict is a pure function of
-	// (solution, binding, problem, workspace limit) within one kill-switch
-	// generation, so repeat queries skip re-deriving binding keys and
-	// predicate walks — only the host-side CPU work; the virtual-time charge
-	// and the checks counter are untouched.
-	memo    map[applicKey]bool
-	memoGen uint64
+	// (solution, binding, problem, workspace limit), so repeat queries skip
+	// re-deriving binding keys and predicate walks — only the host-side CPU
+	// work; the virtual-time charge and the checks counter are untouched.
+	memo map[applicKey]bool
 }
 
 // applicKey identifies one memoized applicability verdict. Every field is
-// comparable; WorkspaceLimit is part of the key (rather than a generation
-// bump) because tests mutate it directly on the Ctx.
+// comparable; WorkspaceLimit is part of the key because tests mutate it
+// directly on the Ctx.
 type applicKey struct {
 	sol     Solution
 	binding string
@@ -54,20 +58,39 @@ func (l *Library) LoadResidents(proc *sim.Proc) error {
 	return nil
 }
 
+// Disable switches solutions off by ID in this process: the find path
+// reports them unavailable from now on.
+func (l *Library) Disable(ids ...string) {
+	if l.disabled == nil {
+		l.disabled = make(map[string]bool)
+	}
+	for _, id := range ids {
+		l.disabled[id] = true
+	}
+}
+
+// Find is the registry's ranked find step without the solutions this
+// process has disabled.
+func (l *Library) Find(p *Problem) []Ranked {
+	return slices.DeleteFunc(l.Reg.Find(p), func(r Ranked) bool { return l.disabled[r.Inst.Sol.ID()] })
+}
+
 // ApplicabilityChecks returns the number of charged IsApplicable calls.
 func (l *Library) ApplicabilityChecks() int { return l.checks }
 
 // CheckApplicable evaluates inst.IsApplicable(p) and charges the host-side
 // cost of the check — the expensive validation PASK's categorical cache
-// minimizes (paper §II-B).
+// minimizes (paper §II-B). A disabled solution is never applicable.
 func (l *Library) CheckApplicable(proc *sim.Proc, inst Instance, p *Problem) bool {
 	proc.Sleep(l.RT.Host().ApplicabilityCheck)
 	l.checks++
-	ctx := l.Reg.ctx
-	if l.memo == nil || l.memoGen != ctx.Generation() {
-		l.memo = make(map[applicKey]bool, 64)
-		l.memoGen = ctx.Generation()
+	if l.disabled[inst.Sol.ID()] {
+		return false
 	}
+	if l.memo == nil {
+		l.memo = make(map[applicKey]bool, 64)
+	}
+	ctx := l.Reg.ctx
 	k := applicKey{sol: inst.Sol, binding: inst.Binding, prob: *p, wsLimit: ctx.WorkspaceLimit}
 	if v, ok := l.memo[k]; ok {
 		return v

@@ -95,6 +95,36 @@ func TestCheckApplicableChargesAndCounts(t *testing.T) {
 	}
 }
 
+// TestDisableOverridesMemoizedCheck checks that a kill switch thrown after a
+// memoized "applicable" verdict still fails the check, and that the check is
+// charged either way.
+func TestDisableOverridesMemoizedCheck(t *testing.T) {
+	p := conv3x3(64, 64, 28)
+	env, lib := newLibRuntime(t, []*Problem{&p})
+	rxs, _ := lib.Reg.ByID("ConvBinWinogradRxSFwd")
+	inst := Bind(rxs, &p)
+	env.Spawn("host", func(proc *sim.Proc) {
+		defer lib.RT.GPU().CloseAll()
+		if !lib.CheckApplicable(proc, inst, &p) {
+			t.Error("RxS should be applicable before it is disabled")
+		}
+		lib.Disable(rxs.ID())
+		start := proc.Now()
+		if lib.CheckApplicable(proc, inst, &p) {
+			t.Error("disabled RxS still applicable")
+		}
+		if got := proc.Now() - start; got != lib.RT.Host().ApplicabilityCheck {
+			t.Errorf("check cost %v, want %v", got, lib.RT.Host().ApplicabilityCheck)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if lib.ApplicabilityChecks() != 2 {
+		t.Fatalf("checks = %d, want 2", lib.ApplicabilityChecks())
+	}
+}
+
 func TestRunSolutionMissingObjectFails(t *testing.T) {
 	p := conv3x3(64, 64, 28)
 	reg := NewRegistry(testCtx())

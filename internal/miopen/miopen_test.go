@@ -225,16 +225,28 @@ func TestWorkspaceLimitDisqualifies(t *testing.T) {
 }
 
 func TestDisabledSolutionExcluded(t *testing.T) {
-	ctx := testCtx()
-	ctx.Disable("ConvBinWinogradFwdFixed")
-	reg := NewRegistry(ctx)
+	reg := NewRegistry(testCtx())
 	p := conv3x3(128, 128, 28)
 	best, err := reg.FindBest(&p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Inst.Sol.ID() == "ConvBinWinogradFwdFixed" {
-		t.Fatal("disabled solution selected")
+	id := best.Inst.Sol.ID()
+	lib, other := NewLibrary(reg, nil), NewLibrary(reg, nil)
+	lib.Disable(id)
+	ranked := lib.Find(&p)
+	if len(ranked) == 0 || len(ranked) != len(reg.Find(&p))-1 {
+		t.Fatalf("Find returned %d instances, want the registry's minus one", len(ranked))
+	}
+	for _, r := range ranked {
+		if r.Inst.Sol.ID() == id {
+			t.Fatal("disabled solution selected")
+		}
+	}
+	// The kill switch belongs to one process: another library over the
+	// same registry still finds the solution.
+	if got := other.Find(&p)[0].Inst.Sol.ID(); got != id {
+		t.Fatalf("other library's best = %s, want %s", got, id)
 	}
 }
 

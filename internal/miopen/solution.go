@@ -32,44 +32,19 @@ func Patterns() []Pattern {
 }
 
 // Ctx carries the environment a solution validates against: device
-// capabilities, the workspace limit, and solution kill switches (the
-// "environment variable validation" of paper §II-B).
-//
-// Mutate the kill switches through Disable/Enable, not the Disabled map
-// directly: the methods bump the generation counter that invalidates
-// memoized applicability results.
+// capabilities and the workspace limit (the "environment variable
+// validation" of paper §II-B). Solution kill switches are per process and
+// live on the Library.
 type Ctx struct {
 	Dev            device.Profile
 	WorkspaceLimit int64
-	Disabled       map[string]bool // solution ID -> disabled
-	gen            uint64          // bumped on every kill-switch change
 }
 
 // NewCtx returns a context for the given device with a 64 MiB workspace —
 // the default scratch budget the framework grants the library.
 func NewCtx(dev device.Profile) *Ctx {
-	return &Ctx{Dev: dev, WorkspaceLimit: 64 << 20, Disabled: make(map[string]bool)}
+	return &Ctx{Dev: dev, WorkspaceLimit: 64 << 20}
 }
-
-// Disable switches a solution off by ID (fault injection, kill switches).
-func (c *Ctx) Disable(id string) {
-	if !c.Disabled[id] {
-		c.Disabled[id] = true
-		c.gen++
-	}
-}
-
-// Enable re-enables a previously disabled solution.
-func (c *Ctx) Enable(id string) {
-	if c.Disabled[id] {
-		delete(c.Disabled, id)
-		c.gen++
-	}
-}
-
-// Generation returns the kill-switch generation; memoized applicability
-// results are valid only within one generation.
-func (c *Ctx) Generation() uint64 { return c.gen }
 
 // KernelCall is one kernel invocation a solution issues: a symbol in the
 // solution's code object plus its roofline inputs.

@@ -4,53 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"pask/internal/blas"
 	"pask/internal/core"
 	"pask/internal/device"
 	"pask/internal/experiments"
 	"pask/internal/faults"
-	"pask/internal/graphx"
 )
-
-// protectedPaths lists the code objects a fault plan must never damage:
-// the objects that ship inside the engine and library binaries (builtin
-// elementwise kernels, the BLAS core archive, the resident generics) rather
-// than crossing storage. Corrupting them would model a broken install, not
-// a loading-pipeline fault.
-func protectedPaths(ms *experiments.ModelSetup) []string {
-	paths := []string{graphx.BuiltinObjectPath, blas.CoreObjectPath}
-	for _, inst := range ms.Reg.Residents() {
-		paths = append(paths, inst.Path())
-	}
-	return paths
-}
-
-// InstallFaults wires an injector into the shared model setup for one
-// scenario run: the store read hook, the find-path outage set, and the
-// exemptions for binary-shipped objects. The returned func restores the
-// setup — the store and registry are shared across scenarios and policies.
-func InstallFaults(ms *experiments.ModelSetup, inj *faults.Injector) func() {
-	if inj == nil {
-		return func() {}
-	}
-	inj.Exempt(protectedPaths(ms)...)
-	ms.Store.SetFaultHook(inj)
-	ctx := ms.Reg.Ctx()
-	var ids []string
-	for _, s := range ms.Reg.Solutions() {
-		ids = append(ids, s.ID())
-	}
-	disabled := inj.DisabledIDs(ids)
-	for _, id := range disabled {
-		ctx.Disable(id)
-	}
-	return func() {
-		ms.Store.SetFaultHook(nil)
-		for _, id := range disabled {
-			ctx.Enable(id)
-		}
-	}
-}
 
 // ChaosConfig parameterizes the fault-injection sweep.
 type ChaosConfig struct {

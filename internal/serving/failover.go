@@ -331,7 +331,7 @@ func runFailoverArm(f *gpuFleet, requests int, images *cacheimg.Store, sc failov
 	inj := faults.New(sc.plan)
 	for i := range rig.Nodes {
 		i := i
-		rig.Nodes[i].Root().SetLoadFaults(inj.GPUView(i))
+		rig.Nodes[i].Root().SetFaults(inj.GPUView(i))
 		inj.ArmGPUDeath(env, i, func() { rig.Nodes[i].Root().MarkDeviceLost() })
 	}
 	if sc.flap {

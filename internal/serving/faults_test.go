@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pask/internal/blas"
 	"pask/internal/codeobj"
 	"pask/internal/core"
 	"pask/internal/device"
@@ -28,8 +30,8 @@ var (
 	resErr  error
 )
 
-// resSetup builds the shared ResNet34 setup once: fault tests only install
-// injector hooks, never mutate the store, so sharing is safe.
+// resSetup builds the shared ResNet34 setup once: fault plans are wired into
+// each run's own processes and never mutate the setup, so sharing is safe.
 func resSetup(t *testing.T) *experiments.ModelSetup {
 	t.Helper()
 	resOnce.Do(func() {
@@ -39,6 +41,16 @@ func resSetup(t *testing.T) *experiments.ModelSetup {
 		t.Fatal(resErr)
 	}
 	return resMS
+}
+
+// protectedPaths lists the objects Process.InjectFaults exempts from a fault
+// plan: the ones that ship inside the engine and library binaries.
+func protectedPaths(ms *experiments.ModelSetup) []string {
+	paths := []string{graphx.BuiltinObjectPath, blas.CoreObjectPath}
+	for _, inst := range ms.Reg.Residents() {
+		paths = append(paths, inst.Path())
+	}
+	return paths
 }
 
 // probeLoadedChosen runs one clean cold PASK request and returns the
@@ -453,4 +465,79 @@ func TestReplacementAccountingSingleCounted(t *testing.T) {
 		}
 		t.Logf("spawned %d, crashes %d, replays %d, stale %d", fs.Spawned, fs.Crashes, fs.WarmupReplays, fs.WarmupStale)
 	})
+}
+
+// TestEmptyPlanIsNoPlan is the metamorphic relation that guards the fault
+// seam: an injector whose plan injects nothing must leave a run exactly as
+// a run without one — the same stats and the same Chrome trace bytes.
+func TestEmptyPlanIsNoPlan(t *testing.T) {
+	check := func(t *testing.T, serve func(Policy) (any, error)) {
+		t.Helper()
+		var stats [2]any
+		var chrome [2][]byte
+		for i, inj := range []*faults.Injector{nil, faults.New(faults.Plan{Seed: 9})} {
+			rec := trace.New()
+			st, err := serve(Policy{Scheme: core.SchemePaSK, Rec: rec, Faults: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := rec.WriteChrome(&buf); err != nil {
+				t.Fatal(err)
+			}
+			stats[i], chrome[i] = st, buf.Bytes()
+		}
+		if !reflect.DeepEqual(stats[0], stats[1]) {
+			t.Errorf("stats differ:\nno plan    %+v\nempty plan %+v", stats[0], stats[1])
+		}
+		if !bytes.Equal(chrome[0], chrome[1]) {
+			t.Errorf("Chrome traces differ (%d vs %d bytes)", len(chrome[0]), len(chrome[1]))
+		}
+	}
+	t.Run("ServeTrace", func(t *testing.T) {
+		ms := resSetup(t)
+		tr := PoissonTrace(30, 2*time.Millisecond, 9)
+		check(t, func(pol Policy) (any, error) { return ServeTrace(ms, pol, tr, 10) })
+	})
+	t.Run("shared-fleet", func(t *testing.T) {
+		setups := setupSharedModels(t, "alex", "res")
+		// Two waves far enough apart for keep-alive to reap the first.
+		tr := InterleavedTrace([]string{"alex", "res"}, 4, 3*time.Millisecond)
+		for _, r := range InterleavedTrace([]string{"res", "alex"}, 4, 3*time.Millisecond) {
+			r.At += 500 * time.Millisecond
+			tr = append(tr, r)
+		}
+		check(t, func(pol Policy) (any, error) {
+			fs, err := ServeFleetModels(setups, "alex", FleetConfig{Policy: pol, Shared: true, MaxInstances: 2, KeepAlive: 5 * time.Millisecond}, tr)
+			if err == nil && fs.Reaped == 0 {
+				t.Errorf("no instance reaped: keep-alive untested (spawned %d)", fs.Spawned)
+			}
+			return fs, err
+		})
+	})
+}
+
+// TestChaosHonoursSelection checks that the registered chaos experiment runs
+// the selected model at the first selected batch, a non-positive batch
+// meaning 1.
+func TestChaosHonoursSelection(t *testing.T) {
+	e, ok := experiments.Lookup("chaos")
+	if !ok {
+		t.Fatal("chaos not registered")
+	}
+	for _, tc := range []struct {
+		batches []int
+		want    string
+	}{
+		{[]int{2, 4}, "alex b2 "},
+		{[]int{-3}, "alex b1 "},
+	} {
+		res, err := e.Run(experiments.Options{Models: []string{"alex", "vgg"}, Batches: tc.batches})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if title := res.Tables[0].Title; !strings.Contains(title, tc.want) {
+			t.Errorf("batches %v: title %q, want it to name %q", tc.batches, title, tc.want)
+		}
+	}
 }

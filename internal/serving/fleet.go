@@ -103,8 +103,6 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 		}
 	}
 	env := sim.NewEnv()
-	restore := InstallFaults(defSetup, cfg.Policy.Faults)
-	defer restore()
 	if cfg.Policy.Faults != nil {
 		trace = ApplyFlood(trace, cfg.Policy.Faults.Plan())
 	}

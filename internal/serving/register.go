@@ -11,7 +11,7 @@ func init() {
 	experiments.Register(experiments.Experiment{
 		Name: "chaos", Description: "fault-injection sweep: fault rates x recovery policies", InAll: true,
 		Run: func(o experiments.Options) (*experiments.Result, error) {
-			tbl, err := Chaos(ChaosConfig{})
+			tbl, err := Chaos(ChaosConfig{Model: o.Model("res"), Batch: o.Batch()})
 			if err != nil {
 				return nil, err
 			}

@@ -16,7 +16,6 @@ import (
 	"slices"
 	"time"
 
-	"pask/internal/backend"
 	"pask/internal/core"
 	"pask/internal/experiments"
 	"pask/internal/faults"
@@ -51,9 +50,8 @@ type Policy struct {
 	// recovery). The zero value keeps the historical fail-fast behavior.
 	FT FaultTolerance
 	// Faults, when set, injects the plan's faults into every instance this
-	// policy creates: store-read faults, module-load latency spikes and the
-	// device reset. Scenario entry points install the store hook and the
-	// find-path outage set for the duration of the run.
+	// policy creates (experiments.Process.InjectFaults): store-read faults,
+	// module-load latency spikes, find-path outages and the device reset.
 	Faults *faults.Injector
 	// Rec, when set, records one span per request (track "serving", or
 	// "serving:<tenant>" on shared GPUs) with model / index / cold / error
@@ -154,25 +152,19 @@ func (in *Instance) view() string {
 
 // start brings up a fresh cold process: a private device, or a refcounted
 // view of the host's runtime. A policy with a fault injector wires it into
-// the process's runtime (load-latency spikes; on a shared GPU they hit
-// whichever tenant triggers the load) and arms the plan's device reset
-// against the device root, once per plan. When the policy carries a profile
-// for the model, manifest replay begins the moment the process exists —
-// overlapping whatever bring-up precedes the first request.
+// the process (on a shared GPU the registry's faults hit whichever tenant
+// triggers the load) and arms the plan's device reset, once per plan. When
+// the policy carries a profile for the model, manifest replay begins the
+// moment the process exists — overlapping whatever bring-up precedes the
+// first request.
 func (in *Instance) start() {
-	var root *backend.Registry
 	if in.host == nil {
 		in.pr = in.ms.NewProcessIn(in.env)
-		root = in.pr.RT
 	} else {
-		root = in.host.Root()
-		in.pr = in.ms.AttachIn(root, in.view())
+		in.pr = in.ms.AttachIn(in.host.Root(), in.view())
 	}
 	in.served, in.initialized, in.lastResult = 0, false, nil
-	if in.policy.Faults != nil {
-		in.pr.RT.SetLoadFaults(in.policy.Faults)
-		in.policy.Faults.ArmReset(in.pr.Env, root.UnloadAll)
-	}
+	in.pr.InjectFaults(in.policy.Faults)
 	if in.policy.Rec != nil {
 		in.pr.Record(in.policy.Rec)
 	}
@@ -613,8 +605,6 @@ func SpotPreemption(ms *experiments.ModelSetup, policy Policy, trace Trace, pree
 // the number of replacements.
 func serveSequential(ms *experiments.ModelSetup, policy Policy, trace Trace, every int, preempt bool) (*Stats, int, error) {
 	env := sim.NewEnv()
-	restore := InstallFaults(ms, policy.Faults)
-	defer restore()
 	if policy.Faults != nil {
 		trace = ApplyFlood(trace, policy.Faults.Plan())
 	}

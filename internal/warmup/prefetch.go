@@ -146,7 +146,7 @@ func (pf *Prefetcher) fetch(p *sim.Proc, e Entry) bool {
 	if pf.loaded[e.Path] {
 		return true
 	}
-	data, err := pf.view.Store().Get(e.Path)
+	data, err := pf.view.ReadObject(e.Path)
 	stale := err != nil || Checksum(data) != e.Checksum
 	if !stale && pf.view.Loaded(e.Path) {
 		pf.stats.Entries++

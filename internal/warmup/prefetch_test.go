@@ -1,8 +1,10 @@
 package warmup
 
 import (
+	"slices"
 	"testing"
 
+	"pask/internal/backend/conformancetest"
 	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/hip"
@@ -18,6 +20,7 @@ type prefetchCase struct {
 	budget     int      // predictive only
 	entries    []string // manifest paths, in order
 	stale      []string // entries whose recorded checksum no longer matches
+	damaged    []string // paths the registry's fault injector reads back changed
 	resident   []string // loaded through the root view before the prefetcher starts
 	demand     []string // loaded by a demand thread spawned just before the prefetcher
 	closeFirst bool     // predictive only: Prefetch and Close before the thread first runs
@@ -46,6 +49,15 @@ var prefetchCases = []prefetchCase{
 		stale:   []string{"a.pko"},
 		used:    []string{"a.pko", "b.pko"},
 		want:    ReplayStats{Entries: 3, Loaded: 1, Stale: 2, Hits: 1, Misses: 1},
+	},
+	{
+		// The prefetcher reads through the registry's fault seam: bytes an
+		// injector damages are stale, though the store's copy matches.
+		name:    "replay/damaged-read",
+		entries: []string{"a.pko", "b.pko"},
+		damaged: []string{"a.pko"},
+		used:    []string{"a.pko", "b.pko"},
+		want:    ReplayStats{Entries: 2, Loaded: 1, Stale: 1, Hits: 1, Misses: 1},
 	},
 	{
 		name:    "replay/failed",
@@ -187,6 +199,22 @@ func TestPrefetchCounts(t *testing.T) {
 	}
 }
 
+// damageReads is a fault injector that reads the listed paths back with
+// their first byte flipped.
+type damageReads struct {
+	conformancetest.NoFaults
+	paths []string
+}
+
+func (d damageReads) StoreGet(path string, data []byte) ([]byte, error) {
+	if !slices.Contains(d.paths, path) {
+		return data, nil
+	}
+	cp := slices.Clone(data)
+	cp[0] ^= 0xff
+	return cp, nil
+}
+
 func runPrefetchCase(t *testing.T, tc prefetchCase) (ReplayStats, int) {
 	t.Helper()
 	env := sim.NewEnv()
@@ -212,6 +240,9 @@ func runPrefetchCase(t *testing.T, tc prefetchCase) (ReplayStats, int) {
 	}
 	gpu := device.NewGPU(env, device.MI100())
 	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	if len(tc.damaged) > 0 {
+		rt.SetFaults(damageReads{paths: tc.damaged})
+	}
 
 	var pf *Prefetcher
 	start := func() {
