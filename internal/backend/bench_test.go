@@ -103,9 +103,11 @@ func BenchmarkRegistryTenantHit(b *testing.B) {
 	})
 }
 
-// BenchmarkRegistryLoadMiss measures the full load path — store read,
-// parse, relocation accounting, residency bookkeeping — by evicting the
-// module before each load.
+// BenchmarkRegistryLoadMiss measures the load path a module pays again
+// after an eviction — store read, relocation accounting, residency
+// bookkeeping — by evicting the module before each load. The stored bytes
+// do not change, so every load after the first reuses their parse
+// (Store.Parse); BenchmarkParse in internal/codeobj measures the decode.
 func BenchmarkRegistryLoadMiss(b *testing.B) {
 	store := benchStore(b, 1, 8<<10)
 	env, gpu, rt := benchRuntime(store, 0)

@@ -544,7 +544,7 @@ func (rt *Registry) loadLocked(p *sim.Proc, path string) (*Module, error) {
 		p.Sleep(rt.gpu.Profile.ModuleLoadFixed)
 		return nil, rt.sh.flavor.LoadError(path, err)
 	}
-	obj, perr := codeobj.Parse(data)
+	obj, perr := rt.sh.store.Parse(path, data)
 	if perr != nil {
 		// The driver read and checksummed the file before rejecting it.
 		p.Sleep(rt.gpu.Profile.LoadTime(int64(len(data)), 0))
@@ -646,7 +646,7 @@ func (rt *Registry) RegisterResident(p *sim.Proc, path string) (*Module, error) 
 	if err != nil {
 		return nil, rt.sh.flavor.ResidentLoadError(path, err)
 	}
-	obj, perr := codeobj.Parse(data)
+	obj, perr := rt.sh.store.Parse(path, data)
 	if perr != nil {
 		return nil, rt.sh.flavor.ResidentParseError(path, perr)
 	}

@@ -17,10 +17,10 @@ const builtBudget = 8 << 20
 var built = newBuildCache(builtBudget)
 
 // buildCache keeps built code objects under their full descriptor, so
-// stores that put the same object share one immutable slice instead of each
-// building it. Model set-ups on one device repeat many objects (the
-// library's resident objects, BLAS cores), while most of the rest are
-// built once.
+// stores that put the same object share one immutable slice, and the one
+// parse Store.Parse keeps of it, instead of each building it. Model set-ups
+// on one device repeat many objects (the library's resident objects, BLAS
+// cores), while most of the rest are built once.
 //
 // The policy is least-frequently-used with an admission test. Every request
 // counts towards its descriptor, cached or not. A miss is admitted when it
@@ -48,7 +48,7 @@ type buildCache struct {
 
 type cacheEntry struct {
 	key   string
-	data  []byte
+	obj   stored // shared with every store that puts the object
 	count int    // requests so far; counts of its hash unless a hash collides
 	seq   uint64 // admission order
 }
@@ -74,29 +74,35 @@ func appendDescriptor(buf []byte, keys []string, path, arch string, kernels []Ke
 	return buf, keys
 }
 
-// get returns the object Build(path, arch, kernels) returns, shared with
-// every other caller that gets it from the cache. Callers must not modify
-// it.
-func (c *buildCache) get(path, arch string, kernels []KernelSpec) ([]byte, error) {
-	for _, k := range kernels {
-		if !validCodeSize(k.CodeSize) {
-			// The descriptor's 32-bit size field would wrap; Build rejects it.
-			return Build(path, arch, kernels)
-		}
-	}
-	c.mu.Lock()
+// describe writes the descriptor of the object Build(path, arch, kernels)
+// returns into the scratch key and returns its hash. Callers hold mu.
+func (c *buildCache) describe(path, arch string, kernels []KernelSpec) uint64 {
 	c.key, c.keys = appendDescriptor(c.key[:0], c.keys, path, arch, kernels)
 	h := fnv.New64a()
 	h.Write(c.key)
-	sum := h.Sum64()
+	return h.Sum64()
+}
+
+// get returns a holder of the object Build(path, arch, kernels) returns,
+// shared with every other caller that gets it from the cache. Callers must
+// not modify its bytes.
+func (c *buildCache) get(path, arch string, kernels []KernelSpec) (*stored, error) {
+	for _, k := range kernels {
+		if !validCodeSize(k.CodeSize) {
+			// The descriptor's 32-bit size field would wrap; Build rejects it.
+			_, err := Build(path, arch, kernels)
+			return nil, err
+		}
+	}
+	c.mu.Lock()
+	sum := c.describe(path, arch, kernels)
 	c.counts[sum]++
 	if e, ok := c.entries[string(c.key)]; ok {
 		e.count++
 		c.hits++
 		c.mu.Unlock()
-		return e.data, nil
+		return &e.obj, nil
 	}
-	key := string(c.key)
 	c.mu.Unlock()
 
 	data, err := Build(path, arch, kernels)
@@ -105,19 +111,21 @@ func (c *buildCache) get(path, arch string, kernels []KernelSpec) ([]byte, error
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
+	// Other callers may have reused the scratch key while Build ran.
+	c.describe(path, arch, kernels)
+	if e, ok := c.entries[string(c.key)]; ok {
 		// A concurrent caller built and admitted it first.
-		return e.data, nil
+		return &e.obj, nil
 	}
-	c.admit(key, sum, data)
-	return data, nil
+	return c.admit(sum, data), nil
 }
 
-// admit caches data if it fits the budget after evicting only entries with
-// fewer requests than it has, fewest first and, among equal counts, oldest
-// first. It leaves the cache unchanged otherwise, so an object larger than
-// the budget, which no eviction can make room for, is never kept.
-func (c *buildCache) admit(key string, sum uint64, data []byte) {
+// admit caches data, described by the scratch key, if it fits the budget
+// after evicting only entries with fewer requests than it has, fewest first
+// and, among equal counts, oldest first. It leaves the cache unchanged
+// otherwise, so an object larger than the budget, which no eviction can
+// make room for, is never kept. Either way it returns data's holder.
+func (c *buildCache) admit(sum uint64, data []byte) *stored {
 	count := c.counts[sum]
 	if need := c.bytes + len(data) - c.budget; need > 0 {
 		var victims []*cacheEntry
@@ -125,11 +133,11 @@ func (c *buildCache) admit(key string, sum uint64, data []byte) {
 		for _, e := range c.entries {
 			if e.count < count {
 				victims = append(victims, e)
-				freed += len(e.data)
+				freed += len(e.obj.data)
 			}
 		}
 		if freed < need {
-			return
+			return &stored{data: data}
 		}
 		slices.SortFunc(victims, func(a, b *cacheEntry) int {
 			return cmp.Or(cmp.Compare(a.count, b.count), cmp.Compare(a.seq, b.seq))
@@ -137,12 +145,14 @@ func (c *buildCache) admit(key string, sum uint64, data []byte) {
 		for freed = 0; freed < need; victims = victims[1:] {
 			e := victims[0]
 			delete(c.entries, e.key)
-			c.bytes -= len(e.data)
-			freed += len(e.data)
+			c.bytes -= len(e.obj.data)
+			freed += len(e.obj.data)
 			c.evictions++
 		}
 	}
 	c.seq++
-	c.entries[key] = &cacheEntry{key: key, data: data, count: count, seq: c.seq}
+	e := &cacheEntry{key: string(c.key), obj: stored{data: data}, count: count, seq: c.seq}
+	c.entries[e.key] = e
 	c.bytes += len(data)
+	return &e.obj
 }

@@ -26,7 +26,7 @@ func checkBytes(t *testing.T, c *buildCache) {
 	t.Helper()
 	sum := 0
 	for _, e := range c.entries {
-		sum += len(e.data)
+		sum += len(e.obj.data)
 	}
 	if sum != c.bytes || c.bytes > c.budget {
 		t.Fatalf("cache holds %d bytes, counted %d, budget %d", sum, c.bytes, c.budget)
@@ -119,12 +119,12 @@ func TestBuildCachePolicy(t *testing.T) {
 			size = 3 * len(one)
 		}
 		hits := c.hits
-		data, err := c.get(st.obj+".pko", "gfx908", sizedSpec(st.obj, size))
+		h, err := c.get(st.obj+".pko", "gfx908", sizedSpec(st.obj, size))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, _ := Build(st.obj+".pko", "gfx908", sizedSpec(st.obj, size))
-		if !bytes.Equal(data, want) {
+		if !bytes.Equal(h.data, want) {
 			t.Fatalf("step %d: cache returned other bytes than Build", i)
 		}
 		var held []byte
@@ -187,8 +187,8 @@ func TestBuildCacheDeterministic(t *testing.T) {
 			checkBytes(t, c)
 			var held []string
 			for _, e := range c.entries {
-				if len(e.data) > budget {
-					t.Fatalf("cached an object of %d bytes over a budget of %d", len(e.data), budget)
+				if len(e.obj.data) > budget {
+					t.Fatalf("cached an object of %d bytes over a budget of %d", len(e.obj.data), budget)
 				}
 				held = append(held, e.key)
 			}

@@ -6,7 +6,9 @@
 // The loader really parses bytes (magic, header, symbols, CRC), so failure
 // injection (truncation, corruption, missing symbols) exercises real code
 // paths; the *time* a load takes is charged separately by the hip runtime
-// from the sizes this package reports.
+// from the sizes this package reports. Stored bytes never change, so each
+// distinct stored slice is parsed and checked once (Store.Parse);
+// corrupted, truncated or fault-substituted reads are parsed in full.
 //
 // Paper anchor: Fig 1b code-object loading; PKO is the stand-in for the ELF .hsaco/.cubin containers.
 package codeobj
@@ -74,7 +76,9 @@ type Kernel struct {
 	Meta     map[string]string
 }
 
-// Object is a parsed code object.
+// Object is a parsed code object. Store.Parse hands one Object to every
+// load of the same stored bytes, so an Object is shared and immutable:
+// callers must not modify it, its Kernels or any Kernel's Meta.
 type Object struct {
 	Name    string
 	Arch    string

@@ -44,16 +44,21 @@ var ErrVersion = errors.New("warmup: unsupported manifest version")
 // proceed cold.
 var ErrCorrupt = errors.New("warmup: corrupt manifest")
 
-// Checksum is the integrity hash manifests store per code object (CRC-32,
-// IEEE polynomial — the same family the PKO container uses).
+// Checksum is the integrity hash manifests store per code object: the
+// CRC-32 (IEEE polynomial) of the whole container. A PKO container ends in
+// the little-endian CRC-32 of the bytes before it, so for every well-formed
+// object this is the same residue, 0x2144df1c. The prefetcher's stale check
+// and cacheimg.Build's "changed since the profile" check therefore catch a
+// damaged object but not its replacement by a different valid one.
 func Checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // Entry is one code object the profiled run loaded, in first-use order.
 type Entry struct {
 	// Path is the object's store path (solution key for primitives).
 	Path string `json:"path"`
-	// Checksum is the CRC-32 of the object's container bytes at record
-	// time. A mismatch at replay time marks the entry stale.
+	// Checksum is Checksum of the object's container bytes at record
+	// time. A mismatch at replay time marks the entry stale; see Checksum
+	// for what it cannot tell apart.
 	Checksum uint32 `json:"checksum"`
 	// Bytes is the container size at record time (informational).
 	Bytes int `json:"bytes,omitempty"`
