@@ -52,14 +52,15 @@ type Module struct {
 	resolved map[string]bool
 }
 
-// Function is a resolved kernel symbol inside a loaded module.
+// Function is a resolved kernel symbol inside a loaded module. It is a small
+// value: resolving one on every launch allocates nothing.
 type Function struct {
 	Module *Module
 	Kernel codeobj.Kernel
 }
 
 // Name returns the kernel's global symbol name.
-func (f *Function) Name() string { return f.Kernel.Name }
+func (f Function) Name() string { return f.Kernel.Name }
 
 // Stats aggregates the shared registry's loading activity across all views.
 type Stats struct {

@@ -81,6 +81,30 @@ func BenchmarkRegistryLoadHit(b *testing.B) {
 	})
 }
 
+// BenchmarkRegistryGetFunction/hit measures what every warm kernel launch
+// asks of the runtime: the module is resident and the symbol resolved, so
+// GetFunction is a registry hit plus a symbol lookup, returned by value.
+func BenchmarkRegistryGetFunction(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		store := benchStore(b, 1, 8<<10)
+		env, gpu, rt := benchRuntime(store, 0)
+		path, sym := benchPath(0), "obj0_main"
+		runRegistryBench(b, env, gpu, func(p *sim.Proc) error {
+			if _, err := rt.GetFunction(p, path, sym); err != nil {
+				return err
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rt.GetFunction(p, path, sym); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+}
+
 // BenchmarkRegistryTenantHit is the hit path through an attached tenant
 // view, which additionally pins the module — the shape fleet serving hits.
 func BenchmarkRegistryTenantHit(b *testing.B) {

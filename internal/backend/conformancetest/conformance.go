@@ -194,8 +194,12 @@ func testSymbolCostInvariant(t *testing.T, h *harness) {
 			t.Fatal(err)
 		}
 		for _, name := range []string{"conv_a_main", "conv_a_xform"} {
-			if _, err := h.rt.ModuleGetFunction(p, m, name); err != nil {
+			fn, err := h.rt.ModuleGetFunction(p, m, name)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if fn.Name() != name || fn.Module != m {
+				t.Errorf("ModuleGetFunction(%q) = %s in %p, want it in module %p", name, fn.Name(), fn.Module, m)
 			}
 		}
 		elapsed := p.Now() - start
@@ -210,8 +214,10 @@ func testSymbolCostInvariant(t *testing.T, h *harness) {
 		if p.Now() != before {
 			t.Errorf("repeat resolution charged %v", p.Now()-before)
 		}
-		if _, err := h.rt.ModuleGetFunction(p, m, "no_such_kernel"); err == nil {
+		if fn, err := h.rt.ModuleGetFunction(p, m, "no_such_kernel"); err == nil {
 			t.Error("missing symbol must fail")
+		} else if fn.Module != nil || fn.Name() != "" {
+			t.Errorf("failed lookup returned %+v, want the zero Function", fn)
 		}
 	})
 }

@@ -599,25 +599,25 @@ func (rt *Registry) evictForSpace(incoming int64) {
 // ModuleGetFunction resolves a kernel symbol in a loaded module. Lazy
 // flavors charge the deferred per-symbol resolution cost on the first
 // lookup of each symbol.
-func (rt *Registry) ModuleGetFunction(p *sim.Proc, m *Module, name string) (*Function, error) {
+func (rt *Registry) ModuleGetFunction(p *sim.Proc, m *Module, name string) (Function, error) {
 	k, ok := m.Object.Symbol(name)
 	if !ok {
-		return nil, rt.sh.flavor.SymbolError(name, m.Path)
+		return Function{}, rt.sh.flavor.SymbolError(name, m.Path)
 	}
 	if m.resolved != nil && !m.resolved[name] {
 		p.Sleep(rt.gpu.Profile.SymbolResolve)
 		m.resolved[name] = true
 	}
 	m.lastUsed = rt.env.Now()
-	return &Function{Module: m, Kernel: k}, nil
+	return Function{Module: m, Kernel: k}, nil
 }
 
 // GetFunction loads the module at path if needed (the lazy path the reactive
 // baseline hits at launch time) and resolves the symbol.
-func (rt *Registry) GetFunction(p *sim.Proc, path, name string) (*Function, error) {
+func (rt *Registry) GetFunction(p *sim.Proc, path, name string) (Function, error) {
 	m, err := rt.ModuleLoad(p, path)
 	if err != nil {
-		return nil, err
+		return Function{}, err
 	}
 	return rt.ModuleGetFunction(p, m, name)
 }

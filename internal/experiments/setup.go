@@ -228,18 +228,23 @@ func (ms *ModelSetup) SchemeModel(p *sim.Proc, pr *Process, scheme core.Scheme) 
 	return ms.Model, nil
 }
 
-// NewProcess creates a fresh cold process with its own environment.
+// NewProcess creates a fresh cold process with its own environment. It is a
+// single-run process, so its tracer keeps the span log the scheme breakdown,
+// RunColdHot and paskrun's timeline read: the zero Tracer replaces the
+// forwarding one in place, where the runner's hooks already point.
 func (ms *ModelSetup) NewProcess() *Process {
-	env := sim.NewEnv()
-	return ms.NewProcessIn(env)
+	pr := ms.NewProcessIn(sim.NewEnv())
+	*pr.Tracer = metrics.Tracer{}
+	return pr
 }
 
 // NewProcessIn creates a fresh cold process inside an existing environment
-// (multi-instance serving scenarios share one virtual clock).
+// (multi-instance serving scenarios share one virtual clock). Its tracer
+// keeps no span log: spans reach only the recorder Record attaches.
 func (ms *ModelSetup) NewProcessIn(env *sim.Env) *Process {
 	gpu := device.NewGPU(env, ms.Profile)
 	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), ms.Store)
-	tracer := &metrics.Tracer{}
+	tracer := metrics.NewForwardingTracer()
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(ms.Reg, rt), blas.NewLibrary(rt), tracer)
 	return &Process{Env: env, GPU: gpu, RT: rt, Runner: runner, Tracer: tracer}
 }
@@ -263,13 +268,14 @@ func BackendFor(env *sim.Env, gpu *device.GPU, store *codeobj.Store) *backend.Re
 // registry and one code-object store, so residency — and therefore
 // cold-start cost — is a per-GPU property. The model's setup must have been
 // prepared against root's store (PrepareModelsShared); attaching a foreign
-// store would desynchronize module residency from object bytes.
+// store would desynchronize module residency from object bytes. Like
+// NewProcessIn's, the tenant's tracer keeps no span log.
 func (ms *ModelSetup) AttachIn(root *backend.Registry, name string) *Process {
 	if ms.Store != root.Store() {
 		panic("experiments: AttachIn requires the setup and runtime to share one code-object store (use PrepareModelsShared)")
 	}
 	rt := root.Attach(name)
-	tracer := &metrics.Tracer{}
+	tracer := metrics.NewForwardingTracer()
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(ms.Reg, rt), blas.NewLibrary(rt), tracer)
 	runner.Stream = root.GPU().NewStream()
 	return &Process{Env: root.Env(), GPU: root.GPU(), RT: rt, Runner: runner, Tracer: tracer}

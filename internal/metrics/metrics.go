@@ -56,33 +56,53 @@ type SpanObserver interface {
 	ObserveSpan(Span)
 }
 
-// Tracer accumulates spans during a run. The zero value is ready to use.
+// Tracer records spans during a run. Every span goes to the observer, when
+// one is attached. Whether the tracer also keeps its spans is fixed when it
+// is made: the zero value keeps every span in a log that Spans,
+// CategoryTotal and Count read; a tracer from NewForwardingTracer keeps none.
+//
+// Single-run processes keep the log, because their scheme breakdown, cold/hot
+// split and timeline are computed from it (experiments' NewProcess). Serving
+// processes in a shared environment keep none (NewProcessIn, AttachIn): they
+// live for a whole trace, nothing reads their log, and their spans reach a
+// trace recorder through the observer alone.
 type Tracer struct {
-	spans []Span
-	obs   SpanObserver
+	spans       []Span
+	obs         SpanObserver
+	forwardOnly bool
 }
+
+// NewForwardingTracer returns a tracer that keeps no spans: each one goes to
+// the observer, if any, and nowhere else, so Spans stays empty.
+func NewForwardingTracer() *Tracer { return &Tracer{forwardOnly: true} }
 
 // SetObserver forwards every subsequently recorded span to o (nil detaches).
 func (t *Tracer) SetObserver(o SpanObserver) { t.obs = o }
 
-// Add records a span; degenerate spans (End <= Start) are kept only if they
-// carry a category (they still mark events but contribute no time).
+// Add records a span built from its arguments, with no attributes. A
+// degenerate span (End == Start) is recorded like any other: it marks an
+// event and contributes no time. End < Start panics, as in AddSpan.
 func (t *Tracer) Add(cat Category, name, thread string, start, end time.Duration) {
 	t.AddSpan(Span{Cat: cat, Name: name, Start: start, End: end, Thread: thread})
 }
 
-// AddSpan records a fully-formed span, attributes included.
+// AddSpan records a fully-formed span, attributes included: it is kept
+// unless the tracer forwards only, then passed to the observer. A span that
+// ends before it starts panics.
 func (t *Tracer) AddSpan(s Span) {
 	if s.End < s.Start {
 		panic(fmt.Sprintf("metrics: span %q ends (%v) before it starts (%v)", s.Name, s.End, s.Start))
 	}
-	t.spans = append(t.spans, s)
+	if !t.forwardOnly {
+		t.spans = append(t.spans, s)
+	}
 	if t.obs != nil {
 		t.obs.ObserveSpan(s)
 	}
 }
 
-// Spans returns all recorded spans.
+// Spans returns the kept spans: all recorded ones, or none for a
+// forwarding tracer.
 func (t *Tracer) Spans() []Span { return t.spans }
 
 // CategoryTotal sums the raw (possibly overlapping) time in a category.

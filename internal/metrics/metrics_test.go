@@ -33,6 +33,42 @@ func TestAddPanicsOnNegativeSpan(t *testing.T) {
 	tr.Add(CatLoad, "bad", "x", ms(5), ms(4))
 }
 
+// spanSink is a SpanObserver that collects what it is sent.
+type spanSink []Span
+
+func (s *spanSink) ObserveSpan(sp Span) { *s = append(*s, sp) }
+
+// The zero Tracer keeps every span, degenerate ones (End == Start) included;
+// a forwarding tracer keeps none. Both send every span to the observer.
+func TestTracerKeepsOrForwards(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   *Tracer
+		keep bool
+	}{
+		{"zero", &Tracer{}, true},
+		{"forwarding", NewForwardingTracer(), false},
+	} {
+		var sink spanSink
+		tc.tr.SetObserver(&sink)
+		tc.tr.Add(CatLoad, "a", "loader", ms(0), ms(10))
+		tc.tr.Add(CatSync, "mark", "main", ms(3), ms(3))
+		if len(sink) != 2 || sink[1].Name != "mark" {
+			t.Errorf("%s: observer got %d spans, want 2", tc.name, len(sink))
+		}
+		want := 0
+		if tc.keep {
+			want = 2
+		}
+		if n := len(tc.tr.Spans()); n != want {
+			t.Errorf("%s: kept %d spans, want %d", tc.name, n, want)
+		}
+		if n := tc.tr.Count(CatSync); n != want/2 {
+			t.Errorf("%s: Count(sync) = %d, want %d", tc.name, n, want/2)
+		}
+	}
+}
+
 func TestBreakdownExclusiveAttribution(t *testing.T) {
 	spans := []Span{
 		{Cat: CatLoad, Start: ms(0), End: ms(10)},

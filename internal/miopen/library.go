@@ -29,6 +29,17 @@ type Library struct {
 	// re-deriving binding keys and predicate walks — only the host-side CPU
 	// work; the virtual-time charge and the checks counter are untouched.
 	memo map[applicKey]bool
+
+	// calls caches KernelCalls per (solution, problem), a pure function of
+	// the pair, so a warm launch neither re-derives the binding key nor
+	// builds a fresh slice. The cached slices are shared and read-only.
+	calls map[callsKey][]KernelCall
+}
+
+// callsKey identifies one memoized KernelCalls result.
+type callsKey struct {
+	sol  Solution
+	prob Problem
 }
 
 // applicKey identifies one memoized applicability verdict. Every field is
@@ -117,7 +128,7 @@ func (l *Library) EnsureLoaded(proc *sim.Proc, inst Instance) error {
 // absent it is loaded lazily here — the reactive behavior whose cost the
 // paper attributes cold start to.
 func (l *Library) RunSolution(proc *sim.Proc, stream *device.Stream, inst Instance, p *Problem) (*sim.Signal, error) {
-	calls := inst.Sol.KernelCalls(p)
+	calls := l.kernelCalls(inst.Sol, p)
 	if len(calls) == 0 {
 		return nil, fmt.Errorf("miopen: solution %s produced no kernels for %s", inst.Key(), p.Key())
 	}
@@ -130,4 +141,18 @@ func (l *Library) RunSolution(proc *sim.Proc, stream *device.Stream, inst Instan
 		last = stream.LaunchWorkload(proc, fn.Name(), c.Work, c.Eff)
 	}
 	return last, nil
+}
+
+// kernelCalls returns s.KernelCalls(p) through the per-library memo.
+func (l *Library) kernelCalls(s Solution, p *Problem) []KernelCall {
+	if l.calls == nil {
+		l.calls = make(map[callsKey][]KernelCall, 64)
+	}
+	k := callsKey{sol: s, prob: *p}
+	calls, ok := l.calls[k]
+	if !ok {
+		calls = s.KernelCalls(p)
+		l.calls[k] = calls
+	}
+	return calls
 }

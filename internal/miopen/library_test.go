@@ -72,6 +72,48 @@ func TestRunSolutionLazyLoadsAndExecutes(t *testing.T) {
 	}
 }
 
+// TestRunSolutionWarmAllocatesOnlySignals pins the warm launch path: with
+// the object loaded and the kernel calls memoized, RunSolution allocates
+// exactly one completion Signal per kernel it launches and nothing else.
+func TestRunSolutionWarmAllocatesOnlySignals(t *testing.T) {
+	p := conv3x3(64, 64, 28)
+	env, lib := newLibRuntime(t, []*Problem{&p})
+	ranked := lib.Reg.Find(&p)
+	if len(ranked) == 0 {
+		t.Fatal("no solution found")
+	}
+	env.Spawn("host", func(proc *sim.Proc) {
+		defer lib.RT.GPU().CloseAll()
+		stream := lib.RT.GPU().DefaultStream()
+		// Grow the stream's queue past what the measured launches keep in
+		// flight, so its ring never reallocates inside the measurement.
+		for i := 0; i < 1024; i++ {
+			stream.Launch(proc, "prewarm", time.Millisecond)
+		}
+		stream.Synchronize(proc)
+		for _, r := range ranked {
+			if _, err := lib.RunSolution(proc, stream, r.Inst, &p); err != nil {
+				t.Error(err)
+				return
+			}
+			stream.Synchronize(proc)
+			want := float64(len(r.Inst.Sol.KernelCalls(&p)))
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := lib.RunSolution(proc, stream, r.Inst, &p); err != nil {
+					t.Error(err)
+				}
+			})
+			stream.Synchronize(proc)
+			if allocs != want {
+				t.Errorf("%s: warm RunSolution allocates %v times, want %v (one Signal per kernel)", r.Inst.Key(), allocs, want)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckApplicableChargesAndCounts(t *testing.T) {
 	p := conv3x3(64, 64, 28)
 	env, lib := newLibRuntime(t, []*Problem{&p})

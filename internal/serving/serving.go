@@ -150,6 +150,10 @@ func (in *Instance) view() string {
 	return fmt.Sprintf("%s#%d", in.tenant, in.gen)
 }
 
+// startHook, when non-nil, sees every process an instance starts. Tests set
+// it to inspect processes the serving loops create internally.
+var startHook func(*experiments.Process)
+
 // start brings up a fresh cold process: a private device, or a refcounted
 // view of the host's runtime. A policy with a fault injector wires it into
 // the process (on a shared GPU the registry's faults hit whichever tenant
@@ -162,6 +166,9 @@ func (in *Instance) start() {
 		in.pr = in.ms.NewProcessIn(in.env)
 	} else {
 		in.pr = in.ms.AttachIn(in.host.Root(), in.view())
+	}
+	if startHook != nil {
+		startHook(in.pr)
 	}
 	in.served, in.initialized, in.lastResult = 0, false, nil
 	in.pr.InjectFaults(in.policy.Faults)

@@ -4,9 +4,16 @@ package sim
 // mirroring the SPSC channels PASK uses to join its parsing, loading and
 // issuing host threads (paper §III-D). Send blocks while the buffer is full;
 // Recv blocks while it is empty. Close releases a blocked receiver.
+//
+// The buffer is a ring: it doubles, up to capacity, only when full, and
+// reuses its slots after that, so a steady stream of Send/Recv pairs
+// allocates nothing and the backing array never exceeds the next power of
+// two above the peak number of buffered items.
 type Chan[T any] struct {
 	env      *Env
-	buf      []T
+	buf      []T // ring storage; live items are buf[head], ... (n of them, wrapping)
+	head     int
+	n        int
 	capacity int
 	closed   bool
 
@@ -23,7 +30,7 @@ func NewChan[T any](env *Env, capacity int) *Chan[T] {
 }
 
 // Len returns the number of buffered items.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.n }
 
 // Closed reports whether Close has been called.
 func (c *Chan[T]) Closed() bool { return c.closed }
@@ -34,7 +41,7 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	if c.closed {
 		panic("sim: send on closed Chan")
 	}
-	if len(c.buf) == c.capacity {
+	if c.n == c.capacity {
 		if c.sendWaiter != nil {
 			panic("sim: concurrent senders on SPSC Chan")
 		}
@@ -44,7 +51,11 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 			panic("sim: send on closed Chan")
 		}
 	}
-	c.buf = append(c.buf, v)
+	if c.n == len(c.buf) {
+		c.grow()
+	}
+	c.buf[(c.head+c.n)%len(c.buf)] = v
+	c.n++
 	if c.recvWaiter != nil {
 		w := c.recvWaiter
 		c.recvWaiter = nil
@@ -56,7 +67,7 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 // second result is false when the channel is closed and drained.
 func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 	var zero T
-	for len(c.buf) == 0 {
+	for c.n == 0 {
 		if c.closed {
 			return zero, false
 		}
@@ -66,30 +77,40 @@ func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 		c.recvWaiter = p
 		p.park()
 	}
-	v := c.buf[0]
-	c.buf = c.buf[1:]
-	if c.sendWaiter != nil {
-		w := c.sendWaiter
-		c.sendWaiter = nil
-		c.env.unpark(w)
-	}
-	return v, true
+	return c.pop(), true
 }
 
 // TryRecv dequeues without blocking. ok is false if the buffer is empty.
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
-	var zero T
-	if len(c.buf) == 0 {
-		return zero, false
+	if c.n == 0 {
+		return v, false
 	}
-	v = c.buf[0]
-	c.buf = c.buf[1:]
+	return c.pop(), true
+}
+
+// pop removes the oldest item, clearing its slot so the ring holds no
+// reference to it, and wakes a sender blocked on the full buffer.
+func (c *Chan[T]) pop() T {
+	var zero T
+	v := c.buf[c.head]
+	c.buf[c.head] = zero
+	c.head = (c.head + 1) % len(c.buf)
+	c.n--
 	if c.sendWaiter != nil {
 		w := c.sendWaiter
 		c.sendWaiter = nil
 		c.env.unpark(w)
 	}
-	return v, true
+	return v
+}
+
+// grow doubles the full ring, capped at capacity, and unwraps its items to
+// the front of the new array.
+func (c *Chan[T]) grow() {
+	buf := make([]T, min(max(2*len(c.buf), 1), c.capacity))
+	k := copy(buf, c.buf[c.head:])
+	copy(buf[k:], c.buf[:c.head])
+	c.buf, c.head = buf, 0
 }
 
 // Close marks the channel closed and wakes a blocked receiver (which then

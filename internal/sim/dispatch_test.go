@@ -276,3 +276,25 @@ func BenchmarkDispatch(b *testing.B) {
 		run(b, e)
 	})
 }
+
+// BenchmarkChan measures one Send+Recv pair on a warmed Chan that keeps
+// three items buffered, so the ring wraps every few operations. Neither call
+// blocks, so no dispatch is included: this is the queue's own cost.
+func BenchmarkChan(b *testing.B) {
+	e := NewEnv()
+	c := NewChan[int](e, 8)
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			c.Send(p, i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Send(p, i)
+			c.Recv(p)
+		}
+	})
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

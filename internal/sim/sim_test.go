@@ -553,53 +553,110 @@ func TestCompletionOrderProperty(t *testing.T) {
 }
 
 // Property: a randomized producer/consumer pair over an SPSC Chan never
-// reorders, drops or duplicates items, for any capacity and random delays.
+// reorders, drops or duplicates items, for any capacity and random delays,
+// and the ring's backing array stays within the next power of two above the
+// peak number of buffered items.
 func TestChanFIFOProperty(t *testing.T) {
 	f := func(seed int64, capRaw uint8, nRaw uint8) bool {
-		capacity := int(capRaw%8) + 1
-		n := int(nRaw%64) + 1
-		rng := rand.New(rand.NewSource(seed))
-		pd := make([]time.Duration, n)
-		cd := make([]time.Duration, n)
-		for i := range pd {
-			pd[i] = time.Duration(rng.Intn(1000)) * time.Microsecond
-			cd[i] = time.Duration(rng.Intn(1000)) * time.Microsecond
-		}
-		e := NewEnv()
-		c := NewChan[int](e, capacity)
-		var got []int
-		e.Spawn("producer", func(p *Proc) {
-			for i := 0; i < n; i++ {
-				p.Sleep(pd[i])
-				c.Send(p, i)
-			}
-			c.Close()
-		})
-		e.Spawn("consumer", func(p *Proc) {
-			for i := 0; ; i++ {
-				v, ok := c.Recv(p)
-				if !ok {
-					return
-				}
-				p.Sleep(cd[i%n])
-				got = append(got, v)
-			}
-		})
-		if err := e.Run(); err != nil {
-			return false
-		}
-		if len(got) != n {
-			return false
-		}
-		for i, v := range got {
-			if v != i {
-				return false
-			}
-		}
-		return true
+		return chanFIFOHolds(seed, int(capRaw%8)+1, int(nRaw%64)+1, 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+	// A consumer that lags the producer by 3x keeps the buffer near full, so
+	// the ring wraps many times at every capacity, odd ones included.
+	for _, capacity := range []int{1, 2, 3, 7} {
+		for seed := int64(1); seed <= 5; seed++ {
+			if !chanFIFOHolds(seed, capacity, 200, 3) {
+				t.Fatalf("capacity %d, seed %d: FIFO order or ring bound broken", capacity, seed)
+			}
+		}
+	}
+}
+
+// chanFIFOHolds sends 0..n-1 through a Chan of the given capacity, with the
+// consumer's random delays scaled by lag, and reports whether every item
+// arrived once and in order with the backing array within the next power of
+// two above the peak Len.
+func chanFIFOHolds(seed int64, capacity, n, lag int) bool {
+	rng := rand.New(rand.NewSource(seed))
+	pd := make([]time.Duration, n)
+	cd := make([]time.Duration, n)
+	for i := range pd {
+		pd[i] = time.Duration(rng.Intn(1000)) * time.Microsecond
+		cd[i] = time.Duration(lag*rng.Intn(1000)) * time.Microsecond
+	}
+	e := NewEnv()
+	c := NewChan[int](e, capacity)
+	var got []int
+	peak, ringOK := 0, true
+	e.Spawn("producer", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(pd[i])
+			c.Send(p, i)
+			peak = max(peak, c.Len())
+			if cap(c.buf) > nextPow2(peak) || cap(c.buf) > capacity {
+				ringOK = false
+			}
+		}
+		c.Close()
+	})
+	e.Spawn("consumer", func(p *Proc) {
+		for i := 0; ; i++ {
+			v, ok := c.Recv(p)
+			if !ok {
+				return
+			}
+			p.Sleep(cd[i%n])
+			got = append(got, v)
+		}
+	})
+	if err := e.Run(); err != nil {
+		return false
+	}
+	if !ringOK || len(got) != n {
+		return false
+	}
+	for i, v := range got {
+		if v != i {
+			return false
+		}
+	}
+	return true
+}
+
+// nextPow2 returns the smallest power of two >= n (1 for n <= 1).
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p *= 2
+	}
+	return p
+}
+
+// A warmed Chan reuses its ring slots: steady-state Send+Recv allocates
+// nothing, even while the ring wraps. Each run makes 100 pairs, so an
+// occasional reallocation still shows in AllocsPerRun's whole-number average.
+func TestChanSteadyStateAllocs(t *testing.T) {
+	e := NewEnv()
+	c := NewChan[int](e, 8)
+	var allocs float64
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			c.Send(p, i)
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			for i := 0; i < 100; i++ {
+				c.Send(p, i)
+				c.Recv(p)
+			}
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("100 steady-state Send+Recv pairs allocate %v times, want 0", allocs)
 	}
 }
 
