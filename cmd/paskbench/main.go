@@ -6,7 +6,7 @@
 //
 //	paskbench [-exp list|all|<name>]
 //	          [-models alex,vgg,...] [-batches 1,4,16,64,128] [-quick]
-//	          [-faults "transient=0.1,permanent=0.02,seed=7,model=res,requests=60"]
+//	          [-faults "transient=0.1,permanent=0.02,seed=7"]
 //	          [-trace out.json] [-validate-trace file.json] [-out BENCH_<name>.json]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
 //
@@ -24,11 +24,14 @@
 // ui.perfetto.dev; -validate-trace checks such a file's structural
 // invariants and prints its summary, then exits.
 //
-// -faults bypasses the registry and runs a single chaos cell from a
-// combined spec whose fault keys (transient, permanent, spike, disable,
-// seed, burst, spike_ms, reset_ms) feed the fault plan and whose scenario
-// keys (model, batch, device, requests, interval_ms, evict) shape the
-// trace.
+// -faults runs a single chaos cell instead of an experiment: the spec is
+// a fault plan in the faults package's grammar (a key outside it is an
+// error), and the cell serves the first -models entry (default res) at the
+// first -batches entry on MI100. The cell runs at the plan's transient and
+// permanent rates, and its other keys (seed, burst, spike, spike_ms,
+// disable, reset_ms, slow_*, flood_*) reach it too. The cell is one
+// instance on one GPU, so it ignores the cache-image keys (img_*) and the
+// host keys (gpu_kill*, degrade_*, link_flap_*).
 //
 // -cpuprofile and -memprofile write host pprof profiles of the selected
 // run (an experiment, the -exp all sweep or a -faults cell), the same files
@@ -45,9 +48,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
-	"pask/internal/device"
 	"pask/internal/experiments"
 	"pask/internal/faults"
 	"pask/internal/serving"
@@ -86,14 +87,7 @@ func main() {
 		}
 	}()
 
-	if *faultsFlag != "" {
-		if err := runChaosCell(*faultsFlag); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *exp == "list" {
+	if *exp == "list" && *faultsFlag == "" {
 		printMenu()
 		return
 	}
@@ -110,6 +104,19 @@ func main() {
 			}
 			opts.Batches = append(opts.Batches, v)
 		}
+	}
+
+	if *faultsFlag != "" {
+		plan, err := faults.ParsePlan(*faultsFlag)
+		if err != nil {
+			fatal(err)
+		}
+		res, err := serving.Chaos(opts, &plan)
+		if err != nil {
+			fatal(err)
+		}
+		show(res.Tables[0])
+		return
 	}
 
 	if *exp == "all" {
@@ -170,9 +177,7 @@ func runExperiment(e *experiments.Experiment, opts experiments.Options, out, tra
 		return err
 	}
 	for _, tbl := range res.Tables {
-		if err := show(tbl, nil); err != nil {
-			return err
-		}
+		show(tbl)
 	}
 	if out == "" && e.Bench {
 		out = e.DefaultOut()
@@ -241,53 +246,6 @@ func startProfiles(cpuOut, memOut string) (stop func() error, err error) {
 	}, nil
 }
 
-// runChaosCell runs a single fault-injection cell from the combined -faults
-// spec: faults.ParsePlan keeps the plan keys and hands back the scenario
-// keys.
-func runChaosCell(spec string) error {
-	plan, leftover, err := faults.ParsePlan(spec)
-	if err != nil {
-		return err
-	}
-	cfg := serving.ChaosConfig{
-		Seed:       plan.Seed,
-		Transients: []float64{plan.TransientRate},
-		Permanents: []float64{plan.PermanentRate},
-		Spike:      plan.SpikeRate,
-		SpikeExtra: plan.SpikeExtra,
-		ResetAt:    plan.DeviceResetAt,
-	}
-	for key, val := range leftover {
-		switch key {
-		case "model":
-			cfg.Model = val
-		case "batch":
-			cfg.Batch, err = strconv.Atoi(val)
-		case "device":
-			prof, ok := device.ProfileByName(val)
-			if !ok {
-				return fmt.Errorf("chaos: unknown device %q", val)
-			}
-			cfg.Profile = prof
-		case "requests":
-			cfg.Requests, err = strconv.Atoi(val)
-		case "interval_ms":
-			var f float64
-			f, err = strconv.ParseFloat(val, 64)
-			cfg.MeanInterval = time.Duration(f * float64(time.Millisecond))
-		case "evict":
-			cfg.EvictEvery, err = strconv.Atoi(val)
-		default:
-			return fmt.Errorf("chaos: unknown spec key %q", key)
-		}
-		if err != nil {
-			return fmt.Errorf("chaos: bad %s=%q: %w", key, val, err)
-		}
-	}
-	tbl, err := serving.Chaos(cfg)
-	return show(tbl, err)
-}
-
 // runValidateTrace checks a Chrome trace JSON file's structural invariants
 // and prints its summary.
 func runValidateTrace(path string) error {
@@ -306,16 +264,12 @@ func runValidateTrace(path string) error {
 
 var formatCSV bool
 
-func show(tbl *experiments.Table, err error) error {
-	if err != nil {
-		return err
-	}
+func show(tbl *experiments.Table) {
 	if formatCSV {
 		fmt.Printf("# %s — %s\n%s\n", tbl.ID, tbl.Title, tbl.CSV())
-		return nil
+		return
 	}
 	fmt.Println(tbl)
-	return nil
 }
 
 func fatal(err error) {

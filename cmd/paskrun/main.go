@@ -69,12 +69,9 @@ func main() {
 
 	var inj *faults.Injector
 	if *faultsFlag != "" {
-		plan, leftover, perr := faults.ParsePlan(*faultsFlag)
+		plan, perr := faults.ParsePlan(*faultsFlag)
 		if perr != nil {
 			fatal(perr)
-		}
-		if len(leftover) > 0 {
-			fatal(fmt.Errorf("unknown fault keys in -faults: %v", leftover))
 		}
 		inj = faults.New(plan)
 	}

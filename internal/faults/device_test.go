@@ -11,7 +11,7 @@ import (
 )
 
 func TestParsePlanDeviceKeys(t *testing.T) {
-	p, left, err := ParsePlan("gpu_kill_ms=25,gpu_kill=2,gpu_kill_rate=0.3,gpu_kill_from_ms=10,gpu_kill_until_ms=60," +
+	p, err := ParsePlan("gpu_kill_ms=25,gpu_kill=2,gpu_kill_rate=0.3,gpu_kill_from_ms=10,gpu_kill_until_ms=60," +
 		"degrade_factor=4,degrade_transient=0.5,degrade_from_ms=5,degrade_until_ms=15,degrade_gpu=1," +
 		"link_flap_from_ms=20,link_flap_until_ms=40,link_flap_gpu=3,link_flap_stall_ms=2")
 	if err != nil {
@@ -28,9 +28,6 @@ func TestParsePlanDeviceKeys(t *testing.T) {
 	if p.LinkFlapFrom != 20*time.Millisecond || p.LinkFlapUntil != 40*time.Millisecond ||
 		p.LinkFlapGPU != 3 || p.LinkFlapStall != 2*time.Millisecond {
 		t.Fatalf("link-flap fields mismatch: %+v", p)
-	}
-	if len(left) != 0 {
-		t.Fatalf("unexpected leftovers: %v", left)
 	}
 }
 
@@ -50,12 +47,12 @@ func TestParsePlanDeviceKeysMalformed(t *testing.T) {
 		"degrade_from_ms=20,degrade_until_ms=10",     // inverted window
 		"link_flap_from_ms=50,link_flap_until_ms=40", // inverted window
 	} {
-		if _, _, err := ParsePlan(spec); err == nil {
+		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) accepted a malformed spec", spec)
 		}
 	}
 	// A zero until means "forever" and must stay legal.
-	if _, _, err := ParsePlan("degrade_factor=2,degrade_from_ms=10"); err != nil {
+	if _, err := ParsePlan("degrade_factor=2,degrade_from_ms=10"); err != nil {
 		t.Fatalf("open-ended window rejected: %v", err)
 	}
 }

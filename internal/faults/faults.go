@@ -20,9 +20,8 @@
 //
 // ParsePlan decodes a comma-separated "key=value" spec. Rates are floats in
 // [0,1]; *_ms keys are non-negative millisecond counts (fractions allowed);
-// GPU keys are non-negative host GPU indices. Unknown keys are returned to
-// the caller untouched (command-line tools piggyback scenario keys on the
-// same flag). The full key set:
+// GPU keys are non-negative host GPU indices. A key outside this set is an
+// error. The full key set:
 //
 //	seed=<int>              stream selector; same plan+seed => same faults
 //	transient=<rate>        per-read retriable store I/O error
@@ -491,15 +490,10 @@ func (inj *Injector) Stats() Stats {
 //	 slow_ms=1,slow_from_ms=10,slow_until_ms=30,flood_n=20,flood_ms=5,flood_gap_ms=0.1,
 //	 img_corrupt=0.2,img_truncate=0.2,img_kill=0.1"
 //
-// Keys the plan does not own are returned in leftover for the caller —
-// command-line tools piggyback scenario keys (model=..., requests=...) on
-// the same flag.
-func ParsePlan(spec string) (Plan, map[string]string, error) {
+// It rejects a key the plan does not own (the package doc lists them all),
+// a malformed value and an empty window. The empty spec is the zero Plan.
+func ParsePlan(spec string) (Plan, error) {
 	var p Plan
-	leftover := make(map[string]string)
-	if strings.TrimSpace(spec) == "" {
-		return p, leftover, nil
-	}
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -507,7 +501,7 @@ func ParsePlan(spec string) (Plan, map[string]string, error) {
 		}
 		key, val, ok := strings.Cut(part, "=")
 		if !ok {
-			return p, nil, fmt.Errorf("faults: bad spec element %q (want key=value)", part)
+			return p, fmt.Errorf("faults: bad spec element %q (want key=value)", part)
 		}
 		key = strings.TrimSpace(key)
 		val = strings.TrimSpace(val)
@@ -620,10 +614,10 @@ func ParsePlan(spec string) (Plan, map[string]string, error) {
 		case "link_flap_stall_ms":
 			p.LinkFlapStall, err = ms()
 		default:
-			leftover[key] = val
+			err = fmt.Errorf("faults: unknown key %q", key)
 		}
 		if err != nil {
-			return p, nil, err
+			return p, err
 		}
 	}
 	for _, w := range []struct {
@@ -635,8 +629,8 @@ func ParsePlan(spec string) (Plan, map[string]string, error) {
 		{"link_flap", p.LinkFlapFrom, p.LinkFlapUntil},
 	} {
 		if w.until > 0 && w.until <= w.from {
-			return p, nil, fmt.Errorf("faults: %s window [%v, %v) is empty", w.name, w.from, w.until)
+			return p, fmt.Errorf("faults: %s window [%v, %v) is empty", w.name, w.from, w.until)
 		}
 	}
-	return p, leftover, nil
+	return p, nil
 }

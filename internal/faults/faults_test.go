@@ -168,7 +168,7 @@ func TestArmResetFiresOnce(t *testing.T) {
 }
 
 func TestParsePlan(t *testing.T) {
-	p, left, err := ParsePlan("transient=0.1, permanent=0.02,seed=7,burst=3,spike=0.05,spike_ms=3,reset_ms=40,disable=0.1,model=res,requests=50")
+	p, err := ParsePlan("transient=0.1, permanent=0.02,seed=7,burst=3,spike=0.05,spike_ms=3,reset_ms=40,disable=0.1")
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
@@ -178,17 +178,19 @@ func TestParsePlan(t *testing.T) {
 		p.DisableRate != 0.1 {
 		t.Fatalf("plan mismatch: %+v", p)
 	}
-	if left["model"] != "res" || left["requests"] != "50" || len(left) != 2 {
-		t.Fatalf("leftover mismatch: %v", left)
+	for _, spec := range []string{"model=x", "transient=0.1,model=res", "requests=50"} {
+		if _, err := ParsePlan(spec); err == nil || !strings.Contains(err.Error(), "unknown key") {
+			t.Fatalf("ParsePlan(%q) = %v, want an unknown-key error", spec, err)
+		}
 	}
-	if _, _, err := ParsePlan("transient=2"); err == nil {
+	if _, err := ParsePlan("transient=2"); err == nil {
 		t.Fatal("rate >1 accepted")
 	}
-	if _, _, err := ParsePlan("junk"); err == nil {
+	if _, err := ParsePlan("junk"); err == nil {
 		t.Fatal("missing '=' accepted")
 	}
-	if p, left, err := ParsePlan(""); err != nil || len(left) != 0 || p != (Plan{}) {
-		t.Fatalf("empty spec: %+v %v %v", p, left, err)
+	if p, err := ParsePlan(""); err != nil || p != (Plan{}) {
+		t.Fatalf("empty spec: %+v %v", p, err)
 	}
 }
 
@@ -211,13 +213,13 @@ func TestParsePlanRejectsNonFinite(t *testing.T) {
 		{"degrade_factor=NaN", "is not a multiplier >= 1"},
 		{"degrade_factor=Inf", "is not a multiplier >= 1"},
 	} {
-		if _, _, err := ParsePlan(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := ParsePlan(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParsePlan(%q) error = %v, want one containing %q", tc.spec, err, tc.want)
 		}
 	}
 	// A whole count just below the overflow bound still parses, to within a
 	// millisecond of the largest time.Duration.
-	p, _, err := ParsePlan("reset_ms=9223372036854")
+	p, err := ParsePlan("reset_ms=9223372036854")
 	if err != nil || p.DeviceResetAt < time.Duration(math.MaxInt64)-time.Millisecond {
 		t.Fatalf("reset_ms just below the bound: %v, %v", p.DeviceResetAt, err)
 	}
@@ -284,7 +286,7 @@ func TestSlowLoaderStacksWithSpike(t *testing.T) {
 }
 
 func TestParsePlanOverloadKeys(t *testing.T) {
-	p, left, err := ParsePlan("slow_ms=2,slow_from_ms=10,slow_until_ms=30,flood_n=20,flood_ms=5,flood_gap_ms=0.5")
+	p, err := ParsePlan("slow_ms=2,slow_from_ms=10,slow_until_ms=30,flood_n=20,flood_ms=5,flood_gap_ms=0.5")
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
@@ -295,29 +297,23 @@ func TestParsePlanOverloadKeys(t *testing.T) {
 	if p.FloodN != 20 || p.FloodAt != 5*time.Millisecond || p.FloodGap != 500*time.Microsecond {
 		t.Fatalf("flood fields mismatch: %+v", p)
 	}
-	if len(left) != 0 {
-		t.Fatalf("unexpected leftovers: %v", left)
-	}
-	if _, _, err := ParsePlan("flood_n=-1"); err == nil {
+	if _, err := ParsePlan("flood_n=-1"); err == nil {
 		t.Fatal("negative flood_n accepted")
 	}
-	if _, _, err := ParsePlan("flood_n=2.5"); err == nil {
+	if _, err := ParsePlan("flood_n=2.5"); err == nil {
 		t.Fatal("fractional flood_n accepted")
 	}
 }
 
 func TestParsePlanImageKeys(t *testing.T) {
-	p, left, err := ParsePlan("img_corrupt=0.2,img_truncate=0.3,img_kill=0.1")
+	p, err := ParsePlan("img_corrupt=0.2,img_truncate=0.3,img_kill=0.1")
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
 	if p.ImgCorruptRate != 0.2 || p.ImgTruncateRate != 0.3 || p.NodeKillRate != 0.1 {
 		t.Fatalf("image fields mismatch: %+v", p)
 	}
-	if len(left) != 0 {
-		t.Fatalf("unexpected leftovers: %v", left)
-	}
-	if _, _, err := ParsePlan("img_corrupt=1.5"); err == nil {
+	if _, err := ParsePlan("img_corrupt=1.5"); err == nil {
 		t.Fatal("rate >1 accepted")
 	}
 }

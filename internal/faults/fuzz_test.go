@@ -3,6 +3,7 @@ package faults
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -19,16 +20,16 @@ var planKeys = []string{
 }
 
 // TestPlanKeysAreOwned keeps planKeys in step with the parser: an owned key
-// rejects a value that is not a number, where a key the plan does not own
-// passes it through to leftover.
+// rejects a value that is not a number with an error naming the value,
+// where a key the plan does not own is rejected by name.
 func TestPlanKeysAreOwned(t *testing.T) {
 	for _, k := range planKeys {
-		if _, _, err := ParsePlan(k + "=x"); err == nil {
-			t.Errorf("key %q accepted a non-number; is it still a plan key?", k)
+		if _, err := ParsePlan(k + "=x"); err == nil || strings.Contains(err.Error(), "unknown key") {
+			t.Errorf("key %q: error %v; is it still a plan key?", k, err)
 		}
 	}
-	if _, left, err := ParsePlan("model=x"); err != nil || left["model"] != "x" {
-		t.Fatalf("scenario key: leftover %v, err %v", left, err)
+	if _, err := ParsePlan("model=x"); err == nil || !strings.Contains(err.Error(), `unknown key "model"`) {
+		t.Fatalf("scenario key model=x: err %v, want an unknown-key error", err)
 	}
 }
 
@@ -73,7 +74,7 @@ func checkPlan(t *testing.T, spec string, p Plan) {
 }
 
 // FuzzParsePlan asserts ParsePlan never panics, that every plan it accepts
-// is in range, and that leftover holds only keys the plan does not own.
+// is in range, and that every key of an accepted spec is a plan key.
 func FuzzParsePlan(f *testing.F) {
 	for _, spec := range []string{
 		"transient=0.1,permanent=0.02,seed=7,burst=2,spike=0.05,spike_ms=3,reset_ms=40,disable=0.1," +
@@ -93,17 +94,18 @@ func FuzzParsePlan(f *testing.F) {
 		owned[k] = true
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		p, left, err := ParsePlan(spec)
+		p, err := ParsePlan(spec)
 		if err != nil {
-			if left != nil {
-				t.Fatalf("%q: error %v came with leftover %v", spec, err, left)
-			}
 			return
 		}
 		checkPlan(t, spec, p)
-		for k := range left {
-			if owned[k] {
-				t.Fatalf("%q: plan key %q left over", spec, k)
+		for _, part := range strings.Split(spec, ",") {
+			if part = strings.TrimSpace(part); part == "" {
+				continue
+			}
+			key, _, _ := strings.Cut(part, "=")
+			if k := strings.TrimSpace(key); !owned[k] {
+				t.Fatalf("%q: accepted key %q is not a plan key", spec, k)
 			}
 		}
 	})

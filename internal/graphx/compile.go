@@ -222,12 +222,20 @@ func (c *compiler) lowerBuiltin(n *onnx.Node, op string, trafficScale float64) {
 	c.layouts[n.Output] = target
 }
 
-func (c *compiler) lower(n *onnx.Node) error {
+// actKinds maps the activation ops to their primitive-library kind.
+var actKinds = map[onnx.Op]kernels.ActKind{
+	onnx.OpRelu: kernels.ReLU, onnx.OpLeakyRelu: kernels.LeakyReLU,
+	onnx.OpSigmoid: kernels.Sigmoid, onnx.OpTanh: kernels.Tanh,
+}
+
+// primitiveProblem reads a conv, pool or activation node's attributes and
+// returns the builder of its primitive-library problem in a given layout.
+// x is the node's input shape and w, for a conv, its weight shape. Compile
+// and the functional executor both build their problems here, so the two
+// cannot read a node differently. It returns nil for any other op.
+func primitiveProblem(n *onnx.Node, x, w tensor.Shape, dt tensor.DType) func(tensor.Layout) miopen.Problem {
 	switch n.Op {
 	case onnx.OpConv:
-		x := n.Inputs[0]
-		xs := c.shapes[x]
-		ws := c.shapes[n.Inputs[1]]
 		groups := n.AttrInt("groups", 1)
 		conv := kernels.Conv2DParams{
 			StrideH: n.AttrInt("stride_h", n.AttrInt("stride", 1)),
@@ -237,17 +245,15 @@ func (c *compiler) lower(n *onnx.Node) error {
 			DilH:    n.AttrInt("dil_h", n.AttrInt("dil", 1)),
 			DilW:    n.AttrInt("dil_w", n.AttrInt("dil", 1)),
 		}
-		return c.lowerPrimitive(n, x, func(l tensor.Layout) miopen.Problem {
-			return miopen.NewConvProblem(xs, ws.N, ws.H, ws.W, conv, groups, c.m.DType, l)
-		})
+		return func(l tensor.Layout) miopen.Problem {
+			return miopen.NewConvProblem(x, w.N, w.H, w.W, conv, groups, dt, l)
+		}
 
 	case onnx.OpMaxPool, onnx.OpAvgPool, onnx.OpGlobalPool:
-		x := n.Inputs[0]
-		xs := c.shapes[x]
 		var pool kernels.Pool2DParams
 		mode := kernels.MaxPool
 		if n.Op == onnx.OpGlobalPool {
-			pool = kernels.Pool2DParams{WinH: xs.H, WinW: xs.W, StrideH: xs.H, StrideW: xs.W}
+			pool = kernels.Pool2DParams{WinH: x.H, WinW: x.W, StrideH: x.H, StrideW: x.W}
 			mode = kernels.AvgPool
 		} else {
 			win := n.AttrInt("win", 2)
@@ -262,24 +268,33 @@ func (c *compiler) lower(n *onnx.Node) error {
 				mode = kernels.AvgPool
 			}
 		}
-		return c.lowerPrimitive(n, x, func(l tensor.Layout) miopen.Problem {
-			return miopen.NewPoolProblem(xs, pool, mode, c.m.DType, l)
-		})
+		return func(l tensor.Layout) miopen.Problem {
+			return miopen.NewPoolProblem(x, pool, mode, dt, l)
+		}
 
 	case onnx.OpRelu, onnx.OpLeakyRelu, onnx.OpSigmoid, onnx.OpTanh:
-		x := n.Inputs[0]
-		xs := c.shapes[x]
-		kind := map[onnx.Op]kernels.ActKind{
-			onnx.OpRelu: kernels.ReLU, onnx.OpLeakyRelu: kernels.LeakyReLU,
-			onnx.OpSigmoid: kernels.Sigmoid, onnx.OpTanh: kernels.Tanh,
-		}[n.Op]
+		kind := actKinds[n.Op]
 		alpha := float32(0)
 		if kind == kernels.LeakyReLU {
 			alpha = 0.01
 		}
-		return c.lowerPrimitive(n, x, func(l tensor.Layout) miopen.Problem {
-			return miopen.NewActProblem(xs, kind, alpha, c.m.DType, l)
-		})
+		return func(l tensor.Layout) miopen.Problem {
+			return miopen.NewActProblem(x, kind, alpha, dt, l)
+		}
+	}
+	return nil
+}
+
+func (c *compiler) lower(n *onnx.Node) error {
+	switch n.Op {
+	case onnx.OpConv, onnx.OpMaxPool, onnx.OpAvgPool, onnx.OpGlobalPool,
+		onnx.OpRelu, onnx.OpLeakyRelu, onnx.OpSigmoid, onnx.OpTanh:
+		x := n.Inputs[0]
+		var ws tensor.Shape
+		if n.Op == onnx.OpConv {
+			ws = c.shapes[n.Inputs[1]]
+		}
+		return c.lowerPrimitive(n, x, primitiveProblem(n, c.shapes[x], ws, c.m.DType))
 
 	case onnx.OpGemm:
 		// Fully-connected layers lower to 1x1 convolutions over a 1x1

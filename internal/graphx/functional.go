@@ -119,33 +119,28 @@ func (f *funcExec) runPrimitive(n *onnx.Node, prob miopen.Problem, x, w, bias *t
 
 func (f *funcExec) eval(n *onnx.Node) error {
 	switch n.Op {
-	case onnx.OpConv:
+	case onnx.OpConv, onnx.OpMaxPool, onnx.OpAvgPool, onnx.OpGlobalPool,
+		onnx.OpRelu, onnx.OpLeakyRelu, onnx.OpSigmoid, onnx.OpTanh:
 		x, err := f.in(n, 0)
 		if err != nil {
 			return err
 		}
-		w, err := f.in(n, 1)
-		if err != nil {
-			return err
+		var w, bias *tensor.Tensor
+		var ws tensor.Shape
+		if n.Op == onnx.OpConv {
+			if w, err = f.in(n, 1); err != nil {
+				return err
+			}
+			ws = w.Shape
+			if len(n.Inputs) > 2 {
+				bias = f.vals[n.Inputs[2]]
+			}
 		}
-		var bias *tensor.Tensor
-		if len(n.Inputs) > 2 {
-			bias = f.vals[n.Inputs[2]]
-		}
-		conv := kernels.Conv2DParams{
-			StrideH: n.AttrInt("stride_h", n.AttrInt("stride", 1)),
-			StrideW: n.AttrInt("stride_w", n.AttrInt("stride", 1)),
-			PadH:    n.AttrInt("pad_h", n.AttrInt("pad", 0)),
-			PadW:    n.AttrInt("pad_w", n.AttrInt("pad", 0)),
-			DilH:    n.AttrInt("dil_h", n.AttrInt("dil", 1)),
-			DilW:    n.AttrInt("dil_w", n.AttrInt("dil", 1)),
-		}
-		prob := miopen.NewConvProblem(x.Shape, w.Shape.N, w.Shape.H, w.Shape.W, conv,
-			n.AttrInt("groups", 1), f.g.DType, tensor.NCHW)
+		prob := primitiveProblem(n, x.Shape, ws, f.g.DType)(tensor.NCHW)
 		if err := f.runPrimitive(n, prob, x, w, bias); err != nil {
 			return err
 		}
-		if n.AttrInt("fused_relu", 0) == 1 {
+		if n.Op == onnx.OpConv && n.AttrInt("fused_relu", 0) == 1 {
 			out := f.vals[n.Output]
 			for i, v := range out.Data {
 				if v < 0 {
@@ -154,48 +149,6 @@ func (f *funcExec) eval(n *onnx.Node) error {
 			}
 		}
 		return nil
-
-	case onnx.OpMaxPool, onnx.OpAvgPool, onnx.OpGlobalPool:
-		x, err := f.in(n, 0)
-		if err != nil {
-			return err
-		}
-		var pool kernels.Pool2DParams
-		mode := kernels.MaxPool
-		if n.Op == onnx.OpGlobalPool {
-			pool = kernels.Pool2DParams{WinH: x.Shape.H, WinW: x.Shape.W, StrideH: x.Shape.H, StrideW: x.Shape.W}
-			mode = kernels.AvgPool
-		} else {
-			win := n.AttrInt("win", 2)
-			pool = kernels.Pool2DParams{
-				WinH: n.AttrInt("win_h", win), WinW: n.AttrInt("win_w", win),
-				StrideH: n.AttrInt("stride_h", n.AttrInt("stride", win)),
-				StrideW: n.AttrInt("stride_w", n.AttrInt("stride", win)),
-				PadH:    n.AttrInt("pad_h", n.AttrInt("pad", 0)),
-				PadW:    n.AttrInt("pad_w", n.AttrInt("pad", 0)),
-			}
-			if n.Op == onnx.OpAvgPool {
-				mode = kernels.AvgPool
-			}
-		}
-		prob := miopen.NewPoolProblem(x.Shape, pool, mode, f.g.DType, tensor.NCHW)
-		return f.runPrimitive(n, prob, x, nil, nil)
-
-	case onnx.OpRelu, onnx.OpLeakyRelu, onnx.OpSigmoid, onnx.OpTanh:
-		x, err := f.in(n, 0)
-		if err != nil {
-			return err
-		}
-		kind := map[onnx.Op]kernels.ActKind{
-			onnx.OpRelu: kernels.ReLU, onnx.OpLeakyRelu: kernels.LeakyReLU,
-			onnx.OpSigmoid: kernels.Sigmoid, onnx.OpTanh: kernels.Tanh,
-		}[n.Op]
-		alpha := float32(0)
-		if kind == kernels.LeakyReLU {
-			alpha = 0.01
-		}
-		prob := miopen.NewActProblem(x.Shape, kind, alpha, f.g.DType, tensor.NCHW)
-		return f.runPrimitive(n, prob, x, nil, nil)
 
 	case onnx.OpGelu:
 		x, err := f.in(n, 0)

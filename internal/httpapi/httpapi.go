@@ -273,16 +273,31 @@ func parseScheme(name string) (core.Scheme, error) {
 	return "", fmt.Errorf("unknown scheme %q", name)
 }
 
-// parseDevice validates a device name ("" defaults to MI100).
-func parseDevice(name string) (device.Profile, error) {
-	if name == "" {
-		name = "MI100"
+// resolveModel validates a request's model, device ("" defaults to MI100)
+// and batch (0 defaults to 1) and returns the model's cached setup with the
+// resolved device and batch. Every error it returns is a 400.
+func (s *Server) resolveModel(model, dev string, batch int) (*experiments.ModelSetup, device.Profile, int, error) {
+	if model == "" {
+		return nil, device.Profile{}, 0, fmt.Errorf("missing model")
 	}
-	prof, ok := device.ProfileByName(name)
+	if dev == "" {
+		dev = "MI100"
+	}
+	prof, ok := device.ProfileByName(dev)
 	if !ok {
-		return device.Profile{}, fmt.Errorf("unknown device %q", name)
+		return nil, device.Profile{}, 0, fmt.Errorf("unknown device %q", dev)
 	}
-	return prof, nil
+	if batch == 0 {
+		batch = 1
+	}
+	if batch < 1 {
+		return nil, device.Profile{}, 0, fmt.Errorf("bad batch %d", batch)
+	}
+	ms, err := s.setup(model, batch, prof)
+	if err != nil {
+		return nil, device.Profile{}, 0, err
+	}
+	return ms, prof, batch, nil
 }
 
 // ColdStartRequest is the POST /v1/coldstart body.
@@ -349,25 +364,11 @@ type ColdStartResponse struct {
 
 // runColdStart executes one validated coldstart request, recording into rec.
 func (s *Server) runColdStart(req ColdStartRequest, rec *trace.Recorder) (*ColdStartResponse, *metrics.Report, int, error) {
-	if req.Model == "" {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("missing model")
-	}
 	scheme, err := parseScheme(req.Scheme)
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
-	prof, err := parseDevice(req.Device)
-	if err != nil {
-		return nil, nil, http.StatusBadRequest, err
-	}
-	batch := req.Batch
-	if batch == 0 {
-		batch = 1
-	}
-	if batch < 1 {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("bad batch %d", batch)
-	}
-	ms, err := s.setup(req.Model, batch, prof)
+	ms, prof, batch, err := s.resolveModel(req.Model, req.Device, req.Batch)
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
@@ -551,24 +552,7 @@ func (s *Server) handleCacheImagesBuild(w http.ResponseWriter, r *http.Request) 
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.Model == "" {
-		badRequest(w, "missing model")
-		return
-	}
-	prof, err := parseDevice(req.Device)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	batch := req.Batch
-	if batch == 0 {
-		batch = 1
-	}
-	if batch < 1 {
-		badRequest(w, "bad batch %d", batch)
-		return
-	}
-	ms, err := s.setup(req.Model, batch, prof)
+	ms, _, _, err := s.resolveModel(req.Model, req.Device, req.Batch)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -703,23 +687,9 @@ type ServeResponse struct {
 
 // runServe executes one validated serve request, recording into rec.
 func (s *Server) runServe(req ServeRequest, rec *trace.Recorder) (*ServeResponse, int, error) {
-	if req.Model == "" {
-		return nil, http.StatusBadRequest, fmt.Errorf("missing model")
-	}
 	scheme, err := parseScheme(req.Scheme)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
-	}
-	prof, err := parseDevice(req.Device)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	batch := req.Batch
-	if batch == 0 {
-		batch = 1
-	}
-	if batch < 1 {
-		return nil, http.StatusBadRequest, fmt.Errorf("bad batch %d", batch)
 	}
 	requests := req.Requests
 	if requests == 0 {
@@ -738,13 +708,8 @@ func (s *Server) runServe(req ServeRequest, rec *trace.Recorder) (*ServeResponse
 	pol := serving.Policy{Scheme: scheme, Rec: rec}
 	var plan faults.Plan
 	if req.Faults != "" {
-		var leftover map[string]string
-		plan, leftover, err = faults.ParsePlan(req.Faults)
-		if err != nil {
+		if plan, err = faults.ParsePlan(req.Faults); err != nil {
 			return nil, http.StatusBadRequest, err
-		}
-		if len(leftover) > 0 {
-			return nil, http.StatusBadRequest, fmt.Errorf("unknown fault keys %v", leftover)
 		}
 		pol.Faults = faults.New(plan)
 	}
@@ -754,7 +719,7 @@ func (s *Server) runServe(req ServeRequest, rec *trace.Recorder) (*ServeResponse
 	}
 	pol.FT.ContinueOnError = req.ContinueOnError
 
-	ms, err := s.setup(req.Model, batch, prof)
+	ms, prof, batch, err := s.resolveModel(req.Model, req.Device, req.Batch)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}

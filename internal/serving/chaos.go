@@ -10,54 +10,20 @@ import (
 	"pask/internal/faults"
 )
 
-// ChaosConfig parameterizes the fault-injection sweep.
-type ChaosConfig struct {
-	Model        string         // zoo abbreviation (default "res")
-	Batch        int            // default 1
-	Profile      device.Profile // default MI100
-	Requests     int            // trace length (default 60)
-	MeanInterval time.Duration  // Poisson mean inter-arrival (default 2ms)
-	EvictEvery   int            // eviction period, repeated cold paths (default 10)
-	Seed         int64          // fault and trace seed (0: a default that hits loaded objects)
-	Transients   []float64      // transient I/O rates to sweep (default 0, 0.1, 0.3)
-	Permanents   []float64      // permanent corruption rates (default 0, 0.02)
-	Spike        float64        // load-latency spike rate
-	SpikeExtra   time.Duration  // spike magnitude (0: plan default)
-	ResetAt      time.Duration  // device reset time (0: none)
-}
-
-func (c *ChaosConfig) fill() {
-	if c.Model == "" {
-		c.Model = "res"
-	}
-	if c.Batch <= 0 {
-		c.Batch = 1
-	}
-	if c.Profile.Name == "" {
-		c.Profile = device.MI100()
-	}
-	if c.Requests <= 0 {
-		c.Requests = 60
-	}
-	if c.MeanInterval <= 0 {
-		c.MeanInterval = 2 * time.Millisecond
-	}
-	if c.EvictEvery == 0 {
-		c.EvictEvery = 10
-	}
-	if c.Seed == 0 {
-		// A seed whose permanent roll damages objects the default model's
-		// cold path really loads, so the sweep shows the cliff-vs-graceful
-		// contrast instead of faults that selective reuse never touches.
-		c.Seed = 43
-	}
-	if c.Transients == nil {
-		c.Transients = []float64{0, 0.1, 0.3}
-	}
-	if c.Permanents == nil {
-		c.Permanents = []float64{0, 0.02}
-	}
-}
+// The sweep's fixed scenario: a Poisson trace of chaosRequests arrivals
+// chaosInterval apart on average, with every chaosEvictEvery-th request
+// evicting the instance so cold paths repeat.
+const (
+	chaosRequests   = 60
+	chaosInterval   = 2 * time.Millisecond
+	chaosEvictEvery = 10
+	// chaosSeed is the fault and trace seed when the plan leaves it 0. It
+	// was chosen so its permanent roll damaged objects the default model's
+	// cold path loads, showing the cliff-vs-graceful contrast; the cold
+	// path has since changed and every default cell completes, so
+	// TestChaosAcceptanceResNet searches for a hostile seed instead.
+	chaosSeed = 43
+)
 
 // chaosPolicy is one policy column of the sweep.
 type chaosPolicy struct {
@@ -84,39 +50,49 @@ func chaosPolicies() []chaosPolicy {
 
 // Chaos runs the sweep: every (transient, permanent) rate pair crosses every
 // policy, each cell facing the same seeded fault plan, and reports how many
-// requests each policy served with what latency. The table is deterministic
-// for a fixed config.
-func Chaos(cfg ChaosConfig) (*experiments.Table, error) {
-	cfg.fill()
-	ms, err := experiments.PrepareModel(cfg.Model, cfg.Batch, cfg.Profile)
+// requests each policy served with what latency. It serves the first
+// selected model (default res) at the first selected batch (default and
+// minimum 1) on MI100. A nil plan sweeps transient rates 0, 10% and 30%
+// against permanent rates 0 and 2%; a non-nil plan is one cell at its own
+// rates, and every other key it sets reaches that cell (seed 0 still means
+// chaosSeed). The table is deterministic for fixed inputs.
+func Chaos(o experiments.Options, plan *faults.Plan) (*experiments.Result, error) {
+	model, batch, prof := o.Model("res"), max(o.Batch(), 1), device.MI100()
+	var base faults.Plan
+	transients, permanents := []float64{0, 0.1, 0.3}, []float64{0, 0.02}
+	if plan != nil {
+		base = *plan
+		transients, permanents = []float64{plan.TransientRate}, []float64{plan.PermanentRate}
+	}
+	if base.Seed == 0 {
+		base.Seed = chaosSeed
+	}
+	ms, err := experiments.PrepareModel(model, batch, prof)
 	if err != nil {
 		return nil, err
 	}
+	trace := PoissonTrace(chaosRequests, chaosInterval, base.Seed)
+	// ServeTrace splices the plan's flood into the trace, so the flood's
+	// arrivals count as requests too.
+	requests := len(ApplyFlood(trace, base))
 	table := &experiments.Table{
 		ID:    "chaos",
-		Title: fmt.Sprintf("fault-injection sweep, %s b%d on %s, %d requests", cfg.Model, cfg.Batch, cfg.Profile.Name, cfg.Requests),
+		Title: fmt.Sprintf("fault-injection sweep, %s b%d on %s, %d requests", model, batch, prof.Name, requests),
 		Headers: []string{"policy", "transient", "permanent", "served", "success",
 			"cold_ms", "p99_ms", "crashes", "retries", "degraded", "outcome"},
 		Notes: []string{
 			"binary-shipped objects (builtins, BLAS core, residents) are exempt from corruption",
-			fmt.Sprintf("seed=%d; identical plans replay identical faults across policies", cfg.Seed),
+			fmt.Sprintf("seed=%d; identical plans replay identical faults across policies", base.Seed),
 		},
 	}
-	trace := PoissonTrace(cfg.Requests, cfg.MeanInterval, cfg.Seed)
-	for _, tr := range cfg.Transients {
-		for _, pr := range cfg.Permanents {
+	for _, tr := range transients {
+		for _, pr := range permanents {
 			for _, cp := range chaosPolicies() {
-				plan := faults.Plan{
-					Seed:          cfg.Seed,
-					TransientRate: tr,
-					PermanentRate: pr,
-					SpikeRate:     cfg.Spike,
-					SpikeExtra:    cfg.SpikeExtra,
-					DeviceResetAt: cfg.ResetAt,
-				}
+				cell := base
+				cell.TransientRate, cell.PermanentRate = tr, pr
 				pol := cp.Policy
-				pol.Faults = faults.New(plan)
-				stats, err := ServeTrace(ms, pol, trace, cfg.EvictEvery)
+				pol.Faults = faults.New(cell)
+				stats, err := ServeTrace(ms, pol, trace, chaosEvictEvery)
 				outcome := "completed"
 				if err != nil {
 					outcome = "aborted"
@@ -129,8 +105,8 @@ func Chaos(cfg ChaosConfig) (*experiments.Table, error) {
 					cp.Name,
 					fmt.Sprintf("%.0f%%", 100*tr),
 					fmt.Sprintf("%.0f%%", 100*pr),
-					fmt.Sprintf("%d/%d", served, cfg.Requests),
-					fmt.Sprintf("%.1f%%", 100*float64(served)/float64(cfg.Requests)),
+					fmt.Sprintf("%d/%d", served, requests),
+					fmt.Sprintf("%.1f%%", 100*float64(served)/float64(requests)),
 					fmtMs(meanDuration(stats.ColdLatencies)),
 					fmtMs(stats.Percentile(0.99)),
 					fmt.Sprintf("%d", stats.Crashes),
@@ -141,5 +117,5 @@ func Chaos(cfg ChaosConfig) (*experiments.Table, error) {
 			}
 		}
 	}
-	return table, nil
+	return &experiments.Result{Tables: []*experiments.Table{table}}, nil
 }

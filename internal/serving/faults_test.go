@@ -326,26 +326,63 @@ func TestScaleOutWithFaults(t *testing.T) {
 }
 
 func TestChaosDeterministic(t *testing.T) {
-	cfg := ChaosConfig{
-		Model:      "alex",
-		Requests:   10,
-		Transients: []float64{0.1},
-		Permanents: []float64{0.02},
-		Seed:       3,
-	}
-	t1, err := Chaos(cfg)
+	o := experiments.Options{Models: []string{"alex"}}
+	plan := faults.Plan{TransientRate: 0.1, PermanentRate: 0.02, Seed: 3}
+	r1, err := Chaos(o, &plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := Chaos(cfg)
+	r2, err := Chaos(o, &plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t1, t2 := r1.Tables[0], r2.Tables[0]
 	if !reflect.DeepEqual(t1.Rows, t2.Rows) {
 		t.Fatalf("chaos table not deterministic:\n%v\nvs\n%v", t1.Rows, t2.Rows)
 	}
 	if len(t1.Rows) != 3 {
 		t.Fatalf("rows = %d, want one per policy", len(t1.Rows))
+	}
+}
+
+// TestChaosCellTakesPlanKeys checks that a one-cell chaos run honours plan
+// keys beyond the two swept rates: a find-path outage changes the cell,
+// and a request flood's arrivals are counted as requests.
+func TestChaosCellTakesPlanKeys(t *testing.T) {
+	o := experiments.Options{Models: []string{"alex"}}
+	run := func(plan faults.Plan) *experiments.Table {
+		t.Helper()
+		res, err := Chaos(o, &plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Tables[0]
+	}
+	base := faults.Plan{TransientRate: 0.1, PermanentRate: 0.02, Seed: 3}
+	plain := run(base)
+
+	disabled := base
+	disabled.DisableRate = 0.9
+	if got := run(disabled); reflect.DeepEqual(got.Rows, plain.Rows) {
+		t.Errorf("disable=0.9 left the cell unchanged:\n%v", got.Rows)
+	}
+
+	flooded := base
+	flooded.FloodN = 15
+	got := run(flooded)
+	if reflect.DeepEqual(got.Rows, plain.Rows) {
+		t.Errorf("flood_n=15 left the cell unchanged:\n%v", got.Rows)
+	}
+	if !strings.Contains(got.Title, " 75 requests") {
+		t.Errorf("title %q, want 60 trace + 15 flood = 75 requests", got.Title)
+	}
+	for _, row := range got.Rows {
+		if served := row[3]; !strings.HasSuffix(served, "/75") {
+			t.Errorf("%s served %q, want a count out of 75", row[0], served)
+		}
+		if row[10] == "completed" && (row[3] != "75/75" || row[4] != "100.0%") {
+			t.Errorf("%s completed but served %s (%s)", row[0], row[3], row[4])
+		}
 	}
 }
 

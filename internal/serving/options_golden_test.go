@@ -14,6 +14,9 @@ import (
 // optionsGoldens are the SHA-256 digests of each experiment's result
 // envelope and Chrome trace under optionsGoldenOpts.
 var optionsGoldens = map[string]struct{ envelope, trace string }{
+	"chaos": {
+		"733d230cc045be915f71790dd4141ed8fa1bcba8455b2d956e9deaa2605912d8",
+		"f5ebe1a622b05fbd55b9e8728af9b2a55c0b3b77465c70a3c713e699f7571f59"},
 	"multitenant": {
 		"27f3c860e2f1fe8d3cc153be34ba18e554e68d32b79fe96c96f9e2e24ac49222",
 		"f5ebe1a622b05fbd55b9e8728af9b2a55c0b3b77465c70a3c713e699f7571f59"},

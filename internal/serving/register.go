@@ -10,13 +10,7 @@ import "pask/internal/experiments"
 func init() {
 	experiments.Register(experiments.Experiment{
 		Name: "chaos", Description: "fault-injection sweep: fault rates x recovery policies", InAll: true,
-		Run: func(o experiments.Options) (*experiments.Result, error) {
-			tbl, err := Chaos(ChaosConfig{Model: o.Model("res"), Batch: o.Batch()})
-			if err != nil {
-				return nil, err
-			}
-			return &experiments.Result{Tables: []*experiments.Table{tbl}}, nil
-		},
+		Run: func(o experiments.Options) (*experiments.Result, error) { return Chaos(o, nil) },
 	})
 	experiments.Register(experiments.Experiment{
 		Name: "multitenant", Description: "isolated per-instance runtimes vs one shared runtime per GPU", InAll: true,
