@@ -233,10 +233,7 @@ func (pl *pipeline) observeDecision(instr *graphx.Instruction, chosen miopen.Ins
 // addGetsub records one cache-query span with its outcome attributes — the
 // per-pattern visibility Fig 9's lookup analysis needs.
 func (pl *pipeline) addGetsub(name, thread string, start, end time.Duration, attrs ...metrics.Attr) {
-	pl.r.Tracer.AddSpan(metrics.Span{
-		Cat: metrics.CatOverhead, Name: "getsub:" + name, Thread: thread,
-		Start: start, End: end, Attrs: attrs,
-	})
+	pl.r.Tracer.AddNamed(metrics.CatOverhead, "getsub:", name, thread, start, end, attrs...)
 }
 
 // RunInterleaved executes the model with PASK's three-thread pipeline. With
@@ -408,7 +405,7 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 			case item.hasBlas:
 				start := ip.Now()
 				_, err = r.Blas.RunInstance(ip, r.Stream, &item.instr.Gemm, item.blasInst)
-				r.Tracer.Add(metrics.CatLaunch, "issue:"+item.instr.Name, ip.Name(), start, ip.Now())
+				r.Tracer.AddNamed(metrics.CatLaunch, "issue:", item.instr.Name, ip.Name(), start, ip.Now())
 			default:
 				_, err = r.ExecInstr(ip, item.instr)
 			}
@@ -563,11 +560,11 @@ func (pl *pipeline) decideGemm(lp *sim.Proc, instr *graphx.Instruction) (blas.In
 			pl.blasList = append([]blas.Instance{inst}, append(pl.blasList[:i:i], pl.blasList[i+1:]...)...)
 			pl.res.BlasHits++
 			pl.res.BlasSkipped++
-			pl.r.Tracer.Add(metrics.CatOverhead, "getsub-blas:"+instr.Name, lp.Name(), start, lp.Now())
+			pl.r.Tracer.AddNamed(metrics.CatOverhead, "getsub-blas:", instr.Name, lp.Name(), start, lp.Now())
 			return inst, true
 		}
 	}
-	pl.r.Tracer.Add(metrics.CatOverhead, "getsub-blas:"+instr.Name, lp.Name(), start, lp.Now())
+	pl.r.Tracer.AddNamed(metrics.CatOverhead, "getsub-blas:", instr.Name, lp.Name(), start, lp.Now())
 	if _, err := pl.r.RT.ModuleLoad(lp, chosen.Path()); err != nil {
 		pl.fail(err)
 		return blas.Instance{}, false
@@ -665,7 +662,7 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 			} else {
 				start := p.Now()
 				sub, ok := cache.GetSub(p, r.Lib, sInst, &instr.Problem)
-				r.Tracer.Add(metrics.CatOverhead, "getsub:"+instr.Name, p.Name(), start, p.Now())
+				r.Tracer.AddNamed(metrics.CatOverhead, "getsub:", instr.Name, p.Name(), start, p.Now())
 				if !ok && opts.pressure() >= PressureElevated {
 					// Brownout on the warm/sequential path: forced
 					// cross-category reuse before a demand load, mirroring

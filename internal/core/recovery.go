@@ -61,7 +61,7 @@ func recoverLoadFailure(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result,
 	res.LoadFailures++
 	start := p.Now()
 	defer func() {
-		r.Tracer.Add(metrics.CatRecovery, "recover:"+layer, p.Name(), start, p.Now())
+		r.Tracer.AddNamed(metrics.CatRecovery, "recover:", layer, p.Name(), start, p.Now())
 	}()
 	if sub, ok := cache.GetSubAny(p, r.Lib, want, prob); ok {
 		res.ForcedReuse++
@@ -103,7 +103,7 @@ func agnosticSubstitute(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result,
 	}
 	start := p.Now()
 	defer func() {
-		r.Tracer.Add(metrics.CatRecovery, "agnostic:"+layer, p.Name(), start, p.Now())
+		r.Tracer.AddNamed(metrics.CatRecovery, "agnostic:", layer, p.Name(), start, p.Now())
 	}()
 	if sub, ok := cache.GetSubAny(p, r.Lib, chosen, prob); ok {
 		if _, agnostic := sub.Sol.PreferredLayout(prob); agnostic {

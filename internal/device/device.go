@@ -1,6 +1,6 @@
 // Package device models the GPU and host the simulated stack runs on: a
 // roofline execution model (peak FLOPs vs memory bandwidth), in-order command
-// streams driven by sim processes, busy-time accounting for utilization
+// streams driven by sim handlers, busy-time accounting for utilization
 // metrics, and calibrated per-device profiles (MI100, A100, RX 6900 XT)
 // matching the paper's testbeds in magnitude.
 //
@@ -109,11 +109,17 @@ type kernelWork struct {
 
 // Stream is an in-order GPU command queue. Exactly one host process may
 // submit to a stream (the SPSC discipline of sim.Chan); the stream's own
-// sim process executes submissions in FIFO order.
+// sim handler executes submissions in FIFO order. The handler has no
+// goroutine: the dispatcher runs its step inline whenever the running item
+// finishes or a submission arrives at an idle stream.
 type Stream struct {
 	id    int
 	gpu   *GPU
 	queue *sim.Chan[kernelWork]
+
+	cur     kernelWork    // the item executing, while running
+	running bool          // cur occupies the stream until its step comes due
+	start   time.Duration // when cur started
 }
 
 // GPU is one simulated device: a profile, streams, and busy-interval union
@@ -146,7 +152,7 @@ func NewGPU(env *sim.Env, prof Profile) *GPU {
 func (g *GPU) NewStream() *Stream {
 	s := &Stream{id: len(g.streams), gpu: g, queue: sim.NewChan[kernelWork](g.env, 1<<14)}
 	g.streams = append(g.streams, s)
-	g.env.Spawn(fmt.Sprintf("gpu-stream-%d", s.id), s.run)
+	g.env.SpawnHandler(fmt.Sprintf("gpu-stream-%d", s.id), s.step)
 	return s
 }
 
@@ -179,26 +185,42 @@ func (g *GPU) kernelEnd() {
 	}
 }
 
-// run executes the stream's queue until the channel closes.
-func (s *Stream) run(p *sim.Proc) {
+// step is the stream's handler. It finishes the item that was running, if
+// any, then takes queued items in FIFO order: zero-duration ones complete at
+// once, and the first that takes time runs until the handler is next due.
+// An empty queue parks the handler until a submission or Close; a closed,
+// drained one ends it.
+func (s *Stream) step(p *sim.Proc) {
+	if s.running {
+		w := s.cur
+		s.cur, s.running = kernelWork{}, false
+		if !w.copy {
+			s.gpu.kernelEnd()
+			s.gpu.kernelCount++
+			if s.gpu.OnKernel != nil {
+				s.gpu.OnKernel(w.name, s.start, p.Now())
+			}
+		}
+		if w.done != nil {
+			w.done.Fire()
+		}
+	}
 	for {
-		w, ok := s.queue.Recv(p)
+		w, ok := s.queue.Poll(p)
 		if !ok {
+			if s.queue.Closed() {
+				p.End()
+			}
 			return
 		}
 		if w.dur > 0 {
-			if w.copy {
-				p.Sleep(w.dur) // DMA: occupies the in-order queue, not the CUs
-			} else {
-				start := p.Now()
+			if !w.copy { // DMA occupies the in-order queue, not the CUs
+				s.start = p.Now()
 				s.gpu.kernelStart()
-				p.Sleep(w.dur)
-				s.gpu.kernelEnd()
-				s.gpu.kernelCount++
-				if s.gpu.OnKernel != nil {
-					s.gpu.OnKernel(w.name, start, p.Now())
-				}
 			}
+			s.cur, s.running = w, true
+			p.StepAfter(w.dur)
+			return
 		}
 		if w.done != nil {
 			w.done.Fire()
@@ -238,8 +260,9 @@ func (s *Stream) Synchronize(p *sim.Proc) {
 	done.Wait(p)
 }
 
-// Close shuts down the stream's process; used by tests that need clean
-// environment termination.
+// Close ends the stream's handler once it has run everything already
+// queued; used by tests and experiments that need clean environment
+// termination.
 func (s *Stream) Close() { s.queue.Close() }
 
 // CloseAll closes every stream of the device.

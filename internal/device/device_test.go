@@ -1,6 +1,8 @@
 package device
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -260,5 +262,51 @@ func TestLoadTimeMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A panicking OnKernel ends Run with the stream's *sim.PanicError, whether
+// the stream's step runs while the host yields or after the host exits.
+func TestStreamPanicInOnKernel(t *testing.T) {
+	for name, host := range map[string]func(p *sim.Proc, s *Stream){
+		"yield": func(p *sim.Proc, s *Stream) {
+			s.Launch(p, "k", time.Millisecond)
+			p.Sleep(time.Second)
+		},
+		"exit": func(p *sim.Proc, s *Stream) { s.Launch(p, "k", time.Millisecond) },
+	} {
+		env := sim.NewEnv()
+		g := NewGPU(env, testProfile())
+		s := g.NewStream()
+		g.OnKernel = func(string, time.Duration, time.Duration) { panic("observer failed") }
+		env.Spawn("host", func(p *sim.Proc) { host(p, s) })
+		var pe *sim.PanicError
+		if err := env.Run(); !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want *sim.PanicError", name, err)
+		}
+		if pe.Proc != "gpu-stream-1" || pe.Value != "observer failed" {
+			t.Fatalf("%s: PanicError = {Proc: %q, Value: %v}", name, pe.Proc, pe.Value)
+		}
+	}
+}
+
+// Streams are handlers: making a hundred starts no goroutine, and once
+// closed they leave the environment, so Run reports no blocked process.
+func TestStreamsStartNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := sim.NewEnv()
+	h := NewHost(env)
+	g := h.GPU(h.AddGPU(testProfile(), 0))
+	for i := 0; i < 100; i++ {
+		g.NewStream()
+	}
+	// Goroutines other tests left behind may still be exiting, so the count
+	// can fall; a goroutine per stream would raise it by 100.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before, %d after 100 streams", before, after)
+	}
+	h.CloseAll()
+	if err := env.Run(); err != nil {
+		t.Fatalf("Run after CloseAll: %v", err)
 	}
 }

@@ -73,7 +73,7 @@ func (r *Runner) OpenModel(p *sim.Proc) {
 func (r *Runner) ParseOne(p *sim.Proc, in *Instruction) {
 	start := p.Now()
 	p.Sleep(r.RT.Host().ParseInstr)
-	r.Tracer.Add(metrics.CatParse, "parse:"+in.Name, p.Name(), start, p.Now())
+	r.Tracer.AddNamed(metrics.CatParse, "parse:", in.Name, p.Name(), start, p.Now())
 }
 
 // CopyParams transfers the model's parameters host-to-device and waits.
@@ -107,11 +107,8 @@ func (r *Runner) ExecPrimitiveAs(p *sim.Proc, name string, prob *miopen.Problem,
 	if err != nil {
 		return nil, err
 	}
-	r.Tracer.AddSpan(metrics.Span{
-		Cat: metrics.CatLaunch, Name: "issue:" + name, Thread: p.Name(),
-		Start: start, End: p.Now(),
-		Attrs: []metrics.Attr{{Key: "solution", Value: inst.Key()}},
-	})
+	r.Tracer.AddNamed(metrics.CatLaunch, "issue:", name, p.Name(), start, p.Now(),
+		metrics.Attr{Key: "solution", Value: inst.Key()})
 	return sig, nil
 }
 
@@ -131,7 +128,7 @@ func (r *Runner) ExecInstr(p *sim.Proc, in *Instruction) (*sim.Signal, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Tracer.Add(metrics.CatLaunch, "issue:"+in.Name, p.Name(), start, p.Now())
+		r.Tracer.AddNamed(metrics.CatLaunch, "issue:", in.Name, p.Name(), start, p.Now())
 		return sig, nil
 
 	case KindBuiltin:
@@ -141,7 +138,7 @@ func (r *Runner) ExecInstr(p *sim.Proc, in *Instruction) (*sim.Signal, error) {
 			return nil, err
 		}
 		sig := r.Stream.LaunchWorkload(p, fn.Name(), in.Work, in.Eff)
-		r.Tracer.Add(metrics.CatLaunch, "issue:"+in.Name, p.Name(), start, p.Now())
+		r.Tracer.AddNamed(metrics.CatLaunch, "issue:", in.Name, p.Name(), start, p.Now())
 		return sig, nil
 
 	case KindTransform:
@@ -151,7 +148,7 @@ func (r *Runner) ExecInstr(p *sim.Proc, in *Instruction) (*sim.Signal, error) {
 			return nil, err
 		}
 		sig := r.Stream.LaunchWorkload(p, fn.Name(), in.Work, in.Eff)
-		r.Tracer.Add(metrics.CatLaunch, "issue:"+in.Name, p.Name(), start, p.Now())
+		r.Tracer.AddNamed(metrics.CatLaunch, "issue:", in.Name, p.Name(), start, p.Now())
 		return sig, nil
 	}
 	return nil, fmt.Errorf("graphx: unknown instruction kind %v", in.Kind)

@@ -69,6 +69,40 @@ func TestTracerKeepsOrForwards(t *testing.T) {
 	}
 }
 
+// AddNamed records prefix+name with a copy of its attributes wherever the
+// span is kept or forwarded. A span nobody sees costs no allocation, and a
+// backwards one still panics.
+func TestAddNamed(t *testing.T) {
+	attr := Attr{Key: "solution", Value: "s0"}
+	var sink spanSink
+	fwd := NewForwardingTracer()
+	fwd.SetObserver(&sink)
+	var kept Tracer
+	for _, tr := range []*Tracer{fwd, &kept} {
+		tr.AddNamed(CatLaunch, "issue:", "conv1", "issuer", ms(1), ms(2), attr)
+	}
+	want := Span{Cat: CatLaunch, Name: "issue:conv1", Thread: "issuer", Start: ms(1), End: ms(2), Attrs: []Attr{attr}}
+	for _, got := range []Span{sink[0], kept.Spans()[0]} {
+		if got.Name != want.Name || got.Thread != want.Thread || got.End != want.End || len(got.Attrs) != 1 || got.Attrs[0] != attr {
+			t.Fatalf("span = %+v, want %+v", got, want)
+		}
+	}
+
+	drop := NewForwardingTracer()
+	name := strings.Repeat("x", 40)
+	if n := testing.AllocsPerRun(100, func() {
+		drop.AddNamed(CatOverhead, "getsub:", name, "loader", ms(1), ms(2), attr)
+	}); n != 0 {
+		t.Fatalf("dropped span allocated %v times", n)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "getsub:"+name) {
+			t.Fatalf("recover() = %v, want a panic naming the span", r)
+		}
+	}()
+	drop.AddNamed(CatOverhead, "getsub:", name, "loader", ms(5), ms(4))
+}
+
 func TestBreakdownExclusiveAttribution(t *testing.T) {
 	spans := []Span{
 		{Cat: CatLoad, Start: ms(0), End: ms(10)},

@@ -80,6 +80,27 @@ func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 	return c.pop(), true
 }
 
+// Poll dequeues without blocking, for handler p. When the buffer is empty
+// and the channel open, it parks p as the receiver, so that the next Send
+// or Close makes p due again. ok is false when nothing was dequeued; Closed
+// then tells a drained channel from an empty one.
+func (c *Chan[T]) Poll(p *Proc) (v T, ok bool) {
+	if p.step == nil {
+		panic("sim: Poll by process " + p.name + ", which is not a handler")
+	}
+	if c.n > 0 {
+		return c.pop(), true
+	}
+	if !c.closed {
+		if c.recvWaiter != nil {
+			panic("sim: concurrent receivers on SPSC Chan")
+		}
+		c.recvWaiter = p
+		p.parked = true
+	}
+	return v, false
+}
+
 // TryRecv dequeues without blocking. ok is false if the buffer is empty.
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	if c.n == 0 {

@@ -231,7 +231,10 @@ func TestNestedEnvRunFromProcess(t *testing.T) {
 //   - self: one process resumes itself (Sleep in a loop), one dispatch per op;
 //   - pingpong: two processes alternate, one dispatch per op;
 //   - signal: a waiter parks on a fresh Signal and a firer wakes it, one
-//     park/unpark round trip (two dispatches) per op.
+//     park/unpark round trip (two dispatches) per op;
+//   - handler: a process Sends a fresh Signal to a handler and waits on it;
+//     the handler sleeps and fires it, the way a GPU stream completes a
+//     launch. Three dispatches per op, none of them a goroutine switch.
 func BenchmarkDispatch(b *testing.B) {
 	run := func(b *testing.B, e *Env) {
 		b.ReportAllocs()
@@ -272,6 +275,34 @@ func BenchmarkDispatch(b *testing.B) {
 				cur.Fire()
 				p.Sleep(0)
 			}
+		})
+		run(b, e)
+	})
+	b.Run("handler", func(b *testing.B) {
+		e := NewEnv()
+		c := NewChan[*Signal](e, 1)
+		var cur *Signal
+		e.SpawnHandler("handler", func(p *Proc) {
+			if cur != nil {
+				cur.Fire()
+				cur = nil
+			}
+			s, ok := c.Poll(p)
+			switch {
+			case ok:
+				cur = s
+				p.StepAfter(time.Nanosecond)
+			case c.Closed():
+				p.End()
+			}
+		})
+		e.Spawn("sender", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				s := NewSignal(e)
+				c.Send(p, s)
+				s.Wait(p)
+			}
+			c.Close()
 		})
 		run(b, e)
 	})

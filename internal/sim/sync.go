@@ -38,6 +38,7 @@ func (s *Signal) Fire() {
 
 // Wait blocks p until the signal fires. Returns immediately if already fired.
 func (s *Signal) Wait(p *Proc) {
+	p.mustBlock("Wait")
 	if s.fired {
 		return
 	}
