@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"pask/internal/backend"
@@ -182,7 +183,7 @@ func Failover(o experiments.Options) (*experiments.Result, error) {
 	table := &experiments.Table{
 		ID: "failover",
 		Title: fmt.Sprintf("GPU failure domains: evacuation + warm failover on 4-GPU fleets (%s, %d tenants x %d requests)",
-			join(models), failoverTenants(models), requests),
+			strings.Join(models, "+"), failoverTenants(models), requests),
 		Headers: []string{"fleet", "arm", "served", "evac", "failed", "mean_evac_ms", "peer_fetches", "peer_fails", "health"},
 	}
 
@@ -426,7 +427,7 @@ func runFailoverArm(f *gpuFleet, requests int, images *cacheimg.Store, sc failov
 			ft.ms = rig.setup(ft.gpu, ft.abbr)
 			rig.Acquire(ft.gpu)
 			tenants = append(tenants, ft)
-			rig.spawnTenant(ft.name, func(p *sim.Proc) {
+			rig.tenants.spawn("tenant-"+ft.name, func(p *sim.Proc) {
 				defer func() {
 					ft.pr.RT.Detach()
 					rig.Release(ft.gpu)
@@ -461,7 +462,8 @@ func runFailoverArm(f *gpuFleet, requests int, images *cacheimg.Store, sc failov
 			})
 			p.Sleep(failoverInterval)
 		}
-		rig.joinTenants(p)
+		rig.tenants.close()
+		rig.tenants.wait(p)
 		// Dwell so a cleanly-probationed quarantined GPU can rejoin before
 		// the final health snapshot.
 		p.Sleep(failoverSettle)

@@ -106,6 +106,11 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 	if cfg.Policy.Faults != nil {
 		trace = ApplyFlood(trace, cfg.Policy.Faults.Plan())
 	}
+	for i, req := range trace {
+		if _, ok := setups[req.Model]; !ok && req.Model != "" {
+			return nil, fmt.Errorf("serving: request %d targets unknown model %q", i, req.Model)
+		}
+	}
 
 	var host *GPUHost
 	if cfg.Shared {
@@ -119,7 +124,7 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 	// source before any instance copies the policy.
 	guard := newOverloadGuard(&cfg, &stats.Stats)
 	var pool []*fleetInstance
-	freed := sim.NewSignal(env)
+	reqs := newInflight(env)
 	var firstErr error
 	fail := func(err error) {
 		if firstErr == nil {
@@ -201,34 +206,20 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 				return spawn(model, p.Now())
 			}
 			// Saturated with busy instances: wait for a completion.
-			sig := freed
-			sig.Wait(p)
-			if !freed.Fired() {
-				continue
-			}
-			freed = sim.NewSignal(env)
+			reqs.next(p)
 		}
 	}
 
 	latencies := make([]time.Duration, len(trace))
 	served := make([]bool, len(trace))
-	pending := len(trace)
-	done := sim.NewSignal(env)
-	if pending == 0 {
-		done.Fire()
-	}
-
-	var dispatchErr error
 	env.Spawn("dispatcher", func(p *sim.Proc) {
+		// Every exit, fail-fast included, closes: the closer then drains
+		// whatever is still in flight.
+		defer reqs.close()
 		for i, req := range trace {
 			model := req.Model
 			if model == "" {
 				model = def
-			}
-			if _, ok := setups[model]; !ok {
-				dispatchErr = fmt.Errorf("serving: request %d targets unknown model %q", i, model)
-				done.Fire()
-				return
 			}
 			p.SleepUntil(req.At)
 			// Admission is decided when the dispatcher reaches the request:
@@ -236,44 +227,29 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 			// dispatcher was blocked on a saturated pool is dropped as stale
 			// instead of occupying an instance.
 			if guard.admit(p.Now(), trace, i) != nil {
-				pending--
-				if pending == 0 {
-					done.Fire()
-				}
 				continue
 			}
 			brk := guard.breaker(model)
 			if brk != nil && !brk.allow(p.Now()) {
 				guard.reject(p.Now(), i)
-				pending--
-				if pending == 0 {
-					done.Fire()
-				}
 				continue
 			}
 			reap(p.Now())
 			fi := pick(p, model)
 			if firstErr != nil {
-				break
+				return
 			}
 			fi.busy = true
 			wasCold := !fi.inst.Warm()
 			arrived := req.At
 			i, model := i, model
-			env.Spawn(fmt.Sprintf("req-%d", i), func(rp *sim.Proc) {
+			reqs.spawn(fmt.Sprintf("req-%d", i), func(rp *sim.Proc) {
 				// Scheduling state resets whether the serve succeeded or
 				// not: a faulted instance returns to idle (and from there
 				// to the reaper) instead of staying busy forever.
 				defer func() {
 					fi.busy = false
 					fi.idleFrom = rp.Now()
-					old := freed
-					freed = sim.NewSignal(env)
-					old.Fire()
-					pending--
-					if pending == 0 {
-						done.Fire()
-					}
 				}()
 				_, err := fi.inst.serve(rp, i)
 				brk.observe(rp.Now(), err)
@@ -296,7 +272,7 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 		}
 	})
 	env.Spawn("closer", func(p *sim.Proc) {
-		done.Wait(p)
+		reqs.wait(p)
 		for _, fi := range pool {
 			closeInst(fi)
 		}
@@ -310,9 +286,6 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 	})
 	if err := env.Run(); err != nil {
 		return nil, err
-	}
-	if dispatchErr != nil {
-		return nil, dispatchErr
 	}
 	if firstErr != nil {
 		return nil, firstErr

@@ -1,13 +1,18 @@
 package serving
 
 import (
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"pask/internal/codeobj"
 	"pask/internal/core"
 	"pask/internal/device"
 	"pask/internal/experiments"
 	"pask/internal/faults"
+	"pask/internal/sim"
 )
 
 func setupSharedModels(t *testing.T, models ...string) map[string]*experiments.ModelSetup {
@@ -107,6 +112,72 @@ func TestFleetModelsRejectsUnknownModel(t *testing.T) {
 	}, Trace{{At: 0, Model: "nope"}})
 	if err == nil {
 		t.Fatal("expected error for unknown model")
+	}
+
+	// The unknown model arrives while request 0 is still in flight: the
+	// call must report it, not tear streams down under the running request.
+	setups = setupSharedModels(t, "res")
+	before := runtime.NumGoroutine()
+	_, err = ServeFleetModels(setups, "res", FleetConfig{
+		Policy: Policy{Scheme: core.SchemePaSK},
+	}, Trace{{At: 0}, {At: time.Millisecond, Model: "nope"}})
+	if err == nil || !strings.Contains(err.Error(), `serving: request 1 targets unknown model "nope"`) {
+		t.Fatalf("err = %v, want request 1's unknown-model error", err)
+	}
+	expectGoroutines(t, before)
+}
+
+// A fail-fast fleet aborts on its first failed request while later arrivals
+// are still undispatched: the call returns that request's error, with every
+// in-flight process drained and nothing left blocked.
+func TestFleetFailFastAbortsWithRequestError(t *testing.T) {
+	setups := setupSharedModels(t, "res")
+	before := runtime.NumGoroutine()
+	_, err := ServeFleetModels(setups, "res", FleetConfig{
+		Policy: Policy{
+			Scheme: core.SchemeBaseline,
+			Faults: faults.New(faults.Plan{Seed: 2, PermanentRate: 1}),
+		},
+	}, PoissonTrace(5, 500*time.Millisecond, 1))
+	var dl *sim.DeadlockError
+	if errors.As(err, &dl) {
+		t.Fatalf("fail-fast abort deadlocked: %v", err)
+	}
+	if !errors.Is(err, codeobj.ErrCorrupt) {
+		t.Fatalf("err = %v, want the failed request's codeobj.ErrCorrupt", err)
+	}
+	expectGoroutines(t, before)
+}
+
+// An empty trace serves nothing, spawns nothing and leaves no process
+// blocked: the fleet closes with nothing in flight.
+func TestFleetEmptyTrace(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		setups := setupSharedModels(t, "res")
+		before := runtime.NumGoroutine()
+		stats, err := ServeFleetModels(setups, "res", FleetConfig{
+			Policy: Policy{Scheme: core.SchemePaSK}, Shared: shared,
+		}, nil)
+		if err != nil {
+			t.Fatalf("shared=%v: %v", shared, err)
+		}
+		if len(stats.Latencies) != 0 || stats.Spawned != 0 || stats.MaxConcurrent != 0 ||
+			stats.ColdStarts != 0 || stats.Failed != 0 || stats.ModuleLoads != 0 || len(stats.ColdByModel) != 0 {
+			t.Fatalf("shared=%v: empty trace produced %+v", shared, stats)
+		}
+		expectGoroutines(t, before)
+	}
+}
+
+// expectGoroutines fails t unless the goroutine count settles back to
+// before: a sim process left parked keeps its goroutine forever.
+func expectGoroutines(t *testing.T, before int) {
+	t.Helper()
+	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the call, %d before: a process was left blocked", n, before)
 	}
 }
 

@@ -97,7 +97,7 @@ type gpuSlot struct {
 type gpuRig struct {
 	*MultiGPUHost
 	fleet   *gpuFleet
-	tenants []*sim.Signal
+	tenants *inflight
 }
 
 // rig brings up the layout's GPUs as a MultiGPUHost with slots tenant slots
@@ -121,29 +121,12 @@ func (f *gpuFleet) rig(layout []gpuSlot, slots int, peering bool, rec *trace.Rec
 			mh.Nodes[i].Root().SetObserver(gpuObserver{rec: rec, idx: i})
 		}
 	}
-	return &gpuRig{MultiGPUHost: mh, fleet: f}
+	return &gpuRig{MultiGPUHost: mh, fleet: f, tenants: newInflight(env)}
 }
 
 // setup returns the model's setup compiled for GPU g's ISA.
 func (r *gpuRig) setup(g int, abbr string) *experiments.ModelSetup {
 	return r.fleet.setups[r.Host.GPU(g).Profile.Arch][abbr]
-}
-
-// spawnTenant runs fn as the proc "tenant-<name>"; joinTenants waits for it.
-func (r *gpuRig) spawnTenant(name string, fn func(p *sim.Proc)) {
-	done := sim.NewSignal(r.Env)
-	r.tenants = append(r.tenants, done)
-	r.Env.Spawn("tenant-"+name, func(p *sim.Proc) {
-		defer done.Fire()
-		fn(p)
-	})
-}
-
-// joinTenants blocks p until every tenant proc spawned so far has returned.
-func (r *gpuRig) joinTenants(p *sim.Proc) {
-	for _, done := range r.tenants {
-		done.Wait(p)
-	}
 }
 
 // gpuStat is one GPU's identity and registry totals at the end of an arm.

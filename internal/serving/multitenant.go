@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"pask/internal/backend"
@@ -103,7 +104,7 @@ func Multitenant(o experiments.Options) (*experiments.Result, error) {
 	table := &experiments.Table{
 		ID: "multitenant",
 		Title: fmt.Sprintf("shared vs isolated GPU runtime, %d tenants (%s) b%d on %s, %d requests each",
-			len(models), join(models), batch, prof.Name, perTenant),
+			len(models), strings.Join(models, "+"), batch, prof.Name, perTenant),
 		Headers: []string{"tenant", "isolated_cold_ms", "shared_cold_ms", "saved"},
 		Notes: []string{
 			fmt.Sprintf("module loads: isolated=%d shared=%d (same trace, same store)",
@@ -128,17 +129,6 @@ func Multitenant(o experiments.Options) (*experiments.Result, error) {
 		table.Notes = append(table.Notes, "shared-arm "+formatTenantLoad(ts))
 	}
 	return &experiments.Result{Tables: []*experiments.Table{table}, Bench: res}, nil
-}
-
-func join(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "+"
-		}
-		out += s
-	}
-	return out
 }
 
 // formatTenantLoad renders one tenant attribution line using the metrics

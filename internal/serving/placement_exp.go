@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"pask/internal/device"
@@ -102,7 +103,7 @@ func Placement(o experiments.Options) (*experiments.Result, error) {
 	table := &experiments.Table{
 		ID: "placement",
 		Title: fmt.Sprintf("tenant placement × cache peering on heterogeneous 4-GPU fleets (%s, %d arrivals, %d slot/GPU)",
-			join(models), tenants, placementSlots),
+			strings.Join(models, "+"), tenants, placementSlots),
 		Headers: []string{"fleet", "policy", "peering", "ttfi_mean_ms", "ttfi_max_ms", "loads", "peer_fetches"},
 	}
 
@@ -184,7 +185,7 @@ func runPlacementArm(f *gpuFleet, tenants int, policy PlacementPolicy, peering b
 			node := rig.Nodes[g]
 			ms := rig.setup(g, abbr)
 			name := fmt.Sprintf("%s/%d", abbr, t)
-			rig.spawnTenant(name, func(p *sim.Proc) {
+			rig.tenants.spawn("tenant-"+name, func(p *sim.Proc) {
 				defer rig.Release(g)
 				pr := ms.AttachIn(node.Root(), name)
 				defer pr.RT.Detach()
@@ -202,7 +203,8 @@ func runPlacementArm(f *gpuFleet, tenants int, policy PlacementPolicy, peering b
 			})
 			p.Sleep(placementInterval)
 		}
-		rig.joinTenants(p)
+		rig.tenants.close()
+		rig.tenants.wait(p)
 		rig.CloseAll()
 	})
 	if err := rig.Env.Run(); err != nil {

@@ -157,7 +157,6 @@ type predNode struct {
 	busy  map[string]bool    // per-instance in-flight flag
 	load  int                // in-flight requests on this node
 	idle  time.Duration      // when the node last went idle
-	made  time.Duration      // when the node was spawned
 	pf    *warmup.Prefetcher // the arm's prefetcher; nil when the arm has none
 	gone  bool
 }
@@ -188,9 +187,8 @@ type predCluster struct {
 	onsetStreak int
 	prewarms    int
 
-	nodes    []*predNode
-	inflight int
-	freed    *sim.Signal
+	nodes []*predNode
+	procs *inflight // serve and prewarm procs
 
 	cell    PredictiveCell
 	lats    []time.Duration
@@ -208,7 +206,6 @@ func (c *predCluster) newNode() *predNode {
 		insts: make(map[string]*Instance),
 		busy:  make(map[string]bool),
 		idle:  c.env.Now(),
-		made:  c.env.Now(),
 	}
 	switch c.arm {
 	case predArmReplay:
@@ -307,12 +304,22 @@ func (c *predCluster) reap(now time.Duration) {
 	}
 }
 
-// serve dispatches one request onto node n in its own proc.
-func (c *predCluster) serve(n *predNode, model string, i int) {
+// slot runs fn as a tracked proc on one of node n's slots, with model's
+// instance marked busy; the node's idle clock restarts when fn returns.
+func (c *predCluster) slot(n *predNode, model, name string, fn func(p *sim.Proc)) {
 	n.load++
 	n.busy[model] = true
-	c.inflight++
-	c.env.Spawn(fmt.Sprintf("serve-%d", i), func(p *sim.Proc) {
+	c.procs.spawn(name, func(p *sim.Proc) {
+		fn(p)
+		n.load--
+		n.busy[model] = false
+		n.idle = p.Now()
+	})
+}
+
+// serve dispatches one request onto node n in its own proc.
+func (c *predCluster) serve(n *predNode, model string, i int) {
+	c.slot(n, model, fmt.Sprintf("serve-%d", i), func(p *sim.Proc) {
 		t0 := p.Now()
 		inst := n.insts[model]
 		if inst == nil {
@@ -332,11 +339,6 @@ func (c *predCluster) serve(n *predNode, model string, i int) {
 				c.coldSum += ttfi
 			}
 		}
-		n.load--
-		n.busy[model] = false
-		n.idle = p.Now()
-		c.inflight--
-		c.freed.Fire()
 	})
 }
 
@@ -351,19 +353,11 @@ func (c *predCluster) prewarm() {
 	c.rec.Instant("serving", "predictive-prewarm", c.env.Now())
 	for _, model := range c.hotModels(2) {
 		model := model
-		n.load++
-		n.busy[model] = true
-		c.inflight++
-		c.env.Spawn(fmt.Sprintf("prewarm-n%d-%s", n.id, model), func(p *sim.Proc) {
+		c.slot(n, model, fmt.Sprintf("prewarm-n%d-%s", n.id, model), func(p *sim.Proc) {
 			inst := c.instance(n, model)
 			if _, err := inst.Serve(p); err != nil {
 				c.cell.Failed++
 			}
-			n.load--
-			n.busy[model] = false
-			n.idle = p.Now()
-			c.inflight--
-			c.freed.Fire()
 		})
 	}
 }
@@ -416,12 +410,11 @@ func (c *predCluster) dispatch(p *sim.Proc, arrivals []traffic.Request) {
 			}
 		}
 	}
-	for c.inflight > 0 {
-		s := c.freed
-		s.Wait(p)
-		if c.freed == s {
-			c.freed = sim.NewSignal(c.env)
-		}
+	// Drain by re-checking at each completion, not by one wait for the
+	// last: the traced arm samples every dispatch, so these wakes are part
+	// of its trace.
+	for c.procs.running > 0 {
+		c.procs.next(p)
 	}
 	for _, n := range c.nodes {
 		if n.pf != nil {
@@ -473,12 +466,11 @@ func runPredictiveArm(models []string, prof device.Profile, setups map[string]*e
 	env := sim.NewEnv()
 	c := &predCluster{
 		env: env, models: models, prof: prof, setups: setups, manifests: manifests,
-		prior: prior, arm: arm, rec: rec,
+		prior: prior, arm: arm, rec: rec, procs: newInflight(env),
 		pred: predict.New(predict.Config{MinConfidence: predConfidence, Budget: 2, DecayEvery: 32}),
 		est:  traffic.NewRateEstimator(12, 96, 2.0),
 	}
 	c.cell = PredictiveCell{Arm: arm, Requests: len(arrivals)}
-	c.freed = sim.NewSignal(env)
 	env.Spawn("traffic", func(p *sim.Proc) { c.dispatch(p, arrivals) })
 	if err := env.Run(); err != nil {
 		return PredictiveCell{}, fmt.Errorf("predictive %s/%s: %w", prof.Name, arm, err)

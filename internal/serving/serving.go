@@ -1,9 +1,9 @@
 // Package serving models the deployment scenarios that make DNN cold start
 // unavoidable (paper §I): serverless scale-out, preemptible spot instances
 // and resource-constrained edge devices. An Instance is one warm process
-// serving inference requests for a model; a Fleet manages instances under a
-// keep-alive policy and routes a request trace to them, spawning cold
-// instances on demand.
+// serving inference requests for a model; ServeFleetModels routes a request
+// trace across an autoscaled pool of instances under a keep-alive policy,
+// spawning cold instances on demand.
 //
 // Paper anchor: the §I deployment scenarios (serverless, spot, edge) that make cold start unavoidable.
 package serving
