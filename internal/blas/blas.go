@@ -207,10 +207,18 @@ func (l *Library) Find(p *Problem) []Ranked {
 	if r, ok := l.find[p.Key()]; ok {
 		return r
 	}
+	out := rank(l.kernels, l.RT.GPU().Profile, p)
+	l.find[p.Key()] = out
+	return out
+}
+
+// rank returns the kernels applicable to p on dev as instances ranked
+// fastest-first, ties broken by path.
+func rank(kernels []*Kernel, dev device.Profile, p *Problem) []Ranked {
 	var out []Ranked
 	occ := gemmOccupancy(p)
-	for _, k := range l.kernels {
-		if !k.Applicable(l.RT.GPU().Profile, p) {
+	for _, k := range kernels {
+		if !k.Applicable(dev, p) {
 			continue
 		}
 		eff := k.effFn(p) * occ
@@ -218,7 +226,7 @@ func (l *Library) Find(p *Problem) []Ranked {
 			eff = 0.01
 		}
 		inst := Instance{Kern: k, Binding: k.Binding(p)}
-		out = append(out, Ranked{Inst: inst, Est: l.RT.GPU().Profile.KernelTime(p.Workload(), eff)})
+		out = append(out, Ranked{Inst: inst, Est: dev.KernelTime(p.Workload(), eff)})
 	}
 	slices.SortFunc(out, func(a, b Ranked) int {
 		if a.Est != b.Est {
@@ -226,7 +234,6 @@ func (l *Library) Find(p *Problem) []Ranked {
 		}
 		return cmp.Compare(a.Inst.Path(), b.Inst.Path())
 	})
-	l.find[p.Key()] = out
 	return out
 }
 
@@ -237,11 +244,12 @@ func (l *Library) Runs() int { return l.runs }
 // chosen one failed.
 func (l *Library) Fallbacks() int { return l.fallbacks }
 
-// Materialize builds the code objects of every instance that could serve the
-// given problems into the store (offline compilation), plus the shared core
-// kernel archive.
-func (l *Library) Materialize(store *codeobj.Store, problems []Problem) error {
-	if len(problems) > 0 && !store.Has(CoreObjectPath) {
+// Materialize requests the code objects of every instance that could serve
+// the given problems on dev (offline compilation), plus the shared core
+// kernel archive, in the order a library's Find ranks them. The batch's Put
+// builds them.
+func Materialize(b *codeobj.Batch, dev device.Profile, problems []Problem) {
+	if len(problems) > 0 && b.Need(CoreObjectPath) {
 		specs := make([]codeobj.KernelSpec, coreObjectKernels)
 		for i := range specs {
 			specs[i] = codeobj.KernelSpec{
@@ -250,22 +258,16 @@ func (l *Library) Materialize(store *codeobj.Store, problems []Problem) error {
 				CodeSize: 256 << 10, // 24 x 256 KiB: a 6 MiB kernel archive
 			}
 		}
-		if err := store.PutBuilt(CoreObjectPath, l.RT.GPU().Profile.Arch, specs); err != nil {
-			return fmt.Errorf("blas: materialize core: %w", err)
-		}
+		b.Add(CoreObjectPath, dev.Arch, specs)
 	}
+	kernels := Kernels()
 	for i := range problems {
-		for _, r := range l.Find(&problems[i]) {
-			path := r.Inst.Path()
-			if store.Has(path) {
-				continue
-			}
-			if err := store.PutBuilt(path, l.RT.GPU().Profile.Arch, r.Inst.ObjectSpec()); err != nil {
-				return fmt.Errorf("blas: materialize %s: %w", path, err)
+		for _, r := range rank(kernels, dev, &problems[i]) {
+			if path := r.Inst.Path(); b.Need(path) {
+				b.Add(path, dev.Arch, r.Inst.ObjectSpec())
 			}
 		}
 	}
-	return nil
 }
 
 // Run executes p on the stream: find the best instance, let the hook

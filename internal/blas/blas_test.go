@@ -19,6 +19,17 @@ func newTestLib(t *testing.T) (*sim.Env, *Library) {
 	return env, NewLibrary(rt)
 }
 
+// materialize puts into lib's store every object that could serve p on
+// lib's device.
+func materialize(t *testing.T, lib *Library, p Problem) {
+	t.Helper()
+	objs := lib.RT.Store().Batch()
+	Materialize(objs, lib.RT.GPU().Profile, []Problem{p})
+	if err := objs.Put(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func attnProblem() Problem {
 	return Problem{M: 197, N: 768, K: 768, Batch: 1, DType: tensor.F32}
 }
@@ -102,9 +113,7 @@ func TestInstancePathsAndBindings(t *testing.T) {
 func TestRunLazyLoadsAndLaunches(t *testing.T) {
 	env, lib := newTestLib(t)
 	p := attnProblem()
-	if err := lib.Materialize(lib.RT.Store(), []Problem{p}); err != nil {
-		t.Fatal(err)
-	}
+	materialize(t, lib, p)
 	var loadedDuringRun bool
 	var execTime time.Duration
 	env.Spawn("host", func(proc *sim.Proc) {
@@ -136,9 +145,7 @@ func TestRunLazyLoadsAndLaunches(t *testing.T) {
 func TestRunSecondCallSkipsLoad(t *testing.T) {
 	env, lib := newTestLib(t)
 	p := attnProblem()
-	if err := lib.Materialize(lib.RT.Store(), []Problem{p}); err != nil {
-		t.Fatal(err)
-	}
+	materialize(t, lib, p)
 	var firstDur, secondDur time.Duration
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
@@ -170,9 +177,7 @@ func TestRunSecondCallSkipsLoad(t *testing.T) {
 func TestSelectHookSubstitutes(t *testing.T) {
 	env, lib := newTestLib(t)
 	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32}
-	if err := lib.Materialize(lib.RT.Store(), []Problem{p}); err != nil {
-		t.Fatal(err)
-	}
+	materialize(t, lib, p)
 	naive := Instance{Kern: Kernels()[0]}
 	lib.Hook = func(proc *sim.Proc, prob *Problem, chosen Instance) Instance {
 		return naive // force the generic kernel
@@ -198,9 +203,7 @@ func TestSelectHookSubstitutes(t *testing.T) {
 func TestHookReturningInapplicableFails(t *testing.T) {
 	env, lib := newTestLib(t)
 	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32}
-	if err := lib.Materialize(lib.RT.Store(), []Problem{p}); err != nil {
-		t.Fatal(err)
-	}
+	materialize(t, lib, p)
 	xd := Kernels()[2]
 	lib.Hook = func(proc *sim.Proc, prob *Problem, chosen Instance) Instance {
 		return Instance{Kern: xd, Binding: "m32n32_f16"} // wrong binding
@@ -240,9 +243,7 @@ func TestRunFallsBackOnLoadFailure(t *testing.T) {
 	env, lib := newTestLib(t)
 	// Aligned problem: three ranked kernels, room to degrade.
 	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32}
-	if err := lib.Materialize(lib.RT.Store(), []Problem{p}); err != nil {
-		t.Fatal(err)
-	}
+	materialize(t, lib, p)
 	ranked := lib.Find(&p)
 	if len(ranked) < 2 {
 		t.Fatalf("need at least two kernels, got %d", len(ranked))
@@ -274,9 +275,7 @@ func TestRunFailsWhenLadderExhausted(t *testing.T) {
 	env, lib := newTestLib(t)
 	// Odd int8 problem: only the naive kernel applies.
 	p := Problem{M: 1, N: 3, K: 5, Batch: 1, TransA: true, DType: tensor.I8}
-	if err := lib.Materialize(lib.RT.Store(), []Problem{p}); err != nil {
-		t.Fatal(err)
-	}
+	materialize(t, lib, p)
 	ranked := lib.Find(&p)
 	if len(ranked) != 1 {
 		t.Fatalf("want a single-kernel ladder, got %d", len(ranked))

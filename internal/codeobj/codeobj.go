@@ -200,41 +200,17 @@ func validCodeSize(n int) bool { return n > 0 && uint64(n) <= math.MaxUint32 }
 // deterministically from each kernel's name, so two builds of the same spec
 // are byte-identical.
 func Build(name, arch string, kernels []KernelSpec) ([]byte, error) {
-	if len(kernels) == 0 {
-		return nil, errors.New("codeobj: object must contain at least one kernel")
-	}
-	if len(kernels) > maxKernels {
-		return nil, fmt.Errorf("codeobj: %d kernels exceeds limit %d", len(kernels), maxKernels)
-	}
-	seen := make(map[string]bool, len(kernels))
-	for _, k := range kernels {
-		if k.Name == "" {
-			return nil, errors.New("codeobj: kernel with empty name")
-		}
-		if !validCodeSize(k.CodeSize) {
-			return nil, fmt.Errorf("codeobj: kernel %q code size %d out of range", k.Name, k.CodeSize)
-		}
-		if seen[k.Name] {
-			return nil, fmt.Errorf("codeobj: duplicate kernel symbol %q", k.Name)
-		}
-		seen[k.Name] = true
-	}
-
-	// Size the container exactly: the store keeps the returned slice, so
-	// any spare capacity would stay resident behind the object.
-	size := len(Magic) + 2 + 4 + len(name) + 4 + len(arch) + 4 + 4
-	for _, k := range kernels {
-		size += 4 + len(k.Name) + 4 + len(k.Pattern) + 4 + 4 + k.CodeSize + 1
-		for key, val := range k.Meta {
-			size += 4 + len(key) + 4 + len(val)
-		}
+	size, err := layout(name, arch, kernels)
+	if err != nil {
+		return nil, err
 	}
 	buf := append(make([]byte, 0, size), Magic...)
 	buf = binary.LittleEndian.AppendUint16(buf, Version)
 	buf = appendString(buf, name)
 	buf = appendString(buf, arch)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(kernels)))
-	var keys []string
+	var scratch [8]string
+	keys := scratch[:0]
 	for _, k := range kernels {
 		buf, keys = appendKernelHeader(buf, keys, k)
 		var ck byte
@@ -242,6 +218,39 @@ func Build(name, arch string, kernels []KernelSpec) ([]byte, error) {
 		buf = append(buf, ck)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+}
+
+// layout checks a build request the way Build does and returns the exact
+// byte length of the object Build would return for it. Build sizes its
+// buffer with it, since the store keeps the returned slice and any spare
+// capacity would stay resident behind the object, and the build cache admits
+// objects by it before building them.
+func layout(name, arch string, kernels []KernelSpec) (int, error) {
+	if len(kernels) == 0 {
+		return 0, errors.New("codeobj: object must contain at least one kernel")
+	}
+	if len(kernels) > maxKernels {
+		return 0, fmt.Errorf("codeobj: %d kernels exceeds limit %d", len(kernels), maxKernels)
+	}
+	seen := make(map[string]bool, len(kernels))
+	size := len(Magic) + 2 + 4 + len(name) + 4 + len(arch) + 4 + 4
+	for _, k := range kernels {
+		if k.Name == "" {
+			return 0, errors.New("codeobj: kernel with empty name")
+		}
+		if !validCodeSize(k.CodeSize) {
+			return 0, fmt.Errorf("codeobj: kernel %q code size %d out of range", k.Name, k.CodeSize)
+		}
+		if seen[k.Name] {
+			return 0, fmt.Errorf("codeobj: duplicate kernel symbol %q", k.Name)
+		}
+		seen[k.Name] = true
+		size += 4 + len(k.Name) + 4 + len(k.Pattern) + 4 + 4 + k.CodeSize + 1
+		for key, val := range k.Meta {
+			size += 4 + len(key) + 4 + len(val)
+		}
+	}
+	return size, nil
 }
 
 // appendKernelHeader appends k's symbol entry as Build writes it ahead of

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -38,10 +39,13 @@ type Store struct {
 
 // stored holds one object's bytes and, once a load has parsed them, the
 // parsed object. Stores that put the same built object share its holder,
-// and so its one parse.
+// and so its one parse. A holder the build cache hands out before its
+// object is built counts one on filled until the bytes are in; a store
+// takes a holder only once filled is done.
 type stored struct {
-	data []byte
-	obj  atomic.Pointer[Object]
+	data   []byte
+	obj    atomic.Pointer[Object]
+	filled sync.WaitGroup
 }
 
 // owns reports whether data is exactly the slice the holder keeps: the same
@@ -62,16 +66,76 @@ func (s *Store) Put(path string, data []byte) {
 	s.objects[path] = &stored{data: cp}
 }
 
+// BuildRequest asks for the code object Build(Path, Arch, Kernels) returns,
+// stored under Path.
+type BuildRequest struct {
+	Path    string
+	Arch    string
+	Kernels []KernelSpec
+}
+
 // PutBuilt stores the code object Build(path, arch, kernels) returns under
-// path. It takes the object from the process-wide build cache when it can,
-// so stores that put the same object share its bytes.
+// path: PutBuiltAll with a batch of one.
 func (s *Store) PutBuilt(path, arch string, kernels []KernelSpec) error {
-	h, err := built.get(path, arch, kernels)
-	if err != nil {
-		return err
+	return s.PutBuiltAll([]BuildRequest{{Path: path, Arch: arch, Kernels: kernels}})
+}
+
+// PutBuiltAll stores the code object each request asks for under its path,
+// in order. It takes objects from the process-wide build cache when it can,
+// so stores that put the same object share its bytes, and builds the rest
+// on up to GOMAXPROCS goroutines. The cache decides the batch request by
+// request, exactly as one PutBuilt per request would, and the bytes are
+// the same either way.
+//
+// At the first request Build would reject, PutBuiltAll returns Build's
+// error with the requests before it stored, as PutBuilt calls that stop at
+// the first error would leave the store and the cache.
+func (s *Store) PutBuiltAll(reqs []BuildRequest) error {
+	var one [1]*stored // a batch of one allocates nothing on a hit
+	hs := one[:]
+	if len(reqs) != 1 {
+		hs = make([]*stored, len(reqs))
 	}
-	s.objects[path] = h
-	return nil
+	n, err := built.getAll(reqs, hs)
+	for i, h := range hs[:n] {
+		s.objects[reqs[i].Path] = h
+	}
+	return err
+}
+
+// Batch collects the build requests of one preparation step for a single
+// PutBuiltAll. It keeps the first request for each path and none for a
+// path the store already holds, which is what putting each object when
+// the store lacks its path would store.
+type Batch struct {
+	store *Store
+	reqs  []BuildRequest
+	paths map[string]bool
+}
+
+// Batch returns an empty batch of build requests for s.
+func (s *Store) Batch() *Batch {
+	return &Batch{store: s, paths: make(map[string]bool)}
+}
+
+// Need reports whether path is neither in the store nor requested yet.
+func (b *Batch) Need(path string) bool {
+	return !b.paths[path] && !b.store.Has(path)
+}
+
+// Add requests the object Build(path, arch, kernels) under path unless
+// Need(path) is false, in which case it does nothing.
+func (b *Batch) Add(path, arch string, kernels []KernelSpec) {
+	if !b.Need(path) {
+		return
+	}
+	b.paths[path] = true
+	b.reqs = append(b.reqs, BuildRequest{Path: path, Arch: arch, Kernels: kernels})
+}
+
+// Put stores every requested object with one PutBuiltAll.
+func (b *Batch) Put() error {
+	return b.store.PutBuiltAll(b.reqs)
 }
 
 // Get returns the bytes stored under path. Injected read faults belong to a

@@ -55,7 +55,9 @@ func newBenchCache(b testing.TB, n int) *benchCache {
 	missInst := miopen.Bind(sol, &missProb)
 
 	store := codeobj.NewStore()
-	if err := miopen.MaterializeObjects(store, device.MI100().Arch, insts); err != nil {
+	objs := store.Batch()
+	miopen.MaterializeObjects(objs, device.MI100().Arch, insts)
+	if err := objs.Put(); err != nil {
 		b.Fatal(err)
 	}
 	env := sim.NewEnv()

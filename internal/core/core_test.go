@@ -50,13 +50,12 @@ func newHarness(t *testing.T, abbr string, batch int, opts graphx.CompileOptions
 		t.Fatal(err)
 	}
 	store := codeobj.NewStore()
-	if err := graphx.MaterializeModel(store, reg, m); err != nil {
+	objs := store.Batch()
+	if err := graphx.MaterializeModel(objs, reg, m); err != nil {
 		t.Fatal(err)
 	}
-	// BLAS objects need a runtime for arch resolution; borrow a throwaway.
-	env := sim.NewEnv()
-	rt := hip.NewRuntime(env, device.NewGPU(env, device.MI100()), device.DefaultHost(), store)
-	if err := blas.NewLibrary(rt).Materialize(store, m.GemmProblems()); err != nil {
+	blas.Materialize(objs, device.MI100(), m.GemmProblems())
+	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
 	return &harness{reg: reg, store: store, model: m}
@@ -582,7 +581,11 @@ func TestPrecisionPreferenceFallsBackToF32(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := codeobj.NewStore()
-	if err := graphx.MaterializeModel(store, reg, m); err != nil {
+	objs := store.Batch()
+	if err := graphx.MaterializeModel(objs, reg, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
 	h := &harness{reg: reg, store: store, model: m}

@@ -267,7 +267,9 @@ func TestGetSubAnyCrossPattern(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	store := codeobj.NewStore()
-	if err := miopen.MaterializeObjects(store, device.MI100().Arch, []miopen.Instance{generic}); err != nil {
+	objs := store.Batch()
+	miopen.MaterializeObjects(objs, device.MI100().Arch, []miopen.Instance{generic})
+	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
 	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
@@ -306,7 +308,9 @@ func TestGetSubAnySkipsUnloaded(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	store := codeobj.NewStore()
-	if err := miopen.MaterializeObjects(store, device.MI100().Arch, []miopen.Instance{generic}); err != nil {
+	objs := store.Batch()
+	miopen.MaterializeObjects(objs, device.MI100().Arch, []miopen.Instance{generic})
+	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
 	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)

@@ -18,7 +18,9 @@ func withLoadedProc(t *testing.T, reg *miopen.Registry, loaded []miopen.Instance
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	store := codeobj.NewStore()
-	if err := miopen.MaterializeObjects(store, device.MI100().Arch, loaded); err != nil {
+	objs := store.Batch()
+	miopen.MaterializeObjects(objs, device.MI100().Arch, loaded)
+	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
 	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)

@@ -126,8 +126,12 @@ func prepareFused(abbr string, base *ModelSetup) (*ModelSetup, error) {
 		return nil, fmt.Errorf("experiments: fused compile %s: %w", abbr, err)
 	}
 	m.Name = m.Name + "+fused"
-	if err := graphx.MaterializeModel(base.Store, base.Reg, m); err != nil {
+	objs := base.Store.Batch()
+	if err := graphx.MaterializeModel(objs, base.Reg, m); err != nil {
 		return nil, err
+	}
+	if err := objs.Put(); err != nil {
+		return nil, fmt.Errorf("experiments: materialize %s: %w", m.Name, err)
 	}
 	clone := *base
 	clone.Model = m

@@ -41,18 +41,20 @@ type ModelSetup struct {
 }
 
 // PrepareModel compiles a zoo model for a device at a batch size and
-// materializes every code object either plan can load.
+// materializes every code object either plan can load, in one batch.
 func PrepareModel(abbr string, batch int, prof device.Profile) (*ModelSetup, error) {
 	return PrepareModelTyped(abbr, batch, prof, tensor.F32)
 }
 
 // PrepareModelsShared compiles several models against ONE registry and ONE
 // code-object store, so processes hosting more than one model share loaded
-// kernels — the setting where PASK recycles kernels across models.
+// kernels — the setting where PASK recycles kernels across models. Every
+// model's code objects are built in one batch.
 func PrepareModelsShared(abbrs []string, batch int, prof device.Profile) (map[string]*ModelSetup, error) {
 	reg := miopen.NewRegistry(miopen.NewCtx(prof))
 	db := miopen.NewPerfDB(reg)
 	store := codeobj.NewStore()
+	objs := store.Batch()
 	out := make(map[string]*ModelSetup, len(abbrs))
 	for _, abbr := range abbrs {
 		spec, err := zoo.ByAbbr(abbr)
@@ -67,18 +69,17 @@ func PrepareModelsShared(abbrs []string, batch int, prof device.Profile) (map[st
 		if err != nil {
 			return nil, fmt.Errorf("experiments: compile %s: %w", abbr, err)
 		}
-		if err := graphx.MaterializeModel(store, reg, m); err != nil {
+		if err := graphx.MaterializeModel(objs, reg, m); err != nil {
 			return nil, err
 		}
-		env := sim.NewEnv()
-		rt := hip.NewRuntime(env, device.NewGPU(env, prof), device.DefaultHost(), store)
-		if err := blas.NewLibrary(rt).Materialize(store, m.GemmProblems()); err != nil {
-			return nil, err
-		}
+		blas.Materialize(objs, prof, m.GemmProblems())
 		out[abbr] = &ModelSetup{
 			Spec: spec, Batch: batch, Profile: prof,
 			Reg: reg, Store: store, Model: m, Uniform: m,
 		}
+	}
+	if err := objs.Put(); err != nil {
+		return nil, fmt.Errorf("experiments: materialize %v: %w", abbrs, err)
 	}
 	return out, nil
 }
@@ -113,20 +114,16 @@ func PrepareModelTyped(abbr string, batch int, prof device.Profile, dt tensor.DT
 	}
 
 	store := codeobj.NewStore()
+	objs := store.Batch()
 	for _, cm := range []*graphx.CompiledModel{m, uniform} {
-		if err := graphx.MaterializeModel(store, reg, cm); err != nil {
+		if err := graphx.MaterializeModel(objs, reg, cm); err != nil {
 			return nil, err
 		}
 	}
-	// BLAS objects (needs a runtime for device/arch resolution).
-	env := sim.NewEnv()
-	rt := hip.NewRuntime(env, device.NewGPU(env, prof), device.DefaultHost(), store)
-	bl := blas.NewLibrary(rt)
-	if err := bl.Materialize(store, m.GemmProblems()); err != nil {
-		return nil, err
-	}
-	if err := bl.Materialize(store, uniform.GemmProblems()); err != nil {
-		return nil, err
+	blas.Materialize(objs, prof, m.GemmProblems())
+	blas.Materialize(objs, prof, uniform.GemmProblems())
+	if err := objs.Put(); err != nil {
+		return nil, fmt.Errorf("experiments: materialize %s: %w", abbr, err)
 	}
 	return &ModelSetup{Spec: spec, Batch: batch, Profile: prof, Reg: reg, Store: store, Model: m, Uniform: uniform}, nil
 }

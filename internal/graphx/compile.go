@@ -377,16 +377,14 @@ func (m *CompiledModel) GemmProblems() []blas.Problem {
 	return out
 }
 
-// MaterializeModel builds every code object the compiled model's static plan
-// references (selected primitive solutions, layout transforms, the engine
-// builtin object) into the store, plus the library's resident generic
-// kernels. BLAS objects are materialized separately by the BLAS library,
-// which owns their naming.
-func MaterializeModel(store *codeobj.Store, reg *miopen.Registry, m *CompiledModel) error {
+// MaterializeModel requests every code object the compiled model's static
+// plan references (selected primitive solutions, layout transforms, the
+// engine builtin object), plus the library's resident generic kernels. BLAS
+// objects are requested separately by the BLAS library, which owns their
+// naming. The batch's Put builds them.
+func MaterializeModel(b *codeobj.Batch, reg *miopen.Registry, m *CompiledModel) error {
 	arch := reg.Ctx().Dev.Arch
-	if err := miopen.MaterializeObjects(store, arch, reg.Residents()); err != nil {
-		return err
-	}
+	miopen.MaterializeObjects(b, arch, reg.Residents())
 	for i := range m.Instrs {
 		in := &m.Instrs[i]
 		switch in.Kind {
@@ -395,24 +393,16 @@ func MaterializeModel(store *codeobj.Store, reg *miopen.Registry, m *CompiledMod
 			if err != nil {
 				return err
 			}
-			if err := miopen.MaterializeObjects(store, arch, []miopen.Instance{inst}); err != nil {
-				return err
-			}
+			miopen.MaterializeObjects(b, arch, []miopen.Instance{inst})
 		case KindTransform:
-			if store.Has(in.XformPath) {
-				continue
-			}
-			spec := []codeobj.KernelSpec{{
+			b.Add(in.XformPath, arch, []codeobj.KernelSpec{{
 				Name:     "xform_main",
 				Pattern:  "Transform",
 				CodeSize: 220 << 10,
 				Meta:     map[string]string{"path": in.XformPath},
-			}}
-			if err := store.PutBuilt(in.XformPath, arch, spec); err != nil {
-				return err
-			}
+			}})
 		case KindBuiltin:
-			if store.Has(BuiltinObjectPath) {
+			if !b.Need(BuiltinObjectPath) {
 				continue
 			}
 			var specs []codeobj.KernelSpec
@@ -421,9 +411,7 @@ func MaterializeModel(store *codeobj.Store, reg *miopen.Registry, m *CompiledMod
 					Name: "builtin_" + op, Pattern: "Builtin", CodeSize: 44 << 10,
 				})
 			}
-			if err := store.PutBuilt(BuiltinObjectPath, arch, specs); err != nil {
-				return err
-			}
+			b.Add(BuiltinObjectPath, arch, specs)
 		}
 	}
 	return nil

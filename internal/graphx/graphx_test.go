@@ -157,6 +157,22 @@ func TestCSEMergesDuplicateBranches(t *testing.T) {
 	}
 }
 
+// materialize returns a store holding every code object m can load on an
+// MI100, BLAS objects included.
+func materialize(t *testing.T, reg *miopen.Registry, m *CompiledModel) *codeobj.Store {
+	t.Helper()
+	store := codeobj.NewStore()
+	objs := store.Batch()
+	if err := MaterializeModel(objs, reg, m); err != nil {
+		t.Fatal(err)
+	}
+	blas.Materialize(objs, device.MI100(), m.GemmProblems())
+	if err := objs.Put(); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
 // newProcess builds a full simulated process around a shared store.
 func newProcess(t *testing.T, store *codeobj.Store, reg *miopen.Registry) (*sim.Env, *Runner, *metrics.Tracer) {
 	t.Helper()
@@ -175,14 +191,8 @@ func TestBaselineRunsAllModelsEndToEnd(t *testing.T) {
 		spec := spec
 		t.Run(spec.Abbr, func(t *testing.T) {
 			m := compileZoo(t, spec.Abbr, 1, reg, CompileOptions{})
-			store := codeobj.NewStore()
-			if err := MaterializeModel(store, reg, m); err != nil {
-				t.Fatal(err)
-			}
+			store := materialize(t, reg, m)
 			env, runner, _ := newProcess(t, store, reg)
-			if err := runner.Blas.Materialize(store, m.GemmProblems()); err != nil {
-				t.Fatal(err)
-			}
 			var runErr error
 			env.Spawn("host", func(p *sim.Proc) {
 				defer runner.RT.GPU().CloseAll()
@@ -207,14 +217,8 @@ func TestBaselineRunsAllModelsEndToEnd(t *testing.T) {
 func TestHotRunMuchFasterThanCold(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	m := compileZoo(t, "res", 1, reg, CompileOptions{})
-	store := codeobj.NewStore()
-	if err := MaterializeModel(store, reg, m); err != nil {
-		t.Fatal(err)
-	}
+	store := materialize(t, reg, m)
 	env, runner, _ := newProcess(t, store, reg)
-	if err := runner.Blas.Materialize(store, m.GemmProblems()); err != nil {
-		t.Fatal(err)
-	}
 	var cold, hot time.Duration
 	env.Spawn("host", func(p *sim.Proc) {
 		defer runner.RT.GPU().CloseAll()
@@ -243,14 +247,8 @@ func TestHotRunMuchFasterThanCold(t *testing.T) {
 func TestIdealPreloadRemovesLoadTime(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	m := compileZoo(t, "res", 1, reg, CompileOptions{})
-	store := codeobj.NewStore()
-	if err := MaterializeModel(store, reg, m); err != nil {
-		t.Fatal(err)
-	}
+	store := materialize(t, reg, m)
 	env, runner, tracer := newProcess(t, store, reg)
-	if err := runner.Blas.Materialize(store, m.GemmProblems()); err != nil {
-		t.Fatal(err)
-	}
 	var idealTime time.Duration
 	env.Spawn("host", func(p *sim.Proc) {
 		defer runner.RT.GPU().CloseAll()
@@ -281,14 +279,8 @@ func TestIdealPreloadRemovesLoadTime(t *testing.T) {
 func TestTracerCollectsAllCategories(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	m := compileZoo(t, "alex", 1, reg, CompileOptions{})
-	store := codeobj.NewStore()
-	if err := MaterializeModel(store, reg, m); err != nil {
-		t.Fatal(err)
-	}
+	store := materialize(t, reg, m)
 	env, runner, tracer := newProcess(t, store, reg)
-	if err := runner.Blas.Materialize(store, m.GemmProblems()); err != nil {
-		t.Fatal(err)
-	}
 	env.Spawn("host", func(p *sim.Proc) {
 		defer runner.RT.GPU().CloseAll()
 		if err := runner.RunBaseline(p, m); err != nil {

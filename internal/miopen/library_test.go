@@ -16,12 +16,14 @@ func newLibRuntime(t *testing.T, problems []*Problem) (*sim.Env, *Library) {
 	t.Helper()
 	reg := NewRegistry(testCtx())
 	store := codeobj.NewStore()
+	objs := store.Batch()
 	for _, p := range problems {
 		for _, r := range reg.Find(p) {
-			if err := MaterializeObjects(store, reg.Ctx().Dev.Arch, []Instance{r.Inst}); err != nil {
-				t.Fatal(err)
-			}
+			MaterializeObjects(objs, reg.Ctx().Dev.Arch, []Instance{r.Inst})
 		}
+	}
+	if err := objs.Put(); err != nil {
+		t.Fatal(err)
 	}
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
@@ -192,7 +194,9 @@ func TestRunSolutionMissingObjectFails(t *testing.T) {
 func TestLoadResidentsRegistersAllResidents(t *testing.T) {
 	reg := NewRegistry(testCtx())
 	store := codeobj.NewStore()
-	if err := MaterializeObjects(store, reg.Ctx().Dev.Arch, reg.Residents()); err != nil {
+	objs := store.Batch()
+	MaterializeObjects(objs, reg.Ctx().Dev.Arch, reg.Residents())
+	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
 	env := sim.NewEnv()

@@ -338,7 +338,9 @@ func TestObjectSymbolsCoverKernelCalls(t *testing.T) {
 		p := &problems[pi]
 		for _, r := range reg.Find(p) {
 			inst := r.Inst
-			if err := MaterializeObjects(store, reg.Ctx().Dev.Arch, []Instance{inst}); err != nil {
+			objs := store.Batch()
+			MaterializeObjects(objs, reg.Ctx().Dev.Arch, []Instance{inst})
+			if err := objs.Put(); err != nil {
 				t.Fatalf("materialize %s: %v", inst.Key(), err)
 			}
 			data, err := store.Get(inst.Path())

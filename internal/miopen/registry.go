@@ -145,18 +145,13 @@ func (r *Registry) Residents() []Instance {
 	return out
 }
 
-// MaterializeObjects compiles (builds and stores) the code object of every
-// instance that is not yet in the store — the offline preparation step that
-// populates the on-disk kernel registry.
-func MaterializeObjects(store *codeobj.Store, arch string, insts []Instance) error {
+// MaterializeObjects requests the code object of every instance the store
+// does not hold yet — the offline preparation step that populates the
+// on-disk kernel registry. The batch's Put builds them.
+func MaterializeObjects(b *codeobj.Batch, arch string, insts []Instance) {
 	for _, inst := range insts {
-		path := inst.Path()
-		if store.Has(path) {
-			continue
-		}
-		if err := store.PutBuilt(path, arch, inst.Sol.ObjectSpec(inst.Binding)); err != nil {
-			return fmt.Errorf("miopen: materialize %s: %w", path, err)
+		if path := inst.Path(); b.Need(path) {
+			b.Add(path, arch, inst.Sol.ObjectSpec(inst.Binding))
 		}
 	}
-	return nil
 }
