@@ -30,8 +30,7 @@
 // first -batches entry on MI100. The cell runs at the plan's transient and
 // permanent rates, and its other keys (seed, burst, spike, spike_ms,
 // disable, reset_ms, slow_*, flood_*) reach it too. The cell is one
-// instance on one GPU, so it ignores the cache-image keys (img_*) and the
-// host keys (gpu_kill*, degrade_*, link_flap_*).
+// instance on one GPU; the grammar has no cache-image or host-level keys.
 //
 // -cpuprofile and -memprofile write host pprof profiles of the selected
 // run (an experiment, the -exp all sweep or a -faults cell), the same files

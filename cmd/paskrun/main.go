@@ -13,9 +13,9 @@
 // loading management of PaSK and PaSK-I to the BLAS library; the other
 // schemes ignore it.
 //
-// With -faults the run faces a seeded fault plan (keys: transient, permanent,
-// spike, disable, seed, burst, spike_ms, reset_ms) and the report gains the
-// retry, negative-cache and degradation-ladder counters.
+// With -faults the run faces a seeded fault plan in the faults package's
+// grammar (a key outside it is an error) and the report gains the retry,
+// negative-cache and degradation-ladder counters.
 //
 // With -record-profile the run's observed load order is written as a versioned
 // warmup manifest; -warmup replays such a manifest through a prefetcher that

@@ -3,8 +3,9 @@
 // It follows the same find-and-run discipline as the primitive library
 // (paper Fig 3) but is a *separate* library with its own code objects, which
 // is why PASK's default deployment cannot reuse kernels for GEMM-dominated
-// models (paper §VI "Library supporting"). The SelectHook lets the §VI
-// extension bring BLAS under PASK's management.
+// models (paper §VI "Library supporting"). RunInstance lets the §VI
+// extension bring BLAS under PASK's management: core chooses the instance
+// and runs it directly.
 //
 // Paper anchor: §VI "Library supporting" and the Fig 3 GEMM-library seam.
 package blas
@@ -169,11 +170,6 @@ type Ranked struct {
 	Est  time.Duration
 }
 
-// SelectHook lets a middleware substitute the chosen instance before the
-// library loads it (the PASK-for-BLAS extension). It returns the instance to
-// run, which must be applicable to p.
-type SelectHook func(proc *sim.Proc, p *Problem, chosen Instance) Instance
-
 // CoreObjectPath is the shared kernel library every GEMM depends on — the
 // stand-in for the vendor BLAS's bulk kernel archive whose first-touch load
 // dominates transformer cold starts.
@@ -187,8 +183,7 @@ const coreObjectKernels = 24
 
 // Library is the per-process GEMM library handle.
 type Library struct {
-	RT   *backend.Registry
-	Hook SelectHook
+	RT *backend.Registry
 
 	kernels   []*Kernel
 	find      map[string][]Ranked
@@ -270,34 +265,22 @@ func Materialize(b *codeobj.Batch, dev device.Profile, problems []Problem) {
 	}
 }
 
-// Run executes p on the stream: find the best instance, let the hook
-// substitute it, lazily load its code object (the reactive cold-start path),
-// and launch. When the chosen instance cannot run — typically its code
-// object fails to load — Run degrades down the ranked ladder to the next
-// applicable instance instead of failing the request, mirroring the
-// primitive library's recovery ladder. Returns the completion signal.
+// Run executes p on the stream: find the best instance, lazily load its
+// code object (the reactive cold-start path), and launch. When the best
+// instance cannot run — typically its code object fails to load — Run
+// degrades down the ranked ladder to the next applicable instance instead of
+// failing the request, mirroring the primitive library's recovery ladder.
+// Returns the completion signal.
 func (l *Library) Run(proc *sim.Proc, stream *device.Stream, p *Problem) (*sim.Signal, error) {
 	ranked := l.Find(p)
 	if len(ranked) == 0 {
 		return nil, fmt.Errorf("blas: no kernel for %s", p.Key())
 	}
-	chosen := ranked[0].Inst
-	if l.Hook != nil {
-		chosen = l.Hook(proc, p, chosen)
-	}
-	sig, err := l.RunInstance(proc, stream, p, chosen)
+	sig, err := l.RunInstance(proc, stream, p, ranked[0].Inst)
 	if err == nil {
 		return sig, nil
 	}
-	if errors.Is(err, ErrNotApplicable) {
-		// A bad hook substitution is a programming error, not a fault the
-		// ladder should paper over.
-		return nil, err
-	}
-	for _, r := range ranked {
-		if r.Inst.Path() == chosen.Path() {
-			continue
-		}
+	for _, r := range ranked[1:] {
 		if sig, ferr := l.RunInstance(proc, stream, p, r.Inst); ferr == nil {
 			l.fallbacks++
 			return sig, nil

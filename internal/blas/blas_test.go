@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -174,44 +175,15 @@ func TestRunSecondCallSkipsLoad(t *testing.T) {
 	}
 }
 
-func TestSelectHookSubstitutes(t *testing.T) {
+func TestRunInstanceRejectsInapplicable(t *testing.T) {
 	env, lib := newTestLib(t)
 	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32}
 	materialize(t, lib, p)
-	naive := Instance{Kern: Kernels()[0]}
-	lib.Hook = func(proc *sim.Proc, prob *Problem, chosen Instance) Instance {
-		return naive // force the generic kernel
-	}
+	wrong := Instance{Kern: Kernels()[2], Binding: "m32n32_f16"} // wrong binding
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
-		if _, err := lib.Run(proc, lib.RT.GPU().DefaultStream(), &p); err != nil {
-			t.Error(err)
-			return
-		}
-		if !lib.RT.Loaded("blas_GemmNaive.pko") {
-			t.Error("hook substitution must load the substitute's object")
-		}
-		if lib.RT.Loaded("blas_GemmXdlopsTiled_m256n512_f32.pko") {
-			t.Error("original specialist must not be loaded when substituted")
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHookReturningInapplicableFails(t *testing.T) {
-	env, lib := newTestLib(t)
-	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32}
-	materialize(t, lib, p)
-	xd := Kernels()[2]
-	lib.Hook = func(proc *sim.Proc, prob *Problem, chosen Instance) Instance {
-		return Instance{Kern: xd, Binding: "m32n32_f16"} // wrong binding
-	}
-	env.Spawn("host", func(proc *sim.Proc) {
-		defer lib.RT.GPU().CloseAll()
-		if _, err := lib.Run(proc, lib.RT.GPU().DefaultStream(), &p); err == nil {
-			t.Error("expected error for inapplicable substitution")
+		if _, err := lib.RunInstance(proc, lib.RT.GPU().DefaultStream(), &p, wrong); !errors.Is(err, ErrNotApplicable) {
+			t.Errorf("RunInstance(%s) = %v, want ErrNotApplicable", wrong.Path(), err)
 		}
 	})
 	if err := env.Run(); err != nil {

@@ -96,7 +96,7 @@ func (ms *ModelSetup) runPaSKVariant(opts core.Options, seed bool) (float64, err
 	err := pr.Main(func(p *sim.Proc) error {
 		var cache core.Cache = core.NewCategoricalCache()
 		if seed {
-			cache = core.NewCache(core.SchemePaSK, pr.Runner.Lib)
+			cache = core.NewCache(core.SchemePaSK, pr.Lib)
 		}
 		t0 := p.Now()
 		if _, err := core.Run(p, pr.Runner, ms.Model, core.SchemePaSK, cache, opts); err != nil {
@@ -168,7 +168,7 @@ func CrossModelReuse(a, b string, prof device.Profile) (*CrossModelResult, error
 	pr := msB.NewProcess()
 	out := &CrossModelResult{FreshMs: fresh}
 	err = pr.Main(func(p *sim.Proc) error {
-		cache := core.NewCache(core.SchemePaSK, pr.Runner.Lib)
+		cache := core.NewCache(core.SchemePaSK, pr.Lib)
 		if _, err := core.Run(p, pr.Runner, msA.Model, core.SchemePaSK, cache, core.Options{}); err != nil {
 			return err
 		}

@@ -13,7 +13,7 @@ import (
 // report — its TTFI is the "one node pays the cold discovery" cost the
 // image amortizes across the fleet.
 func (ms *ModelSetup) BuildCacheImage() (*cacheimg.Image, *WarmupRun, error) {
-	wr, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, nil, nil, true)
+	wr, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, nil, nil, true)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: record profile for image: %w", err)
 	}

@@ -600,7 +600,7 @@ func (ms *ModelSetup) runTwoRequests(background bool) (*twoRequestResult, error)
 	pr := ms.NewProcess()
 	out := &twoRequestResult{}
 	err := pr.Main(func(p *sim.Proc) error {
-		cache := core.NewCache(core.SchemePaSK, pr.Runner.Lib)
+		cache := core.NewCache(core.SchemePaSK, pr.Lib)
 		t0 := p.Now()
 		res, err := core.Run(p, pr.Runner, ms.Model, core.SchemePaSK, cache, core.Options{})
 		if err != nil {

@@ -198,10 +198,11 @@ func runColdstartExp(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, res, err := ms.RunSchemeTraced(core.SchemePaSK, core.Options{}, o.Trace)
+	wr, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, o.Trace, nil, false)
 	if err != nil {
 		return nil, err
 	}
+	rep, res := wr.Rep, wr.Res
 	tbl := &Table{ID: "ColdStart",
 		Title:   fmt.Sprintf("PaSK cold start: %s on MI100 (batch %d)", model, batch),
 		Headers: []string{"metric", "value"},

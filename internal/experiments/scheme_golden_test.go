@@ -16,7 +16,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata goldens")
 
 // TestSchemeGoldens pins the full metrics.Report of every scheme's cold
-// start through RunSchemeWarm, the path pask.RunScheme, paskrun and
+// start through RunSchemeOn, the path pask.RunScheme, paskrun and
 // POST /v1/coldstart share: res and swin at fp32 with no options, with
 // BlasScope and under severe static pressure, plus res at fp16 with
 // PrecisionPreference. Options a scheme ignores must leave its report
@@ -52,7 +52,7 @@ func TestSchemeGoldens(t *testing.T) {
 	got := map[string]*metrics.Report{}
 	for _, c := range cells {
 		for _, sch := range core.Schemes() {
-			wr, err := c.ms.RunSchemeWarm(sch, c.opts, nil, nil, false)
+			wr, err := c.ms.RunSchemeOn(c.ms.NewProcess(), sch, c.opts, nil, nil, false)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.name, sch, err)
 			}

@@ -129,14 +129,12 @@ func PrepareModelTyped(abbr string, batch int, prof device.Profile, dt tensor.DT
 }
 
 // Process is one cold OS process over the setup's shared object store: its
-// own simulation environment, device, runtime and runner.
+// own simulation environment and device, and the runner that owns its
+// runtime, libraries and span tracer.
 type Process struct {
-	Env    *sim.Env
-	GPU    *device.GPU
-	RT     *backend.Registry
-	Runner *graphx.Runner
-	Tracer *metrics.Tracer
-	Rec    *trace.Recorder
+	Env *sim.Env
+	GPU *device.GPU
+	*graphx.Runner
 }
 
 // Record attaches rec to every observability seam of this process: the span
@@ -147,7 +145,6 @@ type Process struct {
 // runner/tracer hooks and turns recording off.
 func (pr *Process) Record(rec *trace.Recorder) {
 	pr.Rec = rec
-	pr.Runner.Rec = rec
 	if rec == nil {
 		pr.Tracer.SetObserver(nil)
 		pr.RT.SetObserver(nil)
@@ -172,7 +169,7 @@ func (pr *Process) InjectFaults(inj *faults.Injector) {
 	if inj == nil {
 		return
 	}
-	lib := pr.Runner.Lib
+	lib := pr.Lib
 	inj.Exempt(graphx.BuiltinObjectPath, blas.CoreObjectPath)
 	for _, inst := range lib.Reg.Residents() {
 		inj.Exempt(inst.Path())
@@ -189,8 +186,8 @@ func (pr *Process) InjectFaults(inj *faults.Injector) {
 // Init brings the process up: GPU context creation, then the library open
 // that maps its resident kernels.
 func (pr *Process) Init(p *sim.Proc) error {
-	pr.Runner.RT.InitContext(p)
-	return pr.Runner.Lib.LoadResidents(p)
+	pr.RT.InitContext(p)
+	return pr.Lib.LoadResidents(p)
 }
 
 // Main runs fn as the process's "main" thread after bring-up (Init), closes
@@ -243,7 +240,7 @@ func (ms *ModelSetup) NewProcessIn(env *sim.Env) *Process {
 	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), ms.Store)
 	tracer := metrics.NewForwardingTracer()
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(ms.Reg, rt), blas.NewLibrary(rt), tracer)
-	return &Process{Env: env, GPU: gpu, RT: rt, Runner: runner, Tracer: tracer}
+	return &Process{Env: env, GPU: gpu, Runner: runner}
 }
 
 // BackendFor creates a runtime of the flavor matching the device's ISA:
@@ -275,27 +272,17 @@ func (ms *ModelSetup) AttachIn(root *backend.Registry, name string) *Process {
 	tracer := metrics.NewForwardingTracer()
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(ms.Reg, rt), blas.NewLibrary(rt), tracer)
 	runner.Stream = root.GPU().NewStream()
-	return &Process{Env: root.Env(), GPU: root.GPU(), RT: rt, Runner: runner, Tracer: tracer}
+	return &Process{Env: root.Env(), GPU: root.GPU(), Runner: runner}
 }
 
 // RunScheme executes the model once under the given scheme in a fresh cold
 // process and reports the timed window. Process initialization (GPU context,
 // library open with its resident kernels, and for Ideal the preloading) is
 // excluded from the window, matching the paper's §V methodology where all
-// schemes share the serving framework's startup.
+// schemes share the serving framework's startup. It is RunSchemeOn with no
+// recorder, no manifest and no recording.
 func (ms *ModelSetup) RunScheme(scheme core.Scheme, opts core.Options) (*metrics.Report, *core.Result, error) {
-	return ms.RunSchemeTraced(scheme, opts, nil)
-}
-
-// RunSchemeTraced is RunScheme with a trace recorder attached to the whole
-// process (spans, registry events, counters). The timed window is marked
-// with "run-start"/"run-end" instants on the "run" track so exporters and
-// consumers can recover exactly the interval Report.Breakdown covers. A nil
-// rec records nothing. The execution itself lives in RunSchemeWarm (the
-// profile-warmup superset); this wrapper runs it without a manifest and
-// without recording.
-func (ms *ModelSetup) RunSchemeTraced(scheme core.Scheme, opts core.Options, rec *trace.Recorder) (*metrics.Report, *core.Result, error) {
-	wr, err := ms.RunSchemeWarm(scheme, opts, rec, nil, false)
+	wr, err := ms.RunSchemeOn(ms.NewProcess(), scheme, opts, nil, nil, false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -20,10 +20,11 @@ func TestTracedRunAgreesWithReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := trace.New()
-	rep, _, err := ms.RunSchemeTraced(core.SchemePaSK, core.Options{}, rec)
+	wr, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, rec, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := wr.Rep
 
 	// The run window is marked on the "run" track and spans Report.Total.
 	t0, ok := rec.FindInstant("run", "run-start")
@@ -100,10 +101,11 @@ func TestUntracedRunsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, _, err := ms.RunSchemeTraced(core.SchemePaSK, core.Options{}, trace.New())
+	wr, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, trace.New(), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	traced := wr.Rep
 	if plain.Total != traced.Total || plain.Loads != traced.Loads ||
 		plain.ReuseHits != traced.ReuseHits || plain.GPUBusy != traced.GPUBusy {
 		t.Fatalf("tracing perturbed the run: %+v vs %+v", plain, traced)

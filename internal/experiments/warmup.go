@@ -31,15 +31,13 @@ type WarmupRun struct {
 	Replay warmup.ReplayStats
 }
 
-// RunSchemeWarm executes the model once in a fresh cold process with
-// optional profile recording and optional manifest replay; see RunSchemeOn.
-func (ms *ModelSetup) RunSchemeWarm(scheme core.Scheme, opts core.Options, rec *trace.Recorder, man *warmup.Manifest, record bool) (*WarmupRun, error) {
-	return ms.RunSchemeOn(ms.NewProcess(), scheme, opts, rec, man, record)
-}
-
-// RunSchemeOn is RunSchemeWarm on a cold process the caller created, so it
-// can wire faults into the runtime first and read the spans and runtime
-// stats afterwards. When man is non-nil a prefetcher thread spawns at
+// RunSchemeOn executes the model once under scheme on pr, a cold process
+// the caller created (usually ms.NewProcess()), so it can wire faults into
+// the runtime first and read the spans and runtime stats afterwards. rec,
+// when non-nil, records the whole process (spans, registry events,
+// counters); the timed window is marked with "run-start"/"run-end" instants
+// on the "run" track, so consumers recover exactly the interval
+// Report.Breakdown covers. When man is non-nil a prefetcher thread spawns at
 // process start — its loads overlap GPU context creation and the parse, so
 // the pipeline finds modules resident; singleflight coalescing in the
 // runtime makes replay and demand loads converge. A stale or partial
@@ -78,7 +76,7 @@ func (ms *ModelSetup) RunSchemeOn(pr *Process, scheme core.Scheme, opts core.Opt
 			metrics.Attr{Key: "scheme", Value: string(scheme)},
 			metrics.Attr{Key: "model", Value: ms.Spec.Abbr},
 			metrics.Attr{Key: "batch", Value: fmt.Sprint(ms.Batch)})
-		res, err = core.Run(p, pr.Runner, model, scheme, core.NewCache(scheme, pr.Runner.Lib), opts)
+		res, err = core.Run(p, pr.Runner, model, scheme, core.NewCache(scheme, pr.Lib), opts)
 
 		t1 := p.Now()
 		rec.Instant("run", "run-end", t1)
@@ -158,11 +156,11 @@ func WarmupExperiment(model string, batch int, rec *trace.Recorder) (*Table, *Wa
 		if err != nil {
 			return nil, nil, err
 		}
-		cold, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, nil, nil, false)
+		cold, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, nil, nil, false)
 		if err != nil {
 			return nil, nil, fmt.Errorf("warmup cold arm on %s: %w", prof.Name, err)
 		}
-		recorded, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, nil, nil, true)
+		recorded, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, nil, nil, true)
 		if err != nil {
 			return nil, nil, fmt.Errorf("warmup recorded arm on %s: %w", prof.Name, err)
 		}
@@ -170,7 +168,7 @@ func WarmupExperiment(model string, batch int, rec *trace.Recorder) (*Table, *Wa
 		if i == 0 {
 			armRec = rec
 		}
-		warmed, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, armRec, recorded.Profile, false)
+		warmed, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, armRec, recorded.Profile, false)
 		if err != nil {
 			return nil, nil, fmt.Errorf("warmup warmed arm on %s: %w", prof.Name, err)
 		}

@@ -18,7 +18,7 @@ func TestWarmupBeatsColdOnAllDevices(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: PrepareModel: %v", prof.Name, err)
 		}
-		cold, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, nil, nil, true)
+		cold, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, nil, nil, true)
 		if err != nil {
 			t.Fatalf("%s: cold+record: %v", prof.Name, err)
 		}
@@ -28,7 +28,7 @@ func TestWarmupBeatsColdOnAllDevices(t *testing.T) {
 		if cold.Profile.Device != prof.Name || cold.Profile.Model != "alex" {
 			t.Fatalf("%s: profile header wrong: %+v", prof.Name, cold.Profile)
 		}
-		warmed, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, nil, cold.Profile, false)
+		warmed, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, nil, cold.Profile, false)
 		if err != nil {
 			t.Fatalf("%s: warmed: %v", prof.Name, err)
 		}
@@ -54,7 +54,7 @@ func TestWarmupStaleManifestDegradesToCold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PrepareModel: %v", err)
 	}
-	rec, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, nil, nil, true)
+	rec, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, nil, nil, true)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestWarmupStaleManifestDegradesToCold(t *testing.T) {
 	}
 	man.Entries = append(man.Entries, warmup.Entry{Path: "no/such/object.pko", Checksum: 1})
 
-	warmed, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, nil, man, false)
+	warmed, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, nil, man, false)
 	if err != nil {
 		t.Fatalf("stale manifest must not fail the run: %v", err)
 	}
@@ -86,12 +86,12 @@ func TestWarmupCountersInTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PrepareModel: %v", err)
 	}
-	rec, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, nil, nil, true)
+	rec, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, nil, nil, true)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
 	tr := trace.New()
-	if _, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, tr, rec.Profile, false); err != nil {
+	if _, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, tr, rec.Profile, false); err != nil {
 		t.Fatalf("warmed: %v", err)
 	}
 	want := map[string]bool{

@@ -10,53 +10,6 @@ import (
 	"pask/internal/sim"
 )
 
-func TestParsePlanDeviceKeys(t *testing.T) {
-	p, err := ParsePlan("gpu_kill_ms=25,gpu_kill=2,gpu_kill_rate=0.3,gpu_kill_from_ms=10,gpu_kill_until_ms=60," +
-		"degrade_factor=4,degrade_transient=0.5,degrade_from_ms=5,degrade_until_ms=15,degrade_gpu=1," +
-		"link_flap_from_ms=20,link_flap_until_ms=40,link_flap_gpu=3,link_flap_stall_ms=2")
-	if err != nil {
-		t.Fatalf("ParsePlan: %v", err)
-	}
-	if p.GPUKillAt != 25*time.Millisecond || p.GPUKillIdx != 2 || p.GPUKillRate != 0.3 ||
-		p.GPUKillFrom != 10*time.Millisecond || p.GPUKillUntil != 60*time.Millisecond {
-		t.Fatalf("gpu-kill fields mismatch: %+v", p)
-	}
-	if p.DegradeFactor != 4 || p.DegradeTransient != 0.5 || p.DegradeGPU != 1 ||
-		p.DegradeFrom != 5*time.Millisecond || p.DegradeUntil != 15*time.Millisecond {
-		t.Fatalf("degrade fields mismatch: %+v", p)
-	}
-	if p.LinkFlapFrom != 20*time.Millisecond || p.LinkFlapUntil != 40*time.Millisecond ||
-		p.LinkFlapGPU != 3 || p.LinkFlapStall != 2*time.Millisecond {
-		t.Fatalf("link-flap fields mismatch: %+v", p)
-	}
-}
-
-func TestParsePlanDeviceKeysMalformed(t *testing.T) {
-	for _, spec := range []string{
-		"gpu_kill_rate=1.5",                          // rate out of range
-		"gpu_kill=-1",                                // negative GPU index
-		"gpu_kill=1.5",                               // fractional GPU index
-		"gpu_kill_ms=-3",                             // negative time
-		"degrade_factor=0.5",                         // multiplier below 1
-		"degrade_factor=x",                           // not a number
-		"degrade_transient=-0.1",                     // negative rate
-		"degrade_gpu=one",                            // not an index
-		"link_flap_gpu=-2",                           // negative GPU index
-		"link_flap_stall_ms=-1",                      // negative stall
-		"gpu_kill_from_ms=30,gpu_kill_until_ms=30",   // empty window
-		"degrade_from_ms=20,degrade_until_ms=10",     // inverted window
-		"link_flap_from_ms=50,link_flap_until_ms=40", // inverted window
-	} {
-		if _, err := ParsePlan(spec); err == nil {
-			t.Errorf("ParsePlan(%q) accepted a malformed spec", spec)
-		}
-	}
-	// A zero until means "forever" and must stay legal.
-	if _, err := ParsePlan("degrade_factor=2,degrade_from_ms=10"); err != nil {
-		t.Fatalf("open-ended window rejected: %v", err)
-	}
-}
-
 func TestDeviceLossAtScheduledAndSeeded(t *testing.T) {
 	var nilInj *Injector
 	if _, ok := nilInj.DeviceLossAt(0); ok {

@@ -203,15 +203,13 @@ func TestParsePlanRejectsNonFinite(t *testing.T) {
 		{"permanent=nan", "is not a rate in [0,1]"},
 		{"spike=+Inf", "is not a rate in [0,1]"},
 		{"disable=-Inf", "is not a rate in [0,1]"},
-		{"gpu_kill_rate=NaN", "is not a rate in [0,1]"},
+		{"spike=NaN", "is not a rate in [0,1]"},
 		{"spike_ms=NaN", "is not a millisecond count"},
 		{"slow_ms=Inf", "is not a millisecond count"},
 		{"flood_ms=-Inf", "is not a millisecond count"},
 		{"reset_ms=1e300", "is not a millisecond count"},
-		{"gpu_kill_ms=9223372036854.775808", "is not a millisecond count"},
-		{"link_flap_stall_ms=1e400", "is not a millisecond count"},
-		{"degrade_factor=NaN", "is not a multiplier >= 1"},
-		{"degrade_factor=Inf", "is not a multiplier >= 1"},
+		{"slow_from_ms=9223372036854.775808", "is not a millisecond count"},
+		{"flood_gap_ms=1e400", "is not a millisecond count"},
 	} {
 		if _, err := ParsePlan(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParsePlan(%q) error = %v, want one containing %q", tc.spec, err, tc.want)
@@ -302,19 +300,6 @@ func TestParsePlanOverloadKeys(t *testing.T) {
 	}
 	if _, err := ParsePlan("flood_n=2.5"); err == nil {
 		t.Fatal("fractional flood_n accepted")
-	}
-}
-
-func TestParsePlanImageKeys(t *testing.T) {
-	p, err := ParsePlan("img_corrupt=0.2,img_truncate=0.3,img_kill=0.1")
-	if err != nil {
-		t.Fatalf("ParsePlan: %v", err)
-	}
-	if p.ImgCorruptRate != 0.2 || p.ImgTruncateRate != 0.3 || p.NodeKillRate != 0.1 {
-		t.Fatalf("image fields mismatch: %+v", p)
-	}
-	if _, err := ParsePlan("img_corrupt=1.5"); err == nil {
-		t.Fatal("rate >1 accepted")
 	}
 }
 

@@ -393,7 +393,7 @@ func (s *Server) runColdStart(req ColdStartRequest, rec *trace.Recorder) (*ColdS
 			imageAttach = codeFromErr(aerr, http.StatusNotFound)
 		}
 	}
-	wr, err := ms.RunSchemeWarm(scheme, core.Options{}, rec, man, req.RecordProfile)
+	wr, err := ms.RunSchemeOn(ms.NewProcess(), scheme, core.Options{}, rec, man, req.RecordProfile)
 	if err != nil {
 		return nil, nil, statusFromErr(err), err
 	}

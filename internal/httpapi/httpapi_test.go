@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -220,6 +221,24 @@ func TestServeValidation(t *testing.T) {
 		resp, data := postJSON(t, srv, "/v1/serve", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", body, resp.StatusCode, data)
+		}
+	}
+}
+
+// TestServeRejectsHostFaultKeys: a serve request drives one instance on one
+// GPU, so the cache-image and host-level fault keys are not part of its
+// grammar and fail as unknown keys with 400.
+func TestServeRejectsHostFaultKeys(t *testing.T) {
+	srv := New()
+	for _, spec := range []string{
+		"img_corrupt=0.1", "img_truncate=0.1", "img_kill=0.1",
+		"gpu_kill_ms=5", "gpu_kill=0", "gpu_kill_rate=0.1", "gpu_kill_from_ms=1", "gpu_kill_until_ms=9",
+		"degrade_factor=2", "degrade_transient=0.1", "degrade_from_ms=1", "degrade_until_ms=9", "degrade_gpu=0",
+		"link_flap_from_ms=1", "link_flap_until_ms=9", "link_flap_gpu=0", "link_flap_stall_ms=1",
+	} {
+		resp, data := postJSON(t, srv, "/v1/serve", `{"model":"alex","faults":"`+spec+`"}`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "unknown key") {
+			t.Errorf("faults %q: status %d, want 400 naming an unknown key: %s", spec, resp.StatusCode, data)
 		}
 	}
 }

@@ -204,17 +204,20 @@ func Breakdown(spans []Span, t0, t1 time.Duration, priority []Category) map[Cate
 	return out
 }
 
-// Report summarizes one model run under one scheme.
+// Report summarizes one model run under one scheme. It is the public
+// pask.Report as well.
 type Report struct {
 	Scheme string
 	Model  string
 	Batch  int
 
-	Total   time.Duration // end-to-end wall time of the run
-	GPUBusy time.Duration // union of GPU-active intervals
+	// Total is the end-to-end cold-start wall time (virtual).
+	Total time.Duration
+	// GPUBusy is the union of GPU-active intervals inside the run.
+	GPUBusy time.Duration
 
-	Loads       int   // code objects loaded
-	LoadedBytes int64 // container bytes loaded
+	Loads       int   // code objects loaded during the run
+	LoadedBytes int64 // container bytes read and relocated
 
 	// PASK reuse statistics (zero except under PaSK and PaSK-R).
 	ReuseQueries int // GetSubSolution invocations
@@ -224,11 +227,12 @@ type Report struct {
 	SkippedLoads int // loads avoided via reuse
 
 	// PressureReuse counts layers served by pressure-forced substitutes —
-	// reuse taken only because the serving layer signaled overload (zero
-	// under nominal pressure).
+	// reuse taken only because the serving layer's brownout controller (or
+	// pask.WithPressure) raised the level above nominal.
 	PressureReuse int
 
-	// Profile-warmup statistics (zero unless the run replayed a manifest).
+	// Profile-warmup statistics (zero unless the run replayed a readable
+	// manifest).
 	WarmupEntries    int // manifest entries the prefetcher considered
 	WarmupPrefetched int // objects made resident by replay (paid + coalesced)
 	WarmupHits       int // objects the run used that replay covered
@@ -236,10 +240,16 @@ type Report struct {
 	WarmupWasted     int // objects replay loaded that the run never used
 	WarmupStale      int // entries skipped on checksum mismatch or read error
 
+	// Breakdown attributes every instant of the run to one Category, so
+	// its values sum to Total. Both the Cat* constants and string literals
+	// index it.
 	Breakdown map[Category]time.Duration
 }
 
-// Utilization returns the GPU-active fraction of the run.
+// Seconds returns the total wall time in seconds.
+func (r *Report) Seconds() float64 { return r.Total.Seconds() }
+
+// Utilization returns the GPU-active fraction of the run (paper Fig 6b).
 func (r *Report) Utilization() float64 {
 	if r.Total <= 0 {
 		return 0
@@ -247,7 +257,7 @@ func (r *Report) Utilization() float64 {
 	return float64(r.GPUBusy) / float64(r.Total)
 }
 
-// HitRate returns the reuse-query hit fraction.
+// HitRate returns the reuse-query hit fraction (paper Fig 9a).
 func (r *Report) HitRate() float64 {
 	if r.ReuseQueries == 0 {
 		return 0

@@ -484,82 +484,3 @@ func TestPow2Bucket(t *testing.T) {
 		}
 	}
 }
-
-func TestPerfDBExportImportRoundTrip(t *testing.T) {
-	reg := NewRegistry(testCtx())
-	db := NewPerfDB(reg)
-	problems := []Problem{
-		conv3x3(64, 64, 56),
-		conv3x3(256, 256, 14),
-		NewPoolProblem(sh(1, 64, 56, 56), kernels.Pool2DParams{WinH: 2, WinW: 2, StrideH: 2, StrideW: 2}, kernels.MaxPool, tensor.F32, tensor.NCHW),
-	}
-	for i := range problems {
-		db.Find(&problems[i])
-	}
-	data, err := db.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A fresh database imports the tuned results and serves them without
-	// recomputing.
-	db2 := NewPerfDB(reg)
-	if err := db2.Import(data); err != nil {
-		t.Fatal(err)
-	}
-	if db2.Entries() != db.Entries() {
-		t.Fatalf("entries = %d, want %d", db2.Entries(), db.Entries())
-	}
-	for i := range problems {
-		a := db.Find(&problems[i])
-		b := db2.Find(&problems[i])
-		if len(a) != len(b) {
-			t.Fatalf("ranked lengths differ: %d vs %d", len(a), len(b))
-		}
-		for j := range a {
-			if a[j].Inst.Key() != b[j].Inst.Key() || a[j].Est != b[j].Est {
-				t.Fatalf("entry %d differs: %v vs %v", j, a[j], b[j])
-			}
-		}
-	}
-	// Imports are cache hits, not recomputation.
-	if db2.HitRate() == 0 {
-		t.Fatal("imported entries should serve as hits")
-	}
-}
-
-func TestPerfDBImportValidation(t *testing.T) {
-	reg := NewRegistry(testCtx())
-	db := NewPerfDB(reg)
-	if err := db.Import([]byte("{")); err == nil {
-		t.Fatal("malformed JSON must fail")
-	}
-	if err := db.Import([]byte(`{"arch":"sm_80","entries":[]}`)); err == nil {
-		t.Fatal("arch mismatch must fail")
-	}
-	if err := db.Import([]byte(`{"arch":"gfx908","entries":[{"problem":"p","solutions":[{"solution":"Nope","binding":"","time_ns":5}]}]}`)); err == nil {
-		t.Fatal("unknown solution must fail")
-	}
-	if err := db.Import([]byte(`{"arch":"gfx908","entries":[{"problem":"p","solutions":[{"solution":"ConvDirectNaiveFwd","binding":"","time_ns":0}]}]}`)); err == nil {
-		t.Fatal("non-positive time must fail")
-	}
-}
-
-func TestPerfDBExportDeterministic(t *testing.T) {
-	reg := NewRegistry(testCtx())
-	db := NewPerfDB(reg)
-	p1 := conv3x3(64, 64, 56)
-	p2 := conv3x3(128, 128, 28)
-	db.Find(&p2)
-	db.Find(&p1)
-	a, err := db.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := db.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatal("export not deterministic")
-	}
-}

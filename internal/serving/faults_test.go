@@ -413,7 +413,7 @@ func TestRecordFailureIdempotent(t *testing.T) {
 // and served+failed covers the trace.
 func TestReplacementAccountingSingleCounted(t *testing.T) {
 	ms := resSetup(t)
-	rec, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, nil, nil, true)
+	rec, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, nil, nil, true)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}

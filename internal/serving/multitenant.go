@@ -9,7 +9,6 @@ import (
 	"pask/internal/core"
 	"pask/internal/device"
 	"pask/internal/experiments"
-	"pask/internal/metrics"
 )
 
 // multitenantKeepAlive is the fleet keep-alive: long enough that no
@@ -131,20 +130,9 @@ func Multitenant(o experiments.Options) (*experiments.Result, error) {
 	return &experiments.Result{Tables: []*experiments.Table{table}, Bench: res}, nil
 }
 
-// formatTenantLoad renders one tenant attribution line using the metrics
-// row format.
+// formatTenantLoad renders one tenant attribution line.
 func formatTenantLoad(ts backend.TenantStats) string {
-	row := metrics.TenantLoadRow(metrics.TenantLoad{
-		Tenant: ts.Tenant, Loads: ts.Loads, BytesLoaded: ts.BytesLoaded,
-		LoadTime: ts.LoadTime, SharedHits: ts.SharedHits, CoalescedWaits: ts.CoalescedWaits,
-	})
-	hdr := metrics.TenantLoadHeaders()
-	out := ""
-	for i := range hdr {
-		if i > 0 {
-			out += " "
-		}
-		out += hdr[i] + "=" + row[i]
-	}
-	return out
+	return fmt.Sprintf("tenant=%s loads=%d loaded_mb=%.2f load_ms=%.2f shared_hits=%d coalesced=%d",
+		ts.Tenant, ts.Loads, float64(ts.BytesLoaded)/(1<<20),
+		float64(ts.LoadTime)/float64(time.Millisecond), ts.SharedHits, ts.CoalescedWaits)
 }

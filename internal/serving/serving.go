@@ -233,10 +233,10 @@ func (in *Instance) initProcess(p *sim.Proc) error {
 		// would charge each tenant for the whole GPU's working set, so the
 		// PaSK-R ablation is only meaningful on isolated instances.
 		v := in.host.Cache.View(in.view())
-		core.SeedResidents(v, in.pr.Runner.Lib)
+		core.SeedResidents(v, in.pr.Lib)
 		in.cache = v
 	} else {
-		in.cache = core.NewCache(in.policy.Scheme, in.pr.Runner.Lib)
+		in.cache = core.NewCache(in.policy.Scheme, in.pr.Lib)
 	}
 	in.initialized = true
 	return nil

@@ -404,7 +404,7 @@ func TestFleetPaSKBeatsBaselineOnBurst(t *testing.T) {
 // asserted in experiments.TestWarmupBeatsColdOnAllDevices.)
 func TestPolicyWarmupReplaysOnSpawn(t *testing.T) {
 	ms := setup(t, "alex")
-	rec, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, nil, nil, true)
+	rec, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, nil, nil, true)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -446,7 +446,7 @@ func TestPolicyWarmupReplaysOnSpawn(t *testing.T) {
 // manifest: serving must proceed exactly as cold, counting the stale entries.
 func TestPolicyWarmupStaleNeverFails(t *testing.T) {
 	ms := setup(t, "alex")
-	rec, err := ms.RunSchemeWarm(core.SchemePaSK, core.Options{}, nil, nil, true)
+	rec, err := ms.RunSchemeOn(ms.NewProcess(), core.SchemePaSK, core.Options{}, nil, nil, true)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}

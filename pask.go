@@ -177,65 +177,12 @@ func Categories() []Category {
 	return append(metrics.DefaultPriority(), metrics.CatOther)
 }
 
-// Report summarizes one cold-start run.
-type Report struct {
-	Scheme Scheme
-	Model  string
-	Batch  int
-
-	// Total is the end-to-end cold-start wall time (virtual).
-	Total time.Duration
-	// GPUBusy is the union of GPU-active intervals inside the run.
-	GPUBusy time.Duration
-	// Loads counts code objects loaded during the run.
-	Loads int
-	// LoadedBytes counts container bytes read and relocated.
-	LoadedBytes int64
-
-	// PASK cache statistics (zero except under PaSK and PaSK-R).
-	ReuseQueries int
-	ReuseHits    int
-	Lookups      int
-	SkippedLoads int
-	Milestone    int
-
-	// PressureReuse counts layers served by pressure-forced substitutes —
-	// nonzero only when WithPressure (or the serving layer's brownout
-	// controller) raised the level above nominal.
-	PressureReuse int
-
-	// Warmup replay statistics (zero unless WithWarmupProfile was used and
-	// the manifest was readable).
-	WarmupEntries    int // manifest entries the prefetcher considered
-	WarmupPrefetched int // objects made resident ahead of demand
-	WarmupHits       int // used objects the replay covered
-	WarmupMisses     int // used objects the replay did not cover
-	WarmupStale      int // entries skipped on checksum mismatch or read error
-
-	// Breakdown attributes every instant of the run to one Category. The
-	// key type is an alias of the metrics category, so both the exported
-	// constants (CatLoad, CatExec, ...) and string literals index it.
-	Breakdown map[Category]time.Duration
-}
-
-// Seconds returns the total wall time in seconds.
-func (r *Report) Seconds() float64 { return r.Total.Seconds() }
-
-// Utilization returns the GPU-active fraction of the run (paper Fig 6b).
-func (r *Report) Utilization() float64 {
-	if r.Total <= 0 {
-		return 0
-	}
-	return float64(r.GPUBusy) / float64(r.Total)
-}
-
-// HitRate returns the cache-query hit fraction (paper Fig 9a).
-func (r *Report) HitRate() float64 {
-	if r.ReuseQueries == 0 {
-		return 0
-	}
-	return float64(r.ReuseHits) / float64(r.ReuseQueries)
-}
+// Report summarizes one cold-start run: timing, GPU utilization (paper
+// Fig 6b), loading activity, PASK's cache statistics (Fig 9), warmup replay
+// accounting and the exclusive phase breakdown (Fig 1b / Fig 7). It is the
+// metrics package's report re-exported; Report.Scheme holds the Scheme as
+// its underlying string.
+type Report = metrics.Report
 
 // ModelInfo describes one zoo model.
 type ModelInfo struct {
@@ -339,7 +286,7 @@ func (s *System) RunScheme(scheme Scheme, opts ...Option) (*Report, error) {
 		// proceeds cold, matching the prefetcher's never-fail contract.
 		man, _ = warmup.ReadFile(rc.warmupPath)
 	}
-	wr, err := s.ms.RunSchemeWarm(core.Scheme(scheme), rc.opts, rec, man, rc.recordPath != "")
+	wr, err := s.ms.RunSchemeOn(s.ms.NewProcess(), core.Scheme(scheme), rc.opts, rec, man, rc.recordPath != "")
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +300,7 @@ func (s *System) RunScheme(scheme Scheme, opts ...Option) (*Report, error) {
 			return nil, fmt.Errorf("pask: writing trace: %w", werr)
 		}
 	}
-	return convertReport(scheme, wr.Rep), nil
+	return wr.Rep, nil
 }
 
 // ColdHot measures the first-inference cold time (including process
@@ -362,34 +309,4 @@ func (s *System) RunScheme(scheme Scheme, opts ...Option) (*Report, error) {
 func (s *System) ColdHot() (cold, hot time.Duration, err error) {
 	cold, hot, _, err = s.ms.RunColdHot()
 	return cold, hot, err
-}
-
-func convertReport(scheme Scheme, rep *metrics.Report) *Report {
-	bd := make(map[Category]time.Duration, len(rep.Breakdown))
-	for k, v := range rep.Breakdown {
-		bd[k] = v
-	}
-	return &Report{
-		Scheme:        scheme,
-		Model:         rep.Model,
-		Batch:         rep.Batch,
-		Total:         rep.Total,
-		GPUBusy:       rep.GPUBusy,
-		Loads:         rep.Loads,
-		LoadedBytes:   rep.LoadedBytes,
-		ReuseQueries:  rep.ReuseQueries,
-		ReuseHits:     rep.ReuseHits,
-		Lookups:       rep.Lookups,
-		SkippedLoads:  rep.SkippedLoads,
-		Milestone:     rep.Milestone,
-		PressureReuse: rep.PressureReuse,
-
-		WarmupEntries:    rep.WarmupEntries,
-		WarmupPrefetched: rep.WarmupPrefetched,
-		WarmupHits:       rep.WarmupHits,
-		WarmupMisses:     rep.WarmupMisses,
-		WarmupStale:      rep.WarmupStale,
-
-		Breakdown: bd,
-	}
 }

@@ -4,6 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pask/internal/core"
+	"pask/internal/warmup"
 )
 
 // TestWarmRestartRoundTrip records a profile on a cold run, replays it in a
@@ -46,6 +49,24 @@ func TestWarmRestartRoundTrip(t *testing.T) {
 	}
 	if warm.WarmupStale != 0 {
 		t.Errorf("fresh profile reported %d stale entries", warm.WarmupStale)
+	}
+	// The public report carries the prefetcher's wasted count. NNV12 runs
+	// the layout-uniform plan, so replaying the PaSK profile under it
+	// loads objects the run never uses.
+	other, err := sys.RunScheme(NNV12, WithWarmupProfile(profile))
+	if err != nil {
+		t.Fatalf("NNV12 replay: %v", err)
+	}
+	man, err := warmup.ReadFile(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr, err := sys.ms.RunSchemeOn(sys.ms.NewProcess(), core.SchemeNNV12, core.Options{}, nil, man, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.WarmupWasted == 0 || other.WarmupWasted != wr.Replay.Wasted {
+		t.Errorf("Report.WarmupWasted = %d, prefetcher wasted %d; want the same nonzero count", other.WarmupWasted, wr.Replay.Wasted)
 	}
 }
 
