@@ -151,14 +151,12 @@ type OnLoadFunc func(path string, start, end time.Duration, err error)
 // PeerModule is a neighbor GPU's resident copy of a code object, offered to
 // a loading registry together with the cost of moving it over the host's
 // interconnect. A source aware of link health can mark the transfer doomed
-// (Err) or stretched (Stall): the registry pays Stall, then either completes
-// the fetch or — on Err — falls back to a local demand load exactly once.
+// (Err): the registry then falls back to a local demand load exactly once.
 type PeerModule struct {
 	Object *codeobj.Object
 	From   string        // peer identifier, for traces
 	Cost   time.Duration // transfer time over the link model
-	Stall  time.Duration // extra link delay before the outcome lands
-	Err    error         // non-nil: the transfer fails after Stall
+	Err    error         // non-nil: the link is down and the transfer fails
 }
 
 // PeerSource answers residency queries against neighbor GPUs. PeerLookup

@@ -440,9 +440,9 @@ func (rt *Registry) ModuleLoad(p *sim.Proc, path string) (*Module, error) {
 // when one is offered cheaper than the local store-load estimate, otherwise
 // through the retrying store path. The peer transfer pays the driver's fixed
 // module registration cost plus the link cost, under the driver lock like
-// any other load. A link-faulted offer (PeerModule.Err) wastes its Stall,
-// then falls back to the local demand load exactly once — the fallback is a
-// plain store load, so it counts in ModuleLoads and never in PeerFetches.
+// any other load. A link-faulted offer (PeerModule.Err) falls back to the
+// local demand load exactly once — the fallback is a plain store load, so
+// it counts in ModuleLoads and never in PeerFetches.
 func (rt *Registry) loadOrPeer(p *sim.Proc, path string) (*Module, bool, error) {
 	if sh := rt.sh; sh.peers != nil {
 		if pm, ok := sh.peers.PeerLookup(path); ok && pm.Object != nil &&
@@ -450,16 +450,13 @@ func (rt *Registry) loadOrPeer(p *sim.Proc, path string) (*Module, bool, error) 
 			est := rt.gpu.Profile.LoadTime(int64(pm.Object.Size()), rt.loadSymbolCount(pm.Object))
 			if cost := rt.gpu.Profile.ModuleLoadFixed + pm.Cost; cost < est {
 				if pm.Err != nil {
-					// The link is down: the transfer dies after the stall and
-					// the miss degrades to a local demand load.
-					if pm.Stall > 0 {
-						p.Sleep(pm.Stall)
-					}
+					// The link is down: the miss degrades to a local demand
+					// load.
 					sh.stats.PeerFetchFails++
 					sh.observe(rt.env, "peer_fetch_fail", path)
 				} else {
 					sh.driverLock.Acquire(p)
-					p.Sleep(cost + pm.Stall)
+					p.Sleep(cost)
 					sh.driverLock.Release()
 					return rt.newModule(path, pm.Object, p.Now(), false), true, nil
 				}

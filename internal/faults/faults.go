@@ -37,10 +37,6 @@
 //	flood_ms=<ms>           flood start time
 //	flood_gap_ms=<ms>       flood inter-arrival gap (0 = simultaneous)
 //
-// Every spec drives one instance on one GPU, so the cache-image, device-loss,
-// degradation and link-flap fields of a Plan have no keys: the experiments
-// that exercise them (cacheimage, placement, failover) set them in code.
-//
 // Paper anchor: beyond-paper fault injection at the §III-A pipeline's storage/driver/find seams (DESIGN.md §9, §17).
 package faults
 
@@ -103,60 +99,6 @@ type Plan struct {
 	FloodN   int
 	FloodAt  time.Duration
 	FloodGap time.Duration
-
-	// Cache-image distribution faults (DESIGN.md §14). These fire on the
-	// fleet seeder's image pulls, not on store reads: the wire is damaged,
-	// the node's "disk" copy of everything else stays pristine.
-	//
-	// ImgCorruptRate is the per-pull probability that the transferred image
-	// bytes land flipped — caught at attach, where the content address no
-	// longer matches the advertised ID, and the image is quarantined.
-	ImgCorruptRate float64
-	// ImgTruncateRate is the per-pull-attempt probability that the transfer
-	// dies partway: nothing lands, and the puller retries with backoff.
-	ImgTruncateRate float64
-	// NodeKillRate is the per-node probability that the node dies mid-pull
-	// and never finishes seeding — it serves cold.
-	NodeKillRate float64
-
-	// Device failure domains (DESIGN.md §17). These target whole GPUs on a
-	// multi-GPU host rather than individual loads, and are consumed by the
-	// serving layer's health monitor and the backend's device-lost state.
-
-	// GPUKillAt, when positive, kills host GPU GPUKillIdx at that virtual
-	// time: the device drops off the bus and every subsequent driver call
-	// fails with the flavor's device-lost error. Terminal — no reset revives.
-	GPUKillAt  time.Duration
-	GPUKillIdx int
-	// GPUKillRate is the per-GPU seeded probability of an unscheduled device
-	// loss; a condemned GPU dies at a seeded instant inside
-	// [GPUKillFrom, GPUKillUntil) (default window: 50ms from GPUKillFrom).
-	GPUKillRate  float64
-	GPUKillFrom  time.Duration
-	GPUKillUntil time.Duration
-
-	// DegradeFactor (>= 1) multiplies modeled load latency on DegradeGPU
-	// while the degradation window [DegradeFrom, DegradeUntil) is open —
-	// the ECC-scrubbing / thermal-throttle brownout of a single device.
-	// DegradeUntil of zero means "until forever".
-	DegradeFactor float64
-	// DegradeTransient is the elevated per-read transient error rate the
-	// degraded GPU's loads face inside the window (capped by the same
-	// consecutive-failure burst limit as TransientRate, so retry can win).
-	DegradeTransient float64
-	DegradeFrom      time.Duration
-	DegradeUntil     time.Duration
-	DegradeGPU       int
-
-	// Link flap: every host link touching LinkFlapGPU misbehaves while
-	// [LinkFlapFrom, LinkFlapUntil) is open. With LinkFlapStall zero the
-	// peer transfer fails outright (the fetcher falls back to a local demand
-	// load); with it positive the transfer stalls that long but completes.
-	// LinkFlapUntil of zero means "until forever".
-	LinkFlapFrom  time.Duration
-	LinkFlapUntil time.Duration
-	LinkFlapGPU   int
-	LinkFlapStall time.Duration
 }
 
 func (p Plan) burst() int {
@@ -180,32 +122,21 @@ type Stats struct {
 	LatencySpikes   int // loads slowed by SpikeExtra
 	SlowLoads       int // loads slowed inside the slow-loader window
 	Resets          int // device resets fired
-	PullCorrupts    int // image pulls landed with flipped bytes
-	PullTruncates   int // image pull attempts that died partway
-	NodeKills       int // nodes killed mid-pull
-	GPULosses       int // GPUs lost to scheduled or seeded device death
-	DegradedLoads   int // loads stretched by the degradation multiplier
-	DegradedFaults  int // reads failed by the degradation transient rate
-	LinkFaults      int // peer transfers failed or stalled by a link flap
 }
 
 // Injector implements the fault plan. It satisfies backend.FaultInjector
-// (store reads and load latency; the device-scoped effects need a GPUView).
-// A nil Injector is safe to call and injects nothing.
+// through store reads and load latency; it injects no load errors and
+// scales no load times. A nil Injector is safe to call and injects nothing.
 type Injector struct {
 	plan Plan
 
-	mu       sync.Mutex
-	exempt   map[string]bool
-	readN    map[string]int  // store accesses per path
-	burstN   map[string]int  // consecutive transient failures per path
-	loadN    map[string]int  // latency-spike rolls per path
-	killed   map[string]bool // nodes already counted dead (kill fires once)
-	degN     map[string]int  // degraded-read rolls per (gpu, path)
-	degBurst map[string]int  // consecutive degradation failures per (gpu, path)
-	armed    bool
-	armedGPU map[int]bool // GPU-death watchers already spawned, per GPU
-	stats    Stats
+	mu     sync.Mutex
+	exempt map[string]bool
+	readN  map[string]int // store accesses per path
+	burstN map[string]int // consecutive transient failures per path
+	loadN  map[string]int // latency-spike rolls per path
+	armed  bool
+	stats  Stats
 }
 
 // New builds an injector for the plan. Rates are clamped to [0,1].
@@ -222,21 +153,12 @@ func New(plan Plan) *Injector {
 	clamp(&plan.PermanentRate)
 	clamp(&plan.SpikeRate)
 	clamp(&plan.DisableRate)
-	clamp(&plan.ImgCorruptRate)
-	clamp(&plan.ImgTruncateRate)
-	clamp(&plan.NodeKillRate)
-	clamp(&plan.GPUKillRate)
-	clamp(&plan.DegradeTransient)
 	return &Injector{
-		plan:     plan,
-		exempt:   make(map[string]bool),
-		readN:    make(map[string]int),
-		burstN:   make(map[string]int),
-		loadN:    make(map[string]int),
-		killed:   make(map[string]bool),
-		degN:     make(map[string]int),
-		degBurst: make(map[string]int),
-		armedGPU: make(map[int]bool),
+		plan:   plan,
+		exempt: make(map[string]bool),
+		readN:  make(map[string]int),
+		burstN: make(map[string]int),
+		loadN:  make(map[string]int),
 	}
 }
 
@@ -256,10 +178,17 @@ func (inj *Injector) Exempt(paths ...string) {
 	}
 }
 
-// roll maps (seed, kind, key, n) to a uniform float64 in [0,1).
 func (inj *Injector) roll(kind, key string, n int) float64 {
+	return Roll(inj.plan.Seed, kind, key, n)
+}
+
+// Roll maps (seed, kind, key, n) to a uniform float64 in [0,1). Every
+// seeded fault decision is one Roll, so a fixed seed replays the same
+// faults in any run order; the serving rigs' whole-GPU and image-pull
+// faults roll through it too.
+func Roll(seed int64, kind, key string, n int) float64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s|%d", inj.plan.Seed, kind, key, n)
+	fmt.Fprintf(h, "%d|%s|%s|%d", seed, kind, key, n)
 	// FNV barely avalanches its final bytes: without extra mixing, two
 	// inputs differing only in the trailing counter produce nearly equal
 	// rolls, so "per-access" rates degenerate to per-path ones. Finalize
@@ -349,11 +278,11 @@ func (inj *Injector) ExtraLoadLatency(now time.Duration, path string) time.Durat
 }
 
 // ExtraLoadError implements backend.FaultInjector. Injected load errors are
-// device degradation, scoped to one GPU: only a GPUView returns them.
+// whole-GPU degradation, which no plan spec expresses: it never fails a load.
 func (inj *Injector) ExtraLoadError(time.Duration, string) error { return nil }
 
 // LoadLatencyScale implements backend.FaultInjector. Like ExtraLoadError it
-// is device-scoped: only a GPUView scales load time.
+// belongs to whole-GPU degradation: it never scales a load.
 func (inj *Injector) LoadLatencyScale(time.Duration) float64 { return 1 }
 
 // DisabledIDs returns the seeded subset of solution IDs the find path must
@@ -370,66 +299,6 @@ func (inj *Injector) DisabledIDs(ids []string) []string {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// PullOutcome is the fate of one cache-image pull attempt.
-type PullOutcome int
-
-const (
-	// PullOK: the transfer completes and the bytes land intact.
-	PullOK PullOutcome = iota
-	// PullCorrupt: the transfer completes but the landed bytes are damaged.
-	// The attach-side content address catches it.
-	PullCorrupt
-	// PullTruncated: the transfer dies partway; nothing lands and the
-	// puller retries with backoff.
-	PullTruncated
-	// PullKilled: the node dies mid-pull and never seeds — it serves cold.
-	PullKilled
-)
-
-// String names the outcome for traces and test failures.
-func (o PullOutcome) String() string {
-	switch o {
-	case PullOK:
-		return "ok"
-	case PullCorrupt:
-		return "corrupt"
-	case PullTruncated:
-		return "truncated"
-	case PullKilled:
-		return "killed"
-	}
-	return fmt.Sprintf("PullOutcome(%d)", int(o))
-}
-
-// PullFault rolls the image-distribution fate of one pull attempt by node.
-// Node death is rolled once per node (attempt-independent) and wins over
-// the transfer faults; truncation is rolled per attempt, so a retried pull
-// faces fresh odds and bounded retry can win; corruption is rolled per
-// attempt after truncation. Deterministic in (seed, node, attempt).
-func (inj *Injector) PullFault(node string, attempt int) PullOutcome {
-	if inj == nil {
-		return PullOK
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	if inj.plan.NodeKillRate > 0 && inj.roll("img-kill", node, 0) < inj.plan.NodeKillRate {
-		if !inj.killed[node] {
-			inj.killed[node] = true
-			inj.stats.NodeKills++
-		}
-		return PullKilled
-	}
-	if inj.plan.ImgTruncateRate > 0 && inj.roll("img-trunc", node, attempt) < inj.plan.ImgTruncateRate {
-		inj.stats.PullTruncates++
-		return PullTruncated
-	}
-	if inj.plan.ImgCorruptRate > 0 && inj.roll("img-corrupt", node, attempt) < inj.plan.ImgCorruptRate {
-		inj.stats.PullCorrupts++
-		return PullCorrupt
-	}
-	return PullOK
 }
 
 // ArmReset spawns a watcher that fires the plan's device reset (calling

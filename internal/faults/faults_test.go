@@ -2,7 +2,6 @@ package faults
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -303,71 +302,25 @@ func TestParsePlanOverloadKeys(t *testing.T) {
 	}
 }
 
-func TestPullFaultDeterministicAndTyped(t *testing.T) {
-	var nilInj *Injector
-	if got := nilInj.PullFault("node-0", 0); got != PullOK {
-		t.Fatalf("nil injector pull = %v, want ok", got)
-	}
-
-	plan := Plan{Seed: 11, ImgCorruptRate: 0.3, ImgTruncateRate: 0.3, NodeKillRate: 0.2}
-	a, b := New(plan), New(plan)
-	for node := 0; node < 10; node++ {
-		for attempt := 0; attempt < 3; attempt++ {
-			key := fmt.Sprintf("node-%d", node)
-			if got, want := a.PullFault(key, attempt), b.PullFault(key, attempt); got != want {
-				t.Fatalf("pull %s/%d not deterministic: %v vs %v", key, attempt, got, want)
-			}
+// TestRollPinned pins Roll's output: every seeded fault decision, the
+// serving rigs' whole-GPU and image-pull faults included, is one Roll, so a
+// changed value would move every fault envelope.
+func TestRollPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed      int64
+		kind, key string
+		n         int
+		want      float64
+	}{
+		{0, "io", "a.pko", 0, 0.9136811759714376},
+		{7, "perm", "obj.pko", 0, 0.12831183175647287},
+		{13, "img-kill", "node-0-of-3", 0, 0.5833922850566019},
+		{13, "img-trunc", "node-2-of-8", 1, 0.7407720991458748},
+		{11, "degrade", "gpu0|m.pko", 3, 0.6014788701065185},
+		{-5, "spike", "x", 42, 0.1125954301011094},
+	} {
+		if got := Roll(c.seed, c.kind, c.key, c.n); got != c.want {
+			t.Errorf("Roll(%d, %q, %q, %d) = %v, want %v", c.seed, c.kind, c.key, c.n, got, c.want)
 		}
-	}
-}
-
-func TestPullFaultKillWinsAndCountsOnce(t *testing.T) {
-	inj := New(Plan{Seed: 3, NodeKillRate: 1, ImgTruncateRate: 1})
-	for attempt := 0; attempt < 3; attempt++ {
-		if got := inj.PullFault("node-7", attempt); got != PullKilled {
-			t.Fatalf("attempt %d: got %v, want killed", attempt, got)
-		}
-	}
-	st := inj.Stats()
-	if st.NodeKills != 1 {
-		t.Fatalf("node killed %d times in stats, want 1", st.NodeKills)
-	}
-	if st.PullTruncates != 0 {
-		t.Fatalf("truncates counted on a killed node: %+v", st)
-	}
-}
-
-func TestPullFaultTruncateRetriesFreshOdds(t *testing.T) {
-	// At a 50% truncate rate some attempt must eventually succeed — the
-	// roll is per (node, attempt), so retries face fresh odds.
-	inj := New(Plan{Seed: 5, ImgTruncateRate: 0.5})
-	recovered := false
-	for node := 0; node < 32 && !recovered; node++ {
-		key := fmt.Sprintf("node-%d", node)
-		if inj.PullFault(key, 0) != PullTruncated {
-			continue
-		}
-		for attempt := 1; attempt < 8; attempt++ {
-			if inj.PullFault(key, attempt) == PullOK {
-				recovered = true
-				break
-			}
-		}
-	}
-	if !recovered {
-		t.Fatal("no truncated pull ever recovered on retry across 32 nodes x 8 attempts")
-	}
-	if inj.Stats().PullTruncates == 0 {
-		t.Fatal("no truncations counted")
-	}
-}
-
-func TestPullFaultCorruptCounted(t *testing.T) {
-	inj := New(Plan{Seed: 1, ImgCorruptRate: 1})
-	if got := inj.PullFault("node-0", 0); got != PullCorrupt {
-		t.Fatalf("got %v, want corrupt", got)
-	}
-	if inj.Stats().PullCorrupts != 1 {
-		t.Fatalf("stats: %+v", inj.Stats())
 	}
 }

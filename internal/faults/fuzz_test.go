@@ -17,8 +17,8 @@ var planKeys = []string{
 // TestPlanKeysAreOwned keeps planKeys in step with the parser: an owned key
 // rejects a value that is not a number with an error naming the value,
 // where a key the plan does not own is rejected by name. The unowned keys
-// include the scenario key model and the host-level keys whose Plan fields
-// only code sets (cache image, device loss, degradation, link flap).
+// include the scenario key model and keys for the whole-GPU and image-pull
+// faults, which the serving rigs own in code.
 func TestPlanKeysAreOwned(t *testing.T) {
 	for _, k := range planKeys {
 		if _, err := ParsePlan(k + "=x"); err == nil || strings.Contains(err.Error(), "unknown key") {
@@ -34,6 +34,37 @@ func TestPlanKeysAreOwned(t *testing.T) {
 	} {
 		if _, err := ParsePlan(k + "=x"); err == nil || !strings.Contains(err.Error(), `unknown key "`+k+`"`) {
 			t.Errorf("unowned key %s=x: err %v, want an unknown-key error", k, err)
+		}
+	}
+}
+
+// TestEveryPlanFieldHasAKey keeps Plan and the spec grammar in step: each
+// key, parsed with a nonzero value, sets exactly one Plan field, and each
+// field is set by exactly one key.
+func TestEveryPlanFieldHasAKey(t *testing.T) {
+	setBy := make(map[string][]string)
+	for _, k := range planKeys {
+		p, err := ParsePlan(k + "=1")
+		if err != nil {
+			t.Fatalf("ParsePlan(%s=1): %v", k, err)
+		}
+		v := reflect.ValueOf(p)
+		var changed []string
+		for i := range v.NumField() {
+			if !v.Field(i).IsZero() {
+				name := v.Type().Field(i).Name
+				changed = append(changed, name)
+				setBy[name] = append(setBy[name], k)
+			}
+		}
+		if len(changed) != 1 {
+			t.Errorf("key %s sets fields %v, want exactly one", k, changed)
+		}
+	}
+	typ := reflect.TypeOf(Plan{})
+	for i := range typ.NumField() {
+		if name := typ.Field(i).Name; len(setBy[name]) != 1 {
+			t.Errorf("Plan.%s is set by keys %v, want exactly one", name, setBy[name])
 		}
 	}
 }

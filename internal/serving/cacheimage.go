@@ -103,13 +103,48 @@ type CacheImageBench struct {
 	Devices    []CacheImageDeviceResult `json:"devices"`
 }
 
+// pullFaults are the image-distribution faults of one cell, each rate a
+// probability in [0,1]: corrupt per pull attempt, truncate per attempt and
+// kill per node. The zero value injects nothing.
+type pullFaults struct {
+	seed                    int64
+	corrupt, truncate, kill float64
+}
+
+// pullOutcome is the fate of one cache-image pull attempt.
+type pullOutcome int
+
+const (
+	pullOK        pullOutcome = iota // the bytes land intact
+	pullCorrupt                      // the bytes land damaged; attach catches it
+	pullTruncated                    // nothing lands; the puller retries
+	pullKilled                       // the node dies and serves cold
+)
+
+// outcome rolls the fate of one pull attempt by node. Node death is rolled
+// once per node (attempt-independent) and wins over the transfer faults;
+// truncation is rolled per attempt, so a retried pull faces fresh odds and
+// bounded retry can win; corruption is rolled per attempt after truncation.
+// Deterministic in (seed, node, attempt).
+func (f pullFaults) outcome(node string, attempt int) pullOutcome {
+	switch {
+	case f.kill > 0 && faults.Roll(f.seed, "img-kill", node, 0) < f.kill:
+		return pullKilled
+	case f.truncate > 0 && faults.Roll(f.seed, "img-trunc", node, attempt) < f.truncate:
+		return pullTruncated
+	case f.corrupt > 0 && faults.Roll(f.seed, "img-corrupt", node, attempt) < f.corrupt:
+		return pullCorrupt
+	}
+	return pullOK
+}
+
 // cacheImageFleet is the per-cell distribution state shared by node procs.
 type cacheImageFleet struct {
 	ms      *experiments.ModelSetup
 	img     *cacheimg.Image
 	raw     []byte
 	id      string
-	inj     *faults.Injector
+	faults  pullFaults
 	baseDir string
 	// rec is the run's recorder on the first device only (the overload
 	// experiment's convention): one device's chaos arm lands on the
@@ -133,7 +168,7 @@ type nodeResult struct {
 var errPullFailed = errors.New("serving: cache image pull failed")
 
 // pull distributes the image to one node over the transfer model,
-// consulting the fault injector per attempt: truncated transfers retry
+// rolling its pull faults per attempt: truncated transfers retry
 // with the fleet's capped-jitter backoff (waited out after the last
 // attempt too), a killed node abandons distribution entirely, and a
 // corrupt transfer lands damaged bytes under the advertised ID (atomically
@@ -144,13 +179,13 @@ func (f *cacheImageFleet) pull(p *sim.Proc, node string, res *nodeResult) bool {
 	err := b.retry(p, cacheImagePullAttempts, &res.retries, func(attempt int) (bool, error) {
 		p.Sleep(pullDuration(int64(len(f.raw))))
 		data := f.raw
-		switch f.inj.PullFault(node, attempt) {
-		case faults.PullKilled:
+		switch f.faults.outcome(node, attempt) {
+		case pullKilled:
 			res.killed = true
 			return false, errPullFailed
-		case faults.PullTruncated:
+		case pullTruncated:
 			return true, errPullFailed
-		case faults.PullCorrupt:
+		case pullCorrupt:
 			res.corrupt = true
 			data = make([]byte, len(f.raw))
 			copy(data, f.raw)
@@ -379,7 +414,6 @@ func CacheImage(o experiments.Options) (*experiments.Result, error) {
 		}
 
 		// Sweep cells run distribution fault-free: coverage is the variable.
-		fleet.inj = faults.New(faults.Plan{Seed: cacheImageSeed})
 		for _, nodes := range nodeSizes {
 			for _, cov := range coverages {
 				cell, err := fleet.runCell(nodes, cov, false)
@@ -392,12 +426,8 @@ func CacheImage(o experiments.Options) (*experiments.Result, error) {
 		}
 
 		// Chaos arm: largest fleet, full coverage, the full fault menu.
-		fleet.inj = faults.New(faults.Plan{
-			Seed:            cacheImageSeed,
-			ImgCorruptRate:  cacheImageChaosCorrupt,
-			ImgTruncateRate: cacheImageChaosTruncate,
-			NodeKillRate:    cacheImageChaosKill,
-		})
+		fleet.faults = pullFaults{seed: cacheImageSeed, corrupt: cacheImageChaosCorrupt,
+			truncate: cacheImageChaosTruncate, kill: cacheImageChaosKill}
 		chaosNodes := nodeSizes[len(nodeSizes)-1]
 		chaos, err := fleet.runCell(chaosNodes, 1, true)
 		if err != nil {

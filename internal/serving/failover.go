@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"pask/internal/backend"
 	"pask/internal/cacheimg"
+	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/experiments"
 	"pask/internal/faults"
@@ -117,35 +119,135 @@ const (
 	armDegraded     = "ecc-degraded"
 )
 
-// failoverScenario describes one arm's fault plan and salvage levers.
+// failoverScenario describes one arm's faults and salvage levers.
 type failoverScenario struct {
 	name    string
 	peering bool // cross-GPU cache peering on the fleet
 	images  bool // cache-image attach + manifest replay on evacuation
-	plan    faults.Plan
-	flap    bool // install the injector as the host's link-fault source
+	faults  *gpuFaults
 }
 
+// failoverScenarios returns the four arms with fresh fault state.
 func failoverScenarios() []failoverScenario {
-	kill := faults.Plan{GPUKillAt: failoverKillAt, GPUKillIdx: failoverVictim}
-	flap := kill
-	flap.LinkFlapFrom = failoverKillAt
-	flap.LinkFlapUntil = failoverKillAt + failoverFlapFor
-	flap.LinkFlapGPU = failoverSpare
+	kill := func() *gpuFaults { return &gpuFaults{killAt: failoverKillAt, killGPU: failoverVictim} }
+	flap := kill()
+	flap.flapGPU, flap.flapFrom, flap.flapUntil = failoverSpare, failoverKillAt, failoverKillAt+failoverFlapFor
 	// The degradation window covers the victim's tenant bring-up loads:
 	// with nothing resident anywhere yet those are local (peering has
 	// nothing to offer), so the injected ECC faults land on the registry
 	// counters the monitor scrapes. Rejoin does not wait for the window —
 	// once the tenants evacuate, the idle GPU polls clean and serves out
 	// its probation.
-	degrade := faults.Plan{Seed: 11, DegradeGPU: failoverVictim,
-		DegradeFactor: 3, DegradeTransient: 0.9, DegradeUntil: failoverDegrade}
+	degrade := &gpuFaults{seed: 11, degradeGPU: failoverVictim, factor: 3, transient: 0.9, degradeUntil: failoverDegrade}
 	return []failoverScenario{
-		{name: armColdRespawn, plan: kill},
-		{name: armWarmFailover, peering: true, images: true, plan: kill},
-		{name: armLinkFlap, peering: true, images: true, flap: true, plan: flap},
-		{name: armDegraded, peering: true, images: true, plan: degrade},
+		{name: armColdRespawn, faults: kill()},
+		{name: armWarmFailover, peering: true, images: true, faults: kill()},
+		{name: armLinkFlap, peering: true, images: true, faults: flap},
+		{name: armDegraded, peering: true, images: true, faults: degrade},
 	}
+}
+
+// gpuFaults are the whole-GPU faults of one failover arm: a scheduled
+// device death, ECC-style degradation of one GPU over [0, degradeUntil),
+// and a link flap failing every peer transfer that touches flapGPU over
+// [flapFrom, flapUntil). The zero value injects nothing. Degradation rolls
+// go through faults.Roll, so an arm replays identically in any run order.
+type gpuFaults struct {
+	seed int64
+
+	killAt  time.Duration // when killGPU falls off the bus; 0 never
+	killGPU int
+
+	degradeGPU   int
+	factor       float64 // load-latency multiplier (> 1 to apply)
+	transient    float64 // per-load error rate
+	degradeUntil time.Duration
+	burst        int // cap on consecutive degradation errors per path; 0 means 2
+
+	flapGPU             int
+	flapFrom, flapUntil time.Duration
+
+	mu     sync.Mutex
+	armed  bool           // the kill watcher is spawned
+	degN   map[string]int // degraded-load rolls per (gpu, path)
+	degRun map[string]int // consecutive degradation errors per (gpu, path)
+}
+
+// view returns GPU i's fault seam: degradation only, since store reads
+// and load latency are per-process faults that no failover arm injects.
+func (g *gpuFaults) view(i int) backend.FaultInjector { return gpuView{g, i} }
+
+// armDeath spawns a watcher that calls kill (typically
+// Registry.MarkDeviceLost) when GPU i's scheduled death comes. It arms
+// at most once however often it is called.
+func (g *gpuFaults) armDeath(env *sim.Env, i int, kill func()) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.killAt <= 0 || i != g.killGPU || g.armed {
+		return
+	}
+	g.armed = true
+	env.Spawn(fmt.Sprintf("fault-gpu-death-%d", i), func(p *sim.Proc) {
+		p.SleepUntil(g.killAt)
+		kill()
+	})
+}
+
+// linkDown reports whether a peer transfer between GPUs i and j starting
+// at now fails on a flapping link.
+func (g *gpuFaults) linkDown(now time.Duration, i, j int) bool {
+	return (i == g.flapGPU || j == g.flapGPU) && now >= g.flapFrom && now < g.flapUntil
+}
+
+// gpuView is one GPU's backend.FaultInjector over its arm's gpuFaults.
+type gpuView struct {
+	g   *gpuFaults
+	idx int
+}
+
+func (gpuView) StoreGet(_ string, data []byte) ([]byte, error)       { return data, nil }
+func (gpuView) ExtraLoadLatency(time.Duration, string) time.Duration { return 0 }
+
+// LoadLatencyScale stretches loads on the degraded GPU inside its window.
+func (v gpuView) LoadLatencyScale(now time.Duration) float64 {
+	g := v.g
+	if v.idx != g.degradeGPU || g.factor <= 1 || now >= g.degradeUntil {
+		return 1
+	}
+	return g.factor
+}
+
+// ExtraLoadError fails loads on the degraded GPU inside its window at the
+// transient rate. Consecutive failures per path are burst-capped so
+// bounded retry wins.
+func (v gpuView) ExtraLoadError(now time.Duration, path string) error {
+	g := v.g
+	if v.idx != g.degradeGPU || g.transient <= 0 || now >= g.degradeUntil {
+		return nil
+	}
+	burst := g.burst
+	if burst <= 0 {
+		burst = 2
+	}
+	key := fmt.Sprintf("gpu%d|%s", v.idx, path)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.degN == nil {
+		g.degN, g.degRun = make(map[string]int), make(map[string]int)
+	}
+	n := g.degN[key]
+	g.degN[key] = n + 1
+	if g.degRun[key] >= burst {
+		g.degRun[key] = 0
+		return nil
+	}
+	if faults.Roll(g.seed, "degrade", key, n) < g.transient {
+		g.degRun[key]++
+		return fmt.Errorf("faults: injected ECC degradation reading %q on gpu%d (access %d): %w",
+			path, v.idx, n, codeobj.ErrIO)
+	}
+	g.degRun[key] = 0
+	return nil
 }
 
 // Fleet roles: the victim dies in the death arms and degrades (then
@@ -329,15 +431,11 @@ func runFailoverArm(f *gpuFleet, requests int, images *cacheimg.Store, sc failov
 	}, failoverSlots(f.models), sc.peering, rec)
 	env := rig.Env
 
-	inj := faults.New(sc.plan)
 	for i := range rig.Nodes {
-		i := i
-		rig.Nodes[i].Root().SetFaults(inj.GPUView(i))
-		inj.ArmGPUDeath(env, i, func() { rig.Nodes[i].Root().MarkDeviceLost() })
+		rig.Nodes[i].Root().SetFaults(sc.faults.view(i))
+		sc.faults.armDeath(env, i, rig.Nodes[i].Root().MarkDeviceLost)
 	}
-	if sc.flap {
-		rig.links = inj
-	}
+	rig.links = sc.faults
 	var tenants []*failoverTenant
 	hm := NewHealthMonitor(rig.MultiGPUHost, rec)
 	hm.OnEvacuate = func(gpu int, state GPUHealthState) {

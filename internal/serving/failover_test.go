@@ -1,13 +1,15 @@
 package serving
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/experiments"
-	"pask/internal/faults"
 	"pask/internal/sim"
 )
 
@@ -79,8 +81,8 @@ func TestFailoverRetrySchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := failoverScenario{name: "transient", plan: faults.Plan{Seed: 3, DegradeGPU: failoverVictim,
-		DegradeTransient: 0.7, MaxTransientBurst: 8, DegradeUntil: 250 * time.Millisecond}}
+	sc := failoverScenario{name: "transient", faults: &gpuFaults{seed: 3, degradeGPU: failoverVictim,
+		transient: 0.7, burst: 8, degradeUntil: 250 * time.Millisecond}}
 	arm, err := runFailoverArm(f, failoverRequests(true), nil, sc, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -260,5 +262,104 @@ func TestStatsEvacuatedLeg(t *testing.T) {
 	var empty Stats
 	if empty.MeanEvac() != 0 {
 		t.Fatalf("MeanEvac on empty stats = %v", empty.MeanEvac())
+	}
+}
+
+// TestFailoverGPUDeathArmsOnce pins the scheduled kill: it fires once, at
+// its time, on its GPU, however often the arm is re-armed.
+func TestFailoverGPUDeathArmsOnce(t *testing.T) {
+	env := sim.NewEnv()
+	g := &gpuFaults{killAt: 5 * time.Millisecond, killGPU: 1}
+	kills := 0
+	for range 2 {
+		for i := range 3 {
+			g.armDeath(env, i, func() {
+				if i != 1 {
+					t.Errorf("kill fired on gpu%d, want gpu1", i)
+				}
+				if env.Now() != 5*time.Millisecond {
+					t.Errorf("kill fired at %v, want 5ms", env.Now())
+				}
+				kills++
+			})
+		}
+	}
+	(&gpuFaults{}).armDeath(env, 0, func() { t.Error("zero gpuFaults killed a GPU") })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if kills != 1 {
+		t.Fatalf("kill fired %d times, want 1", kills)
+	}
+}
+
+// TestFailoverDegradationScope pins the ECC degradation: it scales loads
+// and fails them only on its GPU and only before its window closes, with
+// typed errors whose consecutive run per path the burst cap breaks.
+func TestFailoverDegradationScope(t *testing.T) {
+	const until = 30 * time.Millisecond
+	g := &gpuFaults{seed: 3, degradeGPU: 1, factor: 4, transient: 1, degradeUntil: until}
+	sick, healthy := g.view(1), g.view(0)
+	for _, c := range []struct {
+		v    backend.FaultInjector
+		now  time.Duration
+		want float64
+	}{{sick, 0, 4}, {sick, until - 1, 4}, {sick, until, 1}, {healthy, 0, 1}} {
+		if got := c.v.LoadLatencyScale(c.now); got != c.want {
+			t.Errorf("scale at %v = %v, want %v", c.now, got, c.want)
+		}
+	}
+	if err := healthy.ExtraLoadError(0, "m.pko"); err != nil {
+		t.Fatalf("healthy GPU saw degradation error %v", err)
+	}
+	if err := sick.ExtraLoadError(until, "m.pko"); err != nil {
+		t.Fatalf("degradation error after the window: %v", err)
+	}
+	data := []byte{1}
+	if got, err := sick.StoreGet("m.pko", data); err != nil || &got[0] != &data[0] || sick.ExtraLoadLatency(0, "m.pko") != 0 {
+		t.Fatal("a degraded GPU's store reads and load latency must pass through")
+	}
+
+	// Default burst cap 2: at rate 1 every third consecutive load passes.
+	for i, want := range []bool{true, true, false, true} {
+		err := sick.ExtraLoadError(10*time.Millisecond, "m.pko")
+		if (err != nil) != want {
+			t.Fatalf("load %d: err %v, want failure %v", i, err, want)
+		}
+		if err != nil && (!errors.Is(err, codeobj.ErrIO) || !strings.Contains(err.Error(), "gpu1")) {
+			t.Fatalf("degradation error %q is not a typed I/O error naming gpu1", err)
+		}
+	}
+	capped := &gpuFaults{degradeGPU: 0, transient: 1, degradeUntil: until, burst: 3}
+	fails := 0
+	for capped.view(0).ExtraLoadError(0, "m.pko") != nil {
+		fails++
+	}
+	if fails != 3 {
+		t.Fatalf("burst 3 allowed %d consecutive failures", fails)
+	}
+}
+
+// TestFailoverLinkFlapScope pins the link flap: only links that touch its
+// GPU fail, and only inside [from, until).
+func TestFailoverLinkFlapScope(t *testing.T) {
+	g := &gpuFaults{flapGPU: 1, flapFrom: 20 * time.Millisecond, flapUntil: 40 * time.Millisecond}
+	for _, c := range []struct {
+		now  time.Duration
+		i, j int
+		want bool
+	}{
+		{20 * time.Millisecond, 1, 3, true},
+		{39 * time.Millisecond, 0, 1, true},
+		{10 * time.Millisecond, 0, 1, false},
+		{40 * time.Millisecond, 0, 1, false},
+		{30 * time.Millisecond, 0, 2, false},
+	} {
+		if got := g.linkDown(c.now, c.i, c.j); got != c.want {
+			t.Errorf("linkDown(%v, %d, %d) = %v, want %v", c.now, c.i, c.j, got, c.want)
+		}
+	}
+	if (&gpuFaults{}).linkDown(0, 0, 1) {
+		t.Fatal("zero gpuFaults flapped a link")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/experiments"
-	"pask/internal/faults"
 	"pask/internal/sim"
 	"pask/internal/trace"
 )
@@ -55,10 +54,10 @@ type MultiGPUHost struct {
 
 	// health, when set (NewHealthMonitor installs itself), gates placement
 	// and peering on per-GPU health: quarantined and dead devices take no
-	// new tenants and serve no peer copies. links, when set, rolls link
-	// faults into peer transfers.
+	// new tenants and serve no peer copies. links, when set, fails peer
+	// transfers over flapping links.
 	health *HealthMonitor
-	links  *faults.Injector
+	links  *gpuFaults
 }
 
 // NewMultiGPUHost builds a cold multi-GPU serving host over topo. Each GPU
@@ -173,9 +172,8 @@ type peerSource struct {
 
 // PeerLookup returns the cheapest same-ISA peer copy of path, if any.
 // Quarantined and dead peers serve nothing (their registries may be empty
-// or lying), and a link-faulted transfer is offered with its stall and —
-// when the link is down — the error that makes the registry fall back to a
-// local demand load.
+// or lying), and a transfer over a down link is offered with the error
+// that makes the registry fall back to a local demand load.
 func (ps *peerSource) PeerLookup(path string) (backend.PeerModule, bool) {
 	arch := ps.mh.Host.GPU(ps.idx).Profile.Arch
 	var best backend.PeerModule
@@ -192,13 +190,8 @@ func (ps *peerSource) PeerLookup(path string) (backend.PeerModule, bool) {
 		if !found || cost < best.Cost {
 			best = backend.PeerModule{Object: obj, From: fmt.Sprintf("gpu%d", j), Cost: cost}
 			found = true
-			if ps.mh.links != nil {
-				if stall, down := ps.mh.links.LinkFault(ps.mh.Env.Now(), j, ps.idx); down || stall > 0 {
-					best.Stall = stall
-					if down {
-						best.Err = fmt.Errorf("serving: link gpu%d<->gpu%d down", j, ps.idx)
-					}
-				}
+			if ps.mh.links != nil && ps.mh.links.linkDown(ps.mh.Env.Now(), j, ps.idx) {
+				best.Err = fmt.Errorf("serving: link gpu%d<->gpu%d down", j, ps.idx)
 			}
 		}
 	}
