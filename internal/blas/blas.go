@@ -73,26 +73,29 @@ func (k *Kernel) Applicable(dev device.Profile, p *Problem) bool {
 }
 
 // Instance is a kernel at a concrete binding — the loadable unit.
+// Find's ranking builds instances with newInstance, which derives the
+// store path and kernel symbol once, so a warm launch formats nothing.
 type Instance struct {
 	Kern    *Kernel
 	Binding string
+
+	path, symbol string
+}
+
+// newInstance returns k's instance at binding.
+func newInstance(k *Kernel, binding string) Instance {
+	name := k.ID
+	if binding != "" {
+		name += "_" + binding
+	}
+	return Instance{Kern: k, Binding: binding, path: "blas_" + name + ".pko", symbol: name + "_main"}
 }
 
 // Path returns the code-object store path.
-func (i Instance) Path() string {
-	if i.Binding == "" {
-		return "blas_" + i.Kern.ID + ".pko"
-	}
-	return "blas_" + i.Kern.ID + "_" + i.Binding + ".pko"
-}
+func (i Instance) Path() string { return i.path }
 
 // Symbol returns the launchable kernel symbol.
-func (i Instance) Symbol() string {
-	if i.Binding == "" {
-		return i.Kern.ID + "_main"
-	}
-	return i.Kern.ID + "_" + i.Binding + "_main"
-}
+func (i Instance) Symbol() string { return i.symbol }
 
 // Applicable reports whether this instance serves p (family constraints plus
 // binding identity).
@@ -186,24 +189,25 @@ type Library struct {
 	RT *backend.Registry
 
 	kernels   []*Kernel
-	find      map[string][]Ranked
+	find      map[Problem][]Ranked
 	runs      int
 	fallbacks int
 }
 
 // NewLibrary binds the GEMM ladder to a process runtime.
 func NewLibrary(rt *backend.Registry) *Library {
-	return &Library{RT: rt, kernels: Kernels(), find: make(map[string][]Ranked)}
+	return &Library{RT: rt, kernels: Kernels(), find: make(map[Problem][]Ranked)}
 }
 
 // Find returns the applicable instances for p ranked fastest-first,
-// memoized per problem key.
+// memoized per problem value. The slice is the memo's own: callers must not
+// modify it, and may keep pointers into it.
 func (l *Library) Find(p *Problem) []Ranked {
-	if r, ok := l.find[p.Key()]; ok {
+	if r, ok := l.find[*p]; ok {
 		return r
 	}
 	out := rank(l.kernels, l.RT.GPU().Profile, p)
-	l.find[p.Key()] = out
+	l.find[*p] = out
 	return out
 }
 
@@ -220,8 +224,7 @@ func rank(kernels []*Kernel, dev device.Profile, p *Problem) []Ranked {
 		if eff < 0.01 {
 			eff = 0.01
 		}
-		inst := Instance{Kern: k, Binding: k.Binding(p)}
-		out = append(out, Ranked{Inst: inst, Est: dev.KernelTime(p.Workload(), eff)})
+		out = append(out, Ranked{Inst: newInstance(k, k.Binding(p)), Est: dev.KernelTime(p.Workload(), eff)})
 	}
 	slices.SortFunc(out, func(a, b Ranked) int {
 		if a.Est != b.Est {
@@ -276,12 +279,12 @@ func (l *Library) Run(proc *sim.Proc, stream *device.Stream, p *Problem) (*sim.S
 	if len(ranked) == 0 {
 		return nil, fmt.Errorf("blas: no kernel for %s", p.Key())
 	}
-	sig, err := l.RunInstance(proc, stream, p, ranked[0].Inst)
+	sig, err := l.launch(proc, stream, p, ranked[0].Inst)
 	if err == nil {
 		return sig, nil
 	}
 	for _, r := range ranked[1:] {
-		if sig, ferr := l.RunInstance(proc, stream, p, r.Inst); ferr == nil {
+		if sig, ferr := l.launch(proc, stream, p, r.Inst); ferr == nil {
 			l.fallbacks++
 			return sig, nil
 		}
@@ -303,6 +306,13 @@ func (l *Library) RunInstance(proc *sim.Proc, stream *device.Stream, p *Problem,
 	if !inst.Applicable(l.RT.GPU().Profile, p) {
 		return nil, fmt.Errorf("%w: %s to %s", ErrNotApplicable, inst.Path(), p.Key())
 	}
+	return l.launch(proc, stream, p, inst)
+}
+
+// launch lazily loads the shared archive and inst's code object and
+// launches inst on p. Find's ranking already proved inst applicable, so Run
+// skips RunInstance's check.
+func (l *Library) launch(proc *sim.Proc, stream *device.Stream, p *Problem, inst Instance) (*sim.Signal, error) {
 	if err := l.EnsureCore(proc); err != nil {
 		return nil, err
 	}

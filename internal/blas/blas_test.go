@@ -2,6 +2,7 @@ package blas
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 	"pask/internal/tensor"
 )
 
-func newTestLib(t *testing.T) (*sim.Env, *Library) {
+func newTestLib(t testing.TB) (*sim.Env, *Library) {
 	t.Helper()
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
@@ -22,7 +23,7 @@ func newTestLib(t *testing.T) (*sim.Env, *Library) {
 
 // materialize puts into lib's store every object that could serve p on
 // lib's device.
-func materialize(t *testing.T, lib *Library, p Problem) {
+func materialize(t testing.TB, lib *Library, p Problem) {
 	t.Helper()
 	objs := lib.RT.Store().Batch()
 	Materialize(objs, lib.RT.GPU().Profile, []Problem{p})
@@ -78,6 +79,38 @@ func TestFindRanking(t *testing.T) {
 	}
 }
 
+// TestFindMemoKeyedByProblemValue pins the find memo's key: equal problem
+// values share one entry whatever pointer they arrive through, a transpose
+// or element-type difference gets its own, and every entry is what a fresh
+// ranking gives.
+func TestFindMemoKeyedByProblemValue(t *testing.T) {
+	_, lib := newTestLib(t)
+	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32}
+	same := p
+	r1, r2 := lib.Find(&p), lib.Find(&same)
+	if len(lib.find) != 1 || &r1[0] != &r2[0] {
+		t.Fatalf("equal problems: %d memo entries, shared result %v; want 1, true", len(lib.find), &r1[0] == &r2[0])
+	}
+	transB, f16 := p, p
+	transB.TransB = true
+	f16.DType = tensor.F16
+	for _, q := range []*Problem{&p, &transB, &f16} {
+		if got, want := lib.Find(q), rank(lib.kernels, lib.RT.GPU().Profile, q); !reflect.DeepEqual(got, want) {
+			t.Errorf("Find(%s) = %+v, want a fresh ranking %+v", q.Key(), got, want)
+		}
+	}
+	if len(lib.find) != 3 {
+		t.Fatalf("memo entries = %d, want 3 (TransB and DType are part of the key)", len(lib.find))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { lib.Find(&same) }); allocs != 0 {
+		t.Errorf("memo hit allocates %v times, want 0", allocs)
+	}
+	inst := r1[0].Inst
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = inst.Path(), inst.Symbol() }); allocs != 0 {
+		t.Errorf("Path and Symbol allocate %v times, want 0", allocs)
+	}
+}
+
 func TestNoMatrixPipesOnNavi(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.RX6900XT())
@@ -94,7 +127,7 @@ func TestNoMatrixPipesOnNavi(t *testing.T) {
 func TestInstancePathsAndBindings(t *testing.T) {
 	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F16}
 	for _, k := range Kernels() {
-		inst := Instance{Kern: k, Binding: k.Binding(&p)}
+		inst := newInstance(k, k.Binding(&p))
 		if k.ID == "GemmNaive" && inst.Path() != "blas_GemmNaive.pko" {
 			t.Fatalf("naive path = %s", inst.Path())
 		}
@@ -104,7 +137,7 @@ func TestInstancePathsAndBindings(t *testing.T) {
 	}
 	// Binding identity gates instance applicability.
 	xd := Kernels()[2]
-	inst := Instance{Kern: xd, Binding: xd.Binding(&p)}
+	inst := newInstance(xd, xd.Binding(&p))
 	other := Problem{M: 32, N: 32, K: 32, Batch: 1, DType: tensor.F16}
 	if inst.Applicable(device.MI100(), &other) {
 		t.Fatal("different bucket must not reuse the instance")
@@ -179,7 +212,7 @@ func TestRunInstanceRejectsInapplicable(t *testing.T) {
 	env, lib := newTestLib(t)
 	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32}
 	materialize(t, lib, p)
-	wrong := Instance{Kern: Kernels()[2], Binding: "m32n32_f16"} // wrong binding
+	wrong := newInstance(Kernels()[2], "m32n32_f16") // wrong binding
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
 		if _, err := lib.RunInstance(proc, lib.RT.GPU().DefaultStream(), &p, wrong); !errors.Is(err, ErrNotApplicable) {

@@ -179,8 +179,7 @@ type issueItem struct {
 	instr    *graphx.Instruction
 	inst     miopen.Instance // primitive: instance to run (selected or substitute)
 	prob     *miopen.Problem // primitive problem, possibly rewritten (precision fallback)
-	blasInst blas.Instance   // gemm under BlasScope
-	hasBlas  bool
+	blasInst *blas.Instance  // gemm under BlasScope; nil when the runner's Run decides
 }
 
 // pipeline carries the shared state of one interleaved run.
@@ -199,7 +198,10 @@ type pipeline struct {
 	// transform was elided: the next primitive must run layout-agnostic.
 	forceAgnostic bool
 
-	blasList []blas.Instance
+	// blasList holds the BLAS instances this run has used, most recent
+	// first. Its entries point into the library's find memo, so an issue
+	// item carries a pointer where a value would widen every queued item.
+	blasList []*blas.Instance
 }
 
 func (pl *pipeline) fail(err error) {
@@ -333,10 +335,8 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 				flushPending(lp)
 				item := issueItem{instr: instr}
 				if pl.opts.BlasScope {
-					inst, ok := pl.decideGemm(lp, instr)
-					if ok {
+					if inst := pl.decideGemm(lp, instr); inst != nil {
 						item.blasInst = inst
-						item.hasBlas = true
 						pl.observeObject("blas", inst.Path())
 					}
 				}
@@ -402,9 +402,9 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 					prob = &item.instr.Problem
 				}
 				_, err = r.ExecPrimitiveAs(ip, item.instr.Name, prob, item.inst)
-			case item.hasBlas:
+			case item.blasInst != nil:
 				start := ip.Now()
-				_, err = r.Blas.RunInstance(ip, r.Stream, &item.instr.Gemm, item.blasInst)
+				_, err = r.Blas.RunInstance(ip, r.Stream, &item.instr.Gemm, *item.blasInst)
 				r.Tracer.AddNamed(metrics.CatLaunch, "issue:", item.instr.Name, ip.Name(), start, ip.Now())
 			default:
 				_, err = r.ExecInstr(ip, item.instr)
@@ -528,28 +528,28 @@ func (pl *pipeline) pressureSub(lp *sim.Proc, tryCategorical bool, layer string,
 }
 
 // decideGemm applies the same policy to BLAS kernels under the §VI
-// extension. Returns the instance to run and whether one was decided.
-func (pl *pipeline) decideGemm(lp *sim.Proc, instr *graphx.Instruction) (blas.Instance, bool) {
+// extension. Returns the instance to run, or nil when none was decided.
+func (pl *pipeline) decideGemm(lp *sim.Proc, instr *graphx.Instruction) *blas.Instance {
 	ranked := pl.r.Blas.Find(&instr.Gemm)
 	if len(ranked) == 0 {
-		return blas.Instance{}, false
+		return nil
 	}
-	chosen := ranked[0].Inst
+	chosen := &ranked[0].Inst
 	if err := pl.r.Blas.EnsureCore(lp); err != nil {
 		pl.fail(err)
-		return blas.Instance{}, false
+		return nil
 	}
 	if !pl.selective || !pl.parseDone {
 		if _, err := pl.r.RT.ModuleLoad(lp, chosen.Path()); err != nil {
 			pl.fail(err)
-			return blas.Instance{}, false
+			return nil
 		}
 		pl.insertBlas(chosen)
-		return chosen, true
+		return chosen
 	}
 	if pl.r.RT.Loaded(chosen.Path()) {
 		pl.insertBlas(chosen)
-		return chosen, true
+		return chosen
 	}
 	pl.res.BlasQueries++
 	start := lp.Now()
@@ -557,30 +557,30 @@ func (pl *pipeline) decideGemm(lp *sim.Proc, instr *graphx.Instruction) (blas.In
 		lp.Sleep(pl.r.RT.Host().ApplicabilityCheck)
 		if pl.blasList[i].Applicable(pl.r.RT.GPU().Profile, &instr.Gemm) {
 			inst := pl.blasList[i]
-			pl.blasList = append([]blas.Instance{inst}, append(pl.blasList[:i:i], pl.blasList[i+1:]...)...)
+			pl.blasList = promote(pl.blasList, i)
 			pl.res.BlasHits++
 			pl.res.BlasSkipped++
 			pl.r.Tracer.AddNamed(metrics.CatOverhead, "getsub-blas:", instr.Name, lp.Name(), start, lp.Now())
-			return inst, true
+			return inst
 		}
 	}
 	pl.r.Tracer.AddNamed(metrics.CatOverhead, "getsub-blas:", instr.Name, lp.Name(), start, lp.Now())
 	if _, err := pl.r.RT.ModuleLoad(lp, chosen.Path()); err != nil {
 		pl.fail(err)
-		return blas.Instance{}, false
+		return nil
 	}
 	pl.insertBlas(chosen)
-	return chosen, true
+	return chosen
 }
 
-func (pl *pipeline) insertBlas(inst blas.Instance) {
+func (pl *pipeline) insertBlas(inst *blas.Instance) {
 	for i := range pl.blasList {
 		if pl.blasList[i].Path() == inst.Path() {
-			pl.blasList = append([]blas.Instance{inst}, append(pl.blasList[:i:i], pl.blasList[i+1:]...)...)
+			pl.blasList = promote(pl.blasList, i)
 			return
 		}
 	}
-	pl.blasList = append([]blas.Instance{inst}, pl.blasList...)
+	pl.blasList = append([]*blas.Instance{inst}, pl.blasList...)
 }
 
 // RunSequentialReuse executes the PaSK-R ablation: no interleaving (parse

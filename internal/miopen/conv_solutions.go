@@ -2,6 +2,9 @@ package miopen
 
 import (
 	"fmt"
+	"maps"
+	"sync"
+	"sync/atomic"
 
 	"pask/internal/codeobj"
 	"pask/internal/kernels"
@@ -36,6 +39,41 @@ type family struct {
 	// the library binary (the "Bin" solvers and naive fallbacks): they are
 	// mapped when the library is opened, never loaded per model.
 	residentBindings []string
+
+	// paths is the copy-on-write binding → store path table behind
+	// Instance.Path: readers load it without a lock and hash only the
+	// binding; a new binding is added under pathMu by storing a copy.
+	paths  atomic.Pointer[map[string]string]
+	pathMu sync.Mutex
+}
+
+// path returns the store path of f's instance at binding, adding it to the
+// family's table on first use.
+func (f *family) path(binding string) string {
+	if p, ok := f.pathTable()[binding]; ok {
+		return p
+	}
+	f.pathMu.Lock()
+	defer f.pathMu.Unlock()
+	old := f.pathTable()
+	if p, ok := old[binding]; ok {
+		return p
+	}
+	next := make(map[string]string, len(old)+1)
+	maps.Copy(next, old)
+	p := instancePath(f.id, binding)
+	next[binding] = p
+	f.paths.Store(&next)
+	return p
+}
+
+// pathTable returns the family's current binding → path table (nil before
+// the first Path).
+func (f *family) pathTable() map[string]string {
+	if m := f.paths.Load(); m != nil {
+		return *m
+	}
+	return nil
 }
 
 func (f *family) ID() string           { return f.id }

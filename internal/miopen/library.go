@@ -132,9 +132,10 @@ func (l *Library) RunSolution(proc *sim.Proc, stream *device.Stream, inst Instan
 	if len(calls) == 0 {
 		return nil, fmt.Errorf("miopen: solution %s produced no kernels for %s", inst.Key(), p.Key())
 	}
+	path := inst.Path()
 	var last *sim.Signal
 	for _, c := range calls {
-		fn, err := l.RT.GetFunction(proc, inst.Path(), c.Symbol)
+		fn, err := l.RT.GetFunction(proc, path, c.Symbol)
 		if err != nil {
 			return nil, fmt.Errorf("miopen: RunSolution %s: %w", inst.Key(), err)
 		}

@@ -12,7 +12,7 @@ import (
 
 // newLibRuntime builds a library over a store materialized for the given
 // problems.
-func newLibRuntime(t *testing.T, problems []*Problem) (*sim.Env, *Library) {
+func newLibRuntime(t testing.TB, problems []*Problem) (*sim.Env, *Library) {
 	t.Helper()
 	reg := NewRegistry(testCtx())
 	store := codeobj.NewStore()

@@ -2,6 +2,7 @@ package miopen
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -209,6 +210,51 @@ func TestInstancePathIncludesBinding(t *testing.T) {
 	}
 	if got := Bind(naive, &p).Path(); got != "ConvDirectNaiveFwd.pko" {
 		t.Fatalf("generic path = %q", got)
+	}
+}
+
+// TestInstancePathConcurrent races Path on shared families: every goroutine
+// asks for the same mix of bindings, so some calls add a binding to a
+// family's table while others read it. Run it under -race.
+func TestInstancePathConcurrent(t *testing.T) {
+	reg := NewRegistry(testCtx())
+	bindings := []string{"", "b0", "b1", "b2", "b3", "b4", "b5", "b6", "b7"}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for _, s := range reg.Solutions() {
+					for i := range bindings {
+						b := bindings[(i+g)%len(bindings)]
+						want := s.ID() + "_" + b + ".pko"
+						if b == "" {
+							want = s.ID() + ".pko"
+						}
+						if got := (Instance{Sol: s, Binding: b}).Path(); got != want {
+							t.Errorf("Path(%s, %q) = %q, want %q", s.ID(), b, got, want)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestInstancePathSeenBindingAllocatesNothing pins the warm path: once a
+// family has handed out a binding's path, asking again allocates nothing.
+func TestInstancePathSeenBindingAllocatesNothing(t *testing.T) {
+	reg := NewRegistry(testCtx())
+	p := conv3x3(64, 64, 28)
+	for _, r := range reg.Find(&p) {
+		inst := r.Inst
+		inst.Path()
+		if allocs := testing.AllocsPerRun(100, func() { inst.Path() }); allocs != 0 {
+			t.Errorf("%s: Path allocates %v times on a seen binding, want 0", inst.Path(), allocs)
+		}
 	}
 }
 

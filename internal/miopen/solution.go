@@ -1,7 +1,6 @@
 package miopen
 
 import (
-	"sync"
 	"time"
 
 	"pask/internal/codeobj"
@@ -104,36 +103,23 @@ func Bind(s Solution, p *Problem) Instance {
 	return Instance{Sol: s, Binding: s.BindingKey(p)}
 }
 
-// pathIntern caches the store path per (solution ID, binding) so the hot
-// cache-query and residency-probe loops stop concatenating strings on every
-// call. The set of distinct instances is small and fixed per run, so the
-// map only ever holds the working set.
-var pathIntern = struct {
-	sync.RWMutex
-	m map[pathKey]string
-}{m: make(map[pathKey]string)}
-
-type pathKey struct{ id, binding string }
-
-// Path returns the code-object store path of the instance. The string is
-// interned: repeated calls for the same instance return the same allocation.
+// Path returns the code-object store path of the instance. A library
+// family hands out the string from its own binding table, so repeated calls
+// for the same instance neither allocate nor take a lock; any other
+// Solution gets a fresh concatenation.
 func (i Instance) Path() string {
-	k := pathKey{i.Sol.ID(), i.Binding}
-	pathIntern.RLock()
-	p, ok := pathIntern.m[k]
-	pathIntern.RUnlock()
-	if ok {
-		return p
+	if f, ok := i.Sol.(*family); ok {
+		return f.path(i.Binding)
 	}
-	if k.binding == "" {
-		p = k.id + ".pko"
-	} else {
-		p = k.id + "_" + k.binding + ".pko"
+	return instancePath(i.Sol.ID(), i.Binding)
+}
+
+// instancePath formats the store path of solution id at binding.
+func instancePath(id, binding string) string {
+	if binding == "" {
+		return id + ".pko"
 	}
-	pathIntern.Lock()
-	pathIntern.m[k] = p
-	pathIntern.Unlock()
-	return p
+	return id + "_" + binding + ".pko"
 }
 
 // Key returns a unique identity for the instance.

@@ -8,7 +8,8 @@
 #
 # Usage:
 #   go test -run '^$' -bench . -benchmem -benchtime=2000x -count=3 \
-#       ./internal/core/ ./internal/backend/ ./internal/codeobj/ ./internal/metrics/ ./internal/sim/ | tee bench.txt
+#       ./internal/core/ ./internal/backend/ ./internal/codeobj/ ./internal/metrics/ ./internal/sim/ \
+#       ./internal/miopen/ ./internal/blas/ | tee bench.txt
 #   ./scripts/benchstat_gate.sh bench.txt              # gate against BENCH_host.json
 #   ./scripts/benchstat_gate.sh -update bench.txt      # regenerate the baseline
 #
