@@ -46,21 +46,32 @@ type Module struct {
 	lastUsed time.Duration
 	// resident modules live inside the library binary and are never evicted.
 	resident bool
+	// unloaded is set once the module leaves the registry (eviction, Unload,
+	// UnloadAll, device loss): a Function bound to it can no longer be
+	// reused and must be resolved again.
+	unloaded bool
 	// resolved tracks symbols whose resolution cost has been charged, for
 	// flavors that defer it to first use (CUDA lazy module loading). Nil for
 	// eager flavors.
 	resolved map[string]bool
 }
 
-// Function is a resolved kernel symbol inside a loaded module. It is a small
-// value: resolving one on every launch allocates nothing.
+// Function is a resolved kernel symbol inside a loaded module. It is a
+// two-pointer value: resolving one allocates nothing, and callers that keep
+// one bound per launch site (see Registry.Reuse) store it cheaply. Kernel
+// points into the module's shared object and must not be modified.
 type Function struct {
 	Module *Module
-	Kernel codeobj.Kernel
+	Kernel *codeobj.Kernel
 }
 
-// Name returns the kernel's global symbol name.
-func (f Function) Name() string { return f.Kernel.Name }
+// Name returns the kernel's global symbol name ("" for the zero Function).
+func (f Function) Name() string {
+	if f.Kernel == nil {
+		return ""
+	}
+	return f.Kernel.Name
+}
 
 // Stats aggregates the shared registry's loading activity across all views.
 type Stats struct {

@@ -81,9 +81,11 @@ func BenchmarkRegistryLoadHit(b *testing.B) {
 	})
 }
 
-// BenchmarkRegistryGetFunction/hit measures what every warm kernel launch
-// asks of the runtime: the module is resident and the symbol resolved, so
-// GetFunction is a registry hit plus a symbol lookup, returned by value.
+// BenchmarkRegistryGetFunction/hit measures a warm kernel launch that
+// resolves its function again: the module is resident and the symbol
+// resolved, so GetFunction is a registry hit plus a symbol lookup, returned
+// by value. /reuse is the same launch through a function bound once and
+// checked with Reuse, which is what the libraries' warm launches do.
 func BenchmarkRegistryGetFunction(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		store := benchStore(b, 1, 8<<10)
@@ -98,6 +100,25 @@ func BenchmarkRegistryGetFunction(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := rt.GetFunction(p, path, sym); err != nil {
 					return err
+				}
+			}
+			return nil
+		})
+	})
+	b.Run("reuse", func(b *testing.B) {
+		store := benchStore(b, 1, 8<<10)
+		env, gpu, rt := benchRuntime(store, 0)
+		path, sym := benchPath(0), "obj0_main"
+		runRegistryBench(b, env, gpu, func(p *sim.Proc) error {
+			fn, err := rt.GetFunction(p, path, sym)
+			if err != nil {
+				return err
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !rt.Reuse(fn) {
+					return fmt.Errorf("Reuse refused a resident module's function")
 				}
 			}
 			return nil

@@ -71,6 +71,9 @@ type harness struct {
 	env   *sim.Env
 	store *codeobj.Store
 	rt    *backend.Registry
+
+	factory Factory
+	prof    device.Profile
 }
 
 func newHarness(t *testing.T, factory Factory, prof device.Profile) *harness {
@@ -78,7 +81,14 @@ func newHarness(t *testing.T, factory Factory, prof device.Profile) *harness {
 	env := sim.NewEnv()
 	st := store(t)
 	gpu := device.NewGPU(env, prof)
-	return &harness{env: env, store: st, rt: factory(env, gpu, device.DefaultHost(), st)}
+	return &harness{env: env, store: st, rt: factory(env, gpu, device.DefaultHost(), st), factory: factory, prof: prof}
+}
+
+// twin returns a fresh harness identical to h as it was built: same flavor,
+// device profile and store contents, its own simulation.
+func (h *harness) twin(t *testing.T) *harness {
+	t.Helper()
+	return newHarness(t, h.factory, h.prof)
 }
 
 func (h *harness) run(t *testing.T, fn func(p *sim.Proc)) {
@@ -134,6 +144,7 @@ func Run(t *testing.T, factory Factory) {
 		{"reset-spares-residents", profile(), testResetSparesResidents},
 		{"coalesce-inflight", profile(), testCoalesceInflight},
 		{"device-lost", profile(), testDeviceLost},
+		{"reuse-matches-lookup", evictionProfile(), testReuseMatchesLookup},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.fn(t, newHarness(t, factory, tc.prof))

@@ -35,18 +35,25 @@ type shared struct {
 	views       []*Registry // root first, then every Attach in order
 }
 
-// addModule registers a resident module, maintaining the byte counter.
+// addModule registers a resident module, maintaining the byte counter. A
+// module it displaces counts as unloaded, so nothing bound to it is reused.
 func (sh *shared) addModule(path string, m *Module) {
+	if old, ok := sh.modules[path]; ok {
+		old.unloaded = true
+	}
 	sh.modules[path] = m
 	sh.loadedBytes += int64(m.Object.Size())
 }
 
-// removeModule drops a resident module, maintaining the byte counter.
+// removeModule drops a resident module, maintaining the byte counter and
+// marking the module unloaded. Every way a module leaves the registry goes
+// through here.
 func (sh *shared) removeModule(path string) bool {
 	m, ok := sh.modules[path]
 	if !ok {
 		return false
 	}
+	m.unloaded = true
 	delete(sh.modules, path)
 	sh.loadedBytes -= int64(m.Object.Size())
 	return true
@@ -617,6 +624,40 @@ func (rt *Registry) GetFunction(p *sim.Proc, path, name string) (Function, error
 		return Function{}, err
 	}
 	return rt.ModuleGetFunction(p, m, name)
+}
+
+// Reuse charges a warm launch of fn, a function this view resolved earlier
+// with GetFunction, without looking anything up. It
+// returns false, and charges nothing, when fn's module has left the registry
+// (or fn is the zero Function) or the device is lost; the caller then
+// resolves again with GetFunction. Otherwise it applies exactly the effects
+// of GetFunction's hit path: a LoadHit, this view's SharedHit and the
+// module's LRU stamp.
+//
+// Skipping the pin is exact because fn must come from this same view: the
+// view pinned the path when it resolved fn, only Detach clears pins, and
+// after Detach pin is a no-op. A lazy flavor's symbol is already marked
+// resolved on the module fn is bound to, so no resolution cost is due.
+func (rt *Registry) Reuse(fn Function) bool {
+	m := fn.Module
+	if m == nil || m.unloaded || rt.sh.lost {
+		return false
+	}
+	rt.sh.stats.LoadHits++
+	rt.tstats.SharedHits++
+	m.lastUsed = rt.env.Now()
+	return true
+}
+
+// ReuseModule is Reuse for ModuleLoad's hit path: m must be a module this
+// view got from ModuleLoad. Like that hit path it leaves the LRU stamp alone.
+func (rt *Registry) ReuseModule(m *Module) bool {
+	if m == nil || m.unloaded || rt.sh.lost {
+		return false
+	}
+	rt.sh.stats.LoadHits++
+	rt.tstats.SharedHits++
+	return true
 }
 
 // RegisterResident maps a code object that ships inside an already-open

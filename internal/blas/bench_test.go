@@ -6,8 +6,9 @@ import (
 	"pask/internal/sim"
 )
 
-// BenchmarkBlasRunWarm is one warm GEMM: a find-memo hit, the residency
-// probes of the shared archive and the chosen instance, and the launch.
+// BenchmarkBlasRunWarm is one warm GEMM: a find-memo hit, the reuse checks
+// of the bound shared archive and the chosen instance's function, and the
+// launch.
 func BenchmarkBlasRunWarm(b *testing.B) {
 	env, lib := newTestLib(b)
 	p := attnProblem()
@@ -15,7 +16,7 @@ func BenchmarkBlasRunWarm(b *testing.B) {
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
 		stream := lib.RT.GPU().DefaultStream()
-		if _, err := lib.Run(proc, stream, &p); err != nil {
+		if err := lib.Run(proc, stream, &p); err != nil {
 			b.Error(err)
 			return
 		}
@@ -23,7 +24,7 @@ func BenchmarkBlasRunWarm(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := lib.Run(proc, stream, &p); err != nil {
+			if err := lib.Run(proc, stream, &p); err != nil {
 				b.Error(err)
 				return
 			}

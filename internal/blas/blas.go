@@ -189,26 +189,41 @@ type Library struct {
 	RT *backend.Registry
 
 	kernels   []*Kernel
-	find      map[Problem][]Ranked
+	find      map[Problem]findEntry
+	core      *backend.Module // the shared archive, once EnsureCore loaded it
 	runs      int
 	fallbacks int
 }
 
+// findEntry is one find-memo entry: the ranked instances and, parallel to
+// them, the function each was last launched through (zero until its first
+// launch). ranked is shared and read-only; fns is updated in place.
+type findEntry struct {
+	ranked []Ranked
+	fns    []backend.Function
+}
+
 // NewLibrary binds the GEMM ladder to a process runtime.
 func NewLibrary(rt *backend.Registry) *Library {
-	return &Library{RT: rt, kernels: Kernels(), find: make(map[Problem][]Ranked)}
+	return &Library{RT: rt, kernels: Kernels(), find: make(map[Problem]findEntry)}
 }
 
 // Find returns the applicable instances for p ranked fastest-first,
 // memoized per problem value. The slice is the memo's own: callers must not
 // modify it, and may keep pointers into it.
 func (l *Library) Find(p *Problem) []Ranked {
-	if r, ok := l.find[*p]; ok {
-		return r
+	return l.entry(p).ranked
+}
+
+// entry returns p's find-memo entry, ranking p on first use.
+func (l *Library) entry(p *Problem) findEntry {
+	if e, ok := l.find[*p]; ok {
+		return e
 	}
-	out := rank(l.kernels, l.RT.GPU().Profile, p)
-	l.find[*p] = out
-	return out
+	ranked := rank(l.kernels, l.RT.GPU().Profile, p)
+	e := findEntry{ranked: ranked, fns: make([]backend.Function, len(ranked))}
+	l.find[*p] = e
+	return e
 }
 
 // rank returns the kernels applicable to p on dev as instances ranked
@@ -235,7 +250,8 @@ func rank(kernels []*Kernel, dev device.Profile, p *Problem) []Ranked {
 	return out
 }
 
-// Runs returns the number of Run invocations.
+// Runs returns the number of GEMMs launched: every successful Run or
+// RunInstance, a Run that degraded to a lower-ranked instance included.
 func (l *Library) Runs() int { return l.runs }
 
 // Fallbacks returns how many GEMMs ran on a lower-ranked instance after the
@@ -273,59 +289,76 @@ func Materialize(b *codeobj.Batch, dev device.Profile, problems []Problem) {
 // instance cannot run — typically its code object fails to load — Run
 // degrades down the ranked ladder to the next applicable instance instead of
 // failing the request, mirroring the primitive library's recovery ladder.
-// Returns the completion signal.
-func (l *Library) Run(proc *sim.Proc, stream *device.Stream, p *Problem) (*sim.Signal, error) {
-	ranked := l.Find(p)
-	if len(ranked) == 0 {
-		return nil, fmt.Errorf("blas: no kernel for %s", p.Key())
+// The launch is fire-and-forget: callers that need completion synchronize
+// the stream.
+func (l *Library) Run(proc *sim.Proc, stream *device.Stream, p *Problem) error {
+	e := l.entry(p)
+	if len(e.ranked) == 0 {
+		return fmt.Errorf("blas: no kernel for %s", p.Key())
 	}
-	sig, err := l.launch(proc, stream, p, ranked[0].Inst)
+	err := l.launch(proc, stream, p, &e.ranked[0].Inst, &e.fns[0])
 	if err == nil {
-		return sig, nil
+		return nil
 	}
-	for _, r := range ranked[1:] {
-		if sig, ferr := l.launch(proc, stream, p, r.Inst); ferr == nil {
+	for i := 1; i < len(e.ranked); i++ {
+		if l.launch(proc, stream, p, &e.ranked[i].Inst, &e.fns[i]) == nil {
 			l.fallbacks++
-			return sig, nil
+			return nil
 		}
 	}
-	return nil, err
+	return err
 }
 
 // EnsureCore loads the shared kernel archive if absent — charged on the
 // first GEMM of a cold process (or proactively by the PASK extension).
+// Once loaded, the archive's module is kept and later calls reuse it while
+// it stays resident.
 func (l *Library) EnsureCore(proc *sim.Proc) error {
-	_, err := l.RT.ModuleLoad(proc, CoreObjectPath)
-	return err
+	if l.RT.ReuseModule(l.core) {
+		return nil
+	}
+	m, err := l.RT.ModuleLoad(proc, CoreObjectPath)
+	if err != nil {
+		return err
+	}
+	l.core = m
+	return nil
 }
 
 // RunInstance executes p with a specific kernel instance (used directly by
 // the PASK-for-BLAS extension), lazily loading the shared archive and the
-// instance's own code object.
-func (l *Library) RunInstance(proc *sim.Proc, stream *device.Stream, p *Problem, inst Instance) (*sim.Signal, error) {
+// instance's own code object. The instance's function is resolved on every
+// call.
+func (l *Library) RunInstance(proc *sim.Proc, stream *device.Stream, p *Problem, inst Instance) error {
 	if !inst.Applicable(l.RT.GPU().Profile, p) {
-		return nil, fmt.Errorf("%w: %s to %s", ErrNotApplicable, inst.Path(), p.Key())
+		return fmt.Errorf("%w: %s to %s", ErrNotApplicable, inst.Path(), p.Key())
 	}
-	return l.launch(proc, stream, p, inst)
+	var fn backend.Function
+	return l.launch(proc, stream, p, &inst, &fn)
 }
 
 // launch lazily loads the shared archive and inst's code object and
-// launches inst on p. Find's ranking already proved inst applicable, so Run
-// skips RunInstance's check.
-func (l *Library) launch(proc *sim.Proc, stream *device.Stream, p *Problem, inst Instance) (*sim.Signal, error) {
+// launches inst on p through the function bound in *fn, resolving and
+// storing it again when Reuse refuses it. Find's ranking already proved
+// inst applicable, so Run skips RunInstance's check.
+func (l *Library) launch(proc *sim.Proc, stream *device.Stream, p *Problem, inst *Instance, fn *backend.Function) error {
 	if err := l.EnsureCore(proc); err != nil {
-		return nil, err
+		return err
 	}
-	fn, err := l.RT.GetFunction(proc, inst.Path(), inst.Symbol())
-	if err != nil {
-		return nil, err
+	if !l.RT.Reuse(*fn) {
+		f, err := l.RT.GetFunction(proc, inst.Path(), inst.Symbol())
+		if err != nil {
+			return err
+		}
+		*fn = f
 	}
 	eff := inst.Kern.effFn(p) * gemmOccupancy(p)
 	if eff < 0.01 {
 		eff = 0.01
 	}
 	l.runs++
-	return stream.LaunchWorkload(proc, fn.Name(), p.Workload(), eff), nil
+	stream.LaunchWorkload(proc, fn.Name(), p.Workload(), eff)
+	return nil
 }
 
 // RunFunctional computes C = op(A)*op(B) on host buffers for tests.

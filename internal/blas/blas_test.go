@@ -152,14 +152,14 @@ func TestRunLazyLoadsAndLaunches(t *testing.T) {
 	var execTime time.Duration
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
+		stream := lib.RT.GPU().DefaultStream()
 		start := proc.Now()
-		sig, err := lib.Run(proc, lib.RT.GPU().DefaultStream(), &p)
-		if err != nil {
+		if err := lib.Run(proc, stream, &p); err != nil {
 			t.Error(err)
 			return
 		}
 		loadedDuringRun = lib.RT.Stats().ModuleLoads == 2 && lib.RT.Loaded(CoreObjectPath)
-		sig.Wait(proc)
+		stream.Synchronize(proc)
 		execTime = proc.Now() - start
 	})
 	if err := env.Run(); err != nil {
@@ -183,21 +183,20 @@ func TestRunSecondCallSkipsLoad(t *testing.T) {
 	var firstDur, secondDur time.Duration
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
+		stream := lib.RT.GPU().DefaultStream()
 		t0 := proc.Now()
-		sig, err := lib.Run(proc, lib.RT.GPU().DefaultStream(), &p)
-		if err != nil {
+		if err := lib.Run(proc, stream, &p); err != nil {
 			t.Error(err)
 			return
 		}
-		sig.Wait(proc)
+		stream.Synchronize(proc)
 		firstDur = proc.Now() - t0
 		t1 := proc.Now()
-		sig, err = lib.Run(proc, lib.RT.GPU().DefaultStream(), &p)
-		if err != nil {
+		if err := lib.Run(proc, stream, &p); err != nil {
 			t.Error(err)
 			return
 		}
-		sig.Wait(proc)
+		stream.Synchronize(proc)
 		secondDur = proc.Now() - t1
 	})
 	if err := env.Run(); err != nil {
@@ -208,6 +207,40 @@ func TestRunSecondCallSkipsLoad(t *testing.T) {
 	}
 }
 
+// TestRunWarmAllocatesNothing pins the warm GEMM path: a find-memo hit, the
+// reuse of the bound core archive and instance function, and a launch
+// without a completion signal allocate nothing.
+func TestRunWarmAllocatesNothing(t *testing.T) {
+	env, lib := newTestLib(t)
+	p := attnProblem()
+	materialize(t, lib, p)
+	env.Spawn("host", func(proc *sim.Proc) {
+		defer lib.RT.GPU().CloseAll()
+		stream := lib.RT.GPU().DefaultStream()
+		// Grow the stream's queue past what the measured launches keep in
+		// flight, so its ring never reallocates inside the measurement.
+		for i := 0; i < 1024; i++ {
+			stream.Launch(proc, "prewarm", time.Millisecond)
+		}
+		if err := lib.Run(proc, stream, &p); err != nil {
+			t.Error(err)
+			return
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := lib.Run(proc, stream, &p); err != nil {
+				t.Error(err)
+			}
+		})
+		stream.Synchronize(proc)
+		if allocs != 0 {
+			t.Errorf("warm Run allocates %v times, want 0", allocs)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunInstanceRejectsInapplicable(t *testing.T) {
 	env, lib := newTestLib(t)
 	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32}
@@ -215,7 +248,7 @@ func TestRunInstanceRejectsInapplicable(t *testing.T) {
 	wrong := newInstance(Kernels()[2], "m32n32_f16") // wrong binding
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
-		if _, err := lib.RunInstance(proc, lib.RT.GPU().DefaultStream(), &p, wrong); !errors.Is(err, ErrNotApplicable) {
+		if err := lib.RunInstance(proc, lib.RT.GPU().DefaultStream(), &p, wrong); !errors.Is(err, ErrNotApplicable) {
 			t.Errorf("RunInstance(%s) = %v, want ErrNotApplicable", wrong.Path(), err)
 		}
 	})
@@ -258,12 +291,12 @@ func TestRunFallsBackOnLoadFailure(t *testing.T) {
 	}
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
-		sig, err := lib.Run(proc, lib.RT.GPU().DefaultStream(), &p)
-		if err != nil {
+		stream := lib.RT.GPU().DefaultStream()
+		if err := lib.Run(proc, stream, &p); err != nil {
 			t.Errorf("Run did not degrade past the broken object: %v", err)
 			return
 		}
-		sig.Wait(proc)
+		stream.Synchronize(proc)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -290,7 +323,7 @@ func TestRunFailsWhenLadderExhausted(t *testing.T) {
 	}
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
-		if _, err := lib.Run(proc, lib.RT.GPU().DefaultStream(), &p); err == nil {
+		if err := lib.Run(proc, lib.RT.GPU().DefaultStream(), &p); err == nil {
 			t.Error("Run succeeded with every applicable object broken")
 		}
 	})

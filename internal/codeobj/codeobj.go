@@ -87,13 +87,14 @@ type Object struct {
 	size    int            // full container size in bytes
 }
 
-// Symbol returns the kernel with the given global name.
-func (o *Object) Symbol(name string) (Kernel, bool) {
+// Symbol returns the kernel with the given global name: a pointer into the
+// shared object, which callers must not modify.
+func (o *Object) Symbol(name string) (*Kernel, bool) {
 	i, ok := o.symbols[name]
 	if !ok {
-		return Kernel{}, false
+		return nil, false
 	}
-	return o.Kernels[i], true
+	return &o.Kernels[i], true
 }
 
 // NumSymbols returns the number of kernels in the object.

@@ -401,13 +401,13 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 				if prob == nil {
 					prob = &item.instr.Problem
 				}
-				_, err = r.ExecPrimitiveAs(ip, item.instr.Name, prob, item.inst)
+				err = r.ExecPrimitiveAs(ip, item.instr.Name, prob, item.inst)
 			case item.blasInst != nil:
 				start := ip.Now()
-				_, err = r.Blas.RunInstance(ip, r.Stream, &item.instr.Gemm, *item.blasInst)
+				err = r.Blas.RunInstance(ip, r.Stream, &item.instr.Gemm, *item.blasInst)
 				r.Tracer.AddNamed(metrics.CatLaunch, "issue:", item.instr.Name, ip.Name(), start, ip.Now())
 			default:
-				_, err = r.ExecInstr(ip, item.instr)
+				err = r.ExecInstr(ip, item.instr)
 			}
 			if err != nil {
 				pl.fail(err)
@@ -617,7 +617,7 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 	// and force the consuming primitive onto a layout-agnostic instance.
 	// Under NoDegradation the failure aborts the run instead.
 	runTransformSeq := func(tr *graphx.Instruction) error {
-		if _, err := r.ExecInstr(p, tr); err != nil {
+		if err := r.ExecInstr(p, tr); err != nil {
 			if opts.NoDegradation {
 				return err
 			}
@@ -702,7 +702,7 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 				run = sub
 				usedSub = usedSub || changed
 			}
-			if _, err := r.ExecPrimitive(p, instr, run); err != nil {
+			if err := r.ExecPrimitive(p, instr, run); err != nil {
 				return res, err
 			}
 
@@ -710,7 +710,7 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 			if err := flushPending(); err != nil {
 				return res, err
 			}
-			if _, err := r.ExecInstr(p, instr); err != nil {
+			if err := r.ExecInstr(p, instr); err != nil {
 				return res, err
 			}
 		}

@@ -238,9 +238,13 @@ func (s *Stream) Launch(p *sim.Proc, name string, dur time.Duration) *sim.Signal
 }
 
 // LaunchWorkload converts a workload to a duration with the device roofline
-// and submits it.
-func (s *Stream) LaunchWorkload(p *sim.Proc, name string, w kernels.Workload, eff float64) *sim.Signal {
-	return s.Launch(p, name, s.gpu.Profile.KernelTime(w, eff))
+// and submits it fire-and-forget: no completion signal is allocated, since
+// callers that need completion synchronize the stream. Dropping the signal
+// cannot reorder events — making one takes no sequence number and firing
+// one nobody waits on schedules nothing.
+func (s *Stream) LaunchWorkload(p *sim.Proc, name string, w kernels.Workload, eff float64) {
+	p.Sleep(s.gpu.Profile.LaunchLatency)
+	s.queue.Send(p, kernelWork{name: name, dur: s.gpu.Profile.KernelTime(w, eff)})
 }
 
 // Copy models a host<->device memcpy of n bytes as stream work. Copies hold

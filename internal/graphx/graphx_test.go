@@ -355,3 +355,55 @@ func TestLoweringStatisticsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmExecInstrAllocatesNothing pins the warm launch of builtin and
+// transform instructions: once a request has run, ExecInstr reuses the
+// function bound per instruction and launches without a completion signal,
+// allocating nothing under the forwarding tracer serving uses.
+func TestWarmExecInstrAllocatesNothing(t *testing.T) {
+	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
+	m := compileZoo(t, "res", 1, reg, CompileOptions{})
+	var builtin, xform *Instruction
+	for i := range m.Instrs {
+		switch in := &m.Instrs[i]; {
+		case in.Kind == KindBuiltin && builtin == nil:
+			builtin = in
+		case in.Kind == KindTransform && xform == nil:
+			xform = in
+		}
+	}
+	if builtin == nil || xform == nil {
+		t.Fatal("res must have a builtin and a transform instruction")
+	}
+	store := materialize(t, reg, m)
+	env := sim.NewEnv()
+	gpu := device.NewGPU(env, device.MI100())
+	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(rt), metrics.NewForwardingTracer())
+	env.Spawn("host", func(p *sim.Proc) {
+		defer gpu.CloseAll()
+		// Grow the stream's queue past what the measured launches keep in
+		// flight, so its ring never reallocates inside the measurement.
+		for i := 0; i < 1024; i++ {
+			runner.Stream.Launch(p, "prewarm", time.Millisecond)
+		}
+		if err := runner.RunBaseline(p, m); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, in := range []*Instruction{builtin, xform} {
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := runner.ExecInstr(p, in); err != nil {
+					t.Error(err)
+				}
+			})
+			runner.Stream.Synchronize(p)
+			if allocs != 0 {
+				t.Errorf("%s %s: warm ExecInstr allocates %v times, want 0", in.Kind, in.Name, allocs)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -32,6 +32,11 @@ type Runner struct {
 	// paramsResident tracks models whose weights are already on the device:
 	// a warm process serving a second request does not copy them again.
 	paramsResident map[string]bool
+
+	// fns holds the function each builtin and transform instruction was last
+	// launched through, so a warm launch looks no symbol up. Allocated on
+	// the first such launch.
+	fns map[*Instruction]backend.Function
 }
 
 // NewRunner wires the runtime's load events and the GPU's kernel events into
@@ -95,63 +100,73 @@ func (r *Runner) EvictParams(name string) { delete(r.paramsResident, name) }
 // ExecPrimitive runs a primitive instruction with the given instance (the
 // statically selected one, or a substitute chosen by PASK). Kernels are
 // launched asynchronously; absent code objects load lazily here.
-func (r *Runner) ExecPrimitive(p *sim.Proc, in *Instruction, inst miopen.Instance) (*sim.Signal, error) {
+func (r *Runner) ExecPrimitive(p *sim.Proc, in *Instruction, inst miopen.Instance) error {
 	return r.ExecPrimitiveAs(p, in.Name, &in.Problem, inst)
 }
 
 // ExecPrimitiveAs runs a primitive problem (possibly rewritten by a PASK
 // policy, e.g. the precision-preference extension) with the given instance.
-func (r *Runner) ExecPrimitiveAs(p *sim.Proc, name string, prob *miopen.Problem, inst miopen.Instance) (*sim.Signal, error) {
+func (r *Runner) ExecPrimitiveAs(p *sim.Proc, name string, prob *miopen.Problem, inst miopen.Instance) error {
 	start := p.Now()
-	sig, err := r.Lib.RunSolution(p, r.Stream, inst, prob)
-	if err != nil {
-		return nil, err
+	if err := r.Lib.RunSolution(p, r.Stream, inst, prob); err != nil {
+		return err
 	}
 	r.Tracer.AddNamed(metrics.CatLaunch, "issue:", name, p.Name(), start, p.Now(),
 		metrics.Attr{Key: "solution", Value: inst.Key()})
-	return sig, nil
+	return nil
 }
 
-// ExecInstr runs one instruction with its static plan.
-func (r *Runner) ExecInstr(p *sim.Proc, in *Instruction) (*sim.Signal, error) {
+// ExecInstr runs one instruction with its static plan. Launches are
+// fire-and-forget; Sync waits for them.
+func (r *Runner) ExecInstr(p *sim.Proc, in *Instruction) error {
 	switch in.Kind {
 	case KindPrimitive:
 		inst, err := in.Instance(r.Lib.Reg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		return r.ExecPrimitive(p, in, inst)
 
 	case KindGemm:
 		start := p.Now()
-		sig, err := r.Blas.Run(p, r.Stream, &in.Gemm)
-		if err != nil {
-			return nil, err
+		if err := r.Blas.Run(p, r.Stream, &in.Gemm); err != nil {
+			return err
 		}
 		r.Tracer.AddNamed(metrics.CatLaunch, "issue:", in.Name, p.Name(), start, p.Now())
-		return sig, nil
+		return nil
 
 	case KindBuiltin:
-		start := p.Now()
-		fn, err := r.RT.GetFunction(p, BuiltinObjectPath, "builtin_"+in.Builtin)
-		if err != nil {
-			return nil, err
-		}
-		sig := r.Stream.LaunchWorkload(p, fn.Name(), in.Work, in.Eff)
-		r.Tracer.AddNamed(metrics.CatLaunch, "issue:", in.Name, p.Name(), start, p.Now())
-		return sig, nil
+		return r.execKernel(p, in, BuiltinObjectPath)
 
 	case KindTransform:
-		start := p.Now()
-		fn, err := r.RT.GetFunction(p, in.XformPath, "xform_main")
-		if err != nil {
-			return nil, err
-		}
-		sig := r.Stream.LaunchWorkload(p, fn.Name(), in.Work, in.Eff)
-		r.Tracer.AddNamed(metrics.CatLaunch, "issue:", in.Name, p.Name(), start, p.Now())
-		return sig, nil
+		return r.execKernel(p, in, in.XformPath)
 	}
-	return nil, fmt.Errorf("graphx: unknown instruction kind %v", in.Kind)
+	return fmt.Errorf("graphx: unknown instruction kind %v", in.Kind)
+}
+
+// execKernel launches a builtin or transform instruction's single kernel
+// from the code object at path, reusing the function bound on the
+// instruction's previous launch while its module stays resident.
+func (r *Runner) execKernel(p *sim.Proc, in *Instruction, path string) error {
+	start := p.Now()
+	fn := r.fns[in]
+	if !r.RT.Reuse(fn) {
+		sym := "xform_main"
+		if in.Kind == KindBuiltin {
+			sym = "builtin_" + in.Builtin
+		}
+		var err error
+		if fn, err = r.RT.GetFunction(p, path, sym); err != nil {
+			return err
+		}
+		if r.fns == nil {
+			r.fns = make(map[*Instruction]backend.Function)
+		}
+		r.fns[in] = fn
+	}
+	r.Stream.LaunchWorkload(p, fn.Name(), in.Work, in.Eff)
+	r.Tracer.AddNamed(metrics.CatLaunch, "issue:", in.Name, p.Name(), start, p.Now())
+	return nil
 }
 
 // Sync drains the stream and charges the host synchronization cost.
@@ -173,7 +188,7 @@ func (r *Runner) RunBaseline(p *sim.Proc, m *CompiledModel) error {
 	}
 	r.CopyParams(p, m)
 	for i := range m.Instrs {
-		if _, err := r.ExecInstr(p, &m.Instrs[i]); err != nil {
+		if err := r.ExecInstr(p, &m.Instrs[i]); err != nil {
 			return err
 		}
 	}
@@ -187,7 +202,7 @@ func (r *Runner) RunBaseline(p *sim.Proc, m *CompiledModel) error {
 func (r *Runner) RunHot(p *sim.Proc, m *CompiledModel) error {
 	p.Sleep(r.RT.Host().IterOverhead)
 	for i := range m.Instrs {
-		if _, err := r.ExecInstr(p, &m.Instrs[i]); err != nil {
+		if err := r.ExecInstr(p, &m.Instrs[i]); err != nil {
 			return err
 		}
 	}

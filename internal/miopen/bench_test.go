@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkRunSolutionWarm is one warm launch of a loaded conv solution:
-// the kernel-call memo, the instance path, the function lookup and the
+// the launch-plan memo, the reuse check of each bound function and the
 // launch itself, the per-layer host cost of a warm request.
 func BenchmarkRunSolutionWarm(b *testing.B) {
 	p := conv3x3(64, 64, 28)
@@ -19,7 +19,7 @@ func BenchmarkRunSolutionWarm(b *testing.B) {
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
 		stream := lib.RT.GPU().DefaultStream()
-		if _, err := lib.RunSolution(proc, stream, best.Inst, &p); err != nil {
+		if err := lib.RunSolution(proc, stream, best.Inst, &p); err != nil {
 			b.Error(err)
 			return
 		}
@@ -27,7 +27,7 @@ func BenchmarkRunSolutionWarm(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := lib.RunSolution(proc, stream, best.Inst, &p); err != nil {
+			if err := lib.RunSolution(proc, stream, best.Inst, &p); err != nil {
 				b.Error(err)
 				return
 			}

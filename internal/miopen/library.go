@@ -30,16 +30,32 @@ type Library struct {
 	// work; the virtual-time charge and the checks counter are untouched.
 	memo map[applicKey]bool
 
-	// calls caches KernelCalls per (solution, problem), a pure function of
-	// the pair, so a warm launch neither re-derives the binding key nor
-	// builds a fresh slice. The cached slices are shared and read-only.
-	calls map[callsKey][]KernelCall
+	// plans caches one launch plan per (solution, problem): the kernel
+	// calls, a pure function of the pair, plus the path and the functions
+	// bound at the binding last run. A warm launch neither re-derives the
+	// binding key nor looks a symbol up.
+	plans map[planKey]*launchPlan
 }
 
-// callsKey identifies one memoized KernelCalls result.
-type callsKey struct {
+// planKey identifies one memoized launch plan. It is a value key: keying by
+// *Problem allocates more and is no faster.
+type planKey struct {
 	sol  Solution
 	prob Problem
+}
+
+// launchPlan is how RunSolution launches one (solution, problem) pair at one
+// binding: the kernel calls, the instance's store path, and one bound
+// function per call (zero until first resolved, rebound whenever Reuse
+// refuses it). The calls slice is shared and read-only.
+type launchPlan struct {
+	binding string
+	path    string
+	calls   []KernelCall
+	fns     []backend.Function
+	// buf backs fns for solutions of up to two kernels (every library
+	// solution), so a plan and its functions are one allocation.
+	buf [2]backend.Function
 }
 
 // applicKey identifies one memoized applicability verdict. Every field is
@@ -123,37 +139,57 @@ func (l *Library) EnsureLoaded(proc *sim.Proc, inst Instance) error {
 	return err
 }
 
-// RunSolution launches the instance's kernels for p on the stream and
-// returns the completion signal of the last kernel. If the code object is
-// absent it is loaded lazily here — the reactive behavior whose cost the
-// paper attributes cold start to.
-func (l *Library) RunSolution(proc *sim.Proc, stream *device.Stream, inst Instance, p *Problem) (*sim.Signal, error) {
-	calls := l.kernelCalls(inst.Sol, p)
-	if len(calls) == 0 {
-		return nil, fmt.Errorf("miopen: solution %s produced no kernels for %s", inst.Key(), p.Key())
+// RunSolution launches the instance's kernels for p on the stream. If the
+// code object is absent it is loaded lazily here — the reactive behavior
+// whose cost the paper attributes cold start to. Launches are
+// fire-and-forget: callers that need completion synchronize the stream.
+//
+// Each kernel reuses the function bound on an earlier launch; one whose
+// module left the registry since is resolved again with GetFunction, so a
+// module evicted between two kernels of one solution still reloads.
+func (l *Library) RunSolution(proc *sim.Proc, stream *device.Stream, inst Instance, p *Problem) error {
+	pl := l.plan(inst, p)
+	if len(pl.calls) == 0 {
+		return fmt.Errorf("miopen: solution %s produced no kernels for %s", inst.Key(), p.Key())
 	}
-	path := inst.Path()
-	var last *sim.Signal
-	for _, c := range calls {
-		fn, err := l.RT.GetFunction(proc, path, c.Symbol)
-		if err != nil {
-			return nil, fmt.Errorf("miopen: RunSolution %s: %w", inst.Key(), err)
+	for i := range pl.calls {
+		c := &pl.calls[i]
+		fn := &pl.fns[i]
+		if !l.RT.Reuse(*fn) {
+			f, err := l.RT.GetFunction(proc, pl.path, c.Symbol)
+			if err != nil {
+				return fmt.Errorf("miopen: RunSolution %s: %w", inst.Key(), err)
+			}
+			*fn = f
 		}
-		last = stream.LaunchWorkload(proc, fn.Name(), c.Work, c.Eff)
+		stream.LaunchWorkload(proc, fn.Name(), c.Work, c.Eff)
 	}
-	return last, nil
+	return nil
 }
 
-// kernelCalls returns s.KernelCalls(p) through the per-library memo.
-func (l *Library) kernelCalls(s Solution, p *Problem) []KernelCall {
-	if l.calls == nil {
-		l.calls = make(map[callsKey][]KernelCall, 64)
+// plan returns the launch plan of inst on p through the per-library memo,
+// building it on first use and rebinding it when inst's binding differs
+// from the one the plan holds.
+func (l *Library) plan(inst Instance, p *Problem) *launchPlan {
+	if l.plans == nil {
+		l.plans = make(map[planKey]*launchPlan, 64)
 	}
-	k := callsKey{sol: s, prob: *p}
-	calls, ok := l.calls[k]
-	if !ok {
-		calls = s.KernelCalls(p)
-		l.calls[k] = calls
+	k := planKey{sol: inst.Sol, prob: *p}
+	pl := l.plans[k]
+	switch {
+	case pl == nil:
+		pl = &launchPlan{calls: inst.Sol.KernelCalls(p)}
+		if n := len(pl.calls); n <= len(pl.buf) {
+			pl.fns = pl.buf[:n]
+		} else {
+			pl.fns = make([]backend.Function, n)
+		}
+		l.plans[k] = pl
+	case pl.binding == inst.Binding:
+		return pl
+	default:
+		clear(pl.fns)
 	}
-	return calls
+	pl.binding, pl.path = inst.Binding, inst.Path()
+	return pl
 }

@@ -41,21 +41,20 @@ func TestRunSolutionLazyLoadsAndExecutes(t *testing.T) {
 	var coldDur, warmDur time.Duration
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
+		stream := lib.RT.GPU().DefaultStream()
 		t0 := proc.Now()
-		sig, err := lib.RunSolution(proc, lib.RT.GPU().DefaultStream(), best.Inst, &p)
-		if err != nil {
+		if err := lib.RunSolution(proc, stream, best.Inst, &p); err != nil {
 			t.Error(err)
 			return
 		}
-		sig.Wait(proc)
+		stream.Synchronize(proc)
 		coldDur = proc.Now() - t0
 		t1 := proc.Now()
-		sig, err = lib.RunSolution(proc, lib.RT.GPU().DefaultStream(), best.Inst, &p)
-		if err != nil {
+		if err := lib.RunSolution(proc, stream, best.Inst, &p); err != nil {
 			t.Error(err)
 			return
 		}
-		sig.Wait(proc)
+		stream.Synchronize(proc)
 		warmDur = proc.Now() - t1
 	})
 	if err := env.Run(); err != nil {
@@ -74,10 +73,10 @@ func TestRunSolutionLazyLoadsAndExecutes(t *testing.T) {
 	}
 }
 
-// TestRunSolutionWarmAllocatesOnlySignals pins the warm launch path: with
-// the object loaded and the kernel calls memoized, RunSolution allocates
-// exactly one completion Signal per kernel it launches and nothing else.
-func TestRunSolutionWarmAllocatesOnlySignals(t *testing.T) {
+// TestRunSolutionWarmAllocatesNothing pins the warm launch path: with the
+// object loaded and the launch plan memoized, RunSolution reuses its bound
+// functions, launches without completion signals and allocates nothing.
+func TestRunSolutionWarmAllocatesNothing(t *testing.T) {
 	p := conv3x3(64, 64, 28)
 	env, lib := newLibRuntime(t, []*Problem{&p})
 	ranked := lib.Reg.Find(&p)
@@ -94,20 +93,62 @@ func TestRunSolutionWarmAllocatesOnlySignals(t *testing.T) {
 		}
 		stream.Synchronize(proc)
 		for _, r := range ranked {
-			if _, err := lib.RunSolution(proc, stream, r.Inst, &p); err != nil {
+			if err := lib.RunSolution(proc, stream, r.Inst, &p); err != nil {
 				t.Error(err)
 				return
 			}
 			stream.Synchronize(proc)
-			want := float64(len(r.Inst.Sol.KernelCalls(&p)))
 			allocs := testing.AllocsPerRun(100, func() {
-				if _, err := lib.RunSolution(proc, stream, r.Inst, &p); err != nil {
+				if err := lib.RunSolution(proc, stream, r.Inst, &p); err != nil {
 					t.Error(err)
 				}
 			})
 			stream.Synchronize(proc)
-			if allocs != want {
-				t.Errorf("%s: warm RunSolution allocates %v times, want %v (one Signal per kernel)", r.Inst.Key(), allocs, want)
+			if allocs != 0 {
+				t.Errorf("%s: warm RunSolution allocates %v times, want 0", r.Inst.Key(), allocs)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunSolutionNeverLaunchesStaleFunctions pins the launch plan's
+// rebinding: after the instance's module is unloaded the next run loads it
+// again, and a run of the same solution at another binding resolves that
+// binding's object instead of reusing the plan's functions.
+func TestRunSolutionNeverLaunchesStaleFunctions(t *testing.T) {
+	p := conv3x3(64, 64, 28)
+	env, lib := newLibRuntime(t, []*Problem{&p})
+	best, err := lib.Reg.FindBest(&p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unstored := Instance{Sol: best.Inst.Sol, Binding: best.Inst.Binding + "_unstored"}
+	env.Spawn("host", func(proc *sim.Proc) {
+		defer lib.RT.GPU().CloseAll()
+		stream := lib.RT.GPU().DefaultStream()
+		for i, step := range []struct {
+			inst   Instance
+			unload bool
+			fails  bool
+			loads  int
+		}{
+			{inst: best.Inst, loads: 1},
+			{inst: best.Inst, unload: true, loads: 2},
+			{inst: unstored, fails: true, loads: 2},
+			{inst: best.Inst, loads: 2},
+		} {
+			if step.unload {
+				lib.RT.Unload(best.Inst.Path())
+			}
+			err := lib.RunSolution(proc, stream, step.inst, &p)
+			if (err != nil) != step.fails {
+				t.Errorf("step %d: RunSolution(%s) = %v, want failure %v", i, step.inst.Key(), err, step.fails)
+			}
+			if got := lib.RT.Stats().ModuleLoads; got != step.loads {
+				t.Errorf("step %d: %d module loads, want %d", i, got, step.loads)
 			}
 		}
 	})
@@ -182,7 +223,7 @@ func TestRunSolutionMissingObjectFails(t *testing.T) {
 	}
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer gpu.CloseAll()
-		if _, err := lib.RunSolution(proc, gpu.DefaultStream(), best.Inst, &p); err == nil {
+		if err := lib.RunSolution(proc, gpu.DefaultStream(), best.Inst, &p); err == nil {
 			t.Error("expected missing-object error")
 		}
 	})
