@@ -194,16 +194,13 @@ type pipeline struct {
 	res       Result
 	err       error
 
-	// forceAgnostic is set when an interchange kernel's load failed and the
-	// transform was elided: the next primitive must run layout-agnostic.
-	forceAgnostic bool
-
 	// blasList holds the BLAS instances this run has used, most recent
 	// first. Its entries point into the library's find memo, so an issue
 	// item carries a pointer where a value would widen every queued item.
 	blasList []*blas.Instance
 }
 
+// fail records the run's first error; a nil err is ignored.
 func (pl *pipeline) fail(err error) {
 	if pl.err == nil {
 		pl.err = err
@@ -269,43 +266,27 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 		// substitutes leaves tensors in their incoming layout, so planned
 		// interchange kernels become stale and their loads are elided.
 		curLayout := tensor.NCHW
-		var pending *graphx.Instruction // deferred next-primitive transform
-		runTransform := func(sp *sim.Proc, tr *graphx.Instruction) {
-			if pl.selective && !pl.opts.NoTransformElision &&
+		x := &xforms{r: r, cache: cache, res: &pl.res, noDegradation: opts.NoDegradation, noElision: opts.NoTransformElision}
+		x.run = func(sp *sim.Proc, tr *graphx.Instruction) error {
+			if pl.selective && !x.noElision &&
 				(curLayout != tr.XformSrc || curLayout == tr.XformDst) {
 				// Stale under dynamic layout tracking: nothing to convert.
 				pl.res.SkippedTransforms++
-				return
+				return nil
 			}
 			if _, err := pl.r.RT.ModuleLoad(sp, tr.XformPath); err != nil {
-				if !pl.opts.NoDegradation {
-					// Degrade: drop the interchange and force the consuming
-					// primitive onto a layout-agnostic instance. Data stays
-					// in curLayout, so downstream tracking remains sound.
-					pl.res.ElidedXformFailures++
-					pl.res.SkippedTransforms++
-					pl.forceAgnostic = true
-					return
-				}
-				pl.fail(err)
-				return
+				// curLayout stays: an elided transform converts nothing.
+				return err
 			}
 			curLayout = tr.XformDst
 			pl.observeObject("transform", tr.XformPath)
 			issue.Send(sp, issueItem{instr: tr})
-		}
-		flushPending := func(sp *sim.Proc) {
-			if pending == nil {
-				return
-			}
-			tr := pending
-			pending = nil
-			runTransform(sp, tr)
+			return nil
 		}
 		for {
 			instr, ok := parsed.Recv(lp)
 			if !ok {
-				flushPending(lp)
+				pl.fail(x.flush(lp))
 				return
 			}
 			r.Rec.Count("pask_parsed_queue", lp.Now(), float64(parsed.Len()))
@@ -315,15 +296,10 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 			}
 			switch instr.Kind {
 			case graphx.KindTransform:
-				if instr.XformForNext {
-					flushPending(lp)
-					pending = instr
-					continue
-				}
-				runTransform(lp, instr)
+				pl.fail(x.transform(lp, instr))
 
 			case graphx.KindBuiltin:
-				flushPending(lp)
+				pl.fail(x.flush(lp))
 				if _, err := pl.r.RT.ModuleLoad(lp, graphx.BuiltinObjectPath); err != nil {
 					pl.fail(err)
 					continue
@@ -332,7 +308,7 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 				issue.Send(lp, issueItem{instr: instr})
 
 			case graphx.KindGemm:
-				flushPending(lp)
+				pl.fail(x.flush(lp))
 				item := issueItem{instr: instr}
 				if pl.opts.BlasScope {
 					if inst := pl.decideGemm(lp, instr); inst != nil {
@@ -348,28 +324,10 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 					pl.fail(err)
 					continue
 				}
-				if pending != nil {
-					if _, ag := inst.Sol.PreferredLayout(prob); usedSub && ag && !pl.opts.NoTransformElision {
-						// The substitute runs in the incoming layout: the
-						// planned transform (and its load) is unnecessary.
-						pl.res.SkippedTransforms++
-						pending = nil
-					} else {
-						flushPending(lp)
-					}
-				}
-				if pl.forceAgnostic {
-					// The transform feeding this primitive was elided after a
-					// load failure: re-check the decision in the incoming
-					// layout.
-					pl.forceAgnostic = false
-					sub, changed, aerr := agnosticSubstitute(lp, pl.r, pl.cache, &pl.res, instr.Name, inst, prob)
-					if aerr != nil {
-						pl.fail(aerr)
-						continue
-					}
-					inst = sub
-					usedSub = usedSub || changed
+				pl.fail(x.settle(lp, inst, prob, usedSub))
+				if inst, usedSub, err = x.agnostic(lp, instr.Name, inst, prob, usedSub); err != nil {
+					pl.fail(err)
+					continue
 				}
 				pref, agnostic := inst.Sol.PreferredLayout(prob)
 				if !usedSub && !agnostic {
@@ -600,7 +558,11 @@ func RunWarmReuse(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache 
 	return runSequential(p, r, m, cache, false, opts)
 }
 
+// runSequential is the engine behind RunSequentialReuse (parse set) and
+// RunWarmReuse. Of opts it keeps only NoDegradation and Pressure, the way
+// Run narrows them for Ideal and NNV12.
 func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache Cache, parse bool, opts Options) (*Result, error) {
+	opts = Options{NoDegradation: opts.NoDegradation, Pressure: opts.Pressure}
 	res := &Result{}
 	p.Sleep(r.RT.Host().IterOverhead)
 	if parse {
@@ -610,43 +572,12 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 		}
 	}
 	r.CopyParams(p, m)
-	var pending *graphx.Instruction
-	forceAgnostic := false
-	// runTransformSeq executes an interchange kernel, degrading on a load
-	// failure the same way the interleaved loader does: drop the transform
-	// and force the consuming primitive onto a layout-agnostic instance.
-	// Under NoDegradation the failure aborts the run instead.
-	runTransformSeq := func(tr *graphx.Instruction) error {
-		if err := r.ExecInstr(p, tr); err != nil {
-			if opts.NoDegradation {
-				return err
-			}
-			res.ElidedXformFailures++
-			res.SkippedTransforms++
-			forceAgnostic = true
-		}
-		return nil
-	}
-	flushPending := func() error {
-		if pending == nil {
-			return nil
-		}
-		tr := pending
-		pending = nil
-		return runTransformSeq(tr)
-	}
+	x := xforms{r: r, cache: cache, res: res, run: r.ExecInstr, noDegradation: opts.NoDegradation}
 	for i := range m.Instrs {
 		instr := &m.Instrs[i]
 		switch instr.Kind {
 		case graphx.KindTransform:
-			if instr.XformForNext {
-				if err := flushPending(); err != nil {
-					return res, err
-				}
-				pending = instr
-				continue
-			}
-			if err := runTransformSeq(instr); err != nil {
+			if err := x.transform(p, instr); err != nil {
 				return res, err
 			}
 
@@ -684,30 +615,18 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 					return res, err
 				}
 			}
-			if pending != nil {
-				_, agnostic := run.Sol.PreferredLayout(&instr.Problem)
-				if usedSub && agnostic {
-					res.SkippedTransforms++
-					pending = nil
-				} else if err := flushPending(); err != nil {
-					return res, err
-				}
+			if err := x.settle(p, run, &instr.Problem, usedSub); err != nil {
+				return res, err
 			}
-			if forceAgnostic {
-				forceAgnostic = false
-				sub, changed, aerr := agnosticSubstitute(p, r, cache, res, instr.Name, run, &instr.Problem)
-				if aerr != nil {
-					return res, aerr
-				}
-				run = sub
-				usedSub = usedSub || changed
+			if run, _, err = x.agnostic(p, instr.Name, run, &instr.Problem, usedSub); err != nil {
+				return res, err
 			}
 			if err := r.ExecPrimitive(p, instr, run); err != nil {
 				return res, err
 			}
 
 		default:
-			if err := flushPending(); err != nil {
+			if err := x.flush(p); err != nil {
 				return res, err
 			}
 			if err := r.ExecInstr(p, instr); err != nil {
@@ -715,7 +634,7 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 			}
 		}
 	}
-	if err := flushPending(); err != nil {
+	if err := x.flush(p); err != nil {
 		return res, err
 	}
 	r.Sync(p)

@@ -45,25 +45,27 @@ func loadOrRecover(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, noDe
 	if noDegradation {
 		return miopen.Instance{}, false, err
 	}
-	if sub, ok := recoverLoadFailure(p, r, cache, res, layer, want, prob); ok {
+	res.LoadFailures++
+	if sub, ok := ladder(p, r, cache, res, "recover:", layer, want, prob, nil); ok {
 		return sub, true, nil
 	}
 	return miopen.Instance{}, false, wrapNoUsable(layer, err)
 }
 
-// recoverLoadFailure implements the degradation ladder for a primitive whose
-// chosen code object failed to load (Algorithm 1 extended with forced
-// reuse): first any applicable already-loaded instance from the cache, then
-// the generality ladder — alternative solutions for the problem, most
-// generic first, whichever loads. Returns the replacement and whether one
-// was found; the caller fails the layer otherwise.
-func recoverLoadFailure(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, layer string, want miopen.Instance, prob *miopen.Problem) (miopen.Instance, bool) {
-	res.LoadFailures++
+// ladder is the degradation ladder for a layer that cannot run want
+// (Algorithm 1 extended with forced reuse): first any applicable
+// already-loaded instance from the cache, then the generality ladder —
+// alternative solutions for the problem, most generic first, whichever
+// loads. When admit is non-nil, both steps take only the candidates it
+// admits. The search is traced as a recovery span named span+layer. It
+// returns the replacement and whether one was found; the caller fails the
+// layer otherwise.
+func ladder(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, span, layer string, want miopen.Instance, prob *miopen.Problem, admit func(miopen.Instance) bool) (miopen.Instance, bool) {
 	start := p.Now()
 	defer func() {
-		r.Tracer.AddNamed(metrics.CatRecovery, "recover:", layer, p.Name(), start, p.Now())
+		r.Tracer.AddNamed(metrics.CatRecovery, span, layer, p.Name(), start, p.Now())
 	}()
-	if sub, ok := cache.GetSubAny(p, r.Lib, want, prob); ok {
+	if sub, ok := cache.GetSubAny(p, r.Lib, want, prob); ok && (admit == nil || admit(sub)) {
 		res.ForcedReuse++
 		res.Substitutions = append(res.Substitutions, Substitution{
 			Layer: layer, Want: want, Got: sub, Prob: *prob, Forced: true,
@@ -77,7 +79,7 @@ func recoverLoadFailure(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result,
 		return cmp.Compare(a.Inst.Sol.Specificity(), b.Inst.Sol.Specificity())
 	})
 	for _, cand := range ranked {
-		if cand.Inst.Key() == want.Key() {
+		if cand.Inst.Key() == want.Key() || admit != nil && !admit(cand.Inst) {
 			continue
 		}
 		if err := r.Lib.EnsureLoaded(p, cand.Inst); err != nil {
@@ -91,46 +93,4 @@ func recoverLoadFailure(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result,
 		return cand.Inst, true
 	}
 	return miopen.Instance{}, false
-}
-
-// agnosticSubstitute ensures a primitive can run on data left in its
-// incoming layout after a planned interchange kernel failed to load and was
-// elided. If the chosen instance is already layout-agnostic it stands;
-// otherwise an agnostic replacement comes from the cache or the ladder.
-func agnosticSubstitute(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, layer string, chosen miopen.Instance, prob *miopen.Problem) (miopen.Instance, bool, error) {
-	if _, agnostic := chosen.Sol.PreferredLayout(prob); agnostic {
-		return chosen, false, nil
-	}
-	start := p.Now()
-	defer func() {
-		r.Tracer.AddNamed(metrics.CatRecovery, "agnostic:", layer, p.Name(), start, p.Now())
-	}()
-	if sub, ok := cache.GetSubAny(p, r.Lib, chosen, prob); ok {
-		if _, agnostic := sub.Sol.PreferredLayout(prob); agnostic {
-			res.ForcedReuse++
-			res.Substitutions = append(res.Substitutions, Substitution{
-				Layer: layer, Want: chosen, Got: sub, Prob: *prob, Forced: true,
-			})
-			return sub, true, nil
-		}
-	}
-	ranked := r.Lib.Find(prob)
-	slices.SortStableFunc(ranked, func(a, b miopen.Ranked) int {
-		return cmp.Compare(a.Inst.Sol.Specificity(), b.Inst.Sol.Specificity())
-	})
-	for _, cand := range ranked {
-		if _, agnostic := cand.Inst.Sol.PreferredLayout(prob); !agnostic {
-			continue
-		}
-		if err := r.Lib.EnsureLoaded(p, cand.Inst); err != nil {
-			continue
-		}
-		cache.Insert(cand.Inst)
-		res.LadderFallbacks++
-		res.Substitutions = append(res.Substitutions, Substitution{
-			Layer: layer, Want: chosen, Got: cand.Inst, Prob: *prob, Forced: true,
-		})
-		return cand.Inst, true, nil
-	}
-	return miopen.Instance{}, false, wrapNoUsable(layer, errors.New("no layout-agnostic substitute after elided transform"))
 }

@@ -2,134 +2,11 @@ package miopen
 
 import (
 	"fmt"
-	"maps"
-	"sync"
-	"sync/atomic"
 
 	"pask/internal/codeobj"
 	"pask/internal/kernels"
 	"pask/internal/tensor"
 )
-
-// family is a declarative Solution implementation: constructors below fill
-// in the constraint, efficiency, binding and kernel hooks for each library
-// solution. Keeping solutions declarative makes the generality ladder of
-// paper Fig 4 auditable in one place.
-type family struct {
-	id        string
-	pattern   Pattern
-	primitive Primitive
-	spec      int
-
-	applicable func(ctx *Ctx, p *Problem) bool
-	binding    func(p *Problem) string
-	workspace  func(p *Problem) int64
-	eff        func(p *Problem) float64
-	calls      func(f *family, p *Problem) []KernelCall
-	layout     func(p *Problem) (tensor.Layout, bool)
-	objSpec    func(f *family, binding string) []codeobj.KernelSpec
-	run        func(p *Problem, in, w, bias, out *tensor.Tensor) error
-
-	// code-object sizing
-	mainCodeSize   int
-	helperSyms     int // extra kernels bundled in the object
-	helperCodeSize int
-
-	// residentBindings lists bindings whose kernels ship precompiled inside
-	// the library binary (the "Bin" solvers and naive fallbacks): they are
-	// mapped when the library is opened, never loaded per model.
-	residentBindings []string
-
-	// paths is the copy-on-write binding → store path table behind
-	// Instance.Path: readers load it without a lock and hash only the
-	// binding; a new binding is added under pathMu by storing a copy.
-	paths  atomic.Pointer[map[string]string]
-	pathMu sync.Mutex
-}
-
-// path returns the store path of f's instance at binding, adding it to the
-// family's table on first use.
-func (f *family) path(binding string) string {
-	if p, ok := f.pathTable()[binding]; ok {
-		return p
-	}
-	f.pathMu.Lock()
-	defer f.pathMu.Unlock()
-	old := f.pathTable()
-	if p, ok := old[binding]; ok {
-		return p
-	}
-	next := make(map[string]string, len(old)+1)
-	maps.Copy(next, old)
-	p := instancePath(f.id, binding)
-	next[binding] = p
-	f.paths.Store(&next)
-	return p
-}
-
-// pathTable returns the family's current binding → path table (nil before
-// the first Path).
-func (f *family) pathTable() map[string]string {
-	if m := f.paths.Load(); m != nil {
-		return *m
-	}
-	return nil
-}
-
-func (f *family) ID() string           { return f.id }
-func (f *family) Pattern() Pattern     { return f.pattern }
-func (f *family) Primitive() Primitive { return f.primitive }
-func (f *family) Specificity() int     { return f.spec }
-
-func (f *family) IsApplicable(ctx *Ctx, p *Problem) bool {
-	if p.Primitive != f.primitive || !p.Valid() {
-		return false
-	}
-	if f.workspace != nil && f.workspace(p) > ctx.WorkspaceLimit {
-		return false
-	}
-	return f.applicable(ctx, p)
-}
-
-func (f *family) BindingKey(p *Problem) string {
-	if f.binding == nil {
-		return ""
-	}
-	return f.binding(p)
-}
-
-func (f *family) WorkspaceSize(p *Problem) int64 {
-	if f.workspace == nil {
-		return 0
-	}
-	return f.workspace(p)
-}
-
-func (f *family) Efficiency(p *Problem) float64 {
-	return clampEff(f.eff(p) * occupancy(p.Parallelism()))
-}
-
-func (f *family) KernelCalls(p *Problem) []KernelCall {
-	return f.calls(f, p)
-}
-
-func (f *family) PreferredLayout(p *Problem) (tensor.Layout, bool) {
-	if f.layout == nil {
-		return tensor.NCHW, true
-	}
-	return f.layout(p)
-}
-
-func (f *family) ObjectSpec(binding string) []codeobj.KernelSpec {
-	if f.objSpec != nil {
-		return f.objSpec(f, binding)
-	}
-	return defaultObjSpec(f, binding)
-}
-
-func (f *family) RunFunctional(p *Problem, in, w, bias, out *tensor.Tensor) error {
-	return f.run(p, in, w, bias, out)
-}
 
 // occupancy models how well a kernel's parallel work fills the device:
 // deep layers at batch 1 expose few work items and leave most compute units
@@ -145,7 +22,7 @@ func occupancy(workItems int64) float64 {
 }
 
 // mainSymbol returns the primary kernel symbol for a binding of f.
-func mainSymbol(f *family, binding string) string {
+func mainSymbol(f *Solution, binding string) string {
 	if binding == "" {
 		return f.id + "_main"
 	}
@@ -154,7 +31,7 @@ func mainSymbol(f *family, binding string) string {
 
 // defaultObjSpec builds the object layout: one main kernel plus bundled
 // helper kernels (tensor repack, epilogue reduction — paper footnote 2).
-func defaultObjSpec(f *family, binding string) []codeobj.KernelSpec {
+func defaultObjSpec(f *Solution, binding string) []codeobj.KernelSpec {
 	specs := []codeobj.KernelSpec{{
 		Name:     mainSymbol(f, binding),
 		Pattern:  string(f.pattern),
@@ -173,21 +50,17 @@ func defaultObjSpec(f *family, binding string) []codeobj.KernelSpec {
 
 // singleCall issues the main kernel with the problem's workload scaled by
 // algoScale at the family's efficiency.
-func singleCall(f *family, p *Problem, algoScale float64) []KernelCall {
+func singleCall(f *Solution, p *Problem, algoScale float64) []KernelCall {
 	w := p.Workload()
 	if algoScale != 1 {
 		w = kernels.Workload{Flops: int64(float64(w.Flops) * algoScale), Bytes: w.Bytes}
 	}
 	return []KernelCall{{
-		Symbol: mainSymbol(f, p.bindingOf(f)),
+		Symbol: mainSymbol(f, f.BindingKey(p)),
 		Work:   w,
 		Eff:    f.Efficiency(p),
 	}}
 }
-
-// bindingOf is a small helper so call-sites can ask the problem for its
-// binding under a family.
-func (p *Problem) bindingOf(f *family) string { return f.BindingKey(p) }
 
 // pow2Bucket floors v to a power of two clamped into [16, 512] — the tile
 // bucketing specialized kernels template on.
@@ -248,12 +121,12 @@ func stride1(p *Problem) bool { return p.Conv.StrideH == 1 && p.Conv.StrideW == 
 
 // ConvSolutions returns the library's convolution ladder, from fully generic
 // naive solutions to narrowly bound specialists (paper Fig 4).
-func ConvSolutions() []Solution {
+func ConvSolutions() []*Solution {
 	anyLayout := func(p *Problem) (tensor.Layout, bool) { return p.Layout, true }
 	nchw := func(p *Problem) (tensor.Layout, bool) { return tensor.NCHW, false }
 	nhwc := func(p *Problem) (tensor.Layout, bool) { return tensor.NHWC, false }
 
-	gemmNaive := &family{
+	gemmNaive := &Solution{
 		id: "ConvGemmNaiveFwd", pattern: PatternGEMM, primitive: Convolution, spec: 1,
 		applicable: func(ctx *Ctx, p *Problem) bool { return true },
 		workspace:  im2colWorkspace,
@@ -263,7 +136,7 @@ func ConvSolutions() []Solution {
 			}
 			return 0.14
 		},
-		calls:          func(f *family, p *Problem) []KernelCall { return gemmConvCalls(f, p) },
+		calls:          func(f *Solution, p *Problem) []KernelCall { return gemmConvCalls(f, p) },
 		layout:         anyLayout,
 		run:            runConvIm2col,
 		mainCodeSize:   300 << 10,
@@ -271,24 +144,24 @@ func ConvSolutions() []Solution {
 		helperCodeSize: 60 << 10,
 	}
 
-	directNaive := &family{
+	directNaive := &Solution{
 		id: "ConvDirectNaiveFwd", pattern: PatternDirect, primitive: Convolution, spec: 1,
 		applicable:   func(ctx *Ctx, p *Problem) bool { return true },
 		eff:          func(p *Problem) float64 { return 0.10 },
-		calls:        func(f *family, p *Problem) []KernelCall { return singleCall(f, p, 1) },
+		calls:        func(f *Solution, p *Problem) []KernelCall { return singleCall(f, p, 1) },
 		layout:       anyLayout,
 		run:          runConvDirect,
 		mainCodeSize: 220 << 10,
 	}
 
-	winogradNaive := &family{
+	winogradNaive := &Solution{
 		id: "ConvWinogradNaiveFwd", pattern: PatternWinograd, primitive: Convolution, spec: 1,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			return isPlainConv(p) && stride1(p) && p.R == p.S && p.R <= 7 && p.R%2 == 1 && p.R >= 3 &&
 				p.DType != tensor.I8 // reference kernels compute in floating point
 		},
 		eff:            func(p *Problem) float64 { return 0.16 },
-		calls:          func(f *family, p *Problem) []KernelCall { return winogradCalls(f, p) },
+		calls:          func(f *Solution, p *Problem) []KernelCall { return winogradCalls(f, p) },
 		layout:         anyLayout,
 		run:            runConvWinograd,
 		mainCodeSize:   340 << 10,
@@ -296,7 +169,7 @@ func ConvSolutions() []Solution {
 		helperCodeSize: 70 << 10,
 	}
 
-	winogradRxS := &family{
+	winogradRxS := &Solution{
 		id: "ConvBinWinogradRxSFwd", pattern: PatternWinograd, primitive: Convolution, spec: 2,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			return isPlainConv(p) && stride1(p) &&
@@ -307,7 +180,7 @@ func ConvSolutions() []Solution {
 		binding:          func(p *Problem) string { return dt(p) },
 		residentBindings: []string{"f32", "f16"},
 		eff:              func(p *Problem) float64 { return 0.22 },
-		calls:            func(f *family, p *Problem) []KernelCall { return winogradCalls(f, p) },
+		calls:            func(f *Solution, p *Problem) []KernelCall { return winogradCalls(f, p) },
 		layout:           nchw,
 		run:              runConvWinograd,
 		mainCodeSize:     420 << 10,
@@ -315,7 +188,7 @@ func ConvSolutions() []Solution {
 		helperCodeSize:   90 << 10,
 	}
 
-	winogradFixed := &family{
+	winogradFixed := &Solution{
 		id: "ConvBinWinogradFwdFixed", pattern: PatternWinograd, primitive: Convolution, spec: 4,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			return isPlainConv(p) && stride1(p) &&
@@ -334,7 +207,7 @@ func ConvSolutions() []Solution {
 			}
 			return 0.20 // F(2,5) transform overhead: the RxS kernel wins
 		},
-		calls:          func(f *family, p *Problem) []KernelCall { return winogradCalls(f, p) },
+		calls:          func(f *Solution, p *Problem) []KernelCall { return winogradCalls(f, p) },
 		layout:         nchw,
 		run:            runConvWinograd,
 		mainCodeSize:   650 << 10,
@@ -342,7 +215,7 @@ func ConvSolutions() []Solution {
 		helperCodeSize: 80 << 10,
 	}
 
-	gemm1x1 := &family{
+	gemm1x1 := &Solution{
 		id: "ConvGemmFwd1x1", pattern: PatternGEMM, primitive: Convolution, spec: 3,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			return isPlainConv(p) && stride1(p) && p.R == 1 && p.S == 1 &&
@@ -355,13 +228,13 @@ func ConvSolutions() []Solution {
 			return fmt.Sprintf("c%dk%d_%s", p.In.C, p.K, dt(p))
 		},
 		eff:          func(p *Problem) float64 { return 0.45 },
-		calls:        func(f *family, p *Problem) []KernelCall { return singleCall(f, p, 1) },
+		calls:        func(f *Solution, p *Problem) []KernelCall { return singleCall(f, p, 1) },
 		layout:       nhwc,
 		run:          runConvIm2col,
 		mainCodeSize: 420 << 10,
 	}
 
-	gemmStrided := &family{
+	gemmStrided := &Solution{
 		id: "ConvGemmStridedBatchedFwd", pattern: PatternGEMM, primitive: Convolution, spec: 2,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			return isPlainConv(p) && p.Conv.StrideH <= 3 && p.Conv.StrideW <= 3 &&
@@ -371,7 +244,7 @@ func ConvSolutions() []Solution {
 		residentBindings: []string{"f32", "f16", "i8"},
 		workspace:        im2colWorkspace,
 		eff:              func(p *Problem) float64 { return 0.17 },
-		calls:            func(f *family, p *Problem) []KernelCall { return gemmConvCalls(f, p) },
+		calls:            func(f *Solution, p *Problem) []KernelCall { return gemmConvCalls(f, p) },
 		layout:           anyLayout,
 		run:              runConvIm2col,
 		mainCodeSize:     360 << 10,
@@ -379,7 +252,7 @@ func ConvSolutions() []Solution {
 		helperCodeSize:   70 << 10,
 	}
 
-	directTiled := &family{
+	directTiled := &Solution{
 		id: "ConvDirectTiledFwd", pattern: PatternDirect, primitive: Convolution, spec: 2,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			return p.Groups == 1 && p.Conv.DilH == 1 && p.Conv.DilW == 1 &&
@@ -389,13 +262,13 @@ func ConvSolutions() []Solution {
 		binding:          func(p *Problem) string { return dt(p) },
 		residentBindings: []string{"f32", "f16"},
 		eff:              func(p *Problem) float64 { return 0.30 },
-		calls:            func(f *family, p *Problem) []KernelCall { return singleCall(f, p, 1) },
+		calls:            func(f *Solution, p *Problem) []KernelCall { return singleCall(f, p, 1) },
 		layout:           nchw,
 		run:              runConvDirect,
 		mainCodeSize:     450 << 10,
 	}
 
-	directDepthwise := &family{
+	directDepthwise := &Solution{
 		id: "ConvDirectDepthwiseFwd", pattern: PatternDirect, primitive: Convolution, spec: 3,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			return p.Depthwise() && p.R == p.S && (p.R == 3 || p.R == 5 || p.R == 7) &&
@@ -406,13 +279,13 @@ func ConvSolutions() []Solution {
 			return fmt.Sprintf("r%d_c%dh%d_%s", p.R, p.In.C, p.In.H, dt(p))
 		},
 		eff:          func(p *Problem) float64 { return 0.35 },
-		calls:        func(f *family, p *Problem) []KernelCall { return singleCall(f, p, 1) },
+		calls:        func(f *Solution, p *Problem) []KernelCall { return singleCall(f, p, 1) },
 		layout:       nchw,
 		run:          runConvDirect,
 		mainCodeSize: 430 << 10,
 	}
 
-	igemmV4 := &family{
+	igemmV4 := &Solution{
 		id: "ConvImplicitGemmV4R1Fwd", pattern: PatternImplicitGEMM, primitive: Convolution, spec: 2,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			return isPlainConv(p) && p.Conv.StrideH <= 2 && p.Conv.StrideW <= 2 &&
@@ -422,7 +295,7 @@ func ConvSolutions() []Solution {
 		binding:          func(p *Problem) string { return dt(p) },
 		residentBindings: []string{"f32", "f16"},
 		eff:              func(p *Problem) float64 { return 0.32 },
-		calls:            func(f *family, p *Problem) []KernelCall { return singleCall(f, p, 1) },
+		calls:            func(f *Solution, p *Problem) []KernelCall { return singleCall(f, p, 1) },
 		layout:           anyLayout,
 		run:              runConvDirect,
 		mainCodeSize:     560 << 10,
@@ -430,7 +303,7 @@ func ConvSolutions() []Solution {
 		helperCodeSize:   110 << 10,
 	}
 
-	igemmXdlops := &family{
+	igemmXdlops := &Solution{
 		id: "ConvImplicitGemmXdlopsFwd", pattern: PatternImplicitGEMM, primitive: Convolution, spec: 4,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			// XDLOPS matrix pipes exist on CDNA (gfx9) only: the hardware
@@ -452,7 +325,7 @@ func ConvSolutions() []Solution {
 			return fmt.Sprintf("c%dk%dh%dst%d_%s", p.In.C, p.K, p.In.H, p.Conv.StrideH, dt(p))
 		},
 		eff:            func(p *Problem) float64 { return 0.55 },
-		calls:          func(f *family, p *Problem) []KernelCall { return singleCall(f, p, 1) },
+		calls:          func(f *Solution, p *Problem) []KernelCall { return singleCall(f, p, 1) },
 		layout:         nhwc,
 		run:            runConvDirect,
 		mainCodeSize:   700 << 10,
@@ -460,7 +333,7 @@ func ConvSolutions() []Solution {
 		helperCodeSize: 120 << 10,
 	}
 
-	return []Solution{
+	return []*Solution{
 		gemmNaive, directNaive, winogradNaive,
 		winogradRxS, winogradFixed,
 		gemm1x1, gemmStrided,
@@ -471,18 +344,18 @@ func ConvSolutions() []Solution {
 
 // winogradCalls issues filter/input transform kernels plus the batched GEMM
 // main kernel, with the Winograd multiply reduction applied.
-func winogradCalls(f *family, p *Problem) []KernelCall {
+func winogradCalls(f *Solution, p *Problem) []KernelCall {
 	eff := f.Efficiency(p)
 	main := singleCall(f, p, winogradScale(p))[0]
 	xform := kernels.TransformWorkload(p.In, p.DType)
 	return []KernelCall{
-		{Symbol: mainSymbol(f, p.bindingOf(f)) + "_helper0", Work: xform, Eff: clampEff(eff * 1.5)},
+		{Symbol: mainSymbol(f, f.BindingKey(p)) + "_helper0", Work: xform, Eff: clampEff(eff * 1.5)},
 		main,
 	}
 }
 
 // gemmConvCalls issues im2col lowering plus the GEMM main kernel.
-func gemmConvCalls(f *family, p *Problem) []KernelCall {
+func gemmConvCalls(f *Solution, p *Problem) []KernelCall {
 	eff := f.Efficiency(p)
 	im2col := kernels.Workload{
 		Flops: 0,
@@ -490,7 +363,7 @@ func gemmConvCalls(f *family, p *Problem) []KernelCall {
 	}
 	main := singleCall(f, p, 1)[0]
 	return []KernelCall{
-		{Symbol: mainSymbol(f, p.bindingOf(f)) + "_helper0", Work: im2col, Eff: clampEff(eff * 1.5)},
+		{Symbol: mainSymbol(f, f.BindingKey(p)) + "_helper0", Work: im2col, Eff: clampEff(eff * 1.5)},
 		main,
 	}
 }

@@ -40,7 +40,7 @@ type Library struct {
 // planKey identifies one memoized launch plan. It is a value key: keying by
 // *Problem allocates more and is no faster.
 type planKey struct {
-	sol  Solution
+	sol  *Solution
 	prob Problem
 }
 
@@ -62,7 +62,7 @@ type launchPlan struct {
 // comparable; WorkspaceLimit is part of the key because tests mutate it
 // directly on the Ctx.
 type applicKey struct {
-	sol     Solution
+	sol     *Solution
 	binding string
 	prob    Problem
 	wsLimit int64

@@ -9,21 +9,21 @@ import (
 
 // PoolSolutions returns the pooling ladder: a fully generic kernel and a
 // tiled specialist for the small windows CNN backbones use.
-func PoolSolutions() []Solution {
+func PoolSolutions() []*Solution {
 	anyLayout := func(p *Problem) (tensor.Layout, bool) { return p.Layout, true }
 	nchw := func(p *Problem) (tensor.Layout, bool) { return tensor.NCHW, false }
 
-	naive := &family{
+	naive := &Solution{
 		id: "PoolingNaiveFwd", pattern: PatternPooling, primitive: Pooling, spec: 1,
 		applicable:   func(ctx *Ctx, p *Problem) bool { return true },
 		eff:          func(p *Problem) float64 { return 0.30 },
-		calls:        func(f *family, p *Problem) []KernelCall { return singleCall(f, p, 1) },
+		calls:        func(f *Solution, p *Problem) []KernelCall { return singleCall(f, p, 1) },
 		layout:       anyLayout,
 		run:          runPool,
 		mainCodeSize: 130 << 10,
 	}
 
-	tiled := &family{
+	tiled := &Solution{
 		id: "PoolingTiled2DFwd", pattern: PatternPooling, primitive: Pooling, spec: 2,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			return p.Pool.WinH <= 3 && p.Pool.WinW <= 3 &&
@@ -35,21 +35,21 @@ func PoolSolutions() []Solution {
 			return fmt.Sprintf("w%dx%d_c%dh%d_%s", p.Pool.WinH, p.Pool.WinW, p.In.C, p.In.H, dt(p))
 		},
 		eff:          func(p *Problem) float64 { return 0.55 },
-		calls:        func(f *family, p *Problem) []KernelCall { return singleCall(f, p, 1) },
+		calls:        func(f *Solution, p *Problem) []KernelCall { return singleCall(f, p, 1) },
 		layout:       nchw,
 		run:          runPool,
 		mainCodeSize: 260 << 10,
 	}
 
-	return []Solution{naive, tiled}
+	return []*Solution{naive, tiled}
 }
 
 // ActSolutions returns the activation ladder: a generic any-function kernel
 // and a vectorized specialist for ReLU-family activations.
-func ActSolutions() []Solution {
+func ActSolutions() []*Solution {
 	anyLayout := func(p *Problem) (tensor.Layout, bool) { return p.Layout, true }
 
-	naive := &family{
+	naive := &Solution{
 		id: "ActivationNaiveFwd", pattern: PatternActivation, primitive: Activation, spec: 1,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			// The reference kernel computes in floating point; int8 ReLU
@@ -60,13 +60,13 @@ func ActSolutions() []Solution {
 			return true
 		},
 		eff:          func(p *Problem) float64 { return 0.50 },
-		calls:        func(f *family, p *Problem) []KernelCall { return singleCall(f, p, 1) },
+		calls:        func(f *Solution, p *Problem) []KernelCall { return singleCall(f, p, 1) },
 		layout:       anyLayout,
 		run:          runAct,
 		mainCodeSize: 90 << 10,
 	}
 
-	packed := &family{
+	packed := &Solution{
 		id: "ActivationPackedFwd", pattern: PatternActivation, primitive: Activation, spec: 2,
 		applicable: func(ctx *Ctx, p *Problem) bool {
 			if p.Act != kernels.ReLU && p.Act != kernels.LeakyReLU {
@@ -76,13 +76,13 @@ func ActSolutions() []Solution {
 		},
 		binding:      func(p *Problem) string { return fmt.Sprintf("c%d_%s", pow2Bucket(p.In.C), dt(p)) },
 		eff:          func(p *Problem) float64 { return 0.85 },
-		calls:        func(f *family, p *Problem) []KernelCall { return singleCall(f, p, 1) },
+		calls:        func(f *Solution, p *Problem) []KernelCall { return singleCall(f, p, 1) },
 		layout:       anyLayout,
 		run:          runAct,
 		mainCodeSize: 200 << 10,
 	}
 
-	return []Solution{naive, packed}
+	return []*Solution{naive, packed}
 }
 
 // runPool executes pooling functionally; w and bias are unused.

@@ -18,15 +18,15 @@ type Ranked struct {
 // Registry holds every solution the library ships and answers Find queries.
 type Registry struct {
 	ctx  *Ctx
-	sols []Solution
-	byID map[string]Solution
+	sols []*Solution
+	byID map[string]*Solution
 }
 
 // NewRegistry builds the full library (conv + pooling + activation ladders)
 // for the given context.
 func NewRegistry(ctx *Ctx) *Registry {
-	r := &Registry{ctx: ctx, byID: make(map[string]Solution)}
-	for _, set := range [][]Solution{ConvSolutions(), PoolSolutions(), ActSolutions()} {
+	r := &Registry{ctx: ctx, byID: make(map[string]*Solution)}
+	for _, set := range [][]*Solution{ConvSolutions(), PoolSolutions(), ActSolutions()} {
 		for _, s := range set {
 			if _, dup := r.byID[s.ID()]; dup {
 				panic("miopen: duplicate solution id " + s.ID())
@@ -42,10 +42,10 @@ func NewRegistry(ctx *Ctx) *Registry {
 func (r *Registry) Ctx() *Ctx { return r.ctx }
 
 // Solutions returns all registered solutions.
-func (r *Registry) Solutions() []Solution { return r.sols }
+func (r *Registry) Solutions() []*Solution { return r.sols }
 
 // ByID looks up a solution by its stable name.
-func (r *Registry) ByID(id string) (Solution, bool) {
+func (r *Registry) ByID(id string) (*Solution, bool) {
 	s, ok := r.byID[id]
 	return s, ok
 }
@@ -136,10 +136,8 @@ func (r *Registry) Residents() []Instance {
 			out = append(out, Instance{Sol: s})
 			continue
 		}
-		if f, ok := s.(*family); ok {
-			for _, b := range f.residentBindings {
-				out = append(out, Instance{Sol: s, Binding: b})
-			}
+		for _, b := range s.residentBindings {
+			out = append(out, Instance{Sol: s, Binding: b})
 		}
 	}
 	return out

@@ -1,6 +1,9 @@
 package miopen
 
 import (
+	"maps"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pask/internal/codeobj"
@@ -56,71 +59,167 @@ type KernelCall struct {
 // Solution is one algorithm implementation in the library. A Solution is a
 // *family*: specialized families bind template parameters per problem
 // (BindingKey), and each binding is a separate compiled code object.
-type Solution interface {
-	// ID returns the solution's stable name, e.g. "ConvBinWinogradRxSFwd".
-	ID() string
-	// Pattern returns the algorithmic family.
-	Pattern() Pattern
-	// Primitive returns the layer type the solution implements.
-	Primitive() Primitive
-	// Specificity orders the generality ladder: higher values are more
-	// specialized (paper Fig 4).
-	Specificity() int
-	// IsApplicable reports whether the solution can solve p under ctx
-	// without constraint violations. This is the expensive check PASK's
-	// categorical cache minimizes; time is charged by the caller.
-	IsApplicable(ctx *Ctx, p *Problem) bool
-	// BindingKey returns the compile-time template binding for p ("" for
-	// binding-free solutions). A loaded instance only serves problems with
-	// an identical binding.
-	BindingKey(p *Problem) string
-	// WorkspaceSize returns the scratch memory the solution needs for p.
-	WorkspaceSize(p *Problem) int64
-	// Efficiency returns the roofline efficiency in (0,1] achieved on p.
-	Efficiency(p *Problem) float64
-	// KernelCalls returns the kernel invocations that realize p.
-	KernelCalls(p *Problem) []KernelCall
-	// ObjectSpec returns the kernels compiled into the code object for the
-	// given binding.
-	ObjectSpec(binding string) []codeobj.KernelSpec
-	// PreferredLayout returns the data layout the solution's kernels want;
-	// agnostic is true when any layout works in place.
-	PreferredLayout(p *Problem) (layout tensor.Layout, agnostic bool)
-	// RunFunctional computes the layer on host tensors (tests and the
-	// functional example). w and bias are nil for non-conv primitives.
-	RunFunctional(p *Problem, in, w, bias, out *tensor.Tensor) error
+// Solutions are declarative: the constructors in this package fill in the
+// constraint, efficiency, binding and kernel hooks of each one, which keeps
+// the generality ladder of paper Fig 4 auditable in one place.
+type Solution struct {
+	id        string
+	pattern   Pattern
+	primitive Primitive
+	spec      int
+
+	applicable func(ctx *Ctx, p *Problem) bool
+	binding    func(p *Problem) string
+	workspace  func(p *Problem) int64
+	eff        func(p *Problem) float64
+	calls      func(f *Solution, p *Problem) []KernelCall
+	layout     func(p *Problem) (tensor.Layout, bool)
+	objSpec    func(f *Solution, binding string) []codeobj.KernelSpec
+	run        func(p *Problem, in, w, bias, out *tensor.Tensor) error
+
+	// code-object sizing
+	mainCodeSize   int
+	helperSyms     int // extra kernels bundled in the object
+	helperCodeSize int
+
+	// residentBindings lists bindings whose kernels ship precompiled inside
+	// the library binary (the "Bin" solvers and naive fallbacks): they are
+	// mapped when the library is opened, never loaded per model.
+	residentBindings []string
+
+	// paths is the copy-on-write binding → store path table behind
+	// Instance.Path: readers load it without a lock and hash only the
+	// binding; a new binding is added under pathMu by storing a copy.
+	paths  atomic.Pointer[map[string]string]
+	pathMu sync.Mutex
+}
+
+// ID returns the solution's stable name, e.g. "ConvBinWinogradRxSFwd".
+func (s *Solution) ID() string { return s.id }
+
+// Pattern returns the algorithmic family.
+func (s *Solution) Pattern() Pattern { return s.pattern }
+
+// Primitive returns the layer type the solution implements.
+func (s *Solution) Primitive() Primitive { return s.primitive }
+
+// Specificity orders the generality ladder: higher values are more
+// specialized (paper Fig 4).
+func (s *Solution) Specificity() int { return s.spec }
+
+// IsApplicable reports whether the solution can solve p under ctx without
+// constraint violations. This is the expensive check PASK's categorical
+// cache minimizes; time is charged by the caller.
+func (s *Solution) IsApplicable(ctx *Ctx, p *Problem) bool {
+	if p.Primitive != s.primitive || !p.Valid() {
+		return false
+	}
+	if s.workspace != nil && s.workspace(p) > ctx.WorkspaceLimit {
+		return false
+	}
+	return s.applicable(ctx, p)
+}
+
+// BindingKey returns the compile-time template binding for p ("" for
+// binding-free solutions). A loaded instance only serves problems with an
+// identical binding.
+func (s *Solution) BindingKey(p *Problem) string {
+	if s.binding == nil {
+		return ""
+	}
+	return s.binding(p)
+}
+
+// WorkspaceSize returns the scratch memory the solution needs for p.
+func (s *Solution) WorkspaceSize(p *Problem) int64 {
+	if s.workspace == nil {
+		return 0
+	}
+	return s.workspace(p)
+}
+
+// Efficiency returns the roofline efficiency in (0,1] achieved on p.
+func (s *Solution) Efficiency(p *Problem) float64 {
+	return clampEff(s.eff(p) * occupancy(p.Parallelism()))
+}
+
+// KernelCalls returns the kernel invocations that realize p.
+func (s *Solution) KernelCalls(p *Problem) []KernelCall {
+	return s.calls(s, p)
+}
+
+// PreferredLayout returns the data layout the solution's kernels want;
+// agnostic is true when any layout works in place.
+func (s *Solution) PreferredLayout(p *Problem) (layout tensor.Layout, agnostic bool) {
+	if s.layout == nil {
+		return tensor.NCHW, true
+	}
+	return s.layout(p)
+}
+
+// ObjectSpec returns the kernels compiled into the code object for the
+// given binding.
+func (s *Solution) ObjectSpec(binding string) []codeobj.KernelSpec {
+	if s.objSpec != nil {
+		return s.objSpec(s, binding)
+	}
+	return defaultObjSpec(s, binding)
+}
+
+// RunFunctional computes the layer on host tensors (tests and the
+// functional example). w and bias are nil for non-conv primitives.
+func (s *Solution) RunFunctional(p *Problem, in, w, bias, out *tensor.Tensor) error {
+	return s.run(p, in, w, bias, out)
+}
+
+// path returns the store path of s's instance at binding, adding it to the
+// solution's table on first use.
+func (s *Solution) path(binding string) string {
+	if p, ok := s.pathTable()[binding]; ok {
+		return p
+	}
+	s.pathMu.Lock()
+	defer s.pathMu.Unlock()
+	old := s.pathTable()
+	if p, ok := old[binding]; ok {
+		return p
+	}
+	next := make(map[string]string, len(old)+1)
+	maps.Copy(next, old)
+	p := s.id + ".pko"
+	if binding != "" {
+		p = s.id + "_" + binding + ".pko"
+	}
+	next[binding] = p
+	s.paths.Store(&next)
+	return p
+}
+
+// pathTable returns the solution's current binding → path table (nil before
+// the first Path).
+func (s *Solution) pathTable() map[string]string {
+	if m := s.paths.Load(); m != nil {
+		return *m
+	}
+	return nil
 }
 
 // Instance is a loaded (or loadable) realization of a solution family at a
 // concrete binding — the unit PASK caches and reuses.
 type Instance struct {
-	Sol     Solution
+	Sol     *Solution
 	Binding string
 }
 
 // Bind materializes the instance implementing p with solution s.
-func Bind(s Solution, p *Problem) Instance {
+func Bind(s *Solution, p *Problem) Instance {
 	return Instance{Sol: s, Binding: s.BindingKey(p)}
 }
 
-// Path returns the code-object store path of the instance. A library
-// family hands out the string from its own binding table, so repeated calls
-// for the same instance neither allocate nor take a lock; any other
-// Solution gets a fresh concatenation.
-func (i Instance) Path() string {
-	if f, ok := i.Sol.(*family); ok {
-		return f.path(i.Binding)
-	}
-	return instancePath(i.Sol.ID(), i.Binding)
-}
-
-// instancePath formats the store path of solution id at binding.
-func instancePath(id, binding string) string {
-	if binding == "" {
-		return id + ".pko"
-	}
-	return id + "_" + binding + ".pko"
-}
+// Path returns the code-object store path of the instance. The solution
+// hands out the string from its own binding table, so repeated calls for
+// the same instance neither allocate nor take a lock.
+func (i Instance) Path() string { return i.Sol.path(i.Binding) }
 
 // Key returns a unique identity for the instance.
 func (i Instance) Key() string { return i.Path() }
@@ -145,7 +244,7 @@ func (i Instance) IsApplicable(ctx *Ctx, p *Problem) bool {
 
 // EstimateTime predicts the GPU time of running p with solution s on dev —
 // the quantity the performance database ranks by.
-func EstimateTime(dev device.Profile, s Solution, p *Problem) time.Duration {
+func EstimateTime(dev device.Profile, s *Solution, p *Problem) time.Duration {
 	var total time.Duration
 	for _, c := range s.KernelCalls(p) {
 		total += dev.KernelTime(c.Work, c.Eff)

@@ -78,9 +78,9 @@ type Substitution struct {
 }
 
 // Manifest is a per-model load profile: everything a prefetcher needs to
-// make the next cold start find its modules resident. Unknown top-level
-// JSON fields survive a decode/encode round trip, so manifests written by
-// newer minor revisions are not stripped by older tools.
+// make the next cold start find its modules resident. Decode ignores fields
+// this version does not know, so manifests written by newer minor revisions
+// still load.
 type Manifest struct {
 	Version int    `json:"version"`
 	Model   string `json:"model,omitempty"`
@@ -90,90 +90,6 @@ type Manifest struct {
 
 	Entries       []Entry        `json:"entries"`
 	Substitutions []Substitution `json:"substitutions,omitempty"`
-
-	// unknown preserves top-level fields this version does not understand.
-	unknown map[string]json.RawMessage
-}
-
-// manifestJSON is the known-field shape (kept in sync with Manifest).
-type manifestJSON struct {
-	Version       int            `json:"version"`
-	Model         string         `json:"model,omitempty"`
-	Batch         int            `json:"batch,omitempty"`
-	Device        string         `json:"device,omitempty"`
-	Arch          string         `json:"arch,omitempty"`
-	Entries       []Entry        `json:"entries"`
-	Substitutions []Substitution `json:"substitutions,omitempty"`
-}
-
-// knownManifestKeys lists the top-level keys the current version owns.
-var knownManifestKeys = []string{"version", "model", "batch", "device", "arch", "entries", "substitutions"}
-
-// MarshalJSON writes the known fields plus any preserved unknown fields.
-func (m *Manifest) MarshalJSON() ([]byte, error) {
-	known, err := json.Marshal(manifestJSON{
-		Version: m.Version, Model: m.Model, Batch: m.Batch,
-		Device: m.Device, Arch: m.Arch,
-		Entries: m.Entries, Substitutions: m.Substitutions,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(m.unknown) == 0 {
-		return known, nil
-	}
-	merged := make(map[string]json.RawMessage, len(m.unknown)+len(knownManifestKeys))
-	if err := json.Unmarshal(known, &merged); err != nil {
-		return nil, err
-	}
-	for k, v := range m.unknown {
-		if _, owned := merged[k]; !owned {
-			merged[k] = v
-		}
-	}
-	return json.Marshal(merged) // map keys marshal sorted: deterministic
-}
-
-// UnmarshalJSON parses a manifest, rejecting newer format versions with
-// ErrVersion and preserving unknown top-level fields.
-func (m *Manifest) UnmarshalJSON(data []byte) error {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	var mj manifestJSON
-	if err := json.Unmarshal(data, &mj); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if mj.Version > Version {
-		return fmt.Errorf("%w: manifest version %d, this build understands <= %d", ErrVersion, mj.Version, Version)
-	}
-	if mj.Version < 1 {
-		return fmt.Errorf("%w: missing or invalid version field", ErrCorrupt)
-	}
-	m.Version = mj.Version
-	m.Model, m.Batch = mj.Model, mj.Batch
-	m.Device, m.Arch = mj.Device, mj.Arch
-	m.Entries, m.Substitutions = mj.Entries, mj.Substitutions
-	for _, k := range knownManifestKeys {
-		delete(raw, k)
-	}
-	if len(raw) > 0 {
-		m.unknown = raw
-	} else {
-		m.unknown = nil
-	}
-	return nil
-}
-
-// UnknownFields returns the preserved top-level keys this version did not
-// understand (sorted by the encoder on write; order here is unspecified).
-func (m *Manifest) UnknownFields() []string {
-	out := make([]string, 0, len(m.unknown))
-	for k := range m.unknown {
-		out = append(out, k)
-	}
-	return out
 }
 
 // Encode serializes the manifest as indented JSON.
@@ -185,17 +101,19 @@ func (m *Manifest) Encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Decode parses a manifest. Errors unwrap to ErrCorrupt (bad JSON or
-// structure) or ErrVersion (newer format).
+// Decode parses a manifest, ignoring fields this version does not know.
+// Errors unwrap to ErrCorrupt (bad JSON or structure) or ErrVersion (newer
+// format).
 func Decode(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		// json syntax errors surface before UnmarshalJSON runs; fold them
-		// into the corrupt class so callers have two sentinels, not three.
-		if !errors.Is(err, ErrVersion) && !errors.Is(err, ErrCorrupt) {
-			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if m.Version > Version {
+		return nil, fmt.Errorf("%w: manifest version %d, this build understands <= %d", ErrVersion, m.Version, Version)
+	}
+	if m.Version < 1 {
+		return nil, fmt.Errorf("%w: missing or invalid version field", ErrCorrupt)
 	}
 	for i := range m.Entries {
 		if m.Entries[i].Path == "" {
