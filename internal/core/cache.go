@@ -71,36 +71,28 @@ func SeedResidents(c Cache, lib *miopen.Library) {
 // fresh slice per call, which the query hot path must not pay.
 var allPatterns = miopen.Patterns()
 
-// entry pairs a cached instance with its precomputed identity key, so MRU
-// scans compare strings the cache already holds instead of rebuilding the
-// key per candidate.
-type entry struct {
-	inst miopen.Instance
-	key  string
-}
-
 // CategoricalCache organizes loaded instances in separate MRU lists keyed by
 // solution pattern (paper §III-C). A query only scans the list matching the
 // wanted solution's pattern and gives up without touching other categories.
 type CategoricalCache struct {
-	lists   map[miopen.Pattern][]entry // index 0 = most recent
-	scratch [][]entry                  // freelist of query snapshot buffers
+	lists   map[miopen.Pattern][]miopen.Instance // index 0 = most recent
+	scratch [][]miopen.Instance                  // freelist of query snapshot buffers
 	stats   CacheStats
 }
 
 // NewCategoricalCache returns an empty categorical cache.
 func NewCategoricalCache() *CategoricalCache {
-	return &CategoricalCache{lists: make(map[miopen.Pattern][]entry)}
+	return &CategoricalCache{lists: make(map[miopen.Pattern][]miopen.Instance)}
 }
 
-func promote[T any](list []T, i int) []T {
+// promote moves list[i] to the front in place.
+func promote[T any](list []T, i int) {
 	if i == 0 {
-		return list
+		return
 	}
 	e := list[i]
 	copy(list[1:i+1], list[:i])
 	list[0] = e
-	return list
 }
 
 // promoteKey moves the entry with the given key to the head of its pattern
@@ -111,8 +103,8 @@ func promote[T any](list []T, i int) []T {
 func (c *CategoricalCache) promoteKey(pat miopen.Pattern, key string) {
 	list := c.lists[pat]
 	for i := range list {
-		if list[i].key == key {
-			c.lists[pat] = promote(list, i)
+		if list[i].Key() == key {
+			promote(list, i)
 			return
 		}
 	}
@@ -122,8 +114,8 @@ func (c *CategoricalCache) promoteKey(pat miopen.Pattern, key string) {
 // copy happen without yields, so concurrent queries interleaved in virtual
 // time each hold distinct buffers; release returns the buffer once the query
 // is done iterating.
-func (c *CategoricalCache) snapshot(list []entry) []entry {
-	var buf []entry
+func (c *CategoricalCache) snapshot(list []miopen.Instance) []miopen.Instance {
+	var buf []miopen.Instance
 	if n := len(c.scratch); n > 0 {
 		buf = c.scratch[n-1][:0]
 		c.scratch = c.scratch[:n-1]
@@ -131,7 +123,7 @@ func (c *CategoricalCache) snapshot(list []entry) []entry {
 	return append(buf, list...)
 }
 
-func (c *CategoricalCache) release(buf []entry) {
+func (c *CategoricalCache) release(buf []miopen.Instance) {
 	c.scratch = append(c.scratch, buf)
 }
 
@@ -148,8 +140,8 @@ func (c *CategoricalCache) insertWith(extra *CacheStats, inst miopen.Instance) {
 	key := inst.Key()
 	list := c.lists[pat]
 	for i := range list {
-		if list[i].key == key {
-			c.lists[pat] = promote(list, i)
+		if list[i].Key() == key {
+			promote(list, i)
 			return
 		}
 	}
@@ -157,7 +149,7 @@ func (c *CategoricalCache) insertWith(extra *CacheStats, inst miopen.Instance) {
 	if extra != nil {
 		extra.Inserts++
 	}
-	c.lists[pat] = append([]entry{{inst: inst, key: key}}, list...)
+	c.lists[pat] = append([]miopen.Instance{inst}, list...)
 }
 
 // GetSub scans only the wanted pattern's list in MRU order and returns the
@@ -229,8 +221,8 @@ func (c *CategoricalCache) scan(extra *CacheStats, proc *sim.Proc, lib *miopen.L
 	list := c.snapshot(c.lists[pat])
 	defer c.release(list)
 	for i := range list {
-		cand := list[i].inst
-		if list[i].key == skipKey || requireLoaded && !lib.IsLoaded(cand) {
+		cand := list[i]
+		if cand.Key() == skipKey || requireLoaded && !lib.IsLoaded(cand) {
 			continue
 		}
 		c.stats.Lookups++
@@ -241,7 +233,7 @@ func (c *CategoricalCache) scan(extra *CacheStats, proc *sim.Proc, lib *miopen.L
 			if requireLoaded && !lib.IsLoaded(cand) {
 				continue // evicted while the check slept
 			}
-			c.promoteKey(pat, list[i].key)
+			c.promoteKey(pat, cand.Key())
 			c.stats.Hits++
 			if extra != nil {
 				extra.Hits++
@@ -285,7 +277,7 @@ func NewNaiveCache() *NaiveCache { return &NaiveCache{} }
 func (c *NaiveCache) Insert(inst miopen.Instance) {
 	for i := range c.list {
 		if c.list[i].Key() == inst.Key() {
-			c.list = promote(c.list, i)
+			promote(c.list, i)
 			return
 		}
 	}
@@ -314,7 +306,7 @@ func (c *NaiveCache) GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Ins
 		return miopen.Instance{}, false
 	}
 	inst := c.list[best]
-	c.list = promote(c.list, best)
+	promote(c.list, best)
 	c.stats.Hits++
 	return inst, true
 }
@@ -343,7 +335,7 @@ func (c *NaiveCache) GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.
 		return miopen.Instance{}, false
 	}
 	inst := c.list[best]
-	c.list = promote(c.list, best)
+	promote(c.list, best)
 	c.stats.Hits++
 	return inst, true
 }

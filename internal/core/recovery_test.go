@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 	"testing"
 
 	"pask/internal/blas"
@@ -213,52 +212,6 @@ func TestNoUsableSolutionTyped(t *testing.T) {
 	}
 	if !errors.Is(runErr, ErrNoUsableSolution) {
 		t.Fatalf("error %v does not wrap ErrNoUsableSolution", runErr)
-	}
-}
-
-func TestTransformElisionOnLoadFailure(t *testing.T) {
-	// Probe a clean run first: only a transform object the pipeline really
-	// loads can prove the elision path (stale transforms are skipped before
-	// their load is attempted).
-	h := newHarness(t, "res", 1, graphx.CompileOptions{})
-	xformPaths := make(map[string]bool)
-	for i := range h.model.Instrs {
-		if h.model.Instrs[i].Kind == graphx.KindTransform {
-			xformPaths[h.model.Instrs[i].XformPath] = true
-		}
-	}
-	if len(xformPaths) == 0 {
-		t.Skip("model compiled without transforms")
-	}
-	var loaded []string
-	err := h.faultRun(t, func(p *sim.Proc, r *graphx.Runner) error {
-		_, rerr := RunInterleaved(p, r, h.model, seededCat(r), true, Options{})
-		for path := range xformPaths {
-			if r.RT.Loaded(path) {
-				loaded = append(loaded, path)
-			}
-		}
-		return rerr
-	})
-	if err != nil {
-		t.Fatalf("clean run failed: %v", err)
-	}
-	if len(loaded) == 0 {
-		t.Skip("no transform object loaded on the clean run")
-	}
-	sort.Strings(loaded)
-	breakObject(t, h.store, loaded[0])
-	var res *Result
-	err = h.faultRun(t, func(p *sim.Proc, r *graphx.Runner) error {
-		var rerr error
-		res, rerr = RunInterleaved(p, r, h.model, seededCat(r), true, Options{})
-		return rerr
-	})
-	if err != nil {
-		t.Fatalf("run with broken transform object failed: %v", err)
-	}
-	if res.ElidedXformFailures == 0 {
-		t.Fatal("broken transform object was never elided")
 	}
 }
 

@@ -2,6 +2,7 @@ package graphx
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"pask/internal/blas"
 	"pask/internal/codeobj"
@@ -89,6 +90,9 @@ type compiler struct {
 
 func (c *compiler) emit(in Instruction) *Instruction {
 	in.Index = len(c.m.Instrs)
+	if in.Kind == KindPrimitive {
+		in.static = new(atomic.Pointer[staticPlan])
+	}
 	c.m.Instrs = append(c.m.Instrs, in)
 	return &c.m.Instrs[in.Index]
 }
@@ -192,7 +196,7 @@ func (c *compiler) lowerPrimitive(n *onnx.Node, input string, build func(layout 
 		Kind:       KindPrimitive,
 		Problem:    prob,
 		SolutionID: r.Inst.Sol.ID(),
-		Binding:    r.Inst.Binding,
+		Binding:    r.Inst.Binding(),
 		OutShape:   prob.OutShape(),
 	})
 	c.layouts[n.Output] = runLayout

@@ -16,7 +16,7 @@ import (
 	"pask/internal/tensor"
 )
 
-func compileZoo(t *testing.T, abbr string, batch int, reg *miopen.Registry, opts CompileOptions) *CompiledModel {
+func compileZoo(t testing.TB, abbr string, batch int, reg *miopen.Registry, opts CompileOptions) *CompiledModel {
 	t.Helper()
 	spec, err := zoo.ByAbbr(abbr)
 	if err != nil {
@@ -159,7 +159,7 @@ func TestCSEMergesDuplicateBranches(t *testing.T) {
 
 // materialize returns a store holding every code object m can load on an
 // MI100, BLAS objects included.
-func materialize(t *testing.T, reg *miopen.Registry, m *CompiledModel) *codeobj.Store {
+func materialize(t testing.TB, reg *miopen.Registry, m *CompiledModel) *codeobj.Store {
 	t.Helper()
 	store := codeobj.NewStore()
 	objs := store.Batch()

@@ -6,9 +6,9 @@ import (
 	"pask/internal/sim"
 )
 
-// BenchmarkRunSolutionWarm is one warm launch of a loaded conv solution:
-// the launch-plan memo, the reuse check of each bound function and the
-// launch itself, the per-layer host cost of a warm request.
+// BenchmarkRunSolutionWarm is one warm launch of a loaded conv solution
+// the way a substitute runs: the kernel-call memo, the launch plan, the
+// reuse check of each bound function and the launch itself.
 func BenchmarkRunSolutionWarm(b *testing.B) {
 	p := conv3x3(64, 64, 28)
 	env, lib := newLibRuntime(b, []*Problem{&p})
@@ -19,7 +19,7 @@ func BenchmarkRunSolutionWarm(b *testing.B) {
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
 		stream := lib.RT.GPU().DefaultStream()
-		if err := lib.RunSolution(proc, stream, best.Inst, &p); err != nil {
+		if err := lib.RunSolution(proc, stream, best.Inst, best.Inst.Sol.Calls(&p)); err != nil {
 			b.Error(err)
 			return
 		}
@@ -27,7 +27,7 @@ func BenchmarkRunSolutionWarm(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := lib.RunSolution(proc, stream, best.Inst, &p); err != nil {
+			if err := lib.RunSolution(proc, stream, best.Inst, best.Inst.Sol.Calls(&p)); err != nil {
 				b.Error(err)
 				return
 			}

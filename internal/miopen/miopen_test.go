@@ -2,10 +2,12 @@ package miopen
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"pask/internal/codeobj"
 	"pask/internal/device"
@@ -145,8 +147,8 @@ func TestLargeSpatial3x3PicksMidTierWinograd(t *testing.T) {
 	if best.Inst.Sol.ID() != "ConvBinWinogradRxSFwd" {
 		t.Fatalf("best = %s, want ConvBinWinogradRxSFwd", best.Inst.Sol.ID())
 	}
-	if best.Inst.Binding != "f32" {
-		t.Fatalf("binding = %q", best.Inst.Binding)
+	if best.Inst.Binding() != "f32" {
+		t.Fatalf("binding = %q", best.Inst.Binding())
 	}
 }
 
@@ -213,6 +215,79 @@ func TestInstancePathIncludesBinding(t *testing.T) {
 	}
 }
 
+// TestInstancePathInterned pins the instance representation: an instance
+// is two pointers, and Bind and (*Solution).Instance hand out equal
+// instances exactly when solution and binding are equal, in any registry
+// they share.
+func TestInstancePathInterned(t *testing.T) {
+	if size := unsafe.Sizeof(Instance{}); size != 16 {
+		t.Fatalf("Instance is %d bytes, want 16", size)
+	}
+	reg := NewRegistry(testCtx())
+	other := NewRegistry(testCtx())
+	p := conv3x3(64, 64, 28)
+	q := conv3x3(256, 256, 14)
+	for _, s := range reg.Solutions() {
+		key := s.BindingKey(&p)
+		if Bind(s, &p) != s.Instance(key) || s.Instance(key) != s.Instance(key) {
+			t.Fatalf("%s: Bind and Instance differ at binding %q", s.ID(), key)
+		}
+		if got := s.Instance(key).Binding(); got != key {
+			t.Fatalf("%s: Binding() = %q, want %q", s.ID(), got, key)
+		}
+		if s.Instance(key) == s.Instance(key+"_other") {
+			t.Fatalf("%s: instances at two bindings are equal", s.ID())
+		}
+		if eq, same := Bind(s, &q) == Bind(s, &p), s.BindingKey(&q) == key; eq != same {
+			t.Fatalf("%s: instances of two problems equal %v, bindings equal %v", s.ID(), eq, same)
+		}
+		twin, _ := other.ByID(s.ID())
+		if twin.Instance(key) == s.Instance(key) {
+			t.Fatalf("%s: instances of two registries are equal", s.ID())
+		}
+	}
+}
+
+// TestStaticCallsConcurrent races the kernel-call memo of shared
+// solutions: every goroutine asks for the same problems in its own order,
+// so some calls add a problem while others read the table. All must get
+// one *Calls per (solution, problem) holding what KernelCalls returns. Run
+// it under -race.
+func TestStaticCallsConcurrent(t *testing.T) {
+	reg := NewRegistry(testCtx())
+	probs := []Problem{conv3x3(64, 64, 28), conv3x3(256, 256, 14), conv3x3(3, 64, 224), conv3x3(128, 128, 56)}
+	got := make([][]*Calls, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, s := range reg.Solutions() {
+				for i := range probs {
+					got[g] = append(got[g], s.Calls(&probs[(i+g)%len(probs)]))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		k := 0
+		for _, s := range reg.Solutions() {
+			for i := range probs {
+				p := &probs[(i+g)%len(probs)]
+				c := got[g][k]
+				k++
+				if c != s.Calls(p) {
+					t.Fatalf("%s on %s: two *Calls for one problem", s.ID(), p.Key())
+				}
+				if !slices.Equal(c.list, s.KernelCalls(p)) {
+					t.Fatalf("%s on %s: memoized calls differ from KernelCalls", s.ID(), p.Key())
+				}
+			}
+		}
+	}
+}
+
 // TestInstancePathConcurrent races Path on shared families: every goroutine
 // asks for the same mix of bindings, so some calls add a binding to a
 // family's table while others read it. Run it under -race.
@@ -232,7 +307,7 @@ func TestInstancePathConcurrent(t *testing.T) {
 						if b == "" {
 							want = s.ID() + ".pko"
 						}
-						if got := (Instance{Sol: s, Binding: b}).Path(); got != want {
+						if got := s.Instance(b).Path(); got != want {
 							t.Errorf("Path(%s, %q) = %q, want %q", s.ID(), b, got, want)
 							return
 						}
@@ -496,7 +571,7 @@ func TestFindSoundnessProperty(t *testing.T) {
 			if !ranked.Inst.IsApplicable(reg.Ctx(), &p) {
 				return false
 			}
-			if ranked.Inst.Binding != ranked.Inst.Sol.BindingKey(&p) {
+			if ranked.Inst.Binding() != ranked.Inst.Sol.BindingKey(&p) {
 				return false
 			}
 			if ranked.Est <= 0 {

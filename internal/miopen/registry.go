@@ -133,11 +133,11 @@ func (r *Registry) Residents() []Instance {
 	var out []Instance
 	for _, s := range r.sols {
 		if s.Specificity() == 1 {
-			out = append(out, Instance{Sol: s})
+			out = append(out, s.Instance(""))
 			continue
 		}
 		for _, b := range s.residentBindings {
-			out = append(out, Instance{Sol: s, Binding: b})
+			out = append(out, s.Instance(b))
 		}
 	}
 	return out
@@ -149,7 +149,7 @@ func (r *Registry) Residents() []Instance {
 func MaterializeObjects(b *codeobj.Batch, arch string, insts []Instance) {
 	for _, inst := range insts {
 		if path := inst.Path(); b.Need(path) {
-			b.Add(path, arch, inst.Sol.ObjectSpec(inst.Binding))
+			b.Add(path, arch, inst.Sol.ObjectSpec(inst.Binding()))
 		}
 	}
 }
