@@ -1,0 +1,138 @@
+package experiments
+
+import (
+	"cmp"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"pask/internal/core"
+	"pask/internal/device"
+	"pask/internal/metrics"
+	"pask/internal/trace"
+)
+
+// TestColdStartSpanCausality checks the paper's pipeline dependencies
+// (§III-A) on every (model, device, scheme) cold start, over the spans a
+// trace recorder observes from the process's tracer:
+//   - spans on one thread are disjoint or nested: a host thread does one
+//     thing at a time;
+//   - Report.Breakdown sums exactly to Report.Total;
+//   - every issue:<layer> span starts no earlier than parse:<layer> ends: a
+//     layer is issued only after it is parsed;
+//   - every issue span naming a solution ends no earlier than the load of
+//     that solution's code object: a kernel launches only once its object is
+//     resident, or is one of the library's residents, mapped when it opens.
+//     (The end, not the start: Baseline's reactive load runs inside its issue
+//     span, the paper's lazy-loading cold start.)
+func TestColdStartSpanCausality(t *testing.T) {
+	var issues, named int
+	for _, prof := range device.Profiles() {
+		for _, abbr := range AllModelAbbrs() {
+			ms, err := PrepareModel(abbr, 1, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resident := map[string]bool{}
+			for _, inst := range ms.Reg.Residents() {
+				resident[inst.Path()] = true
+			}
+			for _, sch := range core.Schemes() {
+				rec := trace.New()
+				wr, err := ms.RunSchemeOn(ms.NewProcess(), sch, core.Options{}, rec, nil, false)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", abbr, prof.Name, sch, err)
+				}
+				run := abbr + "/" + prof.Name + "/" + string(sch)
+				var sum time.Duration
+				for _, d := range wr.Rep.Breakdown {
+					sum += d
+				}
+				if sum != wr.Rep.Total {
+					t.Errorf("%s: breakdown sums to %v, Total is %v", run, sum, wr.Rep.Total)
+				}
+				i, n := checkCausality(t, run, rec.Spans(), resident)
+				issues += i
+				named += n
+			}
+		}
+	}
+	// The rules must have had something to bite on.
+	t.Logf("checked %d issue spans, %d naming a solution", issues, named)
+	if issues == 0 || named == 0 {
+		t.Fatal("no issue span to check")
+	}
+}
+
+// checkCausality applies the span rules of TestColdStartSpanCausality to one
+// run's spans, given the paths of the library's residents, and returns how
+// many issue spans it checked and how many of them named a solution.
+func checkCausality(t *testing.T, run string, spans []metrics.Span, resident map[string]bool) (issues, named int) {
+	t.Helper()
+	threads := map[string][]metrics.Span{}
+	parsed := map[string]time.Duration{}
+	loaded := map[string]time.Duration{}
+	for _, s := range spans {
+		threads[s.Thread] = append(threads[s.Thread], s)
+		if layer, ok := strings.CutPrefix(s.Name, "parse:"); ok {
+			if _, dup := parsed[layer]; !dup {
+				parsed[layer] = s.End
+			}
+		}
+		if s.Cat == metrics.CatLoad && !hasAttr(s, "error") {
+			if _, dup := loaded[s.Name]; !dup {
+				loaded[s.Name] = s.End
+			}
+		}
+	}
+
+	for thread, ss := range threads {
+		slices.SortStableFunc(ss, func(a, b metrics.Span) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(b.End, a.End))
+		})
+		var open []metrics.Span // enclosing spans, outermost first
+		for _, s := range ss {
+			for len(open) > 0 && open[len(open)-1].End <= s.Start {
+				open = open[:len(open)-1]
+			}
+			if len(open) > 0 && s.End > open[len(open)-1].End {
+				t.Errorf("%s: on thread %q, %s [%v, %v] overlaps %s [%v, %v] without nesting",
+					run, thread, s.Name, s.Start, s.End, open[len(open)-1].Name, open[len(open)-1].Start, open[len(open)-1].End)
+			}
+			open = append(open, s)
+		}
+	}
+
+	for _, s := range spans {
+		layer, ok := strings.CutPrefix(s.Name, "issue:")
+		if !ok {
+			continue
+		}
+		issues++
+		if end, ok := parsed[layer]; !ok {
+			t.Errorf("%s: %s issued but never parsed", run, layer)
+		} else if s.Start < end {
+			t.Errorf("%s: %s issued at %v, before its parse ended at %v", run, layer, s.Start, end)
+		}
+		for _, a := range s.Attrs {
+			if a.Key != "solution" {
+				continue
+			}
+			named++
+			if resident[a.Value] {
+				continue
+			}
+			if end, ok := loaded[a.Value]; !ok {
+				t.Errorf("%s: %s launches %s, which was never loaded", run, layer, a.Value)
+			} else if s.End < end {
+				t.Errorf("%s: %s issue ended at %v, before %s finished loading at %v", run, layer, s.End, a.Value, end)
+			}
+		}
+	}
+	return issues, named
+}
+
+func hasAttr(s metrics.Span, key string) bool {
+	return slices.ContainsFunc(s.Attrs, func(a metrics.Attr) bool { return a.Key == key })
+}
