@@ -76,14 +76,12 @@ func main() {
 		inj = faults.New(plan)
 	}
 
-	// Run on a process we hold, so faults reach it and its spans and stats
-	// stay readable after the run.
+	// Run on a process we hold, so faults reach it and its stats stay
+	// readable after the run. The recorder keeps the spans the timeline
+	// draws, whether or not -trace writes them out.
 	pr := ms.NewProcess()
 	pr.InjectFaults(inj)
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New()
-	}
+	rec := trace.New()
 	// Warmup: a missing, corrupt or empty manifest starts cold, never fails.
 	var man *warmup.Manifest
 	if *warmupPath != "" {
@@ -136,7 +134,10 @@ func main() {
 			len(wr.Profile.Entries), len(wr.Profile.Substitutions), *recordPath)
 	}
 
-	fmt.Printf("\ntimeline:\n%s", metrics.Timeline(pr.Tracer.Spans(), wr.TTFI-rep.Total, wr.TTFI, *width))
+	// The timeline draws the spans of the process's tracer, not those the
+	// warmup prefetcher writes to its own track.
+	spans := slices.DeleteFunc(rec.Spans(), func(s metrics.Span) bool { return s.Thread == warmup.Track })
+	fmt.Printf("\ntimeline:\n%s", metrics.Timeline(spans, wr.TTFI-rep.Total, wr.TTFI, *width))
 
 	if *traceOut != "" {
 		f, ferr := os.Create(*traceOut)

@@ -17,6 +17,7 @@ import (
 	"pask/internal/metrics"
 	"pask/internal/miopen"
 	"pask/internal/sim"
+	"pask/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata goldens")
@@ -239,7 +240,9 @@ func (h *harness) ladderRun(t *testing.T, residents bool, preload []miopen.Insta
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), h.store)
-	tracer := &metrics.Tracer{}
+	rec := trace.New()
+	tracer := metrics.NewForwardingTracer()
+	tracer.SetObserver(rec)
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), tracer)
 	var out ladderRun
 	env.Spawn("main", func(p *sim.Proc) {
@@ -275,7 +278,7 @@ func (h *harness) ladderRun(t *testing.T, residents bool, preload []miopen.Insta
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range tracer.Spans() {
+	for _, s := range rec.Spans() {
 		if s.Cat == metrics.CatRecovery {
 			out.Recovery = append(out.Recovery, ladderSpan{s.Name, s.Start, s.End})
 		}

@@ -152,11 +152,10 @@ func Fig1b(models []string) (*Table, *Fig1bResult, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			cold, _, spans, err := ms.RunColdHot()
+			cold, _, bd, err := ms.RunColdHot()
 			if err != nil {
 				return nil, nil, err
 			}
-			bd := metrics.Breakdown(spans, 0, cold, metrics.DefaultPriority())
 			total := float64(cold)
 			shares["code loading"] += float64(bd[metrics.CatLoad]+bd[metrics.CatTransform]) / total
 			shares["GPU execution"] += float64(bd[metrics.CatExec]) / total

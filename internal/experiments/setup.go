@@ -223,9 +223,9 @@ func (ms *ModelSetup) SchemeModel(p *sim.Proc, pr *Process, scheme core.Scheme) 
 }
 
 // NewProcess creates a fresh cold process with its own environment. It is a
-// single-run process, so its tracer keeps the span log the scheme breakdown,
-// RunColdHot and paskrun's timeline read: the zero Tracer replaces the
-// forwarding one in place, where the runner's hooks already point.
+// single-run process, so its tracer keeps the per-category busy time that
+// RunSchemeOn's and RunColdHot's breakdowns read: the zero Tracer replaces
+// the forwarding one in place, where the runner's hooks already point.
 func (ms *ModelSetup) NewProcess() *Process {
 	pr := ms.NewProcessIn(sim.NewEnv())
 	*pr.Tracer = metrics.Tracer{}
@@ -234,7 +234,7 @@ func (ms *ModelSetup) NewProcess() *Process {
 
 // NewProcessIn creates a fresh cold process inside an existing environment
 // (multi-instance serving scenarios share one virtual clock). Its tracer
-// keeps no span log: spans reach only the recorder Record attaches.
+// keeps no busy time: spans reach only the recorder Record attaches.
 func (ms *ModelSetup) NewProcessIn(env *sim.Env) *Process {
 	gpu := device.NewGPU(env, ms.Profile)
 	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), ms.Store)
@@ -263,7 +263,7 @@ func BackendFor(env *sim.Env, gpu *device.GPU, store *codeobj.Store) *backend.Re
 // cold-start cost — is a per-GPU property. The model's setup must have been
 // prepared against root's store (PrepareModelsShared); attaching a foreign
 // store would desynchronize module residency from object bytes. Like
-// NewProcessIn's, the tenant's tracer keeps no span log.
+// NewProcessIn's, the tenant's tracer keeps no busy time.
 func (ms *ModelSetup) AttachIn(root *backend.Registry, name string) *Process {
 	if ms.Store != root.Store() {
 		panic("experiments: AttachIn requires the setup and runtime to share one code-object store (use PrepareModelsShared)")
@@ -291,9 +291,10 @@ func (ms *ModelSetup) RunScheme(scheme core.Scheme, opts core.Options) (*metrics
 
 // RunColdHot measures the paper's Fig 1 quantities on one device: the cold
 // time of the *first* inference of a fresh process (including GPU context
-// creation and library open, the full start-from-scratch path) and the hot
-// time of a steady-state iteration in the same process.
-func (ms *ModelSetup) RunColdHot() (cold, hot time.Duration, spans []metrics.Span, err error) {
+// creation and library open, the full start-from-scratch path), the hot
+// time of a steady-state iteration in the same process, and the breakdown
+// of [0, cold] (Fig 1b).
+func (ms *ModelSetup) RunColdHot() (cold, hot time.Duration, bd map[metrics.Category]time.Duration, err error) {
 	pr := ms.NewProcess()
 	err = pr.Main(func(p *sim.Proc) error {
 		if err := pr.Runner.RunBaseline(p, ms.Model); err != nil {
@@ -311,13 +312,12 @@ func (ms *ModelSetup) RunColdHot() (cold, hot time.Duration, spans []metrics.Spa
 			}
 		}
 		hot = (p.Now() - t1) / iters
-		spans = pr.Tracer.Spans()
 		return nil
 	})
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("experiments: cold/hot %s on %s: %w", ms.Spec.Abbr, ms.Profile.Name, err)
 	}
-	return cold, hot, spans, nil
+	return cold, hot, pr.Tracer.Breakdown(0, cold, metrics.DefaultPriority()), nil
 }
 
 // AllModelAbbrs returns the zoo's model abbreviations in Table I order.

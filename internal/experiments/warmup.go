@@ -33,7 +33,9 @@ type WarmupRun struct {
 
 // RunSchemeOn executes the model once under scheme on pr, a cold process
 // the caller created (usually ms.NewProcess()), so it can wire faults into
-// the runtime first and read the spans and runtime stats afterwards. rec,
+// the runtime first and read its runtime stats afterwards. The report's
+// breakdown comes from the busy time pr's tracer keeps; the spans
+// themselves reach only rec. rec,
 // when non-nil, records the whole process (spans, registry events,
 // counters); the timed window is marked with "run-start"/"run-end" instants
 // on the "run" track, so consumers recover exactly the interval
@@ -86,7 +88,7 @@ func (ms *ModelSetup) RunSchemeOn(pr *Process, scheme core.Scheme, opts core.Opt
 		st := pr.RT.Stats()
 		rep.Loads = st.ModuleLoads - loads0.ModuleLoads
 		rep.LoadedBytes = st.BytesLoaded - loads0.BytesLoaded
-		rep.Breakdown = metrics.Breakdown(pr.Tracer.Spans(), t0, t1, metrics.DefaultPriority())
+		rep.Breakdown = pr.Tracer.Breakdown(t0, t1, metrics.DefaultPriority())
 		if res != nil {
 			rep.ReuseQueries = res.Cache.Queries
 			rep.ReuseHits = res.Cache.Hits

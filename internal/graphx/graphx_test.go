@@ -14,6 +14,7 @@ import (
 	"pask/internal/onnx/zoo"
 	"pask/internal/sim"
 	"pask/internal/tensor"
+	"pask/internal/trace"
 )
 
 func compileZoo(t testing.TB, abbr string, batch int, reg *miopen.Registry, opts CompileOptions) *CompiledModel {
@@ -174,15 +175,19 @@ func materialize(t testing.TB, reg *miopen.Registry, m *CompiledModel) *codeobj.
 }
 
 // newProcess builds a full simulated process around a shared store.
-func newProcess(t *testing.T, store *codeobj.Store, reg *miopen.Registry) (*sim.Env, *Runner, *metrics.Tracer) {
+// newProcess returns a fresh environment and runner whose tracer's spans
+// reach the returned recorder.
+func newProcess(t *testing.T, store *codeobj.Store, reg *miopen.Registry) (*sim.Env, *Runner, *trace.Recorder) {
 	t.Helper()
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
 	lib := miopen.NewLibrary(reg, rt)
 	bl := blas.NewLibrary(rt)
-	tracer := &metrics.Tracer{}
-	return env, NewRunner(rt, lib, bl, tracer), tracer
+	rec := trace.New()
+	tracer := metrics.NewForwardingTracer()
+	tracer.SetObserver(rec)
+	return env, NewRunner(rt, lib, bl, tracer), rec
 }
 
 func TestBaselineRunsAllModelsEndToEnd(t *testing.T) {
@@ -248,7 +253,7 @@ func TestIdealPreloadRemovesLoadTime(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	m := compileZoo(t, "res", 1, reg, CompileOptions{})
 	store := materialize(t, reg, m)
-	env, runner, tracer := newProcess(t, store, reg)
+	env, runner, _ := newProcess(t, store, reg)
 	var idealTime time.Duration
 	env.Spawn("host", func(p *sim.Proc) {
 		defer runner.RT.GPU().CloseAll()
@@ -273,14 +278,13 @@ func TestIdealPreloadRemovesLoadTime(t *testing.T) {
 	if idealTime <= 0 {
 		t.Fatal("no time measured")
 	}
-	_ = tracer
 }
 
 func TestTracerCollectsAllCategories(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	m := compileZoo(t, "alex", 1, reg, CompileOptions{})
 	store := materialize(t, reg, m)
-	env, runner, tracer := newProcess(t, store, reg)
+	env, runner, rec := newProcess(t, store, reg)
 	env.Spawn("host", func(p *sim.Proc) {
 		defer runner.RT.GPU().CloseAll()
 		if err := runner.RunBaseline(p, m); err != nil {
@@ -290,15 +294,19 @@ func TestTracerCollectsAllCategories(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
+	seen := map[metrics.Category]bool{}
+	for _, s := range rec.Spans() {
+		seen[s.Cat] = true
+	}
 	for _, cat := range []metrics.Category{metrics.CatParse, metrics.CatLoad, metrics.CatExec, metrics.CatCopy, metrics.CatLaunch, metrics.CatSync} {
-		if tracer.Count(cat) == 0 {
+		if !seen[cat] {
 			t.Errorf("no %s spans recorded", cat)
 		}
 	}
 	// In a reactive cold start, loading dominates execution (paper Fig 1b).
-	if tracer.CategoryTotal(metrics.CatLoad) < 5*tracer.CategoryTotal(metrics.CatExec) {
+	if rec.CategoryTotal(metrics.CatLoad) < 5*rec.CategoryTotal(metrics.CatExec) {
 		t.Errorf("load (%v) should dominate exec (%v) at batch 1",
-			tracer.CategoryTotal(metrics.CatLoad), tracer.CategoryTotal(metrics.CatExec))
+			rec.CategoryTotal(metrics.CatLoad), rec.CategoryTotal(metrics.CatExec))
 	}
 }
 

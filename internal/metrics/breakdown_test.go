@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand/v2"
@@ -11,7 +12,7 @@ import (
 
 // breakdownOracle is the original Breakdown: it re-scans every span at the
 // midpoint of every gap between edges, O(edges x spans). It stays as the
-// reference the sweep line must agree with.
+// reference Busy's interval merge must agree with.
 func breakdownOracle(spans []Span, t0, t1 time.Duration, priority []Category) map[Category]time.Duration {
 	out := make(map[Category]time.Duration, len(priority)+1)
 	if t1 <= t0 {
@@ -93,22 +94,38 @@ func randomBreakdownCase(r *rand.Rand) ([]Span, time.Duration, time.Duration, []
 	return spans, t0, t1, priority
 }
 
-// TestBreakdownMatchesOracle requires the sweep line to return exactly the
-// oracle's map, entries and all, on 20k seeded random cases.
+// TestBreakdownMatchesOracle requires Breakdown to return exactly the
+// oracle's map, entries and all, on 20k seeded random cases. Each case runs
+// twice, as drawn and stably sorted by End (the order a run records spans
+// in, which takes Busy's append path), and each run goes through Breakdown
+// and through a zero Tracer that recorded the spans (less the inverted ones,
+// which it refuses and which add no time).
 func TestBreakdownMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewPCG(18, 1))
 	var clipped, empty, repeated int
 	for i := 0; i < 20000; i++ {
-		spans, t0, t1, priority := randomBreakdownCase(r)
-		want := breakdownOracle(spans, t0, t1, priority)
-		got := Breakdown(spans, t0, t1, priority)
-		if !maps.Equal(got, want) {
-			t.Fatalf("case %d: Breakdown(%v, %v, %v, %v)\n got: %v\nwant: %v", i, spans, t0, t1, priority, got, want)
+		drawn, t0, t1, priority := randomBreakdownCase(r)
+		want := breakdownOracle(drawn, t0, t1, priority)
+		byEnd := slices.Clone(drawn)
+		slices.SortStableFunc(byEnd, func(a, b Span) int { return cmp.Compare(a.End, b.End) })
+		for order, spans := range [][]Span{drawn, byEnd} {
+			if got := Breakdown(spans, t0, t1, priority); !maps.Equal(got, want) {
+				t.Fatalf("case %d, order %d: Breakdown(%v, %v, %v, %v)\n got: %v\nwant: %v", i, order, spans, t0, t1, priority, got, want)
+			}
+			var tr Tracer
+			for _, s := range spans {
+				if s.End >= s.Start {
+					tr.AddSpan(s)
+				}
+			}
+			if got := tr.Breakdown(t0, t1, priority); !maps.Equal(got, want) {
+				t.Fatalf("case %d, order %d: Tracer.Breakdown over %v, %v, %v, %v\n got: %v\nwant: %v", i, order, spans, t0, t1, priority, got, want)
+			}
 		}
 		if t1 <= t0 {
 			empty++
 		}
-		for _, s := range spans {
+		for _, s := range drawn {
 			if s.Start < t0 && s.End > t0 || s.Start < t1 && s.End > t1 {
 				clipped++
 				break
@@ -173,5 +190,17 @@ func BenchmarkBreakdown(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Breakdown(spans, 0, end, DefaultPriority())
+	}
+}
+
+// BenchmarkAddNamed records back-to-back spans on a zero Tracer with no
+// observer: the cost every engine span pays in a single-run process.
+func BenchmarkAddNamed(b *testing.B) {
+	var tr Tracer
+	attr := Attr{Key: "solution", Value: "ConvDirectNaiveFwd.pko"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		at := time.Duration(i) * time.Microsecond
+		tr.AddNamed(CatLaunch, "issue:", "conv1", "pask-issuer", at, at+time.Microsecond, attr)
 	}
 }

@@ -2,13 +2,13 @@
 // them into the quantities the paper reports: GPU utilization (Fig 6b) and
 // exclusive phase breakdowns (Fig 1b, Fig 7). Spans may overlap freely (the
 // whole point of PASK is overlapping loading with execution); Breakdown
-// attributes every instant of wall time to exactly one category by priority.
+// attributes every instant of wall time to exactly one category by priority,
+// from the per-category busy time a Busy keeps.
 //
 // Paper anchor: the Fig 1b / Fig 7 phase breakdowns and Fig 6b utilization.
 package metrics
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -57,23 +57,26 @@ type SpanObserver interface {
 }
 
 // Tracer records spans during a run. Every span goes to the observer, when
-// one is attached. Whether the tracer also keeps its spans is fixed when it
-// is made: the zero value keeps every span in a log that Spans,
-// CategoryTotal and Count read; a tracer from NewForwardingTracer keeps none.
+// one is attached. Whether the tracer also keeps each category's busy time
+// is fixed when it is made: the zero value keeps it in a Busy that
+// Breakdown reads; a tracer from NewForwardingTracer keeps nothing. Neither
+// keeps the spans themselves: a caller that needs them attaches an observer
+// (the trace package's Recorder keeps every span it observes).
 //
-// Single-run processes keep the log, because their scheme breakdown, cold/hot
-// split and timeline are computed from it (experiments' NewProcess). Serving
+// Single-run processes keep busy time, because their scheme breakdown and
+// cold/hot split are computed from it (experiments' NewProcess). Serving
 // processes in a shared environment keep none (NewProcessIn, AttachIn): they
-// live for a whole trace, nothing reads their log, and their spans reach a
-// trace recorder through the observer alone.
+// live for a whole trace, nothing reads their breakdown, and their spans
+// reach a trace recorder through the observer alone.
 type Tracer struct {
-	spans       []Span
+	busy        Busy
 	obs         SpanObserver
 	forwardOnly bool
 }
 
-// NewForwardingTracer returns a tracer that keeps no spans: each one goes to
-// the observer, if any, and nowhere else, so Spans stays empty.
+// NewForwardingTracer returns a tracer that keeps no busy time: each span
+// goes to the observer, if any, and nowhere else, so Breakdown attributes
+// every instant to CatOther.
 func NewForwardingTracer() *Tracer { return &Tracer{forwardOnly: true} }
 
 // SetObserver forwards every subsequently recorded span to o (nil detaches).
@@ -87,28 +90,29 @@ func (t *Tracer) Add(cat Category, name, thread string, start, end time.Duration
 }
 
 // AddNamed records a span named prefix+name with a copy of attrs. It builds
-// the name and the copy only when the span is kept or forwarded: a
-// forwarding tracer with no observer drops the span once its bounds are
-// checked, at the cost of no string. End < Start panics, as in AddSpan.
+// the name and the copy only for the observer: with none attached, the span
+// costs its busy time and no string. End < Start panics, as in AddSpan.
 func (t *Tracer) AddNamed(cat Category, prefix, name, thread string, start, end time.Duration, attrs ...Attr) {
-	if t.forwardOnly && t.obs == nil {
-		if end < start {
-			panicBackwards(prefix+name, start, end)
-		}
-		return
+	if end < start {
+		panicBackwards(prefix+name, start, end)
 	}
-	t.AddSpan(Span{Cat: cat, Name: prefix + name, Thread: thread, Start: start, End: end, Attrs: slices.Clone(attrs)})
+	if !t.forwardOnly {
+		t.busy.Add(cat, start, end)
+	}
+	if t.obs != nil {
+		t.obs.ObserveSpan(Span{Cat: cat, Name: prefix + name, Thread: thread, Start: start, End: end, Attrs: slices.Clone(attrs)})
+	}
 }
 
-// AddSpan records a fully-formed span, attributes included: it is kept
-// unless the tracer forwards only, then passed to the observer. A span that
-// ends before it starts panics.
+// AddSpan records a fully-formed span, attributes included: its time joins
+// the busy time unless the tracer forwards only, then the span goes to the
+// observer. A span that ends before it starts panics.
 func (t *Tracer) AddSpan(s Span) {
 	if s.End < s.Start {
 		panicBackwards(s.Name, s.Start, s.End)
 	}
 	if !t.forwardOnly {
-		t.spans = append(t.spans, s)
+		t.busy.Add(s.Cat, s.Start, s.End)
 	}
 	if t.obs != nil {
 		t.obs.ObserveSpan(s)
@@ -120,30 +124,10 @@ func panicBackwards(name string, start, end time.Duration) {
 	panic(fmt.Sprintf("metrics: span %q ends (%v) before it starts (%v)", name, end, start))
 }
 
-// Spans returns the kept spans: all recorded ones, or none for a
-// forwarding tracer.
-func (t *Tracer) Spans() []Span { return t.spans }
-
-// CategoryTotal sums the raw (possibly overlapping) time in a category.
-func (t *Tracer) CategoryTotal(cat Category) time.Duration {
-	var total time.Duration
-	for _, s := range t.spans {
-		if s.Cat == cat {
-			total += s.End - s.Start
-		}
-	}
-	return total
-}
-
-// Count returns the number of spans in a category.
-func (t *Tracer) Count(cat Category) int {
-	n := 0
-	for _, s := range t.spans {
-		if s.Cat == cat {
-			n++
-		}
-	}
-	return n
+// Breakdown attributes [t0, t1] over the recorded spans' busy time, as
+// Busy.Breakdown does.
+func (t *Tracer) Breakdown(t0, t1 time.Duration, priority []Category) map[Category]time.Duration {
+	return t.busy.Breakdown(t0, t1, priority)
 }
 
 // DefaultPriority is the attribution order used for the paper's breakdowns:
@@ -151,57 +135,6 @@ func (t *Tracer) Count(cat Category) int {
 // the host bookkeeping categories.
 func DefaultPriority() []Category {
 	return []Category{CatExec, CatCopy, CatLoad, CatTransform, CatOverhead, CatRecovery, CatLaunch, CatParse, CatSync}
-}
-
-// Breakdown attributes every instant of [t0, t1] to exactly one category:
-// the highest-priority category with an active span at that instant, or
-// CatOther when none is active. The result's values sum to t1-t0. A category
-// listed twice in priority ranks by its last position.
-//
-// It sweeps a line over the sorted span edges, clipped to the window, and
-// keeps an active count per rank, so the cost is O(n log n) in the spans.
-func Breakdown(spans []Span, t0, t1 time.Duration, priority []Category) map[Category]time.Duration {
-	out := make(map[Category]time.Duration, len(priority)+1)
-	if t1 <= t0 {
-		return out
-	}
-	rank := make(map[Category]int, len(priority))
-	for i, c := range priority {
-		rank[c] = i
-	}
-	type edge struct {
-		at          time.Duration
-		rank, delta int
-	}
-	edges := make([]edge, 0, 2*len(spans))
-	for i := range spans {
-		r, ok := rank[spans[i].Cat]
-		lo, hi := max(spans[i].Start, t0), min(spans[i].End, t1)
-		if ok && lo < hi {
-			edges = append(edges, edge{lo, r, 1}, edge{hi, r, -1})
-		}
-	}
-	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
-	active := make([]int, len(priority))
-	at := t0
-	for i := 0; i <= len(edges); i++ {
-		next := t1
-		if i < len(edges) {
-			next = edges[i].at
-		}
-		if next > at {
-			best := CatOther
-			if r := slices.IndexFunc(active, func(n int) bool { return n > 0 }); r >= 0 {
-				best = priority[r]
-			}
-			out[best] += next - at
-			at = next
-		}
-		if i < len(edges) {
-			active[edges[i].rank] += edges[i].delta
-		}
-	}
-	return out
 }
 
 // Report summarizes one model run under one scheme. It is the public

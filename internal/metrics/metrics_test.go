@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,16 +11,17 @@ import (
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
-func TestCategoryTotalsAndCounts(t *testing.T) {
+// A zero Tracer keeps each category's busy time: overlapping spans of one
+// category count once, and Breakdown attributes the window from it.
+func TestTracerBusyTime(t *testing.T) {
 	var tr Tracer
 	tr.Add(CatLoad, "a", "loader", ms(0), ms(10))
 	tr.Add(CatLoad, "b", "loader", ms(20), ms(25))
+	tr.Add(CatLoad, "c", "issuer", ms(22), ms(24)) // inside b
 	tr.Add(CatExec, "k", "gpu", ms(5), ms(8))
-	if got := tr.CategoryTotal(CatLoad); got != ms(15) {
-		t.Fatalf("load total = %v", got)
-	}
-	if tr.Count(CatLoad) != 2 || tr.Count(CatExec) != 1 || tr.Count(CatParse) != 0 {
-		t.Fatal("counts wrong")
+	want := map[Category]time.Duration{CatExec: ms(3), CatLoad: ms(12), CatOther: ms(15)}
+	if got := tr.Breakdown(ms(0), ms(30), DefaultPriority()); !maps.Equal(got, want) {
+		t.Fatalf("Breakdown = %v, want %v", got, want)
 	}
 }
 
@@ -38,16 +40,17 @@ type spanSink []Span
 
 func (s *spanSink) ObserveSpan(sp Span) { *s = append(*s, sp) }
 
-// The zero Tracer keeps every span, degenerate ones (End == Start) included;
-// a forwarding tracer keeps none. Both send every span to the observer.
+// The zero Tracer keeps the busy time of every span; a forwarding tracer
+// keeps none. Both send every span to the observer, degenerate ones
+// (End == Start) included.
 func TestTracerKeepsOrForwards(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		tr   *Tracer
-		keep bool
+		want map[Category]time.Duration
 	}{
-		{"zero", &Tracer{}, true},
-		{"forwarding", NewForwardingTracer(), false},
+		{"zero", &Tracer{}, map[Category]time.Duration{CatLoad: ms(10), CatOther: ms(2)}},
+		{"forwarding", NewForwardingTracer(), map[Category]time.Duration{CatOther: ms(12)}},
 	} {
 		var sink spanSink
 		tc.tr.SetObserver(&sink)
@@ -56,45 +59,47 @@ func TestTracerKeepsOrForwards(t *testing.T) {
 		if len(sink) != 2 || sink[1].Name != "mark" {
 			t.Errorf("%s: observer got %d spans, want 2", tc.name, len(sink))
 		}
-		want := 0
-		if tc.keep {
-			want = 2
-		}
-		if n := len(tc.tr.Spans()); n != want {
-			t.Errorf("%s: kept %d spans, want %d", tc.name, n, want)
-		}
-		if n := tc.tr.Count(CatSync); n != want/2 {
-			t.Errorf("%s: Count(sync) = %d, want %d", tc.name, n, want/2)
+		if got := tc.tr.Breakdown(ms(0), ms(12), DefaultPriority()); !maps.Equal(got, tc.want) {
+			t.Errorf("%s: Breakdown = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
 
-// AddNamed records prefix+name with a copy of its attributes wherever the
-// span is kept or forwarded. A span nobody sees costs no allocation, and a
-// backwards one still panics.
+// AddNamed sends the observer prefix+name with a copy of its attributes.
+// Without an observer it builds neither: a forwarding tracer's span, and a
+// zero tracer's once its category has room, allocate nothing. A backwards
+// span still panics.
 func TestAddNamed(t *testing.T) {
 	attr := Attr{Key: "solution", Value: "s0"}
 	var sink spanSink
 	fwd := NewForwardingTracer()
 	fwd.SetObserver(&sink)
-	var kept Tracer
-	for _, tr := range []*Tracer{fwd, &kept} {
-		tr.AddNamed(CatLaunch, "issue:", "conv1", "issuer", ms(1), ms(2), attr)
-	}
+	fwd.AddNamed(CatLaunch, "issue:", "conv1", "issuer", ms(1), ms(2), attr)
 	want := Span{Cat: CatLaunch, Name: "issue:conv1", Thread: "issuer", Start: ms(1), End: ms(2), Attrs: []Attr{attr}}
-	for _, got := range []Span{sink[0], kept.Spans()[0]} {
-		if got.Name != want.Name || got.Thread != want.Thread || got.End != want.End || len(got.Attrs) != 1 || got.Attrs[0] != attr {
-			t.Fatalf("span = %+v, want %+v", got, want)
-		}
+	if got := sink[0]; got.Name != want.Name || got.Thread != want.Thread || got.End != want.End || len(got.Attrs) != 1 || got.Attrs[0] != attr {
+		t.Fatalf("span = %+v, want %+v", got, want)
 	}
 
-	drop := NewForwardingTracer()
 	name := strings.Repeat("x", 40)
-	if n := testing.AllocsPerRun(100, func() {
-		drop.AddNamed(CatOverhead, "getsub:", name, "loader", ms(1), ms(2), attr)
-	}); n != 0 {
-		t.Fatalf("dropped span allocated %v times", n)
+	for _, tc := range []struct {
+		name string
+		tr   *Tracer
+	}{
+		{"forwarding", NewForwardingTracer()},
+		{"zero", &Tracer{}},
+	} {
+		// Back-to-back spans, as a busy thread records them, extend the
+		// category's last interval once the first has made room.
+		at := ms(0)
+		tc.tr.AddNamed(CatOverhead, "getsub:", name, "loader", at, at+ms(1), attr)
+		if n := testing.AllocsPerRun(100, func() {
+			at += ms(1)
+			tc.tr.AddNamed(CatOverhead, "getsub:", name, "loader", at, at+ms(1), attr)
+		}); n != 0 {
+			t.Fatalf("%s: AddNamed with no observer allocated %v times", tc.name, n)
+		}
 	}
+	drop := NewForwardingTracer()
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(r.(string), "getsub:"+name) {
 			t.Fatalf("recover() = %v, want a panic naming the span", r)

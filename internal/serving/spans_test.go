@@ -4,19 +4,22 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"maps"
 	"testing"
 	"time"
 
 	"pask/internal/core"
 	"pask/internal/experiments"
+	"pask/internal/metrics"
 	"pask/internal/trace"
 )
 
 // TestServingProcessesKeepNoSpanLog serves a trace on one isolated instance
 // and on a shared keep-alive fleet, with a recorder attached. Every process
-// an instance starts, isolated or tenant, must keep no span log, while the
-// recorder still receives every span: the Chrome trace digests were taken
-// when every process kept its log.
+// an instance starts, isolated or tenant, must keep no busy time (a serving
+// process's breakdown attributes everything to CatOther), while the recorder
+// still receives every span: the Chrome trace digests were taken when every
+// process kept a span log.
 func TestServingProcessesKeepNoSpanLog(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -57,8 +60,9 @@ func TestServingProcessesKeepNoSpanLog(t *testing.T) {
 				t.Fatal("no instance process started")
 			}
 			for i, pr := range procs {
-				if n := len(pr.Tracer.Spans()); n != 0 {
-					t.Errorf("process %d keeps %d spans, want none", i, n)
+				want := map[metrics.Category]time.Duration{metrics.CatOther: time.Hour}
+				if bd := pr.Tracer.Breakdown(0, time.Hour, metrics.DefaultPriority()); !maps.Equal(bd, want) {
+					t.Errorf("process %d keeps busy time %v, want none", i, bd)
 				}
 			}
 			var buf bytes.Buffer
