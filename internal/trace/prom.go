@@ -1,9 +1,10 @@
 package trace
 
 import (
-	"fmt"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -54,60 +55,81 @@ func (p *PromWriter) Sample(name string, value float64, labels ...[2]string) {
 	}
 	var ls string
 	if len(labels) > 0 {
-		parts := make([]string, len(labels))
+		var buf [128]byte
+		b := append(buf[:0], '{')
 		for i, kv := range labels {
-			parts[i] = kv[0] + `="` + escapeLabel(kv[1]) + `"`
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, kv[0]...)
+			b = append(b, `="`...)
+			b = appendLabelValue(b, kv[1])
+			b = append(b, '"')
 		}
-		ls = "{" + strings.Join(parts, ",") + "}"
+		ls = string(append(b, '}'))
 	}
 	m.samples = append(m.samples, promSample{labels: ls, value: value})
 }
 
-// escapeLabel applies the text-format label escapes: backslash, double
-// quote and newline.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return v
+// appendLabelValue appends v with the text-format label escapes: backslash,
+// double quote and newline.
+func appendLabelValue(b []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\', '"':
+			b = append(b, '\\', c)
+		case '\n':
+			b = append(b, '\\', 'n')
+		default:
+			b = append(b, c)
+		}
+	}
+	return b
 }
 
-// Flush writes the exposition to w.
+// Flush writes the exposition to w in one write. It sorts the writer's
+// metrics and samples in place; later Samples still flush in order.
 func (p *PromWriter) Flush(w io.Writer) error {
-	names := make([]string, len(p.names))
-	copy(names, p.names)
-	sort.Strings(names)
-	for _, name := range names {
+	slices.Sort(p.names)
+	var b []byte
+	for _, name := range p.names {
 		m := p.metrics[name]
 		if m.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, m.help); err != nil {
-				return err
-			}
+			b = append(b, "# HELP "...)
+			b = append(b, name...)
+			b = append(b, ' ')
+			b = append(b, m.help...)
+			b = append(b, '\n')
 		}
 		typ := m.typ
 		if typ == "" {
 			typ = "gauge"
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ); err != nil {
-			return err
-		}
-		samples := make([]promSample, len(m.samples))
-		copy(samples, m.samples)
-		sort.SliceStable(samples, func(i, j int) bool { return samples[i].labels < samples[j].labels })
-		for _, s := range samples {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", name, s.labels, formatPromValue(s.value)); err != nil {
-				return err
-			}
+		b = append(b, "# TYPE "...)
+		b = append(b, name...)
+		b = append(b, ' ')
+		b = append(b, typ...)
+		b = append(b, '\n')
+		slices.SortStableFunc(m.samples, func(x, y promSample) int { return strings.Compare(x.labels, y.labels) })
+		for _, s := range m.samples {
+			b = append(b, name...)
+			b = append(b, s.labels...)
+			b = append(b, ' ')
+			b = appendPromValue(b, s.value)
+			b = append(b, '\n')
 		}
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
 
-func formatPromValue(v float64) string {
+// appendPromValue appends v as fmt's %d of int64(v) when that converts back
+// to v, else as fmt's %g.
+func appendPromValue(b []byte, v float64) []byte {
 	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.AppendInt(b, int64(v), 10)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // sanitizeMetricName maps a counter-series name onto the Prometheus metric
@@ -140,57 +162,62 @@ func (r *Recorder) AppendPrometheus(p *PromWriter) {
 	}
 	p.Declare("pask_span_seconds_total", "counter", "Total virtual-time seconds spent in spans, by track and category.")
 	p.Declare("pask_spans_total", "counter", "Number of recorded spans, by track and category.")
-	type key struct{ track, cat string }
-	secs := map[key]time.Duration{}
-	counts := map[key]int{}
-	for _, s := range r.Spans() {
-		k := key{s.Thread, string(s.Cat)}
+	secs := map[trackKey]time.Duration{}
+	counts := map[trackKey]int{}
+	evCounts := map[trackKey]int{}
+	type last struct {
+		name  string
+		value float64
+	}
+	var lasts []last
+	r.mu.Lock()
+	for i := range r.spans {
+		s := &r.spans[i]
+		k := trackKey{s.Thread, string(s.Cat)}
 		secs[k] += s.End - s.Start
 		counts[k]++
 	}
-	keys := make([]key, 0, len(secs))
-	for k := range secs {
-		keys = append(keys, k)
+	for i := range r.instants {
+		evCounts[trackKey{r.instants[i].Track, r.instants[i].Name}]++
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].track != keys[j].track {
-			return keys[i].track < keys[j].track
+	for _, name := range r.names {
+		if samples := r.counters[name].Samples; len(samples) > 0 {
+			lasts = append(lasts, last{name, samples[len(samples)-1].Value})
 		}
-		return keys[i].cat < keys[j].cat
-	})
-	for _, k := range keys {
-		labels := [][2]string{{"track", k.track}, {"category", k.cat}}
+	}
+	r.mu.Unlock()
+
+	for _, k := range sortedTrackKeys(secs) {
+		labels := [][2]string{{"track", k.track}, {"category", k.name}}
 		p.Sample("pask_span_seconds_total", secs[k].Seconds(), labels...)
 		p.Sample("pask_spans_total", float64(counts[k]), labels...)
 	}
 
 	p.Declare("pask_events_total", "counter", "Number of recorded instant events, by track and name.")
-	evCounts := map[key]int{}
-	for _, in := range r.Instants() {
-		evCounts[key{in.Track, in.Name}]++
+	for _, k := range sortedTrackKeys(evCounts) {
+		p.Sample("pask_events_total", float64(evCounts[k]), [2]string{"track", k.track}, [2]string{"name", k.name})
 	}
-	evKeys := make([]key, 0, len(evCounts))
-	for k := range evCounts {
-		evKeys = append(evKeys, k)
+	for _, c := range lasts {
+		name := "pask_" + sanitizeMetricName(c.name)
+		p.Declare(name, "gauge", "Last sampled value of the "+c.name+" series.")
+		p.Sample(name, c.value)
 	}
-	sort.Slice(evKeys, func(i, j int) bool {
-		if evKeys[i].track != evKeys[j].track {
-			return evKeys[i].track < evKeys[j].track
-		}
-		return evKeys[i].cat < evKeys[j].cat
-	})
-	for _, k := range evKeys {
-		p.Sample("pask_events_total", float64(evCounts[k]), [2]string{"track", k.track}, [2]string{"name", k.cat})
-	}
+}
 
-	for _, c := range r.Counters() {
-		if len(c.Samples) == 0 {
-			continue
-		}
-		name := "pask_" + sanitizeMetricName(c.Name)
-		p.Declare(name, "gauge", "Last sampled value of the "+c.Name+" series.")
-		p.Sample(name, c.Samples[len(c.Samples)-1].Value)
+// trackKey groups spans by track and category, or instants by track and
+// name.
+type trackKey struct{ track, name string }
+
+// sortedTrackKeys returns m's keys ordered by track, then name.
+func sortedTrackKeys[V any](m map[trackKey]V) []trackKey {
+	keys := make([]trackKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
+	slices.SortFunc(keys, func(a, b trackKey) int {
+		return cmp.Or(strings.Compare(a.track, b.track), strings.Compare(a.name, b.name))
+	})
+	return keys
 }
 
 // ReportMetrics adds one run Report's headline numbers to an exposition,

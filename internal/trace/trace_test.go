@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -275,4 +277,55 @@ func TestPromWriterSortsAndEscapes(t *testing.T) {
 	if !strings.Contains(out, `alpha{path="a\"b\\c\n"} 2.5`) {
 		t.Fatalf("label escaping wrong:\n%s", out)
 	}
+}
+
+// TestPromValueMatchesFmt pins appendPromValue to the fmt verbs it replaced:
+// %d of int64(v) when that converts back to v, else %g.
+func TestPromValueMatchesFmt(t *testing.T) {
+	for _, v := range []float64{
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0,
+		1 << 53, -(1 << 53), 1<<53 + 2, 1e21, -1e21, 1 << 63, -(1 << 63),
+		0.003, 1.5, -2.25, 1e-7, 123456789.125, math.MaxFloat64, math.SmallestNonzeroFloat64,
+	} {
+		want := fmt.Sprintf("%g", v)
+		if v == float64(int64(v)) {
+			want = fmt.Sprintf("%d", int64(v))
+		}
+		if got := string(appendPromValue(nil, v)); got != want {
+			t.Errorf("appendPromValue(%v) = %q, fmt gives %q", v, got, want)
+		}
+	}
+}
+
+// TestExportWhileRecording exports while other goroutines still record: the
+// exporters read the recorder's append-only slices after releasing its lock,
+// which -race checks here.
+func TestExportWhileRecording(t *testing.T) {
+	r := New()
+	r.Span("run", metrics.CatExec, "start", 0, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			track := []string{"pask-parser", "pask-loader", "pask-issuer", "gpu"}[g]
+			for i := 0; i < 300; i++ {
+				at := time.Duration(i) * time.Microsecond
+				r.Span(track, metrics.CatExec, "k", at, at+time.Microsecond, metrics.Attr{Key: "solution", Value: "s"})
+				r.Count("q", at, float64(i%3))
+				r.Instant(track, "tick", at)
+			}
+		}(g)
+	}
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := r.WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ValidateChrome(buf.Bytes()); err != nil {
+			t.Fatalf("export during recording invalid: %v", err)
+		}
+		r.AppendPrometheus(NewPromWriter())
+	}
+	wg.Wait()
 }

@@ -9,7 +9,7 @@
 # Usage:
 #   go test -run '^$' -bench . -benchmem -benchtime=2000x -count=3 \
 #       ./internal/core/ ./internal/backend/ ./internal/codeobj/ ./internal/metrics/ ./internal/sim/ \
-#       ./internal/miopen/ ./internal/blas/ ./internal/graphx/ | tee bench.txt
+#       ./internal/miopen/ ./internal/blas/ ./internal/graphx/ ./internal/trace/ | tee bench.txt
 #   ./scripts/benchstat_gate.sh bench.txt              # gate against BENCH_host.json
 #   ./scripts/benchstat_gate.sh -update bench.txt      # regenerate the baseline
 #

@@ -9,8 +9,8 @@
 # and by 1.2% on fleet, so unlike ns/op it is gated on any machine. http is
 # the exception: it runs open loop against the wall clock, so the requests
 # that fit in one second vary and so does the allocation per request. Nine
-# seed-1 runs on a 2-core Xeon spread from 911 to 1044 kB (median 978, the
-# baseline; the worst run is 7% above it), inside the 15% tolerance.
+# seed-1 runs on a 2-core Xeon spread from 391 to 441 kB (median 400, the
+# baseline; the worst run is 10% above it), inside the 15% tolerance.
 # Self-contained POSIX sh + sed + awk.
 #
 # Usage:
