@@ -21,7 +21,7 @@ var built = newBuildCache(builtBudget)
 
 // buildCache keeps built code objects under their full descriptor, so
 // stores that put the same object share one immutable slice, and the one
-// parse Store.Parse keeps of it, instead of each building it. Model set-ups
+// parse of it the build made, instead of each building it. Model set-ups
 // on one device repeat many objects (the library's resident objects, BLAS
 // cores), while most of the rest are built once.
 //
@@ -179,15 +179,23 @@ type buildJob struct {
 	h    *stored
 }
 
-// run builds the job's object into its holder and marks the holder filled.
-// It calls Build itself, so CPU profiles attribute the work to Build.
+// run builds the job's object into its holder, parses it while its bytes
+// are still in cache, keeps the parse as the holder's, and marks the holder
+// filled, so the first load of the object finds it parsed. It calls Build
+// and Parse itself, so CPU profiles attribute the work to them.
 func (j *buildJob) run() {
 	data, err := Build(j.req.Path, j.req.Arch, j.req.Kernels)
 	if err != nil || len(data) != j.size {
 		// decide checked the request and sized it with layout.
 		panic(fmt.Sprintf("codeobj: build of checked request %q: %d bytes, want %d: %v", j.req.Path, len(data), j.size, err))
 	}
+	o, err := Parse(data)
+	if err != nil {
+		// layout rejects every request whose object Parse would.
+		panic(fmt.Sprintf("codeobj: parse of built object %q: %v", j.req.Path, err))
+	}
 	j.h.data = data
+	j.h.obj.Store(o)
 	j.h.filled.Done()
 }
 

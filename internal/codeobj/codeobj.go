@@ -7,8 +7,10 @@
 // injection (truncation, corruption, missing symbols) exercises real code
 // paths; the *time* a load takes is charged separately by the hip runtime
 // from the sizes this package reports. Stored bytes never change, so each
-// distinct stored slice is parsed and checked once (Store.Parse);
-// corrupted, truncated or fault-substituted reads are parsed in full.
+// distinct stored slice is parsed and checked once: a built object on the
+// worker that builds it, while its bytes are still in cache, and any other
+// by its first Store.Parse. Corrupted, truncated or fault-substituted reads
+// are parsed in full.
 //
 // Paper anchor: Fig 1b code-object loading; PKO is the stand-in for the ELF .hsaco/.cubin containers.
 package codeobj
@@ -199,7 +201,8 @@ func validCodeSize(n int) bool { return n > 0 && uint64(n) <= math.MaxUint32 }
 
 // Build serializes a code object. Payload bytes are generated
 // deterministically from each kernel's name, so two builds of the same spec
-// are byte-identical.
+// are byte-identical. The container CRC is folded in block by block, each
+// block right after it is written, so the bytes pass through the cache once.
 func Build(name, arch string, kernels []KernelSpec) ([]byte, error) {
 	size, err := layout(name, arch, kernels)
 	if err != nil {
@@ -210,22 +213,38 @@ func Build(name, arch string, kernels []KernelSpec) ([]byte, error) {
 	buf = appendString(buf, name)
 	buf = appendString(buf, arch)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(kernels)))
+	var crc uint32
+	folded := 0 // buf[:folded] is in crc
 	var scratch [8]string
 	keys := scratch[:0]
 	for _, k := range kernels {
 		buf, keys = appendKernelHeader(buf, keys, k)
-		var ck byte
-		buf, ck = appendPayload(buf, k.Name, k.CodeSize)
-		buf = append(buf, ck)
+		g := newPayloadGen(k.Name)
+		for left := k.CodeSize; left > 0; {
+			n := min(left, crcBlock)
+			buf = buf[:len(buf)+n] // layout sized the capacity
+			g.fill(buf[len(buf)-n:])
+			crc = crc32.Update(crc, crc32.IEEETable, buf[folded:])
+			folded = len(buf)
+			left -= n
+		}
+		buf = append(buf, g.sum())
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+	crc = crc32.Update(crc, crc32.IEEETable, buf[folded:])
+	return binary.LittleEndian.AppendUint32(buf, crc), nil
 }
 
-// layout checks a build request the way Build does and returns the exact
-// byte length of the object Build would return for it. Build sizes its
-// buffer with it, since the store keeps the returned slice and any spare
-// capacity would stay resident behind the object, and the build cache admits
-// objects by it before building them.
+// crcBlock is how many payload bytes Build writes before folding them into
+// the container CRC: small enough that they are still in the L1 or L2
+// cache, and a multiple of the 32 bytes payloadGen.fill takes per step.
+const crcBlock = 32 << 10
+
+// layout checks a build request the way Build does, refusing every request
+// whose object Parse would reject, and returns the exact byte length of the
+// object Build would return for it. Build sizes its buffer with it, since
+// the store keeps the returned slice and any spare capacity would stay
+// resident behind the object, and the build cache admits objects by it
+// before building them.
 func layout(name, arch string, kernels []KernelSpec) (int, error) {
 	if len(kernels) == 0 {
 		return 0, errors.New("codeobj: object must contain at least one kernel")
@@ -233,11 +252,18 @@ func layout(name, arch string, kernels []KernelSpec) (int, error) {
 	if len(kernels) > maxKernels {
 		return 0, fmt.Errorf("codeobj: %d kernels exceeds limit %d", len(kernels), maxKernels)
 	}
+	if len(name) > maxStringLen || len(arch) > maxStringLen {
+		return 0, fmt.Errorf("codeobj: object name of %d bytes or arch of %d exceeds limit %d", len(name), len(arch), maxStringLen)
+	}
 	seen := make(map[string]bool, len(kernels))
 	size := len(Magic) + 2 + 4 + len(name) + 4 + len(arch) + 4 + 4
 	for _, k := range kernels {
 		if k.Name == "" {
 			return 0, errors.New("codeobj: kernel with empty name")
+		}
+		if len(k.Name) > maxStringLen || len(k.Pattern) > maxStringLen || len(k.Meta) > maxStringLen {
+			return 0, fmt.Errorf("codeobj: kernel %.32q: name of %d bytes, pattern of %d or %d meta pairs exceeds limit %d",
+				k.Name, len(k.Name), len(k.Pattern), len(k.Meta), maxStringLen)
 		}
 		if !validCodeSize(k.CodeSize) {
 			return 0, fmt.Errorf("codeobj: kernel %q code size %d out of range", k.Name, k.CodeSize)
@@ -248,6 +274,10 @@ func layout(name, arch string, kernels []KernelSpec) (int, error) {
 		seen[k.Name] = true
 		size += 4 + len(k.Name) + 4 + len(k.Pattern) + 4 + 4 + k.CodeSize + 1
 		for key, val := range k.Meta {
+			if len(key) > maxStringLen || len(val) > maxStringLen {
+				return 0, fmt.Errorf("codeobj: kernel %.32q meta key %.32q of %d bytes or value of %d exceeds limit %d",
+					k.Name, key, len(key), len(val), maxStringLen)
+			}
 			size += 4 + len(key) + 4 + len(val)
 		}
 	}
@@ -283,10 +313,10 @@ func xorshift(s uint64) uint64 {
 }
 
 // The xorshift step is linear over GF(2), so from a state s both the next
-// eight output bytes, packed little-endian, and the state eight steps on are
+// eight output bytes, packed little-endian, and the state 32 steps on are
 // XORs of one entry per byte of s: wordTab[j][v] and jumpTab[j][v] are what
 // the state v<<(8*j) alone contributes. They sit behind pointers so the loop
-// in appendPayload indexes them off a register.
+// in payloadGen.fill indexes them off a register.
 var wordTab, jumpTab = new([8][256]uint64), new([8][256]uint64)
 
 func init() {
@@ -294,47 +324,74 @@ func init() {
 		for v := range 256 {
 			s := uint64(v) << (8 * j)
 			var w uint64
-			for k := range 8 {
+			for k := range 32 {
 				s = xorshift(s)
-				w |= uint64(byte(s)) << (8 * k)
+				if k < 8 {
+					w |= uint64(byte(s)) << (8 * k)
+				}
 			}
 			wordTab[j][v], jumpTab[j][v] = w, s
 		}
 	}
 }
 
-// appendPayload appends size bytes of deterministic pseudo-ISA derived from
-// the kernel name, generated in place, and returns their XOR checksum byte.
-// Byte i is the low byte of the xorshift64 state after i+1 steps from the
-// name's FNV-1a hash; the tables produce eight of them per step.
-func appendPayload(b []byte, name string, size int) ([]byte, byte) {
+// applyTab returns the XOR of t's entries for the eight bytes of s.
+func applyTab(t *[8][256]uint64, s uint64) uint64 {
+	return t[0][byte(s)] ^ t[1][byte(s>>8)] ^ t[2][byte(s>>16)] ^ t[3][byte(s>>24)] ^
+		t[4][byte(s>>32)] ^ t[5][byte(s>>40)] ^ t[6][byte(s>>48)] ^ t[7][byte(s>>56)]
+}
+
+// payloadGen writes a kernel's pseudo-ISA payload in order, one piece at a
+// time. Byte i is the low byte of the xorshift64 state after i+1 steps from
+// the name's FNV-1a hash. Four independent lanes make the 8-byte words
+// 4k, 4k+1, 4k+2 and 4k+3, each lane jumping 32 steps at a time, so the
+// table lookups of one word do not wait on the previous word's.
+type payloadGen struct {
+	lanes [4]uint64 // states before the next four words
+	acc   uint64    // XOR of the words written
+	tail  byte      // XOR of the bytes written one step at a time
+}
+
+func newPayloadGen(name string) payloadGen {
 	h := fnv.New64a()
 	h.Write([]byte(name))
+	var g payloadGen
 	s := h.Sum64()
-	b = slices.Grow(b, size)
-	p := b[len(b) : len(b)+size]
-	var acc uint64
-	wt, jt := wordTab, jumpTab
-	for ; len(p) >= 8; p = p[8:] {
-		w, n := wt[0][byte(s)], jt[0][byte(s)]
-		w, n = w^wt[1][byte(s>>8)], n^jt[1][byte(s>>8)]
-		w, n = w^wt[2][byte(s>>16)], n^jt[2][byte(s>>16)]
-		w, n = w^wt[3][byte(s>>24)], n^jt[3][byte(s>>24)]
-		w, n = w^wt[4][byte(s>>32)], n^jt[4][byte(s>>32)]
-		w, n = w^wt[5][byte(s>>40)], n^jt[5][byte(s>>40)]
-		w, n = w^wt[6][byte(s>>48)], n^jt[6][byte(s>>48)]
-		w, s = w^wt[7][byte(s>>56)], n^jt[7][byte(s>>56)]
-		binary.LittleEndian.PutUint64(p, w)
-		acc ^= w
+	for l := range g.lanes {
+		g.lanes[l] = s
+		for range 8 {
+			s = xorshift(s)
+		}
 	}
-	ck := foldXOR(acc)
-	for i := range p {
-		s = xorshift(s)
-		p[i] = byte(s)
-		ck ^= p[i]
-	}
-	return b[:len(b)+size], ck
+	return g
 }
+
+// fill writes the next len(p) payload bytes into p. Every call but the last
+// must fill a multiple of 32 bytes; a last piece shorter than that is
+// generated one step at a time.
+func (g *payloadGen) fill(p []byte) {
+	wt, jt := wordTab, jumpTab
+	s0, s1, s2, s3 := g.lanes[0], g.lanes[1], g.lanes[2], g.lanes[3]
+	acc := g.acc
+	for ; len(p) >= 32; p = p[32:] {
+		w0, w1, w2, w3 := applyTab(wt, s0), applyTab(wt, s1), applyTab(wt, s2), applyTab(wt, s3)
+		s0, s1, s2, s3 = applyTab(jt, s0), applyTab(jt, s1), applyTab(jt, s2), applyTab(jt, s3)
+		binary.LittleEndian.PutUint64(p, w0)
+		binary.LittleEndian.PutUint64(p[8:], w1)
+		binary.LittleEndian.PutUint64(p[16:], w2)
+		binary.LittleEndian.PutUint64(p[24:], w3)
+		acc ^= w0 ^ w1 ^ w2 ^ w3
+	}
+	g.lanes, g.acc = [4]uint64{s0, s1, s2, s3}, acc
+	for i := range p {
+		s0 = xorshift(s0)
+		p[i] = byte(s0)
+		g.tail ^= p[i]
+	}
+}
+
+// sum returns the XOR checksum byte of everything fill wrote.
+func (g *payloadGen) sum() byte { return foldXOR(g.acc) ^ g.tail }
 
 // Parse validates and decodes a serialized code object. It never copies
 // section bytes: payloads are checksum-walked through aliased slices, so

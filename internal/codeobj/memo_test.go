@@ -2,6 +2,8 @@ package codeobj
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -111,6 +113,123 @@ func TestParseMemoOnlyOwnSlice(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestParseMemoSeededByBuild checks that the worker that builds an object
+// parses it and leaves the parse with its holder: after PutBuilt and after
+// PutBuiltAll, the first load of the stored slice gets that parse, so
+// Store.Parse allocates nothing, and it equals a fresh Parse. After Put or
+// a failure-injection hook the load parses the new bytes in full and
+// returns what Parse returns for them. Stores putting and loading the same
+// built objects at once must pass -race.
+func TestParseMemoSeededByBuild(t *testing.T) {
+	const path = "w.pko"
+	puts := []struct {
+		name string
+		put  func(s *Store) error
+	}{
+		{"PutBuilt", func(s *Store) error { return s.PutBuilt(path, "gfx908", sampleSpecs()) }},
+		{"PutBuiltAll", func(s *Store) error {
+			return s.PutBuiltAll([]BuildRequest{sizedRequest("before", 100), {Path: path, Arch: "gfx908", Kernels: sampleSpecs()}})
+		}},
+	}
+	for _, p := range puts {
+		t.Run(p.name, func(t *testing.T) {
+			withCache(t, builtBudget)
+			s := NewStore()
+			if err := p.put(s); err != nil {
+				t.Fatal(err)
+			}
+			seeded := s.objects[path].obj.Load()
+			if seeded == nil {
+				t.Fatal("the build left no parse with the holder")
+			}
+			data, _ := s.Get(path)
+			var got *Object
+			allocs := testing.AllocsPerRun(10, func() {
+				var err error
+				if got, err = s.Parse(path, data); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 || got != seeded {
+				t.Fatalf("load of a built object: %.1f allocs, object %p, want 0 and the build's %p", allocs, got, seeded)
+			}
+			fresh, err := Parse(data)
+			if err != nil || !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("the build's parse differs from a fresh Parse (err %v)", err)
+			}
+		})
+	}
+
+	for _, hook := range []struct {
+		name string
+		do   func(s *Store, data []byte) error
+	}{
+		{"Put", func(s *Store, data []byte) error { s.Put(path, data); return nil }},
+		{"Corrupt", func(s *Store, _ []byte) error { return s.Corrupt(path, 10) }},
+		{"CorruptSealed", func(s *Store, data []byte) error { return s.CorruptSealed(path, len(data)/2) }},
+		{"Truncate", func(s *Store, data []byte) error { return s.Truncate(path, len(data)-4) }},
+	} {
+		t.Run(hook.name, func(t *testing.T) {
+			withCache(t, builtBudget)
+			s := NewStore()
+			if err := s.PutBuilt(path, "gfx908", sampleSpecs()); err != nil {
+				t.Fatal(err)
+			}
+			seeded := s.objects[path].obj.Load()
+			data, _ := s.Get(path)
+			if err := hook.do(s, data); err != nil {
+				t.Fatal(err)
+			}
+			if s.objects[path].obj.Load() != nil {
+				t.Fatalf("%s left a parse with the new holder", hook.name)
+			}
+			read, _ := s.Get(path)
+			got, err := s.Parse(path, read)
+			want, wantErr := Parse(read)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("load after %s: err = %v, Parse gives %v", hook.name, err, wantErr)
+			}
+			if got == seeded || !reflect.DeepEqual(got, want) {
+				t.Fatalf("load after %s did not parse the new bytes in full", hook.name)
+			}
+		})
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		withCache(t, builtBudget)
+		const workers, rounds = 4, 8
+		var wg sync.WaitGroup
+		for g := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := range rounds {
+					// Shared objects every worker asks for, and one of its own.
+					reqs := []BuildRequest{
+						sizedRequest(fmt.Sprintf("shared%d", r), 4<<10),
+						sizedRequest(fmt.Sprintf("shared%d", r+1), 4<<10),
+						sizedRequest(fmt.Sprintf("own%d_%d", g, r), 2<<10),
+					}
+					s := NewStore()
+					if err := s.PutBuiltAll(reqs); err != nil {
+						t.Error(err)
+						return
+					}
+					for _, req := range reqs {
+						data, _ := s.Get(req.Path)
+						o, err := s.Parse(req.Path, data)
+						if err != nil || o != s.objects[req.Path].obj.Load() {
+							t.Errorf("worker %d: load of %s = (%p, %v), want the build's parse", g, req.Path, o, err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // parsed keeps BenchmarkStoreParse's results live.

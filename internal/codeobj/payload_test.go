@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"slices"
 	"testing"
 )
 
 // payloadOracle is the original generator: one xorshift64 step per output
 // byte, the low byte of each new state. It stays as the reference the
-// table-driven appendPayload must reproduce byte for byte.
+// four-lane appendPayload must reproduce byte for byte.
 func payloadOracle(name string, size int) []byte {
 	h := fnv.New64a()
 	h.Write([]byte(name))
@@ -25,17 +26,25 @@ func payloadOracle(name string, size int) []byte {
 	return p
 }
 
+// appendPayload appends size bytes of the kernel name's payload, as Build
+// generates them in one call to payloadGen.fill, and returns their XOR
+// checksum byte.
+func appendPayload(b []byte, name string, size int) ([]byte, byte) {
+	b = slices.Grow(b, size)
+	g := newPayloadGen(name)
+	g.fill(b[len(b) : len(b)+size])
+	return b[:len(b)+size], g.sum()
+}
+
 // TestPayloadMatchesOracle checks every size from 0 to 70 (each hand-off
-// between the 8-byte table loop and the scalar tail) and a few object-sized
-// payloads, for several names, against the serial oracle. It also checks the
-// returned checksum byte against xorChecksum of the bytes written, and that
-// bytes already in the slice are left alone.
+// between the 32-byte four-lane loop and the scalar tail), sizes around
+// Build's CRC block and a few object-sized payloads, for several names,
+// against the serial oracle. It also checks the returned checksum byte
+// against xorChecksum of the bytes written, and that bytes already in the
+// slice are left alone.
 func TestPayloadMatchesOracle(t *testing.T) {
-	sizes := make([]int, 0, 75)
-	for n := 0; n <= 70; n++ {
-		sizes = append(sizes, n)
-	}
-	sizes = append(sizes, 4099, 44<<10+3, 256<<10, 650<<10)
+	sizes := append([]int{0}, boundarySizes()...)
+	sizes = append(sizes, 4099, 44<<10+3, 256<<10)
 	names := []string{"", "k", "k0", "bench_kernel_7", "ConvWinograd3x3_f32_fwd", "gemm\x00tail"}
 	prefix := []byte("hdr")
 	for _, name := range names {

@@ -31,17 +31,20 @@ func IsTransient(err error) bool { return errors.Is(err, ErrIO) }
 // Stored bytes are immutable: built objects are shared with other stores,
 // so Get's result must not be modified, and the failure-injection hooks
 // replace an object's slice rather than write into it. Because a stored
-// slice never changes, Parse decodes and checks it once and hands every
-// later load of that slice the same *Object.
+// slice never changes, it is decoded and checked once: a built object by
+// the worker that builds it, any other by the first Parse of it. Every
+// later load of that slice gets the same *Object.
 type Store struct {
 	objects map[string]*stored
 }
 
-// stored holds one object's bytes and, once a load has parsed them, the
-// parsed object. Stores that put the same built object share its holder,
-// and so its one parse. A holder the build cache hands out before its
-// object is built counts one on filled until the bytes are in; a store
-// takes a holder only once filled is done.
+// stored holds one object's bytes and, once they are parsed, the parsed
+// object. The build cache's worker parses each object it builds and fills
+// in obj with the bytes; a holder that Put or a failure-injection hook
+// makes is parsed by the first load. Stores that put the same built object
+// share its holder, and so its one parse. A holder the build cache hands
+// out before its object is built counts one on filled until the bytes and
+// their parse are in; a store takes a holder only once filled is done.
 type stored struct {
 	data   []byte
 	obj    atomic.Pointer[Object]
@@ -149,12 +152,13 @@ func (s *Store) Get(path string) ([]byte, error) {
 }
 
 // Parse returns Parse(data) for bytes read from path. When data is exactly
-// the slice the store holds under path, the first successful parse is kept
-// and every later call gets the same *Object, which callers must not
-// modify. Any other slice (a fault injector's substitute, or bytes read
-// before Put or a failure-injection hook replaced them) is parsed in full,
-// and a failed parse is never kept. Safe for concurrent use with other
-// readers of the store.
+// the slice the store holds under path, every call gets the same *Object,
+// which callers must not modify: the parse the build made, for a built
+// object, or else the first successful parse of a call. Any other slice
+// (a fault injector's substitute, or bytes read before Put or a
+// failure-injection hook replaced them) is parsed in full, and a failed
+// parse is never kept. Safe for concurrent use with other readers of the
+// store.
 func (s *Store) Parse(path string, data []byte) (*Object, error) {
 	h := s.objects[path]
 	if h == nil || !h.owns(data) {
