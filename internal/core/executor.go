@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"pask/internal/tensor"
@@ -255,8 +256,10 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 			r.Rec.Count("pask_parsed_queue", pp.Now(), float64(parsed.Len()))
 		}
 		pl.parseDone = true
-		r.Rec.Instant("pask-parser", "milestone", pp.Now(),
-			metrics.Attr{Key: "eager_layers", Value: fmt.Sprint(pl.res.Milestone)})
+		if r.Rec != nil {
+			r.Rec.Instant("pask-parser", "milestone", pp.Now(),
+				metrics.Attr{Key: "eager_layers", Value: fmt.Sprint(pl.res.Milestone)})
+		}
 		parsed.Close()
 	})
 
@@ -289,8 +292,10 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 				pl.fail(x.flush(lp))
 				return
 			}
-			r.Rec.Count("pask_parsed_queue", lp.Now(), float64(parsed.Len()))
-			r.Rec.Count("pask_cache_size", lp.Now(), float64(pl.cache.Len()))
+			if r.Rec != nil {
+				r.Rec.Count("pask_parsed_queue", lp.Now(), float64(parsed.Len()))
+				r.Rec.Count("pask_cache_size", lp.Now(), float64(pl.cache.Len()))
+			}
 			if pl.err != nil {
 				continue // drain after failure
 			}
@@ -471,7 +476,7 @@ func (pl *pipeline) pressureSub(lp *sim.Proc, tryCategorical bool, layer string,
 		sub, ok = pl.cache.GetSubAny(lp, pl.r.Lib, want, prob)
 	}
 	pl.addGetsub(layer, lp.Name(), start, lp.Now(),
-		metrics.Attr{Key: "hit", Value: fmt.Sprint(ok)},
+		metrics.Attr{Key: "hit", Value: strconv.FormatBool(ok)},
 		metrics.Attr{Key: "pressure", Value: pl.opts.pressure().String()})
 	if !ok {
 		return miopen.Instance{}, false

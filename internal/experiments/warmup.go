@@ -74,10 +74,12 @@ func (ms *ModelSetup) RunSchemeOn(pr *Process, scheme core.Scheme, opts core.Opt
 		loads0 := pr.RT.Stats()
 		busy0 := pr.GPU.BusyTime()
 		t0 := p.Now()
-		rec.Instant("run", "run-start", t0,
-			metrics.Attr{Key: "scheme", Value: string(scheme)},
-			metrics.Attr{Key: "model", Value: ms.Spec.Abbr},
-			metrics.Attr{Key: "batch", Value: fmt.Sprint(ms.Batch)})
+		if rec != nil {
+			rec.Instant("run", "run-start", t0,
+				metrics.Attr{Key: "scheme", Value: string(scheme)},
+				metrics.Attr{Key: "model", Value: ms.Spec.Abbr},
+				metrics.Attr{Key: "batch", Value: fmt.Sprint(ms.Batch)})
+		}
 		res, err = core.Run(p, pr.Runner, model, scheme, core.NewCache(scheme, pr.Lib), opts)
 
 		t1 := p.Now()

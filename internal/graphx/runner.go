@@ -26,7 +26,8 @@ type Runner struct {
 
 	// Rec, when non-nil, receives the counter series and instants the span
 	// tracer cannot express (queue depths, cache sizes, milestones). All
-	// trace.Recorder methods are nil-safe, so executors use it unguarded.
+	// trace.Recorder methods are nil-safe, so executors use it unguarded,
+	// except where computing a call's arguments costs work of its own.
 	Rec *trace.Recorder
 
 	// paramsResident tracks models whose weights are already on the device:
@@ -47,15 +48,7 @@ func NewRunner(rt *backend.Registry, lib *miopen.Library, blasLib *blas.Library,
 		Stream:         rt.GPU().DefaultStream(),
 		paramsResident: make(map[string]bool),
 	}
-	rt.SetOnLoad(func(path string, start, end time.Duration, err error) {
-		s := metrics.Span{Cat: metrics.CatLoad, Name: path, Thread: "loader", Start: start, End: end}
-		if err == nil {
-			s.Attrs = append(s.Attrs, metrics.Attr{Key: "bytes", Value: fmt.Sprint(rt.ModuleBytes(path))})
-		} else {
-			s.Attrs = append(s.Attrs, metrics.Attr{Key: "error", Value: err.Error()})
-		}
-		tracer.AddSpan(s)
-	})
+	rt.SetOnLoad(r.recordLoad)
 	// The GPU carries a single kernel hook. When several tenant runners share
 	// one device (multi-tenant serving), only the first attaches its tracer:
 	// kernel spans are a device-level event stream, not a per-tenant one.
@@ -65,6 +58,23 @@ func NewRunner(rt *backend.Registry, lib *miopen.Library, blasLib *blas.Library,
 		}
 	}
 	return r
+}
+
+// recordLoad is the runtime's load hook: each load becomes a span on the
+// loader thread. Its bytes or error attribute is for the observer alone:
+// without one, a load costs its busy time and no string.
+func (r *Runner) recordLoad(path string, start, end time.Duration, err error) {
+	if !r.Tracer.Observed() {
+		r.Tracer.Add(metrics.CatLoad, path, "loader", start, end)
+		return
+	}
+	s := metrics.Span{Cat: metrics.CatLoad, Name: path, Thread: "loader", Start: start, End: end}
+	if err == nil {
+		s.Attrs = append(s.Attrs, metrics.Attr{Key: "bytes", Value: fmt.Sprint(r.RT.ModuleBytes(path))})
+	} else {
+		s.Attrs = append(s.Attrs, metrics.Attr{Key: "error", Value: err.Error()})
+	}
+	r.Tracer.AddSpan(s)
 }
 
 // OpenModel charges the cost of opening and mapping the compiled model file.

@@ -82,6 +82,10 @@ func NewForwardingTracer() *Tracer { return &Tracer{forwardOnly: true} }
 // SetObserver forwards every subsequently recorded span to o (nil detaches).
 func (t *Tracer) SetObserver(o SpanObserver) { t.obs = o }
 
+// Observed reports whether an observer is attached: a caller that builds
+// attributes only the observer reads can skip them when it is false.
+func (t *Tracer) Observed() bool { return t.obs != nil }
+
 // Add records a span built from its arguments, with no attributes. A
 // degenerate span (End == Start) is recorded like any other: it marks an
 // event and contributes no time. End < Start panics, as in AddSpan.

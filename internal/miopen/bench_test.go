@@ -42,3 +42,34 @@ func BenchmarkRunSolutionWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkCheckApplicable is one charged applicability check. shared_hit
+// is the verdict a cold process reads that an earlier process of the same
+// set-up already recorded in the registry's table.
+func BenchmarkCheckApplicable(b *testing.B) {
+	b.Run("shared_hit", func(b *testing.B) {
+		reg := NewRegistry(testCtx())
+		p := conv3x3(64, 64, 28)
+		rxs, _ := reg.ByID("ConvBinWinogradRxSFwd")
+		cases := []verdictCase{{inst: Bind(rxs, &p), prob: p}}
+		env, first := newCheckProcess(reg)
+		checkAll(b, env, first, cases)
+
+		env, lib := newCheckProcess(reg)
+		env.Spawn("host", func(proc *sim.Proc) {
+			defer lib.RT.GPU().CloseAll()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !lib.CheckApplicable(proc, cases[0].inst, &p) {
+					b.Error("RxS inapplicable")
+					return
+				}
+			}
+			b.StopTimer()
+		})
+		if err := env.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+}

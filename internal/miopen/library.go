@@ -24,12 +24,6 @@ type Library struct {
 	// these solutions as inapplicable.
 	disabled map[string]bool
 
-	// memo caches IsApplicable outcomes. The verdict is a pure function of
-	// (solution, binding, problem, workspace limit), so repeat queries skip
-	// re-deriving binding keys and predicate walks — only the host-side CPU
-	// work; the virtual-time charge and the checks counter are untouched.
-	memo map[applicKey]bool
-
 	// plans caches one launch plan per kernel-call list, that is per
 	// (solution, problem): the binding last run and one function bound per
 	// call. A warm launch neither re-derives the binding key nor looks a
@@ -46,16 +40,6 @@ type launchPlan struct {
 	// buf backs fns for solutions of up to two kernels (every library
 	// solution), so a plan and its functions are one allocation.
 	buf [2]backend.Function
-}
-
-// applicKey identifies one memoized applicability verdict: the instance's
-// binding record (which also names its solution), the problem and the
-// workspace limit, which is part of the key because tests mutate it
-// directly on the Ctx.
-type applicKey struct {
-	b       *binding
-	prob    Problem
-	wsLimit int64
 }
 
 // NewLibrary binds a registry to a process runtime.
@@ -97,24 +81,16 @@ func (l *Library) ApplicabilityChecks() int { return l.checks }
 
 // CheckApplicable evaluates inst.IsApplicable(p) and charges the host-side
 // cost of the check — the expensive validation PASK's categorical cache
-// minimizes (paper §II-B). A disabled solution is never applicable.
+// minimizes (paper §II-B). A disabled solution is never applicable; that
+// per-process verdict is settled before the registry's shared verdict table
+// is consulted, so it never enters the table.
 func (l *Library) CheckApplicable(proc *sim.Proc, inst Instance, p *Problem) bool {
 	proc.Sleep(l.RT.Host().ApplicabilityCheck)
 	l.checks++
 	if l.disabled[inst.Sol.ID()] {
 		return false
 	}
-	if l.memo == nil {
-		l.memo = make(map[applicKey]bool, 64)
-	}
-	ctx := l.Reg.ctx
-	k := applicKey{b: inst.b, prob: *p, wsLimit: ctx.WorkspaceLimit}
-	if v, ok := l.memo[k]; ok {
-		return v
-	}
-	v := inst.IsApplicable(ctx, p)
-	l.memo[k] = v
-	return v
+	return l.Reg.applicable(inst, p)
 }
 
 // IsLoaded reports whether the instance's code object is resident.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"pask/internal/codeobj"
@@ -16,16 +17,40 @@ type Ranked struct {
 }
 
 // Registry holds every solution the library ships and answers Find queries.
+// One registry serves every process of a set-up, so it also holds what those
+// processes would otherwise each re-derive: the resident list and the
+// applicability verdicts.
 type Registry struct {
-	ctx  *Ctx
-	sols []*Solution
-	byID map[string]*Solution
+	ctx       *Ctx
+	sols      []*Solution
+	byID      map[string]*Solution
+	residents []Instance
+
+	// verdicts memoizes IsApplicable outcomes for every process of the
+	// set-up. A verdict is a pure function of (solution, binding, problem,
+	// workspace limit), so a process that repeats a check another already
+	// made skips re-deriving binding keys and walking predicates. Only
+	// host-side CPU work is saved: each Library still charges every check.
+	// Concurrent cold starts on one set-up share it, hence the lock; once
+	// the first process has asked, nearly every check is a read.
+	verdictMu sync.RWMutex
+	verdicts  map[applicKey]bool
+}
+
+// applicKey identifies one memoized applicability verdict: the instance's
+// binding record (which also names its solution), the problem and the
+// workspace limit, which is part of the key because tests mutate it
+// directly on the Ctx.
+type applicKey struct {
+	b       *binding
+	prob    Problem
+	wsLimit int64
 }
 
 // NewRegistry builds the full library (conv + pooling + activation ladders)
 // for the given context.
 func NewRegistry(ctx *Ctx) *Registry {
-	r := &Registry{ctx: ctx, byID: make(map[string]*Solution)}
+	r := &Registry{ctx: ctx, byID: make(map[string]*Solution), verdicts: make(map[applicKey]bool)}
 	for _, set := range [][]*Solution{ConvSolutions(), PoolSolutions(), ActSolutions()} {
 		for _, s := range set {
 			if _, dup := r.byID[s.ID()]; dup {
@@ -33,6 +58,13 @@ func NewRegistry(ctx *Ctx) *Registry {
 			}
 			r.sols = append(r.sols, s)
 			r.byID[s.ID()] = s
+			if s.Specificity() == 1 {
+				r.residents = append(r.residents, s.Instance(""))
+				continue
+			}
+			for _, b := range s.residentBindings {
+				r.residents = append(r.residents, s.Instance(b))
+			}
 		}
 	}
 	return r
@@ -48,6 +80,23 @@ func (r *Registry) Solutions() []*Solution { return r.sols }
 func (r *Registry) ByID(id string) (*Solution, bool) {
 	s, ok := r.byID[id]
 	return s, ok
+}
+
+// applicable returns inst.IsApplicable(r.ctx, p) through the shared verdict
+// table, evaluating and recording it on first use.
+func (r *Registry) applicable(inst Instance, p *Problem) bool {
+	k := applicKey{b: inst.b, prob: *p, wsLimit: r.ctx.WorkspaceLimit}
+	r.verdictMu.RLock()
+	v, ok := r.verdicts[k]
+	r.verdictMu.RUnlock()
+	if ok {
+		return v
+	}
+	v = inst.IsApplicable(r.ctx, p)
+	r.verdictMu.Lock()
+	r.verdicts[k] = v
+	r.verdictMu.Unlock()
+	return v
 }
 
 // Find returns every applicable instance for p ranked fastest-first — the
@@ -129,19 +178,10 @@ func (db *PerfDB) HitRate() float64 {
 // resident without any per-model load, which is what makes them the
 // universal reuse fallback PASK's cache holds. Per-problem compiled
 // specialists are never resident — they are what the cold start loads.
-func (r *Registry) Residents() []Instance {
-	var out []Instance
-	for _, s := range r.sols {
-		if s.Specificity() == 1 {
-			out = append(out, s.Instance(""))
-			continue
-		}
-		for _, b := range s.residentBindings {
-			out = append(out, s.Instance(b))
-		}
-	}
-	return out
-}
+//
+// The list is computed once, at NewRegistry, and every call returns that
+// same slice: callers must not modify it.
+func (r *Registry) Residents() []Instance { return r.residents }
 
 // MaterializeObjects requests the code object of every instance the store
 // does not hold yet — the offline preparation step that populates the

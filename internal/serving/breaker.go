@@ -125,8 +125,10 @@ func (b *breaker) transition(now time.Duration, to BreakerState) {
 		return
 	}
 	b.state = to
-	b.rec.Count("breaker_state:"+b.model, now, float64(to))
-	b.rec.Instant("overload", "breaker:"+b.model+":"+to.String(), now)
+	if b.rec != nil {
+		b.rec.Count("breaker_state:"+b.model, now, float64(to))
+		b.rec.Instant("overload", "breaker:"+b.model+":"+to.String(), now)
+	}
 	switch to {
 	case BreakerOpen:
 		b.stats.BreakerTrips++

@@ -72,6 +72,8 @@ func (b *brownout) setLevel(now time.Duration, to core.PressureLevel) {
 	if int(to) > b.stats.PressurePeak {
 		b.stats.PressurePeak = int(to)
 	}
-	b.rec.Count("brownout_pressure", now, float64(to))
-	b.rec.Instant("overload", "pressure:"+to.String(), now)
+	if b.rec != nil {
+		b.rec.Count("brownout_pressure", now, float64(to))
+		b.rec.Instant("overload", "pressure:"+to.String(), now)
+	}
 }
