@@ -4,16 +4,17 @@
 // spans ROCm (MI100, RX 6900 XT) and CUDA (A100) devices whose drivers share
 // the *lazy loading* semantics that cause DNN cold start (paper §II-A, Fig 3)
 // but differ in error surfaces, retry posture and where symbol-resolution
-// cost lands. Those driver-specific parts live in a Flavor; internal/hip and
-// internal/cuda are the two flavors, and everything above — core, graphx,
-// blas, miopen, warmup, serving — holds a *Registry and never names a driver.
+// cost lands. Those driver-specific parts live in a Flavor; HIP and CUDA are
+// the two flavors, FlavorFor picks one by ISA, and everything above — core,
+// graphx, blas, miopen, warmup, serving — holds a *Registry and never names
+// a driver.
 //
 // The registry semantics are the multi-tenant ones of §III-B/C: the unit of
 // kernel residency is the GPU, not the OS process. New creates the *root
 // view* of a shared module registry and Attach hands out refcounted tenant
 // views over the same state; loaded modules, the in-flight load table
-// (singleflight dedup), the negative cache and the retry policy are shared
-// across views. A PeerSource, when installed, lets a load miss be served by
+// (singleflight dedup) and the negative cache are shared across views. A
+// PeerSource, when installed, lets a load miss be served by
 // a neighbor GPU's resident copy over the host's PCIe/NUMA link model when
 // that transfer is cheaper than re-reading the store — the cross-GPU cache
 // peering the placement layer builds on.
@@ -116,11 +117,11 @@ type TenantStats struct {
 // mismatch). Only permanent errors are negatively cached.
 func IsTransient(err error) bool { return codeobj.IsTransient(err) }
 
-// RetryPolicy bounds the transient-error retry loop inside ModuleLoad.
+// RetryPolicy bounds the transient-error retry loop inside ModuleLoad and
+// RegisterResident.
 type RetryPolicy struct {
-	MaxRetries int           // extra attempts after the first; negative disables retry
-	Backoff    time.Duration // virtual-time sleep before the first retry
-	MaxBackoff time.Duration // cap for the doubling backoff
+	MaxRetries int           // extra attempts after the first
+	Backoff    time.Duration // virtual-time sleep before the first retry; doubles per retry
 }
 
 // FaultInjector is the registry's one fault seam — the way a fault plan
@@ -182,14 +183,14 @@ type PeerSource interface {
 // error texts, its default retry posture and where per-symbol resolution
 // cost lands. The generic Registry implements the shared semantics
 // (residency, singleflight dedup, negative caching, LRU eviction, tenant
-// pinning); a Flavor turns it into a concrete driver. internal/hip and
-// internal/cuda are the implementations.
+// pinning); a Flavor turns it into a concrete driver. HIP and CUDA are the
+// implementations; a new driver is a new Flavor.
 type Flavor interface {
 	// Driver names the backend ("hip", "cuda"); it prefixes trace gauge
 	// series and identifies the flavor in experiment output.
 	Driver() string
-	// DefaultRetry is the policy used when SetRetry was never called.
-	DefaultRetry() RetryPolicy
+	// Retry is the driver's transient-error retry posture.
+	Retry() RetryPolicy
 	// LazySymbols reports whether per-symbol resolution cost is deferred
 	// from module load to the first lookup of each symbol (the CUDA
 	// lazy-module-loading behavior); eager drivers charge it inside the

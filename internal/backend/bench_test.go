@@ -1,13 +1,11 @@
-package backend_test
+package backend
 
 import (
 	"fmt"
 	"testing"
 
-	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/device"
-	"pask/internal/hip"
 	"pask/internal/sim"
 )
 
@@ -32,14 +30,14 @@ func benchPath(i int) string { return fmt.Sprintf("obj%d.pko", i) }
 
 // benchRuntime builds a hip-flavored registry over the store on a device
 // with the given code-memory budget (0 keeps the profile default).
-func benchRuntime(store *codeobj.Store, codeMemory int64) (*sim.Env, *device.GPU, *backend.Registry) {
+func benchRuntime(store *codeobj.Store, codeMemory int64) (*sim.Env, *device.GPU, *Registry) {
 	env := sim.NewEnv()
 	prof := device.MI100()
 	if codeMemory > 0 {
 		prof.CodeMemory = codeMemory
 	}
 	gpu := device.NewGPU(env, prof)
-	return env, gpu, hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	return env, gpu, New(env, gpu, device.DefaultHost(), store, HIP)
 }
 
 // runRegistryBench spawns the benchmark proc, runs the simulation and

@@ -1,4 +1,4 @@
-package backend_test
+package backend
 
 import (
 	"testing"
@@ -18,8 +18,8 @@ func TestLoadedCodeBytesCounterStaysConsistent(t *testing.T) {
 
 	recompute := func() int64 {
 		var n int64
-		for _, path := range rt.ResidentPaths() {
-			n += rt.ModuleBytes(path)
+		for _, m := range rt.sh.modules {
+			n += int64(m.Object.Size())
 		}
 		return n
 	}

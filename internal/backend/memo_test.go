@@ -1,4 +1,4 @@
-package backend_test
+package backend
 
 import (
 	"errors"
@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"pask/internal/backend"
-	"pask/internal/backend/conformancetest"
 	"pask/internal/codeobj"
 	"pask/internal/sim"
 )
@@ -15,12 +13,12 @@ import (
 // cloneReads hands every read on as a fresh copy, so no load can reuse the
 // store's parse: each one decodes and checks every byte, as every load did
 // before the store kept parses.
-type cloneReads struct{ conformancetest.NoFaults }
+type cloneReads struct{ noFaults }
 
 func (cloneReads) StoreGet(_ string, data []byte) ([]byte, error) { return slices.Clone(data), nil }
 
 // corruptReads hands every read on as a copy with one byte flipped.
-type corruptReads struct{ conformancetest.NoFaults }
+type corruptReads struct{ noFaults }
 
 func (corruptReads) StoreGet(_ string, data []byte) ([]byte, error) {
 	data = slices.Clone(data)
@@ -35,7 +33,7 @@ type loadResult struct {
 	took time.Duration
 }
 
-func timedLoad(p *sim.Proc, rt *backend.Registry, path string) loadResult {
+func timedLoad(p *sim.Proc, rt *Registry, path string) loadResult {
 	start := p.Now()
 	m, err := rt.ModuleLoad(p, path)
 	r := loadResult{err: err, took: p.Now() - start}
@@ -47,7 +45,7 @@ func timedLoad(p *sim.Proc, rt *backend.Registry, path string) loadResult {
 
 // runProc runs fn as the only process of env and fails t on a simulation
 // error.
-func runProc(t *testing.T, env *sim.Env, rt *backend.Registry, fn func(p *sim.Proc)) {
+func runProc(t *testing.T, env *sim.Env, rt *Registry, fn func(p *sim.Proc)) {
 	t.Helper()
 	env.Spawn("memo", func(p *sim.Proc) {
 		defer rt.GPU().CloseAll()
@@ -84,7 +82,7 @@ func TestParseMemoDamageLoadsAsBefore(t *testing.T) {
 		{"Put", func(s *codeobj.Store, _ int) error { s.Put(path, replacement); return nil }, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(inj backend.FaultInjector) (first, second loadResult) {
+			run := func(inj FaultInjector) (first, second loadResult) {
 				store := codeobj.NewStore()
 				if err := store.PutBuilt(path, "gfx908", specs); err != nil {
 					t.Fatal(err)
@@ -150,7 +148,7 @@ func TestParseMemoFaultedReads(t *testing.T) {
 			return
 		}
 		rt.Unload(path)
-		rt.SetFaults(conformancetest.NoFaults{})
+		rt.SetFaults(noFaults{})
 		if r := timedLoad(p, rt, path); r.err != nil || r.obj != warm.obj || r.took != warm.took {
 			t.Errorf("pass-through load = (%p, %v, %v), want the warm (%p, nil, %v)", r.obj, r.err, r.took, warm.obj, warm.took)
 		}
@@ -160,7 +158,7 @@ func TestParseMemoFaultedReads(t *testing.T) {
 			t.Errorf("load of a corrupted read with a warm parse: err = %v, want %v", r.err, codeobj.ErrChecksum)
 		}
 		rt.SetFaults(nil)
-		rt.ForgetFailure(path)
+		rt.ClearFailures()
 		res, err := rt.RegisterResident(p, path)
 		if err != nil || res.Object != warm.obj {
 			t.Errorf("RegisterResident = (%v, %v), want the warm object", res, err)

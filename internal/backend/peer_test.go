@@ -1,11 +1,10 @@
-package backend_test
+package backend
 
 import (
 	"errors"
 	"testing"
 	"time"
 
-	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/sim"
 )
@@ -22,12 +21,12 @@ type staticPeer struct {
 	lookups int
 }
 
-func (s *staticPeer) PeerLookup(path string) (backend.PeerModule, bool) {
+func (s *staticPeer) PeerLookup(path string) (PeerModule, bool) {
 	if path != s.path {
-		return backend.PeerModule{}, false
+		return PeerModule{}, false
 	}
 	s.lookups++
-	return backend.PeerModule{Object: s.obj, From: "peer", Cost: s.cost, Err: s.err}, true
+	return PeerModule{Object: s.obj, From: "peer", Cost: s.cost, Err: s.err}, true
 }
 
 // A peer transfer that dies mid-flap must fall back to a local demand load

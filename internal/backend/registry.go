@@ -10,8 +10,8 @@ import (
 )
 
 // shared is the per-GPU registry state every view of a Registry aliases:
-// module residency, singleflight load dedup, the negative cache, retry
-// policy, the driver lock and the aggregate stats.
+// module residency, singleflight load dedup, the negative cache, the driver
+// lock and the aggregate stats.
 type shared struct {
 	flavor  Flavor
 	store   *codeobj.Store
@@ -28,7 +28,6 @@ type shared struct {
 	lost        bool  // device fell off the bus; terminal
 	lostErr     error // cached flavor.DeviceLostError()
 	stats       Stats
-	retry       RetryPolicy
 	faults      FaultInjector
 	obs         RegistryObserver
 	peers       PeerSource
@@ -80,11 +79,11 @@ func (rt *Registry) sampleResidency() {
 }
 
 // Registry is one view of a GPU's shared module registry — the one runtime
-// type every flavor (hip, cuda) instantiates. New returns
+// type every flavor (HIP, CUDA) instantiates. New returns
 // the root view; Attach returns additional tenant views that pin the modules
 // they reference so eviction cannot pull a live tenant's kernels out from
-// under it. All views observe the same residency, negative cache and retry
-// state; the OnLoad hook and the tenant attribution stats are per view.
+// under it. All views observe the same residency and negative cache; the
+// OnLoad hook and the tenant attribution stats are per view.
 type Registry struct {
 	env  *sim.Env
 	gpu  *device.GPU
@@ -92,7 +91,6 @@ type Registry struct {
 
 	sh *shared
 
-	tenant   string
 	pinned   map[string]bool // nil for the root view: no pinning
 	tstats   TenantStats
 	detached bool
@@ -153,7 +151,6 @@ func (rt *Registry) Attach(name string) *Registry {
 		gpu:    rt.gpu,
 		host:   rt.host,
 		sh:     rt.sh,
-		tenant: name,
 		pinned: make(map[string]bool),
 	}
 	v.tstats.Tenant = name
@@ -179,12 +176,6 @@ func (rt *Registry) Detach() {
 	rt.detached = true
 }
 
-// Detached reports whether Detach has been called on this view.
-func (rt *Registry) Detached() bool { return rt.detached }
-
-// Tenant returns the view's name ("" for the root view).
-func (rt *Registry) Tenant() string { return rt.tenant }
-
 // pin records that this view references path, guarding the module against
 // eviction. The root view does not pin (preserving the single-tenant LRU
 // behavior); tenant views pin each path once.
@@ -197,48 +188,18 @@ func (rt *Registry) pin(path string) {
 	rt.tstats.Pinned++
 }
 
-// Refs returns the number of live tenant pins on path.
-func (rt *Registry) Refs(path string) int { return rt.sh.refs[path] }
-
-// PinnedPaths returns the paths this view currently pins, sorted — a stable
-// order regardless of pin sequence, so multi-GPU experiment output stays
-// byte-deterministic.
-func (rt *Registry) PinnedPaths() []string {
-	out := make([]string, 0, len(rt.pinned))
-	for p := range rt.pinned {
-		out = append(out, p)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// SetRetry sets the shared transient-retry policy (MaxRetries < 0 disables
-// retrying; the zero value means the flavor's default).
-func (rt *Registry) SetRetry(p RetryPolicy) { rt.sh.retry = p }
-
 // SetFaults installs (or with nil removes) the shared fault injector: every
 // view's store reads and module loads go through it.
 func (rt *Registry) SetFaults(f FaultInjector) { rt.sh.faults = f }
 
 // SetObserver installs (or with nil removes) the shared registry observer.
-// Like the retry policy it is registry-wide: every view's activity is
+// Like the fault injector it is registry-wide: every view's activity is
 // reported to the same observer.
 func (rt *Registry) SetObserver(o RegistryObserver) { rt.sh.obs = o }
 
 // SetPeers installs (or with nil removes) the shared peer source consulted
 // on load misses — the cross-GPU cache-peering seam.
 func (rt *Registry) SetPeers(ps PeerSource) { rt.sh.peers = ps }
-
-// retryPolicy resolves the effective retry policy.
-func (rt *Registry) retryPolicy() RetryPolicy {
-	if rt.sh.retry.MaxRetries < 0 {
-		return RetryPolicy{}
-	}
-	if rt.sh.retry == (RetryPolicy{}) {
-		return rt.sh.flavor.DefaultRetry()
-	}
-	return rt.sh.retry
-}
 
 // Store returns the backing code-object store.
 func (rt *Registry) Store() *codeobj.Store { return rt.sh.store }
@@ -282,13 +243,6 @@ func (rt *Registry) AllTenantStats() []TenantStats {
 	return append([]TenantStats{rt.sh.views[0].tstats}, out...)
 }
 
-// NumViews returns the number of views over the shared state (root
-// included).
-func (rt *Registry) NumViews() int { return len(rt.sh.views) }
-
-// ContextReady reports whether InitContext has completed.
-func (rt *Registry) ContextReady() bool { return rt.sh.ctxReady }
-
 // InitContext creates the GPU context, charging the device's context
 // initialization cost once per shared registry. Tenants attaching to a warm
 // registry skip it — the per-GPU daemon already holds the context.
@@ -306,9 +260,6 @@ func (rt *Registry) Loaded(path string) bool {
 	return ok
 }
 
-// NumLoaded returns the number of resident modules.
-func (rt *Registry) NumLoaded() int { return len(rt.sh.modules) }
-
 // ResidentObject returns the parsed object of a resident module — the bytes
 // a peering neighbor transfers instead of re-reading the store.
 func (rt *Registry) ResidentObject(path string) (*codeobj.Object, bool) {
@@ -316,16 +267,6 @@ func (rt *Registry) ResidentObject(path string) (*codeobj.Object, bool) {
 		return m.Object, true
 	}
 	return nil, false
-}
-
-// ResidentPaths returns the paths of every resident module, sorted.
-func (rt *Registry) ResidentPaths() []string {
-	out := make([]string, 0, len(rt.sh.modules))
-	for p := range rt.sh.modules {
-		out = append(out, p)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // loadSymbolCount returns the symbol count charged at load time: lazy
@@ -359,8 +300,8 @@ func (rt *Registry) newModule(path string, obj *codeobj.Object, at time.Duration
 // store-load estimate is fetched over the interconnect instead (counted in
 // PeerFetches, not ModuleLoads).
 //
-// Transient store errors are retried with capped doubling backoff (see
-// SetRetry); permanent errors (missing object, parse failure, arch mismatch)
+// Transient store errors are retried under the flavor's RetryPolicy with
+// doubling backoff; permanent errors (missing object, parse failure, arch mismatch)
 // are negatively cached so repeat callers fail fast without re-reading a
 // known-bad object.
 func (rt *Registry) ModuleLoad(p *sim.Proc, path string) (*Module, error) {
@@ -476,44 +417,33 @@ func (rt *Registry) loadOrPeer(p *sim.Proc, path string) (*Module, bool, error) 
 
 // loadWithRetry drives loadLocked through the retry policy, holding the
 // driver lock only per attempt so backoff sleeps don't stall other loads.
-func (rt *Registry) loadWithRetry(p *sim.Proc, path string) (*Module, error) {
-	pol := rt.retryPolicy()
-	backoff := pol.Backoff
-	for attempt := 0; ; attempt++ {
+func (rt *Registry) loadWithRetry(p *sim.Proc, path string) (m *Module, err error) {
+	err = rt.retry(p, path, func() error {
 		rt.sh.driverLock.Acquire(p)
-		m, err := rt.loadLocked(p, path)
+		m, err = rt.loadLocked(p, path)
 		rt.sh.driverLock.Release()
-		if err == nil || !IsTransient(err) || attempt >= pol.MaxRetries {
-			return m, err
+		return err
+	})
+	return m, err
+}
+
+// retry runs attempt until it succeeds, fails permanently or exhausts the
+// flavor's RetryPolicy, sleeping the doubling backoff between tries.
+// Every repeat counts in Stats.TransientRetries and emits a
+// "transient_retry" instant.
+func (rt *Registry) retry(p *sim.Proc, path string, attempt func() error) error {
+	pol := rt.sh.flavor.Retry()
+	backoff := pol.Backoff
+	for n := 0; ; n++ {
+		err := attempt()
+		if err == nil || !IsTransient(err) || n >= pol.MaxRetries {
+			return err
 		}
 		rt.sh.stats.TransientRetries++
 		rt.sh.observe(rt.env, "transient_retry", path)
-		backoff = pol.wait(p, backoff)
+		p.Sleep(backoff)
+		backoff *= 2
 	}
-}
-
-// wait sleeps one retry backoff and returns the next: doubled, capped at
-// MaxBackoff. A non-positive backoff sleeps nothing and stays as it is.
-func (pol RetryPolicy) wait(p *sim.Proc, backoff time.Duration) time.Duration {
-	if backoff <= 0 {
-		return backoff
-	}
-	p.Sleep(backoff)
-	backoff *= 2
-	if pol.MaxBackoff > 0 && backoff > pol.MaxBackoff {
-		backoff = pol.MaxBackoff
-	}
-	return backoff
-}
-
-// ForgetFailure drops path from the negative cache — operators repair
-// objects in place and the next ModuleLoad should try again.
-func (rt *Registry) ForgetFailure(path string) bool {
-	if _, ok := rt.sh.failed[path]; !ok {
-		return false
-	}
-	delete(rt.sh.failed, path)
-	return true
 }
 
 // ClearFailures empties the shared negative cache and returns how many
@@ -525,12 +455,6 @@ func (rt *Registry) ClearFailures() int {
 		delete(rt.sh.failed, path)
 	}
 	return n
-}
-
-// FailedPermanently reports whether path is negatively cached.
-func (rt *Registry) FailedPermanently(path string) bool {
-	_, ok := rt.sh.failed[path]
-	return ok
 }
 
 // loadLocked performs the actual read + validate + relocate under the driver
@@ -662,9 +586,9 @@ func (rt *Registry) ReuseModule(m *Module) bool {
 
 // RegisterResident maps a code object that ships inside an already-open
 // shared library: the bytes are parsed and the symbols registered, but only
-// the cheap mapping cost is charged (no file read or relocation pass). A
-// tenant attaching after another view already mapped the object pays
-// nothing.
+// the cheap mapping cost is charged (no file read or relocation pass).
+// Transient read errors are retried like ModuleLoad's. A tenant attaching
+// after another view already mapped the object pays nothing.
 func (rt *Registry) RegisterResident(p *sim.Proc, path string) (*Module, error) {
 	if rt.sh.lost {
 		return nil, rt.sh.lostErr
@@ -673,14 +597,11 @@ func (rt *Registry) RegisterResident(p *sim.Proc, path string) (*Module, error) 
 		rt.pin(path)
 		return m, nil
 	}
-	pol := rt.retryPolicy()
-	backoff := pol.Backoff
-	data, err := rt.ReadObject(path)
-	for attempt := 0; err != nil && IsTransient(err) && attempt < pol.MaxRetries; attempt++ {
-		rt.sh.stats.TransientRetries++
-		backoff = pol.wait(p, backoff)
+	var data []byte
+	err := rt.retry(p, path, func() (err error) {
 		data, err = rt.ReadObject(path)
-	}
+		return err
+	})
 	if err != nil {
 		return nil, rt.sh.flavor.ResidentLoadError(path, err)
 	}

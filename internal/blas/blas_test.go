@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/device"
-	"pask/internal/hip"
 	"pask/internal/sim"
 	"pask/internal/tensor"
 )
@@ -17,7 +17,7 @@ func newTestLib(t testing.TB) (*sim.Env, *Library) {
 	t.Helper()
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), codeobj.NewStore())
+	rt := backend.New(env, gpu, device.DefaultHost(), codeobj.NewStore(), backend.HIP)
 	return env, NewLibrary(rt)
 }
 
@@ -114,7 +114,7 @@ func TestFindMemoKeyedByProblemValue(t *testing.T) {
 func TestNoMatrixPipesOnNavi(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.RX6900XT())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), codeobj.NewStore())
+	rt := backend.New(env, gpu, device.DefaultHost(), codeobj.NewStore(), backend.HIP)
 	lib := NewLibrary(rt)
 	p := Problem{M: 256, N: 256, K: 256, Batch: 1, DType: tensor.F32}
 	for _, r := range lib.Find(&p) {
@@ -304,8 +304,8 @@ func TestRunFallsBackOnLoadFailure(t *testing.T) {
 	if lib.Fallbacks() != 1 {
 		t.Fatalf("Fallbacks = %d, want 1", lib.Fallbacks())
 	}
-	if !lib.RT.FailedPermanently(ranked[0].Inst.Path()) {
-		t.Fatal("broken object must be negatively cached")
+	if st := lib.RT.Stats(); st.PermanentFailures != 1 {
+		t.Fatalf("PermanentFailures = %d, want 1: the broken object must be negatively cached", st.PermanentFailures)
 	}
 }
 

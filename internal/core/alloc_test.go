@@ -13,7 +13,7 @@ import (
 // without needing the bench gate).
 func TestSharedViewQueryAllocs(t *testing.T) {
 	h := newBenchCache(t, benchEntries)
-	view := NewSharedCache().View("alloc-test")
+	view := NewSharedCache().View()
 	h.run(t, func(p *sim.Proc) error {
 		if err := h.loadAll(p); err != nil {
 			return err

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/device"
-	"pask/internal/hip"
 	"pask/internal/kernels"
 	"pask/internal/miopen"
 	"pask/internal/sim"
@@ -62,7 +62,7 @@ func newBenchCache(b testing.TB, n int) *benchCache {
 	}
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 	lib := miopen.NewLibrary(reg, rt)
 	return &benchCache{env: env, gpu: gpu, lib: lib, insts: insts, probs: probs, missInst: missInst, missProb: missProb}
 }
@@ -151,7 +151,7 @@ func BenchmarkCategoricalQueryHit(b *testing.B) {
 // passes a residency probe before its check is charged.
 func BenchmarkSharedViewQueryMiss(b *testing.B) {
 	h := newBenchCache(b, benchEntries)
-	view := NewSharedCache().View("bench")
+	view := NewSharedCache().View()
 	h.run(b, func(p *sim.Proc) error {
 		if err := h.loadAll(p); err != nil {
 			return err

@@ -7,11 +7,11 @@ import (
 	"testing/quick"
 	"time"
 
+	"pask/internal/backend"
 	"pask/internal/blas"
 	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/graphx"
-	"pask/internal/hip"
 	"pask/internal/kernels"
 	"pask/internal/metrics"
 	"pask/internal/miopen"
@@ -74,7 +74,7 @@ func (h *harness) coldRun(t *testing.T, fn func(p *sim.Proc, r *graphx.Runner) e
 	t.Helper()
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), h.store)
+	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
 	var total time.Duration
 	var runErr error
@@ -115,7 +115,7 @@ func withProc(t *testing.T, reg *miopen.Registry, fn func(p *sim.Proc, lib *miop
 	t.Helper()
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), codeobj.NewStore())
+	rt := backend.New(env, gpu, device.DefaultHost(), codeobj.NewStore(), backend.HIP)
 	lib := miopen.NewLibrary(reg, rt)
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -236,7 +236,7 @@ func TestGetSubSoundnessProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		env := sim.NewEnv()
 		gpu := device.NewGPU(env, device.MI100())
-		rt := hip.NewRuntime(env, gpu, device.DefaultHost(), codeobj.NewStore())
+		rt := backend.New(env, gpu, device.DefaultHost(), codeobj.NewStore(), backend.HIP)
 		lib := miopen.NewLibrary(reg, rt)
 		ok := true
 		env.Spawn("main", func(p *sim.Proc) {
@@ -411,7 +411,7 @@ func TestBackgroundLoadingWarmsSecondRequest(t *testing.T) {
 	// One warm process serving two requests with an idle gap between them.
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), h.store)
+	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
 	var first, second time.Duration
 	var loadedBG int
@@ -486,7 +486,7 @@ func TestInterleavedErrorPropagates(t *testing.T) {
 	}
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), h.store)
+	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
@@ -664,7 +664,7 @@ func TestRunWarmReuseSkipsParse(t *testing.T) {
 	h := newHarness(t, "alex", 1, graphx.CompileOptions{})
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), h.store)
+	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
 	var coldT, warmSeq, warmNoParse time.Duration
 	env.Spawn("main", func(p *sim.Proc) {

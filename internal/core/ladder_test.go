@@ -10,10 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"pask/internal/backend"
 	"pask/internal/blas"
 	"pask/internal/device"
 	"pask/internal/graphx"
-	"pask/internal/hip"
 	"pask/internal/metrics"
 	"pask/internal/miopen"
 	"pask/internal/sim"
@@ -239,7 +239,7 @@ func (h *harness) ladderRun(t *testing.T, residents bool, preload []miopen.Insta
 	t.Helper()
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), h.store)
+	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
 	rec := trace.New()
 	tracer := metrics.NewForwardingTracer()
 	tracer.SetObserver(rec)

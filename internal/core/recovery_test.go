@@ -4,11 +4,11 @@ import (
 	"errors"
 	"testing"
 
+	"pask/internal/backend"
 	"pask/internal/blas"
 	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/graphx"
-	"pask/internal/hip"
 	"pask/internal/metrics"
 	"pask/internal/miopen"
 	"pask/internal/sim"
@@ -20,7 +20,7 @@ func (h *harness) faultRun(t *testing.T, fn func(p *sim.Proc, r *graphx.Runner) 
 	t.Helper()
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), h.store)
+	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
@@ -140,7 +140,7 @@ func TestNoDegradationFailsFast(t *testing.T) {
 	// broken object on the first conv layer and abort under NoDegradation.
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), h.store)
+	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
@@ -197,7 +197,7 @@ func TestNoUsableSolutionTyped(t *testing.T) {
 	}
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), h.store)
+	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
@@ -225,7 +225,7 @@ func TestGetSubAnyCrossPattern(t *testing.T) {
 	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 	lib := miopen.NewLibrary(reg, rt)
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -266,7 +266,7 @@ func TestGetSubAnySkipsUnloaded(t *testing.T) {
 	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 	lib := miopen.NewLibrary(reg, rt)
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()

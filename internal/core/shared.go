@@ -34,8 +34,8 @@ func (s *SharedCache) Len() int { return s.inner.Len() }
 // one categorical structure (recency promotions by one tenant benefit the
 // next), while stats are recorded twice: into the shared aggregate and into
 // the view's private counters.
-func (s *SharedCache) View(tenant string) *SharedCacheView {
-	return &SharedCacheView{shared: s, tenant: tenant}
+func (s *SharedCache) View() *SharedCacheView {
+	return &SharedCacheView{shared: s}
 }
 
 // SharedCacheView is one tenant's handle on a SharedCache. It satisfies
@@ -47,14 +47,10 @@ func (s *SharedCache) View(tenant string) *SharedCacheView {
 // must never point at a vanished code object.
 type SharedCacheView struct {
 	shared *SharedCache
-	tenant string
 	stats  CacheStats
 }
 
 var _ Cache = (*SharedCacheView)(nil)
-
-// Tenant returns the view's tenant name.
-func (v *SharedCacheView) Tenant() string { return v.tenant }
 
 // Insert records inst as resident in the shared cache.
 func (v *SharedCacheView) Insert(inst miopen.Instance) {

@@ -3,9 +3,9 @@ package core
 import (
 	"testing"
 
+	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/device"
-	"pask/internal/hip"
 	"pask/internal/miopen"
 	"pask/internal/sim"
 )
@@ -23,7 +23,7 @@ func withLoadedProc(t *testing.T, reg *miopen.Registry, loaded []miopen.Instance
 	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 	lib := miopen.NewLibrary(reg, rt)
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -45,8 +45,8 @@ func TestSharedCacheCrossTenantHit(t *testing.T) {
 	_ = gen
 	withLoadedProc(t, reg, []miopen.Instance{mid}, func(p *sim.Proc, lib *miopen.Library) {
 		sc := NewSharedCache()
-		a := sc.View("alpha")
-		b := sc.View("beta")
+		a := sc.View()
+		b := sc.View()
 		a.Insert(mid) // tenant alpha loaded the mid-tier solution
 		// Tenant beta, serving a different model, wants the specialist but
 		// finds alpha's loaded instance through the shared cache.
@@ -75,7 +75,7 @@ func TestSharedCacheViewSkipsEvictedEntries(t *testing.T) {
 	_, mid, spec, reg, prob := testInstances(t)
 	withLoadedProc(t, reg, []miopen.Instance{mid}, func(p *sim.Proc, lib *miopen.Library) {
 		sc := NewSharedCache()
-		v := sc.View("alpha")
+		v := sc.View()
 		v.Insert(mid)
 		// Another tenant's memory pressure evicts the module after
 		// insertion: the shared view must skip the stale entry without
@@ -101,8 +101,8 @@ func TestSharedCacheRecencySharedAcrossViews(t *testing.T) {
 	gen, mid, spec, reg, prob := testInstances(t)
 	withLoadedProc(t, reg, []miopen.Instance{gen, mid}, func(p *sim.Proc, lib *miopen.Library) {
 		sc := NewSharedCache()
-		a := sc.View("alpha")
-		b := sc.View("beta")
+		a := sc.View()
+		b := sc.View()
 		a.Insert(gen)
 		a.Insert(mid) // shared MRU order: [mid, gen]
 		// While mid's module is out, beta's query skips it and hits gen,

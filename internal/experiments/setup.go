@@ -8,18 +8,15 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"pask/internal/backend"
 	"pask/internal/blas"
 	"pask/internal/codeobj"
 	"pask/internal/core"
-	"pask/internal/cuda"
 	"pask/internal/device"
 	"pask/internal/faults"
 	"pask/internal/graphx"
-	"pask/internal/hip"
 	"pask/internal/metrics"
 	"pask/internal/miopen"
 	"pask/internal/onnx/zoo"
@@ -237,21 +234,10 @@ func (ms *ModelSetup) NewProcess() *Process {
 // keeps no busy time: spans reach only the recorder Record attaches.
 func (ms *ModelSetup) NewProcessIn(env *sim.Env) *Process {
 	gpu := device.NewGPU(env, ms.Profile)
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), ms.Store)
+	rt := backend.New(env, gpu, device.DefaultHost(), ms.Store, backend.HIP)
 	tracer := metrics.NewForwardingTracer()
 	runner := graphx.NewRunner(rt, miopen.NewLibrary(ms.Reg, rt), blas.NewLibrary(rt), tracer)
 	return &Process{Env: env, GPU: gpu, Runner: runner}
-}
-
-// BackendFor creates a runtime of the flavor matching the device's ISA:
-// sm_* architectures get the CUDA backend, everything else (gfx*) HIP —
-// the vendor split of the paper's testbed (MI100/RX6900XT under ROCm, A100
-// under CUDA).
-func BackendFor(env *sim.Env, gpu *device.GPU, store *codeobj.Store) *backend.Registry {
-	if strings.HasPrefix(gpu.Profile.Arch, "sm_") {
-		return cuda.NewRuntime(env, gpu, device.DefaultHost(), store)
-	}
-	return hip.NewRuntime(env, gpu, device.DefaultHost(), store)
 }
 
 // AttachIn creates a tenant process for this model on a shared GPU: a

@@ -3,9 +3,9 @@ package graphx
 import (
 	"testing"
 
+	"pask/internal/backend"
 	"pask/internal/blas"
 	"pask/internal/device"
-	"pask/internal/hip"
 	"pask/internal/metrics"
 	"pask/internal/miopen"
 	"pask/internal/sim"
@@ -22,7 +22,7 @@ func BenchmarkExecPrimitiveWarm(b *testing.B) {
 	store := materialize(b, reg, m)
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(rt), metrics.NewForwardingTracer())
 	in := primitives(m)[0]
 	env.Spawn("host", func(p *sim.Proc) {

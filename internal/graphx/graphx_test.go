@@ -4,10 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"pask/internal/backend"
 	"pask/internal/blas"
 	"pask/internal/codeobj"
 	"pask/internal/device"
-	"pask/internal/hip"
 	"pask/internal/metrics"
 	"pask/internal/miopen"
 	"pask/internal/onnx"
@@ -181,7 +181,7 @@ func newProcess(t *testing.T, store *codeobj.Store, reg *miopen.Registry) (*sim.
 	t.Helper()
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 	lib := miopen.NewLibrary(reg, rt)
 	bl := blas.NewLibrary(rt)
 	rec := trace.New()
@@ -386,7 +386,7 @@ func TestWarmExecInstrAllocatesNothing(t *testing.T) {
 	store := materialize(t, reg, m)
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(rt), metrics.NewForwardingTracer())
 	env.Spawn("host", func(p *sim.Proc) {
 		defer gpu.CloseAll()

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"pask/internal/backend"
 	"pask/internal/blas"
 	"pask/internal/device"
-	"pask/internal/hip"
 	"pask/internal/metrics"
 	"pask/internal/miopen"
 	"pask/internal/sim"
@@ -35,7 +35,7 @@ func TestStaticExecPrimitiveAllocatesNothing(t *testing.T) {
 	store := materialize(t, reg, m)
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(rt), metrics.NewForwardingTracer())
 	env.Spawn("host", func(p *sim.Proc) {
 		defer gpu.CloseAll()

@@ -17,8 +17,6 @@ type Library struct {
 	Reg *Registry
 	RT  *backend.Registry
 
-	checks int // IsApplicable invocations charged so far
-
 	// disabled holds this process's solution kill switches (find-path
 	// outages injected by a fault plan): Find and CheckApplicable treat
 	// these solutions as inapplicable.
@@ -76,9 +74,6 @@ func (l *Library) Find(p *Problem) []Ranked {
 	return slices.DeleteFunc(l.Reg.Find(p), func(r Ranked) bool { return l.disabled[r.Inst.Sol.ID()] })
 }
 
-// ApplicabilityChecks returns the number of charged IsApplicable calls.
-func (l *Library) ApplicabilityChecks() int { return l.checks }
-
 // CheckApplicable evaluates inst.IsApplicable(p) and charges the host-side
 // cost of the check — the expensive validation PASK's categorical cache
 // minimizes (paper §II-B). A disabled solution is never applicable; that
@@ -86,7 +81,6 @@ func (l *Library) ApplicabilityChecks() int { return l.checks }
 // is consulted, so it never enters the table.
 func (l *Library) CheckApplicable(proc *sim.Proc, inst Instance, p *Problem) bool {
 	proc.Sleep(l.RT.Host().ApplicabilityCheck)
-	l.checks++
 	if l.disabled[inst.Sol.ID()] {
 		return false
 	}

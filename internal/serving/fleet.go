@@ -7,7 +7,6 @@ import (
 	"pask/internal/backend"
 	"pask/internal/device"
 	"pask/internal/experiments"
-	"pask/internal/hip"
 	"pask/internal/sim"
 )
 
@@ -116,7 +115,7 @@ func ServeFleetModels(setups map[string]*experiments.ModelSetup, def string, cfg
 	if cfg.Shared {
 		// HIP on every profile, A100 included: the overload experiment's
 		// A100 cells were recorded against this flavor.
-		host = NewGPUHost(hip.NewRuntime(env, device.NewGPU(env, defSetup.Profile), device.DefaultHost(), defSetup.Store))
+		host = NewGPUHost(backend.New(env, device.NewGPU(env, defSetup.Profile), device.DefaultHost(), defSetup.Store, backend.HIP))
 	}
 
 	stats := &FleetStats{ColdByModel: make(map[string][]time.Duration)}

@@ -3,10 +3,10 @@ package serving
 import (
 	"testing"
 
+	"pask/internal/backend"
 	"pask/internal/core"
 	"pask/internal/device"
 	"pask/internal/experiments"
-	"pask/internal/hip"
 	"pask/internal/sim"
 )
 
@@ -80,7 +80,7 @@ func TestScaleOutSharedCoalescesSameModel(t *testing.T) {
 func TestReplaceTenantPreservesSurvivorModules(t *testing.T) {
 	setups := setupSharedModels(t, "res", "vgg")
 	env := sim.NewEnv()
-	host := NewGPUHost(hip.NewRuntime(env, device.NewGPU(env, setups["res"].Profile), device.DefaultHost(), setups["res"].Store))
+	host := NewGPUHost(backend.New(env, device.NewGPU(env, setups["res"].Profile), device.DefaultHost(), setups["res"].Store, backend.HIP))
 	var stats Stats
 	pol := Policy{Scheme: core.SchemePaSK}
 	a := newInstance(env, host, setups["res"], pol, &stats, "res/0")
@@ -95,25 +95,26 @@ func TestReplaceTenantPreservesSurvivorModules(t *testing.T) {
 			t.Errorf("tenant b serve: %v", err)
 			return
 		}
-		pinnedA := a.pr.RT.PinnedPaths()
-		if len(pinnedA) == 0 {
+		pinnedA := a.pr.RT.TenantStats().Pinned
+		if pinnedA == 0 {
 			t.Error("survivor holds no pinned modules")
 			return
 		}
 		// Detached views stay on the runtime's roster for stats attribution,
 		// so a replacement adds one view rather than swapping in place.
-		views := host.Root().NumViews()
+		views := len(host.Root().AllTenantStats())
+		before := host.Root().Stats()
+		resident := host.Root().LoadedCodeBytes()
 		b.replace()
-		if got := host.Root().NumViews(); got != views+1 {
+		if got := len(host.Root().AllTenantStats()); got != views+1 {
 			t.Errorf("views = %d after replace, want %d", got, views+1)
 		}
-		for _, path := range pinnedA {
-			if !host.Root().Loaded(path) {
-				t.Errorf("survivor module %s evicted by tenant replacement", path)
-			}
-			if host.Root().Refs(path) == 0 {
-				t.Errorf("survivor module %s lost its reference", path)
-			}
+		if got := host.Root().Stats(); got.Evictions != before.Evictions || host.Root().LoadedCodeBytes() != resident {
+			t.Errorf("tenant replacement dropped modules: evictions %d -> %d, resident bytes %d -> %d",
+				before.Evictions, got.Evictions, resident, host.Root().LoadedCodeBytes())
+		}
+		if got := a.pr.RT.TenantStats().Pinned; got != pinnedA {
+			t.Errorf("survivor pins %d modules after replace, want %d", got, pinnedA)
 		}
 		if b.view() != "vgg/0#1" {
 			t.Errorf("replacement view = %q, want generation suffix", b.view())

@@ -7,7 +7,6 @@ import (
 	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/device"
-	"pask/internal/experiments"
 	"pask/internal/sim"
 	"pask/internal/trace"
 )
@@ -74,7 +73,8 @@ func NewMultiGPUHost(env *sim.Env, topo *device.Host, storeFor func(arch string)
 	}
 	for i := 0; i < topo.NumGPUs(); i++ {
 		gpu := topo.GPU(i)
-		mh.Nodes = append(mh.Nodes, NewGPUHost(experiments.BackendFor(env, gpu, storeFor(gpu.Profile.Arch))))
+		arch := gpu.Profile.Arch
+		mh.Nodes = append(mh.Nodes, NewGPUHost(backend.New(env, gpu, device.DefaultHost(), storeFor(arch), backend.FlavorFor(arch))))
 	}
 	if peering {
 		for i := range mh.Nodes {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"pask/internal/backend"
 	"pask/internal/core"
 	"pask/internal/device"
 	"pask/internal/experiments"
@@ -201,7 +202,7 @@ type predCluster struct {
 func (c *predCluster) newNode() *predNode {
 	n := &predNode{
 		id:    len(c.nodes),
-		host:  NewGPUHost(experiments.BackendFor(c.env, device.NewGPU(c.env, c.prof), c.setups[c.models[0]].Store)),
+		host:  NewGPUHost(backend.New(c.env, device.NewGPU(c.env, c.prof), device.DefaultHost(), c.setups[c.models[0]].Store, backend.FlavorFor(c.prof.Arch))),
 		used:  warmup.NewRecorder(),
 		insts: make(map[string]*Instance),
 		busy:  make(map[string]bool),

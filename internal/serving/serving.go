@@ -232,7 +232,7 @@ func (in *Instance) initProcess(p *sim.Proc) error {
 		// categorical one — a flat PaSK-R scan over every tenant's entries
 		// would charge each tenant for the whole GPU's working set, so the
 		// PaSK-R ablation is only meaningful on isolated instances.
-		v := in.host.Cache.View(in.view())
+		v := in.host.Cache.View()
 		core.SeedResidents(v, in.pr.Lib)
 		in.cache = v
 	} else {

@@ -18,8 +18,8 @@ type GPUHost struct {
 }
 
 // NewGPUHost brings up a shared GPU host over root, the cold root view of
-// the device's runtime; the caller picks its flavor (hip.NewRuntime, or
-// experiments.BackendFor to follow the device's ISA).
+// the device's runtime; the caller picks its flavor (backend.HIP, or
+// backend.FlavorFor to follow the device's ISA).
 func NewGPUHost(root *backend.Registry) *GPUHost {
 	return &GPUHost{root: root, Cache: core.NewSharedCache()}
 }

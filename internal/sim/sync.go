@@ -64,9 +64,6 @@ func NewResource(env *Env, capacity int) *Resource {
 	return &Resource{env: env, capacity: capacity}
 }
 
-// Capacity returns the total number of slots.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse returns the number of slots currently held.
 func (r *Resource) InUse() int { return r.inUse }
 

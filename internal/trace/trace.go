@@ -133,13 +133,13 @@ func (r *Recorder) Count(name string, at time.Duration, value float64) {
 	c.Samples = append(c.Samples, Sample{At: at, Value: value})
 }
 
-// RegistryEvent implements the hip registry observer: evictions, coalesced
+// RegistryEvent implements the backend registry observer: evictions, coalesced
 // waits and negative-cache hits arrive as instants on the "registry" track.
 func (r *Recorder) RegistryEvent(kind, path string, at time.Duration) {
 	r.Instant("registry", kind, at, metrics.Attr{Key: "path", Value: path})
 }
 
-// RegistrySample implements the hip registry observer's counter side.
+// RegistrySample implements the backend registry observer's counter side.
 func (r *Recorder) RegistrySample(name string, at time.Duration, value float64) {
 	r.Count(name, at, value)
 }

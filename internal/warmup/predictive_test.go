@@ -4,9 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/device"
-	"pask/internal/hip"
 	"pask/internal/sim"
 )
 
@@ -37,7 +37,7 @@ func TestPredictivePrefetch(t *testing.T) {
 	env := sim.NewEnv()
 	store, manifests := predictiveFixture(t, []string{"alex", "res", "vgg"}, 2)
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 
 	pf := StartPredictive(env, rt, manifests, 48, nil)
 	env.Spawn("driver", func(p *sim.Proc) {
@@ -57,8 +57,10 @@ func TestPredictivePrefetch(t *testing.T) {
 		if !rt.Loaded(path) {
 			t.Fatalf("%s not resident after prediction", path)
 		}
-		if n := rt.Refs(path); n != 0 {
-			t.Fatalf("warmup view left %d pins on %s", n, path)
+	}
+	for _, ts := range rt.AllTenantStats() {
+		if ts.Pinned != 0 {
+			t.Fatalf("view %q left %d pins", ts.Tenant, ts.Pinned)
 		}
 	}
 	if rt.Loaded("vgg_a.pko") {
@@ -82,7 +84,7 @@ func TestPredictiveBudget(t *testing.T) {
 	env := sim.NewEnv()
 	store, manifests := predictiveFixture(t, []string{"alex", "res"}, 3)
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 
 	pf := StartPredictive(env, rt, manifests, 4, nil)
 	env.Spawn("driver", func(p *sim.Proc) {
@@ -111,7 +113,7 @@ func TestPredictiveResidentIsFree(t *testing.T) {
 	env := sim.NewEnv()
 	store, manifests := predictiveFixture(t, []string{"alex"}, 2)
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 
 	env.Spawn("warm", func(p *sim.Proc) {
 		rt.InitContext(p)

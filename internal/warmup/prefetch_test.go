@@ -3,11 +3,11 @@ package warmup
 import (
 	"slices"
 	"testing"
+	"time"
 
-	"pask/internal/backend/conformancetest"
+	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/device"
-	"pask/internal/hip"
 	"pask/internal/sim"
 )
 
@@ -201,10 +201,11 @@ func TestPrefetchCounts(t *testing.T) {
 
 // damageReads is a fault injector that reads the listed paths back with
 // their first byte flipped.
-type damageReads struct {
-	conformancetest.NoFaults
-	paths []string
-}
+type damageReads struct{ paths []string }
+
+func (damageReads) ExtraLoadLatency(time.Duration, string) time.Duration { return 0 }
+func (damageReads) ExtraLoadError(time.Duration, string) error           { return nil }
+func (damageReads) LoadLatencyScale(time.Duration) float64               { return 1 }
 
 func (d damageReads) StoreGet(path string, data []byte) ([]byte, error) {
 	if !slices.Contains(d.paths, path) {
@@ -239,7 +240,7 @@ func runPrefetchCase(t *testing.T, tc prefetchCase) (ReplayStats, int) {
 		man.Entries = append(man.Entries, Entry{Path: path, Checksum: sum})
 	}
 	gpu := device.NewGPU(env, device.MI100())
-	rt := hip.NewRuntime(env, gpu, device.DefaultHost(), store)
+	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 	if len(tc.damaged) > 0 {
 		rt.SetFaults(damageReads{paths: tc.damaged})
 	}

@@ -7,9 +7,9 @@ import (
 	"reflect"
 	"testing"
 
+	"pask/internal/backend"
 	"pask/internal/codeobj"
 	"pask/internal/device"
-	"pask/internal/hip"
 	"pask/internal/sim"
 )
 
@@ -176,7 +176,7 @@ func TestPrefetcherReplay(t *testing.T) {
 	stale := buildObject(t, "stale")
 	store.Put("good.pko", good)
 	store.Put("stale.pko", stale)
-	rt := hip.NewRuntime(env, device.NewGPU(env, device.MI100()), device.DefaultHost(), store)
+	rt := backend.New(env, device.NewGPU(env, device.MI100()), device.DefaultHost(), store, backend.HIP)
 
 	man := &Manifest{Version: Version, Entries: []Entry{
 		{Path: "good.pko", Checksum: Checksum(good)},
@@ -199,8 +199,10 @@ func TestPrefetcherReplay(t *testing.T) {
 	}
 	// Replay detaches its view: nothing stays pinned on its account, so
 	// prefetched-but-unused modules remain evictable under memory pressure.
-	if n := rt.Refs("good.pko"); n != 0 {
-		t.Fatalf("warmup view left %d pins on good.pko", n)
+	for _, ts := range rt.AllTenantStats() {
+		if ts.Pinned != 0 {
+			t.Fatalf("view %q left %d pins", ts.Tenant, ts.Pinned)
+		}
 	}
 
 	got := pf.Account([]string{"good.pko", "other.pko"}, env.Now())
