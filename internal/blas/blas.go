@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"pask/internal/backend"
@@ -38,7 +39,8 @@ func (p *Problem) Valid() bool {
 	return p.M > 0 && p.N > 0 && p.K > 0 && p.Batch > 0
 }
 
-// Key returns the canonical identity used by the find cache.
+// Key returns a canonical string identity for the problem, for messages
+// and deduplication by name; the find memo interns problems by value.
 func (p *Problem) Key() string {
 	return fmt.Sprintf("gemm-m%dn%dk%d-b%d-t%v%v-%v", p.M, p.N, p.K, p.Batch, p.TransA, p.TransB, p.DType)
 }
@@ -184,46 +186,82 @@ var ErrNotApplicable = errors.New("blas: instance not applicable")
 
 const coreObjectKernels = 24
 
+// Registry is the GEMM ladder on one device, shared by every process of a
+// set-up. It interns each distinct GEMM problem with its ranking, giving
+// every ranked instance a dense ID, so a problem is ranked once per set-up
+// however many processes run it.
+type Registry struct {
+	dev     device.Profile
+	kernels []*Kernel
+
+	mu       sync.Mutex
+	interned map[Problem]*Interned
+	nSlots   int // ranked instances of every interned problem, the next dense ID
+}
+
+// Interned is one distinct GEMM problem of a registry: the descriptor, its
+// ranking and its dense slot range. Compiled GEMM instructions hold theirs,
+// so the launch path hashes no Problem.
+type Interned struct {
+	Problem
+	reg *Registry
+	// ranked is the problem's find result, shared and read-only.
+	ranked []Ranked
+	// first is the dense ID of ranked[0] among the ranked instances of
+	// every problem the registry interned: ranked[i]'s bound function
+	// lives at a Library's fns[first+i].
+	first int
+}
+
+// Registry returns the registry that interned the problem.
+func (p *Interned) Registry() *Registry { return p.reg }
+
+// NewRegistry returns the GEMM ladder on dev with no problem interned yet.
+func NewRegistry(dev device.Profile) *Registry {
+	return &Registry{dev: dev, kernels: Kernels(), interned: make(map[Problem]*Interned)}
+}
+
+// Intern returns the registry's record for p, ranking p on first use. The
+// record holds a copy of p, so callers may reuse p.
+func (r *Registry) Intern(p *Problem) *Interned {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ip, ok := r.interned[*p]; ok {
+		return ip
+	}
+	ip := &Interned{Problem: *p, reg: r, ranked: rank(r.kernels, r.dev, p), first: r.nSlots}
+	r.nSlots += len(ip.ranked)
+	r.interned[*p] = ip
+	return ip
+}
+
 // Library is the per-process GEMM library handle.
 type Library struct {
-	RT *backend.Registry
+	Reg *Registry
+	RT  *backend.Registry
 
-	kernels   []*Kernel
-	find      map[Problem]findEntry
+	// fns holds the function each ranked instance was last launched
+	// through (zero until its first launch), indexed by the instance's
+	// dense ID: problem p's are at p.first onward.
+	fns       backend.Table[backend.Function]
 	core      *backend.Module // the shared archive, once EnsureCore loaded it
 	runs      int
 	fallbacks int
 }
 
-// findEntry is one find-memo entry: the ranked instances and, parallel to
-// them, the function each was last launched through (zero until its first
-// launch). ranked is shared and read-only; fns is updated in place.
-type findEntry struct {
-	ranked []Ranked
-	fns    []backend.Function
+// NewLibrary binds the set-up's GEMM registry to a process runtime.
+func NewLibrary(reg *Registry, rt *backend.Registry) *Library {
+	return &Library{Reg: reg, RT: rt}
 }
 
-// NewLibrary binds the GEMM ladder to a process runtime.
-func NewLibrary(rt *backend.Registry) *Library {
-	return &Library{RT: rt, kernels: Kernels(), find: make(map[Problem]findEntry)}
-}
-
-// Find returns the applicable instances for p ranked fastest-first,
-// memoized per problem value. The slice is the memo's own: callers must not
-// modify it, and may keep pointers into it.
-func (l *Library) Find(p *Problem) []Ranked {
-	return l.entry(p).ranked
-}
-
-// entry returns p's find-memo entry, ranking p on first use.
-func (l *Library) entry(p *Problem) findEntry {
-	if e, ok := l.find[*p]; ok {
-		return e
+// Find returns the applicable instances for p ranked fastest-first. The
+// slice is the registry's own, shared by every process of the set-up:
+// callers must not modify it, and may keep pointers into it.
+func (l *Library) Find(p *Interned) []Ranked {
+	if p.reg != l.Reg {
+		panic("blas: find of a problem interned in another registry")
 	}
-	ranked := rank(l.kernels, l.RT.GPU().Profile, p)
-	e := findEntry{ranked: ranked, fns: make([]backend.Function, len(ranked))}
-	l.find[*p] = e
-	return e
+	return p.ranked
 }
 
 // rank returns the kernels applicable to p on dev as instances ranked
@@ -259,10 +297,10 @@ func (l *Library) Runs() int { return l.runs }
 func (l *Library) Fallbacks() int { return l.fallbacks }
 
 // Materialize requests the code objects of every instance that could serve
-// the given problems on dev (offline compilation), plus the shared core
-// kernel archive, in the order a library's Find ranks them. The batch's Put
-// builds them.
-func Materialize(b *codeobj.Batch, dev device.Profile, problems []Problem) {
+// the given problems (offline compilation), plus the shared core kernel
+// archive, in the order Find ranks them. It interns the problems, so the
+// set-up's processes find them ranked. The batch's Put builds them.
+func Materialize(b *codeobj.Batch, reg *Registry, problems []Problem) {
 	if len(problems) > 0 && b.Need(CoreObjectPath) {
 		specs := make([]codeobj.KernelSpec, coreObjectKernels)
 		for i := range specs {
@@ -272,13 +310,12 @@ func Materialize(b *codeobj.Batch, dev device.Profile, problems []Problem) {
 				CodeSize: 256 << 10, // 24 x 256 KiB: a 6 MiB kernel archive
 			}
 		}
-		b.Add(CoreObjectPath, dev.Arch, specs)
+		b.Add(CoreObjectPath, reg.dev.Arch, specs)
 	}
-	kernels := Kernels()
 	for i := range problems {
-		for _, r := range rank(kernels, dev, &problems[i]) {
+		for _, r := range reg.Intern(&problems[i]).ranked {
 			if path := r.Inst.Path(); b.Need(path) {
-				b.Add(path, dev.Arch, r.Inst.ObjectSpec())
+				b.Add(path, reg.dev.Arch, r.Inst.ObjectSpec())
 			}
 		}
 	}
@@ -291,17 +328,17 @@ func Materialize(b *codeobj.Batch, dev device.Profile, problems []Problem) {
 // failing the request, mirroring the primitive library's recovery ladder.
 // The launch is fire-and-forget: callers that need completion synchronize
 // the stream.
-func (l *Library) Run(proc *sim.Proc, stream *device.Stream, p *Problem) error {
-	e := l.entry(p)
-	if len(e.ranked) == 0 {
+func (l *Library) Run(proc *sim.Proc, stream *device.Stream, p *Interned) error {
+	ranked := l.Find(p)
+	if len(ranked) == 0 {
 		return fmt.Errorf("blas: no kernel for %s", p.Key())
 	}
-	err := l.launch(proc, stream, p, &e.ranked[0].Inst, &e.fns[0])
+	err := l.launch(proc, stream, &p.Problem, &ranked[0].Inst, p.first)
 	if err == nil {
 		return nil
 	}
-	for i := 1; i < len(e.ranked); i++ {
-		if l.launch(proc, stream, p, &e.ranked[i].Inst, &e.fns[i]) == nil {
+	for i := 1; i < len(ranked); i++ {
+		if l.launch(proc, stream, &p.Problem, &ranked[i].Inst, p.first+i) == nil {
 			l.fallbacks++
 			return nil
 		}
@@ -333,17 +370,21 @@ func (l *Library) RunInstance(proc *sim.Proc, stream *device.Stream, p *Problem,
 	if !inst.Applicable(l.RT.GPU().Profile, p) {
 		return fmt.Errorf("%w: %s to %s", ErrNotApplicable, inst.Path(), p.Key())
 	}
-	var fn backend.Function
-	return l.launch(proc, stream, p, &inst, &fn)
+	return l.launch(proc, stream, p, &inst, -1)
 }
 
 // launch lazily loads the shared archive and inst's code object and
-// launches inst on p through the function bound in *fn, resolving and
-// storing it again when Reuse refuses it. Find's ranking already proved
-// inst applicable, so Run skips RunInstance's check.
-func (l *Library) launch(proc *sim.Proc, stream *device.Stream, p *Problem, inst *Instance, fn *backend.Function) error {
+// launches inst on p through the function bound in fns[slot], resolving
+// and storing it again when Reuse refuses it; a negative slot binds
+// nothing. Find's ranking already proved inst applicable, so Run skips
+// RunInstance's check.
+func (l *Library) launch(proc *sim.Proc, stream *device.Stream, p *Problem, inst *Instance, slot int) error {
 	if err := l.EnsureCore(proc); err != nil {
 		return err
+	}
+	fn := new(backend.Function)
+	if slot >= 0 {
+		fn = l.fns.At(slot)
 	}
 	if !l.RT.Reuse(*fn) {
 		f, err := l.RT.GetFunction(proc, inst.Path(), inst.Symbol())

@@ -3,6 +3,7 @@ package blas
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ func newTestLib(t testing.TB) (*sim.Env, *Library) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), codeobj.NewStore(), backend.HIP)
-	return env, NewLibrary(rt)
+	return env, NewLibrary(NewRegistry(gpu.Profile), rt)
 }
 
 // materialize puts into lib's store every object that could serve p on
@@ -26,7 +27,7 @@ func newTestLib(t testing.TB) (*sim.Env, *Library) {
 func materialize(t testing.TB, lib *Library, p Problem) {
 	t.Helper()
 	objs := lib.RT.Store().Batch()
-	Materialize(objs, lib.RT.GPU().Profile, []Problem{p})
+	Materialize(objs, lib.Reg, []Problem{p})
 	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestFindRanking(t *testing.T) {
 	_, lib := newTestLib(t)
 	// Aligned problem: Xdlops fastest.
 	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32}
-	ranked := lib.Find(&p)
+	ranked := lib.Find(lib.Reg.Intern(&p))
 	if len(ranked) != 3 {
 		t.Fatalf("got %d kernels", len(ranked))
 	}
@@ -66,43 +67,44 @@ func TestFindRanking(t *testing.T) {
 	}
 	// Misaligned K: Xdlops out.
 	p2 := Problem{M: 197, N: 768, K: 763, Batch: 1, DType: tensor.F32}
-	for _, r := range lib.Find(&p2) {
+	for _, r := range lib.Find(lib.Reg.Intern(&p2)) {
 		if r.Inst.Kern.ID == "GemmXdlopsTiled" {
 			t.Fatal("Xdlops must reject misaligned K")
 		}
 	}
 	// Naive is always available.
 	p3 := Problem{M: 1, N: 3, K: 5, Batch: 1, TransA: true, DType: tensor.I8}
-	ranked = lib.Find(&p3)
+	ranked = lib.Find(lib.Reg.Intern(&p3))
 	if len(ranked) != 1 || ranked[0].Inst.Kern.ID != "GemmNaive" {
 		t.Fatalf("fallback ranking = %+v", ranked)
 	}
 }
 
 // TestFindMemoKeyedByProblemValue pins the find memo's key: equal problem
-// values share one entry whatever pointer they arrive through, a transpose
-// or element-type difference gets its own, and every entry is what a fresh
-// ranking gives.
+// values intern to one record whatever pointer they arrive through, a
+// transpose or element-type difference gets its own, and every record's
+// ranking is what a fresh ranking gives.
 func TestFindMemoKeyedByProblemValue(t *testing.T) {
 	_, lib := newTestLib(t)
 	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32}
 	same := p
-	r1, r2 := lib.Find(&p), lib.Find(&same)
-	if len(lib.find) != 1 || &r1[0] != &r2[0] {
-		t.Fatalf("equal problems: %d memo entries, shared result %v; want 1, true", len(lib.find), &r1[0] == &r2[0])
+	ip, isame := lib.Reg.Intern(&p), lib.Reg.Intern(&same)
+	r1, r2 := lib.Find(ip), lib.Find(isame)
+	if ip != isame || len(lib.Reg.interned) != 1 || &r1[0] != &r2[0] {
+		t.Fatalf("equal problems: %d records, shared result %v; want 1, true", len(lib.Reg.interned), &r1[0] == &r2[0])
 	}
 	transB, f16 := p, p
 	transB.TransB = true
 	f16.DType = tensor.F16
 	for _, q := range []*Problem{&p, &transB, &f16} {
-		if got, want := lib.Find(q), rank(lib.kernels, lib.RT.GPU().Profile, q); !reflect.DeepEqual(got, want) {
+		if got, want := lib.Find(lib.Reg.Intern(q)), rank(lib.Reg.kernels, lib.RT.GPU().Profile, q); !reflect.DeepEqual(got, want) {
 			t.Errorf("Find(%s) = %+v, want a fresh ranking %+v", q.Key(), got, want)
 		}
 	}
-	if len(lib.find) != 3 {
-		t.Fatalf("memo entries = %d, want 3 (TransB and DType are part of the key)", len(lib.find))
+	if len(lib.Reg.interned) != 3 {
+		t.Fatalf("records = %d, want 3 (TransB and DType are part of the key)", len(lib.Reg.interned))
 	}
-	if allocs := testing.AllocsPerRun(100, func() { lib.Find(&same) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { lib.Find(lib.Reg.Intern(&same)) }); allocs != 0 {
 		t.Errorf("memo hit allocates %v times, want 0", allocs)
 	}
 	inst := r1[0].Inst
@@ -115,9 +117,9 @@ func TestNoMatrixPipesOnNavi(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.RX6900XT())
 	rt := backend.New(env, gpu, device.DefaultHost(), codeobj.NewStore(), backend.HIP)
-	lib := NewLibrary(rt)
+	lib := NewLibrary(NewRegistry(gpu.Profile), rt)
 	p := Problem{M: 256, N: 256, K: 256, Batch: 1, DType: tensor.F32}
-	for _, r := range lib.Find(&p) {
+	for _, r := range lib.Find(lib.Reg.Intern(&p)) {
 		if r.Inst.Kern.ID == "GemmXdlopsTiled" {
 			t.Fatal("Xdlops must be rejected on gfx1030")
 		}
@@ -154,7 +156,7 @@ func TestRunLazyLoadsAndLaunches(t *testing.T) {
 		defer lib.RT.GPU().CloseAll()
 		stream := lib.RT.GPU().DefaultStream()
 		start := proc.Now()
-		if err := lib.Run(proc, stream, &p); err != nil {
+		if err := lib.Run(proc, stream, lib.Reg.Intern(&p)); err != nil {
 			t.Error(err)
 			return
 		}
@@ -185,14 +187,14 @@ func TestRunSecondCallSkipsLoad(t *testing.T) {
 		defer lib.RT.GPU().CloseAll()
 		stream := lib.RT.GPU().DefaultStream()
 		t0 := proc.Now()
-		if err := lib.Run(proc, stream, &p); err != nil {
+		if err := lib.Run(proc, stream, lib.Reg.Intern(&p)); err != nil {
 			t.Error(err)
 			return
 		}
 		stream.Synchronize(proc)
 		firstDur = proc.Now() - t0
 		t1 := proc.Now()
-		if err := lib.Run(proc, stream, &p); err != nil {
+		if err := lib.Run(proc, stream, lib.Reg.Intern(&p)); err != nil {
 			t.Error(err)
 			return
 		}
@@ -207,7 +209,7 @@ func TestRunSecondCallSkipsLoad(t *testing.T) {
 	}
 }
 
-// TestRunWarmAllocatesNothing pins the warm GEMM path: a find-memo hit, the
+// TestRunWarmAllocatesNothing pins the warm GEMM path: the shared ranking, the
 // reuse of the bound core archive and instance function, and a launch
 // without a completion signal allocate nothing.
 func TestRunWarmAllocatesNothing(t *testing.T) {
@@ -222,12 +224,12 @@ func TestRunWarmAllocatesNothing(t *testing.T) {
 		for i := 0; i < 1024; i++ {
 			stream.Launch(proc, "prewarm", time.Millisecond)
 		}
-		if err := lib.Run(proc, stream, &p); err != nil {
+		if err := lib.Run(proc, stream, lib.Reg.Intern(&p)); err != nil {
 			t.Error(err)
 			return
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if err := lib.Run(proc, stream, &p); err != nil {
+			if err := lib.Run(proc, stream, lib.Reg.Intern(&p)); err != nil {
 				t.Error(err)
 			}
 		})
@@ -282,7 +284,7 @@ func TestRunFallsBackOnLoadFailure(t *testing.T) {
 	// Aligned problem: three ranked kernels, room to degrade.
 	p := Problem{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32}
 	materialize(t, lib, p)
-	ranked := lib.Find(&p)
+	ranked := lib.Find(lib.Reg.Intern(&p))
 	if len(ranked) < 2 {
 		t.Fatalf("need at least two kernels, got %d", len(ranked))
 	}
@@ -292,7 +294,7 @@ func TestRunFallsBackOnLoadFailure(t *testing.T) {
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
 		stream := lib.RT.GPU().DefaultStream()
-		if err := lib.Run(proc, stream, &p); err != nil {
+		if err := lib.Run(proc, stream, lib.Reg.Intern(&p)); err != nil {
 			t.Errorf("Run did not degrade past the broken object: %v", err)
 			return
 		}
@@ -314,7 +316,7 @@ func TestRunFailsWhenLadderExhausted(t *testing.T) {
 	// Odd int8 problem: only the naive kernel applies.
 	p := Problem{M: 1, N: 3, K: 5, Batch: 1, TransA: true, DType: tensor.I8}
 	materialize(t, lib, p)
-	ranked := lib.Find(&p)
+	ranked := lib.Find(lib.Reg.Intern(&p))
 	if len(ranked) != 1 {
 		t.Fatalf("want a single-kernel ladder, got %d", len(ranked))
 	}
@@ -323,11 +325,59 @@ func TestRunFailsWhenLadderExhausted(t *testing.T) {
 	}
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
-		if err := lib.Run(proc, lib.RT.GPU().DefaultStream(), &p); err == nil {
+		if err := lib.Run(proc, lib.RT.GPU().DefaultStream(), lib.Reg.Intern(&p)); err == nil {
 			t.Error("Run succeeded with every applicable object broken")
 		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInternedGemmRankingShared runs concurrent processes of one set-up:
+// each interns the same GEMM problems in its own order and finds them. The
+// registry must hold one record per problem, every process must get the
+// same backing array for a problem, and that ranking must equal a fresh
+// rank. Run it under -race.
+func TestInternedGemmRankingShared(t *testing.T) {
+	reg := NewRegistry(device.MI100())
+	probs := []Problem{
+		attnProblem(),
+		{M: 256, N: 768, K: 768, Batch: 1, DType: tensor.F32},
+		{M: 256, N: 768, K: 768, Batch: 1, TransB: true, DType: tensor.F32},
+		{M: 64, N: 64, K: 64, Batch: 12, DType: tensor.F16},
+		{M: 1, N: 3, K: 5, Batch: 1, TransA: true, DType: tensor.I8},
+	}
+	const procs = 4
+	got := make([][]*Ranked, procs)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			env := sim.NewEnv()
+			gpu := device.NewGPU(env, device.MI100())
+			lib := NewLibrary(reg, backend.New(env, gpu, device.DefaultHost(), codeobj.NewStore(), backend.HIP))
+			got[g] = make([]*Ranked, len(probs))
+			for k := range probs {
+				i := (g + k) % len(probs)
+				got[g][i] = &lib.Find(lib.Reg.Intern(&probs[i]))[0]
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(reg.interned) != len(probs) {
+		t.Fatalf("%d records for %d problems", len(reg.interned), len(probs))
+	}
+	for i := range probs {
+		ip := reg.Intern(&probs[i])
+		for g := range got {
+			if got[g][i] != &ip.ranked[0] {
+				t.Errorf("process %d, %s: ranking not the set-up's shared array", g, probs[i].Key())
+			}
+		}
+		if want := rank(reg.kernels, reg.dev, &probs[i]); !reflect.DeepEqual(ip.ranked, want) {
+			t.Errorf("%s: shared ranking %+v, fresh rank %+v", probs[i].Key(), ip.ranked, want)
+		}
 	}
 }

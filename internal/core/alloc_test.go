@@ -25,13 +25,13 @@ func TestSharedViewQueryAllocs(t *testing.T) {
 		// Warm the query path (memoized applicability, promoted MRU head,
 		// grown event heap) before measuring.
 		for i := 0; i < 16; i++ {
-			if _, ok := view.GetSub(p, h.lib, want, &prob); !ok {
+			if _, ok := view.GetSub(p, h.lib, want, prob); !ok {
 				t.Error("expected warm hit")
 				return nil
 			}
 		}
 		avg := testing.AllocsPerRun(100, func() {
-			if _, ok := view.GetSub(p, h.lib, want, &prob); !ok {
+			if _, ok := view.GetSub(p, h.lib, want, prob); !ok {
 				t.Error("expected hit")
 			}
 		})

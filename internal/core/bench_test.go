@@ -32,9 +32,9 @@ type benchCache struct {
 	gpu      *device.GPU
 	lib      *miopen.Library
 	insts    []miopen.Instance
-	probs    []miopen.Problem
+	probs    []*miopen.Interned
 	missInst miopen.Instance
-	missProb miopen.Problem
+	missProb *miopen.Interned
 }
 
 func newBenchCache(b testing.TB, n int) *benchCache {
@@ -45,10 +45,10 @@ func newBenchCache(b testing.TB, n int) *benchCache {
 		b.Fatal("ConvBinWinogradFwdFixed not registered")
 	}
 	insts := make([]miopen.Instance, 0, n)
-	probs := make([]miopen.Problem, 0, n)
+	probs := make([]*miopen.Interned, 0, n)
 	for i := 0; i < n; i++ {
 		p := benchConvProblem(16 + 8*i)
-		probs = append(probs, p)
+		probs = append(probs, reg.Intern(&p))
 		insts = append(insts, miopen.Bind(sol, &p))
 	}
 	missProb := benchConvProblem(16 + 8*n)
@@ -64,7 +64,7 @@ func newBenchCache(b testing.TB, n int) *benchCache {
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 	lib := miopen.NewLibrary(reg, rt)
-	return &benchCache{env: env, gpu: gpu, lib: lib, insts: insts, probs: probs, missInst: missInst, missProb: missProb}
+	return &benchCache{env: env, gpu: gpu, lib: lib, insts: insts, probs: probs, missInst: missInst, missProb: reg.Intern(&missProb)}
 }
 
 // loadAll makes every instance's module resident so shared-view residency
@@ -113,7 +113,7 @@ func BenchmarkCategoricalQueryMiss(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok := cache.GetSub(p, h.lib, h.missInst, &h.missProb); ok {
+			if _, ok := cache.GetSub(p, h.lib, h.missInst, h.missProb); ok {
 				return fmt.Errorf("unexpected hit")
 			}
 		}
@@ -138,7 +138,7 @@ func BenchmarkCategoricalQueryHit(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok := cache.GetSub(p, h.lib, want, &prob); !ok {
+			if _, ok := cache.GetSub(p, h.lib, want, prob); !ok {
 				return fmt.Errorf("expected hit")
 			}
 		}
@@ -162,7 +162,7 @@ func BenchmarkSharedViewQueryMiss(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok := view.GetSub(p, h.lib, h.missInst, &h.missProb); ok {
+			if _, ok := view.GetSub(p, h.lib, h.missInst, h.missProb); ok {
 				return fmt.Errorf("unexpected hit")
 			}
 		}
@@ -210,7 +210,7 @@ func BenchmarkGetSubAnyMiss(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok := cache.GetSubAny(p, h.lib, h.missInst, &h.missProb); ok {
+			if _, ok := cache.GetSubAny(p, h.lib, h.missInst, h.missProb); ok {
 				return fmt.Errorf("unexpected hit")
 			}
 		}

@@ -43,12 +43,12 @@ type Cache interface {
 	Insert(inst miopen.Instance)
 	// GetSub returns a loaded substitute applicable to p for the wanted
 	// instance, charging one applicability check per candidate examined.
-	GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool)
+	GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Interned) (miopen.Instance, bool)
 	// GetSubAny is the degraded-mode query used when the wanted instance's
 	// code object cannot load: unlike GetSub it scans every category, skips
 	// the wanted instance itself, and only returns candidates whose modules
 	// are verifiably resident (forced reuse must not trigger another load).
-	GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool)
+	GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Interned) (miopen.Instance, bool)
 	// Stats returns the accumulated counters.
 	Stats() CacheStats
 	// Len returns the number of cached instances.
@@ -154,7 +154,7 @@ func (c *CategoricalCache) insertWith(extra *CacheStats, inst miopen.Instance) {
 
 // GetSub scans only the wanted pattern's list in MRU order and returns the
 // first applicable instance, charging one check per candidate.
-func (c *CategoricalCache) GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
+func (c *CategoricalCache) GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Interned) (miopen.Instance, bool) {
 	return c.getSubWith(nil, false, proc, lib, want, p)
 }
 
@@ -163,7 +163,7 @@ func (c *CategoricalCache) GetSub(proc *sim.Proc, lib *miopen.Library, want miop
 // objects are no longer resident (evicted under cross-tenant memory
 // pressure) are skipped instead of handed out stale. The residency probe is
 // a host-side map lookup and charges no applicability check.
-func (c *CategoricalCache) getSubWith(extra *CacheStats, requireLoaded bool, proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
+func (c *CategoricalCache) getSubWith(extra *CacheStats, requireLoaded bool, proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Interned) (miopen.Instance, bool) {
 	c.beginQuery(extra, proc, lib)
 	return c.scan(extra, proc, lib, want.CacheKey(), "", requireLoaded, p)
 }
@@ -172,14 +172,14 @@ func (c *CategoricalCache) getSubWith(extra *CacheStats, requireLoaded bool, pro
 // first (most likely to hold a fit), then the remaining categories in
 // stable declaration order. Costs are charged like GetSub: one fixed query
 // plus one applicability check per candidate examined.
-func (c *CategoricalCache) GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
+func (c *CategoricalCache) GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Interned) (miopen.Instance, bool) {
 	return c.getSubAnyWith(nil, proc, lib, want, p)
 }
 
 // getSubAnyWith is GetSubAny with the optional per-view stats sink.
 // GetSubAny already guards residency for every caller (forced reuse must
 // never trigger a load), so it always scans with requireLoaded.
-func (c *CategoricalCache) getSubAnyWith(extra *CacheStats, proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
+func (c *CategoricalCache) getSubAnyWith(extra *CacheStats, proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Interned) (miopen.Instance, bool) {
 	c.beginQuery(extra, proc, lib)
 	first := want.CacheKey()
 	wantKey := want.Key()
@@ -217,7 +217,7 @@ func (c *CategoricalCache) beginQuery(extra *CacheStats, proc *sim.Proc, lib *mi
 // list's backing array during that sleep. Re-reading the live list after
 // the check could hand back a different (inapplicable) instance than was
 // checked.
-func (c *CategoricalCache) scan(extra *CacheStats, proc *sim.Proc, lib *miopen.Library, pat miopen.Pattern, skipKey string, requireLoaded bool, p *miopen.Problem) (miopen.Instance, bool) {
+func (c *CategoricalCache) scan(extra *CacheStats, proc *sim.Proc, lib *miopen.Library, pat miopen.Pattern, skipKey string, requireLoaded bool, p *miopen.Interned) (miopen.Instance, bool) {
 	list := c.snapshot(c.lists[pat])
 	defer c.release(list)
 	for i := range list {
@@ -287,7 +287,7 @@ func (c *NaiveCache) Insert(inst miopen.Instance) {
 
 // GetSub checks every cached instance regardless of pattern and returns the
 // applicable one with the best predicted performance.
-func (c *NaiveCache) GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
+func (c *NaiveCache) GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Interned) (miopen.Instance, bool) {
 	c.stats.Queries++
 	proc.Sleep(lib.RT.Host().CacheQueryFixed)
 	best := -1
@@ -297,7 +297,7 @@ func (c *NaiveCache) GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Ins
 		if !lib.CheckApplicable(proc, c.list[i], p) {
 			continue
 		}
-		est := miopen.EstimateTime(lib.Reg.Ctx().Dev, c.list[i].Sol, p)
+		est := c.list[i].Sol.Calls(p).Estimate(lib.Reg.Ctx().Dev)
 		if best < 0 || est < bestEst {
 			best, bestEst = i, est
 		}
@@ -313,7 +313,7 @@ func (c *NaiveCache) GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Ins
 
 // GetSubAny scans the flat list like GetSub but skips the unloadable wanted
 // instance and any entry whose module is no longer resident.
-func (c *NaiveCache) GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
+func (c *NaiveCache) GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Interned) (miopen.Instance, bool) {
 	c.stats.Queries++
 	proc.Sleep(lib.RT.Host().CacheQueryFixed)
 	best := -1
@@ -326,7 +326,7 @@ func (c *NaiveCache) GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.
 		if !lib.CheckApplicable(proc, c.list[i], p) {
 			continue
 		}
-		est := miopen.EstimateTime(lib.Reg.Ctx().Dev, c.list[i].Sol, p)
+		est := c.list[i].Sol.Calls(p).Estimate(lib.Reg.Ctx().Dev)
 		if best < 0 || est < bestEst {
 			best, bestEst = i, est
 		}

@@ -54,7 +54,7 @@ func newHarness(t *testing.T, abbr string, batch int, opts graphx.CompileOptions
 	if err := graphx.MaterializeModel(objs, reg, m); err != nil {
 		t.Fatal(err)
 	}
-	blas.Materialize(objs, device.MI100(), m.GemmProblems())
+	blas.Materialize(objs, blas.NewRegistry(device.MI100()), m.GemmProblems())
 	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func (h *harness) coldRun(t *testing.T, fn func(p *sim.Proc, r *graphx.Runner) e
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
+	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
 	var total time.Duration
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
@@ -151,7 +151,7 @@ func TestCategoricalCacheHitUsesOneLookupForMRU(t *testing.T) {
 		c := NewCategoricalCache()
 		c.Insert(gen)
 		c.Insert(mid) // mid is now MRU and applicable
-		sub, ok := c.GetSub(p, lib, spec, &prob)
+		sub, ok := c.GetSub(p, lib, spec, lib.Reg.Intern(&prob))
 		if !ok {
 			t.Error("expected hit")
 			return
@@ -175,7 +175,7 @@ func TestCategoricalCacheMissSkipsOtherPatterns(t *testing.T) {
 		c.Insert(dInst) // only a DirectConv instance cached
 		// Query for a Winograd solution: the categorical cache must not
 		// check the DirectConv list and must miss with zero lookups.
-		if _, ok := c.GetSub(p, lib, mid, &prob); ok {
+		if _, ok := c.GetSub(p, lib, mid, lib.Reg.Intern(&prob)); ok {
 			t.Error("unexpected hit across patterns")
 		}
 		if st := c.Stats(); st.Lookups != 0 {
@@ -195,7 +195,7 @@ func TestNaiveCacheScansForeignPatterns(t *testing.T) {
 		c.Insert(gen)                          // applicable, oldest
 		c.Insert(miopen.Bind(direct, &prob))   // foreign pattern, still checked
 		c.Insert(miopen.Bind(pool, &poolProb)) // inapplicable, MRU
-		sub, ok := c.GetSub(p, lib, spec, &prob)
+		sub, ok := c.GetSub(p, lib, spec, lib.Reg.Intern(&prob))
 		if !ok {
 			t.Error("expected hit")
 			return
@@ -216,7 +216,7 @@ func TestGetSubChargesCheckTime(t *testing.T) {
 		c := NewCategoricalCache()
 		c.Insert(gen)
 		before := p.Now()
-		if _, ok := c.GetSub(p, lib, spec, &prob); !ok {
+		if _, ok := c.GetSub(p, lib, spec, lib.Reg.Intern(&prob)); !ok {
 			t.Error("expected hit")
 		}
 		host := lib.RT.Host()
@@ -257,7 +257,7 @@ func TestGetSubSoundnessProperty(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				sub, hit := c.GetSub(p, lib, want.Inst, &prob)
+				sub, hit := c.GetSub(p, lib, want.Inst, lib.Reg.Intern(&prob))
 				if hit && !sub.IsApplicable(reg.Ctx(), &prob) {
 					ok = false
 				}
@@ -412,7 +412,7 @@ func TestBackgroundLoadingWarmsSecondRequest(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
+	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
 	var first, second time.Duration
 	var loadedBG int
 	env.Spawn("main", func(p *sim.Proc) {
@@ -487,7 +487,7 @@ func TestInterleavedErrorPropagates(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
+	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -665,7 +665,7 @@ func TestRunWarmReuseSkipsParse(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
+	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
 	var coldT, warmSeq, warmNoParse time.Duration
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()

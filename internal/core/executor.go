@@ -178,9 +178,9 @@ func (r *Result) Degraded() int { return r.ForcedReuse + r.LadderFallbacks }
 // issueItem is the message the loading thread sends to the issuing thread.
 type issueItem struct {
 	instr    *graphx.Instruction
-	inst     miopen.Instance // primitive: instance to run (selected or substitute)
-	prob     *miopen.Problem // primitive problem, possibly rewritten (precision fallback)
-	blasInst *blas.Instance  // gemm under BlasScope; nil when the runner's Run decides
+	inst     miopen.Instance  // primitive: instance to run (selected or substitute)
+	prob     *miopen.Interned // primitive problem, possibly rewritten (precision fallback)
+	blasInst *blas.Instance   // gemm under BlasScope; nil when the runner's Run decides
 }
 
 // pipeline carries the shared state of one interleaved run.
@@ -334,7 +334,7 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 					pl.fail(err)
 					continue
 				}
-				pref, agnostic := inst.Sol.PreferredLayout(prob)
+				pref, agnostic := inst.Sol.PreferredLayout(&prob.Problem)
 				if !usedSub && !agnostic {
 					curLayout = pref
 				}
@@ -360,11 +360,7 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 			var err error
 			switch {
 			case item.instr.Kind == graphx.KindPrimitive:
-				if item.prob == &item.instr.Problem {
-					err = r.ExecPrimitive(ip, item.instr, item.inst)
-				} else {
-					err = r.ExecPrimitiveAs(ip, item.instr.Name, item.prob, item.inst)
-				}
+				err = r.ExecPrimitiveAs(ip, item.instr.Name, item.prob, item.inst)
 			case item.blasInst != nil:
 				start := ip.Now()
 				err = r.Blas.RunInstance(ip, r.Stream, &item.instr.Gemm, *item.blasInst)
@@ -391,12 +387,11 @@ func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cach
 // thread: before the milestone load unconditionally; afterwards prefer the
 // already-loaded s*, then a cached substitute, then load s*. It returns the
 // instance to run and the (possibly precision-rewritten) problem.
-func (pl *pipeline) decidePrimitive(lp *sim.Proc, instr *graphx.Instruction) (miopen.Instance, *miopen.Problem, bool, error) {
+func (pl *pipeline) decidePrimitive(lp *sim.Proc, instr *graphx.Instruction) (miopen.Instance, *miopen.Interned, bool, error) {
 	lib := pl.r.Lib
-	prob := &instr.Problem
-	sInst, err := instr.Instance(lib.Reg)
+	sInst, prob, err := instr.Static(lib.Reg)
 	if err != nil {
-		return miopen.Instance{}, prob, false, err
+		return miopen.Instance{}, nil, false, err
 	}
 	selectivePhase := pl.selective && (pl.parseDone || pl.opts.NoEagerPhase)
 	if !selectivePhase {
@@ -422,10 +417,11 @@ func (pl *pipeline) decidePrimitive(lp *sim.Proc, instr *graphx.Instruction) (mi
 	if !ok && pl.opts.PrecisionPreference && prob.DType != tensor.F32 {
 		// §VI extension: retry the query at full precision — a resident
 		// fp32 kernel beats loading the absent low-precision specialist.
-		f32 := *prob
+		f32 := prob.Problem
 		f32.DType = tensor.F32
 		if ranked := lib.Find(&f32); len(ranked) > 0 {
-			if sub32, ok32 := pl.cache.GetSub(lp, lib, ranked[0].Inst, &f32); ok32 {
+			prob32 := lib.Reg.Intern(&f32)
+			if sub32, ok32 := pl.cache.GetSub(lp, lib, ranked[0].Inst, prob32); ok32 {
 				pl.addGetsub(instr.Name, lp.Name(), start, lp.Now(),
 					metrics.Attr{Key: "hit", Value: "true"},
 					metrics.Attr{Key: "solution", Value: sub32.Key()},
@@ -433,8 +429,7 @@ func (pl *pipeline) decidePrimitive(lp *sim.Proc, instr *graphx.Instruction) (mi
 				pl.res.SkippedLoads++
 				pl.res.PrecisionFallbacks++
 				pl.res.Skipped = append(pl.res.Skipped, sInst)
-				probCopy := f32
-				return sub32, &probCopy, true, nil
+				return sub32, prob32, true, nil
 			}
 		}
 	}
@@ -465,7 +460,7 @@ func (pl *pipeline) decidePrimitive(lp *sim.Proc, instr *graphx.Instruction) (mi
 // better kernel), then forced cross-category reuse. Hits are counted apart
 // from fault-driven reuse so experiments can attribute avoided loads to the
 // pressure signal.
-func (pl *pipeline) pressureSub(lp *sim.Proc, tryCategorical bool, layer string, want miopen.Instance, prob *miopen.Problem) (miopen.Instance, bool) {
+func (pl *pipeline) pressureSub(lp *sim.Proc, tryCategorical bool, layer string, want miopen.Instance, prob *miopen.Interned) (miopen.Instance, bool) {
 	start := lp.Now()
 	var sub miopen.Instance
 	ok := false
@@ -485,7 +480,7 @@ func (pl *pipeline) pressureSub(lp *sim.Proc, tryCategorical bool, layer string,
 	pl.res.PressureReuse++
 	pl.res.Skipped = append(pl.res.Skipped, want)
 	pl.res.Substitutions = append(pl.res.Substitutions, Substitution{
-		Layer: layer, Want: want, Got: sub, Prob: *prob, Forced: true,
+		Layer: layer, Want: want, Got: sub, Prob: prob.Problem, Forced: true,
 	})
 	return sub, true
 }
@@ -493,7 +488,7 @@ func (pl *pipeline) pressureSub(lp *sim.Proc, tryCategorical bool, layer string,
 // decideGemm applies the same policy to BLAS kernels under the §VI
 // extension. Returns the instance to run, or nil when none was decided.
 func (pl *pipeline) decideGemm(lp *sim.Proc, instr *graphx.Instruction) *blas.Instance {
-	ranked := pl.r.Blas.Find(&instr.Gemm)
+	ranked := pl.r.Blas.Find(instr.InternedGemm(pl.r.Blas.Reg))
 	if len(ranked) == 0 {
 		return nil
 	}
@@ -587,7 +582,7 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 			}
 
 		case graphx.KindPrimitive:
-			sInst, err := instr.Instance(r.Lib.Reg)
+			sInst, prob, err := instr.Static(r.Lib.Reg)
 			if err != nil {
 				return res, err
 			}
@@ -597,16 +592,16 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 				cache.Insert(sInst)
 			} else {
 				start := p.Now()
-				sub, ok := cache.GetSub(p, r.Lib, sInst, &instr.Problem)
+				sub, ok := cache.GetSub(p, r.Lib, sInst, prob)
 				r.Tracer.AddNamed(metrics.CatOverhead, "getsub:", instr.Name, p.Name(), start, p.Now())
 				if !ok && opts.pressure() >= PressureElevated {
 					// Brownout on the warm/sequential path: forced
 					// cross-category reuse before a demand load, mirroring
 					// the interleaved loader's pressure branch.
-					if psub, pok := cache.GetSubAny(p, r.Lib, sInst, &instr.Problem); pok {
+					if psub, pok := cache.GetSubAny(p, r.Lib, sInst, prob); pok {
 						res.PressureReuse++
 						res.Substitutions = append(res.Substitutions, Substitution{
-							Layer: instr.Name, Want: sInst, Got: psub, Prob: instr.Problem, Forced: true,
+							Layer: instr.Name, Want: sInst, Got: psub, Prob: prob.Problem, Forced: true,
 						})
 						sub, ok = psub, true
 					}
@@ -616,14 +611,14 @@ func runSequential(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache
 					res.Skipped = append(res.Skipped, sInst)
 					run = sub
 					usedSub = true
-				} else if run, usedSub, err = loadOrRecover(p, r, cache, res, opts.NoDegradation, instr.Name, sInst, &instr.Problem); err != nil {
+				} else if run, usedSub, err = loadOrRecover(p, r, cache, res, opts.NoDegradation, instr.Name, sInst, prob); err != nil {
 					return res, err
 				}
 			}
-			if err := x.settle(p, run, &instr.Problem, usedSub); err != nil {
+			if err := x.settle(p, run, prob, usedSub); err != nil {
 				return res, err
 			}
-			if run, _, err = x.agnostic(p, instr.Name, run, &instr.Problem, usedSub); err != nil {
+			if run, _, err = x.agnostic(p, instr.Name, run, prob, usedSub); err != nil {
 				return res, err
 			}
 			if err := r.ExecPrimitive(p, instr, run); err != nil {

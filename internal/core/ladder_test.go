@@ -243,7 +243,7 @@ func (h *harness) ladderRun(t *testing.T, residents bool, preload []miopen.Insta
 	rec := trace.New()
 	tracer := metrics.NewForwardingTracer()
 	tracer.SetObserver(rec)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), tracer)
+	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), tracer)
 	var out ladderRun
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()

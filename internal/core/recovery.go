@@ -36,7 +36,7 @@ func wrapNoUsable(layer string, cause error) error {
 // load fails it returns the error under noDegradation (fail-fast), else it
 // walks the degradation ladder and wraps ErrNoUsableSolution if nothing
 // fits. It returns the instance to run and whether that is a substitute.
-func loadOrRecover(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, noDegradation bool, layer string, want miopen.Instance, prob *miopen.Problem) (miopen.Instance, bool, error) {
+func loadOrRecover(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, noDegradation bool, layer string, want miopen.Instance, prob *miopen.Interned) (miopen.Instance, bool, error) {
 	err := r.Lib.EnsureLoaded(p, want)
 	if err == nil {
 		cache.Insert(want)
@@ -60,7 +60,7 @@ func loadOrRecover(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, noDe
 // admits. The search is traced as a recovery span named span+layer. It
 // returns the replacement and whether one was found; the caller fails the
 // layer otherwise.
-func ladder(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, span, layer string, want miopen.Instance, prob *miopen.Problem, admit func(miopen.Instance) bool) (miopen.Instance, bool) {
+func ladder(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, span, layer string, want miopen.Instance, prob *miopen.Interned, admit func(miopen.Instance) bool) (miopen.Instance, bool) {
 	start := p.Now()
 	defer func() {
 		r.Tracer.AddNamed(metrics.CatRecovery, span, layer, p.Name(), start, p.Now())
@@ -68,13 +68,13 @@ func ladder(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, span, layer
 	if sub, ok := cache.GetSubAny(p, r.Lib, want, prob); ok && (admit == nil || admit(sub)) {
 		res.ForcedReuse++
 		res.Substitutions = append(res.Substitutions, Substitution{
-			Layer: layer, Want: want, Got: sub, Prob: *prob, Forced: true,
+			Layer: layer, Want: want, Got: sub, Prob: prob.Problem, Forced: true,
 		})
 		return sub, true
 	}
 	// Nothing resident fits: climb down the generality ladder and try to
 	// load an alternative object for this problem, most generic first.
-	ranked := r.Lib.Find(prob)
+	ranked := r.Lib.Find(&prob.Problem)
 	slices.SortStableFunc(ranked, func(a, b miopen.Ranked) int {
 		return cmp.Compare(a.Inst.Sol.Specificity(), b.Inst.Sol.Specificity())
 	})
@@ -88,7 +88,7 @@ func ladder(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, span, layer
 		cache.Insert(cand.Inst)
 		res.LadderFallbacks++
 		res.Substitutions = append(res.Substitutions, Substitution{
-			Layer: layer, Want: want, Got: cand.Inst, Prob: *prob, Forced: true,
+			Layer: layer, Want: want, Got: cand.Inst, Prob: prob.Problem, Forced: true,
 		})
 		return cand.Inst, true
 	}

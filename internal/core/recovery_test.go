@@ -21,7 +21,7 @@ func (h *harness) faultRun(t *testing.T, fn func(p *sim.Proc, r *graphx.Runner) 
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
+	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -141,7 +141,7 @@ func TestNoDegradationFailsFast(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
+	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -198,7 +198,7 @@ func TestNoUsableSolutionTyped(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(rt), &metrics.Tracer{})
+	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -238,11 +238,11 @@ func TestGetSubAnyCrossPattern(t *testing.T) {
 		// GetSub only scans the wanted pattern's list; GetSubAny must reach
 		// the generic even when the wanted specialist has another pattern.
 		if generic.Sol.Pattern() != specialist.Sol.Pattern() {
-			if _, ok := c.GetSub(p, lib, specialist, &prob); ok {
+			if _, ok := c.GetSub(p, lib, specialist, lib.Reg.Intern(&prob)); ok {
 				t.Error("GetSub unexpectedly crossed patterns")
 			}
 		}
-		sub, ok := c.GetSubAny(p, lib, specialist, &prob)
+		sub, ok := c.GetSubAny(p, lib, specialist, lib.Reg.Intern(&prob))
 		if !ok {
 			t.Error("GetSubAny found no substitute")
 			return
@@ -272,7 +272,7 @@ func TestGetSubAnySkipsUnloaded(t *testing.T) {
 		defer gpu.CloseAll()
 		c := NewCategoricalCache()
 		c.Insert(generic) // cached but never loaded
-		if _, ok := c.GetSubAny(p, lib, specialist, &prob); ok {
+		if _, ok := c.GetSubAny(p, lib, specialist, lib.Reg.Intern(&prob)); ok {
 			t.Error("GetSubAny returned an unloaded instance")
 		}
 	})

@@ -59,12 +59,12 @@ func (v *SharedCacheView) Insert(inst miopen.Instance) {
 
 // GetSub returns a loaded substitute from the shared cache, skipping
 // entries whose modules were evicted since insertion.
-func (v *SharedCacheView) GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
+func (v *SharedCacheView) GetSub(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Interned) (miopen.Instance, bool) {
 	return v.shared.inner.getSubWith(&v.stats, true, proc, lib, want, p)
 }
 
 // GetSubAny is the degraded-mode query over every shared pattern list.
-func (v *SharedCacheView) GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Problem) (miopen.Instance, bool) {
+func (v *SharedCacheView) GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Interned) (miopen.Instance, bool) {
 	return v.shared.inner.getSubAnyWith(&v.stats, proc, lib, want, p)
 }
 

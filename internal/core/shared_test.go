@@ -50,7 +50,7 @@ func TestSharedCacheCrossTenantHit(t *testing.T) {
 		a.Insert(mid) // tenant alpha loaded the mid-tier solution
 		// Tenant beta, serving a different model, wants the specialist but
 		// finds alpha's loaded instance through the shared cache.
-		sub, ok := b.GetSub(p, lib, spec, &prob)
+		sub, ok := b.GetSub(p, lib, spec, lib.Reg.Intern(&prob))
 		if !ok {
 			t.Fatal("expected cross-tenant hit")
 		}
@@ -81,7 +81,7 @@ func TestSharedCacheViewSkipsEvictedEntries(t *testing.T) {
 		// insertion: the shared view must skip the stale entry without
 		// charging an applicability check.
 		lib.RT.Unload(mid.Path())
-		if _, ok := v.GetSub(p, lib, spec, &prob); ok {
+		if _, ok := v.GetSub(p, lib, spec, lib.Reg.Intern(&prob)); ok {
 			t.Fatal("shared view returned a substitute whose module is gone")
 		}
 		if st := v.Stats(); st.Lookups != 0 {
@@ -91,7 +91,7 @@ func TestSharedCacheViewSkipsEvictedEntries(t *testing.T) {
 		if err := lib.EnsureLoaded(p, mid); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := v.GetSub(p, lib, spec, &prob); !ok {
+		if _, ok := v.GetSub(p, lib, spec, lib.Reg.Intern(&prob)); !ok {
 			t.Fatal("reloaded entry should hit again")
 		}
 	})
@@ -108,7 +108,7 @@ func TestSharedCacheRecencySharedAcrossViews(t *testing.T) {
 		// While mid's module is out, beta's query skips it and hits gen,
 		// promoting gen to MRU in the one shared structure.
 		lib.RT.Unload(mid.Path())
-		if sub, ok := b.GetSub(p, lib, spec, &prob); !ok || sub.Key() != gen.Key() {
+		if sub, ok := b.GetSub(p, lib, spec, lib.Reg.Intern(&prob)); !ok || sub.Key() != gen.Key() {
 			t.Fatalf("beta GetSub = %v %v", sub.Key(), ok)
 		}
 		if err := lib.EnsureLoaded(p, mid); err != nil {
@@ -117,7 +117,7 @@ func TestSharedCacheRecencySharedAcrossViews(t *testing.T) {
 		// Alpha now sees beta's promotion: gen answers first even though
 		// alpha last touched mid — recency is a shared, cross-tenant
 		// property, not per view.
-		if sub, ok := a.GetSub(p, lib, spec, &prob); !ok || sub.Key() != gen.Key() {
+		if sub, ok := a.GetSub(p, lib, spec, lib.Reg.Intern(&prob)); !ok || sub.Key() != gen.Key() {
 			t.Fatalf("alpha GetSub = %v %v, want beta-promoted generic", sub.Key(), ok)
 		}
 	})

@@ -73,11 +73,11 @@ func (x *xforms) flush(p *sim.Proc) error {
 // inst on prob (a substitute when usedSub). A layout-agnostic substitute
 // runs in the incoming layout, so the transform and its load are dropped;
 // any other instance gets the transform flushed.
-func (x *xforms) settle(p *sim.Proc, inst miopen.Instance, prob *miopen.Problem, usedSub bool) error {
+func (x *xforms) settle(p *sim.Proc, inst miopen.Instance, prob *miopen.Interned, usedSub bool) error {
 	if x.pending == nil {
 		return nil
 	}
-	if _, agnostic := inst.Sol.PreferredLayout(prob); usedSub && agnostic && !x.noElision {
+	if _, agnostic := inst.Sol.PreferredLayout(&prob.Problem); usedSub && agnostic && !x.noElision {
 		x.res.SkippedTransforms++
 		x.pending = nil
 		return nil
@@ -90,13 +90,13 @@ func (x *xforms) settle(p *sim.Proc, inst miopen.Instance, prob *miopen.Problem,
 // transform the data stay in their incoming layout: inst stands if it is
 // layout-agnostic, else the degradation ladder supplies a layout-agnostic
 // replacement.
-func (x *xforms) agnostic(p *sim.Proc, layer string, inst miopen.Instance, prob *miopen.Problem, usedSub bool) (miopen.Instance, bool, error) {
+func (x *xforms) agnostic(p *sim.Proc, layer string, inst miopen.Instance, prob *miopen.Interned, usedSub bool) (miopen.Instance, bool, error) {
 	if !x.forceAgnostic {
 		return inst, usedSub, nil
 	}
 	x.forceAgnostic = false
 	isAgnostic := func(i miopen.Instance) bool {
-		_, agnostic := i.Sol.PreferredLayout(prob)
+		_, agnostic := i.Sol.PreferredLayout(&prob.Problem)
 		return agnostic
 	}
 	if isAgnostic(inst) {

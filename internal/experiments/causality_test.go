@@ -25,7 +25,12 @@ import (
 //     that solution's code object: a kernel launches only once its object is
 //     resident, or is one of the library's residents, mapped when it opens.
 //     (The end, not the start: Baseline's reactive load runs inside its issue
-//     span, the paper's lazy-loading cold start.)
+//     span, the paper's lazy-loading cold start);
+//   - Report.Total is at least the critical-path lower bound: the busy time
+//     of the busiest host thread and the GPU's busy time, each the union of
+//     its spans that start in the run. A thread cannot do more than Total's
+//     worth of work inside the window, and work that spills past its end
+//     means Total stopped the clock early.
 func TestColdStartSpanCausality(t *testing.T) {
 	var issues, named int
 	for _, prof := range device.Profiles() {
@@ -55,6 +60,7 @@ func TestColdStartSpanCausality(t *testing.T) {
 				i, n := checkCausality(t, run, rec.Spans(), resident)
 				issues += i
 				named += n
+				checkBusyBound(t, run, rec.Spans(), wr.TTFI-wr.Rep.Total, wr.Rep.Total)
 			}
 		}
 	}
@@ -131,6 +137,53 @@ func checkCausality(t *testing.T, run string, spans []metrics.Span, resident map
 		}
 	}
 	return issues, named
+}
+
+// checkBusyBound checks the critical-path lower bound of one run that
+// started at t0 and took total: no host thread, and not the GPU, is busy
+// for longer than total over the spans that start at or after t0.
+func checkBusyBound(t *testing.T, run string, spans []metrics.Span, t0, total time.Duration) {
+	t.Helper()
+	threads := map[string][]metrics.Span{}
+	for _, s := range spans {
+		if s.Start >= t0 {
+			threads[s.Thread] = append(threads[s.Thread], s)
+		}
+	}
+	var hostThread string
+	var host, gpu time.Duration
+	for thread, ss := range threads {
+		busy := busyTime(ss)
+		switch {
+		case thread == "gpu":
+			gpu = busy
+		case busy > host:
+			host, hostThread = busy, thread
+		}
+	}
+	if host == 0 || gpu == 0 {
+		t.Errorf("%s: host busy %v, GPU busy %v; want both positive", run, host, gpu)
+	}
+	if host > total {
+		t.Errorf("%s: thread %q busy for %v, more than Total %v", run, hostThread, host, total)
+	}
+	if gpu > total {
+		t.Errorf("%s: GPU busy for %v, more than Total %v", run, gpu, total)
+	}
+}
+
+// busyTime returns the length of the union of the spans' intervals.
+func busyTime(ss []metrics.Span) time.Duration {
+	slices.SortFunc(ss, func(a, b metrics.Span) int { return cmp.Compare(a.Start, b.Start) })
+	var busy, end time.Duration
+	for _, s := range ss {
+		start := max(s.Start, end)
+		if s.End > start {
+			busy += s.End - start
+			end = s.End
+		}
+	}
+	return busy
 }
 
 func hasAttr(s metrics.Span, key string) bool {

@@ -32,6 +32,7 @@ type ModelSetup struct {
 	Batch   int
 	Profile device.Profile
 	Reg     *miopen.Registry
+	BlasReg *blas.Registry // the GEMM ladder, with the models' GEMMs ranked
 	Store   *codeobj.Store
 	Model   *graphx.CompiledModel // default (vendor) selection plan
 	Uniform *graphx.CompiledModel // layout-uniform plan (NNV12 selection)
@@ -50,6 +51,7 @@ func PrepareModel(abbr string, batch int, prof device.Profile) (*ModelSetup, err
 func PrepareModelsShared(abbrs []string, batch int, prof device.Profile) (map[string]*ModelSetup, error) {
 	reg := miopen.NewRegistry(miopen.NewCtx(prof))
 	db := miopen.NewPerfDB(reg)
+	breg := blas.NewRegistry(prof)
 	store := codeobj.NewStore()
 	objs := store.Batch()
 	out := make(map[string]*ModelSetup, len(abbrs))
@@ -69,10 +71,10 @@ func PrepareModelsShared(abbrs []string, batch int, prof device.Profile) (map[st
 		if err := graphx.MaterializeModel(objs, reg, m); err != nil {
 			return nil, err
 		}
-		blas.Materialize(objs, prof, m.GemmProblems())
+		blas.Materialize(objs, breg, m.GemmProblems())
 		out[abbr] = &ModelSetup{
 			Spec: spec, Batch: batch, Profile: prof,
-			Reg: reg, Store: store, Model: m, Uniform: m,
+			Reg: reg, BlasReg: breg, Store: store, Model: m, Uniform: m,
 		}
 	}
 	if err := objs.Put(); err != nil {
@@ -117,12 +119,13 @@ func PrepareModelTyped(abbr string, batch int, prof device.Profile, dt tensor.DT
 			return nil, err
 		}
 	}
-	blas.Materialize(objs, prof, m.GemmProblems())
-	blas.Materialize(objs, prof, uniform.GemmProblems())
+	breg := blas.NewRegistry(prof)
+	blas.Materialize(objs, breg, m.GemmProblems())
+	blas.Materialize(objs, breg, uniform.GemmProblems())
 	if err := objs.Put(); err != nil {
 		return nil, fmt.Errorf("experiments: materialize %s: %w", abbr, err)
 	}
-	return &ModelSetup{Spec: spec, Batch: batch, Profile: prof, Reg: reg, Store: store, Model: m, Uniform: uniform}, nil
+	return &ModelSetup{Spec: spec, Batch: batch, Profile: prof, Reg: reg, BlasReg: breg, Store: store, Model: m, Uniform: uniform}, nil
 }
 
 // Process is one cold OS process over the setup's shared object store: its
@@ -236,7 +239,7 @@ func (ms *ModelSetup) NewProcessIn(env *sim.Env) *Process {
 	gpu := device.NewGPU(env, ms.Profile)
 	rt := backend.New(env, gpu, device.DefaultHost(), ms.Store, backend.HIP)
 	tracer := metrics.NewForwardingTracer()
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(ms.Reg, rt), blas.NewLibrary(rt), tracer)
+	runner := graphx.NewRunner(rt, miopen.NewLibrary(ms.Reg, rt), blas.NewLibrary(ms.BlasReg, rt), tracer)
 	return &Process{Env: env, GPU: gpu, Runner: runner}
 }
 
@@ -256,7 +259,7 @@ func (ms *ModelSetup) AttachIn(root *backend.Registry, name string) *Process {
 	}
 	rt := root.Attach(name)
 	tracer := metrics.NewForwardingTracer()
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(ms.Reg, rt), blas.NewLibrary(rt), tracer)
+	runner := graphx.NewRunner(rt, miopen.NewLibrary(ms.Reg, rt), blas.NewLibrary(ms.BlasReg, rt), tracer)
 	runner.Stream = root.GPU().NewStream()
 	return &Process{Env: root.Env(), GPU: root.GPU(), Runner: runner}
 }

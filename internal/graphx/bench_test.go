@@ -23,7 +23,7 @@ func BenchmarkExecPrimitiveWarm(b *testing.B) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
-	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(rt), metrics.NewForwardingTracer())
+	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), metrics.NewForwardingTracer())
 	in := primitives(m)[0]
 	env.Spawn("host", func(p *sim.Proc) {
 		defer gpu.CloseAll()

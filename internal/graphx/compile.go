@@ -88,10 +88,17 @@ type compiler struct {
 	m       *CompiledModel
 }
 
+// emit appends in to the model, giving it its index and, by kind, its
+// static-plan or GEMM holder or its launch site.
 func (c *compiler) emit(in Instruction) *Instruction {
 	in.Index = len(c.m.Instrs)
-	if in.Kind == KindPrimitive {
+	switch in.Kind {
+	case KindPrimitive:
 		in.static = new(atomic.Pointer[staticPlan])
+	case KindGemm:
+		in.gemm = new(atomic.Pointer[blas.Interned])
+	case KindBuiltin, KindTransform:
+		in.site = c.db.Registry().NewSite()
 	}
 	c.m.Instrs = append(c.m.Instrs, in)
 	return &c.m.Instrs[in.Index]
@@ -191,7 +198,7 @@ func (c *compiler) lowerPrimitive(n *onnx.Node, input string, build func(layout 
 	if runLayout != prob.Layout {
 		prob = build(runLayout)
 	}
-	c.emit(Instruction{
+	in := c.emit(Instruction{
 		Name:       n.Name,
 		Kind:       KindPrimitive,
 		Problem:    prob,
@@ -199,6 +206,11 @@ func (c *compiler) lowerPrimitive(n *onnx.Node, input string, build func(layout 
 		Binding:    r.Inst.Binding(),
 		OutShape:   prob.OutShape(),
 	})
+	// Intern the problem and resolve the static plan now, so the set-up's
+	// processes find both ready.
+	if _, err := in.resolve(c.db.Registry()); err != nil {
+		return err
+	}
 	c.layouts[n.Output] = runLayout
 	return nil
 }

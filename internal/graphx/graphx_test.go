@@ -167,7 +167,7 @@ func materialize(t testing.TB, reg *miopen.Registry, m *CompiledModel) *codeobj.
 	if err := MaterializeModel(objs, reg, m); err != nil {
 		t.Fatal(err)
 	}
-	blas.Materialize(objs, device.MI100(), m.GemmProblems())
+	blas.Materialize(objs, blas.NewRegistry(device.MI100()), m.GemmProblems())
 	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func newProcess(t *testing.T, store *codeobj.Store, reg *miopen.Registry) (*sim.
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
 	lib := miopen.NewLibrary(reg, rt)
-	bl := blas.NewLibrary(rt)
+	bl := blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt)
 	rec := trace.New()
 	tracer := metrics.NewForwardingTracer()
 	tracer.SetObserver(rec)
@@ -387,7 +387,7 @@ func TestWarmExecInstrAllocatesNothing(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
-	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(rt), metrics.NewForwardingTracer())
+	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), metrics.NewForwardingTracer())
 	env.Spawn("host", func(p *sim.Proc) {
 		defer gpu.CloseAll()
 		// Grow the stream's queue past what the measured launches keep in

@@ -75,17 +75,25 @@ type Instruction struct {
 	OutShape tensor.Shape
 
 	// static holds the static plan resolved against the registry of its
-	// last use (KindPrimitive only). Primitive instructions come from
-	// Compile, which allocates the holder. Its contents depend only on the
-	// fields above and the registry, so copies of the instruction may share
-	// it.
+	// last use (KindPrimitive only), gemm the GEMM problem interned in the
+	// BLAS registry of its last use (KindGemm only). Compile allocates the
+	// holders and resolves the static plan against its own registry. Their
+	// contents depend only on the fields above and the registry, so copies
+	// of the instruction may share them.
 	static *atomic.Pointer[staticPlan]
+	gemm   *atomic.Pointer[blas.Interned]
+
+	// site is the launch-site ID of a builtin or transform instruction in
+	// its compile registry: a runner keeps the function it last launched
+	// through at that index.
+	site int
 }
 
 // staticPlan is a primitive instruction's static selection resolved against
-// one registry: the instance and its kernel calls on the problem.
+// one registry: the problem's record, the instance and its kernel calls on
+// the problem.
 type staticPlan struct {
-	reg   *miopen.Registry
+	prob  *miopen.Interned
 	inst  miopen.Instance
 	calls *miopen.Calls
 }
@@ -100,23 +108,45 @@ func (in *Instruction) Instance(reg *miopen.Registry) (miopen.Instance, error) {
 	return st.inst, nil
 }
 
+// Static resolves the statically selected instance and the instruction's
+// problem, interned, against a registry. Only valid for KindPrimitive.
+func (in *Instruction) Static(reg *miopen.Registry) (miopen.Instance, *miopen.Interned, error) {
+	st, err := in.resolve(reg)
+	if err != nil {
+		return miopen.Instance{}, nil, err
+	}
+	return st.inst, st.prob, nil
+}
+
 // resolve returns the instruction's static plan against reg. The plan is
 // kept in the instruction's holder, so only the first use against each
-// registry looks the solution up.
+// registry interns the problem and looks the solution up.
 func (in *Instruction) resolve(reg *miopen.Registry) (*staticPlan, error) {
 	if in.Kind != KindPrimitive {
 		return nil, fmt.Errorf("graphx: instruction %d (%s) has no solution", in.Index, in.Kind)
 	}
-	if st := in.static.Load(); st != nil && st.reg == reg {
+	if st := in.static.Load(); st != nil && st.prob.Registry() == reg {
 		return st, nil
 	}
 	sol, ok := reg.ByID(in.SolutionID)
 	if !ok {
 		return nil, fmt.Errorf("graphx: unknown solution %q in instruction %d", in.SolutionID, in.Index)
 	}
-	st := &staticPlan{reg: reg, inst: sol.Instance(in.Binding), calls: sol.Calls(&in.Problem)}
+	prob := reg.Intern(&in.Problem)
+	st := &staticPlan{prob: prob, inst: sol.Instance(in.Binding), calls: sol.Calls(prob)}
 	in.static.Store(st)
 	return st, nil
+}
+
+// InternedGemm returns the instruction's GEMM problem interned in reg,
+// interning it on the first use against reg. Only valid for KindGemm.
+func (in *Instruction) InternedGemm(reg *blas.Registry) *blas.Interned {
+	if g := in.gemm.Load(); g != nil && g.Registry() == reg {
+		return g
+	}
+	g := reg.Intern(&in.Gemm)
+	in.gemm.Store(g)
+	return g
 }
 
 // CompiledModel is the lowered, solution-annotated model the serving

@@ -1,9 +1,9 @@
 package graphx
 
 import (
-	"time"
-
 	"fmt"
+	"slices"
+	"time"
 
 	"pask/internal/backend"
 	"pask/internal/blas"
@@ -35,9 +35,9 @@ type Runner struct {
 	paramsResident map[string]bool
 
 	// fns holds the function each builtin and transform instruction was last
-	// launched through, so a warm launch looks no symbol up. Allocated on
-	// the first such launch.
-	fns map[*Instruction]backend.Function
+	// launched through, indexed by the instruction's launch site, so a warm
+	// launch looks no symbol up.
+	fns backend.Table[backend.Function]
 }
 
 // NewRunner wires the runtime's load events and the GPU's kernel events into
@@ -111,19 +111,23 @@ func (r *Runner) EvictParams(name string) { delete(r.paramsResident, name) }
 // statically selected one, or a substitute chosen by PASK). Kernels are
 // launched asynchronously; absent code objects load lazily here. The
 // statically selected instance launches through the kernel calls its
-// instruction resolved once, so a warm launch hashes no problem. (An
-// instance names its solution, and a solution belongs to one registry, so
-// a plan resolved against another registry never matches.)
+// instruction resolved once; a substitute's come from its solution's memo,
+// indexed by the instruction's problem ID.
 func (r *Runner) ExecPrimitive(p *sim.Proc, in *Instruction, inst miopen.Instance) error {
-	if st := in.static.Load(); st != nil && st.inst == inst {
-		return r.execPrimitive(p, in.Name, inst, st.calls)
+	st, err := in.resolve(r.Lib.Reg)
+	if err != nil {
+		return err
 	}
-	return r.ExecPrimitiveAs(p, in.Name, &in.Problem, inst)
+	calls := st.calls
+	if inst != st.inst {
+		calls = inst.Sol.Calls(st.prob)
+	}
+	return r.execPrimitive(p, in.Name, inst, calls)
 }
 
 // ExecPrimitiveAs runs a primitive problem (possibly rewritten by a PASK
 // policy, e.g. the precision-preference extension) with the given instance.
-func (r *Runner) ExecPrimitiveAs(p *sim.Proc, name string, prob *miopen.Problem, inst miopen.Instance) error {
+func (r *Runner) ExecPrimitiveAs(p *sim.Proc, name string, prob *miopen.Interned, inst miopen.Instance) error {
 	return r.execPrimitive(p, name, inst, inst.Sol.Calls(prob))
 }
 
@@ -151,7 +155,7 @@ func (r *Runner) ExecInstr(p *sim.Proc, in *Instruction) error {
 
 	case KindGemm:
 		start := p.Now()
-		if err := r.Blas.Run(p, r.Stream, &in.Gemm); err != nil {
+		if err := r.Blas.Run(p, r.Stream, in.InternedGemm(r.Blas.Reg)); err != nil {
 			return err
 		}
 		r.Tracer.AddNamed(metrics.CatLaunch, "issue:", in.Name, p.Name(), start, p.Now())
@@ -171,20 +175,17 @@ func (r *Runner) ExecInstr(p *sim.Proc, in *Instruction) error {
 // instruction's previous launch while its module stays resident.
 func (r *Runner) execKernel(p *sim.Proc, in *Instruction, path string) error {
 	start := p.Now()
-	fn := r.fns[in]
-	if !r.RT.Reuse(fn) {
+	fn := r.fns.At(in.site)
+	if !r.RT.Reuse(*fn) {
 		sym := "xform_main"
 		if in.Kind == KindBuiltin {
 			sym = "builtin_" + in.Builtin
 		}
-		var err error
-		if fn, err = r.RT.GetFunction(p, path, sym); err != nil {
+		f, err := r.RT.GetFunction(p, path, sym)
+		if err != nil {
 			return err
 		}
-		if r.fns == nil {
-			r.fns = make(map[*Instruction]backend.Function)
-		}
-		r.fns[in] = fn
+		*fn = f
 	}
 	r.Stream.LaunchWorkload(p, fn.Name(), in.Work, in.Eff)
 	r.Tracer.AddNamed(metrics.CatLaunch, "issue:", in.Name, p.Name(), start, p.Now())
@@ -242,17 +243,24 @@ func (r *Runner) PreloadAll(p *sim.Proc, m *CompiledModel) error {
 	if err := r.RT.Preload(p, paths); err != nil {
 		return err
 	}
-	// BLAS objects load through their own library paths.
-	gemms := m.GemmProblems()
+	// BLAS objects load through their own library paths: the shared
+	// archive, then the best instance of each distinct GEMM problem in
+	// first-use order.
+	var gemms []*blas.Interned
+	for i := range m.Instrs {
+		if in := &m.Instrs[i]; in.Kind == KindGemm {
+			if g := in.InternedGemm(r.Blas.Reg); !slices.Contains(gemms, g) {
+				gemms = append(gemms, g)
+			}
+		}
+	}
 	if len(gemms) > 0 {
 		if err := r.Blas.EnsureCore(p); err != nil {
 			return err
 		}
 	}
-	for _, gp := range gemms {
-		gp := gp
-		ranked := r.Blas.Find(&gp)
-		if len(ranked) > 0 {
+	for _, g := range gemms {
+		if ranked := r.Blas.Find(g); len(ranked) > 0 {
 			if _, err := r.RT.ModuleLoad(p, ranked[0].Inst.Path()); err != nil {
 				return err
 			}

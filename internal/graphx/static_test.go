@@ -36,7 +36,7 @@ func TestStaticExecPrimitiveAllocatesNothing(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
-	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(rt), metrics.NewForwardingTracer())
+	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), metrics.NewForwardingTracer())
 	env.Spawn("host", func(p *sim.Proc) {
 		defer gpu.CloseAll()
 		// Grow the stream's queue past what the measured launches keep in
@@ -55,7 +55,7 @@ func TestStaticExecPrimitiveAllocatesNothing(t *testing.T) {
 				return
 			}
 			st := in.static.Load()
-			if st == nil || st.inst != inst || st.calls != inst.Sol.Calls(&in.Problem) {
+			if st == nil || st.inst != inst || st.calls != inst.Sol.Calls(reg.Intern(&in.Problem)) {
 				t.Fatalf("%s: static plan %+v does not hold the resolved instance and its calls", in.Name, st)
 			}
 			allocs := testing.AllocsPerRun(20, func() {
@@ -99,7 +99,7 @@ func TestStaticPlanFollowsRegistry(t *testing.T) {
 		for _, in := range primitives(m) {
 			st := in.static.Load()
 			sol, _ := reg.ByID(in.SolutionID)
-			if st == nil || st.reg != reg || st.inst.Sol != sol || st.calls != sol.Calls(&in.Problem) {
+			if st == nil || st.prob.Registry() != reg || st.inst.Sol != sol || st.calls != sol.Calls(reg.Intern(&in.Problem)) {
 				t.Fatalf("round %d, %s: static plan not resolved against the run's registry", round, in.Name)
 			}
 			inst, err := in.Instance(reg)

@@ -18,26 +18,17 @@ type Library struct {
 	RT  *backend.Registry
 
 	// disabled holds this process's solution kill switches (find-path
-	// outages injected by a fault plan): Find and CheckApplicable treat
-	// these solutions as inapplicable.
-	disabled map[string]bool
+	// outages injected by a fault plan), indexed by solution index: Find
+	// and CheckApplicable treat these solutions as inapplicable.
+	disabled []bool
 
-	// plans caches one launch plan per kernel-call list, that is per
-	// (solution, problem): the binding last run and one function bound per
-	// call. A warm launch neither re-derives the binding key nor looks a
-	// symbol up.
-	plans map[*Calls]*launchPlan
-}
-
-// launchPlan is how RunSolution launches one kernel-call list at one binding:
-// the binding's record (and with it the store path) and one bound function
-// per call (zero until first resolved, rebound whenever Reuse refuses it).
-type launchPlan struct {
-	b   *binding
-	fns []backend.Function
-	// buf backs fns for solutions of up to two kernels (every library
-	// solution), so a plan and its functions are one allocation.
-	buf [2]backend.Function
+	// bound holds, at each kernel-call list's first call ID, the binding
+	// the list last ran at; fns holds, at each call's ID, the function it
+	// was last launched through (zero until first resolved, cleared when
+	// its list runs at another binding). A warm launch neither re-derives
+	// the binding key nor looks a symbol up.
+	bound backend.Table[*binding]
+	fns   backend.Table[backend.Function]
 }
 
 // NewLibrary binds a registry to a process runtime.
@@ -58,30 +49,38 @@ func (l *Library) LoadResidents(proc *sim.Proc) error {
 }
 
 // Disable switches solutions off by ID in this process: the find path
-// reports them unavailable from now on.
+// reports them unavailable from now on. IDs the registry does not ship
+// are ignored.
 func (l *Library) Disable(ids ...string) {
 	if l.disabled == nil {
-		l.disabled = make(map[string]bool)
+		l.disabled = make([]bool, len(l.Reg.sols))
 	}
 	for _, id := range ids {
-		l.disabled[id] = true
+		if s, ok := l.Reg.byID[id]; ok {
+			l.disabled[s.idx] = true
+		}
 	}
+}
+
+// isDisabled reports whether this process switched s off.
+func (l *Library) isDisabled(s *Solution) bool {
+	return l.disabled != nil && l.disabled[s.idx]
 }
 
 // Find is the registry's ranked find step without the solutions this
 // process has disabled.
 func (l *Library) Find(p *Problem) []Ranked {
-	return slices.DeleteFunc(l.Reg.Find(p), func(r Ranked) bool { return l.disabled[r.Inst.Sol.ID()] })
+	return slices.DeleteFunc(l.Reg.Find(p), func(r Ranked) bool { return l.isDisabled(r.Inst.Sol) })
 }
 
 // CheckApplicable evaluates inst.IsApplicable(p) and charges the host-side
 // cost of the check — the expensive validation PASK's categorical cache
 // minimizes (paper §II-B). A disabled solution is never applicable; that
-// per-process verdict is settled before the registry's shared verdict table
-// is consulted, so it never enters the table.
-func (l *Library) CheckApplicable(proc *sim.Proc, inst Instance, p *Problem) bool {
+// per-process verdict is settled before p's shared verdict table is
+// consulted, so it never enters the table. inst and p must belong to l.Reg.
+func (l *Library) CheckApplicable(proc *sim.Proc, inst Instance, p *Interned) bool {
 	proc.Sleep(l.RT.Host().ApplicabilityCheck)
-	if l.disabled[inst.Sol.ID()] {
+	if l.isDisabled(inst.Sol) {
 		return false
 	}
 	return l.Reg.applicable(inst, p)
@@ -116,10 +115,17 @@ func (l *Library) RunSolution(proc *sim.Proc, stream *device.Stream, inst Instan
 	if len(calls.list) == 0 {
 		return fmt.Errorf("miopen: solution %s produced no kernels for %s", inst.Key(), calls.probKey)
 	}
-	pl := l.plan(inst, calls)
+	if b := l.bound.At(calls.first); *b != inst.b {
+		if *b != nil {
+			for i := range calls.list {
+				*l.fns.At(calls.first + i) = backend.Function{}
+			}
+		}
+		*b = inst.b
+	}
 	for i := range calls.list {
 		c := &calls.list[i]
-		fn := &pl.fns[i]
+		fn := l.fns.At(calls.first + i)
 		if !l.RT.Reuse(*fn) {
 			f, err := l.RT.GetFunction(proc, inst.b.path, c.Symbol)
 			if err != nil {
@@ -130,30 +136,4 @@ func (l *Library) RunSolution(proc *sim.Proc, stream *device.Stream, inst Instan
 		stream.LaunchWorkload(proc, fn.Name(), c.Work, c.Eff)
 	}
 	return nil
-}
-
-// plan returns the launch plan of calls at inst's binding through the
-// per-library memo, building it on first use and clearing its functions
-// when inst's binding differs from the one the plan holds.
-func (l *Library) plan(inst Instance, calls *Calls) *launchPlan {
-	if l.plans == nil {
-		l.plans = make(map[*Calls]*launchPlan, 64)
-	}
-	pl := l.plans[calls]
-	switch {
-	case pl == nil:
-		pl = &launchPlan{}
-		if n := len(calls.list); n <= len(pl.buf) {
-			pl.fns = pl.buf[:n]
-		} else {
-			pl.fns = make([]backend.Function, n)
-		}
-		l.plans[calls] = pl
-	case pl.b == inst.b:
-		return pl
-	default:
-		clear(pl.fns)
-	}
-	pl.b = inst.b
-	return pl
 }

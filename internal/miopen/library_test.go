@@ -34,6 +34,7 @@ func newLibRuntime(t testing.TB, problems []*Problem) (*sim.Env, *Library) {
 func TestRunSolutionLazyLoadsAndExecutes(t *testing.T) {
 	p := conv3x3(64, 64, 28)
 	env, lib := newLibRuntime(t, []*Problem{&p})
+	ip := lib.Reg.Intern(&p)
 	best, err := lib.Reg.FindBest(&p)
 	if err != nil {
 		t.Fatal(err)
@@ -43,14 +44,14 @@ func TestRunSolutionLazyLoadsAndExecutes(t *testing.T) {
 		defer lib.RT.GPU().CloseAll()
 		stream := lib.RT.GPU().DefaultStream()
 		t0 := proc.Now()
-		if err := lib.RunSolution(proc, stream, best.Inst, best.Inst.Sol.Calls(&p)); err != nil {
+		if err := lib.RunSolution(proc, stream, best.Inst, best.Inst.Sol.Calls(ip)); err != nil {
 			t.Error(err)
 			return
 		}
 		stream.Synchronize(proc)
 		coldDur = proc.Now() - t0
 		t1 := proc.Now()
-		if err := lib.RunSolution(proc, stream, best.Inst, best.Inst.Sol.Calls(&p)); err != nil {
+		if err := lib.RunSolution(proc, stream, best.Inst, best.Inst.Sol.Calls(ip)); err != nil {
 			t.Error(err)
 			return
 		}
@@ -74,11 +75,12 @@ func TestRunSolutionLazyLoadsAndExecutes(t *testing.T) {
 }
 
 // TestRunSolutionWarmAllocatesNothing pins the warm launch path: with the
-// object loaded and the launch plan memoized, RunSolution reuses its bound
+// object loaded and the functions bound, RunSolution reuses its bound
 // functions, launches without completion signals and allocates nothing.
 func TestRunSolutionWarmAllocatesNothing(t *testing.T) {
 	p := conv3x3(64, 64, 28)
 	env, lib := newLibRuntime(t, []*Problem{&p})
+	ip := lib.Reg.Intern(&p)
 	ranked := lib.Reg.Find(&p)
 	if len(ranked) == 0 {
 		t.Fatal("no solution found")
@@ -93,13 +95,13 @@ func TestRunSolutionWarmAllocatesNothing(t *testing.T) {
 		}
 		stream.Synchronize(proc)
 		for _, r := range ranked {
-			if err := lib.RunSolution(proc, stream, r.Inst, r.Inst.Sol.Calls(&p)); err != nil {
+			if err := lib.RunSolution(proc, stream, r.Inst, r.Inst.Sol.Calls(ip)); err != nil {
 				t.Error(err)
 				return
 			}
 			stream.Synchronize(proc)
 			allocs := testing.AllocsPerRun(100, func() {
-				if err := lib.RunSolution(proc, stream, r.Inst, r.Inst.Sol.Calls(&p)); err != nil {
+				if err := lib.RunSolution(proc, stream, r.Inst, r.Inst.Sol.Calls(ip)); err != nil {
 					t.Error(err)
 				}
 			})
@@ -114,13 +116,15 @@ func TestRunSolutionWarmAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRunSolutionNeverLaunchesStaleFunctions pins the launch plan's
-// rebinding: after the instance's module is unloaded the next run loads it
-// again, and a run of the same solution at another binding resolves that
-// binding's object instead of reusing the plan's functions.
+// TestRunSolutionNeverLaunchesStaleFunctions pins the rebinding of a
+// kernel-call list's functions: after the instance's module is unloaded the
+// next run loads it again, and a run of the same solution at another
+// binding resolves that binding's object instead of reusing the functions
+// bound at the first.
 func TestRunSolutionNeverLaunchesStaleFunctions(t *testing.T) {
 	p := conv3x3(64, 64, 28)
 	env, lib := newLibRuntime(t, []*Problem{&p})
+	ip := lib.Reg.Intern(&p)
 	best, err := lib.Reg.FindBest(&p)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +147,7 @@ func TestRunSolutionNeverLaunchesStaleFunctions(t *testing.T) {
 			if step.unload {
 				lib.RT.Unload(best.Inst.Path())
 			}
-			err := lib.RunSolution(proc, stream, step.inst, step.inst.Sol.Calls(&p))
+			err := lib.RunSolution(proc, stream, step.inst, step.inst.Sol.Calls(ip))
 			if (err != nil) != step.fails {
 				t.Errorf("step %d: RunSolution(%s) = %v, want failure %v", i, step.inst.Key(), err, step.fails)
 			}
@@ -163,6 +167,7 @@ func TestRunSolutionNeverLaunchesStaleFunctions(t *testing.T) {
 func TestRunSolutionRejectsOtherSolutionsCalls(t *testing.T) {
 	p := conv3x3(64, 64, 28)
 	env, lib := newLibRuntime(t, []*Problem{&p})
+	ip := lib.Reg.Intern(&p)
 	ranked := lib.Reg.Find(&p)
 	if len(ranked) < 2 {
 		t.Fatalf("%d applicable solutions, want at least 2", len(ranked))
@@ -171,13 +176,13 @@ func TestRunSolutionRejectsOtherSolutionsCalls(t *testing.T) {
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
 		stream := lib.RT.GPU().DefaultStream()
-		if err := lib.RunSolution(proc, stream, a, b.Sol.Calls(&p)); err == nil {
+		if err := lib.RunSolution(proc, stream, a, b.Sol.Calls(ip)); err == nil {
 			t.Errorf("RunSolution(%s) with the calls of %s succeeded", a.Key(), b.Sol.ID())
 		}
 		if got := lib.RT.Stats().ModuleLoads; got != 0 {
 			t.Errorf("%d module loads, want 0", got)
 		}
-		if err := lib.RunSolution(proc, stream, a, a.Sol.Calls(&p)); err != nil {
+		if err := lib.RunSolution(proc, stream, a, a.Sol.Calls(ip)); err != nil {
 			t.Error(err)
 		}
 	})
@@ -189,12 +194,13 @@ func TestRunSolutionRejectsOtherSolutionsCalls(t *testing.T) {
 func TestCheckApplicableChargesAndCounts(t *testing.T) {
 	p := conv3x3(64, 64, 28)
 	env, lib := newLibRuntime(t, []*Problem{&p})
+	ip := lib.Reg.Intern(&p)
 	rxs, _ := lib.Reg.ByID("ConvBinWinogradRxSFwd")
 	inst := Bind(rxs, &p)
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
 		start := proc.Now()
-		if !lib.CheckApplicable(proc, inst, &p) {
+		if !lib.CheckApplicable(proc, inst, ip) {
 			t.Error("RxS should be applicable")
 		}
 		if got := proc.Now() - start; got != lib.RT.Host().ApplicabilityCheck {
@@ -212,11 +218,12 @@ func TestCheckApplicableChargesAndCounts(t *testing.T) {
 func TestDisableOverridesMemoizedCheck(t *testing.T) {
 	p := conv3x3(64, 64, 28)
 	env, lib := newLibRuntime(t, []*Problem{&p})
+	ip := lib.Reg.Intern(&p)
 	rxs, _ := lib.Reg.ByID("ConvBinWinogradRxSFwd")
 	inst := Bind(rxs, &p)
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
-		if !lib.CheckApplicable(proc, inst, &p) {
+		if !lib.CheckApplicable(proc, inst, ip) {
 			t.Error("RxS should be applicable before it is disabled")
 		}
 		if got := proc.Now(); got != lib.RT.Host().ApplicabilityCheck {
@@ -224,7 +231,7 @@ func TestDisableOverridesMemoizedCheck(t *testing.T) {
 		}
 		lib.Disable(rxs.ID())
 		start := proc.Now()
-		if lib.CheckApplicable(proc, inst, &p) {
+		if lib.CheckApplicable(proc, inst, ip) {
 			t.Error("disabled RxS still applicable")
 		}
 		if got := proc.Now() - start; got != lib.RT.Host().ApplicabilityCheck {
@@ -243,13 +250,14 @@ func TestRunSolutionMissingObjectFails(t *testing.T) {
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), codeobj.NewStore(), backend.HIP) // empty store
 	lib := NewLibrary(reg, rt)
+	ip := reg.Intern(&p)
 	best, err := reg.FindBest(&p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer gpu.CloseAll()
-		if err := lib.RunSolution(proc, gpu.DefaultStream(), best.Inst, best.Inst.Sol.Calls(&p)); err == nil {
+		if err := lib.RunSolution(proc, gpu.DefaultStream(), best.Inst, best.Inst.Sol.Calls(ip)); err == nil {
 			t.Error("expected missing-object error")
 		}
 	})

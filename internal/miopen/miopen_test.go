@@ -264,12 +264,13 @@ func TestStaticCallsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for _, s := range reg.Solutions() {
 				for i := range probs {
-					got[g] = append(got[g], s.Calls(&probs[(i+g)%len(probs)]))
+					got[g] = append(got[g], s.Calls(reg.Intern(&probs[(i+g)%len(probs)])))
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	lists := map[*Calls]bool{}
 	for g := range got {
 		k := 0
 		for _, s := range reg.Solutions() {
@@ -277,14 +278,29 @@ func TestStaticCallsConcurrent(t *testing.T) {
 				p := &probs[(i+g)%len(probs)]
 				c := got[g][k]
 				k++
-				if c != s.Calls(p) {
+				if c != s.Calls(reg.Intern(p)) {
 					t.Fatalf("%s on %s: two *Calls for one problem", s.ID(), p.Key())
 				}
 				if !slices.Equal(c.list, s.KernelCalls(p)) {
 					t.Fatalf("%s on %s: memoized calls differ from KernelCalls", s.ID(), p.Key())
 				}
+				lists[c] = true
 			}
 		}
+	}
+	// The lists' kernel calls have dense IDs from 0, one run per list (an
+	// empty list takes one ID).
+	var byFirst []*Calls
+	for c := range lists {
+		byFirst = append(byFirst, c)
+	}
+	slices.SortFunc(byFirst, func(a, b *Calls) int { return a.first - b.first })
+	next := 0
+	for _, c := range byFirst {
+		if c.first != next {
+			t.Fatalf("%s: calls start at ID %d, want %d", c.sol.ID(), c.first, next)
+		}
+		next += max(len(c.list), 1)
 	}
 }
 

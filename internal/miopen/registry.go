@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pask/internal/codeobj"
@@ -19,43 +20,34 @@ type Ranked struct {
 // Registry holds every solution the library ships and answers Find queries.
 // One registry serves every process of a set-up, so it also holds what those
 // processes would otherwise each re-derive: the resident list and the
-// applicability verdicts.
+// interned problems with their applicability verdicts. It hands out the
+// dense IDs (problems, bindings, kernel calls, launch sites) that let
+// a process keep its own per-launch state in slices.
 type Registry struct {
 	ctx       *Ctx
 	sols      []*Solution
 	byID      map[string]*Solution
 	residents []Instance
 
-	// verdicts memoizes IsApplicable outcomes for every process of the
-	// set-up. A verdict is a pure function of (solution, binding, problem,
-	// workspace limit), so a process that repeats a check another already
-	// made skips re-deriving binding keys and walking predicates. Only
-	// host-side CPU work is saved: each Library still charges every check.
-	// Concurrent cold starts on one set-up share it, hence the lock; once
-	// the first process has asked, nearly every check is a read.
-	verdictMu sync.RWMutex
-	verdicts  map[applicKey]bool
-}
+	// interned maps each problem to its record; only Intern reads it.
+	internMu sync.Mutex
+	interned map[Problem]*Interned
 
-// applicKey identifies one memoized applicability verdict: the instance's
-// binding record (which also names its solution), the problem and the
-// workspace limit, which is part of the key because tests mutate it
-// directly on the Ctx.
-type applicKey struct {
-	b       *binding
-	prob    Problem
-	wsLimit int64
+	nBindings atomic.Int32 // binding records handed out (their indices)
+	nCalls    atomic.Int32 // kernel calls handed out (their IDs)
+	nSites    atomic.Int32 // launch sites handed out
 }
 
 // NewRegistry builds the full library (conv + pooling + activation ladders)
 // for the given context.
 func NewRegistry(ctx *Ctx) *Registry {
-	r := &Registry{ctx: ctx, byID: make(map[string]*Solution), verdicts: make(map[applicKey]bool)}
+	r := &Registry{ctx: ctx, byID: make(map[string]*Solution), interned: make(map[Problem]*Interned)}
 	for _, set := range [][]*Solution{ConvSolutions(), PoolSolutions(), ActSolutions()} {
 		for _, s := range set {
 			if _, dup := r.byID[s.ID()]; dup {
 				panic("miopen: duplicate solution id " + s.ID())
 			}
+			s.reg, s.idx = r, len(r.sols)
 			r.sols = append(r.sols, s)
 			r.byID[s.ID()] = s
 			if s.Specificity() == 1 {
@@ -82,20 +74,26 @@ func (r *Registry) ByID(id string) (*Solution, bool) {
 	return s, ok
 }
 
-// applicable returns inst.IsApplicable(r.ctx, p) through the shared verdict
-// table, evaluating and recording it on first use.
-func (r *Registry) applicable(inst Instance, p *Problem) bool {
-	k := applicKey{b: inst.b, prob: *p, wsLimit: r.ctx.WorkspaceLimit}
-	r.verdictMu.RLock()
-	v, ok := r.verdicts[k]
-	r.verdictMu.RUnlock()
-	if ok {
+// NewSite returns a new launch-site ID. Compilation gives each launch that
+// binds its own function (engine builtins and transforms) one, so a
+// process keeps those functions in a slice indexed by site.
+func (r *Registry) NewSite() int { return int(r.nSites.Add(1)) - 1 }
+
+// applicable returns inst.IsApplicable(r.ctx, p) through p's verdict table,
+// evaluating and recording it on first use. A verdict is a pure function
+// of (binding, problem, workspace limit), so every process of the set-up
+// reads what the first one recorded: only host CPU work is saved, and each
+// Library still charges every check. Both inst and p must belong to r.
+func (r *Registry) applicable(inst Instance, p *Interned) bool {
+	if p.reg != r || inst.Sol.reg != r {
+		panic("miopen: applicability check across registries")
+	}
+	ws := r.ctx.WorkspaceLimit
+	if v, ok := p.verdict(ws, inst.b.idx); ok {
 		return v
 	}
-	v = inst.IsApplicable(r.ctx, p)
-	r.verdictMu.Lock()
-	r.verdicts[k] = v
-	r.verdictMu.Unlock()
+	v := inst.IsApplicable(r.ctx, &p.Problem)
+	p.record(ws, inst.b.idx, int(r.nBindings.Load()), v)
 	return v
 }
 
@@ -144,6 +142,9 @@ type PerfDB struct {
 func NewPerfDB(reg *Registry) *PerfDB {
 	return &PerfDB{reg: reg, m: make(map[string][]Ranked)}
 }
+
+// Registry returns the registry the database ranks against.
+func (db *PerfDB) Registry() *Registry { return db.reg }
 
 // Find returns the ranked applicable instances for p, computing and caching
 // them on first use.

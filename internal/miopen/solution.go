@@ -87,16 +87,20 @@ type Solution struct {
 	// mapped when the library is opened, never loaded per model.
 	residentBindings []string
 
+	// reg is the registry the solution belongs to and idx its index there.
+	reg *Registry
+	idx int
+
 	// bindings is the copy-on-write binding → record table behind
 	// Instance: readers load it without a lock and hash only the binding;
 	// a new binding is added under bindMu by storing a copy.
 	bindings atomic.Pointer[map[string]*binding]
 	bindMu   sync.Mutex
 
-	// callMemo is the problem → kernel-call memo behind Calls, guarded by
-	// callMu. It grows by one entry per problem, where a copy-on-write
-	// table would copy itself.
-	callMemo map[Problem]*Calls
+	// calls is the kernel-call memo behind Calls, indexed by problem ID.
+	// Readers load it without a lock; callMu serializes writers, which grow
+	// it into a copy of twice the size.
+	callMemo atomic.Pointer[[]atomic.Pointer[Calls]]
 	callMu   sync.Mutex
 }
 
@@ -155,33 +159,54 @@ func (s *Solution) KernelCalls(p *Problem) []KernelCall {
 }
 
 // Calls is the kernel-call list of one (solution, problem) pair, built once
-// per solution by (*Solution).Calls and shared read-only. Its pointer
-// identifies the pair, which is how Library keys its launch plans.
+// per solution by (*Solution).Calls and shared read-only. Its calls have
+// dense IDs, unique in the registry, from first on (an empty list still
+// takes one): Library indexes its per-process launch state by them.
 type Calls struct {
-	sol  *Solution // the solution whose Calls built the list
-	list []KernelCall
+	sol   *Solution // the solution whose Calls built the list
+	first int
+	list  []KernelCall
 	// probKey is the problem's key when list is empty, for RunSolution's
 	// error; it is not computed otherwise.
 	probKey string
 }
 
 // Calls returns the memoized kernel calls of s on p, building them on first
-// use. A solution belongs to one Registry, so the memo lives as long as the
-// set-up that built it.
-func (s *Solution) Calls(p *Problem) *Calls {
+// use. p must be interned in s's registry.
+func (s *Solution) Calls(p *Interned) *Calls {
+	if p.reg != s.reg {
+		panic("miopen: " + s.id + ": kernel calls of a problem interned in another registry")
+	}
+	if t := s.callMemo.Load(); t != nil && p.id < len(*t) {
+		if c := (*t)[p.id].Load(); c != nil {
+			return c
+		}
+	}
 	s.callMu.Lock()
 	defer s.callMu.Unlock()
-	if c, ok := s.callMemo[*p]; ok {
+	t := s.callMemo.Load()
+	if t == nil || p.id >= len(*t) {
+		var old []atomic.Pointer[Calls]
+		if t != nil {
+			old = *t
+		}
+		next := make([]atomic.Pointer[Calls], max(p.id+1, 2*len(old), 16))
+		for i := range old {
+			next[i].Store(old[i].Load())
+		}
+		s.callMemo.Store(&next)
+		t = &next
+	}
+	if c := (*t)[p.id].Load(); c != nil {
 		return c
 	}
-	if s.callMemo == nil {
-		s.callMemo = make(map[Problem]*Calls)
-	}
-	c := &Calls{sol: s, list: s.KernelCalls(p)}
+	c := &Calls{sol: s, list: s.KernelCalls(&p.Problem)}
+	n := max(len(c.list), 1)
+	c.first = int(s.reg.nCalls.Add(int32(n))) - n
 	if len(c.list) == 0 {
 		c.probKey = p.Key()
 	}
-	s.callMemo[*p] = c
+	(*t)[p.id].Store(c)
 	return c
 }
 
@@ -209,12 +234,14 @@ func (s *Solution) RunFunctional(p *Problem, in, w, bias, out *tensor.Tensor) er
 	return s.run(p, in, w, bias, out)
 }
 
-// binding is the interned record of one binding of a solution: the key and
-// the store path of its code object. A solution holds one record per
-// binding, so two instances are equal exactly when they share a record.
+// binding is the interned record of one binding of a solution: the key,
+// the store path of its code object and its index among the registry's
+// bindings, which indexes the verdict tables. A solution holds one record
+// per binding, so two instances are equal exactly when they share a record.
 type binding struct {
 	key  string
 	path string
+	idx  int
 }
 
 // intern returns s's record for the binding key, adding it on first use.
@@ -230,7 +257,7 @@ func (s *Solution) intern(key string) *binding {
 	}
 	next := make(map[string]*binding, len(old)+1)
 	maps.Copy(next, old)
-	b := &binding{key: key, path: s.id + ".pko"}
+	b := &binding{key: key, path: s.id + ".pko", idx: int(s.reg.nBindings.Add(1)) - 1}
 	if key != "" {
 		b.path = s.id + "_" + key + ".pko"
 	}
@@ -298,8 +325,17 @@ func (i Instance) IsApplicable(ctx *Ctx, p *Problem) bool {
 // EstimateTime predicts the GPU time of running p with solution s on dev —
 // the quantity the performance database ranks by.
 func EstimateTime(dev device.Profile, s *Solution, p *Problem) time.Duration {
+	return estimate(dev, s.KernelCalls(p))
+}
+
+// Estimate is EstimateTime of the list's solution and problem, summed over
+// the memoized calls.
+func (c *Calls) Estimate(dev device.Profile) time.Duration { return estimate(dev, c.list) }
+
+// estimate sums the kernel times of calls on dev.
+func estimate(dev device.Profile, calls []KernelCall) time.Duration {
 	var total time.Duration
-	for _, c := range s.KernelCalls(p) {
+	for _, c := range calls {
 		total += dev.KernelTime(c.Work, c.Eff)
 	}
 	return total

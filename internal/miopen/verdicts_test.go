@@ -16,7 +16,7 @@ import (
 // gives it directly.
 type verdictCase struct {
 	inst Instance
-	prob Problem
+	prob *Interned
 	want bool
 }
 
@@ -34,7 +34,7 @@ func verdictCases(t testing.TB, reg *Registry) []verdictCase {
 			}
 			seen[r.Inst] = true
 			for j := range probs {
-				cases = append(cases, verdictCase{inst: r.Inst, prob: probs[j], want: r.Inst.IsApplicable(reg.Ctx(), &probs[j])})
+				cases = append(cases, verdictCase{inst: r.Inst, prob: reg.Intern(&probs[j]), want: r.Inst.IsApplicable(reg.Ctx(), &probs[j])})
 			}
 		}
 	}
@@ -69,7 +69,7 @@ func checkAll(t testing.TB, env *sim.Env, lib *Library, cases []verdictCase) []b
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
 		for i := range cases {
-			got[i] = lib.CheckApplicable(proc, cases[i].inst, &cases[i].prob)
+			got[i] = lib.CheckApplicable(proc, cases[i].inst, cases[i].prob)
 		}
 		took = proc.Now()
 	})
@@ -82,11 +82,22 @@ func checkAll(t testing.TB, env *sim.Env, lib *Library, cases []verdictCase) []b
 	return got
 }
 
-// verdictCount returns the number of verdicts reg's shared table holds.
+// verdictCount returns the number of verdicts the tables of reg's interned
+// problems hold, over every workspace limit.
 func verdictCount(reg *Registry) int {
-	reg.verdictMu.RLock()
-	defer reg.verdictMu.RUnlock()
-	return len(reg.verdicts)
+	reg.internMu.Lock()
+	defer reg.internMu.Unlock()
+	n := 0
+	for _, p := range reg.interned {
+		for t := p.verdicts.Load(); t != nil; t = t.older {
+			for i := range t.words {
+				for w := t.words[i].Load(); w != 0; w >>= 2 {
+					n += int(w & 1)
+				}
+			}
+		}
+	}
+	return n
 }
 
 // TestApplicabilityVerdictsShared checks that the processes of one set-up
@@ -115,7 +126,7 @@ func TestApplicabilityVerdictsShared(t *testing.T) {
 		reg := NewRegistry(testCtx())
 		p := conv3x3(64, 64, 28)
 		rxs, _ := reg.ByID("ConvBinWinogradRxSFwd")
-		cases := []verdictCase{{inst: Bind(rxs, &p), prob: p, want: true}}
+		cases := []verdictCase{{inst: Bind(rxs, &p), prob: reg.Intern(&p), want: true}}
 
 		env, off := newCheckProcess(reg)
 		off.Disable(rxs.ID())
@@ -139,7 +150,7 @@ func TestApplicabilityVerdictsShared(t *testing.T) {
 		reg := NewRegistry(testCtx())
 		p := conv3x3(64, 64, 56)
 		gemm, _ := reg.ByID("ConvGemmNaiveFwd")
-		c := []verdictCase{{inst: Bind(gemm, &p), prob: p}}
+		c := []verdictCase{{inst: Bind(gemm, &p), prob: reg.Intern(&p)}}
 		limit := reg.Ctx().WorkspaceLimit
 		for _, step := range []struct {
 			limit int64
