@@ -19,7 +19,7 @@ func benchStore(b testing.TB, n, codeSize int) *codeobj.Store {
 			{Name: fmt.Sprintf("obj%d_main", i), Pattern: "GEMM", CodeSize: codeSize},
 			{Name: fmt.Sprintf("obj%d_helper", i), Pattern: "GEMM", CodeSize: codeSize / 4},
 		}
-		if err := store.PutBuilt(benchPath(i), "gfx908", specs); err != nil {
+		if err := putBuilt(store, benchPath(i), "gfx908", specs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -80,7 +80,7 @@ func testStore(t *testing.T) *codeobj.Store {
 			{Name: "conv_c_main", Pattern: "Direct", CodeSize: 60000},
 		}},
 	} {
-		if err := s.PutBuilt(spec.path, "gfx908", spec.ks); err != nil {
+		if err := putBuilt(s, spec.path, "gfx908", spec.ks); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -331,7 +331,7 @@ func testRetriesExhausted(t *testing.T, h *harness) {
 // makes the next load succeed. The error text carries the flavor's driver
 // prefix.
 func testNegativeCache(t *testing.T, h *harness) {
-	if err := h.store.Corrupt("conv_b.pko", 20); err != nil {
+	if err := corrupt(h.store, "conv_b.pko", 20); err != nil {
 		t.Fatal(err)
 	}
 	h.run(t, func(p *sim.Proc) {
@@ -355,7 +355,7 @@ func testNegativeCache(t *testing.T, h *harness) {
 		if n := h.rt.ClearFailures(); n != 1 {
 			t.Fatalf("ClearFailures dropped %d entries, want 1", n)
 		}
-		if err := h.store.PutBuilt("conv_b.pko", "gfx908",
+		if err := putBuilt(h.store, "conv_b.pko", "gfx908",
 			[]codeobj.KernelSpec{{Name: "conv_b_main", Pattern: "GEMM", CodeSize: 50000}}); err != nil {
 			t.Fatal(err)
 		}

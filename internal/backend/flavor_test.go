@@ -18,7 +18,7 @@ func newA100Runtime(t *testing.T) (*sim.Env, *Registry) {
 	prof := device.A100()
 	gpu := device.NewGPU(env, prof)
 	st := codeobj.NewStore()
-	if err := st.PutBuilt("gemm.pko", prof.Arch, []codeobj.KernelSpec{
+	if err := putBuilt(st, "gemm.pko", prof.Arch, []codeobj.KernelSpec{
 		{Name: "gemm_main", Pattern: "GEMM", CodeSize: 40000},
 		{Name: "gemm_epilogue", Pattern: "GEMM", CodeSize: 8000},
 	}); err != nil {

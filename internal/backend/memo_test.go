@@ -10,6 +10,33 @@ import (
 	"pask/internal/sim"
 )
 
+// putBuilt stores codeobj.Build(path, arch, kernels) under path.
+func putBuilt(s *codeobj.Store, path, arch string, kernels []codeobj.KernelSpec) error {
+	return s.PutBuiltAll([]codeobj.BuildRequest{{Path: path, Arch: arch, Kernels: kernels}})
+}
+
+// corrupt stores a copy of the object at path with the byte at offset
+// flipped, and truncate its first n bytes: the damage a bad disk does.
+func corrupt(s *codeobj.Store, path string, offset int) error {
+	data, err := s.Get(path)
+	if err != nil {
+		return err
+	}
+	data = slices.Clone(data)
+	data[offset] ^= 0xff
+	s.Put(path, data)
+	return nil
+}
+
+func truncate(s *codeobj.Store, path string, n int) error {
+	data, err := s.Get(path)
+	if err != nil {
+		return err
+	}
+	s.Put(path, data[:n])
+	return nil
+}
+
 // cloneReads hands every read on as a fresh copy, so no load can reuse the
 // store's parse: each one decodes and checks every byte, as every load did
 // before the store kept parses.
@@ -76,15 +103,15 @@ func TestParseMemoDamageLoadsAsBefore(t *testing.T) {
 		damage func(s *codeobj.Store, size int) error
 		want   error // nil: the load succeeds with the replacement
 	}{
-		{"Corrupt", func(s *codeobj.Store, _ int) error { return s.Corrupt(path, 0) }, codeobj.ErrBadMagic},
+		{"Corrupt", func(s *codeobj.Store, _ int) error { return corrupt(s, path, 0) }, codeobj.ErrBadMagic},
 		{"CorruptSealed", func(s *codeobj.Store, size int) error { return s.CorruptSealed(path, size/2) }, codeobj.ErrChecksum},
-		{"Truncate", func(s *codeobj.Store, _ int) error { return s.Truncate(path, 8) }, codeobj.ErrTruncated},
+		{"Truncate", func(s *codeobj.Store, _ int) error { return truncate(s, path, 8) }, codeobj.ErrTruncated},
 		{"Put", func(s *codeobj.Store, _ int) error { s.Put(path, replacement); return nil }, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(inj FaultInjector) (first, second loadResult) {
 				store := codeobj.NewStore()
-				if err := store.PutBuilt(path, "gfx908", specs); err != nil {
+				if err := putBuilt(store, path, "gfx908", specs); err != nil {
 					t.Fatal(err)
 				}
 				env, _, rt := benchRuntime(store, 0)

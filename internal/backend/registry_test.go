@@ -9,7 +9,6 @@ import (
 	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/sim"
-	"pask/internal/trace"
 )
 
 func TestModuleLoadChargesTime(t *testing.T) {
@@ -144,7 +143,7 @@ func TestLoadMissingObject(t *testing.T) {
 func TestLoadCorruptObject(t *testing.T) {
 	forEachFlavor(t, func(t *testing.T, f Flavor) {
 		env, rt := newTestRuntime(t, f)
-		if err := rt.Store().Corrupt("conv_b.pko", 20); err != nil {
+		if err := corrupt(rt.Store(), "conv_b.pko", 20); err != nil {
 			t.Fatal(err)
 		}
 		runHost(t, env, rt, func(p *sim.Proc) {
@@ -378,7 +377,9 @@ func TestRegisterResidentIsCheap(t *testing.T) {
 func TestRegisterResidentRejectsCorrupt(t *testing.T) {
 	forEachFlavor(t, func(t *testing.T, f Flavor) {
 		env, rt := newTestRuntime(t, f)
-		rt.Store().Corrupt("conv_a.pko", 12)
+		if err := corrupt(rt.Store(), "conv_a.pko", 12); err != nil {
+			t.Fatal(err)
+		}
 		runHost(t, env, rt, func(p *sim.Proc) {
 			if _, err := rt.RegisterResident(p, "conv_a.pko"); err == nil {
 				t.Error("corrupt resident object must be rejected")
@@ -608,28 +609,35 @@ func TestRegisterResidentRetriesTransient(t *testing.T) {
 	})
 }
 
-// Resident-map retries go through the same loop as module loads, so a trace
-// shows each one as a "transient_retry" instant on the registry track — as
-// many as Stats.TransientRetries counts, on the failing path.
+// retryLog records the paths of the registry's "transient_retry" events.
+type retryLog struct{ paths []string }
+
+func (l *retryLog) RegistryEvent(kind, path string, _ time.Duration) {
+	if kind == "transient_retry" {
+		l.paths = append(l.paths, path)
+	}
+}
+func (l *retryLog) RegistrySample(string, time.Duration, float64) {}
+
+// Resident-map retries go through the same loop as module loads, so the
+// registry observer (a trace's "registry" track) sees each one as a
+// "transient_retry" event — as many as Stats.TransientRetries counts, on
+// the failing path.
 func TestRegisterResidentRetriesTraced(t *testing.T) {
 	forEachFlavor(t, func(t *testing.T, f Flavor) {
 		env, rt := newTestRuntime(t, f)
-		rec := trace.New()
-		rt.SetObserver(rec)
+		log := &retryLog{}
+		rt.SetObserver(log)
 		rt.SetFaults(&flakyStore{failsLeft: map[string]int{"conv_a.pko": 2}})
 		runHost(t, env, rt, func(p *sim.Proc) {
 			if _, err := rt.RegisterResident(p, "conv_a.pko"); err != nil {
 				t.Errorf("RegisterResident after transient faults: %v", err)
 			}
 		})
-		var retries int
-		for _, in := range rec.Instants() {
-			if in.Name != "transient_retry" {
-				continue
-			}
-			retries++
-			if in.Track != "registry" || len(in.Attrs) != 1 || in.Attrs[0].Value != "conv_a.pko" {
-				t.Errorf("instant = %+v, want one on the registry track for conv_a.pko", in)
+		retries := len(log.paths)
+		for _, path := range log.paths {
+			if path != "conv_a.pko" {
+				t.Errorf("transient_retry for %s, want conv_a.pko", path)
 			}
 		}
 		if st := rt.Stats(); st.TransientRetries != 2 || retries != st.TransientRetries {

@@ -243,10 +243,8 @@ type Library struct {
 	// fns holds the function each ranked instance was last launched
 	// through (zero until its first launch), indexed by the instance's
 	// dense ID: problem p's are at p.first onward.
-	fns       backend.Table[backend.Function]
-	core      *backend.Module // the shared archive, once EnsureCore loaded it
-	runs      int
-	fallbacks int
+	fns  backend.Table[backend.Function]
+	core *backend.Module // the shared archive, once EnsureCore loaded it
 }
 
 // NewLibrary binds the set-up's GEMM registry to a process runtime.
@@ -288,20 +286,16 @@ func rank(kernels []*Kernel, dev device.Profile, p *Problem) []Ranked {
 	return out
 }
 
-// Runs returns the number of GEMMs launched: every successful Run or
-// RunInstance, a Run that degraded to a lower-ranked instance included.
-func (l *Library) Runs() int { return l.runs }
-
-// Fallbacks returns how many GEMMs ran on a lower-ranked instance after the
-// chosen one failed.
-func (l *Library) Fallbacks() int { return l.fallbacks }
-
 // Materialize requests the code objects of every instance that could serve
-// the given problems (offline compilation), plus the shared core kernel
-// archive, in the order Find ranks them. It interns the problems, so the
-// set-up's processes find them ranked. The batch's Put builds them.
-func Materialize(b *codeobj.Batch, reg *Registry, problems []Problem) {
-	if len(problems) > 0 && b.Need(CoreObjectPath) {
+// the given interned problems (offline compilation), plus the shared core
+// kernel archive, in the order Find ranks them. The batch's Put builds
+// them.
+func Materialize(b *codeobj.Batch, problems []*Interned) {
+	if len(problems) == 0 {
+		return
+	}
+	arch := problems[0].reg.dev.Arch
+	if b.Need(CoreObjectPath) {
 		specs := make([]codeobj.KernelSpec, coreObjectKernels)
 		for i := range specs {
 			specs[i] = codeobj.KernelSpec{
@@ -310,12 +304,12 @@ func Materialize(b *codeobj.Batch, reg *Registry, problems []Problem) {
 				CodeSize: 256 << 10, // 24 x 256 KiB: a 6 MiB kernel archive
 			}
 		}
-		b.Add(CoreObjectPath, reg.dev.Arch, specs)
+		b.Add(CoreObjectPath, arch, specs)
 	}
-	for i := range problems {
-		for _, r := range reg.Intern(&problems[i]).ranked {
+	for _, p := range problems {
+		for _, r := range p.ranked {
 			if path := r.Inst.Path(); b.Need(path) {
-				b.Add(path, reg.dev.Arch, r.Inst.ObjectSpec())
+				b.Add(path, arch, r.Inst.ObjectSpec())
 			}
 		}
 	}
@@ -339,7 +333,6 @@ func (l *Library) Run(proc *sim.Proc, stream *device.Stream, p *Interned) error 
 	}
 	for i := 1; i < len(ranked); i++ {
 		if l.launch(proc, stream, &p.Problem, &ranked[i].Inst, p.first+i) == nil {
-			l.fallbacks++
 			return nil
 		}
 	}
@@ -397,15 +390,6 @@ func (l *Library) launch(proc *sim.Proc, stream *device.Stream, p *Problem, inst
 	if eff < 0.01 {
 		eff = 0.01
 	}
-	l.runs++
 	stream.LaunchWorkload(proc, fn.Name(), p.Workload(), eff)
 	return nil
-}
-
-// RunFunctional computes C = op(A)*op(B) on host buffers for tests.
-func RunFunctional(p *Problem, a, b, c []float32) error {
-	if !p.Valid() {
-		return fmt.Errorf("blas: invalid problem %s", p.Key())
-	}
-	return kernels.Gemm(p.TransA, p.TransB, p.M, p.N, p.K, 1, a, b, 0, c)
 }

@@ -27,10 +27,20 @@ func newTestLib(t testing.TB) (*sim.Env, *Library) {
 func materialize(t testing.TB, lib *Library, p Problem) {
 	t.Helper()
 	objs := lib.RT.Store().Batch()
-	Materialize(objs, lib.Reg, []Problem{p})
+	Materialize(objs, []*Interned{lib.Reg.Intern(&p)})
 	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// breakObject stores the first 4 bytes of the object at path in its place.
+func breakObject(t *testing.T, store *codeobj.Store, path string) {
+	t.Helper()
+	data, err := store.Get(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(path, data[:4])
 }
 
 func attnProblem() Problem {
@@ -150,6 +160,8 @@ func TestRunLazyLoadsAndLaunches(t *testing.T) {
 	env, lib := newTestLib(t)
 	p := attnProblem()
 	materialize(t, lib, p)
+	var launched []string
+	lib.RT.GPU().OnKernel = func(name string, _, _ time.Duration) { launched = append(launched, name) }
 	var loadedDuringRun bool
 	var execTime time.Duration
 	env.Spawn("host", func(proc *sim.Proc) {
@@ -173,8 +185,8 @@ func TestRunLazyLoadsAndLaunches(t *testing.T) {
 	if execTime <= 0 {
 		t.Fatal("no time elapsed")
 	}
-	if lib.Runs() != 1 {
-		t.Fatalf("Runs = %d", lib.Runs())
+	if best := lib.Find(lib.Reg.Intern(&p))[0].Inst.Symbol(); len(launched) != 1 || launched[0] != best {
+		t.Fatalf("launched %v, want the best instance's %s once", launched, best)
 	}
 }
 
@@ -259,26 +271,6 @@ func TestRunInstanceRejectsInapplicable(t *testing.T) {
 	}
 }
 
-func TestRunFunctionalMatchesGemm(t *testing.T) {
-	p := Problem{M: 2, N: 2, K: 2, Batch: 1, DType: tensor.F32}
-	a := []float32{1, 2, 3, 4}
-	b := []float32{5, 6, 7, 8}
-	c := make([]float32, 4)
-	if err := RunFunctional(&p, a, b, c); err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{19, 22, 43, 50}
-	for i := range want {
-		if c[i] != want[i] {
-			t.Fatalf("c[%d] = %v, want %v", i, c[i], want[i])
-		}
-	}
-	bad := Problem{}
-	if err := RunFunctional(&bad, nil, nil, nil); err == nil {
-		t.Fatal("invalid problem must error")
-	}
-}
-
 func TestRunFallsBackOnLoadFailure(t *testing.T) {
 	env, lib := newTestLib(t)
 	// Aligned problem: three ranked kernels, room to degrade.
@@ -288,9 +280,9 @@ func TestRunFallsBackOnLoadFailure(t *testing.T) {
 	if len(ranked) < 2 {
 		t.Fatalf("need at least two kernels, got %d", len(ranked))
 	}
-	if err := lib.RT.Store().Truncate(ranked[0].Inst.Path(), 4); err != nil {
-		t.Fatal(err)
-	}
+	breakObject(t, lib.RT.Store(), ranked[0].Inst.Path())
+	var launched []string
+	lib.RT.GPU().OnKernel = func(name string, _, _ time.Duration) { launched = append(launched, name) }
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
 		stream := lib.RT.GPU().DefaultStream()
@@ -303,8 +295,8 @@ func TestRunFallsBackOnLoadFailure(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if lib.Fallbacks() != 1 {
-		t.Fatalf("Fallbacks = %d, want 1", lib.Fallbacks())
+	if next := ranked[1].Inst.Symbol(); len(launched) != 1 || launched[0] != next {
+		t.Fatalf("launched %v, want the second-ranked instance's %s once", launched, next)
 	}
 	if st := lib.RT.Stats(); st.PermanentFailures != 1 {
 		t.Fatalf("PermanentFailures = %d, want 1: the broken object must be negatively cached", st.PermanentFailures)
@@ -320,9 +312,7 @@ func TestRunFailsWhenLadderExhausted(t *testing.T) {
 	if len(ranked) != 1 {
 		t.Fatalf("want a single-kernel ladder, got %d", len(ranked))
 	}
-	if err := lib.RT.Store().Truncate(ranked[0].Inst.Path(), 4); err != nil {
-		t.Fatal(err)
-	}
+	breakObject(t, lib.RT.Store(), ranked[0].Inst.Path())
 	env.Spawn("host", func(proc *sim.Proc) {
 		defer lib.RT.GPU().CloseAll()
 		if err := lib.Run(proc, lib.RT.GPU().DefaultStream(), lib.Reg.Intern(&p)); err == nil {

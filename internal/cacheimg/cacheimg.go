@@ -364,12 +364,3 @@ func (img *Image) CheckFingerprint(live uint32) error {
 	}
 	return nil
 }
-
-// TotalBytes returns the summed packaged-object payload size.
-func (img *Image) TotalBytes() int64 {
-	var n int64
-	for _, o := range img.Objects {
-		n += int64(len(o.Data))
-	}
-	return n
-}

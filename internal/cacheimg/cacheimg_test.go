@@ -244,7 +244,7 @@ func TestAttachLadder(t *testing.T) {
 		if s.Stats().Quarantined != 1 {
 			t.Fatalf("quarantined twice: %+v", s.Stats())
 		}
-		ents, _ := os.ReadDir(s.Dir())
+		ents, _ := os.ReadDir(s.dir)
 		var q int
 		for _, e := range ents {
 			if strings.HasSuffix(e.Name(), quarantineExt) {

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// withCache swaps the cache behind Store.PutBuilt for a fresh one with the
+// withCache swaps the cache behind Store.PutBuiltAll for a fresh one with the
 // given budget until the test ends.
 func withCache(tb testing.TB, budget int) *buildCache {
 	tb.Helper()
@@ -47,23 +47,23 @@ func TestPutBuiltSharesAndIsolates(t *testing.T) {
 	withCache(t, builtBudget)
 	a, b := NewStore(), NewStore()
 	for _, s := range []*Store{a, b} {
-		if err := s.PutBuilt("w.pko", "gfx908", sampleSpecs()); err != nil {
+		if err := s.putBuilt("w.pko", "gfx908", sampleSpecs()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	da, _ := a.Get("w.pko")
 	db, _ := b.Get("w.pko")
 	if &da[0] != &db[0] {
-		t.Fatal("second PutBuilt did not share the first one's bytes")
+		t.Fatal("second putBuilt did not share the first one's bytes")
 	}
 	want, fp := slices.Clone(db), b.Fingerprint()
 	for _, hook := range []struct {
 		name string
 		do   func() error
 	}{
-		{"Corrupt", func() error { return a.Corrupt("w.pko", 10) }},
+		{"Corrupt", func() error { return a.corrupt("w.pko", 10) }},
 		{"CorruptSealed", func() error { return a.CorruptSealed("w.pko", len(da)/2) }},
-		{"Truncate", func() error { return a.Truncate("w.pko", 8) }},
+		{"Truncate", func() error { return a.truncate("w.pko", 8) }},
 	} {
 		if err := hook.do(); err != nil {
 			t.Fatalf("%s: %v", hook.name, err)
@@ -81,11 +81,11 @@ func TestPutBuiltSharesAndIsolates(t *testing.T) {
 		}
 	}
 	c := NewStore()
-	if err := c.PutBuilt("w.pko", "gfx908", sampleSpecs()); err != nil {
+	if err := c.putBuilt("w.pko", "gfx908", sampleSpecs()); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := c.Get("w.pko"); !bytes.Equal(got, want) {
-		t.Fatal("a later PutBuilt got damaged bytes")
+		t.Fatal("a later putBuilt got damaged bytes")
 	}
 }
 
@@ -287,7 +287,7 @@ func TestBuildCacheBatchesMatchSerial(t *testing.T) {
 
 // TestPutBuiltAllErrorMatchesSerial puts a batch whose 5th request Build
 // rejects, and checks that the error, the store's contents and the cache's
-// state equal those PutBuilt calls stopping at the first error leave.
+// state equal those putBuilt calls stopping at the first error leave.
 func TestPutBuiltAllErrorMatchesSerial(t *testing.T) {
 	const budget = 48 << 10
 	a, b, c := sizedRequest("a", 20<<10), sizedRequest("b", 20<<10), sizedRequest("c", 20<<10)
@@ -305,7 +305,7 @@ func TestPutBuiltAllErrorMatchesSerial(t *testing.T) {
 			serial := NewStore()
 			var serialErr error
 			for _, r := range reqs {
-				if serialErr = serial.PutBuilt(r.Path, r.Arch, r.Kernels); serialErr != nil {
+				if serialErr = serial.putBuilt(r.Path, r.Arch, r.Kernels); serialErr != nil {
 					break
 				}
 			}
@@ -332,7 +332,7 @@ func TestPutBuiltAllErrorMatchesSerial(t *testing.T) {
 
 // TestPutBuiltAllWaitsForPendingEntries admits objects without building
 // them, as a batch still building does, and checks that PutBuiltAll and
-// PutBuilt callers that hit them return only once the bytes are in, and
+// putBuilt callers that hit them return only once the bytes are in, and
 // then with the bytes Build returns.
 func TestPutBuiltAllWaitsForPendingEntries(t *testing.T) {
 	c := withCache(t, builtBudget)
@@ -367,14 +367,14 @@ func TestPutBuiltAllWaitsForPendingEntries(t *testing.T) {
 	go func() {
 		s := NewStore()
 		for _, r := range reqs {
-			if err := s.PutBuilt(r.Path, r.Arch, r.Kernels); err != nil {
+			if err := s.putBuilt(r.Path, r.Arch, r.Kernels); err != nil {
 				done <- err
 				return
 			}
 		}
 		done <- check(s)
 	}()
-	// The batch decides all its requests and PutBuilt its first, then each
+	// The batch decides all its requests and putBuilt its first, then each
 	// waits for bytes only the jobs below write.
 	for range len(reqs) + 1 {
 		<-decided
@@ -429,7 +429,7 @@ func TestPutBuiltParallel(t *testing.T) {
 				var err error
 				if g%2 == 0 {
 					r := req(idx[0])
-					err = s.PutBuilt(r.Path, r.Arch, r.Kernels)
+					err = s.putBuilt(r.Path, r.Arch, r.Kernels)
 				} else {
 					for range rng.Intn(6) {
 						idx = append(idx, rng.Intn(objects))
@@ -462,20 +462,20 @@ func TestPutBuiltParallel(t *testing.T) {
 	checkBytes(t, c)
 }
 
-// BenchmarkPutBuilt measures PutBuilt on a model-shaped object (two 256 KB
+// BenchmarkPutBuilt measures putBuilt on a model-shaped object (two 256 KB
 // kernels) when the cache holds it and when every request is new.
 func BenchmarkPutBuilt(b *testing.B) {
 	specs := benchSpecs(2, 256<<10)
 	b.Run("hit", func(b *testing.B) {
 		withCache(b, builtBudget)
 		s := NewStore()
-		if err := s.PutBuilt("bench.pko", "gfx908", specs); err != nil {
+		if err := s.putBuilt("bench.pko", "gfx908", specs); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := s.PutBuilt("bench.pko", "gfx908", specs); err != nil {
+			if err := s.putBuilt("bench.pko", "gfx908", specs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -492,7 +492,7 @@ func BenchmarkPutBuilt(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for _, arch := range archs {
-			if err := s.PutBuilt("bench.pko", arch, specs); err != nil {
+			if err := s.putBuilt("bench.pko", arch, specs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -505,7 +505,7 @@ func BenchmarkPutBuilt(b *testing.B) {
 func TestPutBuiltBatchSkipsHeldPaths(t *testing.T) {
 	withCache(t, builtBudget)
 	s := NewStore()
-	if err := s.PutBuilt("held.pko", "gfx908", sizedSpec("held", 100)); err != nil {
+	if err := s.putBuilt("held.pko", "gfx908", sizedSpec("held", 100)); err != nil {
 		t.Fatal(err)
 	}
 	heldBytes, _ := s.Get("held.pko")

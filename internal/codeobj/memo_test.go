@@ -16,7 +16,7 @@ func TestParseMemoSharedAcrossStores(t *testing.T) {
 	withCache(t, builtBudget)
 	stores := []*Store{NewStore(), NewStore()}
 	for _, s := range stores {
-		if err := s.PutBuilt("w.pko", "gfx908", sampleSpecs()); err != nil {
+		if err := s.putBuilt("w.pko", "gfx908", sampleSpecs()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestParseMemoSharedAcrossStores(t *testing.T) {
 func TestParseMemoOnlyOwnSlice(t *testing.T) {
 	withCache(t, builtBudget)
 	s := NewStore()
-	if err := s.PutBuilt("w.pko", "gfx908", sampleSpecs()); err != nil {
+	if err := s.putBuilt("w.pko", "gfx908", sampleSpecs()); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := s.Get("w.pko")
@@ -89,16 +89,16 @@ func TestParseMemoOnlyOwnSlice(t *testing.T) {
 		ok   bool
 	}{
 		{"Put", func() error { s.Put("w.pko", data); return nil }, true},
-		{"Corrupt", func() error { return s.Corrupt("w.pko", 10) }, false},
+		{"Corrupt", func() error { return s.corrupt("w.pko", 10) }, false},
 		{"CorruptSealed", func() error { return s.CorruptSealed("w.pko", len(data)/2) }, false},
-		{"Truncate", func() error { return s.Truncate("w.pko", len(data)-4) }, false},
+		{"Truncate", func() error { return s.truncate("w.pko", len(data)-4) }, false},
 	} {
 		t.Run(hook.name, func(t *testing.T) {
-			if err := s.PutBuilt("w.pko", "gfx908", sampleSpecs()); err != nil {
+			if err := s.putBuilt("w.pko", "gfx908", sampleSpecs()); err != nil {
 				t.Fatal(err)
 			}
 			if o, _ := s.Parse("w.pko", data); o != warm {
-				t.Fatal("PutBuilt of the same object lost its parse")
+				t.Fatal("putBuilt of the same object lost its parse")
 			}
 			if err := hook.do(); err != nil {
 				t.Fatal(err)
@@ -116,7 +116,7 @@ func TestParseMemoOnlyOwnSlice(t *testing.T) {
 }
 
 // TestParseMemoSeededByBuild checks that the worker that builds an object
-// parses it and leaves the parse with its holder: after PutBuilt and after
+// parses it and leaves the parse with its holder: after putBuilt and after
 // PutBuiltAll, the first load of the stored slice gets that parse, so
 // Store.Parse allocates nothing, and it equals a fresh Parse. After Put or
 // a failure-injection hook the load parses the new bytes in full and
@@ -128,7 +128,7 @@ func TestParseMemoSeededByBuild(t *testing.T) {
 		name string
 		put  func(s *Store) error
 	}{
-		{"PutBuilt", func(s *Store) error { return s.PutBuilt(path, "gfx908", sampleSpecs()) }},
+		{"PutBuilt", func(s *Store) error { return s.putBuilt(path, "gfx908", sampleSpecs()) }},
 		{"PutBuiltAll", func(s *Store) error {
 			return s.PutBuiltAll([]BuildRequest{sizedRequest("before", 100), {Path: path, Arch: "gfx908", Kernels: sampleSpecs()}})
 		}},
@@ -167,14 +167,14 @@ func TestParseMemoSeededByBuild(t *testing.T) {
 		do   func(s *Store, data []byte) error
 	}{
 		{"Put", func(s *Store, data []byte) error { s.Put(path, data); return nil }},
-		{"Corrupt", func(s *Store, _ []byte) error { return s.Corrupt(path, 10) }},
+		{"Corrupt", func(s *Store, _ []byte) error { return s.corrupt(path, 10) }},
 		{"CorruptSealed", func(s *Store, data []byte) error { return s.CorruptSealed(path, len(data)/2) }},
-		{"Truncate", func(s *Store, data []byte) error { return s.Truncate(path, len(data)-4) }},
+		{"Truncate", func(s *Store, data []byte) error { return s.truncate(path, len(data)-4) }},
 	} {
 		t.Run(hook.name, func(t *testing.T) {
 			withCache(t, builtBudget)
 			s := NewStore()
-			if err := s.PutBuilt(path, "gfx908", sampleSpecs()); err != nil {
+			if err := s.putBuilt(path, "gfx908", sampleSpecs()); err != nil {
 				t.Fatal(err)
 			}
 			seeded := s.objects[path].obj.Load()
@@ -241,7 +241,7 @@ var parsed *Object
 func BenchmarkStoreParse(b *testing.B) {
 	withCache(b, builtBudget)
 	s := NewStore()
-	if err := s.PutBuilt("bench.pko", "gfx908", benchSpecs(2, 256<<10)); err != nil {
+	if err := s.putBuilt("bench.pko", "gfx908", benchSpecs(2, 256<<10)); err != nil {
 		b.Fatal(err)
 	}
 	data, _ := s.Get("bench.pko")

@@ -77,22 +77,16 @@ type BuildRequest struct {
 	Kernels []KernelSpec
 }
 
-// PutBuilt stores the code object Build(path, arch, kernels) returns under
-// path: PutBuiltAll with a batch of one.
-func (s *Store) PutBuilt(path, arch string, kernels []KernelSpec) error {
-	return s.PutBuiltAll([]BuildRequest{{Path: path, Arch: arch, Kernels: kernels}})
-}
-
 // PutBuiltAll stores the code object each request asks for under its path,
 // in order. It takes objects from the process-wide build cache when it can,
 // so stores that put the same object share its bytes, and builds the rest
 // on up to GOMAXPROCS goroutines. The cache decides the batch request by
-// request, exactly as one PutBuilt per request would, and the bytes are
-// the same either way.
+// request, exactly as one batch per request would, and the bytes are the
+// same either way.
 //
 // At the first request Build would reject, PutBuiltAll returns Build's
-// error with the requests before it stored, as PutBuilt calls that stop at
-// the first error would leave the store and the cache.
+// error with the requests before it stored, as one-request batches that
+// stop at the first error would leave the store and the cache.
 func (s *Store) PutBuiltAll(reqs []BuildRequest) error {
 	var one [1]*stored // a batch of one allocates nothing on a hit
 	hs := one[:]
@@ -195,15 +189,6 @@ func (s *Store) Size(path string) int {
 // Len returns the number of stored objects.
 func (s *Store) Len() int { return len(s.objects) }
 
-// TotalBytes returns the summed size of all stored objects.
-func (s *Store) TotalBytes() int64 {
-	var n int64
-	for _, h := range s.objects {
-		n += int64(len(h.data))
-	}
-	return n
-}
-
 // Paths returns all stored paths in sorted order.
 func (s *Store) Paths() []string {
 	out := make([]string, 0, len(s.objects))
@@ -231,23 +216,6 @@ func (s *Store) Fingerprint() uint32 {
 	return h.Sum32()
 }
 
-// Corrupt replaces the stored object with a copy that has the byte at the
-// given offset flipped — a failure-injection hook for loader tests.
-func (s *Store) Corrupt(path string, offset int) error {
-	h, ok := s.objects[path]
-	if !ok {
-		return fmt.Errorf("codeobj: object %q not found in store", path)
-	}
-	data := h.data
-	if offset < 0 || offset >= len(data) {
-		return fmt.Errorf("codeobj: offset %d out of range for %q (%d bytes)", offset, path, len(data))
-	}
-	data = slices.Clone(data)
-	data[offset] ^= 0xff
-	s.objects[path] = &stored{data: data}
-	return nil
-}
-
 // CorruptSealed replaces the stored object with a copy that has one byte
 // flipped and the container CRC trailer re-sealed, so the damage is only
 // detectable by the per-kernel payload checksum. Offsets inside the 4-byte
@@ -269,20 +237,5 @@ func (s *Store) CorruptSealed(path string, offset int) error {
 	crc := crc32.ChecksumIEEE(data[:len(data)-4])
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc)
 	s.objects[path] = &stored{data: data}
-	return nil
-}
-
-// Truncate shortens the stored object to n bytes — a failure-injection
-// hook. It re-slices without copying, capping the capacity so that nothing
-// appended to the result can reach the shared bytes past n.
-func (s *Store) Truncate(path string, n int) error {
-	h, ok := s.objects[path]
-	if !ok {
-		return fmt.Errorf("codeobj: object %q not found in store", path)
-	}
-	if n < 0 || n > len(h.data) {
-		return fmt.Errorf("codeobj: truncate length %d out of range for %q", n, path)
-	}
-	s.objects[path] = &stored{data: h.data[:n:n]}
 	return nil
 }

@@ -103,7 +103,7 @@ func promote[T any](list []T, i int) {
 func (c *CategoricalCache) promoteKey(pat miopen.Pattern, key string) {
 	list := c.lists[pat]
 	for i := range list {
-		if list[i].Key() == key {
+		if list[i].Path() == key {
 			promote(list, i)
 			return
 		}
@@ -137,10 +137,10 @@ func (c *CategoricalCache) Insert(inst miopen.Instance) { c.insertWith(nil, inst
 // interleave, so per-view counters are recorded inline.
 func (c *CategoricalCache) insertWith(extra *CacheStats, inst miopen.Instance) {
 	pat := inst.CacheKey()
-	key := inst.Key()
+	key := inst.Path()
 	list := c.lists[pat]
 	for i := range list {
-		if list[i].Key() == key {
+		if list[i].Path() == key {
 			promote(list, i)
 			return
 		}
@@ -182,7 +182,7 @@ func (c *CategoricalCache) GetSubAny(proc *sim.Proc, lib *miopen.Library, want m
 func (c *CategoricalCache) getSubAnyWith(extra *CacheStats, proc *sim.Proc, lib *miopen.Library, want miopen.Instance, p *miopen.Interned) (miopen.Instance, bool) {
 	c.beginQuery(extra, proc, lib)
 	first := want.CacheKey()
-	wantKey := want.Key()
+	wantKey := want.Path()
 	if inst, ok := c.scan(extra, proc, lib, first, wantKey, true, p); ok {
 		return inst, true
 	}
@@ -222,7 +222,7 @@ func (c *CategoricalCache) scan(extra *CacheStats, proc *sim.Proc, lib *miopen.L
 	defer c.release(list)
 	for i := range list {
 		cand := list[i]
-		if cand.Key() == skipKey || requireLoaded && !lib.IsLoaded(cand) {
+		if cand.Path() == skipKey || requireLoaded && !lib.IsLoaded(cand) {
 			continue
 		}
 		c.stats.Lookups++
@@ -233,7 +233,7 @@ func (c *CategoricalCache) scan(extra *CacheStats, proc *sim.Proc, lib *miopen.L
 			if requireLoaded && !lib.IsLoaded(cand) {
 				continue // evicted while the check slept
 			}
-			c.promoteKey(pat, cand.Key())
+			c.promoteKey(pat, cand.Path())
 			c.stats.Hits++
 			if extra != nil {
 				extra.Hits++
@@ -256,9 +256,6 @@ func (c *CategoricalCache) Len() int {
 	return n
 }
 
-// PatternLen returns the number of cached instances of one pattern.
-func (c *CategoricalCache) PatternLen(p miopen.Pattern) int { return len(c.lists[p]) }
-
 // NaiveCache is the flat cache used by the PaSK-R ablation: a single list
 // mixing all patterns, exhaustively scanned on every query to find the
 // best-performing applicable solution (paper §IV: PaSK-R "exhaustively
@@ -276,7 +273,7 @@ func NewNaiveCache() *NaiveCache { return &NaiveCache{} }
 // Insert adds or refreshes an instance at the head.
 func (c *NaiveCache) Insert(inst miopen.Instance) {
 	for i := range c.list {
-		if c.list[i].Key() == inst.Key() {
+		if c.list[i].Path() == inst.Path() {
 			promote(c.list, i)
 			return
 		}
@@ -319,7 +316,7 @@ func (c *NaiveCache) GetSubAny(proc *sim.Proc, lib *miopen.Library, want miopen.
 	best := -1
 	var bestEst time.Duration
 	for i := range c.list {
-		if c.list[i].Key() == want.Key() || !lib.IsLoaded(c.list[i]) {
+		if c.list[i].Path() == want.Path() || !lib.IsLoaded(c.list[i]) {
 			continue
 		}
 		c.stats.Lookups++

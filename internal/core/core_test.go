@@ -26,10 +26,12 @@ func zooByAbbr(t *testing.T, abbr string) (zoo.Spec, error) {
 	return zoo.ByAbbr(abbr)
 }
 
-// harness bundles one compiled model and a shared object store; each run
-// gets a fresh simulated process (cold instance).
+// harness bundles one compiled model with its set-up: the primitive and
+// GEMM registries and the shared object store. Each run gets a fresh
+// simulated process (cold instance) over that one set-up.
 type harness struct {
 	reg   *miopen.Registry
+	breg  *blas.Registry
 	store *codeobj.Store
 	model *graphx.CompiledModel
 }
@@ -49,16 +51,27 @@ func newHarness(t *testing.T, abbr string, batch int, opts graphx.CompileOptions
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := codeobj.NewStore()
-	objs := store.Batch()
-	if err := graphx.MaterializeModel(objs, reg, m); err != nil {
+	return setUp(t, reg, m)
+}
+
+// setUp materializes m, compiled against reg, into a new store and a new
+// MI100 GEMM registry: the set-up every process of the harness shares.
+func setUp(t *testing.T, reg *miopen.Registry, m *graphx.CompiledModel) *harness {
+	t.Helper()
+	h := &harness{reg: reg, breg: blas.NewRegistry(device.MI100()), store: codeobj.NewStore(), model: m}
+	objs := h.store.Batch()
+	if err := graphx.MaterializeModel(objs, reg, h.breg, m); err != nil {
 		t.Fatal(err)
 	}
-	blas.Materialize(objs, blas.NewRegistry(device.MI100()), m.GemmProblems())
 	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
-	return &harness{reg: reg, store: store, model: m}
+	return h
+}
+
+// newRunner returns a runner of one process of the set-up on rt.
+func (h *harness) newRunner(rt *backend.Registry, tracer *metrics.Tracer) *graphx.Runner {
+	return graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(h.breg, rt), tracer)
 }
 
 // seededCat returns a categorical cache pre-seeded with the library's
@@ -75,7 +88,7 @@ func (h *harness) coldRun(t *testing.T, fn func(p *sim.Proc, r *graphx.Runner) e
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
+	runner := h.newRunner(rt, &metrics.Tracer{})
 	var total time.Duration
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
@@ -132,8 +145,8 @@ func TestCategoricalCacheInsertAndPromote(t *testing.T) {
 	c.Insert(gen)
 	c.Insert(mid)
 	c.Insert(spec)
-	if c.Len() != 3 || c.PatternLen(miopen.PatternWinograd) != 3 {
-		t.Fatalf("len = %d patternLen = %d", c.Len(), c.PatternLen(miopen.PatternWinograd))
+	if c.Len() != 3 || len(c.lists[miopen.PatternWinograd]) != 3 {
+		t.Fatalf("len = %d, Winograd list = %d", c.Len(), len(c.lists[miopen.PatternWinograd]))
 	}
 	// Re-inserting does not duplicate.
 	c.Insert(gen)
@@ -156,8 +169,8 @@ func TestCategoricalCacheHitUsesOneLookupForMRU(t *testing.T) {
 			t.Error("expected hit")
 			return
 		}
-		if sub.Key() != mid.Key() {
-			t.Errorf("got %s, want MRU mid-tier", sub.Key())
+		if sub.Path() != mid.Path() {
+			t.Errorf("got %s, want MRU mid-tier", sub.Path())
 		}
 		st := c.Stats()
 		if st.Lookups != 1 || st.Hits != 1 || st.Queries != 1 {
@@ -412,7 +425,7 @@ func TestBackgroundLoadingWarmsSecondRequest(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
+	runner := h.newRunner(rt, &metrics.Tracer{})
 	var first, second time.Duration
 	var loadedBG int
 	env.Spawn("main", func(p *sim.Proc) {
@@ -478,16 +491,11 @@ func TestInterleavedErrorPropagates(t *testing.T) {
 	h := newHarness(t, "alex", 1, graphx.CompileOptions{})
 	// Remove one required object so the loader fails mid-pipeline.
 	removed := "ConvDirectTiledFwd_f32.pko" // conv1's selected solution
-	if !h.store.Has(removed) {
-		t.Fatal("expected specialist object missing from store")
-	}
-	if err := h.store.Truncate(removed, 4); err != nil {
-		t.Fatal(err)
-	}
+	breakObject(t, h.store, removed)
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
+	runner := h.newRunner(rt, &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -580,15 +588,7 @@ func TestPrecisionPreferenceFallsBackToF32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := codeobj.NewStore()
-	objs := store.Batch()
-	if err := graphx.MaterializeModel(objs, reg, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := objs.Put(); err != nil {
-		t.Fatal(err)
-	}
-	h := &harness{reg: reg, store: store, model: m}
+	h := setUp(t, reg, m)
 	var plain, pref *Result
 	plainT, _ := h.coldRun(t, func(p *sim.Proc, r *graphx.Runner) error {
 		var err error
@@ -665,7 +665,7 @@ func TestRunWarmReuseSkipsParse(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
+	runner := h.newRunner(rt, &metrics.Tracer{})
 	var coldT, warmSeq, warmNoParse time.Duration
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()

@@ -424,7 +424,7 @@ func (pl *pipeline) decidePrimitive(lp *sim.Proc, instr *graphx.Instruction) (mi
 			if sub32, ok32 := pl.cache.GetSub(lp, lib, ranked[0].Inst, prob32); ok32 {
 				pl.addGetsub(instr.Name, lp.Name(), start, lp.Now(),
 					metrics.Attr{Key: "hit", Value: "true"},
-					metrics.Attr{Key: "solution", Value: sub32.Key()},
+					metrics.Attr{Key: "solution", Value: sub32.Path()},
 					metrics.Attr{Key: "precision_fallback", Value: "true"})
 				pl.res.SkippedLoads++
 				pl.res.PrecisionFallbacks++
@@ -436,7 +436,7 @@ func (pl *pipeline) decidePrimitive(lp *sim.Proc, instr *graphx.Instruction) (mi
 	if ok {
 		pl.addGetsub(instr.Name, lp.Name(), start, lp.Now(),
 			metrics.Attr{Key: "hit", Value: "true"},
-			metrics.Attr{Key: "solution", Value: sub.Key()})
+			metrics.Attr{Key: "solution", Value: sub.Path()})
 		pl.res.SkippedLoads++
 		pl.res.Skipped = append(pl.res.Skipped, sInst)
 		return sub, prob, true, nil
@@ -488,7 +488,12 @@ func (pl *pipeline) pressureSub(lp *sim.Proc, tryCategorical bool, layer string,
 // decideGemm applies the same policy to BLAS kernels under the §VI
 // extension. Returns the instance to run, or nil when none was decided.
 func (pl *pipeline) decideGemm(lp *sim.Proc, instr *graphx.Instruction) *blas.Instance {
-	ranked := pl.r.Blas.Find(instr.InternedGemm(pl.r.Blas.Reg))
+	g, err := instr.InternedGemm(pl.r.Blas.Reg)
+	if err != nil {
+		pl.fail(err)
+		return nil
+	}
+	ranked := pl.r.Blas.Find(g)
 	if len(ranked) == 0 {
 		return nil
 	}
@@ -658,7 +663,7 @@ func BackgroundLoad(p *sim.Proc, r *graphx.Runner, cache Cache, skipped []miopen
 			continue
 		}
 		if err := r.Lib.EnsureLoaded(p, inst); err != nil {
-			return loaded, fmt.Errorf("core: background load %s: %w", inst.Key(), err)
+			return loaded, fmt.Errorf("core: background load %s: %w", inst.Path(), err)
 		}
 		cache.Insert(inst)
 		loaded++

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pask/internal/backend"
-	"pask/internal/blas"
 	"pask/internal/device"
 	"pask/internal/graphx"
 	"pask/internal/metrics"
@@ -98,7 +97,7 @@ func breakFeedNext(t *testing.T, h *harness) []miopen.Instance {
 			t.Fatal(err)
 		}
 		if _, agnostic := inst.Sol.PreferredLayout(&next.Problem); agnostic {
-			t.Fatalf("%s feeds a layout-agnostic instance %s", tr.XformPath, inst.Key())
+			t.Fatalf("%s feeds a layout-agnostic instance %s", tr.XformPath, inst.Path())
 		}
 		breakObject(t, h.store, tr.XformPath)
 		return []miopen.Instance{inst}
@@ -243,7 +242,7 @@ func (h *harness) ladderRun(t *testing.T, residents bool, preload []miopen.Insta
 	rec := trace.New()
 	tracer := metrics.NewForwardingTracer()
 	tracer.SetObserver(rec)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), tracer)
+	runner := h.newRunner(rt, tracer)
 	var out ladderRun
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -272,7 +271,7 @@ func (h *harness) ladderRun(t *testing.T, residents bool, preload []miopen.Insta
 		out.LoadFailures, out.ForcedReuse, out.LadderFallbacks = res.LoadFailures, res.ForcedReuse, res.LadderFallbacks
 		out.ElidedXformFailures, out.PressureReuse = res.ElidedXformFailures, res.PressureReuse
 		for _, s := range res.Substitutions {
-			out.Substitutions = append(out.Substitutions, ladderSub{s.Layer, s.Want.Key(), s.Got.Key(), s.Forced})
+			out.Substitutions = append(out.Substitutions, ladderSub{s.Layer, s.Want.Path(), s.Got.Path(), s.Forced})
 		}
 	})
 	if err := env.Run(); err != nil {

@@ -79,7 +79,7 @@ func ladder(p *sim.Proc, r *graphx.Runner, cache Cache, res *Result, span, layer
 		return cmp.Compare(a.Inst.Sol.Specificity(), b.Inst.Sol.Specificity())
 	})
 	for _, cand := range ranked {
-		if cand.Inst.Key() == want.Key() || admit != nil && !admit(cand.Inst) {
+		if cand.Inst.Path() == want.Path() || admit != nil && !admit(cand.Inst) {
 			continue
 		}
 		if err := r.Lib.EnsureLoaded(p, cand.Inst); err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pask/internal/backend"
-	"pask/internal/blas"
 	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/graphx"
@@ -21,7 +20,7 @@ func (h *harness) faultRun(t *testing.T, fn func(p *sim.Proc, r *graphx.Runner) 
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
+	runner := h.newRunner(rt, &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -40,12 +39,11 @@ func (h *harness) faultRun(t *testing.T, fn func(p *sim.Proc, r *graphx.Runner) 
 // breakObject makes one stored object permanently unparseable.
 func breakObject(t *testing.T, store *codeobj.Store, path string) {
 	t.Helper()
-	if !store.Has(path) {
-		t.Fatalf("object %q missing from store", path)
-	}
-	if err := store.Truncate(path, 4); err != nil {
+	data, err := store.Get(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	store.Put(path, data[:4])
 }
 
 // breakNonResidentChosen truncates every statically chosen primitive object
@@ -105,11 +103,11 @@ func TestDegradationSurvivesLoadFailure(t *testing.T) {
 		if !s.Forced {
 			continue
 		}
-		if s.Got.Key() == s.Want.Key() {
+		if s.Got.Path() == s.Want.Path() {
 			t.Fatalf("layer %s: substitute equals wanted instance", s.Layer)
 		}
 		if !s.Got.IsApplicable(h.reg.Ctx(), &s.Prob) {
-			t.Fatalf("layer %s: substitute %s not applicable", s.Layer, s.Got.Key())
+			t.Fatalf("layer %s: substitute %s not applicable", s.Layer, s.Got.Path())
 		}
 	}
 }
@@ -141,7 +139,7 @@ func TestNoDegradationFailsFast(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
+	runner := h.newRunner(rt, &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -198,7 +196,7 @@ func TestNoUsableSolutionTyped(t *testing.T) {
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
 	rt := backend.New(env, gpu, device.DefaultHost(), h.store, backend.HIP)
-	runner := graphx.NewRunner(rt, miopen.NewLibrary(h.reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), &metrics.Tracer{})
+	runner := h.newRunner(rt, &metrics.Tracer{})
 	var runErr error
 	env.Spawn("main", func(p *sim.Proc) {
 		defer gpu.CloseAll()
@@ -247,8 +245,8 @@ func TestGetSubAnyCrossPattern(t *testing.T) {
 			t.Error("GetSubAny found no substitute")
 			return
 		}
-		if sub.Key() != generic.Key() {
-			t.Errorf("GetSubAny returned %s, want %s", sub.Key(), generic.Key())
+		if sub.Path() != generic.Path() {
+			t.Errorf("GetSubAny returned %s, want %s", sub.Path(), generic.Path())
 		}
 	})
 	if err := env.Run(); err != nil {

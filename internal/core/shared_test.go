@@ -54,8 +54,8 @@ func TestSharedCacheCrossTenantHit(t *testing.T) {
 		if !ok {
 			t.Fatal("expected cross-tenant hit")
 		}
-		if sub.Key() != mid.Key() {
-			t.Fatalf("got %s, want alpha's %s", sub.Key(), mid.Key())
+		if sub.Path() != mid.Path() {
+			t.Fatalf("got %s, want alpha's %s", sub.Path(), mid.Path())
 		}
 		// Attribution: the insert is alpha's, the query/hit is beta's, the
 		// aggregate sees both.
@@ -108,8 +108,8 @@ func TestSharedCacheRecencySharedAcrossViews(t *testing.T) {
 		// While mid's module is out, beta's query skips it and hits gen,
 		// promoting gen to MRU in the one shared structure.
 		lib.RT.Unload(mid.Path())
-		if sub, ok := b.GetSub(p, lib, spec, lib.Reg.Intern(&prob)); !ok || sub.Key() != gen.Key() {
-			t.Fatalf("beta GetSub = %v %v", sub.Key(), ok)
+		if sub, ok := b.GetSub(p, lib, spec, lib.Reg.Intern(&prob)); !ok || sub.Path() != gen.Path() {
+			t.Fatalf("beta GetSub = %v %v", sub.Path(), ok)
 		}
 		if err := lib.EnsureLoaded(p, mid); err != nil {
 			t.Fatal(err)
@@ -117,8 +117,8 @@ func TestSharedCacheRecencySharedAcrossViews(t *testing.T) {
 		// Alpha now sees beta's promotion: gen answers first even though
 		// alpha last touched mid — recency is a shared, cross-tenant
 		// property, not per view.
-		if sub, ok := a.GetSub(p, lib, spec, lib.Reg.Intern(&prob)); !ok || sub.Key() != gen.Key() {
-			t.Fatalf("alpha GetSub = %v %v, want beta-promoted generic", sub.Key(), ok)
+		if sub, ok := a.GetSub(p, lib, spec, lib.Reg.Intern(&prob)); !ok || sub.Path() != gen.Path() {
+			t.Fatalf("alpha GetSub = %v %v, want beta-promoted generic", sub.Path(), ok)
 		}
 	})
 }

@@ -137,8 +137,6 @@ type GPU struct {
 	// OnKernel, when set, observes every executed kernel (used by the
 	// metrics tracer). start/end are virtual times.
 	OnKernel func(name string, start, end time.Duration)
-
-	kernelCount int
 }
 
 // NewGPU creates a device with one default stream.
@@ -168,9 +166,6 @@ func (g *GPU) BusyTime() time.Duration {
 	return g.busy
 }
 
-// KernelCount returns the number of kernels executed so far.
-func (g *GPU) KernelCount() int { return g.kernelCount }
-
 func (g *GPU) kernelStart() {
 	if g.active == 0 {
 		g.activeSince = g.env.Now()
@@ -196,7 +191,6 @@ func (s *Stream) step(p *sim.Proc) {
 		s.cur, s.running = kernelWork{}, false
 		if !w.copy {
 			s.gpu.kernelEnd()
-			s.gpu.kernelCount++
 			if s.gpu.OnKernel != nil {
 				s.gpu.OnKernel(w.name, s.start, p.Now())
 			}

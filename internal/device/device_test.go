@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -114,6 +115,8 @@ func TestStreamAsyncLaunchReturnsBeforeCompletion(t *testing.T) {
 func TestBusyTimeSingleStream(t *testing.T) {
 	env := sim.NewEnv()
 	g := NewGPU(env, testProfile())
+	var ran []string
+	g.OnKernel = func(name string, _, _ time.Duration) { ran = append(ran, name) }
 	env.Spawn("host", func(p *sim.Proc) {
 		g.DefaultStream().Launch(p, "a", 10*time.Millisecond)
 		g.DefaultStream().Synchronize(p)
@@ -128,8 +131,8 @@ func TestBusyTimeSingleStream(t *testing.T) {
 	if g.BusyTime() != 15*time.Millisecond {
 		t.Fatalf("BusyTime = %v, want 15ms", g.BusyTime())
 	}
-	if g.KernelCount() != 2 {
-		t.Fatalf("KernelCount = %d", g.KernelCount())
+	if !reflect.DeepEqual(ran, []string{"a", "b"}) {
+		t.Fatalf("kernels run = %v, want [a b]", ran)
 	}
 }
 

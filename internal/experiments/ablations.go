@@ -127,7 +127,7 @@ func prepareFused(abbr string, base *ModelSetup) (*ModelSetup, error) {
 	}
 	m.Name = m.Name + "+fused"
 	objs := base.Store.Batch()
-	if err := graphx.MaterializeModel(objs, base.Reg, m); err != nil {
+	if err := graphx.MaterializeModel(objs, base.Reg, base.BlasReg, m); err != nil {
 		return nil, err
 	}
 	if err := objs.Put(); err != nil {

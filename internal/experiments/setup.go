@@ -68,10 +68,9 @@ func PrepareModelsShared(abbrs []string, batch int, prof device.Profile) (map[st
 		if err != nil {
 			return nil, fmt.Errorf("experiments: compile %s: %w", abbr, err)
 		}
-		if err := graphx.MaterializeModel(objs, reg, m); err != nil {
+		if err := graphx.MaterializeModel(objs, reg, breg, m); err != nil {
 			return nil, err
 		}
-		blas.Materialize(objs, breg, m.GemmProblems())
 		out[abbr] = &ModelSetup{
 			Spec: spec, Batch: batch, Profile: prof,
 			Reg: reg, BlasReg: breg, Store: store, Model: m, Uniform: m,
@@ -114,14 +113,12 @@ func PrepareModelTyped(abbr string, batch int, prof device.Profile, dt tensor.DT
 
 	store := codeobj.NewStore()
 	objs := store.Batch()
+	breg := blas.NewRegistry(prof)
 	for _, cm := range []*graphx.CompiledModel{m, uniform} {
-		if err := graphx.MaterializeModel(objs, reg, cm); err != nil {
+		if err := graphx.MaterializeModel(objs, reg, breg, cm); err != nil {
 			return nil, err
 		}
 	}
-	breg := blas.NewRegistry(prof)
-	blas.Materialize(objs, breg, m.GemmProblems())
-	blas.Materialize(objs, breg, uniform.GemmProblems())
 	if err := objs.Put(); err != nil {
 		return nil, fmt.Errorf("experiments: materialize %s: %w", abbr, err)
 	}

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"pask/internal/core"
 	"pask/internal/device"
@@ -27,13 +31,20 @@ func TestTracedRunAgreesWithReport(t *testing.T) {
 	rep := wr.Rep
 
 	// The run window is marked on the "run" track and spans Report.Total.
-	t0, ok := rec.FindInstant("run", "run-start")
-	if !ok {
-		t.Fatal("no run-start instant")
+	var t0, t1 time.Duration
+	var marks []string
+	last := map[string]float64{} // counter series' final values
+	for _, ev := range chromeEvents(t, rec) {
+		switch {
+		case ev.Ph == "i" && ev.Track == "run" && (ev.Name == "run-start" || ev.Name == "run-end"):
+			marks = append(marks, ev.Name)
+			t0, t1 = t1, ev.At
+		case ev.Ph == "C":
+			last[ev.Name] = ev.Value
+		}
 	}
-	t1, ok := rec.FindInstant("run", "run-end")
-	if !ok {
-		t.Fatal("no run-end instant")
+	if !slices.Equal(marks, []string{"run-start", "run-end"}) {
+		t.Fatalf("run track marks %v, want [run-start run-end]", marks)
 	}
 	if t1-t0 != rep.Total {
 		t.Fatalf("marked window %v != Report.Total %v", t1-t0, rep.Total)
@@ -69,10 +80,10 @@ func TestTracedRunAgreesWithReport(t *testing.T) {
 	}
 
 	// Loading happened, so the residency gauge sampled a positive value.
-	if v, ok := rec.CounterLast("hip_resident_bytes"); !ok || v <= 0 {
+	if v, ok := last["hip_resident_bytes"]; !ok || v <= 0 {
 		t.Errorf("hip_resident_bytes: got %v, %v; want positive sample", v, ok)
 	}
-	if _, ok := rec.CounterLast("pask_cache_size"); !ok {
+	if _, ok := last["pask_cache_size"]; !ok {
 		t.Error("pask_cache_size counter never sampled")
 	}
 
@@ -110,4 +121,48 @@ func TestUntracedRunsUnchanged(t *testing.T) {
 		plain.ReuseHits != traced.ReuseHits || plain.GPUBusy != traced.GPUBusy {
 		t.Fatalf("tracing perturbed the run: %+v vs %+v", plain, traced)
 	}
+}
+
+// chromeEvent is one span, instant or counter sample of a recorder's
+// Chrome export, on its named track, with its times in nanoseconds.
+type chromeEvent struct {
+	Track, Name, Ph string
+	At, End         time.Duration
+	Value           float64 // a counter sample's value
+}
+
+// chromeEvents exports rec and decodes the events, so tests read a trace
+// the way its consumers do.
+func chromeEvents(t *testing.T, rec *trace.Recorder) []chromeEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Ts, Dur  float64
+			Tid      int
+			Args     map[string]any
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	ns := func(us float64) time.Duration { return time.Duration(math.Round(us * 1e3)) }
+	tracks := map[int]string{}
+	var out []chromeEvent
+	for _, ev := range f.TraceEvents {
+		if ev.Ph == "M" {
+			if ev.Name == "thread_name" {
+				tracks[ev.Tid], _ = ev.Args["name"].(string)
+			}
+			continue
+		}
+		value, _ := ev.Args["value"].(float64)
+		out = append(out, chromeEvent{Track: tracks[ev.Tid], Name: ev.Name, Ph: ev.Ph,
+			At: ns(ev.Ts), End: ns(ev.Ts) + ns(ev.Dur), Value: value})
+	}
+	return out
 }

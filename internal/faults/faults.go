@@ -240,17 +240,6 @@ func (inj *Injector) permanentLocked(path string) bool {
 	return inj.plan.PermanentRate > 0 && inj.roll("perm", path, 0) < inj.plan.PermanentRate
 }
 
-// PermanentlyCorrupt reports whether the plan damages this path's bytes on
-// every read — exposed so tests and experiments can predict outcomes.
-func (inj *Injector) PermanentlyCorrupt(path string) bool {
-	if inj == nil {
-		return false
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return !inj.exempt[path] && inj.permanentLocked(path)
-}
-
 // ExtraLoadLatency implements backend.FaultInjector: the extra virtual time
 // a module load starting at now spends. Seeded per-load spikes and the
 // windowed slow-loader brownout stack — a spike during the window pays both.

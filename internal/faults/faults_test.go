@@ -24,9 +24,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if inj.DisabledIDs([]string{"x"}) != nil {
 		t.Fatal("nil injector disabled solutions")
 	}
-	if inj.PermanentlyCorrupt("a.pko") {
-		t.Fatal("nil injector corrupted")
-	}
 	inj.Exempt("a.pko")
 	if s := inj.Stats(); s != (Stats{}) {
 		t.Fatalf("nil injector stats %+v", s)
@@ -110,9 +107,6 @@ func TestPermanentCorruptionIsSticky(t *testing.T) {
 	if string(data) != "pristine-object-bytes" {
 		t.Fatal("injector mutated the shared store copy")
 	}
-	if !inj.PermanentlyCorrupt("x.pko") {
-		t.Fatal("PermanentlyCorrupt disagrees with StoreGet")
-	}
 }
 
 func TestExemptPathsAreUntouched(t *testing.T) {
@@ -124,9 +118,6 @@ func TestExemptPathsAreUntouched(t *testing.T) {
 		if err != nil || &got[0] != &data[0] {
 			t.Fatalf("exempt path faulted: %v %v", got, err)
 		}
-	}
-	if inj.PermanentlyCorrupt("safe.pko") {
-		t.Fatal("exempt path reported corrupt")
 	}
 }
 

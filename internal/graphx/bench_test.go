@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pask/internal/backend"
-	"pask/internal/blas"
 	"pask/internal/device"
 	"pask/internal/metrics"
 	"pask/internal/miopen"
@@ -19,11 +18,11 @@ import (
 func BenchmarkExecPrimitiveWarm(b *testing.B) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	m := compileZoo(b, "res", 1, reg, CompileOptions{})
-	store := materialize(b, reg, m)
+	su := materialize(b, reg, m)
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
-	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), metrics.NewForwardingTracer())
+	rt := backend.New(env, gpu, device.DefaultHost(), su.store, backend.HIP)
+	runner := su.newRunner(rt, metrics.NewForwardingTracer())
 	in := primitives(m)[0]
 	env.Spawn("host", func(p *sim.Proc) {
 		defer gpu.CloseAll()

@@ -2,7 +2,7 @@ package graphx
 
 import (
 	"fmt"
-	"sync/atomic"
+	"slices"
 
 	"pask/internal/blas"
 	"pask/internal/codeobj"
@@ -88,16 +88,11 @@ type compiler struct {
 	m       *CompiledModel
 }
 
-// emit appends in to the model, giving it its index and, by kind, its
-// static-plan or GEMM holder or its launch site.
+// emit appends in to the model, giving it its index and, for a builtin or
+// transform, its launch site.
 func (c *compiler) emit(in Instruction) *Instruction {
 	in.Index = len(c.m.Instrs)
-	switch in.Kind {
-	case KindPrimitive:
-		in.static = new(atomic.Pointer[staticPlan])
-	case KindGemm:
-		in.gemm = new(atomic.Pointer[blas.Interned])
-	case KindBuiltin, KindTransform:
+	if in.Kind == KindBuiltin || in.Kind == KindTransform {
 		in.site = c.db.Registry().NewSite()
 	}
 	c.m.Instrs = append(c.m.Instrs, in)
@@ -198,19 +193,18 @@ func (c *compiler) lowerPrimitive(n *onnx.Node, input string, build func(layout 
 	if runLayout != prob.Layout {
 		prob = build(runLayout)
 	}
-	in := c.emit(Instruction{
+	// Intern the problem and resolve the static plan now, so the set-up's
+	// processes find both ready.
+	ip := c.db.Registry().Intern(&prob)
+	c.emit(Instruction{
 		Name:       n.Name,
 		Kind:       KindPrimitive,
 		Problem:    prob,
 		SolutionID: r.Inst.Sol.ID(),
 		Binding:    r.Inst.Binding(),
 		OutShape:   prob.OutShape(),
+		static:     &staticPlan{prob: ip, inst: r.Inst, calls: r.Inst.Sol.Calls(ip)},
 	})
-	// Intern the problem and resolve the static plan now, so the set-up's
-	// processes find both ready.
-	if _, err := in.resolve(c.db.Registry()); err != nil {
-		return err
-	}
 	c.layouts[n.Output] = runLayout
 	return nil
 }
@@ -375,30 +369,14 @@ func (c *compiler) lower(n *onnx.Node) error {
 	return nil
 }
 
-// GemmProblems returns the distinct BLAS problems of the model (for offline
-// materialization of the BLAS kernel objects).
-func (m *CompiledModel) GemmProblems() []blas.Problem {
-	seen := make(map[string]bool)
-	var out []blas.Problem
-	for i := range m.Instrs {
-		if m.Instrs[i].Kind != KindGemm {
-			continue
-		}
-		p := m.Instrs[i].Gemm
-		if !seen[p.Key()] {
-			seen[p.Key()] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // MaterializeModel requests every code object the compiled model's static
 // plan references (selected primitive solutions, layout transforms, the
-// engine builtin object), plus the library's resident generic kernels. BLAS
-// objects are requested separately by the BLAS library, which owns their
-// naming. The batch's Put builds them.
-func MaterializeModel(b *codeobj.Batch, reg *miopen.Registry, m *CompiledModel) error {
+// engine builtin object, the BLAS kernels of its GEMMs), plus the library's
+// resident generic kernels. reg must be the registry the model was
+// compiled against. It binds each GEMM instruction to breg, the set-up's
+// BLAS registry, which interns and ranks the problem; a model is
+// materialized for one set-up only. The batch's Put builds the objects.
+func MaterializeModel(b *codeobj.Batch, reg *miopen.Registry, breg *blas.Registry, m *CompiledModel) error {
 	arch := reg.Ctx().Dev.Arch
 	miopen.MaterializeObjects(b, arch, reg.Residents())
 	for i := range m.Instrs {
@@ -430,5 +408,20 @@ func MaterializeModel(b *codeobj.Batch, reg *miopen.Registry, m *CompiledModel) 
 			b.Add(BuiltinObjectPath, arch, specs)
 		}
 	}
+	var gemms []*blas.Interned
+	for i := range m.Instrs {
+		in := &m.Instrs[i]
+		if in.Kind != KindGemm {
+			continue
+		}
+		if in.gemm != nil && in.gemm.Registry() != breg {
+			return fmt.Errorf("graphx: %s was materialized against another BLAS registry", m.Name)
+		}
+		in.gemm = breg.Intern(&in.Gemm)
+		if !slices.Contains(gemms, in.gemm) {
+			gemms = append(gemms, in.gemm)
+		}
+	}
+	blas.Materialize(b, gemms)
 	return nil
 }

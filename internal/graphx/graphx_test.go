@@ -158,36 +158,46 @@ func TestCSEMergesDuplicateBranches(t *testing.T) {
 	}
 }
 
-// materialize returns a store holding every code object m can load on an
-// MI100, BLAS objects included.
-func materialize(t testing.TB, reg *miopen.Registry, m *CompiledModel) *codeobj.Store {
+// setup is one set-up of compiled models: the primitive registry they were
+// compiled against, the GEMM registry they are materialized for and the
+// store holding their code objects.
+type setup struct {
+	reg   *miopen.Registry
+	breg  *blas.Registry
+	store *codeobj.Store
+}
+
+// materialize returns a set-up whose store holds every code object m can
+// load on an MI100, BLAS objects included.
+func materialize(t testing.TB, reg *miopen.Registry, m *CompiledModel) *setup {
 	t.Helper()
-	store := codeobj.NewStore()
-	objs := store.Batch()
-	if err := MaterializeModel(objs, reg, m); err != nil {
+	su := &setup{reg: reg, breg: blas.NewRegistry(device.MI100()), store: codeobj.NewStore()}
+	objs := su.store.Batch()
+	if err := MaterializeModel(objs, reg, su.breg, m); err != nil {
 		t.Fatal(err)
 	}
-	blas.Materialize(objs, blas.NewRegistry(device.MI100()), m.GemmProblems())
 	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
-	return store
+	return su
 }
 
-// newProcess builds a full simulated process around a shared store.
-// newProcess returns a fresh environment and runner whose tracer's spans
-// reach the returned recorder.
-func newProcess(t *testing.T, store *codeobj.Store, reg *miopen.Registry) (*sim.Env, *Runner, *trace.Recorder) {
+// newRunner returns a runner of one process of the set-up on rt.
+func (su *setup) newRunner(rt *backend.Registry, tracer *metrics.Tracer) *Runner {
+	return NewRunner(rt, miopen.NewLibrary(su.reg, rt), blas.NewLibrary(su.breg, rt), tracer)
+}
+
+// newProcess returns a fresh MI100 process of the set-up: its environment
+// and a runner whose tracer's spans reach the returned recorder.
+func newProcess(t *testing.T, su *setup) (*sim.Env, *Runner, *trace.Recorder) {
 	t.Helper()
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
-	lib := miopen.NewLibrary(reg, rt)
-	bl := blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt)
+	rt := backend.New(env, gpu, device.DefaultHost(), su.store, backend.HIP)
 	rec := trace.New()
 	tracer := metrics.NewForwardingTracer()
 	tracer.SetObserver(rec)
-	return env, NewRunner(rt, lib, bl, tracer), rec
+	return env, su.newRunner(rt, tracer), rec
 }
 
 func TestBaselineRunsAllModelsEndToEnd(t *testing.T) {
@@ -196,8 +206,8 @@ func TestBaselineRunsAllModelsEndToEnd(t *testing.T) {
 		spec := spec
 		t.Run(spec.Abbr, func(t *testing.T) {
 			m := compileZoo(t, spec.Abbr, 1, reg, CompileOptions{})
-			store := materialize(t, reg, m)
-			env, runner, _ := newProcess(t, store, reg)
+			su := materialize(t, reg, m)
+			env, runner, _ := newProcess(t, su)
 			var runErr error
 			env.Spawn("host", func(p *sim.Proc) {
 				defer runner.RT.GPU().CloseAll()
@@ -222,8 +232,8 @@ func TestBaselineRunsAllModelsEndToEnd(t *testing.T) {
 func TestHotRunMuchFasterThanCold(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	m := compileZoo(t, "res", 1, reg, CompileOptions{})
-	store := materialize(t, reg, m)
-	env, runner, _ := newProcess(t, store, reg)
+	su := materialize(t, reg, m)
+	env, runner, _ := newProcess(t, su)
 	var cold, hot time.Duration
 	env.Spawn("host", func(p *sim.Proc) {
 		defer runner.RT.GPU().CloseAll()
@@ -252,8 +262,8 @@ func TestHotRunMuchFasterThanCold(t *testing.T) {
 func TestIdealPreloadRemovesLoadTime(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	m := compileZoo(t, "res", 1, reg, CompileOptions{})
-	store := materialize(t, reg, m)
-	env, runner, _ := newProcess(t, store, reg)
+	su := materialize(t, reg, m)
+	env, runner, _ := newProcess(t, su)
 	var idealTime time.Duration
 	env.Spawn("host", func(p *sim.Proc) {
 		defer runner.RT.GPU().CloseAll()
@@ -283,8 +293,8 @@ func TestIdealPreloadRemovesLoadTime(t *testing.T) {
 func TestTracerCollectsAllCategories(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	m := compileZoo(t, "alex", 1, reg, CompileOptions{})
-	store := materialize(t, reg, m)
-	env, runner, rec := newProcess(t, store, reg)
+	su := materialize(t, reg, m)
+	env, runner, rec := newProcess(t, su)
 	env.Spawn("host", func(p *sim.Proc) {
 		defer runner.RT.GPU().CloseAll()
 		if err := runner.RunBaseline(p, m); err != nil {
@@ -294,19 +304,18 @@ func TestTracerCollectsAllCategories(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[metrics.Category]bool{}
+	total := map[metrics.Category]time.Duration{} // raw span time, overlaps included
 	for _, s := range rec.Spans() {
-		seen[s.Cat] = true
+		total[s.Cat] += s.End - s.Start
 	}
 	for _, cat := range []metrics.Category{metrics.CatParse, metrics.CatLoad, metrics.CatExec, metrics.CatCopy, metrics.CatLaunch, metrics.CatSync} {
-		if !seen[cat] {
+		if _, ok := total[cat]; !ok {
 			t.Errorf("no %s spans recorded", cat)
 		}
 	}
 	// In a reactive cold start, loading dominates execution (paper Fig 1b).
-	if rec.CategoryTotal(metrics.CatLoad) < 5*rec.CategoryTotal(metrics.CatExec) {
-		t.Errorf("load (%v) should dominate exec (%v) at batch 1",
-			rec.CategoryTotal(metrics.CatLoad), rec.CategoryTotal(metrics.CatExec))
+	if total[metrics.CatLoad] < 5*total[metrics.CatExec] {
+		t.Errorf("load (%v) should dominate exec (%v) at batch 1", total[metrics.CatLoad], total[metrics.CatExec])
 	}
 }
 
@@ -383,11 +392,11 @@ func TestWarmExecInstrAllocatesNothing(t *testing.T) {
 	if builtin == nil || xform == nil {
 		t.Fatal("res must have a builtin and a transform instruction")
 	}
-	store := materialize(t, reg, m)
+	su := materialize(t, reg, m)
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
-	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), metrics.NewForwardingTracer())
+	rt := backend.New(env, gpu, device.DefaultHost(), su.store, backend.HIP)
+	runner := su.newRunner(rt, metrics.NewForwardingTracer())
 	env.Spawn("host", func(p *sim.Proc) {
 		defer gpu.CloseAll()
 		// Grow the stream's queue past what the measured launches keep in

@@ -9,7 +9,6 @@ package graphx
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pask/internal/blas"
 	"pask/internal/kernels"
@@ -74,14 +73,13 @@ type Instruction struct {
 
 	OutShape tensor.Shape
 
-	// static holds the static plan resolved against the registry of its
-	// last use (KindPrimitive only), gemm the GEMM problem interned in the
-	// BLAS registry of its last use (KindGemm only). Compile allocates the
-	// holders and resolves the static plan against its own registry. Their
-	// contents depend only on the fields above and the registry, so copies
-	// of the instruction may share them.
-	static *atomic.Pointer[staticPlan]
-	gemm   *atomic.Pointer[blas.Interned]
+	// static is the static plan Compile resolved against its registry
+	// (KindPrimitive only), gemm the GEMM problem MaterializeModel interned
+	// in the set-up's BLAS registry (KindGemm only). Each is written once
+	// and binds the model to that one set-up: every other registry is
+	// refused.
+	static *staticPlan
+	gemm   *blas.Interned
 
 	// site is the launch-site ID of a builtin or transform instruction in
 	// its compile registry: a runner keeps the function it last launched
@@ -90,63 +88,58 @@ type Instruction struct {
 }
 
 // staticPlan is a primitive instruction's static selection resolved against
-// one registry: the problem's record, the instance and its kernel calls on
-// the problem.
+// its compile registry: the problem's record, the instance and its kernel
+// calls on the problem.
 type staticPlan struct {
 	prob  *miopen.Interned
 	inst  miopen.Instance
 	calls *miopen.Calls
 }
 
-// Instance resolves the statically selected solution instance against a
-// registry. Only valid for KindPrimitive.
+// Instance returns the statically selected solution instance; reg must be
+// the registry the model was compiled against. Only valid for
+// KindPrimitive.
 func (in *Instruction) Instance(reg *miopen.Registry) (miopen.Instance, error) {
-	st, err := in.resolve(reg)
+	st, err := in.plan(reg)
 	if err != nil {
 		return miopen.Instance{}, err
 	}
 	return st.inst, nil
 }
 
-// Static resolves the statically selected instance and the instruction's
-// problem, interned, against a registry. Only valid for KindPrimitive.
+// Static returns the statically selected instance and the instruction's
+// problem, interned in reg, which must be the compile registry. Only valid
+// for KindPrimitive.
 func (in *Instruction) Static(reg *miopen.Registry) (miopen.Instance, *miopen.Interned, error) {
-	st, err := in.resolve(reg)
+	st, err := in.plan(reg)
 	if err != nil {
 		return miopen.Instance{}, nil, err
 	}
 	return st.inst, st.prob, nil
 }
 
-// resolve returns the instruction's static plan against reg. The plan is
-// kept in the instruction's holder, so only the first use against each
-// registry interns the problem and looks the solution up.
-func (in *Instruction) resolve(reg *miopen.Registry) (*staticPlan, error) {
-	if in.Kind != KindPrimitive {
+// plan returns the instruction's static plan, refusing any registry but
+// the one it was compiled against.
+func (in *Instruction) plan(reg *miopen.Registry) (*staticPlan, error) {
+	switch {
+	case in.static == nil:
 		return nil, fmt.Errorf("graphx: instruction %d (%s) has no solution", in.Index, in.Kind)
+	case in.static.prob.Registry() != reg:
+		return nil, fmt.Errorf("graphx: instruction %d (%s) was compiled against another registry", in.Index, in.Name)
 	}
-	if st := in.static.Load(); st != nil && st.prob.Registry() == reg {
-		return st, nil
-	}
-	sol, ok := reg.ByID(in.SolutionID)
-	if !ok {
-		return nil, fmt.Errorf("graphx: unknown solution %q in instruction %d", in.SolutionID, in.Index)
-	}
-	prob := reg.Intern(&in.Problem)
-	st := &staticPlan{prob: prob, inst: sol.Instance(in.Binding), calls: sol.Calls(prob)}
-	in.static.Store(st)
-	return st, nil
+	return in.static, nil
 }
 
-// InternedGemm returns the instruction's GEMM problem interned in reg,
-// interning it on the first use against reg. Only valid for KindGemm.
-func (in *Instruction) InternedGemm(reg *blas.Registry) *blas.Interned {
-	if g := in.gemm.Load(); g != nil && g.Registry() == reg {
-		return g
+// InternedGemm returns the instruction's GEMM problem as MaterializeModel
+// interned it in reg, refusing any other registry. Only valid for KindGemm.
+func (in *Instruction) InternedGemm(reg *blas.Registry) (*blas.Interned, error) {
+	switch {
+	case in.gemm == nil:
+		return nil, fmt.Errorf("graphx: instruction %d (%s) has no materialized GEMM", in.Index, in.Kind)
+	case in.gemm.Registry() != reg:
+		return nil, fmt.Errorf("graphx: instruction %d (%s) was materialized against another BLAS registry", in.Index, in.Name)
 	}
-	g := reg.Intern(&in.Gemm)
-	in.gemm.Store(g)
-	return g
+	return in.gemm, nil
 }
 
 // CompiledModel is the lowered, solution-annotated model the serving

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pask/internal/blas"
 	"pask/internal/codeobj"
 	"pask/internal/device"
 	"pask/internal/metrics"
@@ -28,7 +29,7 @@ func TestLoadSpanAttributesNeedObserver(t *testing.T) {
 	}
 	const missing = "missing.pko"
 
-	env, runner, rec := newProcess(t, store, reg)
+	env, runner, rec := newProcess(t, &setup{reg: reg, breg: blas.NewRegistry(device.MI100()), store: store})
 	var loadErr error
 	env.Spawn("host", func(p *sim.Proc) {
 		defer runner.RT.GPU().CloseAll()

@@ -114,7 +114,7 @@ func (r *Runner) EvictParams(name string) { delete(r.paramsResident, name) }
 // instruction resolved once; a substitute's come from its solution's memo,
 // indexed by the instruction's problem ID.
 func (r *Runner) ExecPrimitive(p *sim.Proc, in *Instruction, inst miopen.Instance) error {
-	st, err := in.resolve(r.Lib.Reg)
+	st, err := in.plan(r.Lib.Reg)
 	if err != nil {
 		return err
 	}
@@ -138,7 +138,7 @@ func (r *Runner) execPrimitive(p *sim.Proc, name string, inst miopen.Instance, c
 		return err
 	}
 	r.Tracer.AddNamed(metrics.CatLaunch, "issue:", name, p.Name(), start, p.Now(),
-		metrics.Attr{Key: "solution", Value: inst.Key()})
+		metrics.Attr{Key: "solution", Value: inst.Path()})
 	return nil
 }
 
@@ -147,7 +147,7 @@ func (r *Runner) execPrimitive(p *sim.Proc, name string, inst miopen.Instance, c
 func (r *Runner) ExecInstr(p *sim.Proc, in *Instruction) error {
 	switch in.Kind {
 	case KindPrimitive:
-		st, err := in.resolve(r.Lib.Reg)
+		st, err := in.plan(r.Lib.Reg)
 		if err != nil {
 			return err
 		}
@@ -155,7 +155,11 @@ func (r *Runner) ExecInstr(p *sim.Proc, in *Instruction) error {
 
 	case KindGemm:
 		start := p.Now()
-		if err := r.Blas.Run(p, r.Stream, in.InternedGemm(r.Blas.Reg)); err != nil {
+		g, err := in.InternedGemm(r.Blas.Reg)
+		if err != nil {
+			return err
+		}
+		if err := r.Blas.Run(p, r.Stream, g); err != nil {
 			return err
 		}
 		r.Tracer.AddNamed(metrics.CatLaunch, "issue:", in.Name, p.Name(), start, p.Now())
@@ -249,7 +253,11 @@ func (r *Runner) PreloadAll(p *sim.Proc, m *CompiledModel) error {
 	var gemms []*blas.Interned
 	for i := range m.Instrs {
 		if in := &m.Instrs[i]; in.Kind == KindGemm {
-			if g := in.InternedGemm(r.Blas.Reg); !slices.Contains(gemms, g) {
+			g, err := in.InternedGemm(r.Blas.Reg)
+			if err != nil {
+				return err
+			}
+			if !slices.Contains(gemms, g) {
 				gemms = append(gemms, g)
 			}
 		}

@@ -32,11 +32,11 @@ func primitives(m *CompiledModel) []*Instruction {
 func TestStaticExecPrimitiveAllocatesNothing(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	m := compileZoo(t, "res", 1, reg, CompileOptions{})
-	store := materialize(t, reg, m)
+	su := materialize(t, reg, m)
 	env := sim.NewEnv()
 	gpu := device.NewGPU(env, device.MI100())
-	rt := backend.New(env, gpu, device.DefaultHost(), store, backend.HIP)
-	runner := NewRunner(rt, miopen.NewLibrary(reg, rt), blas.NewLibrary(blas.NewRegistry(rt.GPU().Profile), rt), metrics.NewForwardingTracer())
+	rt := backend.New(env, gpu, device.DefaultHost(), su.store, backend.HIP)
+	runner := su.newRunner(rt, metrics.NewForwardingTracer())
 	env.Spawn("host", func(p *sim.Proc) {
 		defer gpu.CloseAll()
 		// Grow the stream's queue past what the measured launches keep in
@@ -54,7 +54,7 @@ func TestStaticExecPrimitiveAllocatesNothing(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			st := in.static.Load()
+			st := in.static
 			if st == nil || st.inst != inst || st.calls != inst.Sol.Calls(reg.Intern(&in.Problem)) {
 				t.Fatalf("%s: static plan %+v does not hold the resolved instance and its calls", in.Name, st)
 			}
@@ -71,45 +71,6 @@ func TestStaticExecPrimitiveAllocatesNothing(t *testing.T) {
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestStaticPlanFollowsRegistry runs one compiled model against two
-// registries in turn. Every run resolves and launches the solutions of its
-// own registry, never the static plan the other run left behind.
-func TestStaticPlanFollowsRegistry(t *testing.T) {
-	regs := []*miopen.Registry{
-		miopen.NewRegistry(miopen.NewCtx(device.MI100())),
-		miopen.NewRegistry(miopen.NewCtx(device.MI100())),
-	}
-	m := compileZoo(t, "res", 1, regs[0], CompileOptions{})
-	store := materialize(t, regs[0], m)
-	for round := 0; round < 4; round++ {
-		reg := regs[round%2]
-		env, runner, _ := newProcess(t, store, reg)
-		env.Spawn("host", func(p *sim.Proc) {
-			defer runner.RT.GPU().CloseAll()
-			if err := runner.RunBaseline(p, m); err != nil {
-				t.Error(err)
-			}
-		})
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-		for _, in := range primitives(m) {
-			st := in.static.Load()
-			sol, _ := reg.ByID(in.SolutionID)
-			if st == nil || st.prob.Registry() != reg || st.inst.Sol != sol || st.calls != sol.Calls(reg.Intern(&in.Problem)) {
-				t.Fatalf("round %d, %s: static plan not resolved against the run's registry", round, in.Name)
-			}
-			inst, err := in.Instance(reg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if inst != sol.Instance(in.Binding) {
-				t.Fatalf("round %d, %s: Instance = %s of another registry", round, in.Name, inst.Key())
-			}
-		}
 	}
 }
 
@@ -136,13 +97,13 @@ func TestStaticSubstituteLaunchesOwnKernels(t *testing.T) {
 	if in == nil {
 		t.Fatal("res has no primitive with a second applicable solution")
 	}
-	store := materialize(t, reg, m)
-	objs := store.Batch()
+	su := materialize(t, reg, m)
+	objs := su.store.Batch()
 	miopen.MaterializeObjects(objs, reg.Ctx().Dev.Arch, []miopen.Instance{sub})
 	if err := objs.Put(); err != nil {
 		t.Fatal(err)
 	}
-	env, runner, _ := newProcess(t, store, reg)
+	env, runner, _ := newProcess(t, su)
 	var launched []string
 	runner.RT.GPU().OnKernel = func(name string, _, _ time.Duration) { launched = append(launched, name) }
 	symbols := func(inst miopen.Instance) []string {
@@ -167,7 +128,7 @@ func TestStaticSubstituteLaunchesOwnKernels(t *testing.T) {
 			}
 			runner.Sync(p)
 			if want := symbols(inst); !slices.Equal(launched, want) {
-				t.Errorf("ExecPrimitive(%s) launched %v, want %v", inst.Key(), launched, want)
+				t.Errorf("ExecPrimitive(%s) launched %v, want %v", inst.Path(), launched, want)
 			}
 		}
 	})
@@ -176,42 +137,108 @@ func TestStaticSubstituteLaunchesOwnKernels(t *testing.T) {
 	}
 }
 
-// TestStaticResolveConcurrent races the first resolution of every
-// primitive instruction of one compiled model, against one registry and
-// against two alternating ones. Every caller must get the canonical
-// instance of its registry. Run it under -race.
+// TestStaticResolveConcurrent runs concurrent processes of one set-up over
+// one shared compiled model: each asks every primitive instruction for its
+// static plan and launches it at its static instance. Every caller must get
+// the registry's canonical instance and the problem the instruction
+// interned at compile time. Run it under -race.
 func TestStaticResolveConcurrent(t *testing.T) {
-	regs := []*miopen.Registry{
-		miopen.NewRegistry(miopen.NewCtx(device.MI100())),
-		miopen.NewRegistry(miopen.NewCtx(device.MI100())),
-	}
-	for _, alternate := range []bool{false, true} {
-		m := compileZoo(t, "res", 1, regs[0], CompileOptions{})
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for round := 0; round < 3; round++ {
-					reg := regs[0]
-					if alternate {
-						reg = regs[(g+round)%2]
+	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
+	m := compileZoo(t, "res", 1, reg, CompileOptions{})
+	su := materialize(t, reg, m)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			env, runner, _ := newProcess(t, su)
+			env.Spawn("host", func(p *sim.Proc) {
+				defer runner.RT.GPU().CloseAll()
+				ins := primitives(m)
+				for k := range ins {
+					in := ins[(g*len(ins)/4+k)%len(ins)]
+					inst, prob, err := in.Static(reg)
+					if err != nil {
+						t.Error(err)
+						return
 					}
-					for _, in := range primitives(m) {
-						inst, err := in.Instance(reg)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						sol, _ := reg.ByID(in.SolutionID)
-						if inst != sol.Instance(in.Binding) {
-							t.Errorf("%s: Instance = %s, not the registry's canonical instance", in.Name, inst.Key())
-							return
-						}
+					sol, _ := reg.ByID(in.SolutionID)
+					if inst != sol.Instance(in.Binding) || prob != reg.Intern(&in.Problem) {
+						t.Errorf("%s: Static = %s on %p, not the registry's canonical instance and record", in.Name, inst.Path(), prob)
+						return
+					}
+					if err := runner.ExecPrimitive(p, in, inst); err != nil {
+						t.Error(err)
+						return
 					}
 				}
-			}(g)
+				runner.Sync(p)
+			})
+			if err := env.Run(); err != nil {
+				t.Error(err)
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestForeignRegistryRefused hands a compiled model to a process whose
+// primitive or GEMM registry is not the set-up's. The model is bound to the
+// registries it was compiled and materialized against: every other one
+// gets an error and no kernel runs. Materializing it for a second set-up
+// is refused too.
+func TestForeignRegistryRefused(t *testing.T) {
+	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
+	m := compileZoo(t, "swin", 1, reg, CompileOptions{})
+	su := materialize(t, reg, m)
+	var prim, gemm *Instruction
+	for i := range m.Instrs {
+		switch in := &m.Instrs[i]; {
+		case in.Kind == KindPrimitive && prim == nil:
+			prim = in
+		case in.Kind == KindGemm && gemm == nil:
+			gemm = in
 		}
-		wg.Wait()
+	}
+	if prim == nil || gemm == nil {
+		t.Fatal("swin must have a primitive and a GEMM instruction")
+	}
+	foreign := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
+	if _, _, err := prim.Static(foreign); err == nil {
+		t.Error("Static accepted a registry the model was not compiled against")
+	}
+	if _, err := prim.Instance(foreign); err == nil {
+		t.Error("Instance accepted a registry the model was not compiled against")
+	}
+	if _, err := gemm.InternedGemm(blas.NewRegistry(device.MI100())); err == nil {
+		t.Error("InternedGemm accepted a BLAS registry the model was not materialized against")
+	}
+	if err := MaterializeModel(su.store.Batch(), reg, blas.NewRegistry(device.MI100()), m); err == nil {
+		t.Error("MaterializeModel bound the model to a second BLAS registry")
+	}
+
+	for _, c := range []struct {
+		name string
+		su   *setup
+		in   *Instruction
+	}{
+		{"primitive registry", &setup{reg: foreign, breg: su.breg, store: su.store}, prim},
+		{"GEMM registry", &setup{reg: reg, breg: blas.NewRegistry(device.MI100()), store: su.store}, gemm},
+	} {
+		env, runner, _ := newProcess(t, c.su)
+		launched := 0
+		runner.RT.GPU().OnKernel = func(string, time.Duration, time.Duration) { launched++ }
+		var err error
+		env.Spawn("host", func(p *sim.Proc) {
+			defer runner.RT.GPU().CloseAll()
+			err = runner.ExecInstr(p, c.in)
+			runner.Sync(p)
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err == nil || launched != 0 {
+			t.Errorf("foreign %s: ExecInstr(%s) = %v with %d kernels run, want a refusal and none", c.name, c.in.Name, err, launched)
+		}
 	}
 }

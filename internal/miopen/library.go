@@ -110,10 +110,10 @@ func (l *Library) EnsureLoaded(proc *sim.Proc, inst Instance) error {
 // module evicted between two kernels of one solution still reloads.
 func (l *Library) RunSolution(proc *sim.Proc, stream *device.Stream, inst Instance, calls *Calls) error {
 	if calls.sol != inst.Sol {
-		return fmt.Errorf("miopen: RunSolution %s: kernel calls belong to solution %s", inst.Key(), calls.sol.ID())
+		return fmt.Errorf("miopen: RunSolution %s: kernel calls belong to solution %s", inst.Path(), calls.sol.ID())
 	}
 	if len(calls.list) == 0 {
-		return fmt.Errorf("miopen: solution %s produced no kernels for %s", inst.Key(), calls.probKey)
+		return fmt.Errorf("miopen: solution %s produced no kernels for %s", inst.Path(), calls.probKey)
 	}
 	if b := l.bound.At(calls.first); *b != inst.b {
 		if *b != nil {
@@ -129,7 +129,7 @@ func (l *Library) RunSolution(proc *sim.Proc, stream *device.Stream, inst Instan
 		if !l.RT.Reuse(*fn) {
 			f, err := l.RT.GetFunction(proc, inst.b.path, c.Symbol)
 			if err != nil {
-				return fmt.Errorf("miopen: RunSolution %s: %w", inst.Key(), err)
+				return fmt.Errorf("miopen: RunSolution %s: %w", inst.Path(), err)
 			}
 			*fn = f
 		}

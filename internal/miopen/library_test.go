@@ -107,7 +107,7 @@ func TestRunSolutionWarmAllocatesNothing(t *testing.T) {
 			})
 			stream.Synchronize(proc)
 			if allocs != 0 {
-				t.Errorf("%s: warm RunSolution allocates %v times, want 0", r.Inst.Key(), allocs)
+				t.Errorf("%s: warm RunSolution allocates %v times, want 0", r.Inst.Path(), allocs)
 			}
 		}
 	})
@@ -149,7 +149,7 @@ func TestRunSolutionNeverLaunchesStaleFunctions(t *testing.T) {
 			}
 			err := lib.RunSolution(proc, stream, step.inst, step.inst.Sol.Calls(ip))
 			if (err != nil) != step.fails {
-				t.Errorf("step %d: RunSolution(%s) = %v, want failure %v", i, step.inst.Key(), err, step.fails)
+				t.Errorf("step %d: RunSolution(%s) = %v, want failure %v", i, step.inst.Path(), err, step.fails)
 			}
 			if got := lib.RT.Stats().ModuleLoads; got != step.loads {
 				t.Errorf("step %d: %d module loads, want %d", i, got, step.loads)
@@ -177,7 +177,7 @@ func TestRunSolutionRejectsOtherSolutionsCalls(t *testing.T) {
 		defer lib.RT.GPU().CloseAll()
 		stream := lib.RT.GPU().DefaultStream()
 		if err := lib.RunSolution(proc, stream, a, b.Sol.Calls(ip)); err == nil {
-			t.Errorf("RunSolution(%s) with the calls of %s succeeded", a.Key(), b.Sol.ID())
+			t.Errorf("RunSolution(%s) with the calls of %s succeeded", a.Path(), b.Sol.ID())
 		}
 		if got := lib.RT.Stats().ModuleLoads; got != 0 {
 			t.Errorf("%d module loads, want 0", got)
@@ -286,7 +286,7 @@ func TestLoadResidentsRegistersAllResidents(t *testing.T) {
 		}
 		for _, inst := range reg.Residents() {
 			if !lib.IsLoaded(inst) {
-				t.Errorf("resident %s not loaded", inst.Key())
+				t.Errorf("resident %s not loaded", inst.Path())
 			}
 		}
 	})
@@ -303,7 +303,7 @@ func TestResidentsContainGenericsAndBinKernels(t *testing.T) {
 	res := reg.Residents()
 	byKey := map[string]bool{}
 	for _, inst := range res {
-		byKey[inst.Key()] = true
+		byKey[inst.Path()] = true
 	}
 	for _, want := range []string{
 		"ConvGemmNaiveFwd.pko",

@@ -72,12 +72,6 @@ func TestProblemOutShapeAndWeights(t *testing.T) {
 	if got := p.OutShape(); got != sh(2, 8, 16, 16) {
 		t.Fatalf("OutShape = %v", got)
 	}
-	if got := p.WeightShape(); got != sh(8, 16, 3, 3) {
-		t.Fatalf("WeightShape = %v", got)
-	}
-	if p.WeightBytes() != 8*16*9*4 {
-		t.Fatalf("WeightBytes = %d", p.WeightBytes())
-	}
 	pool := NewPoolProblem(sh(1, 8, 8, 8), kernels.Pool2DParams{WinH: 2, WinW: 2, StrideH: 2, StrideW: 2}, kernels.MaxPool, tensor.F32, tensor.NCHW)
 	if got := pool.OutShape(); got != sh(1, 8, 4, 4) {
 		t.Fatalf("pool OutShape = %v", got)
@@ -85,9 +79,6 @@ func TestProblemOutShapeAndWeights(t *testing.T) {
 	act := NewActProblem(sh(1, 8, 8, 8), kernels.ReLU, 0, tensor.F32, tensor.NCHW)
 	if got := act.OutShape(); got != act.In {
 		t.Fatalf("act OutShape = %v", got)
-	}
-	if act.WeightBytes() != 0 {
-		t.Fatal("activation has no weights")
 	}
 }
 
@@ -351,7 +342,7 @@ func TestInstancePathSeenBindingAllocatesNothing(t *testing.T) {
 
 func TestWorkspaceLimitDisqualifies(t *testing.T) {
 	ctx := testCtx()
-	ctx.WorkspaceLimit = 1 // nothing fits
+	ctx.wsLimit = 1 // nothing fits
 	reg := NewRegistry(ctx)
 	p := conv3x3(64, 64, 56)
 	for _, r := range reg.Find(&p) {
@@ -478,7 +469,7 @@ func TestObjectSymbolsCoverKernelCalls(t *testing.T) {
 			objs := store.Batch()
 			MaterializeObjects(objs, reg.Ctx().Dev.Arch, []Instance{inst})
 			if err := objs.Put(); err != nil {
-				t.Fatalf("materialize %s: %v", inst.Key(), err)
+				t.Fatalf("materialize %s: %v", inst.Path(), err)
 			}
 			data, err := store.Get(inst.Path())
 			if err != nil {
@@ -490,7 +481,7 @@ func TestObjectSymbolsCoverKernelCalls(t *testing.T) {
 			}
 			for _, call := range inst.Sol.KernelCalls(p) {
 				if _, ok := obj.Symbol(call.Symbol); !ok {
-					t.Fatalf("symbol %q of %s missing from object %s", call.Symbol, inst.Key(), inst.Path())
+					t.Fatalf("symbol %q of %s missing from object %s", call.Symbol, inst.Path(), inst.Path())
 				}
 				if call.Work.Flops < 0 || call.Work.Bytes <= 0 {
 					t.Fatalf("degenerate workload for %s: %+v", call.Symbol, call.Work)
@@ -536,7 +527,7 @@ func TestApplicableSolutionsAgreeProperty(t *testing.T) {
 		in.Fill(func(int) float32 { return rng.Float32()*2 - 1 })
 		var w, bias *tensor.Tensor
 		if p.Primitive == Convolution {
-			w = tensor.New(p.WeightShape(), tensor.NCHW)
+			w = tensor.New(sh(p.K, p.In.C/p.Groups, p.R, p.S), tensor.NCHW)
 			w.Fill(func(int) float32 { return rng.Float32()*2 - 1 })
 			bias = tensor.New(sh(p.K, 1, 1, 1), tensor.NCHW)
 			bias.Fill(func(int) float32 { return rng.Float32() })

@@ -169,22 +169,3 @@ func (p *Problem) Parallelism() int64 {
 	out := p.OutShape()
 	return int64(out.N) * int64(out.C) * int64(out.H) * int64(out.W)
 }
-
-// WeightShape returns the filter tensor shape for convolutions and the zero
-// shape otherwise.
-func (p *Problem) WeightShape() tensor.Shape {
-	if p.Primitive != Convolution {
-		return tensor.Shape{}
-	}
-	return tensor.Shape{N: p.K, C: p.In.C / p.Groups, H: p.R, W: p.S}
-}
-
-// WeightBytes returns the filter parameter bytes the executor copies to the
-// device before running the layer.
-func (p *Problem) WeightBytes() int64 {
-	if p.Primitive != Convolution {
-		return 0
-	}
-	ws := p.WeightShape()
-	return ws.Bytes(p.DType)
-}

@@ -81,19 +81,19 @@ func (r *Registry) NewSite() int { return int(r.nSites.Add(1)) - 1 }
 
 // applicable returns inst.IsApplicable(r.ctx, p) through p's verdict table,
 // evaluating and recording it on first use. A verdict is a pure function
-// of (binding, problem, workspace limit), so every process of the set-up
-// reads what the first one recorded: only host CPU work is saved, and each
-// Library still charges every check. Both inst and p must belong to r.
+// of the binding, the problem and r's context, which is fixed, so every
+// process of the set-up reads what the first one recorded: only host CPU
+// work is saved, and each Library still charges every check. Both inst and
+// p must belong to r.
 func (r *Registry) applicable(inst Instance, p *Interned) bool {
 	if p.reg != r || inst.Sol.reg != r {
 		panic("miopen: applicability check across registries")
 	}
-	ws := r.ctx.WorkspaceLimit
-	if v, ok := p.verdict(ws, inst.b.idx); ok {
+	if v, ok := p.verdict(inst.b.idx); ok {
 		return v
 	}
 	v := inst.IsApplicable(r.ctx, &p.Problem)
-	p.record(ws, inst.b.idx, int(r.nBindings.Load()), v)
+	p.record(inst.b.idx, int(r.nBindings.Load()), v)
 	return v
 }
 
@@ -115,7 +115,7 @@ func (r *Registry) Find(p *Problem) []Ranked {
 		if sa, sb := a.Inst.Sol.Specificity(), b.Inst.Sol.Specificity(); sa != sb {
 			return cmp.Compare(sb, sa)
 		}
-		return cmp.Compare(a.Inst.Key(), b.Inst.Key())
+		return cmp.Compare(a.Inst.Path(), b.Inst.Path())
 	})
 	return out
 }

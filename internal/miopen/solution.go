@@ -35,17 +35,18 @@ func Patterns() []Pattern {
 
 // Ctx carries the environment a solution validates against: device
 // capabilities and the workspace limit (the "environment variable
-// validation" of paper §II-B). Solution kill switches are per process and
-// live on the Library.
+// validation" of paper §II-B). A registry's context is fixed: its
+// processes share the verdicts checked against it. Solution kill switches
+// are per process and live on the Library.
 type Ctx struct {
-	Dev            device.Profile
-	WorkspaceLimit int64
+	Dev     device.Profile
+	wsLimit int64
 }
 
 // NewCtx returns a context for the given device with a 64 MiB workspace —
 // the default scratch budget the framework grants the library.
 func NewCtx(dev device.Profile) *Ctx {
-	return &Ctx{Dev: dev, WorkspaceLimit: 64 << 20}
+	return &Ctx{Dev: dev, wsLimit: 64 << 20}
 }
 
 // KernelCall is one kernel invocation a solution issues: a symbol in the
@@ -124,7 +125,7 @@ func (s *Solution) IsApplicable(ctx *Ctx, p *Problem) bool {
 	if p.Primitive != s.primitive || !p.Valid() {
 		return false
 	}
-	if s.workspace != nil && s.workspace(p) > ctx.WorkspaceLimit {
+	if s.workspace != nil && s.workspace(p) > ctx.wsLimit {
 		return false
 	}
 	return s.applicable(ctx, p)
@@ -298,11 +299,9 @@ func Bind(s *Solution, p *Problem) Instance {
 // solutions).
 func (i Instance) Binding() string { return i.b.key }
 
-// Path returns the code-object store path of the instance.
+// Path returns the code-object store path of the instance, which is also
+// its unique identity.
 func (i Instance) Path() string { return i.b.path }
-
-// Key returns a unique identity for the instance.
-func (i Instance) Key() string { return i.b.path }
 
 // CacheKey returns the category the loaded-solution cache groups this
 // instance under. The key is the solution's algorithmic pattern and nothing

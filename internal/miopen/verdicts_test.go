@@ -83,15 +83,15 @@ func checkAll(t testing.TB, env *sim.Env, lib *Library, cases []verdictCase) []b
 }
 
 // verdictCount returns the number of verdicts the tables of reg's interned
-// problems hold, over every workspace limit.
+// problems hold.
 func verdictCount(reg *Registry) int {
 	reg.internMu.Lock()
 	defer reg.internMu.Unlock()
 	n := 0
 	for _, p := range reg.interned {
-		for t := p.verdicts.Load(); t != nil; t = t.older {
-			for i := range t.words {
-				for w := t.words[i].Load(); w != 0; w >>= 2 {
+		if t := p.verdicts.Load(); t != nil {
+			for i := range *t {
+				for w := (*t)[i].Load(); w != 0; w >>= 2 {
 					n += int(w & 1)
 				}
 			}
@@ -102,8 +102,9 @@ func verdictCount(reg *Registry) int {
 
 // TestApplicabilityVerdictsShared checks that the processes of one set-up
 // share one verdict table: a second process gets the verdicts the first
-// recorded, each still charges every check (checkAll asserts the time), per-process kill switches stay
-// out of the table and the workspace limit is part of the key.
+// recorded, each still charges every check (checkAll asserts the time),
+// per-process kill switches stay out of the table and set-ups with
+// different workspace limits keep their own verdicts.
 func TestApplicabilityVerdictsShared(t *testing.T) {
 	t.Run("two processes", func(t *testing.T) {
 		reg := NewRegistry(testCtx())
@@ -113,7 +114,7 @@ func TestApplicabilityVerdictsShared(t *testing.T) {
 			got := checkAll(t, env, lib, cases)
 			for i, c := range cases {
 				if got[i] != c.want {
-					t.Errorf("process %d: %s on %s = %v, want %v", n, c.inst.Key(), c.prob.Key(), got[i], c.want)
+					t.Errorf("process %d: %s on %s = %v, want %v", n, c.inst.Path(), c.prob.Key(), got[i], c.want)
 				}
 			}
 			if v := verdictCount(reg); v != len(cases) {
@@ -147,23 +148,27 @@ func TestApplicabilityVerdictsShared(t *testing.T) {
 	})
 
 	t.Run("workspace limit", func(t *testing.T) {
-		reg := NewRegistry(testCtx())
+		// Two set-ups whose contexts differ only in the limit: each keeps
+		// its own verdicts, so neither sees the other's.
 		p := conv3x3(64, 64, 56)
-		gemm, _ := reg.ByID("ConvGemmNaiveFwd")
-		c := []verdictCase{{inst: Bind(gemm, &p), prob: reg.Intern(&p)}}
-		limit := reg.Ctx().WorkspaceLimit
 		for _, step := range []struct {
 			limit int64
 			want  bool
-		}{{limit, true}, {1, false}, {limit, true}} {
-			reg.Ctx().WorkspaceLimit = step.limit
-			env, lib := newCheckProcess(reg)
-			if got := checkAll(t, env, lib, c); got[0] != step.want {
-				t.Errorf("limit %d: applicable = %v, want %v", step.limit, got[0], step.want)
+		}{{testCtx().wsLimit, true}, {1, false}} {
+			ctx := testCtx()
+			ctx.wsLimit = step.limit
+			reg := NewRegistry(ctx)
+			gemm, _ := reg.ByID("ConvGemmNaiveFwd")
+			c := []verdictCase{{inst: Bind(gemm, &p), prob: reg.Intern(&p)}}
+			for n := 0; n < 2; n++ {
+				env, lib := newCheckProcess(reg)
+				if got := checkAll(t, env, lib, c); got[0] != step.want {
+					t.Errorf("limit %d, process %d: applicable = %v, want %v", step.limit, n, got[0], step.want)
+				}
 			}
-		}
-		if v := verdictCount(reg); v != 2 {
-			t.Errorf("table holds %d verdicts, want one per limit (2)", v)
+			if v := verdictCount(reg); v != 1 {
+				t.Errorf("limit %d: table holds %d verdicts, want 1", step.limit, v)
+			}
 		}
 	})
 }
@@ -187,7 +192,7 @@ func TestApplicabilityVerdictsConcurrent(t *testing.T) {
 			got := checkAll(t, env, lib, order)
 			for i, c := range order {
 				if got[i] != c.want {
-					t.Errorf("process %d: %s on %s = %v, want %v", g, c.inst.Key(), c.prob.Key(), got[i], c.want)
+					t.Errorf("process %d: %s on %s = %v, want %v", g, c.inst.Path(), c.prob.Key(), got[i], c.want)
 				}
 			}
 		}()

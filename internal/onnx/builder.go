@@ -123,21 +123,14 @@ func (b *Builder) BatchNorm(name, x string) string {
 	return b.add(OpBatchNorm, name, []string{x}, nil)
 }
 
-// Relu, LeakyRelu, Sigmoid, Tanh, Gelu add elementwise activations.
-func (b *Builder) Relu(name, x string) string { return b.add(OpRelu, name, []string{x}, nil) }
-func (b *Builder) LeakyRelu(name, x string) string {
-	return b.add(OpLeakyRelu, name, []string{x}, nil)
-}
+// Relu, Sigmoid, Gelu add elementwise activations.
+func (b *Builder) Relu(name, x string) string    { return b.add(OpRelu, name, []string{x}, nil) }
 func (b *Builder) Sigmoid(name, x string) string { return b.add(OpSigmoid, name, []string{x}, nil) }
-func (b *Builder) Tanh(name, x string) string    { return b.add(OpTanh, name, []string{x}, nil) }
 func (b *Builder) Gelu(name, x string) string    { return b.add(OpGelu, name, []string{x}, nil) }
 
-// MaxPool and AvgPool add square-window pooling.
+// MaxPool adds square-window max pooling.
 func (b *Builder) MaxPool(name, x string, win, stride, pad int) string {
 	return b.add(OpMaxPool, name, []string{x}, map[string]int{"win": win, "stride": stride, "pad": pad})
-}
-func (b *Builder) AvgPool(name, x string, win, stride, pad int) string {
-	return b.add(OpAvgPool, name, []string{x}, map[string]int{"win": win, "stride": stride, "pad": pad})
 }
 
 // GlobalAvgPool reduces spatial dims to 1x1.

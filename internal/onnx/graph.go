@@ -107,22 +107,9 @@ func (g *Graph) ParamBytes() int64 {
 // NumOps returns the node count.
 func (g *Graph) NumOps() int { return len(g.Nodes) }
 
-// MarshalJSON / Unmarshal round-trip the graph through the interchange form.
-
-// ToJSON serializes the graph.
+// ToJSON serializes the graph in its interchange form; encoding/json reads
+// it back, and InferShapes validates what it read.
 func (g *Graph) ToJSON() ([]byte, error) { return json.MarshalIndent(g, "", "  ") }
-
-// FromJSON parses a serialized graph and validates it.
-func FromJSON(data []byte) (*Graph, error) {
-	var g Graph
-	if err := json.Unmarshal(data, &g); err != nil {
-		return nil, fmt.Errorf("onnx: %w", err)
-	}
-	if _, err := g.InferShapes(); err != nil {
-		return nil, err
-	}
-	return &g, nil
-}
 
 // InferShapes computes the shape of every tensor in the graph, validating
 // operator legality along the way. The returned map covers the input, all

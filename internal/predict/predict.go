@@ -199,7 +199,6 @@ type Predictor struct {
 	last   string
 	seen   map[string]bool
 	items  []string // first-seen order, for deterministic ranking
-	n      int
 }
 
 // New returns an empty predictor.
@@ -222,15 +221,11 @@ func (p *Predictor) Observe(item string) {
 	p.sketch.Observe(item)
 	p.markov.Observe(p.last, item)
 	p.last = item
-	p.n++
 	if !p.seen[item] {
 		p.seen[item] = true
 		p.items = append(p.items, item)
 	}
 }
-
-// Observations returns the number of accesses observed.
-func (p *Predictor) Observations() int { return p.n }
 
 // Follow predicts what tends to come after item, budget-capped and
 // confidence-thresholded.

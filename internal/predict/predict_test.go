@@ -99,9 +99,6 @@ func TestPredictorFuses(t *testing.T) {
 	if f := p.Follow("c"); len(f) == 0 || f[0].Item != "c" {
 		t.Fatalf("Follow(c) = %v", f)
 	}
-	if p.Observations() != 160 {
-		t.Fatalf("observations = %d", p.Observations())
-	}
 }
 
 // TestPredictorBudget caps predictions at the configured budget.

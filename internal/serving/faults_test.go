@@ -110,18 +110,30 @@ func probeLoadedChosen(t *testing.T, ms *experiments.ModelSetup) []string {
 func findHostileSeed(t *testing.T, ms *experiments.ModelSetup, plan faults.Plan) int64 {
 	t.Helper()
 	loaded := probeLoadedChosen(t, ms)
+	// With transient faults off, a read of a permanently corrupt path
+	// returns a damaged copy, and a read of any other the stored bytes.
+	probe := plan
+	probe.TransientRate = 0
 	for seed := int64(1); seed < 500; seed++ {
-		plan.Seed = seed
-		inj := faults.New(plan)
+		probe.Seed = seed
+		inj := faults.New(probe)
 		inj.Exempt(protectedPaths(ms)...)
+		corrupt := func(path string) bool {
+			data, err := ms.Store.Get(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := inj.StoreGet(path, data)
+			return err == nil && !bytes.Equal(got, data)
+		}
 		hit, blasHit := false, false
 		for _, p := range loaded {
-			if inj.PermanentlyCorrupt(p) {
+			if corrupt(p) {
 				hit = true
 			}
 		}
 		for _, p := range ms.Store.Paths() {
-			if strings.HasPrefix(p, "blas_") && inj.PermanentlyCorrupt(p) {
+			if strings.HasPrefix(p, "blas_") && corrupt(p) {
 				blasHit = true
 			}
 		}

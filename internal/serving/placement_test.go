@@ -91,9 +91,13 @@ func TestPlacementRecordsTrace(t *testing.T) {
 		t.Fatal("recorded arm has no peer fetches; trace assertions vacuous")
 	}
 	instants := 0
-	for _, in := range rec.Instants() {
-		if in.Track == "registry" && in.Name == "peer_fetch" {
+	gauge, sampled := 0.0, false
+	for _, ev := range chromeEvents(t, rec) {
+		switch {
+		case ev.Ph == "i" && ev.Track == "registry" && ev.Name == "peer_fetch":
 			instants++
+		case ev.Ph == "C" && ev.Name == "placement_peer_fetches":
+			gauge, sampled = ev.Value, true
 		}
 	}
 	if instants != arm.PeerFetches {
@@ -109,7 +113,7 @@ func TestPlacementRecordsTrace(t *testing.T) {
 	if ttfis == 0 || ttfis > tenants {
 		t.Fatalf("trace has %d placement_ttfi_ms samples, want 1..%d", ttfis, tenants)
 	}
-	if got, ok := rec.CounterLast("placement_peer_fetches"); !ok || int(got) != arm.PeerFetches {
-		t.Fatalf("placement_peer_fetches gauge = %v (ok=%v), want %d", got, ok, arm.PeerFetches)
+	if !sampled || int(gauge) != arm.PeerFetches {
+		t.Fatalf("placement_peer_fetches gauge = %v (sampled=%v), want %d", gauge, sampled, arm.PeerFetches)
 	}
 }

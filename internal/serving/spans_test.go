@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"maps"
+	"math"
 	"testing"
 	"time"
 
@@ -75,4 +77,48 @@ func TestServingProcessesKeepNoSpanLog(t *testing.T) {
 			}
 		})
 	}
+}
+
+// chromeEvent is one span, instant or counter sample of a recorder's
+// Chrome export, on its named track, with its times in nanoseconds.
+type chromeEvent struct {
+	Track, Name, Ph string
+	At, End         time.Duration
+	Value           float64 // a counter sample's value
+}
+
+// chromeEvents exports rec and decodes the events, so tests read a trace
+// the way its consumers do.
+func chromeEvents(t *testing.T, rec *trace.Recorder) []chromeEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Ts, Dur  float64
+			Tid      int
+			Args     map[string]any
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	ns := func(us float64) time.Duration { return time.Duration(math.Round(us * 1e3)) }
+	tracks := map[int]string{}
+	var out []chromeEvent
+	for _, ev := range f.TraceEvents {
+		if ev.Ph == "M" {
+			if ev.Name == "thread_name" {
+				tracks[ev.Tid], _ = ev.Args["name"].(string)
+			}
+			continue
+		}
+		value, _ := ev.Args["value"].(float64)
+		out = append(out, chromeEvent{Track: tracks[ev.Tid], Name: ev.Name, Ph: ev.Ph,
+			At: ns(ev.Ts), End: ns(ev.Ts) + ns(ev.Dur), Value: value})
+	}
+	return out
 }

@@ -101,14 +101,6 @@ func (c *Chan[T]) Poll(p *Proc) (v T, ok bool) {
 	return v, false
 }
 
-// TryRecv dequeues without blocking. ok is false if the buffer is empty.
-func (c *Chan[T]) TryRecv() (v T, ok bool) {
-	if c.n == 0 {
-		return v, false
-	}
-	return c.pop(), true
-}
-
 // pop removes the oldest item, clearing its slot so the ring holds no
 // reference to it, and wakes a sender blocked on the full buffer.
 func (c *Chan[T]) pop() T {

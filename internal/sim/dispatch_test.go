@@ -72,7 +72,9 @@ func dispatchScenario(seed int64, w func(format string, args ...any)) error {
 				case 3:
 					sigs[rng.Intn(len(sigs))].Wait(p)
 				case 4:
-					res.Use(p, func() { p.Sleep(dur()) })
+					res.Acquire(p)
+					p.Sleep(dur())
+					res.Release()
 				case 5:
 					p.SleepUntil(p.Now() + dur())
 				}

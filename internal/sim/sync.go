@@ -1,7 +1,5 @@
 package sim
 
-import "time"
-
 // Signal is a one-shot broadcast event in virtual time. Processes block on
 // Wait until Fire is called; waiters arriving after Fire return immediately.
 // Signals are the completion notifications used throughout the stack (module
@@ -9,18 +7,11 @@ import "time"
 type Signal struct {
 	env     *Env
 	fired   bool
-	firedAt time.Duration
 	waiters []*Proc
 }
 
 // NewSignal returns an unfired signal bound to env.
 func NewSignal(env *Env) *Signal { return &Signal{env: env} }
-
-// Fired reports whether the signal has been fired.
-func (s *Signal) Fired() bool { return s.fired }
-
-// FiredAt returns the virtual time Fire was called; zero if not fired.
-func (s *Signal) FiredAt() time.Duration { return s.firedAt }
 
 // Fire marks the signal fired and wakes all current waiters in FIFO order.
 // Firing twice is a no-op.
@@ -29,7 +20,6 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	s.firedAt = s.env.now
 	for _, w := range s.waiters {
 		s.env.unpark(w)
 	}
@@ -64,9 +54,6 @@ func NewResource(env *Env, capacity int) *Resource {
 	return &Resource{env: env, capacity: capacity}
 }
 
-// InUse returns the number of slots currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Acquire takes one slot, blocking p in FIFO order while none is free.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
@@ -92,11 +79,4 @@ func (r *Resource) Release() {
 		return
 	}
 	r.inUse--
-}
-
-// Use runs fn while holding one slot of the resource.
-func (r *Resource) Use(p *Proc, fn func()) {
-	r.Acquire(p)
-	defer r.Release()
-	fn()
 }

@@ -24,7 +24,7 @@ func writeChromeReference(r *Recorder, w io.Writer) error {
 		return errors.New("trace: nil recorder")
 	}
 	spans := r.Spans()
-	instants := r.Instants()
+	instants := slices.Clone(r.instants)
 	counters := r.Counters()
 
 	tracks := r.Tracks()

@@ -156,18 +156,6 @@ func (r *Recorder) Spans() []metrics.Span {
 	return out
 }
 
-// Instants returns a copy of the recorded instants in recording order.
-func (r *Recorder) Instants() []Instant {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Instant, len(r.instants))
-	copy(out, r.instants)
-	return out
-}
-
 // Tracks returns the track names in first-seen order.
 func (r *Recorder) Tracks() []string {
 	if r == nil {
@@ -195,81 +183,4 @@ func (r *Recorder) Counters() []Counter {
 		out = append(out, Counter{Name: name, Samples: samples})
 	}
 	return out
-}
-
-// CounterLast returns the final value of the named series (0, false when the
-// series does not exist or is empty).
-func (r *Recorder) CounterLast(name string) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok || len(c.Samples) == 0 {
-		return 0, false
-	}
-	return c.Samples[len(c.Samples)-1].Value, true
-}
-
-// CategoryTotal sums the raw (possibly overlapping) span time per category.
-func (r *Recorder) CategoryTotal(cat metrics.Category) time.Duration {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var total time.Duration
-	for _, s := range r.spans {
-		if s.Cat == cat {
-			total += s.End - s.Start
-		}
-	}
-	return total
-}
-
-// FindInstant returns the time of the first instant with the given track and
-// name.
-func (r *Recorder) FindInstant(track, name string) (time.Duration, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, in := range r.instants {
-		if in.Track == track && in.Name == name {
-			return in.At, true
-		}
-	}
-	return 0, false
-}
-
-// Window returns the earliest span/instant start and the latest end observed.
-func (r *Recorder) Window() (t0, t1 time.Duration) {
-	if r == nil {
-		return 0, 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	first := true
-	grow := func(lo, hi time.Duration) {
-		if first {
-			t0, t1 = lo, hi
-			first = false
-			return
-		}
-		if lo < t0 {
-			t0 = lo
-		}
-		if hi > t1 {
-			t1 = hi
-		}
-	}
-	for _, s := range r.spans {
-		grow(s.Start, s.End)
-	}
-	for _, in := range r.instants {
-		grow(in.At, in.At)
-	}
-	return t0, t1
 }

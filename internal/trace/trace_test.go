@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -61,26 +62,22 @@ func TestRecorderAccessors(t *testing.T) {
 			t.Fatalf("Tracks[%d]: got %q, want %q", i, got[i], want[i])
 		}
 	}
-	if v, ok := r.CounterLast("hip_resident_bytes"); !ok || v != 2097152 {
-		t.Fatalf("CounterLast(hip_resident_bytes): got %v, %v", v, ok)
-	}
-	// Consecutive duplicate counter values collapse.
+	// Consecutive duplicate counter values collapse; a registry sample is
+	// a counter series.
+	samples := map[string][]Sample{}
 	for _, c := range r.Counters() {
-		if c.Name != "pask_parsed_queue" {
-			continue
-		}
-		if len(c.Samples) != 3 {
-			t.Fatalf("pask_parsed_queue samples: got %d, want 3 (dedup)", len(c.Samples))
-		}
+		samples[c.Name] = c.Samples
 	}
-	if d := r.CategoryTotal(metrics.CatLoad); d != 3*ms {
-		t.Fatalf("CategoryTotal(load): got %v, want 3ms", d)
+	if got := samples["pask_parsed_queue"]; len(got) != 3 {
+		t.Fatalf("pask_parsed_queue samples: got %d, want 3 (dedup)", len(got))
 	}
-	if at, ok := r.FindInstant("run", "run-end"); !ok || at != 9*ms {
-		t.Fatalf("FindInstant(run-end): got %v, %v", at, ok)
+	if got := samples["hip_resident_bytes"]; len(got) != 1 || got[0] != (Sample{At: 5 * ms, Value: 2097152}) {
+		t.Fatalf("hip_resident_bytes samples: got %v", got)
 	}
-	if t0, t1 := r.Window(); t0 != 0 || t1 != 9*ms {
-		t.Fatalf("Window: got [%v, %v], want [0, 9ms]", t0, t1)
+	// A registry event is an instant on the "registry" track.
+	if got, want := r.instants[len(r.instants)-1], (Instant{Track: "registry", Name: "evict", At: 5 * ms,
+		Attrs: []metrics.Attr{{Key: "path", Value: "lib/conv0.hsaco"}}}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("last instant: got %+v, want %+v", got, want)
 	}
 }
 
@@ -94,9 +91,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.RegistrySample("s", 0, 1)
 	if r.Spans() != nil || r.Tracks() != nil || r.Counters() != nil {
 		t.Fatal("nil recorder must report empty state")
-	}
-	if _, ok := r.CounterLast("c"); ok {
-		t.Fatal("nil recorder must have no counters")
 	}
 }
 

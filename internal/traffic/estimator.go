@@ -80,9 +80,6 @@ func (e *RateEstimator) Baseline() float64 {
 	return e.rateOver(k)
 }
 
-// Observations returns the number of arrivals observed.
-func (e *RateEstimator) Observations() int { return e.n }
-
 // Onset reports whether the stream is ramping: the fast rate exceeds the
 // baseline by the configured factor. It is a level signal; callers that
 // want a single trigger should act on the rising edge.

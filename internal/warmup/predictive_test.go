@@ -79,7 +79,7 @@ func TestPredictivePrefetch(t *testing.T) {
 }
 
 // TestPredictiveBudget pins the budget cap: entries beyond the budget are
-// never attempted and Spent reports the spend.
+// never attempted and the prefetcher counts the spend.
 func TestPredictiveBudget(t *testing.T) {
 	env := sim.NewEnv()
 	store, manifests := predictiveFixture(t, []string{"alex", "res"}, 3)
@@ -96,7 +96,7 @@ func TestPredictiveBudget(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if entries := pf.Spent(); entries != 4 {
+	if entries := pf.spent; entries != 4 {
 		t.Fatalf("spent %d entries, want exactly 4", entries)
 	}
 	if st := pf.Stats(); st.Loaded != 4 {
@@ -124,7 +124,7 @@ func TestPredictiveResidentIsFree(t *testing.T) {
 		pf.Prefetch("alex")
 		pf.Close()
 		pf.Wait(p)
-		if entries := pf.Spent(); entries != 1 {
+		if entries := pf.spent; entries != 1 {
 			t.Errorf("spent %d entries, want 1 (resident object is free)", entries)
 		}
 		gpu.CloseAll()

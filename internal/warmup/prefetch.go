@@ -195,12 +195,6 @@ func (pf *Prefetcher) Wait(p *sim.Proc) { pf.done.Wait(p) }
 // Stats returns a snapshot of the prefetch counters.
 func (pf *Prefetcher) Stats() ReplayStats { return pf.stats }
 
-// Covered reports whether the prefetcher made (or found) path resident.
-func (pf *Prefetcher) Covered(path string) bool { return pf.loaded[path] }
-
-// Spent returns the budget consumed so far: manifest entries attempted.
-func (pf *Prefetcher) Spent() int { return pf.spent }
-
 // Account reconciles the prefetch against the set of object paths the run
 // actually used, filling Hits/Misses/Wasted, emitting the warmup_prefetch_*
 // counter series at virtual time at (even when zero, so dashboards always

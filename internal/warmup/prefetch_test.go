@@ -283,5 +283,5 @@ func runPrefetchCase(t *testing.T, tc prefetchCase) (ReplayStats, int) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return pf.Account(tc.used, env.Now()), pf.Spent()
+	return pf.Account(tc.used, env.Now()), pf.spent
 }

@@ -194,7 +194,7 @@ func TestPrefetcherReplay(t *testing.T) {
 	if !rt.Loaded("good.pko") {
 		t.Fatal("good.pko not resident after replay")
 	}
-	if !pf.Covered("good.pko") || pf.Covered("stale.pko") {
+	if !pf.loaded["good.pko"] || pf.loaded["stale.pko"] {
 		t.Fatalf("coverage wrong: %+v", pf)
 	}
 	// Replay detaches its view: nothing stays pinned on its account, so
