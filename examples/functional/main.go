@@ -58,11 +58,11 @@ func main() {
 		}
 	}
 
-	best, err := graphx.FunctionalRun(g, reg, graphx.BestPicker(reg), in, 99)
+	best, err := graphx.FunctionalRun(g, graphx.BestPicker(reg), in, 99)
 	if err != nil {
 		log.Fatal(err)
 	}
-	generic, err := graphx.FunctionalRun(g, reg, graphx.GenericPicker(reg), in, 99)
+	generic, err := graphx.FunctionalRun(g, graphx.GenericPicker(reg), in, 99)
 	if err != nil {
 		log.Fatal(err)
 	}

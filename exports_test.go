@@ -2,12 +2,13 @@ package pask
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,32 +19,29 @@ import (
 var testOnlyExports = map[string]string{
 	"internal/backend.Registry.Unload":      "BenchmarkRegistryLoadMiss, gated in BENCH_host.json, evicts its object between loads with it",
 	"internal/codeobj.Store.CorruptSealed":  "re-sealing the container CRC needs the trailer format, which only codeobj knows",
+	"internal/codeobj.Store.Put":            "tests in six packages store truncated and hand-made bytes no build produces; TestDegradationLadderGolden pins what a truncated object does",
 	"internal/device.Stream.Launch":         "the stream goldens and the device tests submit kernels by duration, not by workload",
+	"internal/metrics.Breakdown":            "BenchmarkBreakdown, gated in BENCH_host.json, times it",
 	"internal/metrics.Report.LookupsPerHit": "public API: pask.Report is an alias of metrics.Report",
 	"internal/metrics.Report.Share":         "public API: pask.Report is an alias of metrics.Report",
-	"internal/tensor.ParseLayout":           "only TestLayoutRoundTrip calls it; deleting the tensor trio and its tests is a ROADMAP item",
-	"internal/tensor.Tensor.Quantize":       "only the TestQuantize* tests call it; deleting the tensor trio and its tests is a ROADMAP item",
-	"internal/tensor.Tensor.ToLayout":       "only the tensor tests call it; deleting the tensor trio and its tests is a ROADMAP item",
 }
+
+// stdInterfaces are the standard-library interfaces the program hands its
+// values to, so the library calls their methods: fmt prints Stringers and
+// errors, and net/http serves Handlers.
+var stdInterfaces = [][2]string{{"", "error"}, {"fmt", "Stringer"}, {"net/http", "Handler"}}
 
 // TestNoTestOnlyExports fails on an exported function or method under
 // internal/ that no non-test file of the repository (bench/, cmd/ and
 // examples/ included) references, unless testOnlyExports keeps it. It also
-// fails on an allowlist entry that is no longer test-only. References are
-// matched by name: a package function by its package and name, a method by
-// its name on any value.
+// fails on an allowlist entry that is no longer test-only. It type-checks
+// the non-test files and follows what each identifier resolves to, so a
+// same-named field or method of another type is not a reference. A method
+// reached only through an interface counts as used when non-test code calls
+// that interface's method, or when the interface is one of stdInterfaces.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
-	type decl struct {
-		key    string // allowlist key
-		fn     string // function or method name
-		method bool
-		pos    token.Position
-	}
-	var decls []decl
-	pkgRefs := map[string]bool{}    // "<import path>.<name>" selected through an import
-	localRefs := map[string]bool{}  // "<package dir>.<name>" used unqualified
-	methodRefs := map[string]bool{} // names selected on a value
+	files := map[string][]*ast.File{} // import path → its non-test files
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -61,87 +59,146 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		imports := map[string]string{} // local name → import path
-		for _, im := range f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = p
-		}
-		declared := map[*ast.Ident]bool{}
-		for _, dl := range f.Decls {
-			fd, ok := dl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fd.Name] = true
-			if !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
-				continue
-			}
-			d := decl{key: dir + "." + fd.Name.Name, fn: fd.Name.Name, method: fd.Recv != nil, pos: fset.Position(fd.Pos())}
-			if d.method {
-				typ := fd.Recv.List[0].Type
-				if st, ok := typ.(*ast.StarExpr); ok {
-					typ = st.X
-				}
-				switch x := typ.(type) {
-				case *ast.IndexExpr:
-					typ = x.X
-				case *ast.IndexListExpr:
-					typ = x.X
-				}
-				recv := typ.(*ast.Ident)
-				if !recv.IsExported() {
-					continue // not reachable outside its package but through an interface
-				}
-				d.key = dir + "." + recv.Name + "." + fd.Name.Name
-			}
-			decls = append(decls, d)
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" && id.Obj == nil {
-					pkgRefs[imports[id.Name]+"."+x.Sel.Name] = true
-				} else {
-					methodRefs[x.Sel.Name] = true
-				}
-				ast.Inspect(x.X, visit)
-				return false
-			case *ast.Ident:
-				if !declared[x] {
-					localRefs[dir+"."+x.Name] = true
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
+		// The module is pask and the nested bench module pask/bench, so a
+		// directory's import path is its path under pask either way.
+		ip := strings.TrimSuffix("pask/"+filepath.ToSlash(filepath.Dir(path)), "/.")
+		files[ip] = append(files[ip], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	used := func(d decl) bool {
-		if d.method {
-			return methodRefs[d.fn]
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	std := importer.ForCompiler(fset, "source", nil)
+	pkgs := map[string]*types.Package{}
+	var conf types.Config
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := pkgs[path]; p != nil {
+			return p, nil
 		}
-		return pkgRefs["pask/"+d.key] || localRefs[d.key]
+		if files[path] == nil {
+			return std.Import(path)
+		}
+		p, err := conf.Check(path, fset, files[path], info)
+		pkgs[path] = p
+		return p, err
+	})
+	conf.Importer = imp
+	paths := make([]string, 0, len(files))
+	for path := range files {
+		paths = append(paths, path)
 	}
-	var keys []string
-	for _, d := range decls {
-		_, kept := testOnlyExports[d.key]
-		switch u := used(d); {
-		case !u && !kept:
-			t.Errorf("%s: %s is exported but only tests use it: delete it, test it through what the program uses, or add it to testOnlyExports with the reason", d.pos, d.key)
-		case u && kept:
-			t.Errorf("%s: testOnlyExports keeps %s, which non-test code now uses: drop the entry", d.pos, d.key)
+	slices.Sort(paths)
+	for _, path := range paths {
+		if _, err := imp(path); err != nil {
+			t.Fatal(err)
 		}
-		keys = append(keys, d.key)
+	}
+
+	used := map[*types.Func]bool{}
+	var ifaceMethods []*types.Func // interface methods non-test code calls
+	for _, path := range paths {
+		for _, f := range files[path] {
+			for _, dl := range f.Decls {
+				var self types.Object // a call of a function in its own body is no use
+				if fd, ok := dl.(*ast.FuncDecl); ok {
+					self = info.Defs[fd.Name]
+				}
+				ast.Inspect(dl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := info.Uses[id].(*types.Func)
+					if !ok || fn.Origin() == self {
+						return true
+					}
+					used[fn.Origin()] = true
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						ifaceMethods = append(ifaceMethods, fn)
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	// A method a concrete type gets called through an interface it
+	// implements: mark the method the interface call dispatches to.
+	var named []*types.Named
+	for _, path := range paths {
+		scope := pkgs[path].Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams() == nil && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	dispatch := func(iface *types.Interface, pkg *types.Package, method string) {
+		for _, n := range named {
+			if ptr := types.NewPointer(n); types.Implements(ptr, iface) {
+				if fn, ok := types.NewMethodSet(ptr).Lookup(pkg, method).Obj().(*types.Func); ok {
+					used[fn.Origin()] = true
+				}
+			}
+		}
+	}
+	for _, fn := range ifaceMethods {
+		dispatch(fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface), fn.Pkg(), fn.Name())
+	}
+	for _, si := range stdInterfaces {
+		scope := types.Universe
+		if si[0] != "" {
+			p, err := std.Import(si[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = p.Scope()
+		}
+		iface := scope.Lookup(si[1]).Type().Underlying().(*types.Interface)
+		for i := range iface.NumMethods() {
+			dispatch(iface, iface.Method(i).Pkg(), iface.Method(i).Name())
+		}
+	}
+
+	var keys []string
+	for _, path := range paths {
+		dir := strings.TrimPrefix(path, "pask/")
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, f := range files[path] {
+			for _, dl := range f.Decls {
+				fd, ok := dl.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := info.Defs[fd.Name].(*types.Func)
+				key := dir + "." + fd.Name.Name
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					typ := recv.Type()
+					if p, ok := typ.(*types.Pointer); ok {
+						typ = p.Elem()
+					}
+					tn := typ.(*types.Named).Obj()
+					if !tn.Exported() {
+						continue // not reachable outside its package but through an interface
+					}
+					key = dir + "." + tn.Name() + "." + fd.Name.Name
+				}
+				_, kept := testOnlyExports[key]
+				switch u := used[fn]; {
+				case !u && !kept:
+					t.Errorf("%s: %s is exported but only tests use it: delete it, test it through what the program uses, or add it to testOnlyExports with the reason", fset.Position(fd.Pos()), key)
+				case u && kept:
+					t.Errorf("%s: testOnlyExports keeps %s, which non-test code now uses: drop the entry", fset.Position(fd.Pos()), key)
+				}
+				keys = append(keys, key)
+			}
+		}
 	}
 	for key := range testOnlyExports {
 		if !slices.Contains(keys, key) {
@@ -149,3 +206,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 }
+
+// importerFunc imports a package by its path.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -40,9 +40,8 @@ func IsDeviceLost(err error) bool { return errors.Is(err, ErrDeviceLost) }
 
 // Module is a loaded code object registered in device memory.
 type Module struct {
-	Path     string
-	Object   *codeobj.Object
-	LoadedAt time.Duration
+	Path   string
+	Object *codeobj.Object
 	// lastUsed drives LRU eviction under device code-memory pressure.
 	lastUsed time.Duration
 	// resident modules live inside the library binary and are never evicted.
@@ -77,15 +76,12 @@ func (f Function) Name() string {
 // Stats aggregates the shared registry's loading activity across all views.
 type Stats struct {
 	ModuleLoads       int           // completed store loads (cache misses)
-	LoadHits          int           // ModuleLoad calls satisfied by the registry
 	BytesLoaded       int64         // container bytes read and relocated
 	LoadTimeTotal     time.Duration // virtual time spent inside loads
 	FailedLoads       int
-	Evictions         int // modules dropped under code-memory pressure
 	TransientRetries  int // load attempts repeated after a retriable error
 	PermanentFailures int // loads negatively cached (parse/arch/missing)
 	NegativeHits      int // ModuleLoad calls answered from the negative cache
-	CoalescedWaits    int // callers that waited on another view's in-flight load
 	PeerFetches       int // misses served by a neighbor GPU's resident copy
 	PeerBytes         int64
 	PeerFetchFails    int // peer transfers that failed (link fault) and fell back to a local load
@@ -166,7 +162,6 @@ type OnLoadFunc func(path string, start, end time.Duration, err error)
 // (Err): the registry then falls back to a local demand load exactly once.
 type PeerModule struct {
 	Object *codeobj.Object
-	From   string        // peer identifier, for traces
 	Cost   time.Duration // transfer time over the link model
 	Err    error         // non-nil: the link is down and the transfer fails
 }

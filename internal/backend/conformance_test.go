@@ -235,9 +235,9 @@ func testLoadThenHit(t *testing.T, h *harness) {
 		}
 	})
 	st := h.rt.Stats()
-	size := int64(h.store.Size("conv_a.pko"))
-	if st.ModuleLoads != 1 || st.LoadHits != 1 || st.BytesLoaded != size {
-		t.Fatalf("stats = %+v", st)
+	size := objSize(t, h.store, "conv_a.pko")
+	if ts := h.rt.TenantStats(); st.ModuleLoads != 1 || ts.SharedHits != 1 || st.BytesLoaded != size {
+		t.Fatalf("stats = %+v, root view %+v", st, ts)
 	}
 	if !h.rt.Loaded("conv_a.pko") || len(h.rt.sh.modules) != 1 {
 		t.Fatal("module not tracked as loaded")
@@ -265,7 +265,7 @@ func testSymbolCostInvariant(t *testing.T, h *harness) {
 			}
 		}
 		elapsed := p.Now() - start
-		want := testProfile().LoadTime(int64(h.store.Size("conv_a.pko")), 2)
+		want := testProfile().LoadTime(objSize(t, h.store, "conv_a.pko"), 2)
 		if elapsed != want {
 			t.Errorf("load+resolve all symbols took %v, want %v", elapsed, want)
 		}
@@ -371,6 +371,8 @@ func testNegativeCache(t *testing.T, h *harness) {
 // Under code-memory pressure the least-recently-used unpinned module is
 // evicted, and reloading it pays the full cold cost again.
 func testEvictLRU(t *testing.T, h *harness) {
+	evicted := &evictLog{}
+	h.rt.SetObserver(evicted)
 	h.run(t, func(p *sim.Proc) {
 		if _, err := h.rt.ModuleLoad(p, "conv_a.pko"); err != nil {
 			t.Fatal(err)
@@ -389,14 +391,16 @@ func testEvictLRU(t *testing.T, h *harness) {
 			t.Error("reload after eviction must charge time")
 		}
 	})
-	if st := h.rt.Stats(); st.Evictions == 0 {
-		t.Fatalf("stats = %+v: no evictions under pressure", st)
+	if len(evicted.victims) == 0 {
+		t.Fatal("no evictions under pressure")
 	}
 }
 
 // Tenant pins guard modules from eviction; Detach releases the pins and
 // makes the module evictable again.
 func testPinProtects(t *testing.T, h *harness) {
+	evicted := &evictLog{}
+	h.rt.SetObserver(evicted)
 	ten := h.rt.Attach("t0")
 	h.run(t, func(p *sim.Proc) {
 		if _, err := ten.ModuleLoad(p, "conv_a.pko"); err != nil {
@@ -425,8 +429,8 @@ func testPinProtects(t *testing.T, h *harness) {
 			t.Fatal(err)
 		}
 	})
-	if st := h.rt.Stats(); st.Evictions == 0 {
-		t.Fatalf("stats = %+v: detached modules must be evictable", st)
+	if len(evicted.victims) == 0 {
+		t.Fatal("detached modules must be evictable")
 	}
 }
 
@@ -488,8 +492,8 @@ func testCoalesceInflight(t *testing.T, h *harness) {
 	if doneA != doneB {
 		t.Fatalf("coalesced loads finished at %v and %v, want same instant", doneA, doneB)
 	}
-	if st := h.rt.Stats(); st.ModuleLoads != 1 || st.CoalescedWaits != 1 {
-		t.Fatalf("stats = %+v", st)
+	if st, ts := h.rt.Stats(), h.rt.TenantStats(); st.ModuleLoads != 1 || ts.CoalescedWaits != 1 {
+		t.Fatalf("stats = %+v, root view %+v", st, ts)
 	}
 }
 

@@ -60,7 +60,7 @@ func TestLazySymbolResolution(t *testing.T) {
 				t.Fatal(err)
 			}
 			loadCost := p.Now() - start
-			if want := prof.LoadTime(int64(rt.Store().Size("conv_a.pko")), eagerSymbols(f, 2)); loadCost != want {
+			if want := prof.LoadTime(objSize(t, rt.Store(), "conv_a.pko"), eagerSymbols(f, 2)); loadCost != want {
 				t.Errorf("load charged %v, want %v", loadCost, want)
 			}
 			before := p.Now()

@@ -15,6 +15,16 @@ func putBuilt(s *codeobj.Store, path, arch string, kernels []codeobj.KernelSpec)
 	return s.PutBuiltAll([]codeobj.BuildRequest{{Path: path, Arch: arch, Kernels: kernels}})
 }
 
+// objSize returns the size of the object stored at path.
+func objSize(t testing.TB, s *codeobj.Store, path string) int64 {
+	t.Helper()
+	data, err := s.Get(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(data))
+}
+
 // corrupt stores a copy of the object at path with the byte at offset
 // flipped, and truncate its first n bytes: the damage a bad disk does.
 func corrupt(s *codeobj.Store, path string, offset int) error {
@@ -119,7 +129,7 @@ func TestParseMemoDamageLoadsAsBefore(t *testing.T) {
 				runProc(t, env, rt, func(p *sim.Proc) {
 					first = timedLoad(p, rt, path)
 					rt.Unload(path)
-					if err := tc.damage(store, store.Size(path)); err != nil {
+					if err := tc.damage(store, int(objSize(t, store, path))); err != nil {
 						t.Error(err)
 						return
 					}

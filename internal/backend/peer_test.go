@@ -26,7 +26,7 @@ func (s *staticPeer) PeerLookup(path string) (PeerModule, bool) {
 		return PeerModule{}, false
 	}
 	s.lookups++
-	return PeerModule{Object: s.obj, From: "peer", Cost: s.cost, Err: s.err}, true
+	return PeerModule{Object: s.obj, Cost: s.cost, Err: s.err}, true
 }
 
 // A peer transfer that dies mid-flap must fall back to a local demand load

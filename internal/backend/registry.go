@@ -280,8 +280,8 @@ func (rt *Registry) loadSymbolCount(obj *codeobj.Object) int {
 
 // newModule wraps obj as a registered module, allocating the lazy-symbol
 // ledger when the flavor defers resolution.
-func (rt *Registry) newModule(path string, obj *codeobj.Object, at time.Duration, resident bool) *Module {
-	m := &Module{Path: path, Object: obj, LoadedAt: at, resident: resident}
+func (rt *Registry) newModule(path string, obj *codeobj.Object, resident bool) *Module {
+	m := &Module{Path: path, Object: obj, resident: resident}
 	if rt.sh.flavor.LazySymbols() {
 		m.resolved = make(map[string]bool)
 	}
@@ -315,7 +315,6 @@ func (rt *Registry) ModuleLoad(p *sim.Proc, path string) (*Module, error) {
 		return nil, sh.lostErr
 	}
 	if m, ok := sh.modules[path]; ok {
-		sh.stats.LoadHits++
 		rt.tstats.SharedHits++
 		rt.pin(path)
 		return m, nil
@@ -327,7 +326,6 @@ func (rt *Registry) ModuleLoad(p *sim.Proc, path string) (*Module, error) {
 		return nil, err
 	}
 	if st, ok := sh.inflight[path]; ok {
-		sh.stats.CoalescedWaits++
 		rt.tstats.CoalescedWaits++
 		sh.observe(rt.env, "coalesced_wait", path)
 		st.done.Wait(p)
@@ -406,7 +404,7 @@ func (rt *Registry) loadOrPeer(p *sim.Proc, path string) (*Module, bool, error) 
 					sh.driverLock.Acquire(p)
 					p.Sleep(cost)
 					sh.driverLock.Release()
-					return rt.newModule(path, pm.Object, p.Now(), false), true, nil
+					return rt.newModule(path, pm.Object, false), true, nil
 				}
 			}
 		}
@@ -489,7 +487,7 @@ func (rt *Registry) loadLocked(p *sim.Proc, path string) (*Module, error) {
 		}
 	}
 	p.Sleep(load)
-	return rt.newModule(path, obj, p.Now(), false), nil
+	return rt.newModule(path, obj, false), nil
 }
 
 // evictForSpace drops least-recently-used non-resident modules until a new
@@ -519,7 +517,6 @@ func (rt *Registry) evictForSpace(incoming int64) {
 			return // only resident or pinned modules remain
 		}
 		sh.removeModule(victim.Path)
-		sh.stats.Evictions++
 		sh.observe(rt.env, "evict", victim.Path)
 	}
 }
@@ -555,8 +552,8 @@ func (rt *Registry) GetFunction(p *sim.Proc, path, name string) (Function, error
 // returns false, and charges nothing, when fn's module has left the registry
 // (or fn is the zero Function) or the device is lost; the caller then
 // resolves again with GetFunction. Otherwise it applies exactly the effects
-// of GetFunction's hit path: a LoadHit, this view's SharedHit and the
-// module's LRU stamp.
+// of GetFunction's hit path: this view's SharedHit and the module's LRU
+// stamp.
 //
 // Skipping the pin is exact because fn must come from this same view: the
 // view pinned the path when it resolved fn, only Detach clears pins, and
@@ -567,7 +564,6 @@ func (rt *Registry) Reuse(fn Function) bool {
 	if m == nil || m.unloaded || rt.sh.lost {
 		return false
 	}
-	rt.sh.stats.LoadHits++
 	rt.tstats.SharedHits++
 	m.lastUsed = rt.env.Now()
 	return true
@@ -579,7 +575,6 @@ func (rt *Registry) ReuseModule(m *Module) bool {
 	if m == nil || m.unloaded || rt.sh.lost {
 		return false
 	}
-	rt.sh.stats.LoadHits++
 	rt.tstats.SharedHits++
 	return true
 }
@@ -610,7 +605,7 @@ func (rt *Registry) RegisterResident(p *sim.Proc, path string) (*Module, error) 
 		return nil, rt.sh.flavor.ResidentParseError(path, perr)
 	}
 	p.Sleep(rt.host.ResidentMap)
-	m := rt.newModule(path, obj, p.Now(), true)
+	m := rt.newModule(path, obj, true)
 	rt.sh.addModule(path, m)
 	rt.pin(path)
 	rt.sampleResidency()

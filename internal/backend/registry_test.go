@@ -2,6 +2,7 @@ package backend
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func TestModuleLoadChargesTime(t *testing.T) {
 			}
 		})
 		// Expected: fixed 1ms + size/1e8 s + 100us per symbol resolved at load.
-		size := int64(rt.Store().Size("conv_a.pko"))
+		size := objSize(t, rt.Store(), "conv_a.pko")
 		want := testProfile().LoadTime(size, eagerSymbols(f, 2))
 		if elapsed != want {
 			t.Fatalf("load took %v, want %v", elapsed, want)
@@ -51,9 +52,8 @@ func TestModuleLoadSecondCallIsFree(t *testing.T) {
 				t.Errorf("second load consumed %v", p.Now()-before)
 			}
 		})
-		st := rt.Stats()
-		if st.ModuleLoads != 1 || st.LoadHits != 1 {
-			t.Fatalf("stats = %+v", st)
+		if st, ts := rt.Stats(), rt.TenantStats(); st.ModuleLoads != 1 || ts.SharedHits != 1 {
+			t.Fatalf("stats = %+v, root view %+v", st, ts)
 		}
 	})
 }
@@ -111,8 +111,8 @@ func TestDistinctLoadsSerializeOnDriverLock(t *testing.T) {
 		// OnLoad spans include lock wait; actual driver work must not
 		// overlap: second load ends no earlier than sum of both load
 		// durations.
-		sizeA := int64(rt.Store().Size("conv_a.pko"))
-		sizeB := int64(rt.Store().Size("conv_b.pko"))
+		sizeA := objSize(t, rt.Store(), "conv_a.pko")
+		sizeB := objSize(t, rt.Store(), "conv_b.pko")
 		minEnd := testProfile().LoadTime(sizeA, eagerSymbols(f, 2)) + testProfile().LoadTime(sizeB, eagerSymbols(f, 1))
 		last := max(spans[0][1], spans[1][1])
 		if last < minEnd {
@@ -291,6 +291,8 @@ func TestCodeMemoryPressureEvictsLRU(t *testing.T) {
 		// Budget fits roughly one of the two conv objects at a time.
 		prof.CodeMemory = 130000
 		env, rt := newRuntimeOn(t, f, prof)
+		evicted := &evictLog{}
+		rt.SetObserver(evicted)
 		runHost(t, env, rt, func(p *sim.Proc) {
 			if _, err := rt.ModuleLoad(p, "conv_a.pko"); err != nil {
 				t.Error(err)
@@ -313,7 +315,7 @@ func TestCodeMemoryPressureEvictsLRU(t *testing.T) {
 				t.Error("conv_b must be resident after its load")
 			}
 		})
-		if rt.Stats().Evictions == 0 {
+		if len(evicted.victims) == 0 {
 			t.Fatal("no evictions recorded under memory pressure")
 		}
 	})
@@ -357,7 +359,7 @@ func TestRegisterResidentIsCheap(t *testing.T) {
 			if mapCost != rt.Host().ResidentMap {
 				t.Errorf("resident map cost %v, want %v", mapCost, rt.Host().ResidentMap)
 			}
-			size := int64(rt.Store().Size("conv_a.pko"))
+			size := objSize(t, rt.Store(), "conv_a.pko")
 			if mapCost >= rt.GPU().Profile.LoadTime(size, 2) {
 				t.Error("resident mapping should be far cheaper than a full load")
 			}
@@ -553,7 +555,7 @@ func TestTransientRetryCostsBackoffTime(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%d faults: %v", faults, err)
 				}
-				wantTime += prof.LoadTime(int64(rt.Store().Size("conv_b.pko")), eagerSymbols(f, 1))
+				wantTime += prof.LoadTime(objSize(t, rt.Store(), "conv_b.pko"), eagerSymbols(f, 1))
 			} else if !IsTransient(err) {
 				t.Fatalf("%d faults: err = %v, want transient", faults, err)
 			}
@@ -683,7 +685,7 @@ func TestTenantSharesModulesAcrossViews(t *testing.T) {
 				t.Errorf("second tenant's load of a shared module consumed %v", p.Now()-before)
 			}
 		})
-		if st := rt.Stats(); st.ModuleLoads != 1 || st.LoadHits != 1 {
+		if st := rt.Stats(); st.ModuleLoads != 1 {
 			t.Fatalf("shared stats = %+v", st)
 		}
 		if ts := a.TenantStats(); ts.Loads != 1 || ts.SharedHits != 0 || ts.Pinned != 1 {
@@ -722,9 +724,6 @@ func TestTenantConcurrentLoadsCoalesceAcrossViews(t *testing.T) {
 		if st.ModuleLoads != 1 {
 			t.Fatalf("same .pko loaded %d times, want exactly 1 (stats %+v)", st.ModuleLoads, st)
 		}
-		if st.CoalescedWaits != 1 {
-			t.Fatalf("CoalescedWaits = %d, want 1", st.CoalescedWaits)
-		}
 		if ts := a.TenantStats(); ts.Loads != 1 || ts.CoalescedWaits != 0 {
 			t.Fatalf("alpha stats = %+v", ts)
 		}
@@ -741,10 +740,12 @@ func TestTenantPinBlocksEviction(t *testing.T) {
 		prof := testProfile()
 		// Budget fits either object alone but not both: loading the second
 		// forces the evictor to look for a victim.
-		sizeA := int64(store.Size("conv_a.pko"))
-		sizeB := int64(store.Size("conv_b.pko"))
+		sizeA := objSize(t, store, "conv_a.pko")
+		sizeB := objSize(t, store, "conv_b.pko")
 		prof.CodeMemory = sizeA + sizeB - 1
 		rt := New(env, device.NewGPU(env, prof), device.DefaultHost(), store, f)
+		evicted := &evictLog{}
+		rt.SetObserver(evicted)
 		a := rt.Attach("alpha")
 		runHost(t, env, rt, func(p *sim.Proc) {
 			if _, err := a.ModuleLoad(p, "conv_a.pko"); err != nil {
@@ -759,8 +760,8 @@ func TestTenantPinBlocksEviction(t *testing.T) {
 			if !rt.Loaded("conv_a.pko") {
 				t.Fatal("pinned module was evicted under memory pressure")
 			}
-			if rt.Stats().Evictions != 0 {
-				t.Fatalf("evictions = %d, want 0", rt.Stats().Evictions)
+			if len(evicted.victims) != 0 {
+				t.Fatalf("evicted %v, want none", evicted.victims)
 			}
 			// After the pinning tenant detaches its module becomes a victim.
 			a.Detach()
@@ -771,8 +772,8 @@ func TestTenantPinBlocksEviction(t *testing.T) {
 			if rt.Loaded("conv_a.pko") {
 				t.Fatal("detached tenant's module survived eviction pressure")
 			}
-			if rt.Stats().Evictions != 1 {
-				t.Fatalf("evictions = %d, want 1", rt.Stats().Evictions)
+			if !slices.Equal(evicted.victims, []string{"conv_a.pko"}) {
+				t.Fatalf("evicted %v, want [conv_a.pko]", evicted.victims)
 			}
 		})
 	})

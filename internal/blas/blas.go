@@ -54,7 +54,6 @@ func (p *Problem) Workload() kernels.Workload {
 // Kernel is one GEMM implementation tier.
 type Kernel struct {
 	ID      string
-	Spec    int // specialization level, higher = faster + narrower
 	effFn   func(p *Problem) float64
 	appliFn func(dev device.Profile, p *Problem) bool
 	bindFn  func(p *Problem) string
@@ -137,13 +136,13 @@ func mnBucket(v int) int {
 func Kernels() []*Kernel {
 	return []*Kernel{
 		{
-			ID: "GemmNaive", Spec: 1,
+			ID:      "GemmNaive",
 			effFn:   func(p *Problem) float64 { return 0.08 },
 			appliFn: func(dev device.Profile, p *Problem) bool { return true },
 			size:    240 << 10,
 		},
 		{
-			ID: "GemmTiled", Spec: 2,
+			ID:    "GemmTiled",
 			effFn: func(p *Problem) float64 { return 0.30 },
 			appliFn: func(dev device.Profile, p *Problem) bool {
 				return p.M >= 16 && p.N >= 16 && p.K >= 16 && !p.TransA
@@ -152,7 +151,7 @@ func Kernels() []*Kernel {
 			size:   420 << 10,
 		},
 		{
-			ID: "GemmXdlopsTiled", Spec: 3,
+			ID:    "GemmXdlopsTiled",
 			effFn: func(p *Problem) float64 { return 0.62 },
 			appliFn: func(dev device.Profile, p *Problem) bool {
 				arch := dev.Arch

@@ -526,7 +526,7 @@ func TestPutBuiltBatchSkipsHeldPaths(t *testing.T) {
 		t.Fatal("Put replaced an object the store held")
 	}
 	want, _ := Build("new.pko", "gfx908", sizedSpec("first", 100))
-	if got, _ := s.Get("new.pko"); !bytes.Equal(got, want) || s.Len() != 2 {
+	if got, _ := s.Get("new.pko"); !bytes.Equal(got, want) || len(s.objects) != 2 {
 		t.Fatal("Put did not store exactly the first request for the new path")
 	}
 }

@@ -105,15 +105,6 @@ func (o *Object) NumSymbols() int { return len(o.Kernels) }
 // Size returns the container size in bytes (header + payload + trailer).
 func (o *Object) Size() int { return o.size }
 
-// CodeSize returns the summed pseudo-ISA payload size.
-func (o *Object) CodeSize() int64 {
-	var n int64
-	for _, k := range o.Kernels {
-		n += int64(k.CodeSize)
-	}
-	return n
-}
-
 func appendString(b []byte, s string) []byte {
 	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
 }

@@ -1,6 +1,7 @@
 package codeobj
 
 import (
+	"bytes"
 	"errors"
 	"hash/crc32"
 	"math/rand"
@@ -74,8 +75,12 @@ func TestBuildParseRoundTrip(t *testing.T) {
 	if o.Size() != len(data) {
 		t.Fatalf("Size = %d, want %d", o.Size(), len(data))
 	}
-	if o.CodeSize() != 1024+300+280 {
-		t.Fatalf("CodeSize = %d", o.CodeSize())
+	var code int
+	for _, k := range o.Kernels {
+		code += k.CodeSize
+	}
+	if code != 1024+300+280 {
+		t.Fatalf("summed CodeSize = %d", code)
 	}
 }
 
@@ -217,21 +222,21 @@ func TestCorruptionAlwaysDetectedProperty(t *testing.T) {
 
 func TestStoreBasics(t *testing.T) {
 	s := NewStore()
-	if s.Has("a.pko") || s.Len() != 0 {
+	if s.Has("a.pko") || len(s.objects) != 0 {
 		t.Fatal("new store should be empty")
 	}
 	if err := s.putBuilt("a.pko", "gfx908", sampleSpecs()); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Has("a.pko") || s.Len() != 1 {
+	if !s.Has("a.pko") || len(s.objects) != 1 {
 		t.Fatal("stored object not visible")
 	}
 	data, err := s.Get("a.pko")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Size("a.pko") != len(data) {
-		t.Fatalf("Size = %d, want %d", s.Size("a.pko"), len(data))
+	if want, _ := Build("a.pko", "gfx908", sampleSpecs()); !bytes.Equal(data, want) {
+		t.Fatal("Get does not return the built object")
 	}
 	if _, err := s.Get("missing.pko"); err == nil {
 		t.Fatal("Get of missing path should fail")
@@ -274,8 +279,8 @@ func TestStoreFailureInjection(t *testing.T) {
 	if err := s.truncate("a.pko", 8); err != nil {
 		t.Fatal(err)
 	}
-	if s.Size("a.pko") != 8 {
-		t.Fatalf("Size after truncate = %d", s.Size("a.pko"))
+	if data, _ := s.Get("a.pko"); len(data) != 8 {
+		t.Fatalf("size after truncate = %d", len(data))
 	}
 }
 

@@ -178,17 +178,6 @@ func (s *Store) Has(path string) bool {
 	return ok
 }
 
-// Size returns the byte size of the object at path, or 0 if absent.
-func (s *Store) Size(path string) int {
-	if h, ok := s.objects[path]; ok {
-		return len(h.data)
-	}
-	return 0
-}
-
-// Len returns the number of stored objects.
-func (s *Store) Len() int { return len(s.objects) }
-
 // Paths returns all stored paths in sorted order.
 func (s *Store) Paths() []string {
 	out := make([]string, 0, len(s.objects))

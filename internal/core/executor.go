@@ -156,8 +156,9 @@ type Result struct {
 	// Skipped lists the statically selected instances whose loads were
 	// avoided — the candidates for inter-request background loading (§VI).
 	Skipped []miopen.Instance
-	// BLAS-scope statistics (§VI extension).
-	BlasQueries, BlasHits, BlasSkipped int
+	// BlasSkipped counts GEMM loads avoided under the BLAS-scope extension
+	// (§VI).
+	BlasSkipped int
 
 	// Degradation-ladder statistics (fault recovery).
 	LoadFailures        int // chosen-solution load failures absorbed by the ladder
@@ -186,7 +187,6 @@ type issueItem struct {
 // pipeline carries the shared state of one interleaved run.
 type pipeline struct {
 	r         *graphx.Runner
-	m         *graphx.CompiledModel
 	cache     Cache
 	selective bool
 	opts      Options
@@ -242,7 +242,7 @@ func (pl *pipeline) addGetsub(name, thread string, start, end time.Duration, att
 // The call blocks (in virtual time) until the model completes.
 func RunInterleaved(p *sim.Proc, r *graphx.Runner, m *graphx.CompiledModel, cache Cache, selective bool, opts Options) (*Result, error) {
 	env := p.Env()
-	pl := &pipeline{r: r, m: m, cache: cache, selective: selective, opts: opts}
+	pl := &pipeline{r: r, cache: cache, selective: selective, opts: opts}
 	parsed := sim.NewChan[*graphx.Instruction](env, m.NumInstructions()+4)
 	issue := sim.NewChan[issueItem](env, m.NumInstructions()+4)
 	done := sim.NewSignal(env)
@@ -514,14 +514,12 @@ func (pl *pipeline) decideGemm(lp *sim.Proc, instr *graphx.Instruction) *blas.In
 		pl.insertBlas(chosen)
 		return chosen
 	}
-	pl.res.BlasQueries++
 	start := lp.Now()
 	for i := range pl.blasList {
 		lp.Sleep(pl.r.RT.Host().ApplicabilityCheck)
 		if pl.blasList[i].Applicable(pl.r.RT.GPU().Profile, &instr.Gemm) {
 			inst := pl.blasList[i]
 			promote(pl.blasList, i)
-			pl.res.BlasHits++
 			pl.res.BlasSkipped++
 			pl.r.Tracer.AddNamed(metrics.CatOverhead, "getsub-blas:", instr.Name, lp.Name(), start, lp.Now())
 			return inst

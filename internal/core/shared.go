@@ -24,12 +24,6 @@ func NewSharedCache() *SharedCache {
 	return &SharedCache{inner: NewCategoricalCache()}
 }
 
-// Stats returns the aggregate counters across all views.
-func (s *SharedCache) Stats() CacheStats { return s.inner.Stats() }
-
-// Len returns the number of cached instances.
-func (s *SharedCache) Len() int { return s.inner.Len() }
-
 // View creates a tenant-scoped handle on the shared cache. All views share
 // one categorical structure (recency promotions by one tenant benefit the
 // next), while stats are recorded twice: into the shared aggregate and into

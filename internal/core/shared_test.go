@@ -65,7 +65,7 @@ func TestSharedCacheCrossTenantHit(t *testing.T) {
 		if st := b.Stats(); st.Inserts != 0 || st.Queries != 1 || st.Hits != 1 || st.Lookups != 1 {
 			t.Fatalf("beta stats = %+v", st)
 		}
-		if st := sc.Stats(); st.Inserts != 1 || st.Queries != 1 || st.Hits != 1 {
+		if st := sc.inner.Stats(); st.Inserts != 1 || st.Queries != 1 || st.Hits != 1 {
 			t.Fatalf("aggregate stats = %+v", st)
 		}
 	})

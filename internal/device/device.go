@@ -78,7 +78,6 @@ type HostProfile struct {
 	ModelOpen          time.Duration // open + map the compiled model file
 	ApplicabilityCheck time.Duration // one Solution.IsApplicable evaluation
 	CacheQueryFixed    time.Duration // fixed overhead per GetSubSolution query
-	FindDBLookup       time.Duration // perf-db lookup for one problem
 	SyncOverhead       time.Duration // one host<->device synchronization
 	IterOverhead       time.Duration // per-inference framework bookkeeping
 	ResidentMap        time.Duration // map one library-resident code object
@@ -92,7 +91,6 @@ func DefaultHost() HostProfile {
 		ModelOpen:          2 * time.Millisecond,
 		ApplicabilityCheck: 60 * time.Microsecond,
 		CacheQueryFixed:    4 * time.Microsecond,
-		FindDBLookup:       30 * time.Microsecond,
 		SyncOverhead:       15 * time.Microsecond,
 		IterOverhead:       3 * time.Millisecond,
 		ResidentMap:        400 * time.Microsecond,

@@ -231,7 +231,7 @@ func TestBuiltinProfiles(t *testing.T) {
 func TestDefaultHostProfilePositive(t *testing.T) {
 	h := DefaultHost()
 	if h.ParseInstr <= 0 || h.ApplicabilityCheck <= 0 || h.ModelOpen <= 0 ||
-		h.CacheQueryFixed <= 0 || h.FindDBLookup <= 0 || h.SyncOverhead <= 0 {
+		h.CacheQueryFixed <= 0 || h.SyncOverhead <= 0 {
 		t.Fatalf("host profile has non-positive fields: %+v", h)
 	}
 	// The paper's premise: one applicability check is far cheaper than one

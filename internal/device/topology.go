@@ -70,9 +70,6 @@ func (h *Host) GPU(i int) *GPU { return h.gpus[i].GPU }
 // Node returns the NUMA node of the GPU at index i.
 func (h *Host) Node(i int) int { return h.gpus[i].Node }
 
-// Env returns the simulation environment the host's devices run in.
-func (h *Host) Env() *sim.Env { return h.env }
-
 // LinkBetween returns the interconnect path between GPUs i and j. Same-node
 // peers share a PCIe switch and run at the slower endpoint's PCIe bandwidth;
 // cross-node peers pay the inter-socket discount and latency. i == j is an

@@ -115,21 +115,12 @@ func prepareFused(abbr string, base *ModelSetup) (*ModelSetup, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := spec.Build(base.Batch)
+	objs := base.Store.Batch()
+	m, err := compileModel(objs, miopen.NewPerfDB(base.Reg), base.BlasReg, spec, base.Batch, base.Model.DType, graphx.CompileOptions{FuseConvActivation: true})
 	if err != nil {
 		return nil, err
-	}
-	g.DType = base.Model.DType
-	db := miopen.NewPerfDB(base.Reg)
-	m, err := graphx.Compile(g, db, graphx.CompileOptions{FuseConvActivation: true})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fused compile %s: %w", abbr, err)
 	}
 	m.Name = m.Name + "+fused"
-	objs := base.Store.Batch()
-	if err := graphx.MaterializeModel(objs, base.Reg, base.BlasReg, m); err != nil {
-		return nil, err
-	}
 	if err := objs.Put(); err != nil {
 		return nil, fmt.Errorf("experiments: materialize %s: %w", m.Name, err)
 	}

@@ -534,16 +534,11 @@ func ExtPrecision(models []string) (*Table, error) {
 	tbl := &Table{ID: "Ext-Precision", Title: "Precision preference on int8-quantized models (MI100, batch 1)",
 		Headers: []string{"model", "PaSK", "PaSK+prec", "fp32 fallbacks"}}
 	for _, abbr := range models {
-		ms, err := PrepareModel(abbr, 1, device.MI100())
-		if err != nil {
-			return nil, err
-		}
 		// Quantized deployment: the same architecture compiled at int8.
 		f16, err := PrepareModelTyped(abbr, 1, device.MI100(), tensor.I8)
 		if err != nil {
 			return nil, err
 		}
-		_ = ms
 		base, _, err := f16.RunScheme(core.SchemeBaseline, core.Options{})
 		if err != nil {
 			return nil, err

@@ -20,7 +20,7 @@ func TestPrepareModelAllTwelve(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", abbr, err)
 		}
-		if ms.Model.NumInstructions() == 0 || ms.Store.Len() == 0 {
+		if ms.Model.NumInstructions() == 0 || len(ms.Store.Paths()) == 0 {
 			t.Fatalf("%s: empty setup", abbr)
 		}
 	}

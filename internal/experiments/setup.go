@@ -60,15 +60,8 @@ func PrepareModelsShared(abbrs []string, batch int, prof device.Profile) (map[st
 		if err != nil {
 			return nil, err
 		}
-		g, err := spec.Build(batch)
+		m, err := compileModel(objs, db, breg, spec, batch, tensor.F32, graphx.CompileOptions{})
 		if err != nil {
-			return nil, err
-		}
-		m, err := graphx.Compile(g, db, graphx.CompileOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: compile %s: %w", abbr, err)
-		}
-		if err := graphx.MaterializeModel(objs, reg, breg, m); err != nil {
 			return nil, err
 		}
 		out[abbr] = &ModelSetup{
@@ -91,38 +84,37 @@ func PrepareModelTyped(abbr string, batch int, prof device.Profile, dt tensor.DT
 	}
 	reg := miopen.NewRegistry(miopen.NewCtx(prof))
 	db := miopen.NewPerfDB(reg)
-
-	g, err := spec.Build(batch)
-	if err != nil {
-		return nil, err
-	}
-	g.DType = dt
-	m, err := graphx.Compile(g, db, graphx.CompileOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: compile %s: %w", abbr, err)
-	}
-	gu, err := spec.Build(batch)
-	if err != nil {
-		return nil, err
-	}
-	gu.DType = dt
-	uniform, err := graphx.Compile(gu, db, graphx.CompileOptions{Mode: graphx.SelectUniformLayout})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: compile %s (uniform): %w", abbr, err)
-	}
-
+	breg := blas.NewRegistry(prof)
 	store := codeobj.NewStore()
 	objs := store.Batch()
-	breg := blas.NewRegistry(prof)
-	for _, cm := range []*graphx.CompiledModel{m, uniform} {
-		if err := graphx.MaterializeModel(objs, reg, breg, cm); err != nil {
-			return nil, err
-		}
+	m, err := compileModel(objs, db, breg, spec, batch, dt, graphx.CompileOptions{})
+	if err != nil {
+		return nil, err
+	}
+	uniform, err := compileModel(objs, db, breg, spec, batch, dt, graphx.CompileOptions{Mode: graphx.SelectUniformLayout})
+	if err != nil {
+		return nil, err
 	}
 	if err := objs.Put(); err != nil {
 		return nil, fmt.Errorf("experiments: materialize %s: %w", abbr, err)
 	}
 	return &ModelSetup{Spec: spec, Batch: batch, Profile: prof, Reg: reg, BlasReg: breg, Store: store, Model: m, Uniform: uniform}, nil
+}
+
+// compileModel builds spec's graph at batch in element type dt, compiles it
+// against db under opts and adds every code object the plan can load to
+// objs: the one compile step of every set-up.
+func compileModel(objs *codeobj.Batch, db *miopen.PerfDB, breg *blas.Registry, spec zoo.Spec, batch int, dt tensor.DType, opts graphx.CompileOptions) (*graphx.CompiledModel, error) {
+	g, err := spec.Build(batch)
+	if err != nil {
+		return nil, err
+	}
+	g.DType = dt
+	m, err := graphx.Compile(g, db, opts)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: compile %s: %w", spec.Abbr, err)
+	}
+	return m, graphx.MaterializeModel(objs, db.Registry(), breg, m)
 }
 
 // Process is one cold OS process over the setup's shared object store: its

@@ -100,9 +100,9 @@ func TestWarmupCountersInTrace(t *testing.T) {
 		"warmup_prefetch_wasted": false,
 		"warmup_stale_entries":   false,
 	}
-	for _, c := range tr.Counters() {
-		if _, ok := want[c.Name]; ok {
-			want[c.Name] = true
+	for _, ev := range chromeEvents(t, tr) {
+		if _, ok := want[ev.Name]; ok && ev.Ph == "C" {
+			want[ev.Name] = true
 		}
 	}
 	for name, seen := range want {

@@ -120,7 +120,6 @@ type Stats struct {
 	TransientFaults int // reads failed with a retriable error
 	CorruptReads    int // reads answered with corrupted bytes
 	LatencySpikes   int // loads slowed by SpikeExtra
-	SlowLoads       int // loads slowed inside the slow-loader window
 	Resets          int // device resets fired
 }
 
@@ -252,7 +251,6 @@ func (inj *Injector) ExtraLoadLatency(now time.Duration, path string) time.Durat
 	var extra time.Duration
 	if inj.plan.SlowLoadExtra > 0 && now >= inj.plan.SlowFrom &&
 		(inj.plan.SlowUntil <= 0 || now < inj.plan.SlowUntil) {
-		inj.stats.SlowLoads++
 		extra += inj.plan.SlowLoadExtra
 	}
 	if inj.plan.SpikeRate > 0 {

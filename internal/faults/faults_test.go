@@ -248,13 +248,6 @@ func TestSlowLoaderWindow(t *testing.T) {
 			if got := inj.ExtraLoadLatency(tc.now, "m.pko"); got != tc.want {
 				t.Fatalf("ExtraLoadLatency(%v) = %v, want %v", tc.now, got, tc.want)
 			}
-			wantSlow := 0
-			if tc.want > 0 {
-				wantSlow = 1
-			}
-			if inj.Stats().SlowLoads != wantSlow {
-				t.Fatalf("SlowLoads = %d, want %d", inj.Stats().SlowLoads, wantSlow)
-			}
 		})
 	}
 }
@@ -267,9 +260,8 @@ func TestSlowLoaderStacksWithSpike(t *testing.T) {
 	if got := inj.ExtraLoadLatency(0, "m.pko"); got != 7*time.Millisecond {
 		t.Fatalf("stacked extra = %v, want 7ms", got)
 	}
-	st := inj.Stats()
-	if st.SlowLoads != 1 || st.LatencySpikes != 1 {
-		t.Fatalf("stats = %+v, want one slow load and one spike", st)
+	if st := inj.Stats(); st.LatencySpikes != 1 {
+		t.Fatalf("stats = %+v, want one spike", st)
 	}
 }
 

@@ -64,7 +64,6 @@ func Compile(g *onnx.Graph, db *miopen.PerfDB, opts CompileOptions) (*CompiledMo
 			Name:       g.Name,
 			Batch:      g.InputShape.N,
 			DType:      g.DType,
-			InputShape: g.InputShape,
 			ParamBytes: g.ParamBytes(),
 		},
 	}
@@ -150,7 +149,6 @@ func (c *compiler) ensureLayoutFor(t string, want tensor.Layout, forNext bool) {
 		XformForNext: forNext,
 		Work:         kernels.TransformWorkload(s, c.m.DType),
 		Eff:          0.35,
-		OutShape:     s,
 	})
 	c.layouts[t] = want
 }
@@ -202,7 +200,6 @@ func (c *compiler) lowerPrimitive(n *onnx.Node, input string, build func(layout 
 		Problem:    prob,
 		SolutionID: r.Inst.Sol.ID(),
 		Binding:    r.Inst.Binding(),
-		OutShape:   prob.OutShape(),
 		static:     &staticPlan{prob: ip, inst: r.Inst, calls: r.Inst.Sol.Calls(ip)},
 	})
 	c.layouts[n.Output] = runLayout
@@ -222,12 +219,11 @@ func (c *compiler) lowerBuiltin(n *onnx.Node, op string, trafficScale float64) {
 	out := c.shapes[n.Output]
 	w := kernels.TransformWorkload(out, c.m.DType).Scale(trafficScale)
 	c.emit(Instruction{
-		Name:     n.Name,
-		Kind:     KindBuiltin,
-		Builtin:  op,
-		Work:     w,
-		Eff:      0.35,
-		OutShape: out,
+		Name:    n.Name,
+		Kind:    KindBuiltin,
+		Builtin: op,
+		Work:    w,
+		Eff:     0.35,
 	})
 	c.layouts[n.Output] = target
 }
@@ -332,7 +328,6 @@ func (c *compiler) lower(n *onnx.Node) error {
 			Gemm: blas.Problem{
 				M: a.H, N: nDim, K: a.W, Batch: a.N * a.C, TransB: transB, DType: c.m.DType,
 			},
-			OutShape: c.shapes[n.Output],
 		})
 		c.layouts[n.Output] = tensor.NCHW
 		return nil

@@ -52,7 +52,7 @@ func GenericPicker(reg *miopen.Registry) SolutionPicker {
 // are generated deterministically from seed, primitives run through the
 // picked library solutions' reference implementations, and the graph output
 // tensor is returned. Intended for small inputs (tests, examples).
-func FunctionalRun(g *onnx.Graph, reg *miopen.Registry, pick SolutionPicker, input *tensor.Tensor, seed int64) (*tensor.Tensor, error) {
+func FunctionalRun(g *onnx.Graph, pick SolutionPicker, input *tensor.Tensor, seed int64) (*tensor.Tensor, error) {
 	shapes, err := g.InferShapes()
 	if err != nil {
 		return nil, err
@@ -64,7 +64,7 @@ func FunctionalRun(g *onnx.Graph, reg *miopen.Registry, pick SolutionPicker, inp
 	for _, init := range g.Inits {
 		vals[init.Name] = paramTensor(init.Name, init.Shape, seed)
 	}
-	f := &funcExec{g: g, reg: reg, pick: pick, shapes: shapes, vals: vals}
+	f := &funcExec{g: g, pick: pick, shapes: shapes, vals: vals}
 	for i := range g.Nodes {
 		if err := f.eval(&g.Nodes[i]); err != nil {
 			return nil, fmt.Errorf("graphx: functional node %q: %w", g.Nodes[i].Name, err)
@@ -90,7 +90,6 @@ func paramTensor(name string, s tensor.Shape, seed int64) *tensor.Tensor {
 
 type funcExec struct {
 	g      *onnx.Graph
-	reg    *miopen.Registry
 	pick   SolutionPicker
 	shapes map[string]tensor.Shape
 	vals   map[string]*tensor.Tensor

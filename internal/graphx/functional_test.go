@@ -76,7 +76,7 @@ func TestFunctionalRunProducesFiniteOutput(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	for _, build := range []func(*testing.T) *onnx.Graph{tinyCNN, tinyTransformer} {
 		g := build(t)
-		out, err := FunctionalRun(g, reg, BestPicker(reg), randomInput(g.InputShape, 1), 42)
+		out, err := FunctionalRun(g, BestPicker(reg), randomInput(g.InputShape, 1), 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,11 +97,11 @@ func TestReusePreservesResults(t *testing.T) {
 	for _, build := range []func(*testing.T) *onnx.Graph{tinyCNN, tinyTransformer} {
 		g := build(t)
 		in := randomInput(g.InputShape, 7)
-		best, err := FunctionalRun(g, reg, BestPicker(reg), in, 42)
+		best, err := FunctionalRun(g, BestPicker(reg), in, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := FunctionalRun(build(t), reg, GenericPicker(reg), in, 42)
+		gen, err := FunctionalRun(build(t), GenericPicker(reg), in, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,18 +116,18 @@ func TestFunctionalRunDeterministic(t *testing.T) {
 	g1 := tinyCNN(t)
 	g2 := tinyCNN(t)
 	in := randomInput(g1.InputShape, 3)
-	a, err := FunctionalRun(g1, reg, BestPicker(reg), in, 42)
+	a, err := FunctionalRun(g1, BestPicker(reg), in, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FunctionalRun(g2, reg, BestPicker(reg), in, 42)
+	b, err := FunctionalRun(g2, BestPicker(reg), in, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tensor.MaxAbsDiff(a, b) != 0 {
 		t.Fatal("same seed, same input, different output")
 	}
-	c, err := FunctionalRun(tinyCNN(t), reg, BestPicker(reg), in, 43)
+	c, err := FunctionalRun(tinyCNN(t), BestPicker(reg), in, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFunctionalRejectsBadInput(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	g := tinyCNN(t)
 	wrong := tensor.New(tensor.Shape{N: 1, C: 3, H: 8, W: 8}, tensor.NCHW)
-	if _, err := FunctionalRun(g, reg, BestPicker(reg), wrong, 1); err == nil {
+	if _, err := FunctionalRun(g, BestPicker(reg), wrong, 1); err == nil {
 		t.Fatal("wrong input shape must fail")
 	}
 }
@@ -167,13 +167,13 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	in := randomInput(tensor.Shape{N: 1, C: 3, H: 16, W: 16}, 5)
 	plain := build()
-	raw, err := FunctionalRun(plain, reg, BestPicker(reg), in, 9)
+	raw, err := FunctionalRun(plain, BestPicker(reg), in, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	optimized := build()
 	Optimize(optimized)
-	opt, err := FunctionalRun(optimized, reg, BestPicker(reg), in, 9)
+	opt, err := FunctionalRun(optimized, BestPicker(reg), in, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +204,11 @@ func TestReuseEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		in := randomInput(g.InputShape, seed)
-		best, err := FunctionalRun(g, reg, BestPicker(reg), in, seed)
+		best, err := FunctionalRun(g, BestPicker(reg), in, seed)
 		if err != nil {
 			return false
 		}
-		gen, err := FunctionalRun(g, reg, GenericPicker(reg), in, seed)
+		gen, err := FunctionalRun(g, GenericPicker(reg), in, seed)
 		if err != nil {
 			return false
 		}
@@ -229,7 +229,7 @@ func TestFusionPreservesSemantics(t *testing.T) {
 	reg := miopen.NewRegistry(miopen.NewCtx(device.MI100()))
 	in := randomInput(tensor.Shape{N: 1, C: 3, H: 24, W: 24}, 4)
 	plain := tinyCNN(t)
-	ref, err := FunctionalRun(plain, reg, BestPicker(reg), in, 11)
+	ref, err := FunctionalRun(plain, BestPicker(reg), in, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestFusionPreservesSemantics(t *testing.T) {
 	if relus >= plainRelus {
 		t.Fatalf("fusion removed no relus: %d vs %d", relus, plainRelus)
 	}
-	got, err := FunctionalRun(fused, reg, BestPicker(reg), in, 11)
+	got, err := FunctionalRun(fused, BestPicker(reg), in, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

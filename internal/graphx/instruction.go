@@ -71,8 +71,6 @@ type Instruction struct {
 	Work kernels.Workload
 	Eff  float64
 
-	OutShape tensor.Shape
-
 	// static is the static plan Compile resolved against its registry
 	// (KindPrimitive only), gemm the GEMM problem MaterializeModel interned
 	// in the set-up's BLAS registry (KindGemm only). Each is written once
@@ -148,7 +146,6 @@ type CompiledModel struct {
 	Name       string
 	Batch      int
 	DType      tensor.DType
-	InputShape tensor.Shape
 	ParamBytes int64
 	Instrs     []Instruction
 }

@@ -9,11 +9,6 @@ type Workload struct {
 	Bytes int64 // global memory traffic
 }
 
-// Add returns the element-wise sum of two workloads.
-func (w Workload) Add(o Workload) Workload {
-	return Workload{Flops: w.Flops + o.Flops, Bytes: w.Bytes + o.Bytes}
-}
-
 // Scale returns the workload multiplied by f (used for algorithmic
 // reductions such as Winograd's multiply savings).
 func (w Workload) Scale(f float64) Workload {

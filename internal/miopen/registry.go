@@ -132,10 +132,8 @@ func (r *Registry) FindBest(p *Problem) (Ranked, error) {
 // PerfDB memoizes Find results per problem key — the integrated performance
 // database the serving framework queries during lowering (paper §II-A).
 type PerfDB struct {
-	reg    *Registry
-	m      map[string][]Ranked
-	hits   int
-	misses int
+	reg *Registry
+	m   map[string][]Ranked
 }
 
 // NewPerfDB returns an empty database over the registry.
@@ -151,25 +149,11 @@ func (db *PerfDB) Registry() *Registry { return db.reg }
 func (db *PerfDB) Find(p *Problem) []Ranked {
 	key := p.Key()
 	if r, ok := db.m[key]; ok {
-		db.hits++
 		return r
 	}
-	db.misses++
 	r := db.reg.Find(p)
 	db.m[key] = r
 	return r
-}
-
-// Entries returns the number of memoized problems.
-func (db *PerfDB) Entries() int { return len(db.m) }
-
-// HitRate returns the fraction of Find calls served from the cache.
-func (db *PerfDB) HitRate() float64 {
-	total := db.hits + db.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(db.hits) / float64(total)
 }
 
 // Residents returns the instances whose kernels ship precompiled inside the

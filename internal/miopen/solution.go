@@ -111,9 +111,6 @@ func (s *Solution) ID() string { return s.id }
 // Pattern returns the algorithmic family.
 func (s *Solution) Pattern() Pattern { return s.pattern }
 
-// Primitive returns the layer type the solution implements.
-func (s *Solution) Primitive() Primitive { return s.primitive }
-
 // Specificity orders the generality ladder: higher values are more
 // specialized (paper Fig 4).
 func (s *Solution) Specificity() int { return s.spec }

@@ -25,9 +25,6 @@ func NewBuilder(name string, input tensor.Shape, dt tensor.DType) *Builder {
 // Input returns the graph input tensor name.
 func (b *Builder) Input() string { return "input" }
 
-// Err returns the first construction error, if any.
-func (b *Builder) Err() error { return b.err }
-
 // Shape returns the tracked shape of a tensor built so far.
 func (b *Builder) Shape(t string) tensor.Shape { return b.shapes[t] }
 

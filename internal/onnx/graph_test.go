@@ -67,15 +67,15 @@ func TestBuilderErrorPropagates(t *testing.T) {
 	if _, err := b.Finish(x); err == nil {
 		t.Fatal("expected builder error")
 	}
-	if !strings.Contains(b.Err().Error(), "groups") {
-		t.Fatalf("err = %v", b.Err())
+	if !strings.Contains(b.err.Error(), "groups") {
+		t.Fatalf("err = %v", b.err)
 	}
 }
 
 func TestBuilderUnknownInput(t *testing.T) {
 	b := NewBuilder("bad", sh(1, 3, 8, 8), tensor.F32)
 	b.Conv("c1", "nope", 8, 3, 1, 1, 1)
-	if b.Err() == nil {
+	if b.err == nil {
 		t.Fatal("expected unknown-input error")
 	}
 }
@@ -189,7 +189,7 @@ func TestMatMulDimensionError(t *testing.T) {
 	q := b.MatMulParam("q", x, 32)
 	k := b.MatMulParam("k", x, 48)
 	b.MatMul("qk", q, k, false) // 32 vs 48 inner dims
-	if b.Err() == nil {
+	if b.err == nil {
 		t.Fatal("expected inner-dim error")
 	}
 }
@@ -199,8 +199,8 @@ func TestBroadcastAddForSE(t *testing.T) {
 	x := b.Conv("c", b.Input(), 8, 3, 1, 1, 1)
 	g := b.GlobalAvgPool("gap", x)
 	out := b.Mul("gate", x, g)
-	if b.Err() != nil {
-		t.Fatal(b.Err())
+	if b.err != nil {
+		t.Fatal(b.err)
 	}
 	if got := b.Shape(out); got != sh(1, 8, 16, 16) {
 		t.Fatalf("gated shape = %v", got)
@@ -283,12 +283,12 @@ func TestInferNodeErrorPaths(t *testing.T) {
 func TestBuilderLayerNormAndFCOnUnknown(t *testing.T) {
 	b := NewBuilder("bad", sh(1, 3, 8, 8), tensor.F32)
 	b.FC("fc", "ghost", 10)
-	if b.Err() == nil {
+	if b.err == nil {
 		t.Fatal("FC on unknown tensor must fail")
 	}
 	b2 := NewBuilder("bad2", sh(1, 3, 8, 8), tensor.F32)
 	b2.MatMulParam("mm", "ghost", 10)
-	if b2.Err() == nil {
+	if b2.err == nil {
 		t.Fatal("MatMulParam on unknown tensor must fail")
 	}
 }

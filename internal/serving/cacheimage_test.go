@@ -98,8 +98,10 @@ func TestCacheImageAcceptance(t *testing.T) {
 	}
 	// The chaos counters landed on the first device's timeline.
 	sampled := map[string]bool{}
-	for _, c := range rec.Counters() {
-		sampled[c.Name] = len(c.Samples) > 0
+	for _, ev := range chromeEvents(t, rec) {
+		if ev.Ph == "C" {
+			sampled[ev.Name] = true
+		}
 	}
 	for _, name := range []string{"cacheimg_attach_ok", "cacheimg_quarantined",
 		"cacheimg_reject_profile", "cacheimg_reject_stale", "cacheimg_nodes_killed"} {

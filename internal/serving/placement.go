@@ -188,7 +188,7 @@ func (ps *peerSource) PeerLookup(path string) (backend.PeerModule, bool) {
 		}
 		cost := ps.mh.Host.PeerCopyTime(j, ps.idx, int64(obj.Size()))
 		if !found || cost < best.Cost {
-			best = backend.PeerModule{Object: obj, From: fmt.Sprintf("gpu%d", j), Cost: cost}
+			best = backend.PeerModule{Object: obj, Cost: cost}
 			found = true
 			if ps.mh.links != nil && ps.mh.links.linkDown(ps.mh.Env.Now(), j, ps.idx) {
 				best.Err = fmt.Errorf("serving: link gpu%d<->gpu%d down", j, ps.idx)

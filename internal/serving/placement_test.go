@@ -90,7 +90,7 @@ func TestPlacementRecordsTrace(t *testing.T) {
 	if arm.PeerFetches == 0 {
 		t.Fatal("recorded arm has no peer fetches; trace assertions vacuous")
 	}
-	instants := 0
+	instants, ttfis := 0, 0
 	gauge, sampled := 0.0, false
 	for _, ev := range chromeEvents(t, rec) {
 		switch {
@@ -98,16 +98,12 @@ func TestPlacementRecordsTrace(t *testing.T) {
 			instants++
 		case ev.Ph == "C" && ev.Name == "placement_peer_fetches":
 			gauge, sampled = ev.Value, true
+		case ev.Ph == "C" && ev.Name == "placement_ttfi_ms":
+			ttfis++
 		}
 	}
 	if instants != arm.PeerFetches {
 		t.Fatalf("trace has %d peer_fetch instants, arm counted %d", instants, arm.PeerFetches)
-	}
-	ttfis := 0
-	for _, c := range rec.Counters() {
-		if c.Name == "placement_ttfi_ms" {
-			ttfis = len(c.Samples)
-		}
 	}
 	// Identical consecutive TTFI values collapse, so samples ≤ tenants.
 	if ttfis == 0 || ttfis > tenants {

@@ -73,8 +73,8 @@ func TestPredictiveBeatsReplay(t *testing.T) {
 
 	// Wasted prefetches must surface on the shared counter series.
 	found := false
-	for _, c := range rec.Counters() {
-		if c.Name == "warmup_prefetch_wasted" {
+	for _, ev := range chromeEvents(t, rec) {
+		if ev.Ph == "C" && ev.Name == "warmup_prefetch_wasted" {
 			found = true
 		}
 	}

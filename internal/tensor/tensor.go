@@ -76,17 +76,6 @@ func (l Layout) String() string {
 	return fmt.Sprintf("layout(%d)", uint8(l))
 }
 
-// ParseLayout converts a string produced by Layout.String back to a Layout.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "NCHW":
-		return NCHW, nil
-	case "NHWC":
-		return NHWC, nil
-	}
-	return NCHW, fmt.Errorf("tensor: unknown layout %q", s)
-}
-
 // Shape is a 4-D activation shape (batch, channels, height, width). Lower
 // dimensional tensors set trailing spatial dims to 1.
 type Shape struct {
@@ -147,52 +136,10 @@ func (t *Tensor) Clone() *Tensor {
 	return out
 }
 
-// ToLayout returns a copy of t converted to layout l (the data movement a
-// layout-interchange kernel performs). Returns t itself if already in l.
-func (t *Tensor) ToLayout(l Layout) *Tensor {
-	if t.Layout == l {
-		return t
-	}
-	out := New(t.Shape, l)
-	s := t.Shape
-	for n := 0; n < s.N; n++ {
-		for c := 0; c < s.C; c++ {
-			for h := 0; h < s.H; h++ {
-				for w := 0; w < s.W; w++ {
-					out.Set(n, c, h, w, t.At(n, c, h, w))
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Fill sets every element using f(flat index).
 func (t *Tensor) Fill(f func(i int) float32) {
 	for i := range t.Data {
 		t.Data[i] = f(i)
-	}
-}
-
-// Quantize rounds every element through the value grid of dtype d, in place,
-// emulating the precision loss of running a kernel specialized for d.
-func (t *Tensor) Quantize(d DType) {
-	switch d {
-	case F32:
-	case F16:
-		for i, v := range t.Data {
-			t.Data[i] = F16Round(v)
-		}
-	case I8:
-		for i, v := range t.Data {
-			q := math.Round(float64(v) * 127)
-			if q > 127 {
-				q = 127
-			} else if q < -128 {
-				q = -128
-			}
-			t.Data[i] = float32(q / 127)
-		}
 	}
 }
 
@@ -217,75 +164,4 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// F16Round rounds an fp32 value to the nearest representable binary16 value
-// (round-to-nearest-even), returning it as fp32. Infinities saturate.
-func F16Round(v float32) float32 {
-	return F16ToF32(F32ToF16(v))
-}
-
-// F32ToF16 converts fp32 to IEEE 754 binary16 bits with round-to-nearest-even.
-func F32ToF16(v float32) uint16 {
-	bits := math.Float32bits(v)
-	sign := uint16(bits>>16) & 0x8000
-	exp := int32(bits>>23&0xff) - 127 + 15
-	man := bits & 0x7fffff
-	switch {
-	case int32(bits>>23&0xff) == 0xff: // Inf/NaN
-		if man != 0 {
-			return sign | 0x7e00 // NaN
-		}
-		return sign | 0x7c00 // Inf
-	case exp >= 0x1f: // overflow -> Inf
-		return sign | 0x7c00
-	case exp <= 0: // subnormal or zero
-		if exp < -10 {
-			return sign
-		}
-		man |= 0x800000
-		shift := uint32(14 - exp)
-		half := man >> shift
-		rem := man & ((1 << shift) - 1)
-		mid := uint32(1) << (shift - 1)
-		if rem > mid || (rem == mid && half&1 == 1) {
-			half++
-		}
-		return sign | uint16(half)
-	default:
-		half := uint32(exp)<<10 | man>>13
-		rem := man & 0x1fff
-		if rem > 0x1000 || (rem == 0x1000 && half&1 == 1) {
-			half++
-		}
-		return sign | uint16(half)
-	}
-}
-
-// F16ToF32 converts IEEE 754 binary16 bits to fp32.
-func F16ToF32(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h >> 10 & 0x1f)
-	man := uint32(h & 0x3ff)
-	switch {
-	case exp == 0:
-		if man == 0 {
-			return math.Float32frombits(sign)
-		}
-		// subnormal: normalize
-		e := uint32(127 - 15 + 1)
-		for man&0x400 == 0 {
-			man <<= 1
-			e--
-		}
-		man &= 0x3ff
-		return math.Float32frombits(sign | e<<23 | man<<13)
-	case exp == 0x1f:
-		if man == 0 {
-			return math.Float32frombits(sign | 0x7f800000)
-		}
-		return math.Float32frombits(sign | 0x7fc00000 | man<<13)
-	default:
-		return math.Float32frombits(sign | (exp-15+127)<<23 | man<<13)
-	}
 }

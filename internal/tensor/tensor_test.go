@@ -1,11 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestShapeElemsAndBytes(t *testing.T) {
 	s := Shape{N: 2, C: 3, H: 4, W: 5}
@@ -37,18 +32,6 @@ func TestDTypeRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseDType("f64"); err == nil {
 		t.Fatal("expected error for unknown dtype")
-	}
-}
-
-func TestLayoutRoundTrip(t *testing.T) {
-	for _, l := range []Layout{NCHW, NHWC} {
-		got, err := ParseLayout(l.String())
-		if err != nil || got != l {
-			t.Fatalf("ParseLayout(%q) = %v, %v", l.String(), got, err)
-		}
-	}
-	if _, err := ParseLayout("CHWN"); err == nil {
-		t.Fatal("expected error for unknown layout")
 	}
 }
 
@@ -89,27 +72,6 @@ func TestIndexingNCHWvsNHWC(t *testing.T) {
 	}
 }
 
-func TestToLayoutRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := Shape{N: rng.Intn(3) + 1, C: rng.Intn(5) + 1, H: rng.Intn(6) + 1, W: rng.Intn(6) + 1}
-		a := New(s, NCHW)
-		a.Fill(func(i int) float32 { return rng.Float32() })
-		back := a.ToLayout(NHWC).ToLayout(NCHW)
-		return MaxAbsDiff(a, back) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestToLayoutSameLayoutReturnsSelf(t *testing.T) {
-	a := New(Shape{1, 1, 2, 2}, NCHW)
-	if a.ToLayout(NCHW) != a {
-		t.Fatal("ToLayout with same layout should return the receiver")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	a := New(Shape{1, 1, 1, 2}, NCHW)
 	a.Data[0] = 5
@@ -122,106 +84,23 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestMaxAbsDiffAcrossLayouts(t *testing.T) {
 	s := Shape{1, 2, 2, 2}
-	a := New(s, NCHW)
-	a.Fill(func(i int) float32 { return float32(i) })
-	b := a.ToLayout(NHWC)
+	a, b := New(s, NCHW), New(s, NHWC)
+	v := float32(0)
+	for c := 0; c < s.C; c++ {
+		for h := 0; h < s.H; h++ {
+			for w := 0; w < s.W; w++ {
+				a.Set(0, c, h, w, v)
+				b.Set(0, c, h, w, v)
+				v++
+			}
+		}
+	}
 	if d := MaxAbsDiff(a, b); d != 0 {
 		t.Fatalf("diff across layouts = %v, want 0", d)
 	}
 	b.Set(0, 1, 1, 1, b.At(0, 1, 1, 1)+2.5)
 	if d := MaxAbsDiff(a, b); d != 2.5 {
 		t.Fatalf("diff = %v, want 2.5", d)
-	}
-}
-
-func TestF16KnownValues(t *testing.T) {
-	cases := []struct {
-		in   float32
-		bits uint16
-	}{
-		{0, 0x0000},
-		{1, 0x3c00},
-		{-2, 0xc000},
-		{0.5, 0x3800},
-		{65504, 0x7bff},         // max finite f16
-		{70000, 0x7c00},         // overflow -> +Inf
-		{5.9604645e-08, 0x0001}, // smallest subnormal
-	}
-	for _, c := range cases {
-		if got := F32ToF16(c.in); got != c.bits {
-			t.Errorf("F32ToF16(%v) = %#04x, want %#04x", c.in, got, c.bits)
-		}
-	}
-	if !math.IsInf(float64(F16ToF32(0x7c00)), 1) {
-		t.Error("0x7c00 should decode to +Inf")
-	}
-	if !math.IsNaN(float64(F16ToF32(0x7e00))) {
-		t.Error("0x7e00 should decode to NaN")
-	}
-}
-
-func TestF16RoundIdempotentProperty(t *testing.T) {
-	f := func(v float32) bool {
-		if math.IsNaN(float64(v)) {
-			return true
-		}
-		once := F16Round(v)
-		return F16Round(once) == once
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestF16RoundErrorBoundProperty(t *testing.T) {
-	f := func(raw uint16) bool {
-		v := float32(raw)/65535*4 - 2 // [-2,2]
-		r := F16Round(v)
-		// Relative error of binary16 in the normal range is <= 2^-11.
-		return math.Abs(float64(r-v)) <= math.Max(math.Abs(float64(v))/2048, 1e-7)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuantizeF16(t *testing.T) {
-	a := New(Shape{1, 1, 1, 3}, NCHW)
-	a.Data = []float32{1.0001, -3.14159, 0}
-	b := a.Clone()
-	b.Quantize(F16)
-	for i := range a.Data {
-		if b.Data[i] != F16Round(a.Data[i]) {
-			t.Fatalf("Quantize(F16)[%d] = %v, want %v", i, b.Data[i], F16Round(a.Data[i]))
-		}
-	}
-}
-
-func TestQuantizeI8SaturatesAndGrids(t *testing.T) {
-	a := New(Shape{1, 1, 1, 4}, NCHW)
-	a.Data = []float32{2.0, -2.0, 0.5, 0}
-	a.Quantize(I8)
-	if a.Data[0] != 1 {
-		t.Fatalf("positive saturation = %v, want 1", a.Data[0])
-	}
-	if a.Data[1] != -128.0/127 {
-		t.Fatalf("negative saturation = %v, want %v", a.Data[1], -128.0/127)
-	}
-	if math.Abs(float64(a.Data[2]-64.0/127)) > 1e-6 {
-		t.Fatalf("0.5 quantized = %v", a.Data[2])
-	}
-	if a.Data[3] != 0 {
-		t.Fatalf("0 quantized = %v", a.Data[3])
-	}
-}
-
-func TestQuantizeF32IsIdentity(t *testing.T) {
-	a := New(Shape{1, 1, 1, 2}, NCHW)
-	a.Data = []float32{1.23456789, -9.87654321}
-	b := a.Clone()
-	b.Quantize(F32)
-	if MaxAbsDiff(a, b) != 0 {
-		t.Fatal("Quantize(F32) must be identity")
 	}
 }
 

@@ -25,9 +25,12 @@ func writeChromeReference(r *Recorder, w io.Writer) error {
 	}
 	spans := r.Spans()
 	instants := slices.Clone(r.instants)
-	counters := r.Counters()
+	counters := make([]Counter, 0, len(r.names))
+	for _, name := range r.names {
+		counters = append(counters, *r.counters[name])
+	}
 
-	tracks := r.Tracks()
+	tracks := slices.Clone(r.tracks)
 	slices.Sort(tracks)
 	tid := make(map[string]int, len(tracks))
 	for i, name := range tracks {

@@ -155,32 +155,3 @@ func (r *Recorder) Spans() []metrics.Span {
 	copy(out, r.spans)
 	return out
 }
-
-// Tracks returns the track names in first-seen order.
-func (r *Recorder) Tracks() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.tracks))
-	copy(out, r.tracks)
-	return out
-}
-
-// Counters returns copies of the counter series in first-seen order.
-func (r *Recorder) Counters() []Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Counter, 0, len(r.names))
-	for _, name := range r.names {
-		c := r.counters[name]
-		samples := make([]Sample, len(c.Samples))
-		copy(samples, c.Samples)
-		out = append(out, Counter{Name: name, Samples: samples})
-	}
-	return out
-}

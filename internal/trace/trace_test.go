@@ -53,7 +53,7 @@ func TestRecorderAccessors(t *testing.T) {
 	}
 	// Tracks are reported in first-seen order.
 	want := []string{"pask-parser", "pask-loader", "gpu", "run", "registry"}
-	got := r.Tracks()
+	got := r.tracks
 	if len(got) != len(want) {
 		t.Fatalf("Tracks: got %v, want %v", got, want)
 	}
@@ -65,8 +65,8 @@ func TestRecorderAccessors(t *testing.T) {
 	// Consecutive duplicate counter values collapse; a registry sample is
 	// a counter series.
 	samples := map[string][]Sample{}
-	for _, c := range r.Counters() {
-		samples[c.Name] = c.Samples
+	for _, name := range r.names {
+		samples[name] = r.counters[name].Samples
 	}
 	if got := samples["pask_parsed_queue"]; len(got) != 3 {
 		t.Fatalf("pask_parsed_queue samples: got %d, want 3 (dedup)", len(got))
@@ -89,7 +89,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Count("c", 0, 1)
 	r.RegistryEvent("evict", "p", 0)
 	r.RegistrySample("s", 0, 1)
-	if r.Spans() != nil || r.Tracks() != nil || r.Counters() != nil {
+	if r.Spans() != nil {
 		t.Fatal("nil recorder must report empty state")
 	}
 }
